@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lintgate test race bench
+.PHONY: check build vet lint lintgate test race bench benchmark
 
 check: build vet lint lintgate race
 
@@ -36,3 +36,9 @@ race:
 # machine-readable BENCH_checks.json snapshot (see scripts/bench.sh).
 bench:
 	sh scripts/bench.sh
+
+# The repo benchmark (BENCHMARK.json): five closed-loop workloads, seven
+# end-to-end metrics; `sh bench/run.sh -workload W -trace 1` adds the
+# per-layer numbers. See bench/README.md.
+benchmark:
+	sh bench/run.sh

@@ -230,6 +230,56 @@ func BenchmarkE8TOThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkE13RecordOverhead is the E8 n=5 pump run twice, without observers
+// and with Config.Stream spilling every macro-step to a chunked trace (E13).
+// scripts/check.sh gates recorded/unrecorded; every recorded run must close
+// its stream without error, and the first one is replayed sealed and clean
+// so the rate is that of a recorder whose trace actually checks out.
+func BenchmarkE13RecordOverhead(b *testing.B) {
+	for _, recorded := range []bool{false, true} {
+		name := "unrecorded"
+		if recorded {
+			name = "recorded"
+		}
+		b.Run(name, func(b *testing.B) {
+			var rate float64
+			for i := 0; i < b.N; i++ {
+				cfg := sim.ThroughputConfig{Processes: 5, Duration: 300 * time.Millisecond, Seed: int64(i)}
+				if recorded {
+					stream, err := dvs.NewTraceStream(b.TempDir(), dvs.TraceStreamOptions{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					cfg.Stream = stream
+				}
+				res, err := sim.Throughput(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Consistent {
+					b.Fatal("inconsistent delivery")
+				}
+				if cfg.Stream != nil {
+					if err := cfg.Stream.Close(); err != nil {
+						b.Fatalf("closing trace stream: %v", err)
+					}
+					if i == 0 {
+						rep, err := dvs.ReplayTraceStream(cfg.Stream.Dir())
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !rep.OK() || !rep.Sealed {
+							b.Fatalf("recorded run does not replay sealed and clean: %s", rep)
+						}
+					}
+				}
+				rate += res.PerSecond()
+			}
+			b.ReportMetric(rate/float64(b.N), "msg/s")
+		})
+	}
+}
+
 // BenchmarkE14ShardedThroughput measures aggregate totally-ordered delivery
 // rate against the number of independent groups at a fixed 10% cross-group
 // multicast fraction (E14). Keyed traffic routes by consistent hash onto

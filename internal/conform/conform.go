@@ -89,10 +89,7 @@ func NewRecorder(p types.ProcID, g types.GroupID, initial types.View, inP0, regi
 // layer's Observer. Events and effects are deep-copied: the runtime keeps
 // mutating the views and messages they reference.
 func (r *Recorder) ObserveDVS(ev dvscore.Event, fx []dvscore.Effect) {
-	rec := DVSRecord{Ev: cloneDVSEvent(ev), Fx: make([]dvscore.Effect, len(fx))}
-	for i, f := range fx {
-		rec.Fx[i] = cloneDVSEffect(f)
-	}
+	rec := cloneDVSRecord(ev, fx)
 	r.mu.Lock()
 	r.log.DVS = append(r.log.DVS, rec)
 	r.mu.Unlock()
@@ -101,10 +98,7 @@ func (r *Recorder) ObserveDVS(ev dvscore.Event, fx []dvscore.Effect) {
 // ObserveTO records one DVS-TO-TO macro-step; it is installed as the tob
 // layer's Observer.
 func (r *Recorder) ObserveTO(ev tocore.Event, fx []tocore.Effect) {
-	rec := TORecord{Ev: cloneTOEvent(ev), Fx: make([]tocore.Effect, len(fx))}
-	for i, f := range fx {
-		rec.Fx[i] = cloneTOEffect(f)
-	}
+	rec := cloneTORecord(ev, fx)
 	r.mu.Lock()
 	r.log.TO = append(r.log.TO, rec)
 	r.mu.Unlock()
@@ -142,6 +136,25 @@ func cloneMsg(m types.Msg) types.Msg {
 	default:
 		return m
 	}
+}
+
+// cloneDVSRecord deep-copies one observed macro-step for a consumer that
+// keeps live structs (Recorder, OnlineChecker); the stream path encodes
+// instead.
+func cloneDVSRecord(ev dvscore.Event, fx []dvscore.Effect) DVSRecord {
+	rec := DVSRecord{Ev: cloneDVSEvent(ev), Fx: make([]dvscore.Effect, len(fx))}
+	for i, f := range fx {
+		rec.Fx[i] = cloneDVSEffect(f)
+	}
+	return rec
+}
+
+func cloneTORecord(ev tocore.Event, fx []tocore.Effect) TORecord {
+	rec := TORecord{Ev: cloneTOEvent(ev), Fx: make([]tocore.Effect, len(fx))}
+	for i, f := range fx {
+		rec.Fx[i] = cloneTOEffect(f)
+	}
+	return rec
 }
 
 func cloneDVSEvent(ev dvscore.Event) dvscore.Event {

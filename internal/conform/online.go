@@ -86,10 +86,7 @@ func NewOnlineChecker(p types.ProcID, initial types.View, inP0, register, gc boo
 
 // ObserveDVS buffers one VS-TO-DVS macro-step; install as a dvsg observer.
 func (c *OnlineChecker) ObserveDVS(ev dvscore.Event, fx []dvscore.Effect) {
-	rec := DVSRecord{Ev: cloneDVSEvent(ev), Fx: make([]dvscore.Effect, len(fx))}
-	for i, f := range fx {
-		rec.Fx[i] = cloneDVSEffect(f)
-	}
+	rec := cloneDVSRecord(ev, fx)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.winDVS = append(c.winDVS, rec)
@@ -106,10 +103,7 @@ func (c *OnlineChecker) ObserveDVS(ev dvscore.Event, fx []dvscore.Effect) {
 
 // ObserveTO buffers one DVS-TO-TO macro-step; install as a tob observer.
 func (c *OnlineChecker) ObserveTO(ev tocore.Event, fx []tocore.Effect) {
-	rec := TORecord{Ev: cloneTOEvent(ev), Fx: make([]tocore.Effect, len(fx))}
-	for i, f := range fx {
-		rec.Fx[i] = cloneTOEffect(f)
-	}
+	rec := cloneTORecord(ev, fx)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.winTO = append(c.winTO, rec)

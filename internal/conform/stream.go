@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/protocol/dvscore"
@@ -22,18 +23,21 @@ import (
 //
 //	header.seg            streamHeader: format version + per-node core
 //	                      construction parameters
-//	chunk-00000001.seg    streamChunk: one window of macro-steps per node,
-//	chunk-00000002.seg    with the node-local start offsets of the window
-//	...                   and a quiescence mark for the cut that closed it
+//	chunk-00000001.seg    one window of macro-steps per node, with the
+//	chunk-00000002.seg    node-local start offsets of the window and a
+//	...                   quiescence mark for the cut that closed it
 //	footer.seg            streamFooter: chunk count + per-node step totals,
 //	                      written last — its presence seals the trace
 //
 // Every segment is written to a temporary file in the same directory,
 // fsynced, and renamed into place, so a crash at any point leaves either a
 // complete segment or none: the sealed prefix of a torn trace is always
-// replayable. Segment payloads are gob, framed by a magic string, an
-// explicit length, and a CRC so torn or foreign files are detected rather
-// than misparsed.
+// replayable. Every payload is framed by a magic string, an explicit
+// length, and a CRC so torn or foreign files are detected rather than
+// misparsed. Header and footer payloads are gob (written once each); chunk
+// payloads are the stateless binary codec of wire.go, encoded record by
+// record on the observing event loop and written by one goroutine (see
+// segWriter) so neither encoding nor fsync runs under the recorder's mutex.
 //
 // The recorder shared by all nodes of a run serializes every record under
 // one mutex. That linearization is what makes chunk boundaries consistent
@@ -45,7 +49,7 @@ import (
 
 const (
 	segMagic      = "DVSSEG1\n"
-	streamVersion = 1
+	streamVersion = 2 // chunk payloads are the wire.go codec; 1 was gob
 	headerSeg     = "header.seg"
 	footerSeg     = "footer.seg"
 
@@ -73,10 +77,10 @@ type streamHeader struct {
 	Nodes   []NodeMeta // sorted by P
 }
 
-// chunkPart is one node's slice of a chunk: the records buffered since the
-// previous cut, plus their start offsets in the node's full per-layer logs
-// (so the replayer can verify the chunks are gap-free and index divergences
-// globally).
+// chunkPart is one node's slice of a decoded chunk: the records buffered
+// between two cuts, plus their start offsets in the node's full per-layer
+// logs (so the replayer can verify the chunks are gap-free and index
+// divergences globally).
 type chunkPart struct {
 	P        types.ProcID
 	DVSStart int
@@ -102,17 +106,19 @@ type streamFooter struct {
 	Totals []nodeTotal // sorted by P
 }
 
-// writeSegment atomically writes one framed gob segment: encode to memory,
-// write magic + length + payload + CRC to a temp file in the target
-// directory, fsync, rename. A failure at any point leaves no partial file
-// at path.
-func writeSegment(path string, v any) (err error) {
+// writeSegment atomically writes v as one framed gob segment.
+func writeSegment(path string, v any) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return fmt.Errorf("conform: encode segment %s: %w", filepath.Base(path), err)
 	}
-	payload := buf.Bytes()
+	return writeFramed(path, buf.Bytes())
+}
 
+// writeFramed atomically writes one segment: magic + length + payload + CRC
+// to a temp file in the target directory, fsync, rename, directory sync. A
+// failure at any point leaves no partial file at path.
+func writeFramed(path string, payload []byte) (err error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".seg-*.tmp")
 	if err != nil {
@@ -152,32 +158,54 @@ func writeSegment(path string, v any) (err error) {
 	return nil
 }
 
-// readSegment reads and verifies one segment into v. A missing file
-// surfaces as os.ErrNotExist; any framing or checksum failure is an
-// explicit corruption error.
+// readSegment reads and verifies one gob segment into v.
 func readSegment(path string, v any) error {
-	data, err := os.ReadFile(path)
+	payload, err := readFramed(path)
 	if err != nil {
 		return err
-	}
-	if len(data) < len(segMagic)+8+4 || string(data[:len(segMagic)]) != segMagic {
-		return fmt.Errorf("conform: %s: not a trace segment", filepath.Base(path))
-	}
-	body := data[len(segMagic):]
-	n := binary.BigEndian.Uint64(body[:8])
-	body = body[8:]
-	if uint64(len(body)) != n+4 {
-		return fmt.Errorf("conform: %s: truncated segment (%d of %d payload bytes)",
-			filepath.Base(path), len(body), n+4)
-	}
-	payload, sum := body[:n], binary.BigEndian.Uint32(body[n:])
-	if crc32.ChecksumIEEE(payload) != sum {
-		return fmt.Errorf("conform: %s: segment checksum mismatch", filepath.Base(path))
 	}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
 		return fmt.Errorf("conform: %s: decode segment: %w", filepath.Base(path), err)
 	}
 	return nil
+}
+
+// readChunk reads and verifies one chunk segment.
+func readChunk(path string) (streamChunk, error) {
+	payload, err := readFramed(path)
+	if err != nil {
+		return streamChunk{}, err
+	}
+	ch, err := decodeChunk(payload)
+	if err != nil {
+		return streamChunk{}, fmt.Errorf("conform: %s: %w", filepath.Base(path), err)
+	}
+	return ch, nil
+}
+
+// readFramed reads one segment and returns its verified payload. A missing
+// file surfaces as os.ErrNotExist; any framing or checksum failure is an
+// explicit corruption error.
+func readFramed(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(data) < len(segMagic)+8+4 || string(data[:len(segMagic)]) != segMagic {
+		return nil, fmt.Errorf("conform: %s: not a trace segment", filepath.Base(path))
+	}
+	body := data[len(segMagic):]
+	n := binary.BigEndian.Uint64(body[:8])
+	body = body[8:]
+	if uint64(len(body)) != n+4 {
+		return nil, fmt.Errorf("conform: %s: truncated segment (%d of %d payload bytes)",
+			filepath.Base(path), len(body), n+4)
+	}
+	payload, sum := body[:n], binary.BigEndian.Uint32(body[n:])
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, fmt.Errorf("conform: %s: segment checksum mismatch", filepath.Base(path))
+	}
+	return payload, nil
 }
 
 // syncDir best-effort fsyncs a directory so a rename survives a crash; not
@@ -196,8 +224,8 @@ type StreamOptions struct {
 	// WindowSteps cuts a chunk after this many buffered macro-steps summed
 	// over all nodes and both layers (default 4096).
 	WindowSteps int
-	// WindowBytes cuts a chunk once the buffered records are estimated to
-	// exceed this size (approximate, default 4 MiB).
+	// WindowBytes cuts a chunk once the buffered records' encoded size
+	// reaches this many bytes (default 4 MiB).
 	WindowBytes int
 }
 
@@ -221,15 +249,20 @@ type StreamRecorder struct {
 	dir  string
 	opts StreamOptions
 
+	// beforeWrite, when set before the first cut, runs on the writer
+	// goroutine ahead of each chunk write. Tests use it to stall the writer.
+	beforeWrite func(seq int)
+
 	mu      sync.Mutex
 	nodes   []*StreamNode // sorted by P
 	byP     map[types.ProcID]*StreamNode
 	started bool // header written; registration closed
 	closed  bool
-	seq     int
-	steps   int // records buffered since the last cut
-	bytes   int // estimated buffered payload bytes
-	peak    int // high-water mark of steps (the O(window) witness)
+	seq     int        // chunks handed to the writer
+	steps   int        // records buffered since the last cut
+	bytes   int        // their encoded size
+	peak    int        // high-water mark of steps (the O(window) witness)
+	w       *segWriter // started at the first cut, drained by Close
 	err     error
 }
 
@@ -237,19 +270,25 @@ type StreamRecorder struct {
 // ObserveDVS/ObserveTO have the same signatures as Recorder's and install
 // the same way.
 type StreamNode struct {
-	r        *StreamRecorder
-	meta     NodeMeta
-	dvsStart int // global index of the first buffered DVS record
-	dvs      []DVSRecord
-	toStart  int
-	to       []TORecord
+	r    *StreamRecorder
+	meta NodeMeta
+	// scratch is where a record is encoded before the mutex is taken. Both
+	// observers run on the node's event loop, never nested, so one buffer
+	// serves both layers.
+	scratch []byte
+	dvs, to layerBuf // the open window; guarded by r.mu
 }
 
 // NewStreamRecorder creates the trace directory (if needed) and a recorder
-// writing into it. The directory should be empty or a previous trace: stale
-// chunks past the new footer would otherwise confuse a replay.
+// writing into it. Segments of a previous trace in the directory are
+// removed first — chunks past the new footer would otherwise read as a gap
+// in the new trace — and a directory holding anything that is not a trace
+// segment is refused rather than recorded over.
 func NewStreamRecorder(dir string, opts StreamOptions) (*StreamRecorder, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	if err := removeStaleSegments(dir); err != nil {
 		return nil, err
 	}
 	return &StreamRecorder{
@@ -257,6 +296,38 @@ func NewStreamRecorder(dir string, opts StreamOptions) (*StreamRecorder, error) 
 		opts: opts.withDefaults(),
 		byP:  make(map[types.ProcID]*StreamNode),
 	}, nil
+}
+
+// removeStaleSegments deletes a previous trace's *.seg files and orphaned
+// .seg-*.tmp files from dir. The footer goes first, so a crash mid-cleanup
+// cannot leave a trace that looks sealed over missing chunks.
+func removeStaleSegments(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	stale := make([]string, 0, len(entries))
+	for _, e := range entries {
+		name := e.Name()
+		tmp, _ := filepath.Match(".seg-*.tmp", name)
+		if !e.Type().IsRegular() || !(tmp || strings.HasSuffix(name, ".seg")) {
+			return fmt.Errorf("conform: trace directory %s holds %q, which is not a trace segment: refusing to record over it", dir, name)
+		}
+		if name == footerSeg {
+			stale = append([]string{name}, stale...)
+		} else {
+			stale = append(stale, name)
+		}
+	}
+	for _, name := range stale {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			return fmt.Errorf("conform: clearing previous trace: %w", err)
+		}
+	}
+	if len(stale) > 0 {
+		syncDir(dir)
+	}
+	return nil
 }
 
 // Dir returns the trace directory.
@@ -301,9 +372,10 @@ func (r *StreamRecorder) Cut(quiescent bool) {
 	r.cutLocked(quiescent)
 }
 
-// Close writes the final cut (quiescent: every node has stopped) and the
-// sealing footer, and returns the first write error encountered over the
-// stream's lifetime. Close is idempotent.
+// Close hands the final cut (quiescent: every node has stopped) to the
+// writer, waits for the writer to drain and exit, writes the sealing
+// footer, and returns the first error encountered over the stream's
+// lifetime. Close is idempotent.
 func (r *StreamRecorder) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -317,10 +389,19 @@ func (r *StreamRecorder) Close() error {
 	if !r.started {
 		r.writeHeaderLocked()
 	}
+	if w := r.w; w != nil {
+		// The writer never takes r.mu, so waiting for it here cannot deadlock.
+		close(w.q)
+		<-w.done
+		if r.err == nil {
+			r.err = w.err
+		}
+		r.w = nil
+	}
 	if r.err == nil {
 		ft := streamFooter{Chunks: r.seq}
 		for _, sn := range r.nodes {
-			ft.Totals = append(ft.Totals, nodeTotal{P: sn.meta.P, DVS: sn.dvsStart, TO: sn.toStart})
+			ft.Totals = append(ft.Totals, nodeTotal{P: sn.meta.P, DVS: sn.dvs.start, TO: sn.to.start})
 		}
 		if err := writeSegment(filepath.Join(r.dir, footerSeg), ft); err != nil {
 			r.err = err
@@ -329,12 +410,19 @@ func (r *StreamRecorder) Close() error {
 	return r.err
 }
 
-// Err returns the sticky first write error (nil while healthy). Records
-// observed after an error are dropped; the sealed prefix on disk stays
-// valid.
+// Err returns the sticky first error (nil while healthy): a failed segment
+// write, or a record the codec could not encode. Records observed after an
+// error are dropped; the sealed prefix on disk stays valid.
 func (r *StreamRecorder) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.err == nil && r.w != nil {
+		select {
+		case <-r.w.done:
+			r.err = r.w.err
+		default:
+		}
+	}
 	return r.err
 }
 
@@ -358,6 +446,12 @@ func (r *StreamRecorder) writeHeaderLocked() {
 	r.started = true
 }
 
+// cutLocked swaps every node's open-window buffers into a chunkJob and
+// queues it for the writer. The send happens under the mutex on purpose: it
+// keeps jobs in sequence order, and when the writer is a full chunk behind
+// it stalls every observer — backpressure that bounds recorder memory at
+// the open window plus one queued and one in-flight chunk, instead of
+// dropping records or leaving a gap.
 func (r *StreamRecorder) cutLocked(quiescent bool) {
 	if !r.started {
 		r.writeHeaderLocked()
@@ -365,28 +459,43 @@ func (r *StreamRecorder) cutLocked(quiescent bool) {
 	if r.err != nil {
 		return
 	}
-	ch := streamChunk{Seq: r.seq + 1, Quiescent: quiescent}
-	for _, sn := range r.nodes {
-		ch.Parts = append(ch.Parts, chunkPart{
-			P: sn.meta.P, DVSStart: sn.dvsStart, DVS: sn.dvs, TOStart: sn.toStart, TO: sn.to,
-		})
-		sn.dvsStart += len(sn.dvs)
-		sn.toStart += len(sn.to)
-		sn.dvs, sn.to = nil, nil
+	if r.w == nil {
+		r.w = startSegWriter(r.dir, r.beforeWrite)
+	}
+	job := r.w.recycled(len(r.nodes))
+	job.seq, job.quiescent = r.seq+1, quiescent
+	for i, sn := range r.nodes {
+		part := &job.parts[i]
+		part.p = sn.meta.P
+		part.dvs, sn.dvs = sn.dvs, layerBuf{start: sn.dvs.start + sn.dvs.count, b: part.dvs.b[:0]}
+		part.to, sn.to = sn.to, layerBuf{start: sn.to.start + sn.to.count, b: part.to.b[:0]}
 	}
 	r.steps, r.bytes = 0, 0
-	if err := writeSegment(filepath.Join(r.dir, chunkSeg(ch.Seq)), ch); err != nil {
-		r.err = err
-		return
+	select {
+	case r.w.q <- job:
+		r.seq = job.seq
+	case <-r.w.done:
+		r.err = r.w.err
 	}
-	r.seq = ch.Seq
 }
 
-// noteLocked accounts one buffered record and cuts when a threshold is hit.
-// est is a cheap size estimate; WindowBytes is documented as approximate.
-func (r *StreamRecorder) noteLocked(est int) {
+// record appends one encoded record to lb (a layer buffer of the observing
+// node's open window) and cuts when a threshold is hit. The bytes are
+// copied, so the caller may reuse rec.
+func (r *StreamRecorder) record(lb *layerBuf, rec []byte, encErr error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed || r.err != nil {
+		return
+	}
+	if encErr != nil {
+		r.err = encErr
+		return
+	}
+	lb.b = append(lb.b, rec...)
+	lb.count++
 	r.steps++
-	r.bytes += est
+	r.bytes += len(rec)
 	if r.steps > r.peak {
 		r.peak = r.steps
 	}
@@ -396,35 +505,98 @@ func (r *StreamRecorder) noteLocked(est int) {
 }
 
 // ObserveDVS records one VS-TO-DVS macro-step; install as the dvsg layer's
-// observer. Deep-copies like Recorder.ObserveDVS.
+// observer. Encoding is the copy: the record is serialized before the
+// recorder's mutex is taken, and nothing of ev or fx is retained.
 func (sn *StreamNode) ObserveDVS(ev dvscore.Event, fx []dvscore.Effect) {
-	rec := DVSRecord{Ev: cloneDVSEvent(ev), Fx: make([]dvscore.Effect, len(fx))}
-	for i, f := range fx {
-		rec.Fx[i] = cloneDVSEffect(f)
-	}
-	r := sn.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed || r.err != nil {
-		return
-	}
-	sn.dvs = append(sn.dvs, rec)
-	r.noteLocked(64 + 64*len(fx))
+	var err error
+	sn.scratch, err = appendDVSRecord(sn.scratch[:0], ev, fx)
+	sn.r.record(&sn.dvs, sn.scratch, err)
 }
 
 // ObserveTO records one DVS-TO-TO macro-step; install as the tob layer's
 // observer.
 func (sn *StreamNode) ObserveTO(ev tocore.Event, fx []tocore.Effect) {
-	rec := TORecord{Ev: cloneTOEvent(ev), Fx: make([]tocore.Effect, len(fx))}
-	for i, f := range fx {
-		rec.Fx[i] = cloneTOEffect(f)
+	var err error
+	sn.scratch, err = appendTORecord(sn.scratch[:0], ev, fx)
+	sn.r.record(&sn.to, sn.scratch, err)
+}
+
+// layerBuf is one node's encoded records of one layer since the last cut:
+// their start offset in the node's full per-layer log (so the replayer can
+// verify the chunks are gap-free and index divergences globally), how many
+// there are, and their concatenated encodings.
+type layerBuf struct {
+	start, count int
+	b            []byte
+}
+
+type partBuf struct {
+	p       types.ProcID
+	dvs, to layerBuf
+}
+
+// chunkJob is one cut window on its way to disk: encoded bytes only, so the
+// writer goroutine never sees a core or a live record.
+type chunkJob struct {
+	seq       int
+	quiescent bool
+	parts     []partBuf // one per node, sorted by p
+}
+
+// segWriter is the one goroutine that puts chunks on disk, strictly in the
+// order they were cut. It sees encoded bytes only.
+type segWriter struct {
+	dir  string
+	hook func(seq int)
+	q    chan *chunkJob // depth 1: one chunk queued while one is being written
+	// free holds written-out jobs so the next cut reuses their buffers;
+	// sized to the jobs that can be outstanding (queued + in flight), and a
+	// full list drops the job, so buffer memory cannot creep.
+	free chan *chunkJob
+	done chan struct{} // closed when run returns
+	err  error         // why run returned early; read only after done
+}
+
+func startSegWriter(dir string, hook func(seq int)) *segWriter {
+	w := &segWriter{
+		dir:  dir,
+		hook: hook,
+		q:    make(chan *chunkJob, 1),
+		free: make(chan *chunkJob, 2),
+		done: make(chan struct{}),
 	}
-	r := sn.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed || r.err != nil {
-		return
+	go w.run()
+	return w
+}
+
+// run writes jobs until q is closed (Close) or a write fails. A failure sets
+// err and ends the writer, which cutters and Err observe through done; done
+// closing with err nil happens only after Close closed q.
+func (w *segWriter) run() {
+	defer close(w.done)
+	var payload []byte // reused across chunks
+	for job := range w.q {
+		if w.hook != nil {
+			w.hook(job.seq)
+		}
+		payload = appendChunk(payload[:0], job)
+		if err := writeFramed(filepath.Join(w.dir, chunkSeg(job.seq)), payload); err != nil {
+			w.err = fmt.Errorf("conform: write chunk %d: %w", job.seq, err)
+			return
+		}
+		select {
+		case w.free <- job:
+		default:
+		}
 	}
-	sn.to = append(sn.to, rec)
-	r.noteLocked(64 + 64*len(fx))
+}
+
+// recycled returns a job with n parts, reusing a written-out one if any.
+func (w *segWriter) recycled(n int) *chunkJob {
+	select {
+	case job := <-w.free:
+		return job
+	default:
+		return &chunkJob{parts: make([]partBuf, n)}
+	}
 }

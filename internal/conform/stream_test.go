@@ -1,11 +1,14 @@
 package conform
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/protocol/dvscore"
 	"repro/internal/protocol/tocore"
@@ -17,7 +20,7 @@ import (
 // given observers (the signatures Recorder, StreamNode, and OnlineChecker
 // all share). cut, if non-nil, is called between cycles — each cycle ends
 // with the interface quiescent, so it is a safe place for a quiescent cut.
-func driveScript(t *testing.T, rounds int,
+func driveScript(t testing.TB, rounds int,
 	obsDVS func(dvscore.Event, []dvscore.Effect),
 	obsTO func(tocore.Event, []tocore.Effect),
 	cut func(round int)) {
@@ -209,15 +212,15 @@ func TestStreamReplayLocalizesDivergenceToChunk(t *testing.T) {
 	tamperedSeq := 0
 tamper:
 	for seq := 2; ; seq++ {
-		var ch streamChunk
-		if err := readSegment(filepath.Join(dir, chunkSeg(seq)), &ch); err != nil {
+		ch, err := readChunk(filepath.Join(dir, chunkSeg(seq)))
+		if err != nil {
 			break
 		}
 		for pi := range ch.Parts {
 			for ri := range ch.Parts[pi].TO {
 				if len(ch.Parts[pi].TO[ri].Fx) > 0 {
 					ch.Parts[pi].TO[ri].Fx = nil
-					if err := writeSegment(filepath.Join(dir, chunkSeg(seq)), ch); err != nil {
+					if err := writeFramed(filepath.Join(dir, chunkSeg(seq)), encodeChunk(t, ch)); err != nil {
 						t.Fatalf("rewrite chunk: %v", err)
 					}
 					tamperedSeq = seq
@@ -374,8 +377,9 @@ func TestReplayRejectsDisagreeingInitialViews(t *testing.T) {
 	}
 }
 
-// unregisteredMsg is a types.Msg deliberately not registered with gob, so
-// encoding a trace that contains it fails partway through.
+// unregisteredMsg is a types.Msg deliberately not registered with gob and
+// given no wire tag, so encoding a trace that contains it fails partway
+// through.
 type unregisteredMsg struct{}
 
 func (unregisteredMsg) MsgKey() string { return "unregistered" }
@@ -431,5 +435,290 @@ func TestWriteFileFailureCreatesNothing(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Errorf("failed write left %d file(s) in the directory", len(entries))
+	}
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// TestStreamReRecordShorterRunSeals: recording a short run over a longer
+// one's directory must not leave the long run's tail chunks behind — they
+// would read as a gap in a trace that was closed cleanly.
+func TestStreamReRecordShorterRunSeals(t *testing.T) {
+	dir := t.TempDir()
+	_, long := recordStreamed(t, dir, StreamOptions{WindowSteps: 4}, 8, nil)
+	if err := long.Close(); err != nil {
+		t.Fatal(err)
+	}
+	longRep, err := ReplayStream(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A crashed writer's orphan rides along; it must go too.
+	orphan := filepath.Join(dir, ".seg-123.tmp")
+	if err := os.WriteFile(orphan, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	log, short := recordStreamed(t, dir, StreamOptions{WindowSteps: 4}, 2, nil)
+	if err := short.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplayStream(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Sealed || rep.Truncated != "" || !rep.OK() {
+		t.Fatalf("re-recorded trace does not replay sealed and clean: %s", rep)
+	}
+	if rep.Chunks >= longRep.Chunks {
+		t.Fatalf("short run has %d chunks, the long one had %d: not a shorter run", rep.Chunks, longRep.Chunks)
+	}
+	if rep.DVSSteps != len(log.DVS) || rep.TOSteps != len(log.TO) {
+		t.Errorf("replayed dvs=%d/to=%d steps, recorded dvs=%d/to=%d", rep.DVSSteps, rep.TOSteps, len(log.DVS), len(log.TO))
+	}
+	if exists(filepath.Join(dir, chunkSeg(longRep.Chunks))) || exists(orphan) {
+		t.Error("stale segments of the previous trace survived the re-record")
+	}
+}
+
+func TestStreamRecorderRefusesForeignDirectory(t *testing.T) {
+	dir := t.TempDir()
+	_, sr := recordStreamed(t, dir, StreamOptions{WindowSteps: 4}, 2, nil)
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	notes := filepath.Join(dir, "notes.txt")
+	if err := os.WriteFile(notes, []byte("keep me"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewStreamRecorder(dir, StreamOptions{}); err == nil || !strings.Contains(err.Error(), "notes.txt") {
+		t.Fatalf("recorder over a directory with a foreign file: err=%v, want a refusal naming it", err)
+	}
+	// A refusal touches nothing: the previous trace still replays sealed.
+	if rep, err := ReplayStream(dir); err != nil || !rep.Sealed || !exists(notes) {
+		t.Errorf("refused re-record damaged the directory: rep=%v err=%v", rep, err)
+	}
+}
+
+func TestStreamReplayRejectsV1Directory(t *testing.T) {
+	dir := t.TempDir()
+	if err := writeSegment(filepath.Join(dir, headerSeg), streamHeader{Version: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReplayStream(dir); err == nil || !strings.Contains(err.Error(), "re-record") {
+		t.Errorf("v1 directory: err=%v, want a version error that says to re-record", err)
+	}
+}
+
+// TestStreamUnencodableMsgIsStickyErr: a message type with no wire tag ends
+// the trace loudly (sticky Err, no footer) — never a panic, never a trace
+// that seals one record short.
+func TestStreamUnencodableMsgIsStickyErr(t *testing.T) {
+	dir := t.TempDir()
+	sr, err := NewStreamRecorder(dir, StreamOptions{WindowSteps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := sr.Node(0, 0, types.InitialView(types.RangeProcSet(1)), true, true, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn.ObserveDVS(dvscore.EvClientRegister{}, nil)
+	sn.ObserveDVS(dvscore.EvClientSend{M: unregisteredMsg{}}, nil)
+	first := sr.Err()
+	if first == nil || !strings.Contains(first.Error(), "no wire tag") {
+		t.Fatalf("Err() = %v after an unencodable message, want a no-wire-tag error", first)
+	}
+	sn.ObserveDVS(dvscore.EvClientRegister{}, nil) // dropped, not recorded past the hole
+	if err := sr.Close(); !errors.Is(err, first) {
+		t.Errorf("Close() = %v, want the sticky %v", err, first)
+	}
+	if exists(filepath.Join(dir, footerSeg)) {
+		t.Error("a trace with an unencodable record was sealed")
+	}
+}
+
+// TestStreamWindowBytesExact: the byte threshold counts encoded bytes, so a
+// run of identical records cuts at exactly the predicted record.
+func TestStreamWindowBytesExact(t *testing.T) {
+	ev := dvscore.EvClientSend{M: types.ClientMsg("payload")}
+	one, err := appendDVSRecord(nil, ev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perChunk = 10
+	dir := t.TempDir()
+	sr, err := NewStreamRecorder(dir, StreamOptions{WindowSteps: 1 << 20, WindowBytes: perChunk*len(one) - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := sr.Node(0, 0, types.InitialView(types.RangeProcSet(1)), true, true, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*perChunk; i++ {
+		sn.ObserveDVS(ev, nil)
+	}
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for seq := 1; seq <= 3; seq++ {
+		ch, err := readChunk(filepath.Join(dir, chunkSeg(seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(ch.Parts[0].DVS); n != perChunk {
+			t.Errorf("chunk %d holds %d records of %d bytes under a %d-byte window, want %d",
+				seq, n, len(one), perChunk*len(one)-1, perChunk)
+		}
+	}
+	if exists(filepath.Join(dir, chunkSeg(4))) {
+		t.Error("more chunks than the byte window predicts")
+	}
+}
+
+// TestStreamWriterFailureIsSticky takes the trace directory away mid-run.
+// Observers must keep returning, the error must stick and come back from
+// Close, no footer may be written, and what reached disk before the failure
+// must replay clean.
+func TestStreamWriterFailureIsSticky(t *testing.T) {
+	root := t.TempDir()
+	dir, moved := filepath.Join(root, "trace"), filepath.Join(root, "moved")
+	_, sr := recordStreamed(t, dir, StreamOptions{WindowSteps: 4}, 12, func(r *StreamRecorder, round int) {
+		if round == 3 {
+			waitFor(t, "chunk 2 on disk", func() bool { return exists(filepath.Join(dir, chunkSeg(2))) })
+			if err := os.Rename(dir, moved); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// Eight rounds of several cuts each ran after the rename: the writer
+	// has hit the missing directory and a later cut has seen it gone.
+	first := sr.Err()
+	if first == nil {
+		t.Fatal("Err() is nil after the trace directory vanished")
+	}
+	if again := sr.Err(); again != first {
+		t.Errorf("Err() not sticky: %v then %v", first, again)
+	}
+	if err := sr.Close(); err != first {
+		t.Errorf("Close() = %v, want the sticky %v", err, first)
+	}
+	if exists(filepath.Join(moved, footerSeg)) || exists(filepath.Join(dir, footerSeg)) {
+		t.Error("a footer was written after a write failure")
+	}
+	rep, err := ReplayStream(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sealed || rep.Truncated == "" {
+		t.Errorf("trace of a failed recorder reads as sealed: %s", rep)
+	}
+	if rep.Chunks < 2 || !rep.OK() {
+		t.Errorf("sealed prefix did not replay clean: %s", rep)
+	}
+}
+
+// TestStreamWriterBackpressure stalls the writer and checks the bound the
+// design promises: one chunk in flight, one queued, and the cutter of the
+// third blocked — so the open window never outgrows its threshold — with
+// every record on disk once the writer resumes.
+func TestStreamWriterBackpressure(t *testing.T) {
+	const window = 4
+	var evs []tocore.Event
+	driveScript(t, 12, func(dvscore.Event, []dvscore.Effect) {},
+		func(ev tocore.Event, _ []tocore.Effect) { evs = append(evs, ev) }, nil)
+	if len(evs) < 4*window {
+		t.Fatalf("script produced only %d TO events", len(evs))
+	}
+
+	dir := t.TempDir()
+	sr, err := NewStreamRecorder(dir, StreamOptions{WindowSteps: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, release := make(chan int, len(evs)), make(chan struct{})
+	sr.beforeWrite = func(seq int) {
+		stalled <- seq
+		<-release
+	}
+	sn, err := sr.Node(0, 0, types.InitialView(types.RangeProcSet(1)), true, true, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fed atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, ev := range evs {
+			sn.ObserveTO(ev, nil)
+			fed.Add(1)
+		}
+	}()
+
+	if seq := <-stalled; seq != 1 {
+		t.Fatalf("writer started with chunk %d", seq)
+	}
+	// Records 1-4 are in flight, 5-8 queued; record 12 triggers the third
+	// cut, which must block inside Observe until the writer moves.
+	waitFor(t, "the feeder to reach the blocked cut", func() bool { return fed.Load() == 3*window-1 })
+	time.Sleep(50 * time.Millisecond)
+	if n := fed.Load(); n != 3*window-1 {
+		t.Errorf("feeder got %d records in with the writer stalled, want it blocked at %d", n, 3*window-1)
+	}
+	if exists(filepath.Join(dir, chunkSeg(1))) {
+		t.Error("a chunk reached disk past the stalled writer")
+	}
+
+	close(release)
+	<-done
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if peak := sr.PeakWindowSteps(); peak > window+1 {
+		t.Errorf("peak buffered steps %d exceeds window %d + 1 node", peak, window)
+	}
+	rep, err := ReplayStream(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The events replay against a fresh core with no recorded effects, so
+	// divergences are expected; what is pinned is that none was lost.
+	if !rep.Sealed || rep.TOSteps != len(evs) {
+		t.Errorf("after release: %d of %d records replayed, sealed=%v (%s)", rep.TOSteps, len(evs), rep.Sealed, rep.Truncated)
+	}
+}
+
+// TestStreamReplayOfOpenRecorder: a trace whose recorder is still running
+// (or died without Close) replays its sealed prefix clean and says so.
+func TestStreamReplayOfOpenRecorder(t *testing.T) {
+	dir := t.TempDir()
+	_, sr := recordStreamed(t, dir, StreamOptions{WindowSteps: 4}, 6, nil)
+	waitFor(t, "chunk 3 on disk", func() bool { return exists(filepath.Join(dir, chunkSeg(3))) })
+	rep, err := ReplayStream(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sealed || !strings.Contains(rep.Truncated, "footer") {
+		t.Errorf("open trace not reported as unsealed: %s", rep)
+	}
+	if rep.Chunks < 3 || !rep.OK() {
+		t.Errorf("sealed prefix of an open trace did not replay clean: %s", rep)
+	}
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

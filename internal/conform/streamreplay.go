@@ -78,7 +78,7 @@ func ReplayStream(dir string) (*StreamReport, error) {
 		return nil, fmt.Errorf("conform: stream header: %w", err)
 	}
 	if hdr.Version != streamVersion {
-		return nil, fmt.Errorf("conform: stream version %d, this replayer understands %d", hdr.Version, streamVersion)
+		return nil, fmt.Errorf("conform: stream version %d, this replayer reads only version %d: re-record the trace", hdr.Version, streamVersion)
 	}
 
 	sr := &StreamReport{}
@@ -140,8 +140,7 @@ func ReplayStream(dir string) (*StreamReport, error) {
 
 chunks:
 	for seq := 1; ; seq++ {
-		var ch streamChunk
-		err := readSegment(filepath.Join(dir, chunkSeg(seq)), &ch)
+		ch, err := readChunk(filepath.Join(dir, chunkSeg(seq)))
 		if errors.Is(err, os.ErrNotExist) {
 			break
 		}

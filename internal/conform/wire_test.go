@@ -1,0 +1,362 @@
+package conform
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/protocol/dvscore"
+	"repro/internal/protocol/tocore"
+	"repro/internal/types"
+)
+
+// encodeChunk re-encodes a decoded chunk through the production encoder
+// (appendDVSRecord/appendTORecord into layer buffers, then appendChunk), so
+// tests can rewrite a chunk on disk and seed the fuzzer with real payloads.
+func encodeChunk(t testing.TB, ch streamChunk) []byte {
+	t.Helper()
+	job := chunkJob{seq: ch.Seq, quiescent: ch.Quiescent}
+	for _, part := range ch.Parts {
+		pb := partBuf{p: part.P}
+		pb.dvs.start, pb.dvs.count = part.DVSStart, len(part.DVS)
+		pb.to.start, pb.to.count = part.TOStart, len(part.TO)
+		var err error
+		for _, rec := range part.DVS {
+			if pb.dvs.b, err = appendDVSRecord(pb.dvs.b, rec.Ev, rec.Fx); err != nil {
+				t.Fatalf("encode dvs record: %v", err)
+			}
+		}
+		for _, rec := range part.TO {
+			if pb.to.b, err = appendTORecord(pb.to.b, rec.Ev, rec.Fx); err != nil {
+				t.Fatalf("encode to record: %v", err)
+			}
+		}
+		job.parts = append(job.parts, pb)
+	}
+	return appendChunk(nil, &job)
+}
+
+// renderChunk is the replayer's own view of a chunk: the canonical strings
+// divergence comparison uses, plus the framing fields.
+func renderChunk(ch streamChunk) string {
+	var b strings.Builder
+	b.WriteString("seq=" + strconv.Itoa(ch.Seq) + " q=" + strconv.FormatBool(ch.Quiescent) + "\n")
+	for _, part := range ch.Parts {
+		b.WriteString("p=" + part.P.String() + " dvs@" + strconv.Itoa(part.DVSStart) + " to@" + strconv.Itoa(part.TOStart) + "\n")
+		for _, rec := range part.DVS {
+			b.WriteString(" " + renderDVSEvent(rec.Ev) + " => " + renderDVSEffects(rec.Fx) + "\n")
+		}
+		for _, rec := range part.TO {
+			b.WriteString(" " + renderTOEvent(rec.Ev) + " => " + renderTOEffects(rec.Fx) + "\n")
+		}
+	}
+	return b.String()
+}
+
+func genView(rng *rand.Rand) types.View {
+	v := types.View{ID: types.ViewID{Seq: rng.Uint64() >> uint(rng.Intn(64)), Origin: types.ProcID(rng.Intn(9) - 1)}}
+	if n := rng.Intn(5); n > 0 || rng.Intn(2) == 0 { // n == 0: nil or empty, both
+		v.Members = types.NewProcSet()
+		for i := 0; i < n; i++ {
+			v.Members.Add(types.ProcID(rng.Intn(300)))
+		}
+	}
+	return v
+}
+
+func genLabel(rng *rand.Rand) types.Label {
+	return types.Label{
+		ID:     types.ViewID{Seq: uint64(rng.Intn(1000)), Origin: types.ProcID(rng.Intn(8))},
+		Seqno:  rng.Intn(1 << 20),
+		Origin: types.ProcID(rng.Intn(8)),
+	}
+}
+
+func genString(rng *rand.Rand) string {
+	b := make([]byte, rng.Intn(40))
+	rng.Read(b)
+	return string(b)
+}
+
+func genMsg(rng *rand.Rand, depth int) types.Msg {
+	k := rng.Intn(6)
+	if k == 1 && depth >= maxBatchDepth {
+		k = 0
+	}
+	switch k {
+	case 0:
+		return types.ClientMsg(genString(rng))
+	case 1:
+		var b types.Batch
+		if n := rng.Intn(4); n > 0 || rng.Intn(2) == 0 {
+			b.Msgs = make([]types.Msg, n)
+			for i := range b.Msgs {
+				b.Msgs[i] = genMsg(rng, depth+1)
+			}
+		}
+		return b
+	case 2:
+		m := dvscore.InfoMsg{Act: genView(rng)}
+		if n := rng.Intn(3); n > 0 || rng.Intn(2) == 0 {
+			m.Amb = make([]types.View, n)
+			for i := range m.Amb {
+				m.Amb[i] = genView(rng)
+			}
+		}
+		return m
+	case 3:
+		return dvscore.RegisteredMsg{}
+	case 4:
+		return tocore.LabelMsg{L: genLabel(rng), A: genString(rng)}
+	default:
+		x := types.Summary{Next: rng.Intn(100), High: genLabel(rng).ID}
+		if n := rng.Intn(4); n > 0 || rng.Intn(2) == 0 {
+			x.Con = make(types.Content, n)
+			x.Ord = make([]types.Label, 0, n)
+			for i := 0; i < n; i++ {
+				l := genLabel(rng)
+				x.Con[l] = genString(rng)
+				x.Ord = append(x.Ord, l)
+			}
+		}
+		return tocore.SummaryMsg{X: x}
+	}
+}
+
+// genChunk builds a chunk whose records cover every Event and Effect variant
+// of both cores, each carrying a random message or view.
+func genChunk(rng *rand.Rand) streamChunk {
+	p := func() types.ProcID { return types.ProcID(rng.Intn(8)) }
+	m := func() types.Msg { return genMsg(rng, 0) }
+	dvsFx := func() []dvscore.Effect {
+		all := []dvscore.Effect{
+			dvscore.FxSendVS{M: m()}, dvscore.FxDeliver{M: m(), From: p()}, dvscore.FxSafeInd{M: m(), From: p()},
+			dvscore.FxNewPrimary{View: genView(rng)}, dvscore.FxGC{View: genView(rng)},
+		}
+		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		return all[:rng.Intn(len(all)+1)]
+	}
+	toFx := func() []tocore.Effect {
+		all := []tocore.Effect{
+			tocore.FxLabel{A: genString(rng)}, tocore.FxSend{M: m()}, tocore.FxConfirm{},
+			tocore.FxDeliver{A: genString(rng), Origin: p()}, tocore.FxRegister{View: genView(rng)},
+		}
+		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		return all[:rng.Intn(len(all)+1)]
+	}
+	ch := streamChunk{Seq: 1 + rng.Intn(1000), Quiescent: rng.Intn(2) == 0}
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		part := chunkPart{P: types.ProcID(i), DVSStart: rng.Intn(1 << 20), TOStart: rng.Intn(1 << 20)}
+		for _, ev := range []dvscore.Event{
+			dvscore.EvVSNewView{View: genView(rng)}, dvscore.EvVSRecv{M: m(), From: p()},
+			dvscore.EvVSSafe{M: m(), From: p()}, dvscore.EvClientSend{M: m()}, dvscore.EvClientRegister{},
+		} {
+			part.DVS = append(part.DVS, DVSRecord{Ev: ev, Fx: dvsFx()})
+		}
+		for _, ev := range []tocore.Event{
+			tocore.EvBroadcast{A: genString(rng)}, tocore.EvNewView{View: genView(rng)},
+			tocore.EvRecv{M: m(), From: p()}, tocore.EvSafe{M: m(), From: p()},
+		} {
+			part.TO = append(part.TO, TORecord{Ev: ev, Fx: toFx()})
+		}
+		ch.Parts = append(ch.Parts, part)
+	}
+	return ch
+}
+
+// TestWireRoundTrip is the codec's defining property: decode(encode(rec)) is
+// rec under the replayer's own render, for every variant, nil and empty
+// collections alike, and nested batches.
+func TestWireRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 300; i++ {
+		ch := genChunk(rng)
+		payload := encodeChunk(t, ch)
+		got, err := decodeChunk(payload)
+		if err != nil {
+			t.Fatalf("chunk %d: decode of a freshly encoded chunk: %v", i, err)
+		}
+		if want, have := renderChunk(ch), renderChunk(got); want != have {
+			t.Fatalf("chunk %d: round trip changed the chunk\nwant:\n%s\ngot:\n%s", i, want, have)
+		}
+		// Equal records encode to equal bytes (sets and maps are written
+		// sorted), so re-encoding the decoded chunk reproduces the payload.
+		if again := encodeChunk(t, got); string(again) != string(payload) {
+			t.Fatalf("chunk %d: re-encoding the decoded chunk gave different bytes", i)
+		}
+	}
+}
+
+// TestWireNilAndEmptyCollections pins the cases a generator could miss: each
+// collection nil, then empty, must survive (rendering identically) and must
+// decode to something a core can step without a nil-map write.
+func TestWireNilAndEmptyCollections(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    types.Msg
+	}{
+		{"nil members", dvscore.InfoMsg{Act: types.View{ID: types.ViewID{Seq: 3}}}},
+		{"empty members", dvscore.InfoMsg{Act: types.View{Members: types.NewProcSet()}}},
+		{"nil amb", dvscore.InfoMsg{Act: types.NewView(types.ViewID{Seq: 1}, 0, 1)}},
+		{"empty amb", dvscore.InfoMsg{Act: types.NewView(types.ViewID{Seq: 1}, 0, 1), Amb: []types.View{}}},
+		{"nil con and ord", tocore.SummaryMsg{X: types.Summary{Next: 1}}},
+		{"empty con and ord", tocore.SummaryMsg{X: types.Summary{Con: types.Content{}, Ord: []types.Label{}, Next: 1}}},
+		{"nil batch", types.Batch{}},
+		{"empty batch", types.Batch{Msgs: []types.Msg{}}},
+		{"nested batch", types.Batch{Msgs: []types.Msg{types.Batch{Msgs: []types.Msg{types.ClientMsg("x"), types.Batch{}}}}}},
+	} {
+		b, err := appendMsg(nil, tc.m, 0)
+		if err != nil {
+			t.Errorf("%s: encode: %v", tc.name, err)
+			continue
+		}
+		r := wireReader{b: b}
+		got := r.msg(0)
+		if r.err != nil || len(r.b) != 0 {
+			t.Errorf("%s: decode: err=%v, %d bytes left", tc.name, r.err, len(r.b))
+			continue
+		}
+		if got.MsgKey() != tc.m.MsgKey() {
+			t.Errorf("%s: round trip %q -> %q", tc.name, tc.m.MsgKey(), got.MsgKey())
+		}
+		switch g := got.(type) {
+		case dvscore.InfoMsg:
+			g.Act.Members.Add(0) // must not be a nil map
+		case tocore.SummaryMsg:
+			g.X.Con[types.Label{}] = "" // likewise
+		}
+	}
+}
+
+func TestWireBatchDepthLimited(t *testing.T) {
+	nest := func(levels int) types.Msg {
+		var m types.Msg = types.ClientMsg("x")
+		for i := 0; i < levels; i++ {
+			m = types.Batch{Msgs: []types.Msg{m}}
+		}
+		return m
+	}
+	if _, err := appendMsg(nil, nest(maxBatchDepth), 0); err != nil {
+		t.Errorf("encoding %d batch levels: %v", maxBatchDepth, err)
+	}
+	if _, err := appendMsg(nil, nest(maxBatchDepth+1), 0); err == nil {
+		t.Errorf("encoding %d batch levels did not fail", maxBatchDepth+1)
+	}
+	// The decoder enforces the same bound on bytes no encoder produced.
+	var deep []byte
+	for i := 0; i < 10000; i++ {
+		deep = append(deep, tagBatch, 1)
+	}
+	r := wireReader{b: deep}
+	if r.msg(0); r.err == nil {
+		t.Error("decoding 10000 nested batches did not fail")
+	}
+}
+
+// TestDecodeChunkRejectsHugeCounts: a count is checked against the bytes
+// that remain, so a tiny input cannot make the decoder allocate for the
+// billions of elements it claims.
+func TestDecodeChunkRejectsHugeCounts(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	for name, payload := range map[string][]byte{
+		"parts":   append([]byte{1, 0}, huge...),
+		"records": append(append([]byte{1, 0, 1, 0, 0}, huge...), 0),
+		"bytelen": append([]byte{1, 0, 1, 0, 0, 0}, huge...),
+	} {
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := decodeChunk(payload); err == nil {
+				t.Errorf("%s: a count of 2^40 in %d bytes was accepted", name, len(payload))
+			}
+		})
+		if allocs > 20 {
+			t.Errorf("%s: %v allocations rejecting a %d-byte input", name, allocs, len(payload))
+		}
+	}
+}
+
+// A soak passes 2^31 steps per layer within hours, so the decoder must take
+// every sequence number and start offset the encoder can write; only a value
+// that cannot be an int offset is refused.
+func TestWireLongRunOffsetsRoundTrip(t *testing.T) {
+	ch := streamChunk{Seq: 1<<31 + 7, Parts: []chunkPart{{
+		P:        3,
+		DVSStart: 1<<40 + 1,
+		DVS:      []DVSRecord{{Ev: dvscore.EvClientRegister{}}},
+		TOStart:  1 << 33,
+		TO:       []TORecord{{Ev: tocore.EvBroadcast{A: "a"}, Fx: []tocore.Effect{tocore.FxConfirm{}}}},
+	}}}
+	got, err := decodeChunk(encodeChunk(t, ch))
+	if err != nil {
+		t.Fatalf("offsets past 2^31 do not decode: %v", err)
+	}
+	if renderChunk(got) != renderChunk(ch) {
+		t.Fatalf("round trip changed the chunk:\n%s\nwant:\n%s", renderChunk(got), renderChunk(ch))
+	}
+	if _, err := decodeChunk(append(binary.AppendUvarint(nil, 1<<63), 0, 0)); err == nil {
+		t.Fatal("a sequence number of 2^63 was accepted")
+	}
+}
+
+// FuzzDecodeChunk: arbitrary bytes give an error or a chunk, never a panic,
+// and a chunk never holds more records or effects than its bytes could
+// encode. Seeded with real chunks from a recorded run and with chunks
+// covering every variant.
+func FuzzDecodeChunk(f *testing.F) {
+	dir := f.TempDir()
+	sr, err := NewStreamRecorder(dir, StreamOptions{WindowSteps: 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	initial := types.InitialView(types.RangeProcSet(1))
+	sn, err := sr.Node(0, 0, initial, true, true, true, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	driveScript(f, 6, sn.ObserveDVS, sn.ObserveTO, nil)
+	if err := sr.Close(); err != nil {
+		f.Fatal(err)
+	}
+	for seq := 1; ; seq++ {
+		payload, err := readFramed(filepath.Join(dir, chunkSeg(seq)))
+		if err != nil {
+			break
+		}
+		f.Add(payload)
+	}
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 8; i++ {
+		f.Add(encodeChunk(f, genChunk(rng)))
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ch, err := decodeChunk(data)
+		if err != nil {
+			return
+		}
+		items := 0
+		for _, part := range ch.Parts {
+			items += len(part.DVS) + len(part.TO)
+			for _, rec := range part.DVS {
+				items += len(rec.Fx)
+			}
+			for _, rec := range part.TO {
+				items += len(rec.Fx)
+			}
+		}
+		if items > len(data) {
+			t.Fatalf("%d records and effects decoded from %d bytes", items, len(data))
+		}
+		// Whatever decodes must be a chunk the encoder could have written.
+		again, err := decodeChunk(encodeChunk(t, ch))
+		if err != nil {
+			t.Fatalf("re-encoded chunk does not decode: %v", err)
+		}
+		if renderChunk(again) != renderChunk(ch) {
+			t.Fatal("re-encoding changed the chunk")
+		}
+	})
+}

@@ -112,6 +112,17 @@ func TestBadEditFixturesAreCaught(t *testing.T) {
 			t.Errorf("analyzer %s reported nothing on the badmcast fixtures; the mcast core is unguarded", a)
 		}
 	}
+	// The trace codec's encoder with one variant's case deleted must fail
+	// the gate: that edit ends every recorded trace at the first such effect.
+	wire := false
+	for _, d := range diags {
+		if d.Analyzer == "effectcomplete" && strings.Contains(d.Pos.Filename, "badwire") && strings.Contains(d.Message, "FxGC") {
+			wire = true
+		}
+	}
+	if !wire {
+		t.Error("effectcomplete did not report the variant dropped from the badwire encoder; the codec is unguarded")
+	}
 	for _, d := range diags {
 		switch d.Analyzer {
 		case "corestep", "effectcomplete", "shellsafe":

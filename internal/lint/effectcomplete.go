@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -22,18 +23,36 @@ type EffectcompleteConfig struct {
 	// the package. This catches the deletion failure mode — a shell that
 	// stops switching over Effects entirely would otherwise go quiet.
 	Require map[string][]string
+	// RequireFuncs maps a package import path to functions in it (named as
+	// (*types.Func).FullName renders them: "path.Func", "(*path.T).Method")
+	// and the unions each must cover: one switch in the function's body
+	// whose non-default clauses between them name every variant, either as
+	// a case type (a type switch over the union: an encoder) or as a
+	// composite literal in the clause body (a switch over a wire tag that
+	// constructs the variant: a decoder). Require is satisfied by any one
+	// complete switch in the package, which would let one half of a codec
+	// go partial behind the other; this pins each half by name, and a
+	// listed function that is missing is itself a finding.
+	RequireFuncs map[string]map[string][]string
 }
 
 // DefaultEffectcompleteConfig returns the effectcomplete configuration for
-// this repository: the four core unions, required in the two shells and in
-// the conformance recorder/replayer.
+// this repository: the six core unions, required in the shells and in the
+// conformance recorder/replayer, with both halves of the trace codec pinned
+// function by function.
 func DefaultEffectcompleteConfig() EffectcompleteConfig {
+	const (
+		dvsEvent  = "repro/internal/protocol/dvscore.Event"
+		dvsEffect = "repro/internal/protocol/dvscore.Effect"
+		toEvent   = "repro/internal/protocol/tocore.Event"
+		toEffect  = "repro/internal/protocol/tocore.Effect"
+	)
 	return EffectcompleteConfig{
 		Unions: []string{
-			"repro/internal/protocol/dvscore.Event",
-			"repro/internal/protocol/dvscore.Effect",
-			"repro/internal/protocol/tocore.Event",
-			"repro/internal/protocol/tocore.Effect",
+			dvsEvent,
+			dvsEffect,
+			toEvent,
+			toEffect,
 			"repro/internal/protocol/mcastcore.Event",
 			"repro/internal/protocol/mcastcore.Effect",
 		},
@@ -45,12 +64,27 @@ func DefaultEffectcompleteConfig() EffectcompleteConfig {
 			"repro/internal/mcast": {"repro/internal/protocol/mcastcore.Effect"},
 			// The conformance layer clones and replays all six unions.
 			"repro/internal/conform": {
-				"repro/internal/protocol/dvscore.Event",
-				"repro/internal/protocol/dvscore.Effect",
-				"repro/internal/protocol/tocore.Event",
-				"repro/internal/protocol/tocore.Effect",
+				dvsEvent,
+				dvsEffect,
+				toEvent,
+				toEffect,
 				"repro/internal/protocol/mcastcore.Event",
 				"repro/internal/protocol/mcastcore.Effect",
+			},
+		},
+		RequireFuncs: map[string]map[string][]string{
+			// The stream trace codec (conform/wire.go): a variant the
+			// encoder cannot tag ends the trace, one the decoder cannot
+			// construct makes every trace holding it unreadable.
+			"repro/internal/conform": {
+				"repro/internal/conform.appendDVSEvent":          {dvsEvent},
+				"repro/internal/conform.appendDVSEffect":         {dvsEffect},
+				"repro/internal/conform.appendTOEvent":           {toEvent},
+				"repro/internal/conform.appendTOEffect":          {toEffect},
+				"(*repro/internal/conform.wireReader).dvsEvent":  {dvsEvent},
+				"(*repro/internal/conform.wireReader).dvsEffect": {dvsEffect},
+				"(*repro/internal/conform.wireReader).toEvent":   {toEvent},
+				"(*repro/internal/conform.wireReader).toEffect":  {toEffect},
 			},
 		},
 	}
@@ -109,7 +143,7 @@ func Effectcomplete(cfg EffectcompleteConfig) *Analyzer {
 					if tname != u.qname {
 						continue
 					}
-					missing := coverUnion(pass, ts, u.variants)
+					missing := coverClauses(pass, ts.Body.List, u.variants, false)
 					if len(missing) == 0 {
 						complete[u.qname] = true
 						continue
@@ -137,8 +171,66 @@ func Effectcomplete(cfg EffectcompleteConfig) *Analyzer {
 				"package %s must contain a complete type switch over %s (it consumes the union) but has none",
 				pass.Path, qname)
 		}
+
+		required := cfg.RequireFuncs[pass.Path]
+		if len(required) == 0 {
+			return
+		}
+		byName := make(map[string]*ast.FuncDecl)
+		for obj, fd := range funcDecls(pass.Package) {
+			if fn, ok := obj.(*types.Func); ok && fd.Body != nil {
+				byName[fn.FullName()] = fd
+			}
+		}
+		fnames := make([]string, 0, len(required))
+		for fname := range required {
+			fnames = append(fnames, fname)
+		}
+		sort.Strings(fnames)
+		for _, fname := range fnames {
+			fd := byName[fname]
+			if fd == nil {
+				if pos := pass.Files[0].Package; !pass.Escaped(pos, "effectcomplete") {
+					pass.Reportf(pos, "function %s is required to cover %s but is not declared",
+						fname, strings.Join(required[fname], ", "))
+				}
+				continue
+			}
+			for _, u := range unions {
+				if !slices.Contains(required[fname], u.qname) || pass.Escaped(fd.Pos(), "effectcomplete") {
+					continue
+				}
+				if missing := bestSwitchCover(pass, fd.Body, u.variants); len(missing) > 0 {
+					pass.Reportf(fd.Pos(),
+						"%s must name every variant of %s in the clauses of one switch (as a case type or a composite literal; default: does not count), but none names %s",
+						fname, u.qname, strings.Join(missing, ", "))
+				}
+			}
+		}
 	}
 	return a
+}
+
+// bestSwitchCover returns the variants left unnamed by whichever switch in
+// body (type switch or expression switch) names the most.
+func bestSwitchCover(pass *Pass, body *ast.BlockStmt, variants map[string]bool) []string {
+	best := coverClauses(pass, nil, variants, false)
+	ast.Inspect(body, func(n ast.Node) bool {
+		var clauses []ast.Stmt
+		switch s := n.(type) {
+		case *ast.TypeSwitchStmt:
+			clauses = s.Body.List
+		case *ast.SwitchStmt:
+			clauses = s.Body.List
+		default:
+			return true
+		}
+		if missing := coverClauses(pass, clauses, variants, true); len(missing) < len(best) {
+			best = missing
+		}
+		return true
+	})
+	return best
 }
 
 // unionVariants enumerates the variants of a sealed union: the named
@@ -198,26 +290,36 @@ func typeSwitchTag(pass *Pass, ts *ast.TypeSwitchStmt) types.Type {
 	return tv.Type
 }
 
-// coverUnion returns the sorted variant names of the union NOT named by any
-// case clause of the switch. A default clause covers nothing.
-func coverUnion(pass *Pass, ts *ast.TypeSwitchStmt, variants map[string]bool) []string {
+// coverClauses returns the sorted variant names NOT named by the non-default
+// clauses: in a case list, or (with literals) as a composite literal in a
+// clause body. A default clause covers nothing.
+func coverClauses(pass *Pass, clauses []ast.Stmt, variants map[string]bool, literals bool) []string {
 	missing := make(map[string]bool, len(variants))
 	for v := range variants {
 		missing[v] = true
 	}
-	for _, stmt := range ts.Body.List {
+	for _, stmt := range clauses {
 		cc, ok := stmt.(*ast.CaseClause)
-		if !ok {
+		if !ok || cc.List == nil {
 			continue
 		}
 		for _, ce := range cc.List {
-			tv, ok := pass.Info.Types[ce]
-			if !ok {
-				continue
+			if tv, ok := pass.Info.Types[ce]; ok && tv.IsType() {
+				delete(missing, stateTypeName(tv.Type))
 			}
-			if name := stateTypeName(tv.Type); name != "" {
-				delete(missing, name)
-			}
+		}
+		if !literals {
+			continue
+		}
+		for _, body := range cc.Body {
+			ast.Inspect(body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.CompositeLit); ok {
+					if tv, ok := pass.Info.Types[lit]; ok {
+						delete(missing, stateTypeName(tv.Type))
+					}
+				}
+				return true
+			})
 		}
 	}
 	out := make([]string, 0, len(missing))

@@ -23,6 +23,10 @@
 #    reason. Emits BENCH_e14.json; check.sh gates the 4-group/1-group
 #    ratio on machines with enough CPUs to show scaling.
 #
+# 4. Recording overhead (E13: the E8 n=5 pump without observers and with
+#    Config.Stream spilling every macro-step to a chunked trace), isolated
+#    likewise. Emits BENCH_e13.json; check.sh gates recorded/unrecorded.
+#
 # Every benchmark is repeated (`-count`, default 3 for E1-E3) and the
 # snapshot keeps only the best repetition per benchmark (lowest ns/op):
 # scheduler noise on shared CI runners only ever slows a run down, so the
@@ -117,3 +121,12 @@ raw14=$(go test -run '^$' -bench 'BenchmarkE14ShardedThroughput' -benchtime "${E
 printf '%s\n' "$raw14"
 printf '%s\n' "$raw14" | to_json > "$out14"
 echo "wrote $out14"
+
+# E13 isolated: the same pump with and without the stream recorder. The
+# recorded variant fails the benchmark unless every stream closes without
+# error and the first run's trace replays sealed and clean.
+out13=BENCH_e13.json
+raw13=$(go test -run '^$' -bench 'BenchmarkE13RecordOverhead' -benchtime 3x .)
+printf '%s\n' "$raw13"
+printf '%s\n' "$raw13" | to_json > "$out13"
+echo "wrote $out13"

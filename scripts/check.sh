@@ -12,12 +12,18 @@
 #                               # exit 1 on the seeded-bad-edit fixtures in
 #                               # internal/lint/badedit (a clean exit means
 #                               # the macro-step analyzers went dead)
+#   sh scripts/check.sh benchmod # only the gates on the bench/ module,
+#                               # which `./...` skips because it is its own
+#                               # module: its tests and dvslint over it
+#   sh scripts/check.sh fuzz    # only the 10 s FuzzDecodeChunk smoke
 #   sh scripts/check.sh bench   # only the benchmark-snapshot gate: run
 #                               # `make bench` and fail unless it leaves
 #                               # parseable, non-empty BENCH_checks.json,
-#                               # BENCH_e8.json and BENCH_e14.json snapshots,
-#                               # with the E8 n=5 throughput above the
-#                               # recorded floor, the E12 exploration at its
+#                               # BENCH_e8.json, BENCH_e14.json and
+#                               # BENCH_e13.json snapshots, with the E8 n=5
+#                               # throughput above the recorded floor, the
+#                               # E13 recorded rate at least half the
+#                               # unrecorded one, the E12 exploration at its
 #                               # pinned state counts, and (on machines with
 #                               # >= 4 CPUs) the E1-E3 parallel speedup and
 #                               # the E14 4-group/1-group sharded throughput
@@ -151,6 +157,46 @@ e14_guard() {
 	echo "check.sh: E14 scaling OK (1 group ${one} msg/s, 4 groups ${four} msg/s)"
 }
 
+# e13_guard reads the recording-overhead snapshot and fails if the stream
+# recorder costs more than half the pump's throughput. The dev box shows
+# recorded at ~0.8 of unrecorded; before the binary codec and the off-loop
+# writer it was 0.25 (gob, fsync and rename under the recorder's mutex), so
+# a floor of 0.5 separates the two regimes with room for slow disks on CI
+# runners. The ratio is machine-independent, so the floor is a constant.
+e13_guard() {
+	out=BENCH_e13.json
+	floor=0.5
+	plain=$(grep -o '"name": "E13RecordOverhead/unrecorded"[^}]*' "$out" | grep -o '"msg_per_s": [0-9.]*' | awk '{print $2}')
+	rec=$(grep -o '"name": "E13RecordOverhead/recorded"[^}]*' "$out" | grep -o '"msg_per_s": [0-9.]*' | awk '{print $2}')
+	if [ -z "$plain" ] || [ -z "$rec" ]; then
+		echo "check.sh: missing E13RecordOverhead msg_per_s records in $out (unrecorded='${plain:-}', recorded='${rec:-}')" >&2
+		exit 1
+	fi
+	if ! awk -v p="$plain" -v r="$rec" -v fl="$floor" 'BEGIN { exit !(p + 0 > 0 && r / p >= fl + 0) }'; then
+		echo "check.sh: E13 recorded/unrecorded throughput ratio $(awk -v p="$plain" -v r="$rec" 'BEGIN { printf "%.2f", r / p }') is below the floor ${floor} — the stream recorder is back on the event loop's critical path" >&2
+		exit 1
+	fi
+	echo "check.sh: E13 recording overhead OK (unrecorded ${plain} msg/s, recorded ${rec} msg/s)"
+}
+
+# benchmod_guard runs what tier-1 cannot see: bench/ is its own module, so
+# `go test ./...` and `dvslint ./...` from the root skip it.
+benchmod_guard() {
+	(cd bench && go test .)
+	go run ./cmd/dvslint -dir bench ./...
+	echo "check.sh: bench module OK (tests + dvslint)"
+}
+
+# fuzz_guard is a 10 s smoke of the stream segment reader's fuzz target: it
+# cannot prove much, but a decoder edit that panics on malformed bytes tends
+# to die in the first seconds. The minimize budget is cut from its 60 s
+# default, which would otherwise swallow the whole smoke the first time an
+# input extends coverage.
+fuzz_guard() {
+	go test -run '^$' -fuzz FuzzDecodeChunk -fuzztime 10s -fuzzminimizetime 1s ./internal/conform
+	echo "check.sh: FuzzDecodeChunk smoke OK"
+}
+
 # lintgate_guard is the negative half of the lint gate: dvslint over the
 # seeded-bad-edit module must exit 1 (diagnostics reported). Exit 0 means
 # the corestep/effectcomplete/shellsafe analyzers stopped protecting the
@@ -167,12 +213,14 @@ lintgate_guard() {
 }
 
 bench_guard() {
-	rm -f BENCH_checks.json BENCH_e8.json BENCH_e14.json
+	rm -f BENCH_checks.json BENCH_e8.json BENCH_e14.json BENCH_e13.json
 	make bench
 	snapshot_guard BENCH_checks.json
 	snapshot_guard BENCH_e8.json
 	snapshot_guard BENCH_e14.json
+	snapshot_guard BENCH_e13.json
 	e8_floor_guard
+	e13_guard
 	e12_guard
 	scaling_guard
 	e14_guard
@@ -188,12 +236,24 @@ if [ "$mode" = "lintgate" ]; then
 	exit 0
 fi
 
+if [ "$mode" = "benchmod" ]; then
+	benchmod_guard
+	exit 0
+fi
+
+if [ "$mode" = "fuzz" ]; then
+	fuzz_guard
+	exit 0
+fi
+
 if [ "$mode" = "all" ]; then
 	go build ./...
 	go vet ./...
 	go run ./cmd/dvslint ./...
 	lintgate_guard
 	go test -race ./...
+	benchmod_guard
+	fuzz_guard
 fi
 
 # Exploration smoke: the parallel BFS must report exactly the serial step and
