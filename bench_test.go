@@ -19,6 +19,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/ioa"
 	"repro/internal/naive"
+	"repro/internal/protocol/dvscore"
+	"repro/internal/protocol/tocore"
 	"repro/internal/sim"
 	vsspec "repro/internal/spec/vs"
 	"repro/internal/types"
@@ -311,11 +313,12 @@ func BenchmarkE14ShardedThroughput(b *testing.B) {
 }
 
 func BenchmarkE8Recovery(b *testing.B) {
-	for _, n := range []int{3, 5, 7, 9} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	run := func(name string, cfg sim.RecoveryConfig) {
+		b.Run(name, func(b *testing.B) {
 			var tPrimary, tMessage, msgs float64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Recovery(sim.RecoveryConfig{Processes: n, Seed: int64(i)})
+				cfg.Seed = int64(i)
+				res, err := sim.Recovery(cfg)
 				if err != nil {
 					b.Fatalf("%v (result %s)", err, res)
 				}
@@ -327,6 +330,74 @@ func BenchmarkE8Recovery(b *testing.B) {
 			b.ReportMetric(tMessage/float64(b.N), "ms-to-message")
 			b.ReportMetric(msgs/float64(b.N), "net-msgs")
 		})
+	}
+	for _, n := range []int{3, 5, 7, 9} {
+		run(fmt.Sprintf("n=%d", n), sim.RecoveryConfig{Processes: n})
+	}
+	// The state exchange carries the whole history, so the same heal costs
+	// more the longer the group has run; this row makes that a number.
+	run("n=5/history=20k", sim.RecoveryConfig{Processes: 5, History: 20000, Timeout: 30 * time.Second})
+}
+
+// --- Per-layer ledger (BENCH_layers.json): the cores in isolation ---
+//
+// Each row drives one protocol core through Step with no shell, transport or
+// goroutine around it, so its ns/op and allocs/op are the core's own cost
+// per unit of work. scripts/check.sh gates the allocs/op (machine-
+// independent); ns/op is reported.
+
+// BenchmarkCoreDVSStepBatch is one 10-label batch (the size tob coalesces
+// at saturation, 32 B payloads like the repo benchmark) delivered and
+// safe-indicated through the VS-TO-DVS core: two macro-steps, two head
+// checks.
+func BenchmarkCoreDVSStepBatch(b *testing.B) {
+	v0 := types.InitialView(types.RangeProcSet(3))
+	n := dvscore.NewNode(0, v0, true)
+	batch := types.Batch{Msgs: make([]types.Msg, 10)}
+	for i := range batch.Msgs {
+		batch.Msgs[i] = tocore.LabelMsg{L: types.Label{ID: v0.ID, Seqno: i + 1, Origin: 1}, A: fmt.Sprintf("%032d", i)}
+	}
+	var out dvscore.Outbox
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Effects = out.Effects[:0]
+		dvscore.Step(n, dvscore.EvVSRecv{M: batch, From: 1}, true, &out)
+		dvscore.Step(n, dvscore.EvVSSafe{M: batch, From: 1}, true, &out)
+		if len(out.Effects) != 2 {
+			b.Fatalf("%d effects, want deliver + safe", len(out.Effects))
+		}
+	}
+}
+
+// BenchmarkCoreTOStepLabel is one label's whole life in the DVS-TO-TO core —
+// gprcv, safe, confirm, brcv — on a node that already holds 100k labels, the
+// history a saturated run accumulates in a few seconds.
+func BenchmarkCoreTOStepLabel(b *testing.B) {
+	const history = 100000
+	v0 := types.InitialView(types.RangeProcSet(3))
+	n := tocore.NewNode(0, v0, true, false)
+	var out tocore.Outbox
+	step := func(i int) {
+		out.Effects = out.Effects[:0]
+		m := tocore.LabelMsg{L: types.Label{ID: v0.ID, Seqno: i + 1, Origin: 1}, A: "00000000000000000000000000000000"}
+		if err := tocore.Step(n, tocore.EvRecv{M: m, From: 1}, true, &out); err != nil {
+			b.Fatal(err)
+		}
+		if err := tocore.Step(n, tocore.EvSafe{M: m, From: 1}, true, &out); err != nil {
+			b.Fatal(err)
+		}
+		if len(out.Effects) != 2 {
+			b.Fatalf("label %d: %d effects, want confirm + deliver", i, len(out.Effects))
+		}
+	}
+	for i := 0; i < history; i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(history + i)
 	}
 }
 

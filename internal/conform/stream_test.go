@@ -383,6 +383,10 @@ func TestReplayRejectsDisagreeingInitialViews(t *testing.T) {
 type unregisteredMsg struct{}
 
 func (unregisteredMsg) MsgKey() string { return "unregistered" }
+func (unregisteredMsg) EqualMsg(o types.Msg) bool {
+	_, ok := o.(unregisteredMsg)
+	return ok
+}
 
 func TestWriteFileFailureLeavesNoPartialTrace(t *testing.T) {
 	dir := t.TempDir()

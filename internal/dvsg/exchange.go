@@ -28,6 +28,12 @@ type ExchangeMsg struct {
 // MsgKey implements types.Msg.
 func (m ExchangeMsg) MsgKey() string { return "xchg:" + m.ViewID.String() + ":" + m.State }
 
+// EqualMsg implements types.Msg.
+func (m ExchangeMsg) EqualMsg(o types.Msg) bool {
+	om, ok := o.(ExchangeMsg)
+	return ok && om == m
+}
+
 var _ types.Msg = ExchangeMsg{}
 
 // ExchangeHandler is the application interface of the exchange-supporting

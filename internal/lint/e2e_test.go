@@ -81,7 +81,8 @@ func runOnScratch(t *testing.T, src string) []lint.Diagnostic {
 // TestBadEditFixturesAreCaught pins the negative end-to-end guarantee: the
 // seeded-bad-edit module under badedit/ (direct core access from a shell, a
 // type switch dropping Effect variants, goroutines breaking run-to-completion
-// around Step) must keep failing the default suite. scripts/check.sh and CI
+// around Step, a head check reverted to key comparison) must keep failing the
+// default suite. scripts/check.sh and CI
 // run the same check through cmd/dvslint and require a nonzero exit.
 func TestBadEditFixturesAreCaught(t *testing.T) {
 	pkgs, err := lint.Load("badedit", "./...")
@@ -93,7 +94,7 @@ func TestBadEditFixturesAreCaught(t *testing.T) {
 	for _, d := range diags {
 		got[d.Analyzer]++
 	}
-	for _, a := range []string{"corestep", "effectcomplete", "shellsafe"} {
+	for _, a := range []string{"corestep", "effectcomplete", "shellsafe", "keyequal"} {
 		if got[a] == 0 {
 			t.Errorf("analyzer %s reported nothing on the seeded-bad-edit fixtures; the gate is dead", a)
 		}
@@ -123,9 +124,16 @@ func TestBadEditFixturesAreCaught(t *testing.T) {
 	if !wire {
 		t.Error("effectcomplete did not report the variant dropped from the badwire encoder; the codec is unguarded")
 	}
+	// The reverted head check is keyequal's only finding, and it is in the
+	// fixture's core tree: the rule does not leak onto the shell fixtures.
+	for _, d := range diags {
+		if d.Analyzer == "keyequal" && !strings.Contains(filepath.ToSlash(d.Pos.Filename), "internal/protocol/badhead/") {
+			t.Errorf("keyequal fired outside the core fixture: %s", d)
+		}
+	}
 	for _, d := range diags {
 		switch d.Analyzer {
-		case "corestep", "effectcomplete", "shellsafe":
+		case "corestep", "effectcomplete", "shellsafe", "keyequal":
 		default:
 			t.Errorf("fixture tripped an unrelated analyzer: %s", d)
 		}

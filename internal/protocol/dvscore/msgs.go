@@ -1,6 +1,7 @@
 package dvscore
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/types"
@@ -41,6 +42,13 @@ func (m InfoMsg) MsgKey() string {
 	return b.String()
 }
 
+// EqualMsg implements types.Msg: same active view and, position by
+// position (Amb is sorted), the same ambiguous views.
+func (m InfoMsg) EqualMsg(o types.Msg) bool {
+	om, ok := o.(InfoMsg)
+	return ok && m.Act.Equal(om.Act) && slices.EqualFunc(m.Amb, om.Amb, types.View.Equal)
+}
+
 // WriteFp streams the canonical key (same format as MsgKey) into a
 // fingerprint digest.
 func (m InfoMsg) WriteFp(w types.FpWriter) {
@@ -66,6 +74,12 @@ type RegisteredMsg struct{}
 
 // MsgKey implements types.Msg.
 func (RegisteredMsg) MsgKey() string { return "registered" }
+
+// EqualMsg implements types.Msg.
+func (RegisteredMsg) EqualMsg(o types.Msg) bool {
+	_, ok := o.(RegisteredMsg)
+	return ok
+}
 
 // WriteFp streams the canonical key into a fingerprint digest.
 func (RegisteredMsg) WriteFp(w types.FpWriter) { w.Str("registered") }

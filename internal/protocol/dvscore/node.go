@@ -38,12 +38,8 @@ func (i Info) clone() Info {
 	return Info{Act: i.Act.Clone(), Amb: cp}
 }
 
-func (i Info) key() string {
-	return NewInfoMsg(i.Act, i.Amb).MsgKey()
-}
-
-// writeFp streams the same canonical form as key (Amb is kept sorted, so no
-// copy or re-sort is needed).
+// writeFp streams the same canonical form as InfoMsg.MsgKey (Amb is kept
+// sorted, so no copy or re-sort is needed).
 func (i Info) writeFp(f *ioa.Fingerprinter) {
 	f.Str("info:")
 	i.Act.WriteFp(f)
@@ -67,7 +63,8 @@ type MsgFrom struct {
 	Q types.ProcID
 }
 
-func (e MsgFrom) key() string { return e.M.MsgKey() + "@" + e.Q.String() }
+// Equal reports whether e and o are the same ⟨m, q⟩ pair.
+func (e MsgFrom) Equal(o MsgFrom) bool { return e.Q == o.Q && e.M.EqualMsg(o.M) }
 
 // Node is the state of the VS-TO-DVS_p automaton of Figure 3 for one
 // process p. It is not a standalone ioa.Automaton: its vs-* actions
@@ -345,7 +342,7 @@ func (n *Node) VSGpSndHead() (types.Msg, bool) {
 // TakeVSGpSndHead removes and returns the head of msgs-to-vs[cur.id].
 func (n *Node) TakeVSGpSndHead(m types.Msg) error {
 	head, ok := n.VSGpSndHead()
-	if !ok || head.MsgKey() != m.MsgKey() {
+	if !ok || !head.EqualMsg(m) {
 		return fmt.Errorf("vs-gpsnd(%s)_%s: not head of msgs-to-vs", m.MsgKey(), n.p)
 	}
 	g := n.cur.ID
@@ -413,7 +410,7 @@ func (n *Node) DVSGpRcvHead() (MsgFrom, bool) {
 // TakeDVSGpRcvHead removes the head of msgs-from-vs[client-cur.id].
 func (n *Node) TakeDVSGpRcvHead(e MsgFrom) error {
 	head, ok := n.DVSGpRcvHead()
-	if !ok || head.key() != e.key() {
+	if !ok || !head.Equal(e) {
 		return fmt.Errorf("dvs-gprcv(%s)_%s,%s: not head of msgs-from-vs", e.M.MsgKey(), e.Q, n.p)
 	}
 	g := n.clientCur.ID
@@ -439,7 +436,7 @@ func (n *Node) DVSSafeHead() (MsgFrom, bool) {
 // TakeDVSSafeHead removes the head of safe-from-vs[client-cur.id].
 func (n *Node) TakeDVSSafeHead(e MsgFrom) error {
 	head, ok := n.DVSSafeHead()
-	if !ok || head.key() != e.key() {
+	if !ok || !head.Equal(e) {
 		return fmt.Errorf("dvs-safe(%s)_%s,%s: not head of safe-from-vs", e.M.MsgKey(), e.Q, n.p)
 	}
 	g := n.clientCur.ID

@@ -175,7 +175,7 @@ func TestClientMessageBuffering(t *testing.T) {
 	m := types.ClientMsg("x")
 	n.OnDVSGpSnd(m)
 	head, ok := n.VSGpSndHead()
-	if !ok || head.MsgKey() != m.MsgKey() {
+	if !ok || !head.EqualMsg(m) {
 		t.Fatal("client message not queued for vs")
 	}
 	if err := n.TakeVSGpSndHead(m); err != nil {
@@ -254,7 +254,7 @@ func TestPurge(t *testing.T) {
 func TestInfoMsgKeyCanonical(t *testing.T) {
 	a := NewInfoMsg(v(1, 0, 1), []types.View{v(3, 1), v(2, 0)})
 	b := NewInfoMsg(v(1, 0, 1), []types.View{v(2, 0), v(3, 1)})
-	if a.MsgKey() != b.MsgKey() {
-		t.Error("info key must not depend on amb order")
+	if a.MsgKey() != b.MsgKey() || !a.EqualMsg(b) {
+		t.Error("info key and equality must not depend on amb order")
 	}
 }

@@ -109,7 +109,7 @@ func (n *Node) VSGpSndHead() (types.Msg, bool) {
 // TakeVSGpSndHead removes the head of the outgoing queue.
 func (n *Node) TakeVSGpSndHead(m types.Msg) error {
 	head, ok := n.VSGpSndHead()
-	if !ok || head.MsgKey() != m.MsgKey() {
+	if !ok || !head.EqualMsg(m) {
 		return fmt.Errorf("staticcore vs-gpsnd(%s)_%s: not head", m.MsgKey(), n.p)
 	}
 	g := n.cur.ID
@@ -158,7 +158,7 @@ func (n *Node) DVSGpRcvHead() (dvscore.MsgFrom, bool) {
 // TakeDVSGpRcvHead removes the next client delivery.
 func (n *Node) TakeDVSGpRcvHead(e dvscore.MsgFrom) error {
 	head, ok := n.DVSGpRcvHead()
-	if !ok || head.M.MsgKey() != e.M.MsgKey() || head.Q != e.Q {
+	if !ok || !head.Equal(e) {
 		return fmt.Errorf("staticcore dvs-gprcv_%s: not head", n.p)
 	}
 	g := n.clientCur.ID
@@ -181,7 +181,7 @@ func (n *Node) DVSSafeHead() (dvscore.MsgFrom, bool) {
 // TakeDVSSafeHead removes the next safe indication.
 func (n *Node) TakeDVSSafeHead(e dvscore.MsgFrom) error {
 	head, ok := n.DVSSafeHead()
-	if !ok || head.M.MsgKey() != e.M.MsgKey() || head.Q != e.Q {
+	if !ok || !head.Equal(e) {
 		return fmt.Errorf("staticcore dvs-safe_%s: not head", n.p)
 	}
 	g := n.clientCur.ID

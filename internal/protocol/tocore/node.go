@@ -63,6 +63,12 @@ type LabelMsg struct {
 // MsgKey implements types.Msg.
 func (m LabelMsg) MsgKey() string { return "lbl:" + m.L.String() + "=" + m.A }
 
+// EqualMsg implements types.Msg.
+func (m LabelMsg) EqualMsg(o types.Msg) bool {
+	om, ok := o.(LabelMsg)
+	return ok && om == m
+}
+
 // WriteFp streams the canonical key (same format as MsgKey) into a
 // fingerprint digest.
 func (m LabelMsg) WriteFp(w types.FpWriter) {
@@ -79,6 +85,12 @@ type SummaryMsg struct {
 
 // MsgKey implements types.Msg.
 func (m SummaryMsg) MsgKey() string { return "sum:" + m.X.String() }
+
+// EqualMsg implements types.Msg.
+func (m SummaryMsg) EqualMsg(o types.Msg) bool {
+	om, ok := o.(SummaryMsg)
+	return ok && m.X.Equal(om.X)
+}
 
 // WriteFp streams the canonical key (same format as MsgKey) into a
 // fingerprint digest.
@@ -327,12 +339,21 @@ func (n *Node) PerformLabel(a string) error {
 	if !ok || head != a {
 		return fmt.Errorf("label(%s)_%s: not enabled", a, n.p)
 	}
+	n.label()
+	return nil
+}
+
+// label is the effect of label(a)_p for a = head of delay. The unexported
+// effect helpers (label, sendLabel, sendSummary, confirm, brcv, register)
+// let Drain apply an action right after the guard it has just evaluated;
+// the exported Perform*/Take* methods are guard plus the same helper.
+func (n *Node) label() {
+	a := n.delay[0]
 	l := types.Label{ID: n.current.ID, Seqno: n.nextSeqno, Origin: n.p}
 	n.content[l] = a
 	n.buffer = append(n.buffer, l)
 	n.nextSeqno++
 	n.delay = n.delay[1:]
-	return nil
 }
 
 // GpSndLabel returns the ⟨l,a⟩ message a dvs-gpsnd output would send, if
@@ -355,9 +376,11 @@ func (n *Node) TakeGpSndLabel(m LabelMsg) error {
 	if !ok || head != m {
 		return fmt.Errorf("dvs-gpsnd(%s)_%s: not enabled", m.MsgKey(), n.p)
 	}
-	n.buffer = n.buffer[1:]
+	n.sendLabel()
 	return nil
 }
+
+func (n *Node) sendLabel() { n.buffer = n.buffer[1:] }
 
 // GpSndSummary returns the summary message a dvs-gpsnd output would send, if
 // enabled (status = send).
@@ -371,12 +394,14 @@ func (n *Node) GpSndSummary() (SummaryMsg, bool) {
 // TakeGpSndSummary applies the effect of sending the summary.
 func (n *Node) TakeGpSndSummary(m SummaryMsg) error {
 	head, ok := n.GpSndSummary()
-	if !ok || head.MsgKey() != m.MsgKey() {
+	if !ok || !head.EqualMsg(m) {
 		return fmt.Errorf("dvs-gpsnd(summary)_%s: not enabled", n.p)
 	}
-	n.status = StatusCollect
+	n.sendSummary()
 	return nil
 }
+
+func (n *Node) sendSummary() { n.status = StatusCollect }
 
 // ConfirmEnabled reports whether the internal confirm action is enabled.
 func (n *Node) ConfirmEnabled() bool {
@@ -392,9 +417,11 @@ func (n *Node) PerformConfirm() error {
 	if !n.ConfirmEnabled() {
 		return fmt.Errorf("confirm_%s: not enabled", n.p)
 	}
-	n.nextConfirm++
+	n.confirm()
 	return nil
 }
+
+func (n *Node) confirm() { n.nextConfirm++ }
 
 // BRcvNext returns the (a, origin) pair the next brcv output would deliver,
 // if enabled (nextreport < nextconfirm).
@@ -416,9 +443,11 @@ func (n *Node) PerformBRcv(a string, origin types.ProcID) error {
 	if !ok || wa != a || worigin != origin {
 		return fmt.Errorf("brcv(%s)_%s,%s: not enabled", a, origin, n.p)
 	}
-	n.nextReport++
+	n.brcv()
 	return nil
 }
+
+func (n *Node) brcv() { n.nextReport++ }
 
 // RegisterEnabled reports whether the dvs-register output is enabled:
 // current ≠ ⊥, established, and not yet registered.
@@ -431,9 +460,11 @@ func (n *Node) PerformRegister() error {
 	if !n.RegisterEnabled() {
 		return fmt.Errorf("dvs-register_%s: not enabled", n.p)
 	}
-	n.registered[n.current.ID] = true
+	n.register()
 	return nil
 }
+
+func (n *Node) register() { n.registered[n.current.ID] = true }
 
 // Clone returns an independent deep copy.
 func (n *Node) Clone() *Node {

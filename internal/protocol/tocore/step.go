@@ -105,47 +105,43 @@ func Step(n *Node, ev Event, register bool, out *Outbox) error {
 // quiescent, emitting one effect per action: labeling buffered client
 // payloads, sending the recovery summary and then labeled messages through
 // DVS, confirming safe labels, reporting deliveries, and registering
-// established views.
+// established views. Each action's precondition is evaluated once per
+// firing — the guard below — and its effect applied directly; the exported
+// Perform*/Take* methods re-check the guard for callers that name an action
+// from outside (the checker compositions), which here would repeat a lookup
+// in maps that hold the whole history.
 func Drain(n *Node, register bool, out *Outbox) {
 	for {
 		progress := false
 		if a, ok := n.LabelHead(); ok {
-			if err := n.PerformLabel(a); err == nil {
-				out.add(FxLabel{A: a})
-				progress = true
-			}
+			n.label()
+			out.add(FxLabel{A: a})
+			progress = true
 		}
 		if m, ok := n.GpSndSummary(); ok {
-			if err := n.TakeGpSndSummary(m); err == nil {
-				out.add(FxSend{M: m})
-				progress = true
-			}
+			n.sendSummary()
+			out.add(FxSend{M: m})
+			progress = true
 		}
 		if m, ok := n.GpSndLabel(); ok {
-			if err := n.TakeGpSndLabel(m); err == nil {
-				out.add(FxSend{M: m})
-				progress = true
-			}
+			n.sendLabel()
+			out.add(FxSend{M: m})
+			progress = true
 		}
 		if n.ConfirmEnabled() {
-			if err := n.PerformConfirm(); err == nil {
-				out.add(FxConfirm{})
-				progress = true
-			}
+			n.confirm()
+			out.add(FxConfirm{})
+			progress = true
 		}
 		if a, origin, ok := n.BRcvNext(); ok {
-			if err := n.PerformBRcv(a, origin); err == nil {
-				out.add(FxDeliver{A: a, Origin: origin})
-				progress = true
-			}
+			n.brcv()
+			out.add(FxDeliver{A: a, Origin: origin})
+			progress = true
 		}
 		if register && n.RegisterEnabled() {
-			if err := n.PerformRegister(); err == nil {
-				if cur, ok := n.Current(); ok {
-					out.add(FxRegister{View: cur.Clone()})
-				}
-				progress = true
-			}
+			n.register()
+			out.add(FxRegister{View: n.current.Clone()})
+			progress = true
 		}
 		if !progress {
 			return

@@ -236,6 +236,11 @@ type RecoveryConfig struct {
 	Timeout   time.Duration
 	Record    bool             // record protocol traces
 	Stream    *dvs.TraceStream // stream the trace to disk
+
+	// History is the number of messages ordered and delivered everywhere
+	// before the partition: the state exchange of every later view carries
+	// them, so recovery time grows with it.
+	History int
 }
 
 // RecoveryResult summarizes a recovery run.
@@ -273,6 +278,11 @@ func Recovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	defer cl.Close()
 	settle(50 * time.Millisecond)
 
+	delivered := make([][]dvs.Delivery, cfg.Processes)
+	if err := preload(cl, cfg.History, delivered, cfg.Timeout); err != nil {
+		return RecoveryResult{}, err
+	}
+
 	maj := make([]int, 0, cfg.Processes/2+1)
 	min := make([]int, 0)
 	for i := 0; i < cfg.Processes; i++ {
@@ -284,6 +294,13 @@ func Recovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	}
 	cl.Partition(maj, min)
 	settle(150 * time.Millisecond)
+	if cfg.History > 0 {
+		// The majority side's own state exchange outlasts the fixed settle,
+		// and a heal in the middle of it would time two view changes.
+		for until := time.Now().Add(cfg.Timeout); !allEstablished(cl, maj) && time.Now().Before(until); {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
 	cl.Process(maj[0]).Broadcast("pre-heal")
 	settle(100 * time.Millisecond)
 
@@ -293,8 +310,9 @@ func Recovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	cl.Heal()
 
 	deadline := healAt.Add(cfg.Timeout)
+	everyone := append(maj, min...)
 	for time.Now().Before(deadline) {
-		if allEstablishedFull(cl, cfg.Processes) {
+		if allEstablished(cl, everyone) {
 			res.TimeToPrimary = time.Since(healAt)
 			break
 		}
@@ -305,7 +323,6 @@ func Recovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	}
 
 	cl.Process(min[0]).Broadcast("post-heal")
-	delivered := make([][]dvs.Delivery, cfg.Processes)
 	for time.Now().Before(deadline) {
 		all := true
 		for j := 0; j < cfg.Processes; j++ {
@@ -341,11 +358,39 @@ func Recovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	return res, nil
 }
 
-func allEstablishedFull(cl *dvs.Cluster, n int) bool {
-	for i := 0; i < n; i++ {
+// preload broadcasts n messages round-robin under a window and returns once
+// every process has delivered all of them into delivered.
+func preload(cl *dvs.Cluster, n int, delivered [][]dvs.Delivery, timeout time.Duration) error {
+	const window = 256
+	deadline := time.Now().Add(timeout)
+	for sent := 0; ; {
+		least := n
+		for j := range delivered {
+			Drain(cl.Process(j), &delivered[j])
+			least = min(least, len(delivered[j]))
+		}
+		switch {
+		case least >= n:
+			return nil
+		case time.Now().After(deadline):
+			return fmt.Errorf("recovery: %d of %d history messages delivered everywhere within %v", least, n, timeout)
+		case sent < n && sent-least < window:
+			if cl.Process(sent % len(delivered)).Broadcast("h" + strconv.Itoa(sent)) {
+				sent++
+			}
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// allEstablished reports whether every process in group has established a
+// primary view of exactly the group's size.
+func allEstablished(cl *dvs.Cluster, group []int) bool {
+	for _, i := range group {
 		p := cl.Process(i)
 		v, ok := p.CurrentPrimary()
-		if !ok || v.Members.Len() != n || !p.Established() {
+		if !ok || v.Members.Len() != len(group) || !p.Established() {
 			return false
 		}
 	}

@@ -392,3 +392,7 @@ type fakeServiceMsg struct{}
 
 func (fakeServiceMsg) MsgKey() string { return "svc:test" }
 func (fakeServiceMsg) ServiceMsg()    {}
+func (fakeServiceMsg) EqualMsg(o types.Msg) bool {
+	_, ok := o.(fakeServiceMsg)
+	return ok
+}

@@ -64,7 +64,7 @@ func TestStaticMessagePassThrough(t *testing.T) {
 	m := types.ClientMsg("x")
 	n.OnDVSGpSnd(m)
 	head, ok := n.VSGpSndHead()
-	if !ok || head.MsgKey() != m.MsgKey() {
+	if !ok || !head.EqualMsg(m) {
 		t.Fatal("message not queued")
 	}
 	if err := n.TakeVSGpSndHead(m); err != nil {

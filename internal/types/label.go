@@ -1,6 +1,8 @@
 package types
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -103,6 +105,14 @@ func (x Summary) Clone() Summary {
 		Next: x.Next,
 		High: x.High,
 	}
+}
+
+// Equal reports whether x and y are the same summary. maps.Equal and
+// slices.Equal compare lengths first, so nil and empty agree (as they do in
+// String) and unequal histories are usually told apart without a scan.
+func (x Summary) Equal(y Summary) bool {
+	return x.Next == y.Next && x.High == y.High &&
+		slices.Equal(x.Ord, y.Ord) && maps.Equal(x.Con, y.Con)
 }
 
 // String renders the summary canonically.

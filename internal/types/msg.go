@@ -1,9 +1,14 @@
 package types
 
-// Msg is a message in the universe M. Concrete message types provide a
-// canonical key used for equality, traces, and state fingerprints.
+import "strings"
+
+// Msg is a message in the universe M. MsgKey is the canonical rendering
+// (traces, error text, the fingerprint fallback); EqualMsg is equality —
+// structural, allocation-free, and injective where the rendering is not
+// (payloads may contain the delimiters MsgKey joins with).
 type Msg interface {
 	MsgKey() string
+	EqualMsg(Msg) bool
 }
 
 // ClientMsg is a client message in M_c, the set of messages clients may use
@@ -12,6 +17,12 @@ type ClientMsg string
 
 // MsgKey implements Msg.
 func (m ClientMsg) MsgKey() string { return "c:" + string(m) }
+
+// EqualMsg implements Msg.
+func (m ClientMsg) EqualMsg(o Msg) bool {
+	om, ok := o.(ClientMsg)
+	return ok && om == m
+}
 
 // String renders the message.
 func (m ClientMsg) String() string { return string(m) }
@@ -29,20 +40,30 @@ type Batch struct{ Msgs []Msg }
 // MsgKey implements Msg: the concatenation of the member keys, so batches
 // fingerprint and render canonically wherever single messages do.
 func (b Batch) MsgKey() string {
-	n := len("batch[]")
-	for _, m := range b.Msgs {
-		n += len(m.MsgKey()) + 1
-	}
-	buf := make([]byte, 0, n)
-	buf = append(buf, "batch["...)
+	var sb strings.Builder
+	sb.WriteString("batch[")
 	for i, m := range b.Msgs {
 		if i > 0 {
-			buf = append(buf, '|')
+			sb.WriteByte('|')
 		}
-		buf = append(buf, m.MsgKey()...)
+		sb.WriteString(m.MsgKey())
 	}
-	buf = append(buf, ']')
-	return string(buf)
+	sb.WriteByte(']')
+	return sb.String()
+}
+
+// EqualMsg implements Msg: same length and member-wise equal.
+func (b Batch) EqualMsg(o Msg) bool {
+	ob, ok := o.(Batch)
+	if !ok || len(ob.Msgs) != len(b.Msgs) {
+		return false
+	}
+	for i, m := range b.Msgs {
+		if !m.EqualMsg(ob.Msgs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // ServiceMsg marks messages that are internal to a group-communication

@@ -27,6 +27,11 @@
 #    Config.Stream spilling every macro-step to a chunked trace), isolated
 #    likewise. Emits BENCH_e13.json; check.sh gates recorded/unrecorded.
 #
+# 5. Per-layer ledger (the protocol cores in isolation: one 10-label batch
+#    through the DVS core's gprcv + safe, one label's whole life through the
+#    TO core on a node holding 100k labels). Emits BENCH_layers.json;
+#    check.sh gates each row's allocs/op, which no machine changes.
+#
 # Every benchmark is repeated (`-count`, default 3 for E1-E3) and the
 # snapshot keeps only the best repetition per benchmark (lowest ns/op):
 # scheduler noise on shared CI runners only ever slows a run down, so the
@@ -130,3 +135,11 @@ raw13=$(go test -run '^$' -bench 'BenchmarkE13RecordOverhead' -benchtime 3x .)
 printf '%s\n' "$raw13"
 printf '%s\n' "$raw13" | to_json > "$out13"
 echo "wrote $out13"
+
+# Layer ledger: the cores alone, a fixed iteration count so allocs/op is
+# exact and the TO node's history is the same size in every run.
+outl=BENCH_layers.json
+rawl=$(go test -run '^$' -bench 'BenchmarkCore' -benchtime 100000x -count 3 -benchmem .)
+printf '%s\n' "$rawl"
+printf '%s\n' "$rawl" | to_json > "$outl"
+echo "wrote $outl"

@@ -179,6 +179,30 @@ e13_guard() {
 	echo "check.sh: E13 recording overhead OK (unrecorded ${plain} msg/s, recorded ${rec} msg/s)"
 }
 
+# layers_guard holds each core to its allocation budget per unit of work:
+# one batch through the DVS core's gprcv + safe, one label through the TO
+# core's gprcv, safe, confirm and brcv. The snapshot shows 6 and 3; the
+# budgets leave room for a queue slot or a boxed effect more, not for a
+# rendered key (one MsgKey of a 10-label batch is over a hundred). allocs/op
+# is exact and machine-independent, so the budgets are constants.
+layers_guard() {
+	out=BENCH_layers.json
+	for row in CoreDVSStepBatch:8 CoreTOStepLabel:4; do
+		name=${row%%:*}
+		budget=${row##*:}
+		got=$(grep -o "\"name\": \"$name\"[^}]*" "$out" | grep -o '"allocs_per_op": [0-9.]*' | awk '{print $2}')
+		if [ -z "$got" ]; then
+			echo "check.sh: no $name allocs_per_op record in $out" >&2
+			exit 1
+		fi
+		if ! awk -v g="$got" -v b="$budget" 'BEGIN { exit !(g + 0 <= b + 0) }'; then
+			echo "check.sh: $name allocates ${got} times per op, over its budget of ${budget} — something on the core's per-message path started allocating (a rendered key?)" >&2
+			exit 1
+		fi
+		echo "check.sh: layer budget OK ($name: ${got} allocs/op <= ${budget})"
+	done
+}
+
 # benchmod_guard runs what tier-1 cannot see: bench/ is its own module, so
 # `go test ./...` and `dvslint ./...` from the root skip it.
 benchmod_guard() {
@@ -198,9 +222,11 @@ fuzz_guard() {
 }
 
 # lintgate_guard is the negative half of the lint gate: dvslint over the
-# seeded-bad-edit module must exit 1 (diagnostics reported). Exit 0 means
-# the corestep/effectcomplete/shellsafe analyzers stopped protecting the
-# macro-step boundary; exit 2 means the fixtures no longer even load.
+# seeded-bad-edit module must exit 1 (diagnostics reported) with at least
+# one finding from each analyzer the fixtures are seeded for. Exit 0 means
+# the corestep/effectcomplete/shellsafe/keyequal analyzers stopped
+# protecting the macro-step boundary and the cores' head checks; exit 2
+# means the fixtures no longer even load.
 lintgate_guard() {
 	status=0
 	out="$(go run ./cmd/dvslint -dir internal/lint/badedit ./... 2>&1)" || status=$?
@@ -209,18 +235,26 @@ lintgate_guard() {
 		echo "$out" >&2
 		exit 1
 	fi
+	for a in corestep effectcomplete shellsafe keyequal; do
+		if ! printf '%s\n' "$out" | grep -q ": $a: "; then
+			echo "check.sh: dvslint reported nothing from $a on internal/lint/badedit — that analyzer's seeded bad edit now passes" >&2
+			exit 1
+		fi
+	done
 	echo "check.sh: bad-edit lint gate OK (dvslint rejects the seeded fixtures)"
 }
 
 bench_guard() {
-	rm -f BENCH_checks.json BENCH_e8.json BENCH_e14.json BENCH_e13.json
+	rm -f BENCH_checks.json BENCH_e8.json BENCH_e14.json BENCH_e13.json BENCH_layers.json
 	make bench
 	snapshot_guard BENCH_checks.json
 	snapshot_guard BENCH_e8.json
 	snapshot_guard BENCH_e14.json
 	snapshot_guard BENCH_e13.json
+	snapshot_guard BENCH_layers.json
 	e8_floor_guard
 	e13_guard
+	layers_guard
 	e12_guard
 	scaling_guard
 	e14_guard
