@@ -54,8 +54,16 @@ const (
 	footerSeg     = "footer.seg"
 
 	// Defaults for StreamOptions.
-	defaultWindowSteps = 4096
+	defaultWindowSteps = 8192
 	defaultWindowBytes = 4 << 20
+
+	// earlyCutSteps is the window at which a chunk is cut ahead of the
+	// thresholds when the writer has room for it. It is what makes the
+	// chunk size follow the disk: each segment costs two fsyncs whatever its
+	// size, so a writer that keeps up gets chunks this small, and one that
+	// falls behind finds a larger window waiting — fewer, bigger segments —
+	// before any observer has to stall for it at the thresholds.
+	earlyCutSteps = 4096
 )
 
 func chunkSeg(seq int) string { return fmt.Sprintf("chunk-%08d.seg", seq) }
@@ -112,12 +120,18 @@ func writeSegment(path string, v any) error {
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return fmt.Errorf("conform: encode segment %s: %w", filepath.Base(path), err)
 	}
-	return writeFramed(path, buf.Bytes())
+	if err := writeFramed(path, buf.Bytes()); err != nil {
+		return err
+	}
+	syncDir(filepath.Dir(path))
+	return nil
 }
 
 // writeFramed atomically writes one segment: magic + length + payload + CRC
-// to a temp file in the target directory, fsync, rename, directory sync. A
-// failure at any point leaves no partial file at path.
+// to a temp file in the target directory, fsync, rename. A failure at any
+// point leaves no partial file at path. The rename is durable once the
+// directory is synced (syncDir), which is left to the caller: one directory
+// sync covers every rename before it.
 func writeFramed(path string, payload []byte) (err error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".seg-*.tmp")
@@ -151,11 +165,7 @@ func writeFramed(path string, payload []byte) (err error) {
 	if err = f.Close(); err != nil {
 		return err
 	}
-	if err = os.Rename(f.Name(), path); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
+	return os.Rename(f.Name(), path)
 }
 
 // readSegment reads and verifies one gob segment into v.
@@ -218,11 +228,12 @@ func syncDir(dir string) {
 }
 
 // StreamOptions bound the recorder's in-memory window. A cut is taken as
-// soon as either threshold is reached, so recorder memory is O(window)
+// soon as either threshold is reached (and from earlyCutSteps on whenever
+// the writer is free to take it), so recorder memory is O(window)
 // regardless of run length.
 type StreamOptions struct {
 	// WindowSteps cuts a chunk after this many buffered macro-steps summed
-	// over all nodes and both layers (default 4096).
+	// over all nodes and both layers (default 8192).
 	WindowSteps int
 	// WindowBytes cuts a chunk once the buffered records' encoded size
 	// reaches this many bytes (default 4 MiB).
@@ -499,7 +510,11 @@ func (r *StreamRecorder) record(lb *layerBuf, rec []byte, encErr error) {
 	if r.steps > r.peak {
 		r.peak = r.steps
 	}
-	if r.steps >= r.opts.WindowSteps || r.bytes >= r.opts.WindowBytes {
+	// A full window is cut even if that means waiting for the writer; an
+	// early one only into an empty queue, which stays empty until this cut
+	// fills it (only cutters send, and they hold the mutex), so it never waits.
+	if r.steps >= r.opts.WindowSteps || r.bytes >= r.opts.WindowBytes ||
+		r.steps >= earlyCutSteps && (r.w == nil || len(r.w.q) == 0) {
 		r.cutLocked(false)
 	}
 }
@@ -582,7 +597,14 @@ func (w *segWriter) run() {
 		payload = appendChunk(payload[:0], job)
 		if err := writeFramed(filepath.Join(w.dir, chunkSeg(job.seq)), payload); err != nil {
 			w.err = fmt.Errorf("conform: write chunk %d: %w", job.seq, err)
+			syncDir(w.dir)
 			return
+		}
+		// A directory sync makes every earlier rename durable, so while the
+		// next chunk is already waiting, its sync will cover this one: a
+		// writer that is behind pays one fsync per chunk instead of two.
+		if len(w.q) == 0 {
+			syncDir(w.dir)
 		}
 		select {
 		case w.free <- job:

@@ -706,6 +706,70 @@ func TestStreamWriterBackpressure(t *testing.T) {
 	}
 }
 
+// TestStreamChunkSizeFollowsWriter: from earlyCutSteps on, a window is cut as
+// soon as the writer has room for it, and keeps growing while it has none —
+// so a slow disk gets fewer, larger segments and no observer waits for it
+// before the window is full.
+func TestStreamChunkSizeFollowsWriter(t *testing.T) {
+	const window = 3 * earlyCutSteps
+	ev := dvscore.EvClientSend{M: types.ClientMsg("payload")}
+	dir := t.TempDir()
+	sr, err := NewStreamRecorder(dir, StreamOptions{WindowSteps: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, release := make(chan int, 8), make(chan struct{})
+	sr.beforeWrite = func(seq int) {
+		stalled <- seq
+		<-release
+	}
+	sn, err := sr.Node(0, 0, types.InitialView(types.RangeProcSet(1)), true, true, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Chunk 1 is cut early and stalls in the writer, chunk 2 is cut early
+	// into the free queue slot, and with the queue full the third window
+	// runs to the threshold, whose cut blocks.
+	const blockedAt = 2*earlyCutSteps + window
+	var fed atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < blockedAt+earlyCutSteps; i++ {
+			sn.ObserveDVS(ev, nil)
+			fed.Add(1)
+		}
+	}()
+	if seq := <-stalled; seq != 1 {
+		t.Fatalf("writer started with chunk %d", seq)
+	}
+	waitFor(t, "the feeder to reach the blocked cut", func() bool { return fed.Load() == blockedAt-1 })
+	time.Sleep(50 * time.Millisecond)
+	if n := fed.Load(); n != blockedAt-1 {
+		t.Errorf("feeder got %d records in with the writer stalled, want it blocked at %d", n, blockedAt-1)
+	}
+	close(release)
+	<-done
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if peak := sr.PeakWindowSteps(); peak > window {
+		t.Errorf("peak buffered steps %d exceeds window %d", peak, window)
+	}
+	for seq, want := range []int{earlyCutSteps, earlyCutSteps, window, earlyCutSteps} {
+		ch, err := readChunk(filepath.Join(dir, chunkSeg(seq+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(ch.Parts[0].DVS); n != want {
+			t.Errorf("chunk %d holds %d records, want %d", seq+1, n, want)
+		}
+	}
+	if exists(filepath.Join(dir, chunkSeg(5))) || !exists(filepath.Join(dir, footerSeg)) {
+		t.Error("want exactly four chunks and a footer")
+	}
+}
+
 // TestStreamReplayOfOpenRecorder: a trace whose recorder is still running
 // (or died without Close) replays its sealed prefix clean and says so.
 func TestStreamReplayOfOpenRecorder(t *testing.T) {
