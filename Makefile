@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lintgate test race bench benchmark
+.PHONY: check build vet lint lintgate loc test race bench benchmark
 
-check: build vet lint lintgate race
+check: build vet lint lintgate loc race
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,10 @@ lint:
 # fixtures, proving the macro-step analyzers still bite.
 lintgate:
 	sh scripts/check.sh lintgate
+
+# Non-test line counts per package, held to the ceilings in check.sh.
+loc:
+	sh scripts/check.sh loc
 
 test:
 	$(GO) test ./...

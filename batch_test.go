@@ -86,18 +86,14 @@ func TestBurstDeliveryAccounting(t *testing.T) {
 // with a partition and heal, and replays the harvested logs through the
 // protocol cores. Batches flow through the DVS core as opaque client
 // messages and are recorded as such, so this pins two things at once: the
-// conformance machinery round-trips types.Batch (deep-copy, gob, MsgKey
+// conformance machinery round-trips types.Batch (wire codec, MsgKey
 // rendering), and a batched execution is divergence-free — the cores cannot
 // tell it from an unbatched one.
 func TestBatchedConformanceSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("conformance soak")
 	}
-	cl, err := NewCluster(Config{Processes: 3, Seed: 22, Record: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl, harvest := recordedCluster(t, Config{Processes: 3, Seed: 22})
 	time.Sleep(50 * time.Millisecond)
 
 	msg := 0
@@ -119,8 +115,7 @@ func TestBatchedConformanceSoak(t *testing.T) {
 	pump(2, 50)
 	time.Sleep(300 * time.Millisecond)
 
-	cl.Close()
-	logs := cl.TraceLogs()
+	_, logs := harvest()
 
 	// Count batches in the recorded DVS event streams directly.
 	batched := 0

@@ -16,7 +16,6 @@ import (
 // network. All processes run the full stack: membership, view-synchronous
 // ordering, the primary-view filter, and totally-ordered broadcast.
 type Cluster struct {
-	cfg      Config
 	universe types.ProcSet
 	initial  types.View
 	fabric   *netfab.Fabric
@@ -58,7 +57,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	initial := types.InitialView(p0)
 
 	c := &Cluster{
-		cfg:      cfg,
 		universe: universe,
 		initial:  initial,
 		fabric:   netfab.NewFabric(universe, netfab.Config{Seed: cfg.Seed, LossRate: cfg.LossRate}),
@@ -76,7 +74,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			tick:                cfg.TickInterval,
 			suspect:             cfg.SuspectTimeout,
 			retry:               cfg.ProposeRetry,
-			record:              cfg.Record,
 			stream:              cfg.Stream,
 			online:              cfg.Online,
 		})
@@ -129,7 +126,7 @@ func (c *Cluster) Crash(i int) { c.fabric.Crash(ProcID(i)) }
 func (c *Cluster) NetStats() netfab.Stats { return c.fabric.Stats() }
 
 // Close stops every process and disconnects the fabric. Close is
-// idempotent, so scenarios can close explicitly (to harvest trace logs at a
+// idempotent, so scenarios can close explicitly (to seal a trace stream at a
 // consistent cut) under a deferred Close.
 func (c *Cluster) Close() {
 	c.close.Do(func() {
@@ -138,21 +135,6 @@ func (c *Cluster) Close() {
 			p.vsg.Stop()
 		}
 	})
-}
-
-// TraceLogs returns the recorded per-node protocol traces, in process-id
-// order, or nil if the cluster was not built with Config.Record. It must be
-// called after Close: only then do the logs form the consistent cut the
-// conformance replayer's cross-node invariants require.
-func (c *Cluster) TraceLogs() []TraceLog {
-	if !c.cfg.Record {
-		return nil
-	}
-	out := make([]TraceLog, 0, len(c.procs))
-	for _, id := range c.universe.Sorted() {
-		out = append(out, c.procs[id].rec.Log())
-	}
-	return out
 }
 
 // ID returns the process id.

@@ -7,9 +7,8 @@
 // Traces are recorded as a chunked on-disk stream: the recorder spills a
 // segment every few thousand macro-steps, so its memory stays bounded no
 // matter how long the run is, and the replayer checks the paper's
-// invariants incrementally at every chunk boundary. -replay accepts both a
-// chunked trace directory and a legacy single-file trace written by
-// dvs.WriteTrace.
+// invariants incrementally at every chunk boundary. -replay takes a trace
+// directory: a single stream, or a sharded run's directory of streams.
 //
 // Usage:
 //
@@ -51,7 +50,7 @@ func run() error {
 		seed     = flag.Int64("seed", 1, "seed")
 		record   = flag.String("record", "", "stream protocol traces to this directory (chunked segments), then verify conformance; scenarios with a static variant record it to <dir>-static")
 		traceWin = flag.Int("trace-window", 0, "macro-steps per trace chunk (0 = default)")
-		replay   = flag.String("replay", "", "replay a recorded trace (chunked directory or legacy single file) through the protocol cores and check conformance (ignores -scenario)")
+		replay   = flag.String("replay", "", "replay a recorded trace directory (one stream, or a sharded run's group-NN/ and mcast/ streams) through the protocol cores and check conformance (ignores -scenario)")
 		check    = flag.Bool("check", false, "run the in-process sampled conformance checker during the run and report its overhead (throughput scenario)")
 		checkWin = flag.Int("check-window", 0, "online checker: macro-steps re-stepped per sample (0 = default)")
 		checkEvr = flag.Int("check-every", 0, "online checker: sample every this many macro-steps (0 = default)")
@@ -63,8 +62,8 @@ func run() error {
 	}
 
 	// The sharded scenario records to a sharded trace directory (one
-	// group-tagged chunked stream per group plus the multicast logs), not a
-	// single stream, so it branches before the stream is created.
+	// group-tagged chunked stream per group plus the multicast stream), not
+	// a single stream, so it branches before the stream is created.
 	if *scenario == "sharded" {
 		res, err := sim.Sharded(sim.ShardedConfig{
 			Processes: *procs, Groups: *groups, Duration: *duration,
@@ -221,47 +220,22 @@ func run() error {
 	return nil
 }
 
-// replayPath re-checks a recorded trace: a directory holding group-NN
-// subdirectories is a sharded trace, any other directory a single chunked
-// stream, and a file a legacy in-memory trace.
+// replayPath re-checks a recorded trace directory: one holding group-NN
+// subdirectories is a sharded trace, any other a single chunked stream.
 func replayPath(path string) error {
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	if info.IsDir() {
-		if gi, err := os.Stat(filepath.Join(path, "group-00")); err == nil && gi.IsDir() {
-			rep, err := dvs.ReplayShardedTrace(path)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("conformance: %s\n", rep)
-			return rep.Err()
-		}
-		rep, err := dvs.ReplayTraceStream(path)
+	if gi, err := os.Stat(filepath.Join(path, "group-00")); err == nil && gi.IsDir() {
+		rep, err := dvs.ReplayShardedTrace(path)
 		if err != nil {
 			return err
 		}
-		return reportStream(rep)
+		fmt.Printf("conformance: %s\n", rep)
+		return rep.Err()
 	}
-	logs, err := dvs.ReadTrace(path)
+	rep, err := dvs.ReplayTraceStream(path)
 	if err != nil {
 		return err
 	}
-	return report(dvs.ReplayTrace(logs))
-}
-
-// report prints the conformance replay outcome and returns its error (nil
-// when the trace replays cleanly and satisfies every invariant).
-func report(rep *dvs.ConformanceReport) error {
-	fmt.Printf("conformance: %s\n", rep)
-	for _, d := range rep.Divergences {
-		fmt.Printf("  divergence: %s\n", d)
-	}
-	for _, v := range rep.Violations {
-		fmt.Printf("  violation: %s\n", v)
-	}
-	return rep.Err()
+	return reportStream(rep)
 }
 
 // reportStream prints the streamed conformance outcome, including chunk

@@ -48,7 +48,7 @@ func run() error {
 		groups   = flag.Int("groups", 1, "independent groups sharing this node's transport (sharded mode; incompatible with -trace-dir)")
 		tick     = flag.Duration("tick", 20*time.Millisecond, "heartbeat tick")
 		metrics  = flag.String("metrics", "", "serve per-layer stats over HTTP at this address (expvar at /debug/vars, JSON at /stats)")
-		traceDir = flag.String("trace-dir", "", "stream this node's protocol trace to chunked segments in this directory (dynamic mode only); replay with dvsim -replay <dir>")
+		traceDir = flag.String("trace-dir", "", "stream this node's protocol trace to chunked segments in this directory; replay with dvsim -replay <dir>")
 		traceWin = flag.Int("trace-window", 0, "macro-steps per trace chunk (0 = default)")
 		check    = flag.Bool("check", false, "run the in-process sampled conformance checker (dynamic mode only; stats in the metrics Check section)")
 		checkWin = flag.Int("check-window", 0, "online checker: macro-steps re-stepped per sample (0 = default)")

@@ -6,17 +6,48 @@ import (
 	"time"
 )
 
-// TestConformanceClusterReplay is the end-to-end trace-conformance check on
-// the in-memory stack: a recording cluster runs through broadcasts,
-// partitions and heals; after Close the per-node logs are replayed through
-// the protocol cores and must re-derive every effect exactly, and the
-// reconstructed final cut must satisfy the paper's invariants.
-func TestConformanceClusterReplay(t *testing.T) {
-	cl, err := NewCluster(Config{Processes: 5, Seed: 7, Record: true})
+// recordedCluster starts a cluster that records into a trace stream in a
+// temp directory. harvest closes the cluster, seals the stream and returns
+// the trace directory with its decoded per-node logs.
+func recordedCluster(t *testing.T, cfg Config) (cl *Cluster, harvest func() (string, []TraceLog)) {
+	t.Helper()
+	dir := t.TempDir()
+	stream, err := NewTraceStream(dir, TraceStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	cfg.Stream = stream
+	if cl, err = NewCluster(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	return cl, func() (string, []TraceLog) {
+		t.Helper()
+		cl.Close()
+		if err := stream.Close(); err != nil {
+			t.Fatalf("sealing trace stream: %v", err)
+		}
+		return dir, readTrace(t, dir)
+	}
+}
+
+// readTrace decodes a sealed trace directory into its per-node logs.
+func readTrace(t *testing.T, dir string) []TraceLog {
+	t.Helper()
+	logs, err := ReadTrace(dir)
+	if err != nil {
+		t.Fatalf("read trace: %v", err)
+	}
+	return logs
+}
+
+// TestConformanceClusterReplay is the end-to-end trace-conformance check on
+// the in-memory stack: a recording cluster runs through broadcasts,
+// partitions and heals; after Close the decoded per-node logs are replayed
+// through the protocol cores and must re-derive every effect exactly, and
+// the reconstructed final cut must satisfy the paper's invariants.
+func TestConformanceClusterReplay(t *testing.T) {
+	cl, harvest := recordedCluster(t, Config{Processes: 5, Seed: 7})
 	time.Sleep(50 * time.Millisecond)
 
 	for i := 0; i < 20; i++ {
@@ -33,10 +64,9 @@ func TestConformanceClusterReplay(t *testing.T) {
 	cl.Heal()
 	time.Sleep(300 * time.Millisecond)
 
-	cl.Close()
-	logs := cl.TraceLogs()
+	_, logs := harvest()
 	if len(logs) != 5 {
-		t.Fatalf("TraceLogs returned %d logs, want 5", len(logs))
+		t.Fatalf("ReadTrace returned %d logs, want 5", len(logs))
 	}
 	steps := 0
 	for _, lg := range logs {
@@ -59,38 +89,39 @@ func TestConformanceClusterReplay(t *testing.T) {
 	t.Logf("conformance: %s", rep)
 }
 
-// TestConformanceTraceFileRoundTrip checks the record-to-file / replay-from-
-// file path the dvsim -record/-replay flags use.
+// TestConformanceTraceFileRoundTrip checks the record-to-directory /
+// replay-from-directory path the dvsim -record/-replay flags use, and that
+// the decoded view of the same directory replays to the same step counts.
 func TestConformanceTraceFileRoundTrip(t *testing.T) {
-	cl, err := NewCluster(Config{Processes: 3, Seed: 11, Record: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl, harvest := recordedCluster(t, Config{Processes: 3, Seed: 11})
 	time.Sleep(50 * time.Millisecond)
 	for i := 0; i < 10; i++ {
 		cl.Process(i % 3).Broadcast("x" + strconv.Itoa(i))
 	}
 	time.Sleep(150 * time.Millisecond)
-	cl.Close()
+	dir, logs := harvest()
 
-	path := t.TempDir() + "/trace.gob"
-	if err := WriteTrace(path, cl.TraceLogs()); err != nil {
-		t.Fatalf("write trace: %v", err)
-	}
-	logs, err := ReadTrace(path)
+	srep, err := ReplayTraceStream(dir)
 	if err != nil {
-		t.Fatalf("read trace: %v", err)
+		t.Fatalf("replay from directory: %v", err)
 	}
-	if rep := ReplayTrace(logs); rep.Err() != nil {
-		t.Fatalf("replay from file: %v", rep.Err())
+	if err := srep.Err(); err != nil || !srep.Sealed {
+		t.Fatalf("replay from directory: %v (%s)", err, srep)
+	}
+	rep := ReplayTrace(logs)
+	if rep.Err() != nil {
+		t.Fatalf("replay of decoded logs: %v", rep.Err())
+	}
+	if rep.DVSSteps == 0 || rep.DVSSteps != srep.DVSSteps || rep.TOSteps != srep.TOSteps {
+		t.Errorf("decoded logs replayed dvs=%d/to=%d steps, the directory dvs=%d/to=%d",
+			rep.DVSSteps, rep.TOSteps, srep.DVSSteps, srep.TOSteps)
 	}
 }
 
-// TestConformanceStreamedCluster runs the same end-to-end check through the
-// chunked on-disk recorder, with the in-memory recorder alongside: the
-// streamed replay must reach the same verdict over the same steps, while
-// the recorder's buffered window stays bounded.
+// TestConformanceStreamedCluster runs the same end-to-end check with a tight
+// chunk window: replaying the directory chunk by chunk must reach the same
+// verdict over the same steps as replaying its decoded logs as one window,
+// while the recorder's buffered window stays bounded.
 func TestConformanceStreamedCluster(t *testing.T) {
 	dir := t.TempDir()
 	const window = 512
@@ -98,7 +129,7 @@ func TestConformanceStreamedCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(Config{Processes: 5, Seed: 7, Record: true, Stream: stream})
+	cl, err := NewCluster(Config{Processes: 5, Seed: 7, Stream: stream})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +153,7 @@ func TestConformanceStreamedCluster(t *testing.T) {
 		t.Fatalf("sealing stream: %v", err)
 	}
 
-	mem := ReplayTrace(cl.TraceLogs())
+	mem := ReplayTrace(readTrace(t, dir))
 	rep, err := ReplayTraceStream(dir)
 	if err != nil {
 		t.Fatalf("streamed replay: %v", err)
@@ -140,10 +171,10 @@ func TestConformanceStreamedCluster(t *testing.T) {
 		t.Errorf("closed stream not sealed: %s", rep)
 	}
 	if rep.OK() != mem.OK() {
-		t.Errorf("streamed verdict %v, in-memory verdict %v (%v)", rep.OK(), mem.OK(), mem.Err())
+		t.Errorf("streamed verdict %v, one-window verdict %v (%v)", rep.OK(), mem.OK(), mem.Err())
 	}
 	if rep.DVSSteps != mem.DVSSteps || rep.TOSteps != mem.TOSteps {
-		t.Errorf("streamed replay covered dvs=%d/to=%d steps, in-memory dvs=%d/to=%d",
+		t.Errorf("streamed replay covered dvs=%d/to=%d steps, one-window dvs=%d/to=%d",
 			rep.DVSSteps, rep.TOSteps, mem.DVSSteps, mem.TOSteps)
 	}
 	if peak := stream.PeakWindowSteps(); peak > window {
@@ -201,11 +232,7 @@ func TestOnlineRequiresDynamic(t *testing.T) {
 // tocore, and the final cut must satisfy the static suite (primaries are
 // quorums of P0, pairwise intersecting, confirmed prefixes consistent).
 func TestConformanceStaticClusterReplay(t *testing.T) {
-	cl, err := NewCluster(Config{Processes: 5, Seed: 7, Mode: ModeStatic, Record: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl, harvest := recordedCluster(t, Config{Processes: 5, Seed: 7, Mode: ModeStatic})
 	time.Sleep(50 * time.Millisecond)
 
 	for i := 0; i < 20; i++ {
@@ -216,11 +243,9 @@ func TestConformanceStaticClusterReplay(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	cl.Heal()
 	time.Sleep(300 * time.Millisecond)
-	cl.Close()
-
-	logs := cl.TraceLogs()
+	_, logs := harvest()
 	if len(logs) != 5 {
-		t.Fatalf("TraceLogs returned %d logs, want 5", len(logs))
+		t.Fatalf("ReadTrace returned %d logs, want 5", len(logs))
 	}
 	steps := 0
 	for _, lg := range logs {

@@ -103,19 +103,15 @@ type Config struct {
 	TickInterval   time.Duration
 	SuspectTimeout time.Duration
 	ProposeRetry   time.Duration
-	// Record enables trace recording: every macro-step of the two protocol
-	// cores (input event plus emitted effects) is logged per node. Harvest
-	// with Cluster.TraceLogs after Close and check with ReplayTrace. Works
-	// in both modes: dynamic runs replay through the paper's automata,
-	// static runs through the extracted staticcore baseline (with the
-	// static invariant suite in place of 5.x/4.x).
-	Record bool
-	// Stream, when set, spills every macro-step to the given chunked
-	// on-disk trace instead of (or in addition to) the in-memory Record
-	// log: recorder memory stays O(window) no matter how long the run is.
-	// The caller owns the stream — Close it after Cluster.Close, then check
-	// with ReplayTraceStream. Works in both modes, like Record; one stream
-	// holds one run, so a dynamic and a static run need separate streams.
+	// Stream, when set, records the run: every macro-step of the two
+	// protocol cores (input event plus emitted effects) is encoded where it
+	// is observed and spilled to the given chunked on-disk trace, so recorder
+	// memory stays O(window) no matter how long the run is. The caller owns
+	// the stream — Close it after Cluster.Close, then check with
+	// ReplayTraceStream. Works in both modes: dynamic runs replay through the
+	// paper's automata, static runs through the extracted staticcore baseline
+	// (with the static invariant suite in place of 5.x/4.x); one stream holds
+	// one run, so a dynamic and a static run need separate streams.
 	Stream *TraceStream
 	// Online, when set, runs the bounded-suffix sampled conformance checker
 	// in-process on every node: a shadow core pair re-steps the last
@@ -124,9 +120,10 @@ type Config struct {
 	Online *OnlineCheckConfig
 }
 
-// TraceLog is the recorded protocol trace of one node: the core
-// construction parameters plus every macro-step of the VS-TO-DVS and
-// DVS-TO-TO cores, in execution order. See internal/conform.
+// TraceLog is the decoded protocol trace of one node: the core construction
+// parameters plus every macro-step of its layers (VS-TO-DVS and DVS-TO-TO
+// for a stack, multicast for a cross-group coordinator), in execution
+// order. See ReadTrace and internal/conform.
 type TraceLog = conform.NodeLog
 
 // ConformanceReport is the outcome of replaying trace logs through the
@@ -134,21 +131,20 @@ type TraceLog = conform.NodeLog
 // reconstructed final cut.
 type ConformanceReport = conform.Report
 
-// ReplayTrace re-executes recorded node traces through the machine-checked
-// protocol cores and evaluates the paper's invariants (4.1–4.2, 5.1–5.6,
-// 6.1–6.3, confirmed-prefix agreement) over the reconstructed final cut.
-// The logs must cover every process of the run and be harvested after all
-// nodes stopped.
+// ReplayTrace re-executes decoded node traces through the machine-checked
+// protocol cores as one window and evaluates the paper's invariants
+// (4.1–4.2, 5.1–5.6, 6.1–6.3, confirmed-prefix agreement; the multicast
+// safety suite for coordinator logs) over the reconstructed final cut. The
+// logs must come from a stream closed after all nodes stopped; logs that do
+// not cover every process of the run get the per-step and per-node checks
+// only (ConformanceReport.Partial).
 func ReplayTrace(logs []TraceLog) *ConformanceReport { return conform.Replay(logs) }
 
-// WriteTrace writes trace logs to a file (gob encoding). The write is
-// atomic: the logs land under a temporary name in the same directory and
-// are renamed into place only after a successful encode and fsync, so a
-// crash or encode failure never leaves a torn trace at path.
-func WriteTrace(path string, logs []TraceLog) error { return conform.WriteFile(path, logs) }
-
-// ReadTrace reads trace logs written by WriteTrace.
-func ReadTrace(path string) ([]TraceLog, error) { return conform.ReadFile(path) }
+// ReadTrace decodes a trace directory written by a TraceStream into one
+// TraceLog per node, in process-id order — the struct view of a trace, for
+// inspecting or tampering with records before ReplayTrace. Checking a trace
+// needs no decoding into memory: use ReplayTraceStream.
+func ReadTrace(dir string) ([]TraceLog, error) { return conform.ReadStream(dir) }
 
 // TraceStreamOptions tune the chunked on-disk trace recorder.
 type TraceStreamOptions = conform.StreamOptions
@@ -166,7 +162,7 @@ func NewTraceStream(dir string, opts TraceStreamOptions) (*TraceStream, error) {
 }
 
 // StreamConformanceReport is the outcome of replaying a chunked on-disk
-// trace: the in-memory report plus chunk accounting, truncation status,
+// trace: the ConformanceReport plus chunk accounting, truncation status,
 // and whether the stream was sealed by a clean Close.
 type StreamConformanceReport = conform.StreamReport
 

@@ -1,7 +1,6 @@
 package conform
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/protocol/dvscore"
@@ -9,58 +8,31 @@ import (
 	"repro/internal/types"
 )
 
-// recordedRun drives the two cores of a singleton node through a small
-// scripted run via the same Step/Recorder path the runtime shells use, and
-// returns the harvested log.
+// recordedRun drives the two cores of a singleton node through one scripted
+// broadcast cycle via the same Step/observer path the runtime shells use,
+// records it the only way there is — a stream in a temp directory — and
+// returns the decoded log.
 func recordedRun(t *testing.T) NodeLog {
 	t.Helper()
-	p := types.ProcID(0)
-	initial := types.InitialView(types.RangeProcSet(1))
-	rec := NewRecorder(p, 0, initial, true, true, true, false)
+	dir := t.TempDir()
+	_, sr := recordStreamed(t, dir, StreamOptions{}, 1, nil)
+	if err := sr.Close(); err != nil {
+		t.Fatalf("close stream: %v", err)
+	}
+	return readLog(t, dir)
+}
 
-	dn := dvscore.NewNode(p, initial, true)
-	tn := tocore.NewNode(p, initial, true, false)
-
-	stepDVS := func(ev dvscore.Event) []dvscore.Effect {
-		var out dvscore.Outbox
-		dvscore.Step(dn, ev, true, &out)
-		rec.ObserveDVS(ev, out.Effects)
-		return out.Effects
+// readLog decodes the single-node trace in dir.
+func readLog(t *testing.T, dir string) NodeLog {
+	t.Helper()
+	logs, err := ReadStream(dir)
+	if err != nil {
+		t.Fatalf("read stream: %v", err)
 	}
-	stepTO := func(ev tocore.Event) []tocore.Effect {
-		var out tocore.Outbox
-		if err := tocore.Step(tn, ev, true, &out); err != nil {
-			t.Fatalf("to step: %v", err)
-		}
-		rec.ObserveTO(ev, out.Effects)
-		return out.Effects
+	if len(logs) != 1 || len(logs[0].DVS) == 0 || len(logs[0].TO) == 0 {
+		t.Fatalf("scripted run decoded to %d logs, want one with steps in both layers", len(logs))
 	}
-
-	// The TO core broadcasts, labels, and sends; the label message travels
-	// through the DVS core and comes back up as delivery plus safe.
-	for _, fx := range stepTO(tocore.EvBroadcast{A: "a1"}) {
-		if send, ok := fx.(tocore.FxSend); ok {
-			for _, dfx := range stepDVS(dvscore.EvClientSend{M: send.M}) {
-				if sv, ok := dfx.(dvscore.FxSendVS); ok {
-					for _, up := range stepDVS(dvscore.EvVSRecv{M: sv.M, From: p}) {
-						if d, ok := up.(dvscore.FxDeliver); ok {
-							stepTO(tocore.EvRecv{M: d.M, From: d.From})
-						}
-					}
-					for _, up := range stepDVS(dvscore.EvVSSafe{M: sv.M, From: p}) {
-						if s, ok := up.(dvscore.FxSafeInd); ok {
-							stepTO(tocore.EvSafe{M: s.M, From: s.From})
-						}
-					}
-				}
-			}
-		}
-	}
-	log := rec.Log()
-	if len(log.DVS) == 0 || len(log.TO) == 0 {
-		t.Fatalf("scripted run recorded no steps: dvs=%d to=%d", len(log.DVS), len(log.TO))
-	}
-	return log
+	return logs[0]
 }
 
 func TestReplayCleanRun(t *testing.T) {
@@ -124,39 +96,51 @@ func tamperDVS(log NodeLog) NodeLog {
 	return out
 }
 
+// TestCodecRoundTrip: a run recorded over several chunks decodes to exactly
+// the steps that were observed, in order, and the decoded log replays clean.
 func TestCodecRoundTrip(t *testing.T) {
-	logs := []NodeLog{recordedRun(t)}
-	var buf bytes.Buffer
-	if err := Encode(&buf, logs); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	decoded, err := Decode(&buf)
+	dir := t.TempDir()
+	var wantDVS, wantTO []string
+	sr, err := NewStreamRecorder(dir, StreamOptions{WindowSteps: 4})
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatal(err)
 	}
-	if len(decoded) != 1 {
-		t.Fatalf("decoded %d logs", len(decoded))
+	sn, err := sr.Node(0, 0, types.InitialView(types.RangeProcSet(1)), true, true, true, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := len(decoded[0].DVS), len(logs[0].DVS); got != want {
-		t.Fatalf("dvs records: got %d want %d", got, want)
-	}
-	if got, want := len(decoded[0].TO), len(logs[0].TO); got != want {
-		t.Fatalf("to records: got %d want %d", got, want)
-	}
-	if err := Replay(decoded).Err(); err != nil {
-		t.Fatalf("replay of decoded log: %v", err)
+	driveScript(t, 5,
+		func(ev dvscore.Event, fx []dvscore.Effect) {
+			wantDVS = append(wantDVS, render(ev)+" => "+render(fx...))
+			sn.ObserveDVS(ev, fx)
+		},
+		func(ev tocore.Event, fx []tocore.Effect) {
+			wantTO = append(wantTO, render(ev)+" => "+render(fx...))
+			sn.ObserveTO(ev, fx)
+		}, nil)
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	path := t.TempDir() + "/trace.gob"
-	if err := WriteFile(path, logs); err != nil {
-		t.Fatalf("write: %v", err)
+	log := readLog(t, dir)
+	if len(log.DVS) != len(wantDVS) || len(log.TO) != len(wantTO) {
+		t.Fatalf("decoded dvs=%d/to=%d records, observed dvs=%d/to=%d", len(log.DVS), len(log.TO), len(wantDVS), len(wantTO))
 	}
-	fromFile, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("read: %v", err)
+	for i, rec := range log.DVS {
+		if got := render(rec.Ev) + " => " + render(rec.Fx...); got != wantDVS[i] {
+			t.Fatalf("dvs record %d decoded as %q, observed %q", i, got, wantDVS[i])
+		}
 	}
-	if err := Replay(fromFile).Err(); err != nil {
-		t.Fatalf("replay of file round trip: %v", err)
+	for i, rec := range log.TO {
+		if got := render(rec.Ev) + " => " + render(rec.Fx...); got != wantTO[i] {
+			t.Fatalf("to record %d decoded as %q, observed %q", i, got, wantTO[i])
+		}
+	}
+	if !log.InP0 || !log.Register || !log.GC || log.Static || log.McastGroups != nil {
+		t.Errorf("construction parameters did not survive the header: %+v", log.NodeMeta)
+	}
+	if err := Replay([]NodeLog{log}).Err(); err != nil {
+		t.Fatalf("replay of decoded log: %v", err)
 	}
 }
 

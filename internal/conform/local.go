@@ -9,7 +9,7 @@ import (
 	"repro/internal/types"
 )
 
-// Per-node invariant projections, run by the stream replayer at every chunk
+// Per-node invariant projections, run by the replay engine at every window
 // boundary and by the online checker at every sampled check. Each is a
 // sound single-node instance of a paper invariant: it quantifies only over
 // state owned by the node itself (plus the node's own history across
@@ -29,27 +29,26 @@ type localState struct {
 	confirmedTail types.Label
 }
 
-// checkLocal runs the per-node checks for node p over its replayed cores,
-// attributing violations to window. dn is nil for a static-mode node (the
-// DVS projections quantify over attempt/ambiguity state the static filter
-// does not have); sn is nil for a dynamic-mode node. The TO projections are
-// filter-independent and run for both.
-func checkLocal(rep *Report, window int, p types.ProcID, dn *dvscore.Node, sn *staticcore.Node, tn *tocore.Node, st *localState) {
-	check := func(name string, f func() error) {
-		rep.Checks++
-		if err := f(); err != nil {
-			rep.Violations = append(rep.Violations, Violation{Name: name, Window: window, Err: err})
-		}
+// checkLocal runs the per-node checks for n over its replayed cores,
+// attributing violations to window. The DVS projections quantify over
+// attempt/ambiguity state only the dynamic filter has; the static filter
+// gets its own; the TO projections are filter-independent and run for both.
+// A multicast coordinator has no per-node projection: its suite quantifies
+// over delivery histories, which only grow.
+func checkLocal(rep *Report, window int, n *replayNode) {
+	p := n.meta.P
+	if n.mc != nil {
+		return
 	}
-	if dn != nil {
-		check("DVSIMPL-5.1-local", func() error { return checkLocal51(p, dn) })
-		check("DVSIMPL-5.2-local", func() error { return checkLocal52(p, dn) })
+	if n.dvs != nil {
+		rep.check(window, "DVSIMPL-5.1-local", func() error { return checkLocal51(p, n.dvs) })
+		rep.check(window, "DVSIMPL-5.2-local", func() error { return checkLocal52(p, n.dvs) })
 	}
-	if sn != nil {
-		check("STATIC-primary-quorum-local", func() error { return checkLocalStaticPrimary(p, sn) })
+	if n.stat != nil {
+		rep.check(window, "STATIC-primary-quorum-local", func() error { return checkLocalStaticPrimary(p, n.stat) })
 	}
-	check("TOIMPL-order-local", func() error { return checkLocalTOOrder(p, tn) })
-	check("TOIMPL-confirmed-monotone", func() error { return checkConfirmedMonotone(p, tn, st) })
+	rep.check(window, "TOIMPL-order-local", func() error { return checkLocalTOOrder(p, n.to) })
+	rep.check(window, "TOIMPL-confirmed-monotone", func() error { return checkConfirmedMonotone(p, n.to, &n.local) })
 }
 
 // checkLocalStaticPrimary is the static baseline's per-node safety

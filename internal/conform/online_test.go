@@ -75,7 +75,7 @@ func TestOnlineCheckerWindowBounded(t *testing.T) {
 	driveScript(t, 30, c.ObserveDVS, c.ObserveTO, nil)
 
 	c.mu.Lock()
-	nDVS, nTO := len(c.winDVS), len(c.winTO)
+	nDVS, nTO := c.winDVS.n, c.winTO.n
 	c.mu.Unlock()
 	if nDVS > window || nTO > window {
 		t.Errorf("window grew past the bound: dvs=%d to=%d (window %d)", nDVS, nTO, window)

@@ -1,11 +1,14 @@
 package conform
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/protocol/dvscore"
+	"repro/internal/protocol/mcastcore"
 	"repro/internal/protocol/staticcore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/quorum"
@@ -17,7 +20,7 @@ import (
 // from the recorded one.
 type Divergence struct {
 	P      types.ProcID
-	Layer  string // "dvs" or "to"
+	Layer  string // "dvs", "to" or "mcast"
 	Index  int    // record index within that node's layer log
 	Window int    // chunk that introduced it (streamed replay); 0 = whole trace
 	Event  string // rendered input event
@@ -55,7 +58,9 @@ type Report struct {
 	Nodes       int
 	DVSSteps    int
 	TOSteps     int
-	Checks      int // invariant checks evaluated
+	McastSteps  int
+	Checks      int  // invariant checks evaluated
+	Partial     bool // cross-node checks skipped: the logs do not cover every process the replayed views name
 	Malformed   []string
 	Divergences []Divergence
 	Violations  []Violation
@@ -89,159 +94,308 @@ func (r *Report) Err() error {
 func (r *Report) String() string {
 	s := fmt.Sprintf("nodes=%d dvs_steps=%d to_steps=%d checks=%d divergences=%d violations=%d",
 		r.Nodes, r.DVSSteps, r.TOSteps, r.Checks, len(r.Divergences), len(r.Violations))
+	if r.McastSteps > 0 {
+		s += fmt.Sprintf(" mcast_steps=%d", r.McastSteps)
+	}
 	if len(r.Malformed) > 0 {
 		s += fmt.Sprintf(" malformed=%d", len(r.Malformed))
 	}
+	if r.Partial {
+		s += " partial=true"
+	}
 	return s
+}
+
+// check evaluates one named invariant, attributing a violation to window.
+func (r *Report) check(window int, name string, f func() error) {
+	r.Checks++
+	if err := f(); err != nil {
+		r.Violations = append(r.Violations, Violation{Name: name, Window: window, Err: err})
+	}
 }
 
 // validateLogSet reports malformed log-set structure into rep: duplicate
 // entries for one process (they would silently overwrite each other in the
 // replay maps) and disagreement on the initial view (the refinement mapping
 // is anchored at a single v0, so mixed-run logs must be rejected, not
-// replayed against an arbitrary log's v0). sorted must be ordered by P.
-// Returns false when the set is unusable.
-func validateLogSet(rep *Report, sorted []NodeLog) bool {
+// replayed against an arbitrary log's v0), the filter mode, the group, or
+// the node kind. sorted must be ordered by P. Returns false when the set is
+// unusable.
+func validateLogSet(rep *Report, sorted []NodeMeta) bool {
 	ok := true
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].P == sorted[i-1].P {
-			rep.Malformed = append(rep.Malformed,
-				fmt.Sprintf("duplicate log for process %s", sorted[i].P))
-			ok = false
-		}
+	malformed := func(format string, args ...any) {
+		rep.Malformed = append(rep.Malformed, fmt.Sprintf(format, args...))
+		ok = false
 	}
-	for _, lg := range sorted[1:] {
-		if !lg.Initial.Equal(sorted[0].Initial) {
-			rep.Malformed = append(rep.Malformed,
-				fmt.Sprintf("process %s initial view %s disagrees with process %s initial view %s — logs are not from one run",
-					lg.P, lg.Initial, sorted[0].P, sorted[0].Initial))
-			ok = false
+	for i := 1; i < len(sorted); i++ {
+		m, first := sorted[i], sorted[0]
+		if m.P == sorted[i-1].P {
+			malformed("duplicate log for process %s", m.P)
 		}
-		if lg.Static != sorted[0].Static {
-			rep.Malformed = append(rep.Malformed,
-				fmt.Sprintf("process %s static=%v disagrees with process %s static=%v — one run cannot mix filter modes",
-					lg.P, lg.Static, sorted[0].P, sorted[0].Static))
-			ok = false
+		if !m.Initial.Equal(first.Initial) {
+			malformed("process %s initial view %s disagrees with process %s initial view %s — logs are not from one run",
+				m.P, m.Initial, first.P, first.Initial)
 		}
-		if lg.Group != sorted[0].Group {
-			rep.Malformed = append(rep.Malformed,
-				fmt.Sprintf("process %s group %s disagrees with process %s group %s — each group is an independent run, harvest one log set per group",
-					lg.P, lg.Group, sorted[0].P, sorted[0].Group))
-			ok = false
+		if m.Static != first.Static {
+			malformed("process %s static=%v disagrees with process %s static=%v — one run cannot mix filter modes",
+				m.P, m.Static, first.P, first.Static)
+		}
+		if m.Group != first.Group {
+			malformed("process %s group %s disagrees with process %s group %s — each group is an independent run, keep one log set per group",
+				m.P, m.Group, first.P, first.Group)
+		}
+		if (m.McastGroups != nil) != (first.McastGroups != nil) {
+			malformed("process %s and process %s are a protocol stack and a multicast coordinator — one log set holds one kind", m.P, first.P)
 		}
 	}
 	return ok
 }
 
-// stepDVSRecord replays one recorded VS-TO-DVS macro-step through dn — any
-// dvscore.Filter, so the same path re-executes dynamic (dvscore.Node) and
-// static (staticcore.Node) logs — and reports a divergence (attributed to
-// window) when the re-derived effects differ from the recorded ones.
-func stepDVSRecord(rep *Report, window int, p types.ProcID, gc bool, dn dvscore.Filter, index int, rec DVSRecord) {
+// replayNode is the replay-side state of one node: its shadow cores and the
+// cross-boundary local-check memory. A stack node has to plus exactly one of
+// dvs/stat, per its recorded filter mode; a multicast coordinator has mc
+// only.
+type replayNode struct {
+	meta  NodeMeta
+	dvs   *dvscore.Node
+	stat  *staticcore.Node
+	to    *tocore.Node
+	mc    *mcastcore.Node
+	local localState
+}
+
+func newReplayNode(m NodeMeta) *replayNode {
+	n := &replayNode{meta: m}
+	switch {
+	case m.McastGroups != nil:
+		n.mc = mcastcore.NewNode(m.P, m.McastGroups)
+		return n
+	case m.Static:
+		// The static-primary core exactly as the runtime builds it (stack.go): a
+		// strict-majority quorum system over the members of the initial view.
+		// The quorum system is part of the core's construction, so if a future
+		// runtime configures a different one, it must be carried in the header
+		// for replays to stay faithful.
+		n.stat = staticcore.NewNode(m.P, m.Initial, m.InP0, quorum.Majority(m.Initial.Members))
+	default:
+		n.dvs = dvscore.NewNode(m.P, m.Initial, m.InP0)
+	}
+	n.to = tocore.NewNode(m.P, m.Initial, m.InP0, false)
+	return n
+}
+
+// The step functions re-execute one recorded event through the node's
+// shadow core — the same Step the runtime shell called. stepDVS drives any
+// dvscore.Filter, so one path re-executes dynamic and static logs.
+
+func (n *replayNode) stepDVS(ev dvscore.Event) ([]dvscore.Effect, error) {
 	var out dvscore.Outbox
-	dvscore.Step(dn, rec.Ev, gc, &out)
-	rep.DVSSteps++
-	if want, got := renderDVSEffects(rec.Fx), renderDVSEffects(out.Effects); want != got {
-		rep.Divergences = append(rep.Divergences, Divergence{
-			P: p, Layer: "dvs", Index: index, Window: window,
-			Event: renderDVSEvent(rec.Ev), Want: want, Got: got,
-		})
+	if n.stat != nil {
+		dvscore.Step(n.stat, ev, n.meta.GC, &out)
+	} else {
+		dvscore.Step(n.dvs, ev, n.meta.GC, &out)
 	}
+	return out.Effects, nil
 }
 
-// stepTORecord replays one recorded DVS-TO-TO macro-step through tn. A step
-// error renders as the replayed outcome: recorded events never error (the
-// shell drops rejected events unobserved), so an error is a divergence.
-func stepTORecord(rep *Report, window int, p types.ProcID, register bool, tn *tocore.Node, index int, rec TORecord) {
+func (n *replayNode) stepTO(ev tocore.Event) ([]tocore.Effect, error) {
 	var out tocore.Outbox
-	err := tocore.Step(tn, rec.Ev, register, &out)
-	rep.TOSteps++
-	want, got := renderTOEffects(rec.Fx), renderTOEffects(out.Effects)
-	if err != nil {
-		got = "error: " + err.Error()
-	}
-	if want != got {
-		rep.Divergences = append(rep.Divergences, Divergence{
-			P: p, Layer: "to", Index: index, Window: window,
-			Event: renderTOEvent(rec.Ev), Want: want, Got: got,
-		})
+	err := tocore.Step(n.to, ev, n.meta.Register, &out)
+	return out.Effects, err
+}
+
+func (n *replayNode) stepMcast(ev mcastcore.Event) ([]mcastcore.Effect, error) {
+	var out mcastcore.Outbox
+	err := mcastcore.Step(n.mc, ev, &out)
+	return out.Effects, err
+}
+
+// replayLayer re-steps one node's window of one layer and reports every
+// record whose re-derived effects differ from the recorded ones. Effects are
+// compared the way they are stored: by their encoding, which is canonical
+// (equal effect sequences give equal bytes, nil and empty collections
+// alike) and injective, where a rendering for human eyes need not be. A
+// step error counts as the replayed outcome: recorded events never error
+// (the shells drop rejected events unobserved), so an error is a
+// divergence, as is an effect the codec cannot carry.
+func replayLayer[E, F any](rep *Report, layer string, window int, p types.ProcID, start int, recs []Record[E, F],
+	step func(E) ([]F, error), appendFx func([]byte, F) ([]byte, error)) {
+	var want, got []byte
+	for i, rec := range recs {
+		fx, err := step(rec.Ev)
+		var werr, gerr error
+		want, werr = appendEffects(want[:0], rec.Fx, appendFx)
+		got, gerr = appendEffects(got[:0], fx, appendFx)
+		if err = errors.Join(err, werr, gerr); err == nil && bytes.Equal(want, got) {
+			continue
+		}
+		d := Divergence{
+			P: p, Layer: layer, Index: start + i, Window: window,
+			Event: render(rec.Ev), Want: render(rec.Fx...), Got: render(fx...),
+		}
+		if err != nil {
+			d.Got = "error: " + err.Error()
+		}
+		rep.Divergences = append(rep.Divergences, d)
 	}
 }
 
-// Replay re-executes the recorded logs through the protocol cores and
-// evaluates the paper's invariants over the reconstructed final cut. The
-// logs must cover every process of the run and must have been harvested
-// after all nodes stopped — otherwise the cut is not consistent and the
-// cross-node invariants can report false violations.
-func Replay(logs []NodeLog) *Report {
-	rep := &Report{Nodes: len(logs)}
-	if len(logs) == 0 {
-		return rep
+// render gives events or effects for a divergence report: each one's type
+// name and fields, the core types by their String methods.
+func render[T any](xs ...T) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = fmt.Sprintf("%T%+v", x, x)
 	}
+	return strings.Join(parts, "; ")
+}
+
+// replay re-steps one window of n's records through its shadow cores.
+// Records in a layer the node has no core for are malformed input, not
+// something to step.
+func (n *replayNode) replay(rep *Report, window int, part *chunkPart) {
+	stack := n.mc == nil
+	if stack && len(part.Mcast) > 0 || !stack && len(part.DVS)+len(part.TO) > 0 {
+		rep.Malformed = append(rep.Malformed,
+			fmt.Sprintf("process %s has records in a layer its header entry has no core for", n.meta.P))
+		return
+	}
+	replayLayer(rep, "dvs", window, n.meta.P, part.Start[layerDVS], part.DVS, n.stepDVS, dvsCodec.appendFx)
+	replayLayer(rep, "to", window, n.meta.P, part.Start[layerTO], part.TO, n.stepTO, toCodec.appendFx)
+	replayLayer(rep, "mcast", window, n.meta.P, part.Start[layerMcast], part.Mcast, n.stepMcast, mcastCodec.appendFx)
+	rep.DVSSteps += len(part.DVS)
+	rep.TOSteps += len(part.TO)
+	rep.McastSteps += len(part.Mcast)
+}
+
+// replayer is the one replay engine under every entry point: nodes are
+// added from their construction parameters, windows of per-layer records are
+// re-stepped through the shadow cores, the per-node projections run at every
+// window boundary, and the cross-node suite runs at the boundaries the
+// caller vouches for. ReplayStream feeds it the chunks of a trace directory;
+// Replay feeds it a whole log set as one window.
+type replayer struct {
+	rep    *Report
+	nodes  []*replayNode // sorted by P
+	byP    map[types.ProcID]*replayNode
+	static bool // every node runs the static-primary filter
+	mcast  bool // every node is a multicast coordinator
+}
+
+// newReplayer validates the node set (sorted by P) and builds the shadow
+// cores. It returns nil, with the reasons in rep.Malformed, when the set is
+// unusable.
+func newReplayer(rep *Report, metas []NodeMeta) *replayer {
+	rep.Nodes = len(metas)
+	if !validateLogSet(rep, metas) {
+		return nil
+	}
+	e := &replayer{rep: rep, byP: make(map[types.ProcID]*replayNode, len(metas))}
+	for _, m := range metas {
+		n := newReplayNode(m)
+		e.nodes = append(e.nodes, n)
+		e.byP[m.P] = n
+	}
+	if len(metas) > 0 {
+		e.static, e.mcast = metas[0].Static, metas[0].McastGroups != nil
+	}
+	return e
+}
+
+// window replays one window of records and runs the boundary checks: the
+// per-node projections always, the cross-node suite if the boundary is
+// marked quiescent. Every part must name a node of the set.
+func (e *replayer) window(ch streamChunk) {
+	for i := range ch.Parts {
+		e.byP[ch.Parts[i].P].replay(e.rep, ch.Seq, &ch.Parts[i])
+	}
+	for _, n := range e.nodes {
+		checkLocal(e.rep, ch.Seq, n)
+	}
+	if ch.Quiescent {
+		e.crossChecks(ch.Seq)
+	}
+}
+
+// crossChecks runs the cross-node suite of the node set's kind over the
+// current cut, attributing violations to window (0 = the final cut).
+func (e *replayer) crossChecks(window int) {
+	switch {
+	case len(e.nodes) == 0:
+	case e.mcast:
+		checkMcastCut(e.rep, window, e.nodes)
+	case e.static:
+		// The static suite is sound over any subset of the group (see
+		// checkStaticCut), so partial traces are never a concern here.
+		checkStaticCut(e.rep, window, e.nodes)
+	case !e.cutCovered():
+		e.rep.Partial = true
+	default:
+		checkCut(e.rep, window, e.nodes)
+	}
+}
+
+// end runs the cross-node suite over the final cut (window 0), where the
+// suite's soundness allows: the stack suites need a quiescent cut, which the
+// caller vouches for; the multicast suite holds at every consistent cut, so
+// the end of a torn multicast trace still gets its prefix checked.
+func (e *replayer) end(quiescent bool) {
+	if quiescent || e.mcast {
+		e.crossChecks(0)
+	}
+}
+
+// cutCovered reports whether every process named by any replayed view is
+// itself replayed. The cross-node formulas dereference the state of every
+// view member, so a trace that records only a subset of the group (e.g. a
+// single dvsnode's local trace) supports divergence replay and the local
+// checks, but not the global suite.
+func (e *replayer) cutCovered() bool {
+	for _, n := range e.nodes {
+		for _, v := range n.dvs.AttemptedShared() {
+			for q := range v.Members {
+				if _, ok := e.byP[q]; !ok {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// Replay re-executes the logs through the protocol cores as one window and
+// evaluates the cross-node suite over the reconstructed final cut. The logs
+// must have been recorded up to a point where all nodes had stopped —
+// otherwise the cut is not consistent and the cross-node invariants can
+// report false violations. Logs that do not cover every process of the run
+// get the per-step and per-node checks only (Partial).
+func Replay(logs []NodeLog) *Report {
+	rep := &Report{}
 	sorted := append([]NodeLog(nil), logs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].P < sorted[j].P })
-	if !validateLogSet(rep, sorted) {
-		return rep
+	metas := make([]NodeMeta, len(sorted))
+	ch := streamChunk{Parts: make([]chunkPart, len(sorted))}
+	for i, lg := range sorted {
+		metas[i] = lg.NodeMeta
+		ch.Parts[i] = chunkPart{P: lg.P, DVS: lg.DVS, TO: lg.TO, Mcast: lg.Mcast}
 	}
-
-	static := sorted[0].Static
-	procs := make([]types.ProcID, 0, len(sorted))
-	dvsNodes := make(map[types.ProcID]*dvscore.Node, len(sorted))
-	statNodes := make(map[types.ProcID]*staticcore.Node, len(sorted))
-	toNodes := make(map[types.ProcID]*tocore.Node, len(sorted))
-
-	for _, lg := range sorted {
-		procs = append(procs, lg.P)
-
-		if static {
-			sn := newStaticReplayNode(lg.P, lg.Initial, lg.InP0)
-			for i, rec := range lg.DVS {
-				stepDVSRecord(rep, 0, lg.P, lg.GC, sn, i, rec)
-			}
-			statNodes[lg.P] = sn
-		} else {
-			dn := dvscore.NewNode(lg.P, lg.Initial, lg.InP0)
-			for i, rec := range lg.DVS {
-				stepDVSRecord(rep, 0, lg.P, lg.GC, dn, i, rec)
-			}
-			dvsNodes[lg.P] = dn
-		}
-
-		tn := tocore.NewNode(lg.P, lg.Initial, lg.InP0, false)
-		for i, rec := range lg.TO {
-			stepTORecord(rep, 0, lg.P, lg.Register, tn, i, rec)
-		}
-		toNodes[lg.P] = tn
-	}
-
-	if static {
-		checkStaticCut(rep, 0, procs, statNodes, toNodes)
-	} else {
-		checkCut(rep, 0, procs, sorted[0].Initial, dvsNodes, toNodes)
+	if e := newReplayer(rep, metas); e != nil {
+		e.window(ch)
+		e.end(true)
 	}
 	return rep
 }
 
-// newStaticReplayNode reconstructs the static-primary core exactly as the
-// runtime builds it (cluster.go, tcpnode.go): a strict-majority quorum
-// system over the members of the initial view. The quorum system is part of
-// the core's construction, so if a future runtime configures a different
-// one, it must be carried in the log for replays to stay faithful.
-func newStaticReplayNode(p types.ProcID, initial types.View, inP0 bool) *staticcore.Node {
-	return staticcore.NewNode(p, initial, inP0, quorum.Majority(initial.Members))
-}
-
 // checkCut evaluates the paper's cross-node invariants over the cut formed
-// by the given replayed node states, attributing violations to window (0 =
-// the final cut of the whole trace). The cut must be quiescent at the
-// recorded interface: no core messages or safe indications in flight.
-func checkCut(rep *Report, window int, procs []types.ProcID, initial types.View,
-	dvsNodes map[types.ProcID]*dvscore.Node, toNodes map[types.ProcID]*tocore.Node) {
-	check := func(name string, f func() error) {
-		rep.Checks++
-		if err := f(); err != nil {
-			rep.Violations = append(rep.Violations, Violation{Name: name, Window: window, Err: err})
-		}
+// by the given replayed dynamic-mode node states, attributing violations to
+// window (0 = the final cut of the whole trace). The cut must be quiescent
+// at the recorded interface: no core messages or safe indications in flight.
+func checkCut(rep *Report, window int, nodes []*replayNode) {
+	check := func(name string, f func() error) { rep.check(window, name, f) }
+	procs, toNodes := toSystem(nodes)
+	dvsNodes := make(map[types.ProcID]*dvscore.Node, len(nodes))
+	for _, n := range nodes {
+		dvsNodes[n.meta.P] = n.dvs
 	}
 
 	// DVS implementation invariants 5.1–5.6 over the replayed node states.
@@ -259,19 +413,24 @@ func checkCut(rep *Report, window int, procs []types.ProcID, initial types.View,
 	// refinement mapping of Figure 4 applied to the quiescent cut (all
 	// queues empty, so only views, attempts, registrations and client-cur
 	// survive the purge).
-	spec := abstractSpec(procs, initial, dvsNodes)
+	created, attempted := attemptedViews(procs, dvsNodes)
+	spec := abstractSpec(procs, nodes[0].meta.Initial, dvsNodes, created, attempted)
 	check("DVS-4.1", func() error { return dvs.CheckInvariant41(spec) })
 	check("DVS-4.2", func() error { return dvs.CheckInvariant42(spec) })
 
 	// TO invariants 6.1–6.3 plus confirmed-prefix agreement, with the view
 	// oracles reconstructed from the replayed DVS states and no in-transit
 	// summaries (the cut is quiescent).
-	created, attempted := viewOracles(procs, dvsNodes)
 	tsys := tocore.System{
-		Procs:     procs,
-		Nodes:     toNodes,
-		Created:   created,
-		Attempted: attempted,
+		Procs:   procs,
+		Nodes:   toNodes,
+		Created: created,
+		Attempted: func(g types.ViewID) types.ProcSet {
+			if s, ok := attempted[g]; ok {
+				return s
+			}
+			return types.NewProcSet()
+		},
 	}
 	check("TOIMPL-6.1", tsys.CheckInvariant61)
 	check("TOIMPL-6.2", tsys.CheckInvariant62)
@@ -284,111 +443,75 @@ func checkCut(rep *Report, window int, procs []types.ProcID, initial types.View,
 // registrations, ambiguity) the static filter does not have; what remains
 // is the static baseline's own safety argument — every announced primary is
 // a quorum of the fixed universe, so any two primaries intersect — plus the
-// filter-independent TO agreement on confirmed prefixes. The per-node
-// checks are sound over any subset of the group; the pairwise ones only
-// over the processes present, which is all a cut can offer.
-func checkStaticCut(rep *Report, window int, procs []types.ProcID,
-	statNodes map[types.ProcID]*staticcore.Node, toNodes map[types.ProcID]*tocore.Node) {
-	check := func(name string, f func() error) {
-		rep.Checks++
-		if err := f(); err != nil {
-			rep.Violations = append(rep.Violations, Violation{Name: name, Window: window, Err: err})
-		}
-	}
-
-	check("STATIC-primary-quorum", func() error {
-		for _, p := range procs {
-			if err := checkLocalStaticPrimary(p, statNodes[p]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	check("STATIC-primary-intersect", func() error {
-		for i, p := range procs {
-			vp, ok := statNodes[p].ClientCur()
+// filter-independent TO agreement on confirmed prefixes. The quorum half is
+// per-node and has just run at this boundary (checkLocal's
+// STATIC-primary-quorum-local); the pairwise checks here are sound over the
+// processes present, which is all a cut can offer.
+func checkStaticCut(rep *Report, window int, nodes []*replayNode) {
+	rep.check(window, "STATIC-primary-intersect", func() error {
+		for i, n := range nodes {
+			vp, ok := n.stat.ClientCur()
 			if !ok {
 				continue
 			}
-			for _, q := range procs[:i] {
-				vq, ok := statNodes[q].ClientCur()
-				if !ok {
-					continue
-				}
-				if !vp.Members.Intersects(vq.Members) {
-					return fmt.Errorf("primaries %s at %s and %s at %s are disjoint", vp, p, vq, q)
+			for _, m := range nodes[:i] {
+				if vq, ok := m.stat.ClientCur(); ok && !vp.Members.Intersects(vq.Members) {
+					return fmt.Errorf("primaries %s at %s and %s at %s are disjoint", vp, n.meta.P, vq, m.meta.P)
 				}
 			}
 		}
 		return nil
 	})
-
+	procs, toNodes := toSystem(nodes)
 	tsys := tocore.System{Procs: procs, Nodes: toNodes}
-	check("TOIMPL-confirmed-consistent", tsys.CheckConfirmedConsistent)
+	rep.check(window, "TOIMPL-confirmed-consistent", tsys.CheckConfirmedConsistent)
 }
 
-// abstractSpec applies the refinement mapping F of Figure 4 to the replayed
-// cut: created = ∪_p attempted_p, attempted[g] = the attempting processes,
-// registered[g] = {p | reg[g]_p}, current-viewid[p] = client-cur.id_p. The
-// message components (queues, pending, indices) are empty: the cut is taken
-// after the run, when the purged channels hold nothing.
-func abstractSpec(procs []types.ProcID, initial types.View, nodes map[types.ProcID]*dvscore.Node) *dvs.DVS {
-	universe := types.NewProcSet()
-	for _, p := range procs {
-		universe.Add(p)
+// toSystem gives the nodes' TO cores in the shape tocore.System takes.
+func toSystem(nodes []*replayNode) ([]types.ProcID, map[types.ProcID]*tocore.Node) {
+	procs := make([]types.ProcID, len(nodes))
+	toNodes := make(map[types.ProcID]*tocore.Node, len(nodes))
+	for i, n := range nodes {
+		procs[i] = n.meta.P
+		toNodes[n.meta.P] = n.to
 	}
-	st := dvs.State{
-		Universe:   universe,
-		Initial:    initial,
-		Current:    make(map[types.ProcID]types.ViewID),
-		Attempted:  make(map[types.ViewID]types.ProcSet),
-		Registered: make(map[types.ViewID]types.ProcSet),
-		Drained:    true,
-	}
-	byID := make(map[types.ViewID]types.View)
-	for _, p := range procs {
-		n := nodes[p]
-		for _, v := range n.AttemptedShared() {
-			byID[v.ID] = v
-			set, ok := st.Attempted[v.ID]
-			if !ok {
-				set = types.NewProcSet()
-				st.Attempted[v.ID] = set
-			}
-			set.Add(p)
-		}
-		if cc, ok := n.ClientCur(); ok {
-			st.Current[p] = cc.ID
-		}
-		for _, g := range n.RegisteredIDs() {
-			set, ok := st.Registered[g]
-			if !ok {
-				set = types.NewProcSet()
-				st.Registered[g] = set
-			}
-			set.Add(p)
-		}
-	}
-	for _, v := range byID {
-		st.Created = append(st.Created, v)
-	}
-	return dvs.FromState(st)
+	return procs, toNodes
 }
 
-// viewOracles reconstructs the created set and per-view attempted sets the
-// TO invariants quantify over from the replayed DVS states.
-func viewOracles(procs []types.ProcID, nodes map[types.ProcID]*dvscore.Node) ([]types.View, func(types.ViewID) types.ProcSet) {
+// checkMcastCut evaluates the multicast safety suite over the delivery
+// histories of the replayed coordinators: per-group agreement, (timestamp,
+// id) order, no duplicates, and the cross-group partial order — any two
+// groups that both deliver two multi-group messages deliver them in the same
+// relative order. The suite is sound over any subset of nodes and groups and
+// at every consistent cut: each check quantifies only over the delivery
+// sequences present, so a partial or truncated trace can miss a violation
+// but never fabricate one.
+func checkMcastCut(rep *Report, window int, nodes []*replayNode) {
+	var seqs []mcastcore.DeliverySeq
+	for _, n := range nodes {
+		for _, g := range n.meta.McastGroups {
+			seqs = append(seqs, mcastcore.DeliverySeq{P: n.meta.P, G: g, Deliveries: n.mc.Delivered(g)})
+		}
+	}
+	check := func(name string, f func([]mcastcore.DeliverySeq) error) {
+		rep.check(window, name, func() error { return f(seqs) })
+	}
+	check("MCAST-no-duplicates", mcastcore.CheckNoDuplicates)
+	check("MCAST-timestamp-order", mcastcore.CheckTimestampOrder)
+	check("MCAST-group-agreement", mcastcore.CheckPerGroupAgreement)
+	check("MCAST-cross-group-order", mcastcore.CheckCrossGroupOrder)
+}
+
+// attemptedViews reconstructs, from the replayed DVS states, the view
+// oracles the cross-node formulas quantify over: every attempted view
+// (sorted) and, per view id, the processes that attempted it.
+func attemptedViews(procs []types.ProcID, nodes map[types.ProcID]*dvscore.Node) ([]types.View, map[types.ViewID]types.ProcSet) {
 	byID := make(map[types.ViewID]types.View)
-	att := make(map[types.ViewID]types.ProcSet)
+	attempted := make(map[types.ViewID]types.ProcSet)
 	for _, p := range procs {
 		for _, v := range nodes[p].AttemptedShared() {
 			byID[v.ID] = v
-			set, ok := att[v.ID]
-			if !ok {
-				set = types.NewProcSet()
-				att[v.ID] = set
-			}
-			set.Add(p)
+			addMember(attempted, v.ID, p)
 		}
 	}
 	created := make([]types.View, 0, len(byID))
@@ -396,88 +519,41 @@ func viewOracles(procs []types.ProcID, nodes map[types.ProcID]*dvscore.Node) ([]
 		created = append(created, v)
 	}
 	types.SortViews(created)
-	return created, func(g types.ViewID) types.ProcSet {
-		if s, ok := att[g]; ok {
-			return s
+	return created, attempted
+}
+
+func addMember(sets map[types.ViewID]types.ProcSet, g types.ViewID, p types.ProcID) {
+	set, ok := sets[g]
+	if !ok {
+		set = types.NewProcSet()
+		sets[g] = set
+	}
+	set.Add(p)
+}
+
+// abstractSpec applies the refinement mapping F of Figure 4 to the replayed
+// cut: created = ∪_p attempted_p, attempted[g] = the attempting processes,
+// registered[g] = {p | reg[g]_p}, current-viewid[p] = client-cur.id_p. The
+// message components (queues, pending, indices) are empty: the cut is taken
+// after the run, when the purged channels hold nothing.
+func abstractSpec(procs []types.ProcID, initial types.View, nodes map[types.ProcID]*dvscore.Node,
+	created []types.View, attempted map[types.ViewID]types.ProcSet) *dvs.DVS {
+	st := dvs.State{
+		Universe:   types.NewProcSet(procs...),
+		Initial:    initial,
+		Created:    created,
+		Current:    make(map[types.ProcID]types.ViewID),
+		Attempted:  attempted,
+		Registered: make(map[types.ViewID]types.ProcSet),
+		Drained:    true,
+	}
+	for _, p := range procs {
+		if cc, ok := nodes[p].ClientCur(); ok {
+			st.Current[p] = cc.ID
 		}
-		return types.NewProcSet()
-	}
-}
-
-// Rendering: canonical strings for events and effects, used both for
-// divergence comparison and for messages. MsgKey/String are the same
-// canonical forms the model checker fingerprints.
-
-func renderDVSEvent(ev dvscore.Event) string {
-	switch e := ev.(type) {
-	case dvscore.EvVSNewView:
-		return "vs-newview " + e.View.String()
-	case dvscore.EvVSRecv:
-		return "vs-gprcv " + e.M.MsgKey() + " from " + e.From.String()
-	case dvscore.EvVSSafe:
-		return "vs-safe " + e.M.MsgKey() + " from " + e.From.String()
-	case dvscore.EvClientSend:
-		return "dvs-gpsnd " + e.M.MsgKey()
-	case dvscore.EvClientRegister:
-		return "dvs-register"
-	default:
-		return fmt.Sprintf("event? %T", ev)
-	}
-}
-
-func renderDVSEffects(fx []dvscore.Effect) string {
-	parts := make([]string, len(fx))
-	for i, f := range fx {
-		switch f := f.(type) {
-		case dvscore.FxSendVS:
-			parts[i] = "send " + f.M.MsgKey()
-		case dvscore.FxDeliver:
-			parts[i] = "deliver " + f.M.MsgKey() + " from " + f.From.String()
-		case dvscore.FxSafeInd:
-			parts[i] = "safe " + f.M.MsgKey() + " from " + f.From.String()
-		case dvscore.FxNewPrimary:
-			parts[i] = "newview " + f.View.String()
-		case dvscore.FxGC:
-			parts[i] = "gc " + f.View.String()
-		default:
-			parts[i] = fmt.Sprintf("effect? %T", f)
+		for _, g := range nodes[p].RegisteredIDs() {
+			addMember(st.Registered, g, p)
 		}
 	}
-	return strings.Join(parts, "; ")
-}
-
-func renderTOEvent(ev tocore.Event) string {
-	switch e := ev.(type) {
-	case tocore.EvBroadcast:
-		return "bcast " + e.A
-	case tocore.EvNewView:
-		return "dvs-newview " + e.View.String()
-	case tocore.EvRecv:
-		return "dvs-gprcv " + e.M.MsgKey() + " from " + e.From.String()
-	case tocore.EvSafe:
-		return "dvs-safe " + e.M.MsgKey() + " from " + e.From.String()
-	default:
-		return fmt.Sprintf("event? %T", ev)
-	}
-}
-
-func renderTOEffects(fx []tocore.Effect) string {
-	parts := make([]string, len(fx))
-	for i, f := range fx {
-		switch f := f.(type) {
-		case tocore.FxLabel:
-			parts[i] = "label " + f.A
-		case tocore.FxSend:
-			parts[i] = "send " + f.M.MsgKey()
-		case tocore.FxConfirm:
-			parts[i] = "confirm"
-		case tocore.FxDeliver:
-			parts[i] = "deliver " + f.A + "@" + f.Origin.String()
-		case tocore.FxRegister:
-			parts[i] = "register " + f.View.String()
-		default:
-			parts[i] = fmt.Sprintf("effect? %T", f)
-		}
-	}
-	return strings.Join(parts, "; ")
+	return dvs.FromState(st)
 }

@@ -4,27 +4,24 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/types"
 )
 
-// A sharded run's trace is a directory of independent artifacts:
+// A sharded run's trace is a directory of independent stream traces, all in
+// the format of stream.go:
 //
-//	group-00/  group-01/  ...   one chunked stream trace per group (the
-//	                            format of stream.go, each group-homogeneous)
-//	mcast.seg                   the multicast coordinator logs of every
-//	                            process, one framed gob segment
+//	group-00/  group-01/  ...   one per group, each group-homogeneous: the
+//	                            DVS and TO layers of every process's stack
+//	mcast/                      the multicast layer of every process's
+//	                            cross-group coordinator
 //
-// Each group's stream is a complete single-group trace — the per-group
-// replay needs nothing outside its own subdirectory — so sharding composes
-// with the existing stream machinery instead of widening the chunk format.
-// The multicast logs are small (control traffic only) and harvested after
-// the run, so they are written whole rather than streamed.
-
-const mcastSeg = "mcast.seg"
+// Each stream is complete in itself — a group's replay needs nothing outside
+// its own subdirectory, and neither does the multicast suite — so sharding
+// composes with the stream machinery instead of widening it, and the
+// multicast log is as bounded in memory and as crash-safe as the rest.
 
 // GroupDir returns the stream-trace subdirectory for group g under a
 // sharded trace root.
@@ -32,89 +29,65 @@ func GroupDir(root string, g types.GroupID) string {
 	return filepath.Join(root, fmt.Sprintf("group-%02d", int(g)))
 }
 
-// WriteMcastLogs writes the multicast logs of a sharded run under root,
-// atomically (segment framing: magic, length, CRC).
-func WriteMcastLogs(root string, logs []McastLog) error {
-	if err := os.MkdirAll(root, 0o755); err != nil {
-		return err
-	}
-	return writeSegment(filepath.Join(root, mcastSeg), logs)
-}
+// McastDir returns the multicast stream-trace subdirectory under a sharded
+// trace root.
+func McastDir(root string) string { return filepath.Join(root, mcastDirName) }
 
-// ReadMcastLogs reads the multicast logs under root. A missing segment
-// surfaces as os.ErrNotExist (a sharded run with no cross-group traffic
-// recorder is legal).
-func ReadMcastLogs(root string) ([]McastLog, error) {
-	var logs []McastLog
-	if err := readSegment(filepath.Join(root, mcastSeg), &logs); err != nil {
-		return nil, err
-	}
-	return logs, nil
-}
+const mcastDirName = "mcast"
 
-// ShardedReport aggregates the per-group stream replays and the multicast
-// replay of one sharded trace.
+// ShardedReport aggregates the stream replays of one sharded trace.
 type ShardedReport struct {
 	Groups map[types.GroupID]*StreamReport
-	Mcast  *McastReport // nil when the trace has no multicast segment
+	Mcast  *StreamReport // nil when the trace has no multicast stream
 }
 
-// OK reports whether every group's stream replayed sealed and clean and
-// the multicast logs (if present) replayed clean.
-func (r *ShardedReport) OK() bool {
-	for _, sr := range r.Groups {
-		if !sr.OK() || !sr.Sealed {
-			return false
-		}
-	}
-	return r.Mcast == nil || r.Mcast.OK()
-}
-
-// Err returns nil when OK, else an error naming the first failing artifact.
-func (r *ShardedReport) Err() error {
+// each visits the artifacts in report order: groups ascending, then the
+// multicast stream. visit returning false stops the walk.
+func (r *ShardedReport) each(visit func(name string, sr *StreamReport) bool) {
 	gs := make([]types.GroupID, 0, len(r.Groups))
 	for g := range r.Groups {
 		gs = append(gs, g)
 	}
 	types.SortGroups(gs)
 	for _, g := range gs {
-		sr := r.Groups[g]
-		if err := sr.Report.Err(); err != nil {
-			return fmt.Errorf("group %s: %w", g, err)
-		}
-		if !sr.Sealed {
-			return fmt.Errorf("group %s: trace not sealed: %s", g, sr.Truncated)
+		if !visit("group "+g.String(), r.Groups[g]) {
+			return
 		}
 	}
 	if r.Mcast != nil {
-		if err := r.Mcast.Err(); err != nil {
-			return err
-		}
+		visit("mcast", r.Mcast)
 	}
-	return nil
+}
+
+// OK reports whether every stream replayed sealed and clean.
+func (r *ShardedReport) OK() bool { return r.Err() == nil }
+
+// Err returns nil when OK, else an error naming the first failing artifact.
+func (r *ShardedReport) Err() (err error) {
+	r.each(func(name string, sr *StreamReport) bool {
+		if e := sr.Report.Err(); e != nil {
+			err = fmt.Errorf("%s: %w", name, e)
+		} else if !sr.Sealed {
+			err = fmt.Errorf("%s: trace not sealed: %s", name, sr.Truncated)
+		}
+		return err == nil
+	})
+	return err
 }
 
 // String renders a multi-line summary, one line per artifact.
 func (r *ShardedReport) String() string {
-	gs := make([]types.GroupID, 0, len(r.Groups))
-	for g := range r.Groups {
-		gs = append(gs, g)
-	}
-	types.SortGroups(gs)
 	var b strings.Builder
-	for _, g := range gs {
-		fmt.Fprintf(&b, "group %s: %s\n", g, r.Groups[g].String())
-	}
-	if r.Mcast != nil {
-		fmt.Fprintf(&b, "mcast: %s\n", r.Mcast.String())
-	}
+	r.each(func(name string, sr *StreamReport) bool {
+		fmt.Fprintf(&b, "%s: %s\n", name, sr)
+		return true
+	})
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// ReplaySharded replays every artifact of a sharded trace directory: each
-// group-NN subdirectory through ReplayStream, the multicast segment (if
-// any) through ReplayMcast. The only hard errors are an unreadable root, a
-// group stream whose header is unreadable, or a corrupt multicast segment;
+// ReplaySharded replays every stream of a sharded trace directory through
+// ReplayStream: each group-NN subdirectory and, if present, mcast/. The only
+// hard errors are an unreadable root or a stream whose header is unreadable;
 // everything else is reported.
 func ReplaySharded(root string) (*ShardedReport, error) {
 	entries, err := os.ReadDir(root)
@@ -122,33 +95,22 @@ func ReplaySharded(root string) (*ShardedReport, error) {
 		return nil, err
 	}
 	rep := &ShardedReport{Groups: make(map[types.GroupID]*StreamReport)}
-	var groups []types.GroupID
 	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "group-") {
+		name := e.Name()
+		g, err := strconv.Atoi(strings.TrimPrefix(name, "group-"))
+		isGroup := strings.HasPrefix(name, "group-") && err == nil
+		if !e.IsDir() || !isGroup && name != mcastDirName {
 			continue
 		}
-		n, err := strconv.Atoi(strings.TrimPrefix(e.Name(), "group-"))
+		sr, err := ReplayStream(filepath.Join(root, name))
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		groups = append(groups, types.GroupID(n))
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
-	for _, g := range groups {
-		sr, err := ReplayStream(GroupDir(root, g))
-		if err != nil {
-			return nil, fmt.Errorf("group %s: %w", g, err)
+		if isGroup {
+			rep.Groups[types.GroupID(g)] = sr
+		} else {
+			rep.Mcast = sr
 		}
-		rep.Groups[g] = sr
-	}
-	logs, err := ReadMcastLogs(root)
-	switch {
-	case err == nil:
-		rep.Mcast = ReplayMcast(logs)
-	case os.IsNotExist(err):
-		// No cross-group recorder ran; the per-group replays stand alone.
-	default:
-		return nil, err
 	}
 	return rep, nil
 }

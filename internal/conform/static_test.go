@@ -12,12 +12,21 @@ import (
 
 // recordedStaticRun drives a singleton static-primary node (staticcore
 // behind dvscore.Step, exactly as dvsg drives it in ModeStatic) plus its TO
-// core through a small scripted run, and returns the harvested log.
+// core through a small scripted run into a stream, and returns the decoded
+// log.
 func recordedStaticRun(t *testing.T) NodeLog {
 	t.Helper()
 	p := types.ProcID(0)
 	initial := types.InitialView(types.RangeProcSet(1))
-	rec := NewRecorder(p, 0, initial, true, true, false, true)
+	dir := t.TempDir()
+	sr, err := NewStreamRecorder(dir, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := sr.Node(p, 0, initial, true, true, false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	sn := staticcore.NewNode(p, initial, true, quorum.Majority(initial.Members))
 	tn := tocore.NewNode(p, initial, true, false)
@@ -55,12 +64,12 @@ func recordedStaticRun(t *testing.T) NodeLog {
 			}
 		}
 	}
-	log := rec.Log()
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log := readLog(t, dir)
 	if !log.Static {
 		t.Fatal("recorder did not mark the log static")
-	}
-	if len(log.DVS) == 0 || len(log.TO) == 0 {
-		t.Fatalf("scripted static run recorded no steps: dvs=%d to=%d", len(log.DVS), len(log.TO))
 	}
 	return log
 }
@@ -108,8 +117,8 @@ func TestReplayStaticDetectsTampering(t *testing.T) {
 func TestReplayRejectsMixedModes(t *testing.T) {
 	initial := types.InitialView(types.RangeProcSet(2))
 	logs := []NodeLog{
-		{P: 0, Initial: initial, InP0: true, Static: true},
-		{P: 1, Initial: initial, InP0: true, Static: false},
+		{NodeMeta: NodeMeta{P: 0, Initial: initial, InP0: true, Static: true}},
+		{NodeMeta: NodeMeta{P: 1, Initial: initial, InP0: true, Static: false}},
 	}
 	rep := Replay(logs)
 	if len(rep.Malformed) == 0 {

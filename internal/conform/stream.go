@@ -1,9 +1,7 @@
 package conform
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -14,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/protocol/dvscore"
+	"repro/internal/protocol/mcastcore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/types"
 )
@@ -21,11 +20,12 @@ import (
 // The chunked on-disk trace format. A trace is a directory of segment
 // files:
 //
-//	header.seg            streamHeader: format version + per-node core
-//	                      construction parameters
-//	chunk-00000001.seg    one window of macro-steps per node, with the
-//	chunk-00000002.seg    node-local start offsets of the window and a
-//	...                   quiescence mark for the cut that closed it
+//	header.seg            format version + per-node core construction
+//	                      parameters (NodeMeta)
+//	chunk-00000001.seg    one window of macro-steps per node and layer
+//	chunk-00000002.seg    (dvs, to, mcast), with the node-local start
+//	...                   offsets of the window and a quiescence mark for
+//	                      the cut that closed it
 //	footer.seg            streamFooter: chunk count + per-node step totals,
 //	                      written last — its presence seals the trace
 //
@@ -34,10 +34,10 @@ import (
 // complete segment or none: the sealed prefix of a torn trace is always
 // replayable. Every payload is framed by a magic string, an explicit
 // length, and a CRC so torn or foreign files are detected rather than
-// misparsed. Header and footer payloads are gob (written once each); chunk
-// payloads are the stateless binary codec of wire.go, encoded record by
-// record on the observing event loop and written by one goroutine (see
-// segWriter) so neither encoding nor fsync runs under the recorder's mutex.
+// misparsed. Every payload is the stateless binary codec of wire.go; chunk
+// records are encoded one by one on the observing event loop and written by
+// one goroutine (see segWriter) so neither encoding nor fsync runs under the
+// recorder's mutex.
 //
 // The recorder shared by all nodes of a run serializes every record under
 // one mutex. That linearization is what makes chunk boundaries consistent
@@ -49,7 +49,7 @@ import (
 
 const (
 	segMagic      = "DVSSEG1\n"
-	streamVersion = 2 // chunk payloads are the wire.go codec; 1 was gob
+	streamVersion = 3 // every segment is the wire.go codec; 1 and 2 had gob headers
 	headerSeg     = "header.seg"
 	footerSeg     = "footer.seg"
 
@@ -68,33 +68,20 @@ const (
 
 func chunkSeg(seq int) string { return fmt.Sprintf("chunk-%08d.seg", seq) }
 
-// NodeMeta carries one node's core construction parameters in the stream
-// header — the same fields NodeLog records in-memory.
-type NodeMeta struct {
-	P        types.ProcID
-	Group    types.GroupID // group this stack belongs to (0 in single-group runs)
-	Initial  types.View
-	InP0     bool
-	Register bool
-	GC       bool
-	Static   bool // static-primary filter (staticcore) instead of the DVS core
-}
-
-type streamHeader struct {
-	Version int
-	Nodes   []NodeMeta // sorted by P
-}
-
 // chunkPart is one node's slice of a decoded chunk: the records buffered
-// between two cuts, plus their start offsets in the node's full per-layer
-// logs (so the replayer can verify the chunks are gap-free and index
+// between two cuts, plus each layer's start offset in the node's full log
+// (so the reader can verify the chunks are gap-free and the engine can index
 // divergences globally).
 type chunkPart struct {
-	P        types.ProcID
-	DVSStart int
-	DVS      []DVSRecord
-	TOStart  int
-	TO       []TORecord
+	P     types.ProcID
+	Start [numLayers]int
+	DVS   []DVSRecord
+	TO    []TORecord
+	Mcast []McastRecord
+}
+
+func (p *chunkPart) counts() [numLayers]int {
+	return [numLayers]int{len(p.DVS), len(p.TO), len(p.Mcast)}
 }
 
 type streamChunk struct {
@@ -104,9 +91,8 @@ type streamChunk struct {
 }
 
 type nodeTotal struct {
-	P   types.ProcID
-	DVS int
-	TO  int
+	P     types.ProcID
+	Steps [numLayers]int
 }
 
 type streamFooter struct {
@@ -114,13 +100,9 @@ type streamFooter struct {
 	Totals []nodeTotal // sorted by P
 }
 
-// writeSegment atomically writes v as one framed gob segment.
-func writeSegment(path string, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("conform: encode segment %s: %w", filepath.Base(path), err)
-	}
-	if err := writeFramed(path, buf.Bytes()); err != nil {
+// writeSegment atomically and durably writes one header or footer segment.
+func writeSegment(path string, payload []byte) error {
+	if err := writeFramed(path, payload); err != nil {
 		return err
 	}
 	syncDir(filepath.Dir(path))
@@ -168,29 +150,18 @@ func writeFramed(path string, payload []byte) (err error) {
 	return os.Rename(f.Name(), path)
 }
 
-// readSegment reads and verifies one gob segment into v.
-func readSegment(path string, v any) error {
+// readSegment reads and verifies one segment and decodes its payload.
+func readSegment[T any](path string, decode func([]byte) (T, error)) (T, error) {
 	payload, err := readFramed(path)
 	if err != nil {
-		return err
+		var zero T
+		return zero, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("conform: %s: decode segment: %w", filepath.Base(path), err)
-	}
-	return nil
-}
-
-// readChunk reads and verifies one chunk segment.
-func readChunk(path string) (streamChunk, error) {
-	payload, err := readFramed(path)
+	v, err := decode(payload)
 	if err != nil {
-		return streamChunk{}, err
+		return v, fmt.Errorf("conform: %s: %w", filepath.Base(path), err)
 	}
-	ch, err := decodeChunk(payload)
-	if err != nil {
-		return streamChunk{}, fmt.Errorf("conform: %s: %w", filepath.Base(path), err)
-	}
-	return ch, nil
+	return v, nil
 }
 
 // readFramed reads one segment and returns its verified payload. A missing
@@ -201,10 +172,13 @@ func readFramed(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(segMagic)+8+4 || string(data[:len(segMagic)]) != segMagic {
+	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 		return nil, fmt.Errorf("conform: %s: not a trace segment", filepath.Base(path))
 	}
 	body := data[len(segMagic):]
+	if len(body) < 8+4 {
+		return nil, fmt.Errorf("conform: %s: truncated segment (%d bytes after the magic)", filepath.Base(path), len(body))
+	}
 	n := binary.BigEndian.Uint64(body[:8])
 	body = body[8:]
 	if uint64(len(body)) != n+4 {
@@ -233,7 +207,7 @@ func syncDir(dir string) {
 // regardless of run length.
 type StreamOptions struct {
 	// WindowSteps cuts a chunk after this many buffered macro-steps summed
-	// over all nodes and both layers (default 8192).
+	// over all nodes and layers (default 8192).
 	WindowSteps int
 	// WindowBytes cuts a chunk once the buffered records' encoded size
 	// reaches this many bytes (default 4 MiB).
@@ -277,17 +251,17 @@ type StreamRecorder struct {
 	err     error
 }
 
-// StreamNode buffers one node's records into the shared recorder. Its
-// ObserveDVS/ObserveTO have the same signatures as Recorder's and install
-// the same way.
+// StreamNode buffers one node's records into the shared recorder. Install
+// ObserveDVS/ObserveTO as the dvsg and tob layers' observers, ObserveMcast as
+// the multicast coordinator's.
 type StreamNode struct {
 	r    *StreamRecorder
 	meta NodeMeta
-	// scratch is where a record is encoded before the mutex is taken. Both
-	// observers run on the node's event loop, never nested, so one buffer
-	// serves both layers.
+	// scratch is where a record is encoded before the mutex is taken. A
+	// node's observers never run concurrently (a stack's two run on its event
+	// loop, a coordinator's under its mutex), so one buffer serves them all.
 	scratch []byte
-	dvs, to layerBuf // the open window; guarded by r.mu
+	win     [numLayers]layerBuf // the open window; guarded by r.mu
 }
 
 // NewStreamRecorder creates the trace directory (if needed) and a recorder
@@ -344,10 +318,29 @@ func removeStaleSegments(dir string) error {
 // Dir returns the trace directory.
 func (r *StreamRecorder) Dir() string { return r.dir }
 
-// Node registers one node of the run, with the same core construction
-// parameters NewRecorder takes. All nodes must register before the first
-// record is spilled (registration defines the header, which is written once).
+// Node registers one protocol stack of the run with its core construction
+// parameters. g tags the stack with its group (0 in single-group runs); a
+// stream must be group-homogeneous — each group's run is an independent
+// total order, so sharded runs keep one stream per group. static marks a
+// node whose view filter is the static-primary core (staticcore) rather than
+// the paper's DVS automaton; the replayer re-executes its DVS-layer records
+// through that core instead. All nodes must register before the first record
+// is spilled (registration defines the header, which is written once).
 func (r *StreamRecorder) Node(p types.ProcID, g types.GroupID, initial types.View, inP0, register, gc, static bool) (*StreamNode, error) {
+	return r.register(NodeMeta{
+		P: p, Group: g, Initial: initial.Clone(), InP0: inP0, Register: register, GC: gc, Static: static,
+	})
+}
+
+// McastNode registers process p's multicast coordinator over groups. A
+// stream holds either stacks or coordinators, never both: a sharded run
+// keeps its multicast stream beside the per-group ones (see McastDir).
+func (r *StreamRecorder) McastNode(p types.ProcID, groups []types.GroupID) (*StreamNode, error) {
+	return r.register(NodeMeta{P: p, McastGroups: types.DedupGroups(append([]types.GroupID{}, groups...))})
+}
+
+func (r *StreamRecorder) register(meta NodeMeta) (*StreamNode, error) {
+	p := meta.P
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.started || r.closed {
@@ -356,9 +349,7 @@ func (r *StreamRecorder) Node(p types.ProcID, g types.GroupID, initial types.Vie
 	if _, dup := r.byP[p]; dup {
 		return nil, fmt.Errorf("conform: duplicate stream node %s", p)
 	}
-	sn := &StreamNode{r: r, meta: NodeMeta{
-		P: p, Group: g, Initial: initial.Clone(), InP0: inP0, Register: register, GC: gc, Static: static,
-	}}
+	sn := &StreamNode{r: r, meta: meta}
 	r.byP[p] = sn
 	r.nodes = append(r.nodes, sn)
 	sort.Slice(r.nodes, func(i, j int) bool { return r.nodes[i].meta.P < r.nodes[j].meta.P })
@@ -412,11 +403,13 @@ func (r *StreamRecorder) Close() error {
 	if r.err == nil {
 		ft := streamFooter{Chunks: r.seq}
 		for _, sn := range r.nodes {
-			ft.Totals = append(ft.Totals, nodeTotal{P: sn.meta.P, DVS: sn.dvs.start, TO: sn.to.start})
+			tot := nodeTotal{P: sn.meta.P}
+			for l, lb := range sn.win {
+				tot.Steps[l] = lb.start
+			}
+			ft.Totals = append(ft.Totals, tot)
 		}
-		if err := writeSegment(filepath.Join(r.dir, footerSeg), ft); err != nil {
-			r.err = err
-		}
+		r.err = writeSegment(filepath.Join(r.dir, footerSeg), appendFooter(nil, ft))
 	}
 	return r.err
 }
@@ -447,11 +440,11 @@ func (r *StreamRecorder) PeakWindowSteps() int {
 }
 
 func (r *StreamRecorder) writeHeaderLocked() {
-	hdr := streamHeader{Version: streamVersion}
-	for _, sn := range r.nodes {
-		hdr.Nodes = append(hdr.Nodes, sn.meta)
+	metas := make([]NodeMeta, len(r.nodes))
+	for i, sn := range r.nodes {
+		metas[i] = sn.meta
 	}
-	if err := writeSegment(filepath.Join(r.dir, headerSeg), hdr); err != nil && r.err == nil {
+	if err := writeSegment(filepath.Join(r.dir, headerSeg), appendHeader(nil, metas)); err != nil && r.err == nil {
 		r.err = err
 	}
 	r.started = true
@@ -478,8 +471,9 @@ func (r *StreamRecorder) cutLocked(quiescent bool) {
 	for i, sn := range r.nodes {
 		part := &job.parts[i]
 		part.p = sn.meta.P
-		part.dvs, sn.dvs = sn.dvs, layerBuf{start: sn.dvs.start + sn.dvs.count, b: part.dvs.b[:0]}
-		part.to, sn.to = sn.to, layerBuf{start: sn.to.start + sn.to.count, b: part.to.b[:0]}
+		for l, lb := range sn.win {
+			part.layers[l], sn.win[l] = lb, layerBuf{start: lb.start + lb.count, b: part.layers[l].b[:0]}
+		}
 	}
 	r.steps, r.bytes = 0, 0
 	select {
@@ -524,30 +518,38 @@ func (r *StreamRecorder) record(lb *layerBuf, rec []byte, encErr error) {
 // recorder's mutex is taken, and nothing of ev or fx is retained.
 func (sn *StreamNode) ObserveDVS(ev dvscore.Event, fx []dvscore.Effect) {
 	var err error
-	sn.scratch, err = appendDVSRecord(sn.scratch[:0], ev, fx)
-	sn.r.record(&sn.dvs, sn.scratch, err)
+	sn.scratch, err = dvsCodec.append(sn.scratch[:0], ev, fx)
+	sn.r.record(&sn.win[layerDVS], sn.scratch, err)
 }
 
 // ObserveTO records one DVS-TO-TO macro-step; install as the tob layer's
 // observer.
 func (sn *StreamNode) ObserveTO(ev tocore.Event, fx []tocore.Effect) {
 	var err error
-	sn.scratch, err = appendTORecord(sn.scratch[:0], ev, fx)
-	sn.r.record(&sn.to, sn.scratch, err)
+	sn.scratch, err = toCodec.append(sn.scratch[:0], ev, fx)
+	sn.r.record(&sn.win[layerTO], sn.scratch, err)
+}
+
+// ObserveMcast records one multicast macro-step; install as the coordinator's
+// observer (mcast.Coordinator.AddObserver). It runs with the coordinator
+// mutex held, so records keep core execution order.
+func (sn *StreamNode) ObserveMcast(ev mcastcore.Event, fx []mcastcore.Effect) {
+	var err error
+	sn.scratch, err = mcastCodec.append(sn.scratch[:0], ev, fx)
+	sn.r.record(&sn.win[layerMcast], sn.scratch, err)
 }
 
 // layerBuf is one node's encoded records of one layer since the last cut:
-// their start offset in the node's full per-layer log (so the replayer can
-// verify the chunks are gap-free and index divergences globally), how many
-// there are, and their concatenated encodings.
+// their start offset in the node's full per-layer log, how many there are,
+// and their concatenated encodings.
 type layerBuf struct {
 	start, count int
 	b            []byte
 }
 
 type partBuf struct {
-	p       types.ProcID
-	dvs, to layerBuf
+	p      types.ProcID
+	layers [numLayers]layerBuf
 }
 
 // chunkJob is one cut window on its way to disk: encoded bytes only, so the

@@ -17,8 +17,7 @@ import (
 
 // driveScript runs a singleton node's two cores through rounds of the same
 // scripted broadcast cycle recordedRun uses, feeding every macro-step to the
-// given observers (the signatures Recorder, StreamNode, and OnlineChecker
-// all share). cut, if non-nil, is called between cycles — each cycle ends
+// given observers (the signatures StreamNode and OnlineChecker share). cut, if non-nil, is called between cycles — each cycle ends
 // with the interface quiescent, so it is a safe place for a quiescent cut.
 func driveScript(t testing.TB, rounds int,
 	obsDVS func(dvscore.Event, []dvscore.Effect),
@@ -70,10 +69,12 @@ func driveScript(t testing.TB, rounds int,
 	}
 }
 
-// recordStreamed drives the scripted run into both a fresh in-memory
-// recorder and a chunked stream in dir, returning the in-memory log for
-// verdict comparison and the recorder for its window high-water mark.
-func recordStreamed(t *testing.T, dir string, opts StreamOptions, rounds int, cut func(r *StreamRecorder, round int)) (NodeLog, *StreamRecorder) {
+// stepCount is how many macro-steps of each layer a scripted run observed.
+type stepCount struct{ dvs, to int }
+
+// recordStreamed drives the scripted run into a chunked stream in dir,
+// returning the observed step counts and the recorder (not yet closed).
+func recordStreamed(t *testing.T, dir string, opts StreamOptions, rounds int, cut func(r *StreamRecorder, round int)) (stepCount, *StreamRecorder) {
 	t.Helper()
 	p := types.ProcID(0)
 	initial := types.InitialView(types.RangeProcSet(1))
@@ -85,14 +86,14 @@ func recordStreamed(t *testing.T, dir string, opts StreamOptions, rounds int, cu
 	if err != nil {
 		t.Fatalf("register stream node: %v", err)
 	}
-	rec := NewRecorder(p, 0, initial, true, true, true, false)
+	var n stepCount
 	driveScript(t, rounds,
 		func(ev dvscore.Event, fx []dvscore.Effect) {
-			rec.ObserveDVS(ev, fx)
+			n.dvs++
 			sn.ObserveDVS(ev, fx)
 		},
 		func(ev tocore.Event, fx []tocore.Effect) {
-			rec.ObserveTO(ev, fx)
+			n.to++
 			sn.ObserveTO(ev, fx)
 		},
 		func(round int) {
@@ -100,44 +101,93 @@ func recordStreamed(t *testing.T, dir string, opts StreamOptions, rounds int, cu
 				cut(sr, round)
 			}
 		})
-	return rec.Log(), sr
+	return n, sr
 }
 
+// tamperChunk rewrites the first chunk at or past seq 2 that holds a TO
+// record with effects, dropping that record's effects, and returns the
+// chunk's sequence number.
+func tamperChunk(t *testing.T, dir string) int {
+	t.Helper()
+	for seq := 2; ; seq++ {
+		path := filepath.Join(dir, chunkSeg(seq))
+		ch, err := readSegment(path, decodeChunk)
+		if err != nil {
+			t.Fatal("found no TO record with effects past chunk 1 to tamper")
+		}
+		for pi := range ch.Parts {
+			for ri := range ch.Parts[pi].TO {
+				if len(ch.Parts[pi].TO[ri].Fx) > 0 {
+					ch.Parts[pi].TO[ri].Fx = nil
+					if err := writeFramed(path, encodeChunk(t, ch)); err != nil {
+						t.Fatalf("rewrite chunk: %v", err)
+					}
+					return seq
+				}
+			}
+		}
+	}
+}
+
+// TestStreamReplayMatchesInMemory: the engine reaches the same result
+// whether a trace is fed to it chunk by chunk (ReplayStream) or decoded and
+// fed as one window (Replay over ReadStream) — same step counts, same
+// verdict, and on a tampered record the same first divergence.
 func TestStreamReplayMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
-	log, sr := recordStreamed(t, dir, StreamOptions{WindowSteps: 4}, 6, nil)
+	steps, sr := recordStreamed(t, dir, StreamOptions{WindowSteps: 4}, 6, nil)
 	if err := sr.Close(); err != nil {
 		t.Fatalf("close stream: %v", err)
 	}
 
-	mem := Replay([]NodeLog{log})
-	if err := mem.Err(); err != nil {
-		t.Fatalf("in-memory replay: %v", err)
+	both := func() (*Report, *StreamReport) {
+		t.Helper()
+		one := Replay([]NodeLog{readLog(t, dir)})
+		many, err := ReplayStream(dir)
+		if err != nil {
+			t.Fatalf("stream replay: %v", err)
+		}
+		return one, many
 	}
-	rep, err := ReplayStream(dir)
-	if err != nil {
-		t.Fatalf("stream replay: %v", err)
+	one, many := both()
+	if err := one.Err(); err != nil {
+		t.Fatalf("one-window replay: %v", err)
 	}
-	if err := rep.Err(); err != nil {
-		t.Fatalf("stream replay verdict: %v (%s)", err, rep)
+	if err := many.Err(); err != nil {
+		t.Fatalf("many-window replay: %v (%s)", err, many)
 	}
-	if !rep.Sealed {
-		t.Errorf("closed stream not sealed: %s", rep)
+	if !many.Sealed {
+		t.Errorf("closed stream not sealed: %s", many)
 	}
-	if rep.Truncated != "" {
-		t.Errorf("closed stream reports truncation: %s", rep.Truncated)
+	if many.Truncated != "" {
+		t.Errorf("closed stream reports truncation: %s", many.Truncated)
 	}
-	if rep.Chunks < 2 {
-		t.Errorf("window 4 over %d steps produced %d chunks, expected several", mem.DVSSteps+mem.TOSteps, rep.Chunks)
+	if many.Chunks < 2 {
+		t.Errorf("window 4 over %d steps produced %d chunks, expected several", steps.dvs+steps.to, many.Chunks)
 	}
-	// Same steps replayed, same verdict: the streamed checker is the
-	// in-memory checker over a different carrier.
-	if rep.DVSSteps != mem.DVSSteps || rep.TOSteps != mem.TOSteps {
-		t.Errorf("streamed replay covered dvs=%d/to=%d steps, in-memory dvs=%d/to=%d",
-			rep.DVSSteps, rep.TOSteps, mem.DVSSteps, mem.TOSteps)
+	if one.DVSSteps != steps.dvs || one.TOSteps != steps.to || many.DVSSteps != steps.dvs || many.TOSteps != steps.to {
+		t.Errorf("observed dvs=%d/to=%d steps, one window replayed dvs=%d/to=%d, many windows dvs=%d/to=%d",
+			steps.dvs, steps.to, one.DVSSteps, one.TOSteps, many.DVSSteps, many.TOSteps)
 	}
-	if rep.OK() != mem.OK() {
-		t.Errorf("verdicts differ: streamed %v, in-memory %v", rep.OK(), mem.OK())
+
+	seq := tamperChunk(t, dir)
+	one, many = both()
+	if one.OK() || many.OK() {
+		t.Fatalf("tampered trace accepted: one window %s, many windows %s", one, many)
+	}
+	if len(one.Divergences) == 0 || len(many.Divergences) == 0 {
+		t.Fatalf("tampered record not reported as a divergence: one window %s, many windows %s", one, many)
+	}
+	d1, dn := one.Divergences[0], many.Divergences[0]
+	if d1.Window != 0 || dn.Window != seq {
+		t.Errorf("first divergence attributed to windows %d and %d, want 0 and %d", d1.Window, dn.Window, seq)
+	}
+	dn.Window = 0
+	if d1 != dn {
+		t.Errorf("first divergences differ:\n one window:   %s\n many windows: %s", d1, dn)
+	}
+	if one.DVSSteps != many.DVSSteps || one.TOSteps != many.TOSteps {
+		t.Errorf("step counts differ on the tampered trace: %s vs %s", one, many)
 	}
 }
 
@@ -209,29 +259,7 @@ func TestStreamReplayLocalizesDivergenceToChunk(t *testing.T) {
 	// Inject a divergence mid-run: rewrite one chunk past the first with the
 	// recorded effects of one TO step dropped. The replayer re-derives the
 	// effects, so it must flag the mismatch — and pin it to this window.
-	tamperedSeq := 0
-tamper:
-	for seq := 2; ; seq++ {
-		ch, err := readChunk(filepath.Join(dir, chunkSeg(seq)))
-		if err != nil {
-			break
-		}
-		for pi := range ch.Parts {
-			for ri := range ch.Parts[pi].TO {
-				if len(ch.Parts[pi].TO[ri].Fx) > 0 {
-					ch.Parts[pi].TO[ri].Fx = nil
-					if err := writeFramed(filepath.Join(dir, chunkSeg(seq)), encodeChunk(t, ch)); err != nil {
-						t.Fatalf("rewrite chunk: %v", err)
-					}
-					tamperedSeq = seq
-					break tamper
-				}
-			}
-		}
-	}
-	if tamperedSeq == 0 {
-		t.Fatal("found no TO record with effects past chunk 1 to tamper")
-	}
+	tamperedSeq := tamperChunk(t, dir)
 
 	rep, err := ReplayStream(dir)
 	if err != nil {
@@ -361,7 +389,7 @@ func TestReplayRejectsDuplicateProcessLogs(t *testing.T) {
 
 func TestReplayRejectsDisagreeingInitialViews(t *testing.T) {
 	log := recordedRun(t)
-	other := NodeLog{P: 1, Initial: types.InitialView(types.RangeProcSet(2)), InP0: true}
+	other := NodeLog{NodeMeta: NodeMeta{P: 1, Initial: types.InitialView(types.RangeProcSet(2)), InP0: true}}
 	rep := Replay([]NodeLog{log, other})
 	if rep.OK() || rep.Err() == nil {
 		t.Fatalf("logs with different initial views accepted: %s", rep)
@@ -377,69 +405,14 @@ func TestReplayRejectsDisagreeingInitialViews(t *testing.T) {
 	}
 }
 
-// unregisteredMsg is a types.Msg deliberately not registered with gob and
-// given no wire tag, so encoding a trace that contains it fails partway
-// through.
+// unregisteredMsg is a types.Msg deliberately given no wire tag, so encoding
+// a record that contains it fails.
 type unregisteredMsg struct{}
 
 func (unregisteredMsg) MsgKey() string { return "unregistered" }
 func (unregisteredMsg) EqualMsg(o types.Msg) bool {
 	_, ok := o.(unregisteredMsg)
 	return ok
-}
-
-func TestWriteFileFailureLeavesNoPartialTrace(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "trace.gob")
-
-	good := []NodeLog{recordedRun(t)}
-	if err := WriteFile(path, good); err != nil {
-		t.Fatalf("write good trace: %v", err)
-	}
-
-	bad := []NodeLog{recordedRun(t)}
-	bad[0].DVS = append(bad[0].DVS, DVSRecord{Ev: dvscore.EvClientSend{M: unregisteredMsg{}}})
-	if err := WriteFile(path, bad); err == nil {
-		t.Fatal("encoding an unregistered message type did not fail")
-	}
-
-	// The failed write must leave the previous trace intact and no temp
-	// litter behind.
-	logs, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("previous trace destroyed by failed write: %v", err)
-	}
-	if rep := Replay(logs); !rep.OK() {
-		t.Errorf("previous trace corrupted by failed write: %s", rep)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() != "trace.gob" {
-			t.Errorf("failed write left %s behind", e.Name())
-		}
-	}
-}
-
-func TestWriteFileFailureCreatesNothing(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "trace.gob")
-	bad := []NodeLog{{P: 0, DVS: []DVSRecord{{Ev: dvscore.EvClientSend{M: unregisteredMsg{}}}}}}
-	if err := WriteFile(path, bad); err == nil {
-		t.Fatal("encoding an unregistered message type did not fail")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("failed write left an artifact at %s", path)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("failed write left %d file(s) in the directory", len(entries))
-	}
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -476,7 +449,7 @@ func TestStreamReRecordShorterRunSeals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log, short := recordStreamed(t, dir, StreamOptions{WindowSteps: 4}, 2, nil)
+	steps, short := recordStreamed(t, dir, StreamOptions{WindowSteps: 4}, 2, nil)
 	if err := short.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -490,8 +463,8 @@ func TestStreamReRecordShorterRunSeals(t *testing.T) {
 	if rep.Chunks >= longRep.Chunks {
 		t.Fatalf("short run has %d chunks, the long one had %d: not a shorter run", rep.Chunks, longRep.Chunks)
 	}
-	if rep.DVSSteps != len(log.DVS) || rep.TOSteps != len(log.TO) {
-		t.Errorf("replayed dvs=%d/to=%d steps, recorded dvs=%d/to=%d", rep.DVSSteps, rep.TOSteps, len(log.DVS), len(log.TO))
+	if rep.DVSSteps != steps.dvs || rep.TOSteps != steps.to {
+		t.Errorf("replayed dvs=%d/to=%d steps, recorded dvs=%d/to=%d", rep.DVSSteps, rep.TOSteps, steps.dvs, steps.to)
 	}
 	if exists(filepath.Join(dir, chunkSeg(longRep.Chunks))) || exists(orphan) {
 		t.Error("stale segments of the previous trace survived the re-record")
@@ -517,13 +490,83 @@ func TestStreamRecorderRefusesForeignDirectory(t *testing.T) {
 	}
 }
 
+// v2Header is the header.seg a format-v2 recorder wrote for a one-node run:
+// a gob payload in the same framing.
+const v2Header = "DVSSEG1\n\x00\x00\x00\x00\x00\x00\x01;0\x7f\x03\x01\x01\fstreamHeader\x01\xff\x80\x00\x01\x02\x01\aVersion\x01\x04\x00\x01\x05Nodes\x01\xff\x8a\x00\x00\x00!\xff\x89\x02\x01\x01\x12[]conform.NodeMeta\x01\xff\x8a\x00\x01\xff\x82\x00\x00[\xff\x81\x03\x01\x01\bNodeMeta\x01\xff\x82\x00\x01\a\x01\x01P\x01\x04\x00\x01\x05Group\x01\x04\x00\x01\aInitial\x01\xff\x84\x00\x01\x04InP0\x01\x02\x00\x01\bRegister\x01\x02\x00\x01\x02GC\x01\x02\x00\x01\x06Static\x01\x02\x00\x00\x00'\xff\x83\x03\x01\x01\x04View\x01\xff\x84\x00\x01\x02\x01\x02ID\x01\xff\x86\x00\x01\aMembers\x01\xff\x88\x00\x00\x00'\xff\x85\x03\x01\x01\x06ViewID\x01\xff\x86\x00\x01\x02\x01\x03Seq\x01\x06\x00\x01\x06Origin\x01\x04\x00\x00\x00\x13\xff\x87\x05\x01\x01\aProcSet\x01\xff\x88\x00\x00\x00\n\xff\x8b\x03\x01\x02\xff\x8c\x00\x00\x00\x1c\xff\x80\x01\x04\x01\x01\x03\x01\x00\x01\b\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x01\x01\x01\x01\x01\x00\x00\xa8\xbdx\n"
+
+// TestStreamReplayRejectsV1Directory: older formats are refused by version,
+// with the instruction to re-record — a wire-coded header declaring another
+// version and a real v2 header (gob) alike, for replay and for ReadStream.
 func TestStreamReplayRejectsV1Directory(t *testing.T) {
-	dir := t.TempDir()
-	if err := writeSegment(filepath.Join(dir, headerSeg), streamHeader{Version: 1}); err != nil {
+	v1 := t.TempDir()
+	if err := writeSegment(filepath.Join(v1, headerSeg), []byte{1, 0}); err != nil { // version 1, no nodes
 		t.Fatal(err)
 	}
-	if _, err := ReplayStream(dir); err == nil || !strings.Contains(err.Error(), "re-record") {
-		t.Errorf("v1 directory: err=%v, want a version error that says to re-record", err)
+	v2 := t.TempDir()
+	if err := os.WriteFile(filepath.Join(v2, headerSeg), []byte(v2Header), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, dir := range map[string]string{"v1": v1, "v2": v2} {
+		if _, err := ReplayStream(dir); err == nil || !strings.Contains(err.Error(), "re-record") {
+			t.Errorf("%s directory: replay err=%v, want a version error that says to re-record", name, err)
+		}
+		if _, err := ReadStream(dir); err == nil || !strings.Contains(err.Error(), "re-record") {
+			t.Errorf("%s directory: read err=%v, want a version error that says to re-record", name, err)
+		}
+	}
+}
+
+// TestStreamReplayReportsCorruptFooter: a footer that is there but damaged
+// is not a missing footer. A flipped payload byte must read as a checksum
+// mismatch and a torn file as truncated — on an ordinary stream and on the
+// degenerate zero-node one — and neither may seal the trace.
+func TestStreamReplayReportsCorruptFooter(t *testing.T) {
+	run := t.TempDir()
+	_, sr := recordStreamed(t, run, StreamOptions{WindowSteps: 4}, 4, nil)
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	empty := t.TempDir()
+	sr, err := NewStreamRecorder(empty, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := ReplayStream(empty); err != nil || !rep.Sealed || rep.Checks != 0 {
+		t.Fatalf("zero-node stream does not replay sealed and check-free: rep=%v err=%v", rep, err)
+	}
+
+	for name, dir := range map[string]string{"run": run, "zero-node": empty} {
+		path := filepath.Join(dir, footerSeg)
+		intact, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipped := append([]byte(nil), intact...)
+		flipped[len(segMagic)+8] ^= 0xff // first payload byte
+		for damage, c := range map[string]struct {
+			data []byte
+			want string
+		}{
+			"flipped byte": {flipped, "checksum mismatch"},
+			"torn":         {intact[:len(intact)-3], "truncated segment"},
+		} {
+			if err := os.WriteFile(path, c.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := ReplayStream(dir)
+			if err != nil {
+				t.Fatalf("%s, %s footer: %v", name, damage, err)
+			}
+			if rep.Sealed || !strings.Contains(rep.Truncated, c.want) || strings.Contains(rep.Truncated, "missing") {
+				t.Errorf("%s, %s footer: sealed=%v truncated=%q, want unsealed with %q", name, damage, rep.Sealed, rep.Truncated, c.want)
+			}
+			if !rep.OK() {
+				t.Errorf("%s, %s footer: the intact chunks replayed with findings: %s", name, damage, rep)
+			}
+		}
 	}
 }
 
@@ -559,7 +602,7 @@ func TestStreamUnencodableMsgIsStickyErr(t *testing.T) {
 // run of identical records cuts at exactly the predicted record.
 func TestStreamWindowBytesExact(t *testing.T) {
 	ev := dvscore.EvClientSend{M: types.ClientMsg("payload")}
-	one, err := appendDVSRecord(nil, ev, nil)
+	one, err := dvsCodec.append(nil, ev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +623,7 @@ func TestStreamWindowBytesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := 1; seq <= 3; seq++ {
-		ch, err := readChunk(filepath.Join(dir, chunkSeg(seq)))
+		ch, err := readSegment(filepath.Join(dir, chunkSeg(seq)), decodeChunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -732,10 +775,15 @@ func TestStreamChunkSizeFollowsWriter(t *testing.T) {
 	// runs to the threshold, whose cut blocks.
 	const blockedAt = 2*earlyCutSteps + window
 	var fed atomic.Int64
-	done := make(chan struct{})
+	done, writerHasFirst := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < blockedAt+earlyCutSteps; i++ {
+			if i == earlyCutSteps {
+				// Chunk 1 is queued; whether chunk 2 is cut early depends on the
+				// writer having taken it, so wait for that rather than race it.
+				<-writerHasFirst
+			}
 			sn.ObserveDVS(ev, nil)
 			fed.Add(1)
 		}
@@ -743,6 +791,7 @@ func TestStreamChunkSizeFollowsWriter(t *testing.T) {
 	if seq := <-stalled; seq != 1 {
 		t.Fatalf("writer started with chunk %d", seq)
 	}
+	close(writerHasFirst)
 	waitFor(t, "the feeder to reach the blocked cut", func() bool { return fed.Load() == blockedAt-1 })
 	time.Sleep(50 * time.Millisecond)
 	if n := fed.Load(); n != blockedAt-1 {
@@ -757,7 +806,7 @@ func TestStreamChunkSizeFollowsWriter(t *testing.T) {
 		t.Errorf("peak buffered steps %d exceeds window %d", peak, window)
 	}
 	for seq, want := range []int{earlyCutSteps, earlyCutSteps, window, earlyCutSteps} {
-		ch, err := readChunk(filepath.Join(dir, chunkSeg(seq+1)))
+		ch, err := readSegment(filepath.Join(dir, chunkSeg(seq+1)), decodeChunk)
 		if err != nil {
 			t.Fatal(err)
 		}

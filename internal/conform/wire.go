@@ -6,12 +6,14 @@ import (
 	"math"
 
 	"repro/internal/protocol/dvscore"
+	"repro/internal/protocol/mcastcore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/types"
 )
 
-// The v2 chunk codec: a hand-written tag-byte + varint encoding of the
-// macro-step records, replacing gob on the recording hot path. It is
+// The trace codec: a hand-written tag-byte + varint encoding of the
+// macro-step records of all three layers and of the header, chunk and footer
+// segments — the only representation a recorded step ever has. It is
 // stateless — every record is decodable from its own bytes — which is what
 // lets StreamNode encode outside the recorder's mutex: a stateful stream
 // (gob ships a type descriptor the first time a type appears) encoded
@@ -63,6 +65,18 @@ const (
 	tagRegisteredMsg
 	tagLabelMsg
 	tagSummaryMsg
+)
+
+const (
+	tagEvMcSubmit byte = 0x60 + iota
+	tagEvMcData
+	tagEvMcProposal
+)
+
+const (
+	tagFxMcSendData byte = 0x70 + iota
+	tagFxMcSendProp
+	tagFxMcDeliver
 )
 
 // maxBatchDepth bounds Batch nesting on both sides of the codec: the tob
@@ -213,44 +227,131 @@ func appendTOEffect(b []byte, fx tocore.Effect) ([]byte, error) {
 	}
 }
 
-// appendRecord encodes one macro-step of either layer: the event, the
-// effect count, the effects.
-func appendRecord[E, F any](b []byte, ev E, fx []F,
-	appendEv func([]byte, E) ([]byte, error), appendFx func([]byte, F) ([]byte, error)) ([]byte, error) {
-	b, err := appendEv(b, ev)
+func appendGroups(b []byte, gs []types.GroupID) []byte {
+	b = appendCount(b, len(gs))
+	for _, g := range gs {
+		b = appendInt(b, int(g))
+	}
+	return b
+}
+
+// appendMcData encodes the fields EvData and FxSendData share, after the
+// group each names first.
+func appendMcData(b []byte, g types.GroupID, id string, origin types.ProcID, dests []types.GroupID, payload string) []byte {
+	b = appendInt(appendString(appendInt(b, int(g)), id), int(origin))
+	return appendString(appendGroups(b, dests), payload)
+}
+
+// appendMcProp likewise for EvProposal and FxSendProp.
+func appendMcProp(b []byte, g, pg types.GroupID, id string, ts uint64) []byte {
+	return binary.AppendUvarint(appendString(appendInt(appendInt(b, int(g)), int(pg)), id), ts)
+}
+
+func appendMcastEvent(b []byte, ev mcastcore.Event) ([]byte, error) {
+	switch e := ev.(type) {
+	case mcastcore.EvSubmit:
+		return appendString(appendGroups(append(b, tagEvMcSubmit), e.Dests), e.Payload), nil
+	case mcastcore.EvData:
+		return appendMcData(append(b, tagEvMcData), e.Group, e.ID, e.Origin, e.Dests, e.Payload), nil
+	case mcastcore.EvProposal:
+		return appendMcProp(append(b, tagEvMcProposal), e.Group, e.PGroup, e.ID, e.TS), nil
+	default:
+		return b, fmt.Errorf("conform: mcast event type %T has no wire tag", ev)
+	}
+}
+
+func appendMcastEffect(b []byte, fx mcastcore.Effect) ([]byte, error) {
+	switch f := fx.(type) {
+	case mcastcore.FxSendData:
+		return appendMcData(append(b, tagFxMcSendData), f.To, f.ID, f.Origin, f.Dests, f.Payload), nil
+	case mcastcore.FxSendProp:
+		return appendMcProp(append(b, tagFxMcSendProp), f.To, f.PGroup, f.ID, f.TS), nil
+	case mcastcore.FxDeliver:
+		b = appendInt(appendString(appendInt(append(b, tagFxMcDeliver), int(f.Group)), f.ID), int(f.Origin))
+		return binary.AppendUvarint(appendString(b, f.Payload), f.TS), nil
+	default:
+		return b, fmt.Errorf("conform: mcast effect type %T has no wire tag", fx)
+	}
+}
+
+// layerCodec ties together the four halves of one layer's record codec.
+type layerCodec[E, F any] struct {
+	appendEv func([]byte, E) ([]byte, error)
+	appendFx func([]byte, F) ([]byte, error)
+	readEv   func(*wireReader) E
+	readFx   func(*wireReader) F
+}
+
+var (
+	dvsCodec   = layerCodec[dvscore.Event, dvscore.Effect]{appendDVSEvent, appendDVSEffect, (*wireReader).dvsEvent, (*wireReader).dvsEffect}
+	toCodec    = layerCodec[tocore.Event, tocore.Effect]{appendTOEvent, appendTOEffect, (*wireReader).toEvent, (*wireReader).toEffect}
+	mcastCodec = layerCodec[mcastcore.Event, mcastcore.Effect]{appendMcastEvent, appendMcastEffect, (*wireReader).mcastEvent, (*wireReader).mcastEffect}
+)
+
+// append encodes one macro-step: the event, the effect count, the effects.
+func (c layerCodec[E, F]) append(b []byte, ev E, fx []F) ([]byte, error) {
+	b, err := c.appendEv(b, ev)
+	if err != nil {
+		return b, err
+	}
+	return appendEffects(b, fx, c.appendFx)
+}
+
+// appendEffects encodes an effect sequence: the count, the effects. The
+// replay engine compares effect sequences by these bytes.
+func appendEffects[F any](b []byte, fx []F, appendFx func([]byte, F) ([]byte, error)) ([]byte, error) {
 	b = appendCount(b, len(fx))
+	var err error
 	for i := 0; i < len(fx) && err == nil; i++ {
 		b, err = appendFx(b, fx[i])
 	}
 	return b, err
 }
 
-// appendDVSRecord encodes one VS-TO-DVS macro-step.
-func appendDVSRecord(b []byte, ev dvscore.Event, fx []dvscore.Effect) ([]byte, error) {
-	return appendRecord(b, ev, fx, appendDVSEvent, appendDVSEffect)
-}
-
-// appendTORecord encodes one DVS-TO-TO macro-step.
-func appendTORecord(b []byte, ev tocore.Event, fx []tocore.Effect) ([]byte, error) {
-	return appendRecord(b, ev, fx, appendTOEvent, appendTOEffect)
-}
-
-func (lb layerBuf) appendTo(b []byte) []byte {
-	return append(appendCount(appendCount(appendCount(b, lb.start), lb.count), len(lb.b)), lb.b...)
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // appendChunk assembles a chunk payload: seq, the quiescence mark, then per
 // part the process id and each layer's (start, count, byteLen, bytes).
 func appendChunk(b []byte, job *chunkJob) []byte {
-	b = appendCount(b, job.seq)
-	q := byte(0)
-	if job.quiescent {
-		q = 1
-	}
-	b = appendCount(append(b, q), len(job.parts))
+	b = appendCount(appendBool(appendCount(b, job.seq), job.quiescent), len(job.parts))
 	for i := range job.parts {
 		part := &job.parts[i]
-		b = part.to.appendTo(part.dvs.appendTo(appendInt(b, int(part.p))))
+		b = appendInt(b, int(part.p))
+		for _, lb := range part.layers {
+			b = append(appendCount(appendCount(appendCount(b, lb.start), lb.count), len(lb.b)), lb.b...)
+		}
+	}
+	return b
+}
+
+// appendHeader encodes the header segment: the format version first, so a
+// reader can refuse a foreign version before parsing anything else, then one
+// NodeMeta per node. A flag keeps "not a coordinator" (nil McastGroups) apart
+// from a coordinator over no groups.
+func appendHeader(b []byte, nodes []NodeMeta) []byte {
+	b = appendCount(appendCount(b, streamVersion), len(nodes))
+	for _, m := range nodes {
+		b = appendView(appendInt(appendInt(b, int(m.P)), int(m.Group)), m.Initial)
+		b = appendBool(appendBool(appendBool(appendBool(b, m.InP0), m.Register), m.GC), m.Static)
+		b = appendGroups(appendBool(b, m.McastGroups != nil), m.McastGroups)
+	}
+	return b
+}
+
+// appendFooter encodes the footer segment: the chunk count and every node's
+// per-layer step totals.
+func appendFooter(b []byte, ft streamFooter) []byte {
+	b = appendCount(appendCount(b, ft.Chunks), len(ft.Totals))
+	for _, tot := range ft.Totals {
+		b = appendInt(b, int(tot.P))
+		for _, n := range tot.Steps {
+			b = appendCount(b, n)
+		}
 	}
 	return b
 }
@@ -331,7 +432,7 @@ func (r *wireReader) take(n int) []byte {
 func (r *wireReader) string() string { return string(r.take(r.count(1))) }
 
 func (r *wireReader) viewID() types.ViewID {
-	return types.ViewID{Seq: r.uvarint(), Origin: types.ProcID(r.int())}
+	return types.ViewID{Seq: r.uvarint(), Origin: r.proc()}
 }
 
 func (r *wireReader) view() types.View {
@@ -339,13 +440,13 @@ func (r *wireReader) view() types.View {
 	n := r.count(1)
 	v.Members = make(types.ProcSet, n)
 	for i := 0; i < n; i++ {
-		v.Members.Add(types.ProcID(r.int()))
+		v.Members.Add(r.proc())
 	}
 	return v
 }
 
 func (r *wireReader) label() types.Label {
-	return types.Label{ID: r.viewID(), Seqno: r.int(), Origin: types.ProcID(r.int())}
+	return types.Label{ID: r.viewID(), Seqno: r.int(), Origin: r.proc()}
 }
 
 func (r *wireReader) summary() types.Summary {
@@ -404,7 +505,7 @@ func (r *wireReader) msg(depth int) types.Msg {
 
 func (r *wireReader) msgFrom() (types.Msg, types.ProcID) {
 	m := r.msg(0)
-	return m, types.ProcID(r.int())
+	return m, r.proc()
 }
 
 func (r *wireReader) dvsEvent() dvscore.Event {
@@ -474,7 +575,7 @@ func (r *wireReader) toEffect() tocore.Effect {
 	case tagFxConfirm:
 		return tocore.FxConfirm{}
 	case tagFxTODeliver:
-		return tocore.FxDeliver{A: r.string(), Origin: types.ProcID(r.int())}
+		return tocore.FxDeliver{A: r.string(), Origin: r.proc()}
 	case tagFxRegister:
 		return tocore.FxRegister{View: r.view()}
 	default:
@@ -483,28 +584,60 @@ func (r *wireReader) toEffect() tocore.Effect {
 	}
 }
 
-// readRecord decodes one macro-step of either layer; no effects decode as
-// a nil slice.
-func readRecord[E, F any](r *wireReader, ev func(*wireReader) E, fx func(*wireReader) F) (E, []F) {
-	e := ev(r)
-	var fxs []F
+func (r *wireReader) groups() []types.GroupID {
+	n := r.count(1)
+	if n == 0 {
+		return nil
+	}
+	gs := make([]types.GroupID, n)
+	for i := range gs {
+		gs[i] = types.GroupID(r.int())
+	}
+	return gs
+}
+
+func (r *wireReader) group() types.GroupID { return types.GroupID(r.int()) }
+
+func (r *wireReader) proc() types.ProcID { return types.ProcID(r.int()) }
+
+func (r *wireReader) mcastEvent() mcastcore.Event {
+	switch tag := r.byte(); tag {
+	case tagEvMcSubmit:
+		return mcastcore.EvSubmit{Dests: r.groups(), Payload: r.string()}
+	case tagEvMcData:
+		return mcastcore.EvData{Group: r.group(), ID: r.string(), Origin: r.proc(), Dests: r.groups(), Payload: r.string()}
+	case tagEvMcProposal:
+		return mcastcore.EvProposal{Group: r.group(), PGroup: r.group(), ID: r.string(), TS: r.uvarint()}
+	default:
+		r.fail("unknown mcast event tag %#x", tag)
+		return nil
+	}
+}
+
+func (r *wireReader) mcastEffect() mcastcore.Effect {
+	switch tag := r.byte(); tag {
+	case tagFxMcSendData:
+		return mcastcore.FxSendData{To: r.group(), ID: r.string(), Origin: r.proc(), Dests: r.groups(), Payload: r.string()}
+	case tagFxMcSendProp:
+		return mcastcore.FxSendProp{To: r.group(), PGroup: r.group(), ID: r.string(), TS: r.uvarint()}
+	case tagFxMcDeliver:
+		return mcastcore.FxDeliver{Group: r.group(), ID: r.string(), Origin: r.proc(), Payload: r.string(), TS: r.uvarint()}
+	default:
+		r.fail("unknown mcast effect tag %#x", tag)
+		return nil
+	}
+}
+
+// read decodes one macro-step; no effects decode as a nil slice.
+func (c layerCodec[E, F]) read(r *wireReader) Record[E, F] {
+	rec := Record[E, F]{Ev: c.readEv(r)}
 	if n := r.count(1); n > 0 {
-		fxs = make([]F, n)
-		for i := range fxs {
-			fxs[i] = fx(r)
+		rec.Fx = make([]F, n)
+		for i := range rec.Fx {
+			rec.Fx[i] = c.readFx(r)
 		}
 	}
-	return e, fxs
-}
-
-func (r *wireReader) dvsRecord() DVSRecord {
-	ev, fx := readRecord(r, (*wireReader).dvsEvent, (*wireReader).dvsEffect)
-	return DVSRecord{Ev: ev, Fx: fx}
-}
-
-func (r *wireReader) toRecord() TORecord {
-	ev, fx := readRecord(r, (*wireReader).toEvent, (*wireReader).toEffect)
-	return TORecord{Ev: ev, Fx: fx}
+	return rec
 }
 
 // readLayer reads one layer's (start, count, byteLen, bytes): count records
@@ -531,23 +664,69 @@ func readLayer[R any](r *wireReader, one func(*wireReader) R) (start int, recs [
 	return start, recs
 }
 
-// decodeChunk parses a v2 chunk payload. Malformed input of any shape is an
+// finish closes a segment decode: trailing bytes are an error, and the first
+// error comes back named after the segment kind.
+func (r *wireReader) finish(kind string) error {
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d trailing bytes", len(r.b))
+	}
+	if r.err != nil {
+		return fmt.Errorf("decode %s: %w", kind, r.err)
+	}
+	return nil
+}
+
+// decodeChunk parses a chunk payload. Malformed input of any shape is an
 // error, never a panic.
 func decodeChunk(payload []byte) (streamChunk, error) {
 	r := wireReader{b: payload}
 	ch := streamChunk{Seq: r.index(), Quiescent: r.byte() == 1}
-	nparts := r.count(7) // p + 2 × (start, count, byteLen)
+	nparts := r.count(1 + 3*numLayers) // p + per layer (start, count, byteLen)
 	for i := 0; i < nparts && r.err == nil; i++ {
-		part := chunkPart{P: types.ProcID(r.int())}
-		part.DVSStart, part.DVS = readLayer(&r, (*wireReader).dvsRecord)
-		part.TOStart, part.TO = readLayer(&r, (*wireReader).toRecord)
+		part := chunkPart{P: r.proc()}
+		part.Start[layerDVS], part.DVS = readLayer(&r, dvsCodec.read)
+		part.Start[layerTO], part.TO = readLayer(&r, toCodec.read)
+		part.Start[layerMcast], part.Mcast = readLayer(&r, mcastCodec.read)
 		ch.Parts = append(ch.Parts, part)
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("%d trailing bytes after the last part", len(r.b))
-	}
-	if r.err != nil {
-		return streamChunk{}, fmt.Errorf("decode chunk: %w", r.err)
+	if err := r.finish("chunk"); err != nil {
+		return streamChunk{}, err
 	}
 	return ch, nil
+}
+
+// decodeHeader parses a header payload. The version is checked before the
+// rest is read: a v1 or v2 header is gob, whose first bytes read here as
+// some other number, and must be refused rather than misparsed.
+func decodeHeader(payload []byte) ([]NodeMeta, error) {
+	r := wireReader{b: payload}
+	if version := r.index(); r.err == nil && version != streamVersion {
+		return nil, fmt.Errorf("stream version %d, this replayer reads only version %d: re-record the trace", version, streamVersion)
+	}
+	var nodes []NodeMeta
+	n := r.count(11) // p, group, view (3), five flags, group count
+	for i := 0; i < n && r.err == nil; i++ {
+		m := NodeMeta{P: r.proc(), Group: r.group(), Initial: r.view()}
+		m.InP0, m.Register, m.GC, m.Static = r.byte() == 1, r.byte() == 1, r.byte() == 1, r.byte() == 1
+		if mcast, gs := r.byte() == 1, r.groups(); mcast {
+			m.McastGroups = append([]types.GroupID{}, gs...)
+		}
+		nodes = append(nodes, m)
+	}
+	return nodes, r.finish("header")
+}
+
+// decodeFooter parses a footer payload.
+func decodeFooter(payload []byte) (streamFooter, error) {
+	r := wireReader{b: payload}
+	ft := streamFooter{Chunks: r.index()}
+	n := r.count(1 + numLayers)
+	for i := 0; i < n && r.err == nil; i++ {
+		tot := nodeTotal{P: r.proc()}
+		for l := range tot.Steps {
+			tot.Steps[l] = r.index()
+		}
+		ft.Totals = append(ft.Totals, tot)
+	}
+	return ft, r.finish("footer")
 }

@@ -2,6 +2,7 @@ package conform
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"strconv"
@@ -9,29 +10,36 @@ import (
 	"testing"
 
 	"repro/internal/protocol/dvscore"
+	"repro/internal/protocol/mcastcore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/types"
 )
 
 // encodeChunk re-encodes a decoded chunk through the production encoder
-// (appendDVSRecord/appendTORecord into layer buffers, then appendChunk), so
+// (the per-layer record encoders into layer buffers, then appendChunk), so
 // tests can rewrite a chunk on disk and seed the fuzzer with real payloads.
 func encodeChunk(t testing.TB, ch streamChunk) []byte {
 	t.Helper()
 	job := chunkJob{seq: ch.Seq, quiescent: ch.Quiescent}
 	for _, part := range ch.Parts {
 		pb := partBuf{p: part.P}
-		pb.dvs.start, pb.dvs.count = part.DVSStart, len(part.DVS)
-		pb.to.start, pb.to.count = part.TOStart, len(part.TO)
+		for l, n := range part.counts() {
+			pb.layers[l].start, pb.layers[l].count = part.Start[l], n
+		}
 		var err error
 		for _, rec := range part.DVS {
-			if pb.dvs.b, err = appendDVSRecord(pb.dvs.b, rec.Ev, rec.Fx); err != nil {
+			if pb.layers[layerDVS].b, err = dvsCodec.append(pb.layers[layerDVS].b, rec.Ev, rec.Fx); err != nil {
 				t.Fatalf("encode dvs record: %v", err)
 			}
 		}
 		for _, rec := range part.TO {
-			if pb.to.b, err = appendTORecord(pb.to.b, rec.Ev, rec.Fx); err != nil {
+			if pb.layers[layerTO].b, err = toCodec.append(pb.layers[layerTO].b, rec.Ev, rec.Fx); err != nil {
 				t.Fatalf("encode to record: %v", err)
+			}
+		}
+		for _, rec := range part.Mcast {
+			if pb.layers[layerMcast].b, err = mcastCodec.append(pb.layers[layerMcast].b, rec.Ev, rec.Fx); err != nil {
+				t.Fatalf("encode mcast record: %v", err)
 			}
 		}
 		job.parts = append(job.parts, pb)
@@ -39,18 +47,22 @@ func encodeChunk(t testing.TB, ch streamChunk) []byte {
 	return appendChunk(nil, &job)
 }
 
-// renderChunk is the replayer's own view of a chunk: the canonical strings
-// divergence comparison uses, plus the framing fields.
+// renderChunk is the replayer's own view of a chunk: the text divergence
+// reports use (which prints nil and empty collections alike, as the codec
+// stores them), plus the framing fields.
 func renderChunk(ch streamChunk) string {
 	var b strings.Builder
 	b.WriteString("seq=" + strconv.Itoa(ch.Seq) + " q=" + strconv.FormatBool(ch.Quiescent) + "\n")
 	for _, part := range ch.Parts {
-		b.WriteString("p=" + part.P.String() + " dvs@" + strconv.Itoa(part.DVSStart) + " to@" + strconv.Itoa(part.TOStart) + "\n")
+		fmt.Fprintf(&b, "p=%s starts=%v\n", part.P, part.Start)
 		for _, rec := range part.DVS {
-			b.WriteString(" " + renderDVSEvent(rec.Ev) + " => " + renderDVSEffects(rec.Fx) + "\n")
+			b.WriteString(" " + render(rec.Ev) + " => " + render(rec.Fx...) + "\n")
 		}
 		for _, rec := range part.TO {
-			b.WriteString(" " + renderTOEvent(rec.Ev) + " => " + renderTOEffects(rec.Fx) + "\n")
+			b.WriteString(" " + render(rec.Ev) + " => " + render(rec.Fx...) + "\n")
+		}
+		for _, rec := range part.Mcast {
+			b.WriteString(" " + render(rec.Ev) + " => " + render(rec.Fx...) + "\n")
 		}
 	}
 	return b.String()
@@ -126,8 +138,10 @@ func genMsg(rng *rand.Rand, depth int) types.Msg {
 	}
 }
 
-// genChunk builds a chunk whose records cover every Event and Effect variant
-// of both cores, each carrying a random message or view.
+// genChunk builds a three-layer chunk whose records cover every Event and
+// Effect variant of all three cores, each carrying a random message, view
+// or destination set. (A recorded chunk fills the stack layers or the
+// multicast layer, never both; the codec does not care.)
 func genChunk(rng *rand.Rand) streamChunk {
 	p := func() types.ProcID { return types.ProcID(rng.Intn(8)) }
 	m := func() types.Msg { return genMsg(rng, 0) }
@@ -147,9 +161,26 @@ func genChunk(rng *rand.Rand) streamChunk {
 		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 		return all[:rng.Intn(len(all)+1)]
 	}
+	g := func() types.GroupID { return types.GroupID(rng.Intn(5)) }
+	dests := func() []types.GroupID {
+		var gs []types.GroupID // nil and empty render and encode alike
+		for i, n := 0, rng.Intn(4); i < n; i++ {
+			gs = append(gs, g())
+		}
+		return gs
+	}
+	mcFx := func() []mcastcore.Effect {
+		all := []mcastcore.Effect{
+			mcastcore.FxSendData{To: g(), ID: genString(rng), Origin: p(), Dests: dests(), Payload: genString(rng)},
+			mcastcore.FxSendProp{To: g(), PGroup: g(), ID: genString(rng), TS: rng.Uint64() >> uint(rng.Intn(64))},
+			mcastcore.FxDeliver{Group: g(), ID: genString(rng), Origin: p(), Payload: genString(rng), TS: rng.Uint64() >> uint(rng.Intn(64))},
+		}
+		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		return all[:rng.Intn(len(all)+1)]
+	}
 	ch := streamChunk{Seq: 1 + rng.Intn(1000), Quiescent: rng.Intn(2) == 0}
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
-		part := chunkPart{P: types.ProcID(i), DVSStart: rng.Intn(1 << 20), TOStart: rng.Intn(1 << 20)}
+		part := chunkPart{P: types.ProcID(i), Start: [numLayers]int{rng.Intn(1 << 20), rng.Intn(1 << 20), rng.Intn(1 << 20)}}
 		for _, ev := range []dvscore.Event{
 			dvscore.EvVSNewView{View: genView(rng)}, dvscore.EvVSRecv{M: m(), From: p()},
 			dvscore.EvVSSafe{M: m(), From: p()}, dvscore.EvClientSend{M: m()}, dvscore.EvClientRegister{},
@@ -161,6 +192,13 @@ func genChunk(rng *rand.Rand) streamChunk {
 			tocore.EvRecv{M: m(), From: p()}, tocore.EvSafe{M: m(), From: p()},
 		} {
 			part.TO = append(part.TO, TORecord{Ev: ev, Fx: toFx()})
+		}
+		for _, ev := range []mcastcore.Event{
+			mcastcore.EvSubmit{Dests: dests(), Payload: genString(rng)},
+			mcastcore.EvData{Group: g(), ID: genString(rng), Origin: p(), Dests: dests(), Payload: genString(rng)},
+			mcastcore.EvProposal{Group: g(), PGroup: g(), ID: genString(rng), TS: rng.Uint64() >> uint(rng.Intn(64))},
+		} {
+			part.Mcast = append(part.Mcast, McastRecord{Ev: ev, Fx: mcFx()})
 		}
 		ch.Parts = append(ch.Parts, part)
 	}
@@ -261,10 +299,11 @@ func TestWireBatchDepthLimited(t *testing.T) {
 // billions of elements it claims.
 func TestDecodeChunkRejectsHugeCounts(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<40)
+	pad := make([]byte, 8) // enough trailing bytes for the one part the prefix declares
 	for name, payload := range map[string][]byte{
 		"parts":   append([]byte{1, 0}, huge...),
-		"records": append(append([]byte{1, 0, 1, 0, 0}, huge...), 0),
-		"bytelen": append([]byte{1, 0, 1, 0, 0, 0}, huge...),
+		"records": append(append([]byte{1, 0, 1, 0, 0}, huge...), pad...),
+		"bytelen": append(append([]byte{1, 0, 1, 0, 0, 0}, huge...), pad...),
 	} {
 		allocs := testing.AllocsPerRun(1, func() {
 			if _, err := decodeChunk(payload); err == nil {
@@ -282,11 +321,11 @@ func TestDecodeChunkRejectsHugeCounts(t *testing.T) {
 // that cannot be an int offset is refused.
 func TestWireLongRunOffsetsRoundTrip(t *testing.T) {
 	ch := streamChunk{Seq: 1<<31 + 7, Parts: []chunkPart{{
-		P:        3,
-		DVSStart: 1<<40 + 1,
-		DVS:      []DVSRecord{{Ev: dvscore.EvClientRegister{}}},
-		TOStart:  1 << 33,
-		TO:       []TORecord{{Ev: tocore.EvBroadcast{A: "a"}, Fx: []tocore.Effect{tocore.FxConfirm{}}}},
+		P:     3,
+		Start: [numLayers]int{1<<40 + 1, 1 << 33, 1<<50 + 5},
+		DVS:   []DVSRecord{{Ev: dvscore.EvClientRegister{}}},
+		TO:    []TORecord{{Ev: tocore.EvBroadcast{A: "a"}, Fx: []tocore.Effect{tocore.FxConfirm{}}}},
+		Mcast: []McastRecord{{Ev: mcastcore.EvProposal{ID: "m", TS: 1 << 63}}},
 	}}}
 	got, err := decodeChunk(encodeChunk(t, ch))
 	if err != nil {
@@ -328,9 +367,18 @@ func FuzzDecodeChunk(f *testing.F) {
 	}
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 8; i++ {
-		f.Add(encodeChunk(f, genChunk(rng)))
+		f.Add(encodeChunk(f, genChunk(rng))) // three layers each
 	}
 	f.Add([]byte{})
+	mdir := f.TempDir()
+	recordMcastRun(f, mdir, StreamOptions{WindowSteps: 16}, 3, 2, 4)
+	for seq := 1; ; seq++ {
+		payload, err := readFramed(filepath.Join(mdir, chunkSeg(seq)))
+		if err != nil {
+			break
+		}
+		f.Add(payload)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ch, err := decodeChunk(data)
@@ -339,11 +387,14 @@ func FuzzDecodeChunk(f *testing.F) {
 		}
 		items := 0
 		for _, part := range ch.Parts {
-			items += len(part.DVS) + len(part.TO)
+			items += len(part.DVS) + len(part.TO) + len(part.Mcast)
 			for _, rec := range part.DVS {
 				items += len(rec.Fx)
 			}
 			for _, rec := range part.TO {
+				items += len(rec.Fx)
+			}
+			for _, rec := range part.Mcast {
 				items += len(rec.Fx)
 			}
 		}
@@ -357,6 +408,86 @@ func FuzzDecodeChunk(f *testing.F) {
 		}
 		if renderChunk(again) != renderChunk(ch) {
 			t.Fatal("re-encoding changed the chunk")
+		}
+	})
+}
+
+// TestHeaderFooterRoundTrip: both segment codecs reproduce what was encoded,
+// nil and empty multicast group sets kept apart.
+func TestHeaderFooterRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	hdr := []NodeMeta{
+		{P: 0, Group: 3, Initial: genView(rng), InP0: true, GC: true},
+		{P: 1, Group: 3, Initial: genView(rng), Register: true, Static: true},
+		{P: 2, McastGroups: []types.GroupID{0, 2, 5}},
+		{P: 7, McastGroups: []types.GroupID{}},
+	}
+	got, err := decodeHeader(appendHeader(nil, hdr))
+	if err != nil {
+		t.Fatalf("decode header: %v", err)
+	}
+	if want, have := fmt.Sprintf("%+v", hdr), fmt.Sprintf("%+v", got); want != have {
+		t.Errorf("header round trip:\nwant %s\ngot  %s", want, have)
+	}
+	if got[1].McastGroups != nil || got[3].McastGroups == nil {
+		t.Errorf("nil and empty multicast groups not kept apart: %+v", got)
+	}
+	ft := streamFooter{Chunks: 1<<31 + 3, Totals: []nodeTotal{{P: 0, Steps: [numLayers]int{1 << 40, 7, 0}}, {P: 4, Steps: [numLayers]int{0, 0, 9}}}}
+	gotFt, err := decodeFooter(appendFooter(nil, ft))
+	if err != nil {
+		t.Fatalf("decode footer: %v", err)
+	}
+	if want, have := fmt.Sprintf("%+v", ft), fmt.Sprintf("%+v", gotFt); want != have {
+		t.Errorf("footer round trip: want %s, got %s", want, have)
+	}
+}
+
+// FuzzDecodeSegment is FuzzDecodeChunk's counterpart for the other two
+// segment kinds: arbitrary bytes fed to the header and footer decoders give
+// an error or a value, never a panic, never more nodes or totals than the
+// bytes could encode, and whatever decodes re-encodes to something that
+// decodes to the same value.
+func FuzzDecodeSegment(f *testing.F) {
+	rng := rand.New(rand.NewSource(17))
+	f.Add(appendHeader(nil, nil))
+	f.Add(appendHeader(nil, []NodeMeta{
+		{P: 0, Initial: genView(rng), InP0: true, Register: true, GC: true},
+		{P: 1, Initial: genView(rng), Static: true},
+	}))
+	f.Add(appendHeader(nil, []NodeMeta{{P: 3, McastGroups: []types.GroupID{0, 1, 2}}}))
+	f.Add(appendFooter(nil, streamFooter{}))
+	f.Add(appendFooter(nil, streamFooter{Chunks: 12, Totals: []nodeTotal{{P: 0, Steps: [numLayers]int{100, 200, 0}}, {P: 1, Steps: [numLayers]int{0, 0, 50}}}}))
+	f.Add([]byte(v2Header))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if hdr, err := decodeHeader(data); err == nil {
+			items := len(hdr)
+			for _, m := range hdr {
+				items += len(m.Initial.Members) + len(m.McastGroups)
+			}
+			if items > len(data) {
+				t.Fatalf("%d nodes, members and groups decoded from %d bytes", items, len(data))
+			}
+			again, err := decodeHeader(appendHeader(nil, hdr))
+			if err != nil {
+				t.Fatalf("re-encoded header does not decode: %v", err)
+			}
+			if fmt.Sprintf("%+v", again) != fmt.Sprintf("%+v", hdr) {
+				t.Fatal("re-encoding changed the header")
+			}
+		}
+		if ft, err := decodeFooter(data); err == nil {
+			if len(ft.Totals) > len(data) {
+				t.Fatalf("%d totals decoded from %d bytes", len(ft.Totals), len(data))
+			}
+			again, err := decodeFooter(appendFooter(nil, ft))
+			if err != nil {
+				t.Fatalf("re-encoded footer does not decode: %v", err)
+			}
+			if fmt.Sprintf("%+v", again) != fmt.Sprintf("%+v", ft) {
+				t.Fatal("re-encoding changed the footer")
+			}
 		}
 	})
 }

@@ -28,7 +28,7 @@ import (
 
 // Filter is the primary-view decision state machine the shell drives: the
 // exact method set of the VS-TO-DVS automaton. The static baseline
-// (internal/staticp) implements the same interface.
+// (internal/protocol/staticcore) implements the same interface.
 type Filter = dvscore.Filter
 
 // Handler receives the DVS upcalls (primary views, client messages, safe

@@ -46,7 +46,6 @@ func DefaultModelpureConfig() ModelpureConfig {
 			"repro/internal/dvsg",
 			"repro/internal/tob",
 			"repro/internal/mcast",
-			"repro/internal/staticp",
 			"repro/internal/member",
 			"repro/internal/types",
 			"repro/internal/quorum",

@@ -113,16 +113,23 @@ func TestBadEditFixturesAreCaught(t *testing.T) {
 			t.Errorf("analyzer %s reported nothing on the badmcast fixtures; the mcast core is unguarded", a)
 		}
 	}
-	// The trace codec's encoder with one variant's case deleted must fail
+	// The trace codec's encoders with one variant's case deleted must fail
 	// the gate: that edit ends every recorded trace at the first such effect.
-	wire := false
+	// Both the DVS half (FxGC) and the multicast half (FxDeliver) are seeded.
+	wire := map[string]bool{}
 	for _, d := range diags {
-		if d.Analyzer == "effectcomplete" && strings.Contains(d.Pos.Filename, "badwire") && strings.Contains(d.Message, "FxGC") {
-			wire = true
+		if d.Analyzer == "effectcomplete" && strings.Contains(d.Pos.Filename, "badwire") {
+			for _, variant := range []string{"FxGC", "FxDeliver"} {
+				if strings.Contains(d.Message, variant) {
+					wire[variant] = true
+				}
+			}
 		}
 	}
-	if !wire {
-		t.Error("effectcomplete did not report the variant dropped from the badwire encoder; the codec is unguarded")
+	for _, variant := range []string{"FxGC", "FxDeliver"} {
+		if !wire[variant] {
+			t.Errorf("effectcomplete did not report %s dropped from the badwire encoders; the codec is unguarded", variant)
+		}
 	}
 	// The reverted head check is keyequal's only finding, and it is in the
 	// fixture's core tree: the rule does not leak onto the shell fixtures.

@@ -46,45 +46,38 @@ func DefaultEffectcompleteConfig() EffectcompleteConfig {
 		dvsEffect = "repro/internal/protocol/dvscore.Effect"
 		toEvent   = "repro/internal/protocol/tocore.Event"
 		toEffect  = "repro/internal/protocol/tocore.Effect"
+		mcEvent   = "repro/internal/protocol/mcastcore.Event"
+		mcEffect  = "repro/internal/protocol/mcastcore.Effect"
 	)
 	return EffectcompleteConfig{
-		Unions: []string{
-			dvsEvent,
-			dvsEffect,
-			toEvent,
-			toEffect,
-			"repro/internal/protocol/mcastcore.Event",
-			"repro/internal/protocol/mcastcore.Effect",
-		},
+		Unions: []string{dvsEvent, dvsEffect, toEvent, toEffect, mcEvent, mcEffect},
 		Require: map[string][]string{
 			// dvsg consumes the DVS core's effects; tob the TO core's; the
 			// multicast coordinator the mcast core's.
-			"repro/internal/dvsg":  {"repro/internal/protocol/dvscore.Effect"},
-			"repro/internal/tob":   {"repro/internal/protocol/tocore.Effect"},
-			"repro/internal/mcast": {"repro/internal/protocol/mcastcore.Effect"},
-			// The conformance layer clones and replays all six unions.
-			"repro/internal/conform": {
-				dvsEvent,
-				dvsEffect,
-				toEvent,
-				toEffect,
-				"repro/internal/protocol/mcastcore.Event",
-				"repro/internal/protocol/mcastcore.Effect",
-			},
+			"repro/internal/dvsg":  {dvsEffect},
+			"repro/internal/tob":   {toEffect},
+			"repro/internal/mcast": {mcEffect},
+			// The conformance layer encodes, decodes and renders all six
+			// unions.
+			"repro/internal/conform": {dvsEvent, dvsEffect, toEvent, toEffect, mcEvent, mcEffect},
 		},
 		RequireFuncs: map[string]map[string][]string{
 			// The stream trace codec (conform/wire.go): a variant the
 			// encoder cannot tag ends the trace, one the decoder cannot
 			// construct makes every trace holding it unreadable.
 			"repro/internal/conform": {
-				"repro/internal/conform.appendDVSEvent":          {dvsEvent},
-				"repro/internal/conform.appendDVSEffect":         {dvsEffect},
-				"repro/internal/conform.appendTOEvent":           {toEvent},
-				"repro/internal/conform.appendTOEffect":          {toEffect},
-				"(*repro/internal/conform.wireReader).dvsEvent":  {dvsEvent},
-				"(*repro/internal/conform.wireReader).dvsEffect": {dvsEffect},
-				"(*repro/internal/conform.wireReader).toEvent":   {toEvent},
-				"(*repro/internal/conform.wireReader).toEffect":  {toEffect},
+				"repro/internal/conform.appendDVSEvent":            {dvsEvent},
+				"repro/internal/conform.appendDVSEffect":           {dvsEffect},
+				"repro/internal/conform.appendTOEvent":             {toEvent},
+				"repro/internal/conform.appendTOEffect":            {toEffect},
+				"repro/internal/conform.appendMcastEvent":          {mcEvent},
+				"repro/internal/conform.appendMcastEffect":         {mcEffect},
+				"(*repro/internal/conform.wireReader).dvsEvent":    {dvsEvent},
+				"(*repro/internal/conform.wireReader).dvsEffect":   {dvsEffect},
+				"(*repro/internal/conform.wireReader).toEvent":     {toEvent},
+				"(*repro/internal/conform.wireReader).toEffect":    {toEffect},
+				"(*repro/internal/conform.wireReader).mcastEvent":  {mcEvent},
+				"(*repro/internal/conform.wireReader).mcastEffect": {mcEffect},
 			},
 		},
 	}

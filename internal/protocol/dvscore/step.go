@@ -14,7 +14,7 @@ import "repro/internal/types"
 
 // Filter is the primary-view decision state machine the drain policy
 // drives: the exact method set of the VS-TO-DVS automaton (Node). The
-// static-primary baseline (internal/staticp) implements the same interface.
+// static-primary baseline (internal/protocol/staticcore) implements the same interface.
 type Filter interface {
 	OnVSNewView(v types.View)
 	OnVSGpRcv(m types.Msg, q types.ProcID)

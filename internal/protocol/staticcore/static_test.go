@@ -1,15 +1,14 @@
-package staticp
+package staticcore
 
 import (
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/dvsg"
+	"repro/internal/protocol/dvscore"
 	"repro/internal/quorum"
 	"repro/internal/types"
 )
 
-var _ dvsg.Filter = (*Node)(nil)
+var _ dvscore.Filter = (*Node)(nil)
 
 func newStatic(t *testing.T) (*Node, types.View) {
 	t.Helper()
@@ -18,13 +17,9 @@ func newStatic(t *testing.T) (*Node, types.View) {
 	return NewNode(0, v0, true, qs), v0
 }
 
-func vw(seq uint64, members ...types.ProcID) types.View {
-	return types.NewView(types.ViewID{Seq: seq}, members...)
-}
-
 func TestStaticAcceptsMajorityOfP0(t *testing.T) {
 	n, _ := newStatic(t)
-	v1 := vw(1, 0, 1)
+	v1 := view(1, 0, 1)
 	n.OnVSNewView(v1)
 	cand, ok := n.DVSNewViewEnabled()
 	if !ok || !cand.Equal(v1) {
@@ -41,7 +36,7 @@ func TestStaticAcceptsMajorityOfP0(t *testing.T) {
 func TestStaticRejectsMinorityOfP0(t *testing.T) {
 	n, _ := newStatic(t)
 	// {0, 3, 4} has only one member of P0 = {0,1,2}.
-	v1 := vw(1, 0, 3, 4)
+	v1 := view(1, 0, 3, 4)
 	n.OnVSNewView(v1)
 	if _, ok := n.DVSNewViewEnabled(); ok {
 		t.Error("minority of P0 accepted as static primary")
@@ -52,7 +47,7 @@ func TestStaticRejectsDriftedMembership(t *testing.T) {
 	// The paper's point: once the population drifts away from P0, no
 	// static primary can form, no matter how large the view.
 	n, _ := newStatic(t)
-	v1 := vw(1, 0, 5, 6, 7, 8, 9)
+	v1 := view(1, 0, 5, 6, 7, 8, 9)
 	n.OnVSNewView(v1)
 	if _, ok := n.DVSNewViewEnabled(); ok {
 		t.Error("drifted view accepted by the static system")
@@ -75,13 +70,13 @@ func TestStaticMessagePassThrough(t *testing.T) {
 	if e, ok := n.DVSGpRcvHead(); !ok || e.Q != 1 {
 		t.Fatal("delivery not buffered")
 	}
-	if err := n.TakeDVSGpRcvHead(core.MsgFrom{M: m, Q: 1}); err != nil {
+	if err := n.TakeDVSGpRcvHead(dvscore.MsgFrom{M: m, Q: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if e, ok := n.DVSSafeHead(); !ok || e.Q != 1 {
 		t.Fatal("safe not buffered")
 	}
-	if err := n.TakeDVSSafeHead(core.MsgFrom{M: m, Q: 1}); err != nil {
+	if err := n.TakeDVSSafeHead(dvscore.MsgFrom{M: m, Q: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -91,7 +86,7 @@ func TestStaticNoGCNoAmb(t *testing.T) {
 	if len(n.GCCandidates()) != 0 || len(n.Amb()) != 0 {
 		t.Error("static filter has no dynamic state")
 	}
-	if err := n.PerformGC(vw(1, 0, 1)); err == nil {
+	if err := n.PerformGC(view(1, 0, 1)); err == nil {
 		t.Error("static GC should fail")
 	}
 	n.OnDVSRegister() // must be a harmless no-op
@@ -99,7 +94,7 @@ func TestStaticNoGCNoAmb(t *testing.T) {
 
 func TestStaticNewViewMonotone(t *testing.T) {
 	n, _ := newStatic(t)
-	v1 := vw(1, 0, 1)
+	v1 := view(1, 0, 1)
 	n.OnVSNewView(v1)
 	if err := n.PerformDVSNewView(v1); err != nil {
 		t.Fatal(err)

@@ -22,9 +22,6 @@ type AvailabilityConfig struct {
 	ChurnPeriod  time.Duration // time between replacements
 	SamplePeriod time.Duration // availability sampling interval
 	Seed         int64
-	// Record enables protocol-trace recording (dynamic mode only); the
-	// harvested logs land in AvailabilityResult.Trace.
-	Record bool
 	// Stream, when set, spills the run's protocol trace to the chunked
 	// on-disk recorder instead of holding it in memory (dynamic mode only).
 	Stream *dvs.TraceStream
@@ -57,7 +54,6 @@ type AvailabilityResult struct {
 	PrimariesSeen  int
 	FinalAvailable bool // primary exists after the last replacement settles
 	Run            RunStats
-	Trace          []dvs.TraceLog // recorded protocol trace (Config.Record)
 }
 
 // Fraction is the availability fraction.
@@ -89,7 +85,6 @@ func Availability(cfg AvailabilityConfig) (AvailabilityResult, error) {
 		Initial:   initial,
 		Mode:      cfg.Mode,
 		Seed:      cfg.Seed,
-		Record:    cfg.Record,
 		Stream:    cfg.Stream,
 	})
 	if err != nil {
@@ -133,7 +128,6 @@ func Availability(cfg AvailabilityConfig) (AvailabilityResult, error) {
 	res.FinalAvailable = available(cl, active, primaries)
 	res.PrimariesSeen = len(primaries)
 	res.Run = captureRunStats(cl)
-	res.Trace = harvestTrace(cl, cfg.Record)
 	return res, nil
 }
 

@@ -18,7 +18,6 @@ type CascadeConfig struct {
 	Rounds      int
 	RoundPeriod time.Duration
 	Seed        int64
-	Record      bool             // record protocol traces (dynamic mode only)
 	Stream      *dvs.TraceStream // stream the trace to disk (dynamic mode only)
 }
 
@@ -43,7 +42,6 @@ type CascadeResult struct {
 	Primaries []dvs.View // unique primaries, in id order
 	ChainOK   bool
 	Run       RunStats
-	Trace     []dvs.TraceLog // recorded protocol trace (Config.Record)
 }
 
 // String renders one result row.
@@ -54,7 +52,7 @@ func (r CascadeResult) String() string {
 // PartitionCascade runs the scenario.
 func PartitionCascade(cfg CascadeConfig) (CascadeResult, error) {
 	cfg.fill()
-	cl, err := dvs.NewCluster(dvs.Config{Processes: cfg.Processes, Mode: cfg.Mode, Seed: cfg.Seed, Record: cfg.Record, Stream: cfg.Stream})
+	cl, err := dvs.NewCluster(dvs.Config{Processes: cfg.Processes, Mode: cfg.Mode, Seed: cfg.Seed, Stream: cfg.Stream})
 	if err != nil {
 		return CascadeResult{}, err
 	}
@@ -100,7 +98,6 @@ func PartitionCascade(cfg CascadeConfig) (CascadeResult, error) {
 	res.ChainOK = err == nil
 	sortViews(res.Primaries)
 	res.Run = captureRunStats(cl)
-	res.Trace = harvestTrace(cl, cfg.Record)
 	return res, err
 }
 
@@ -118,7 +115,6 @@ type ThroughputConfig struct {
 	Senders   int
 	Duration  time.Duration
 	Seed      int64
-	Record    bool                   // record protocol traces
 	Stream    *dvs.TraceStream       // stream the trace to disk
 	Online    *dvs.OnlineCheckConfig // run the in-process sampled checker (E13)
 }
@@ -144,7 +140,6 @@ type ThroughputResult struct {
 	Elapsed    time.Duration
 	Consistent bool
 	Run        RunStats
-	Trace      []dvs.TraceLog       // recorded protocol trace (Config.Record)
 	Check      dvs.OnlineCheckStats // summed checker counters (Config.Online)
 }
 
@@ -166,7 +161,7 @@ func (r ThroughputResult) String() string {
 // totally-ordered delivery rate, verifying cross-process consistency.
 func Throughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	cfg.fill()
-	cl, err := dvs.NewCluster(dvs.Config{Processes: cfg.Processes, Seed: cfg.Seed, Record: cfg.Record, Stream: cfg.Stream, Online: cfg.Online})
+	cl, err := dvs.NewCluster(dvs.Config{Processes: cfg.Processes, Seed: cfg.Seed, Stream: cfg.Stream, Online: cfg.Online})
 	if err != nil {
 		return ThroughputResult{}, err
 	}
@@ -208,7 +203,6 @@ func Throughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	res.Delivered = len(delivered[0])
 	res.Consistent = CheckDeliverySequences(delivered) == nil
 	res.Run = captureRunStats(cl)
-	res.Trace = harvestTrace(cl, cfg.Record)
 	if cfg.Online != nil {
 		for _, p := range cl.Processes() {
 			cs := p.CheckStats()
@@ -234,7 +228,6 @@ type RecoveryConfig struct {
 	Processes int
 	Seed      int64
 	Timeout   time.Duration
-	Record    bool             // record protocol traces
 	Stream    *dvs.TraceStream // stream the trace to disk
 
 	// History is the number of messages ordered and delivered everywhere
@@ -252,7 +245,6 @@ type RecoveryResult struct {
 	RecoveredOK    bool
 	ConsistencyErr string
 	Run            RunStats
-	Trace          []dvs.TraceLog // recorded protocol trace (Config.Record)
 }
 
 // String renders one result row.
@@ -271,7 +263,7 @@ func Recovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
 	}
-	cl, err := dvs.NewCluster(dvs.Config{Processes: cfg.Processes, Seed: cfg.Seed, Record: cfg.Record, Stream: cfg.Stream})
+	cl, err := dvs.NewCluster(dvs.Config{Processes: cfg.Processes, Seed: cfg.Seed, Stream: cfg.Stream})
 	if err != nil {
 		return RecoveryResult{}, err
 	}
@@ -349,7 +341,6 @@ func Recovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	}
 	res.ExtraMessages = cl.NetStats().Delivered - before.Delivered
 	res.Run = captureRunStats(cl)
-	res.Trace = harvestTrace(cl, cfg.Record)
 	if err := CheckDeliverySequences(delivered); err != nil {
 		res.ConsistencyErr = err.Error()
 		return res, err
@@ -404,7 +395,6 @@ type AblationConfig struct {
 	RoundPeriod time.Duration
 	DisableReg  bool
 	Seed        int64
-	Record      bool             // record protocol traces
 	Stream      *dvs.TraceStream // stream the trace to disk
 }
 
@@ -415,7 +405,6 @@ type AblationResult struct {
 	GCs                  uint64
 	Primaries            uint64
 	Run                  RunStats
-	Trace                []dvs.TraceLog // recorded protocol trace (Config.Record)
 }
 
 // String renders one result row.
@@ -441,7 +430,6 @@ func RegisterAblation(cfg AblationConfig) (AblationResult, error) {
 		Processes:           cfg.Processes,
 		Seed:                cfg.Seed,
 		DisableRegistration: cfg.DisableReg,
-		Record:              cfg.Record,
 		Stream:              cfg.Stream,
 	})
 	if err != nil {
@@ -479,6 +467,5 @@ func RegisterAblation(cfg AblationConfig) (AblationResult, error) {
 		}
 	}
 	res.Run = captureRunStats(cl)
-	res.Trace = harvestTrace(cl, cfg.Record)
 	return res, nil
 }

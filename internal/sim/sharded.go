@@ -21,9 +21,9 @@ type ShardedConfig struct {
 	// multicasts instead of keyed single-group broadcasts (0 <= f < 1).
 	CrossFrac float64
 	Seed      int64
-	// StreamDir, when non-empty, records every group's macro-steps into a
-	// sharded trace directory (plus the multicast logs); verify it with
-	// dvs.ReplayShardedTrace after the run.
+	// StreamDir, when non-empty, records the run into a sharded trace
+	// directory (one stream per group plus the multicast stream); verify it
+	// with dvs.ReplayShardedTrace after the run.
 	StreamDir string
 }
 
@@ -82,7 +82,7 @@ func Sharded(cfg ShardedConfig) (ShardedResult, error) {
 	cfg.fill()
 	cl, err := dvs.NewShardedCluster(dvs.ShardedConfig{
 		Processes: cfg.Processes, Groups: cfg.Groups, Seed: cfg.Seed,
-		Record: cfg.StreamDir != "", StreamDir: cfg.StreamDir,
+		StreamDir: cfg.StreamDir,
 	})
 	if err != nil {
 		return ShardedResult{}, err

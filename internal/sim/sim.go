@@ -29,19 +29,6 @@ func (r RunStats) String() string {
 		r.Net.Sent, r.Net.Delivered, r.Net.Dropped, r.Views, r.Retransmits, r.AvgLatency)
 }
 
-// harvestTrace returns the cluster's recorded protocol trace, or nil when
-// recording was off. It closes the cluster first (Close is idempotent, so
-// the scenario's deferred Close is unaffected): trace logs form the
-// consistent cut the conformance replayer requires only once every node has
-// stopped.
-func harvestTrace(cl *dvs.Cluster, record bool) []dvs.TraceLog {
-	if !record {
-		return nil
-	}
-	cl.Close()
-	return cl.TraceLogs()
-}
-
 // captureRunStats snapshots the cluster's counters; scenarios call it just
 // before returning (while the cluster is still open).
 func captureRunStats(cl *dvs.Cluster) RunStats {

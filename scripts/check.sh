@@ -15,7 +15,11 @@
 #   sh scripts/check.sh benchmod # only the gates on the bench/ module,
 #                               # which `./...` skips because it is its own
 #                               # module: its tests and dvslint over it
-#   sh scripts/check.sh fuzz    # only the 10 s FuzzDecodeChunk smoke
+#   sh scripts/check.sh fuzz    # only the fuzz smokes of the trace codec's
+#                               # decoders: 10 s each of FuzzDecodeChunk
+#                               # and FuzzDecodeSegment (header, footer)
+#   sh scripts/check.sh loc     # only the line-count ceilings on
+#                               # internal/conform and the tree
 #   sh scripts/check.sh bench   # only the benchmark-snapshot gate: run
 #                               # `make bench` and fail unless it leaves
 #                               # parseable, non-empty BENCH_checks.json,
@@ -211,14 +215,40 @@ benchmod_guard() {
 	echo "check.sh: bench module OK (tests + dvslint)"
 }
 
-# fuzz_guard is a 10 s smoke of the stream segment reader's fuzz target: it
-# cannot prove much, but a decoder edit that panics on malformed bytes tends
-# to die in the first seconds. The minimize budget is cut from its 60 s
-# default, which would otherwise swallow the whole smoke the first time an
-# input extends coverage.
+# fuzz_guard is a 10 s smoke of each of the stream segment reader's fuzz
+# targets (chunks; header and footer): it cannot prove much, but a decoder
+# edit that panics on malformed bytes tends to die in the first seconds. The
+# minimize budget is cut from its 60 s default, which would otherwise swallow
+# the whole smoke the first time an input extends coverage. (go test takes
+# one -fuzz target per run.)
 fuzz_guard() {
-	go test -run '^$' -fuzz FuzzDecodeChunk -fuzztime 10s -fuzzminimizetime 1s ./internal/conform
-	echo "check.sh: FuzzDecodeChunk smoke OK"
+	for target in FuzzDecodeChunk FuzzDecodeSegment; do
+		go test -run '^$' -fuzz "^$target\$" -fuzztime 10s -fuzzminimizetime 1s ./internal/conform
+		echo "check.sh: $target smoke OK"
+	done
+}
+
+# loc_guard holds internal/conform and the tree to the non-test line counts
+# PR 16 landed (scripts/loc.sh prints them per package). conform is where
+# this tree accretes — three recorders, four replayers and four encodings of
+# one record before that PR — so growing it again has to be a decision: raise
+# the ceiling in the same change and say in CHANGES.md what the lines buy.
+loc_guard() {
+	counts="$(sh scripts/loc.sh)"
+	for row in internal/conform:2670 total:24024; do
+		name=${row%%:*}
+		ceiling=${row##*:}
+		got=$(printf '%s\n' "$counts" | awk -v n="$name" '$2 == n { print $1 }')
+		if [ -z "$got" ]; then
+			echo "check.sh: scripts/loc.sh printed no row for $name" >&2
+			exit 1
+		fi
+		if [ "$got" -gt "$ceiling" ]; then
+			echo "check.sh: $name is $got non-test lines, over its ceiling of $ceiling (scripts/loc.sh) — delete something, or raise the ceiling in this change and say why in CHANGES.md" >&2
+			exit 1
+		fi
+		echo "check.sh: line count OK ($name: $got <= $ceiling)"
+	done
 }
 
 # lintgate_guard is the negative half of the lint gate: dvslint over the
@@ -280,11 +310,17 @@ if [ "$mode" = "fuzz" ]; then
 	exit 0
 fi
 
+if [ "$mode" = "loc" ]; then
+	loc_guard
+	exit 0
+fi
+
 if [ "$mode" = "all" ]; then
 	go build ./...
 	go vet ./...
 	go run ./cmd/dvslint ./...
 	lintgate_guard
+	loc_guard
 	go test -race ./...
 	benchmod_guard
 	fuzz_guard
@@ -331,12 +367,18 @@ if [ "$mode" = "all" ]; then
 
 	# Sharded conformance gate: run the multi-group scenario with 10%
 	# cross-group multicasts, record the sharded trace directory (one
-	# group-tagged stream per group plus the multicast logs), and replay
-	# the sealed directory cold — per-group protocol conformance and the
-	# multicast safety suite (agreement, timestamp order, no duplicates,
-	# cross-group partial order) in one pass.
+	# group-tagged stream per group under group-NN/ plus the multicast
+	# coordinators' under mcast/, and nothing else), and replay the sealed
+	# directory cold — per-group protocol conformance and the multicast
+	# safety suite (agreement, timestamp order, no duplicates, cross-group
+	# partial order) in one pass.
 	sharddir="$(mktemp -d)"
 	go run ./cmd/dvsim -scenario sharded -groups 3 -crossfrac 0.1 -duration 300ms -seed 3 -record "$sharddir/trace"
+	stray="$(ls "$sharddir/trace" | grep -v -e '^group-[0-9][0-9]$' -e '^mcast$' || true)"
+	if [ -n "$stray" ]; then
+		echo "check.sh: sharded trace directory holds something other than group-NN/ and mcast/: $stray" >&2
+		exit 1
+	fi
 	go run ./cmd/dvsim -replay "$sharddir/trace"
 	rm -rf "$sharddir"
 	echo "check.sh: sharded conformance gate OK"

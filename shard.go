@@ -22,30 +22,17 @@ type GroupID = types.GroupID
 // identically in every addressed group.
 type McastDelivery = mcastcore.Delivered
 
-// McastTraceLog is one process's recorded multicast trace; see
-// ShardedCluster.McastLogs and ReplayMcastTrace.
-type McastTraceLog = conform.McastLog
-
-// McastConformanceReport is the outcome of replaying multicast traces.
-type McastConformanceReport = conform.McastReport
-
-// ReplayMcastTrace re-executes recorded multicast logs through the
-// multicast core and checks the multicast safety suite: per-group
-// agreement, (timestamp, id) delivery order, no duplicates, and the
-// cross-group partial order — any two groups that both deliver two
-// multicasts deliver them in the same relative order.
-func ReplayMcastTrace(logs []McastTraceLog) *McastConformanceReport {
-	return conform.ReplayMcast(logs)
-}
-
-// ShardedConformanceReport aggregates the per-group stream replays and the
-// multicast replay of one sharded trace directory.
+// ShardedConformanceReport aggregates the stream replays of one sharded
+// trace directory: one per group, plus the multicast stream.
 type ShardedConformanceReport = conform.ShardedReport
 
 // ReplayShardedTrace replays a sharded trace directory written by a
-// ShardedCluster with StreamDir: every group's chunked stream through the
-// stream replayer, plus the multicast logs (when recorded) through the
-// multicast safety suite.
+// ShardedCluster with StreamDir, every stream through the stream replayer:
+// each group's protocol conformance, and the multicast coordinators' steps
+// with the multicast safety suite — per-group agreement, (timestamp, id)
+// delivery order, no duplicates, and the cross-group partial order (any two
+// groups that both deliver two multicasts deliver them in the same relative
+// order).
 func ReplayShardedTrace(dir string) (*ShardedConformanceReport, error) {
 	return conform.ReplaySharded(dir)
 }
@@ -72,15 +59,10 @@ type ShardedConfig struct {
 	// RingReplicas is the number of consistent-hash points per group on
 	// the submit router (0 = shard.DefaultReplicas).
 	RingReplicas int
-	// Record enables in-memory trace recording: per-(process, group)
-	// protocol logs (TraceLogs) and per-process multicast logs
-	// (McastLogs), both harvested after Close.
-	Record bool
-	// StreamDir, when non-empty, spills every group's macro-steps into a
-	// sharded trace directory: one chunked stream per group under
-	// group-NN/ subdirectories. Close seals the streams and (with Record)
-	// writes the multicast logs alongside; check the directory with
-	// ReplayShardedTrace.
+	// StreamDir, when non-empty, records the run into a sharded trace
+	// directory: one chunked stream per group under group-NN/ and the
+	// multicast coordinators' stream under mcast/. Close seals the streams;
+	// check the directory with ReplayShardedTrace.
 	StreamDir string
 }
 
@@ -98,6 +80,7 @@ type ShardedCluster struct {
 	ring     *shard.Ring
 	procs    map[ProcID]*ShardedProcess
 	streams  map[types.GroupID]*TraceStream
+	mstream  *TraceStream // the multicast layer's stream; nil without StreamDir
 	close    sync.Once
 	closeErr error
 }
@@ -111,7 +94,6 @@ type ShardedProcess struct {
 	stacks map[types.GroupID]*stack
 	ring   *shard.Ring
 	mc     *mcast.Coordinator
-	mrec   *conform.McastRecorder // nil unless Record
 }
 
 // NewShardedCluster builds and starts a sharded cluster.
@@ -147,6 +129,10 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 			}
 			c.streams[g] = sr
 		}
+		var err error
+		if c.mstream, err = NewTraceStream(conform.McastDir(cfg.StreamDir), TraceStreamOptions{}); err != nil {
+			return nil, fmt.Errorf("dvs: creating multicast trace stream: %w", err)
+		}
 	}
 
 	for _, id := range universe.Sorted() {
@@ -170,7 +156,6 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 				tick:                cfg.TickInterval,
 				suspect:             cfg.SuspectTimeout,
 				retry:               cfg.ProposeRetry,
-				record:              cfg.Record,
 				stream:              c.streams[g],
 			})
 			if err != nil {
@@ -180,9 +165,12 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 			ports = append(ports, mcast.GroupPort{G: g, TOB: st.tob, Run: st.vsg.Do})
 		}
 		sp.mc = mcast.New(id, ports)
-		if cfg.Record {
-			sp.mrec = conform.NewMcastRecorder(id, groups)
-			sp.mc.AddObserver(sp.mrec.Observe)
+		if c.mstream != nil {
+			sn, err := c.mstream.McastNode(id, groups)
+			if err != nil {
+				return nil, fmt.Errorf("dvs: registering process %s with the multicast trace stream: %w", id, err)
+			}
+			sp.mc.AddObserver(sn.ObserveMcast)
 		}
 		for _, g := range groups {
 			sp.stacks[g].tob.SetDeliverHook(sp.mc.Hook(g))
@@ -263,50 +251,13 @@ func (c *ShardedCluster) Close() error {
 				}
 			}
 		}
-		if c.cfg.StreamDir != "" && c.cfg.Record {
-			if err := conform.WriteMcastLogs(c.cfg.StreamDir, c.mcastLogs()); err != nil && c.closeErr == nil {
-				c.closeErr = fmt.Errorf("dvs: writing multicast logs: %w", err)
+		if c.mstream != nil {
+			if err := c.mstream.Close(); err != nil && c.closeErr == nil {
+				c.closeErr = fmt.Errorf("dvs: sealing multicast trace: %w", err)
 			}
 		}
 	})
 	return c.closeErr
-}
-
-// TraceLogs returns the recorded protocol traces of group g, in process-id
-// order, or nil without Record. Must be called after Close; each group's
-// logs form their own consistent cut and replay as an independent set.
-func (c *ShardedCluster) TraceLogs(g types.GroupID) []TraceLog {
-	if !c.cfg.Record {
-		return nil
-	}
-	out := make([]TraceLog, 0, len(c.procs))
-	for _, id := range c.universe.Sorted() {
-		st, ok := c.procs[id].stacks[g]
-		if !ok {
-			return nil
-		}
-		out = append(out, st.rec.Log())
-	}
-	return out
-}
-
-// McastLogs returns the recorded multicast traces, in process-id order, or
-// nil without Record. Must be called after Close; check with
-// conform.ReplayMcast (cross-group partial order, per-group agreement,
-// timestamp order, no duplicates).
-func (c *ShardedCluster) McastLogs() []conform.McastLog {
-	if !c.cfg.Record {
-		return nil
-	}
-	return c.mcastLogs()
-}
-
-func (c *ShardedCluster) mcastLogs() []conform.McastLog {
-	out := make([]conform.McastLog, 0, len(c.procs))
-	for _, id := range c.universe.Sorted() {
-		out = append(out, c.procs[id].mrec.Log())
-	}
-	return out
 }
 
 // ID returns the process id.

@@ -3,9 +3,12 @@ package dvs
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/conform"
 	"repro/internal/types"
 )
 
@@ -82,7 +85,8 @@ func assertCrossGroupOrder(t *testing.T, consensus map[GroupID][]McastDelivery, 
 // clean.
 func TestShardedKeyedRouting(t *testing.T) {
 	const n, ngroups, msgs = 4, 3, 36
-	cl, err := NewShardedCluster(ShardedConfig{Processes: n, Groups: ngroups, Seed: 11, Record: true})
+	traceDir := t.TempDir()
+	cl, err := NewShardedCluster(ShardedConfig{Processes: n, Groups: ngroups, Seed: 11, StreamDir: traceDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +135,18 @@ func TestShardedKeyedRouting(t *testing.T) {
 		}
 	}
 
-	cl.Close()
+	if err := cl.Close(); err != nil {
+		t.Fatalf("closing sharded cluster: %v", err)
+	}
 	for _, g := range groups {
-		rep := ReplayTrace(cl.TraceLogs(g))
+		rep := ReplayTrace(readTrace(t, conform.GroupDir(traceDir, g)))
 		if err := rep.Err(); err != nil {
 			t.Fatalf("group %s trace conformance: %v (%s)", g, err, rep)
 		}
 	}
-	if rep := ReplayMcastTrace(cl.McastLogs()); rep.Err() != nil {
-		t.Fatalf("multicast trace conformance: %v (%s)", rep.Err(), rep)
+	mrep := ReplayTrace(readTrace(t, conform.McastDir(traceDir)))
+	if err := mrep.Err(); err != nil || mrep.Nodes != n || mrep.McastSteps != 0 {
+		t.Fatalf("(empty) multicast trace conformance: %v (%s)", err, mrep)
 	}
 }
 
@@ -150,7 +157,8 @@ func TestShardedKeyedRouting(t *testing.T) {
 // application streams alongside keyed traffic.
 func TestShardedMulticastOrdering(t *testing.T) {
 	const n = 3
-	cl, err := NewShardedCluster(ShardedConfig{Processes: n, Groups: 2, Seed: 12, Record: true})
+	traceDir := t.TempDir()
+	cl, err := NewShardedCluster(ShardedConfig{Processes: n, Groups: 2, Seed: 12, StreamDir: traceDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +233,11 @@ func TestShardedMulticastOrdering(t *testing.T) {
 		assertPrefixConsistent(t, streams)
 	}
 
-	cl.Close()
-	if rep := ReplayMcastTrace(cl.McastLogs()); rep.Err() != nil {
+	if err := cl.Close(); err != nil {
+		t.Fatalf("closing sharded cluster: %v", err)
+	}
+	rep := ReplayTrace(readTrace(t, conform.McastDir(traceDir)))
+	if rep.Err() != nil || rep.McastSteps == 0 {
 		for _, d := range rep.Divergences {
 			t.Errorf("divergence: %s", d)
 		}
@@ -253,7 +264,7 @@ func TestShardedChaosSoak(t *testing.T) {
 	const n, ngroups = 4, 3
 	traceDir := t.TempDir()
 	cl, err := NewShardedCluster(ShardedConfig{
-		Processes: n, Groups: ngroups, Seed: 13, Record: true, StreamDir: traceDir,
+		Processes: n, Groups: ngroups, Seed: 13, StreamDir: traceDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,10 +387,11 @@ func TestShardedChaosSoak(t *testing.T) {
 		t.Fatalf("closing sharded cluster: %v", err)
 	}
 
-	// Conformance, three ways: per-group in-memory replay, multicast
-	// replay, and the sealed sharded stream directory.
+	// Conformance, three ways: each group's decoded logs as one window, the
+	// multicast coordinators' likewise, and the sealed sharded directory
+	// chunk by chunk.
 	for _, g := range groups {
-		rep := ReplayTrace(cl.TraceLogs(g))
+		rep := ReplayTrace(readTrace(t, conform.GroupDir(traceDir, g)))
 		if err := rep.Err(); err != nil {
 			for _, d := range rep.Divergences {
 				t.Errorf("group %s divergence: %s", g, d)
@@ -390,8 +402,8 @@ func TestShardedChaosSoak(t *testing.T) {
 			t.Fatalf("group %s trace conformance under nemesis: %v (%s)", g, err, rep)
 		}
 	}
-	mrep := ReplayMcastTrace(cl.McastLogs())
-	if err := mrep.Err(); err != nil {
+	mrep := ReplayTrace(readTrace(t, conform.McastDir(traceDir)))
+	if err := mrep.Err(); err != nil || mrep.McastSteps == 0 {
 		for _, d := range mrep.Divergences {
 			t.Errorf("multicast divergence: %s", d)
 		}
@@ -407,6 +419,96 @@ func TestShardedChaosSoak(t *testing.T) {
 	if !srep.OK() {
 		t.Fatalf("sharded stream replay not clean: %v (%s)", srep.Err(), srep)
 	}
+	if srep.Mcast == nil || srep.Mcast.McastSteps != mrep.McastSteps {
+		t.Errorf("sharded replay covered %v multicast steps, the decoded logs hold %d", srep.Mcast, mrep.McastSteps)
+	}
 	t.Logf("sharded soak: %d keyed, %d multicasts (%.0f%% cross-group), %s",
 		msgs, multis, 100*float64(multis)/float64(multis+msgs), srep)
+}
+
+// TestShardedKilledRunReplaysSealedPrefix: the multicast log is a stream
+// like the per-group ones, so a sharded run that dies without Close leaves
+// a sealed prefix of every layer on disk. The directory of a still-running
+// cluster is what a killed one leaves behind: it must replay clean up to
+// the last complete chunk of each stream, multicast steps included, and say
+// that none of them was sealed.
+func TestShardedKilledRunReplaysSealedPrefix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pumps enough traffic to spill chunks at the default window")
+	}
+	const n, ngroups = 3, 2
+	traceDir := t.TempDir()
+	cl, err := NewShardedCluster(ShardedConfig{Processes: n, Groups: ngroups, Seed: 14, StreamDir: traceDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	groups := cl.Groups()
+
+	// Every multicast is a handful of coordinator steps at each process, so
+	// a few hundred of them cut the multicast stream's first chunk; the
+	// group streams, which record far more steps per message, get there
+	// sooner. Pump in bounded rounds until every stream has a chunk on disk.
+	spilled := func() bool {
+		dirs := []string{conform.McastDir(traceDir)}
+		for _, g := range groups {
+			dirs = append(dirs, conform.GroupDir(traceDir, g))
+		}
+		for _, dir := range dirs {
+			if _, err := os.Stat(filepath.Join(dir, "chunk-00000001.seg")); err != nil {
+				return false
+			}
+		}
+		return true
+	}
+	streams := make([][][]Delivery, ngroups)
+	for gi := range streams {
+		streams[gi] = make([][]Delivery, n)
+	}
+	sent := 0
+	for deadline := time.Now().Add(60 * time.Second); !spilled(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("no chunk of every stream on disk after %d multicasts", sent)
+		}
+		for i := 0; i < 100; i++ {
+			if err := cl.Process(sent%n).SubmitMulti(groups, fmt.Sprintf("x%d", sent)); err != nil {
+				t.Fatalf("multicast submit: %v", err)
+			}
+			sent++
+		}
+		for gi, g := range groups {
+			for i := 0; i < n; i++ {
+				waitDeliveries(t, groupHandle(t, cl.Process(i), g), &streams[gi][i], sent, 30*time.Second)
+			}
+		}
+	}
+
+	rep, err := ReplayShardedTrace(traceDir)
+	if err != nil {
+		t.Fatalf("replay of an unclosed sharded trace must not hard-fail: %v", err)
+	}
+	if rep.OK() {
+		t.Fatalf("unclosed sharded trace reported sealed and clean:\n%s", rep)
+	}
+	if len(rep.Groups) != ngroups || rep.Mcast == nil {
+		t.Fatalf("replay covered %d group streams and multicast=%v, want %d and a multicast stream", len(rep.Groups), rep.Mcast != nil, ngroups)
+	}
+	for _, g := range groups {
+		sr := rep.Groups[g]
+		if sr.Sealed || sr.Truncated == "" || sr.Chunks == 0 || sr.TOSteps == 0 || !sr.Report.OK() {
+			t.Errorf("group %s prefix: want unsealed, truncated, non-empty and clean, got %s", g, sr)
+		}
+	}
+	mc := rep.Mcast
+	if mc.Sealed || mc.Truncated == "" || mc.Chunks == 0 || mc.McastSteps == 0 || mc.Checks == 0 || !mc.Report.OK() {
+		t.Errorf("multicast prefix: want unsealed, truncated, non-empty, checked and clean, got %s", mc)
+	}
+
+	// The same directory, once the run does close, seals.
+	if err := cl.Close(); err != nil {
+		t.Fatalf("closing sharded cluster: %v", err)
+	}
+	if rep, err = ReplayShardedTrace(traceDir); err != nil || !rep.OK() {
+		t.Fatalf("closed sharded trace: %v / %v\n%s", err, rep.Err(), rep)
+	}
 }

@@ -22,16 +22,17 @@ func TestSoakRandomizedNemesis(t *testing.T) {
 		t.Skip("soak")
 	}
 	const n = 6
-	// The nemesis run also spills its trace to the chunked on-disk recorder:
-	// the streamed replay at the end must agree with the in-memory one, and
-	// the tight window proves recorder memory stays O(window) over the soak.
+	// The nemesis run records its trace with a tight chunk window: at the end
+	// the chunk-by-chunk replay must agree with the one-window replay of the
+	// decoded logs, and the window proves recorder memory stays O(window)
+	// over the soak.
 	traceDir := t.TempDir()
 	const traceWindow = 512
 	stream, err := NewTraceStream(traceDir, TraceStreamOptions{WindowSteps: traceWindow})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(Config{Processes: n, Seed: 77, Record: true, Stream: stream})
+	cl, err := NewCluster(Config{Processes: n, Seed: 77, Stream: stream})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,10 @@ func TestSoakRandomizedNemesis(t *testing.T) {
 	// cut point is the crash, which is consistent because every message they
 	// received was recorded as sent in some peer's (longer) log.
 	cl.Close()
-	rep := ReplayTrace(cl.TraceLogs())
+	if err := stream.Close(); err != nil {
+		t.Fatalf("sealing trace stream: %v", err)
+	}
+	rep := ReplayTrace(readTrace(t, traceDir))
 	if err := rep.Err(); err != nil {
 		for _, d := range rep.Divergences {
 			t.Errorf("divergence: %s", d)
@@ -185,13 +189,10 @@ func TestSoakRandomizedNemesis(t *testing.T) {
 	}
 	t.Logf("conformance: %s", rep)
 
-	// Streamed conformance over the same run: seal the chunked trace and
-	// replay it incrementally. Verdict and coverage must match the in-memory
-	// replay, and the recorder's high-water mark must respect the window —
-	// the O(window) memory claim, witnessed under a full nemesis soak.
-	if err := stream.Close(); err != nil {
-		t.Fatalf("sealing trace stream: %v", err)
-	}
+	// Streamed conformance over the same run: replay the sealed directory
+	// incrementally. Verdict and coverage must match the one-window replay,
+	// and the recorder's high-water mark must respect the window — the
+	// O(window) memory claim, witnessed under a full nemesis soak.
 	srep, err := ReplayTraceStream(traceDir)
 	if err != nil {
 		t.Fatalf("streamed replay: %v", err)
@@ -209,10 +210,10 @@ func TestSoakRandomizedNemesis(t *testing.T) {
 		t.Errorf("nemesis stream not sealed: %s", srep)
 	}
 	if srep.OK() != rep.OK() {
-		t.Errorf("streamed verdict %v disagrees with in-memory verdict %v", srep.OK(), rep.OK())
+		t.Errorf("streamed verdict %v disagrees with one-window verdict %v", srep.OK(), rep.OK())
 	}
 	if srep.DVSSteps != rep.DVSSteps || srep.TOSteps != rep.TOSteps {
-		t.Errorf("streamed replay covered dvs=%d/to=%d steps, in-memory dvs=%d/to=%d",
+		t.Errorf("streamed replay covered dvs=%d/to=%d steps, one-window dvs=%d/to=%d",
 			srep.DVSSteps, srep.TOSteps, rep.DVSSteps, rep.TOSteps)
 	}
 	if peak := stream.PeakWindowSteps(); peak > traceWindow {

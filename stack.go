@@ -8,8 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dvsg"
 	netfab "repro/internal/net"
+	"repro/internal/protocol/staticcore"
 	"repro/internal/quorum"
-	"repro/internal/staticp"
 	"repro/internal/tob"
 	"repro/internal/types"
 	"repro/internal/vsg"
@@ -35,7 +35,6 @@ type stackConfig struct {
 	suspect             time.Duration
 	retry               time.Duration
 
-	record bool
 	stream *TraceStream
 	online *OnlineCheckConfig
 }
@@ -48,7 +47,6 @@ type stack struct {
 	vsg   *vsg.Node
 	dvs   *dvsg.Layer
 	tob   *tob.Layer
-	rec   *conform.Recorder      // nil unless record
 	check *conform.OnlineChecker // nil unless online
 }
 
@@ -68,7 +66,7 @@ func buildStack(sc stackConfig) (*stack, error) {
 
 	var filter dvsg.Filter
 	if sc.mode == ModeStatic {
-		filter = staticp.NewNode(sc.self, sc.initial, sc.initial.Contains(sc.self), quorum.Majority(sc.p0))
+		filter = staticcore.NewNode(sc.self, sc.initial, sc.initial.Contains(sc.self), quorum.Majority(sc.p0))
 	} else {
 		filter = core.NewNode(sc.self, sc.initial, sc.initial.Contains(sc.self))
 	}
@@ -85,11 +83,6 @@ func buildStack(sc stackConfig) (*stack, error) {
 	gcOn := sc.mode == ModeDynamic
 	static := sc.mode == ModeStatic
 	st := &stack{group: sc.group, vsg: node, dvs: layer, tob: app}
-	if sc.record {
-		st.rec = conform.NewRecorder(sc.self, sc.group, sc.initial, sc.initial.Contains(sc.self), !sc.disableRegistration, gcOn, static)
-		layer.AddObserver(st.rec.ObserveDVS)
-		app.AddObserver(st.rec.ObserveTO)
-	}
 	if sc.stream != nil {
 		sn, err := sc.stream.Node(sc.self, sc.group, sc.initial, sc.initial.Contains(sc.self), !sc.disableRegistration, gcOn, static)
 		if err != nil {

@@ -76,7 +76,6 @@ func TestChaosTCPFaultSoak(t *testing.T) {
 			Listen:       addrs[i],
 			Peers:        peers,
 			TickInterval: 5 * time.Millisecond,
-			Record:       true,
 			Stream:       stream,
 			Online:       online,
 			WrapTransport: func(tr netfab.Transport) netfab.Transport {
@@ -237,18 +236,18 @@ func TestChaosTCPFaultSoak(t *testing.T) {
 	closed = true
 	closeAll()
 
-	// Trace conformance: with every node stopped, the per-node logs form a
-	// consistent cut. Replaying them through the protocol cores must
-	// re-derive every recorded effect, and the reconstructed final states
-	// must satisfy the paper's invariants — the refinement check of the
-	// unverified transport and view-synchronous layers under fault injection.
-	logs := make([]TraceLog, 0, n)
-	for i := 0; i < n; i++ {
-		lg, ok := nodes[i].TraceLog()
-		if !ok {
-			t.Fatalf("node %d was not recording", i)
-		}
-		logs = append(logs, lg)
+	// Trace conformance: with every node stopped and the stream sealed, the
+	// per-node logs form a consistent cut. Replaying them through the
+	// protocol cores must re-derive every recorded effect, and the
+	// reconstructed final states must satisfy the paper's invariants — the
+	// refinement check of the unverified transport and view-synchronous
+	// layers under fault injection.
+	if err := stream.Close(); err != nil {
+		t.Fatalf("sealing trace stream: %v", err)
+	}
+	logs := readTrace(t, traceDir)
+	if len(logs) != n {
+		t.Fatalf("trace holds %d node logs, want %d", len(logs), n)
 	}
 	rep := ReplayTrace(logs)
 	if err := rep.Err(); err != nil {
@@ -262,13 +261,10 @@ func TestChaosTCPFaultSoak(t *testing.T) {
 	}
 	t.Logf("conformance: %s", rep)
 
-	// Streamed conformance: the chunked on-disk trace of the same run,
-	// sealed after every node stopped, must reach the same verdict as the
-	// in-memory replay — and the recorder's buffered window must have stayed
-	// bounded while the soak ran.
-	if err := stream.Close(); err != nil {
-		t.Fatalf("sealing trace stream: %v", err)
-	}
+	// Streamed conformance: the same directory replayed chunk by chunk must
+	// reach the same verdict as the one-window replay of its decoded logs —
+	// and the recorder's buffered window must have stayed bounded while the
+	// soak ran.
 	srep, err := ReplayTraceStream(traceDir)
 	if err != nil {
 		t.Fatalf("streamed replay: %v", err)
@@ -286,10 +282,10 @@ func TestChaosTCPFaultSoak(t *testing.T) {
 		t.Errorf("chaos stream not sealed: %s", srep)
 	}
 	if srep.OK() != rep.OK() {
-		t.Errorf("streamed verdict %v disagrees with in-memory verdict %v", srep.OK(), rep.OK())
+		t.Errorf("streamed verdict %v disagrees with one-window verdict %v", srep.OK(), rep.OK())
 	}
 	if srep.DVSSteps != rep.DVSSteps || srep.TOSteps != rep.TOSteps {
-		t.Errorf("streamed replay covered dvs=%d/to=%d steps, in-memory dvs=%d/to=%d",
+		t.Errorf("streamed replay covered dvs=%d/to=%d steps, one-window dvs=%d/to=%d",
 			srep.DVSSteps, srep.TOSteps, rep.DVSSteps, rep.TOSteps)
 	}
 	if srep.Chunks < 2 {

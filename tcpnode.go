@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/conform"
 	"repro/internal/core"
 	"repro/internal/dvsg"
 	"repro/internal/mcast"
@@ -74,16 +73,12 @@ type NodeConfig struct {
 	// testing real TCP nodes. If the returned transport has a Close
 	// method, Node.Close calls it before closing the TCP transport.
 	WrapTransport func(netfab.Transport) netfab.Transport
-	// Record enables trace recording of the node's protocol cores; harvest
-	// with Node.TraceLog after Close and check with ReplayTrace together
-	// with the other nodes' logs. Works in both modes: static runs replay
-	// through the staticcore baseline.
-	Record bool
-	// Stream, when set, spills the node's macro-steps into the given
-	// chunked on-disk trace (see NewTraceStream): bounded recorder memory
-	// for arbitrarily long runs. The caller owns the stream and must Close
-	// it after Node.Close; check the directory with ReplayTraceStream.
-	// Works in both modes, like Record.
+	// Stream, when set, records the node's protocol cores: every macro-step
+	// is spilled into the given chunked on-disk trace (see NewTraceStream),
+	// with bounded recorder memory for arbitrarily long runs. The caller
+	// owns the stream and must Close it after Node.Close; check the
+	// directory with ReplayTraceStream. Works in both modes: static runs
+	// replay through the staticcore baseline.
 	Stream *TraceStream
 	// Online, when set, runs the in-process sampled conformance checker on
 	// this node (see OnlineCheckConfig); counters surface in
@@ -120,7 +115,6 @@ type Node struct {
 	stacks map[types.GroupID]*stack
 	ring   *shard.Ring
 	mc     *mcast.Coordinator
-	mrec   *conform.McastRecorder // nil unless NodeConfig.Record
 }
 
 // StartNode launches a standalone process.
@@ -195,7 +189,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		tick:                cfg.TickInterval,
 		suspect:             cfg.SuspectTimeout,
 		retry:               cfg.ProposeRetry,
-		record:              cfg.Record,
 		stream:              cfg.Stream,
 		online:              cfg.Online,
 	}
@@ -232,10 +225,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.stack = n.stacks[0]
 	n.mc = mcast.New(self, ports)
-	if cfg.Record {
-		n.mrec = conform.NewMcastRecorder(self, n.groups)
-		n.mc.AddObserver(n.mrec.Observe)
-	}
 	for _, g := range n.groups {
 		n.stacks[g].tob.SetDeliverHook(n.mc.Hook(g))
 	}
@@ -308,16 +297,6 @@ func (n *Node) McastStats() mcast.Stats {
 		return mcast.Stats{}
 	}
 	return n.mc.Stats()
-}
-
-// McastLog returns this node's recorded multicast trace, and whether one
-// was recorded (sharded mode with NodeConfig.Record). Harvest after Close
-// and check with conform.ReplayMcast together with the other nodes' logs.
-func (n *Node) McastLog() (conform.McastLog, bool) {
-	if n.mrec == nil {
-		return conform.McastLog{}, false
-	}
-	return n.mrec.Log(), true
 }
 
 // ID returns the node's process id.
@@ -399,36 +378,6 @@ func (n *Node) Established() bool {
 		return false
 	}
 	return <-ch
-}
-
-// TraceLog returns this node's recorded protocol trace, and whether the
-// node was recording. It must be called after Close (and after every peer
-// has stopped) for the combined logs to form the consistent cut ReplayTrace
-// requires.
-func (n *Node) TraceLog() (TraceLog, bool) {
-	if n.rec == nil {
-		return TraceLog{}, false
-	}
-	return n.rec.Log(), true
-}
-
-// GroupTraceLog returns group g's recorded trace (sharded mode; group 0 in
-// single-group mode is TraceLog). Each group's logs replay as their own
-// set: the trace of one group is one run of the single-group protocol.
-func (n *Node) GroupTraceLog(g types.GroupID) (TraceLog, bool) {
-	st := n.stack
-	if n.mux != nil {
-		var ok bool
-		if st, ok = n.stacks[g]; !ok {
-			return TraceLog{}, false
-		}
-	} else if g != 0 {
-		return TraceLog{}, false
-	}
-	if st.rec == nil {
-		return TraceLog{}, false
-	}
-	return st.rec.Log(), true
 }
 
 // Close stops the node — every group's stack, the multicast coordinator
