@@ -370,15 +370,14 @@ func BenchmarkCoreDVSStepBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreTOStepLabel is one label's whole life in the DVS-TO-TO core —
-// gprcv, safe, confirm, brcv — on a node that already holds 100k labels, the
-// history a saturated run accumulates in a few seconds.
-func BenchmarkCoreTOStepLabel(b *testing.B) {
-	const history = 100000
+// toLabelStepper returns a fresh DVS-TO-TO node and the function that takes
+// label i of one peer through its whole life in the core: gprcv, safe,
+// confirm, brcv (32 B payloads like the repo benchmark).
+func toLabelStepper(b *testing.B) (*tocore.Node, func(i int)) {
 	v0 := types.InitialView(types.RangeProcSet(3))
 	n := tocore.NewNode(0, v0, true, false)
 	var out tocore.Outbox
-	step := func(i int) {
+	return n, func(i int) {
 		out.Effects = out.Effects[:0]
 		m := tocore.LabelMsg{L: types.Label{ID: v0.ID, Seqno: i + 1, Origin: 1}, A: "00000000000000000000000000000000"}
 		if err := tocore.Step(n, tocore.EvRecv{M: m, From: 1}, true, &out); err != nil {
@@ -391,6 +390,17 @@ func BenchmarkCoreTOStepLabel(b *testing.B) {
 			b.Fatalf("label %d: %d effects, want confirm + deliver", i, len(out.Effects))
 		}
 	}
+}
+
+// BenchmarkCoreTOStepLabel is one label's whole life in the DVS-TO-TO core
+// on a node that already holds 100k labels, the history a saturated run
+// accumulates in a second. check.sh gates allocs/op and, at the fixed
+// iteration count bench.sh uses, B/op: what is left is the regrowth of order
+// (a 32 B label per message) and of the run's payload slice, and the boxed
+// FxDeliver.
+func BenchmarkCoreTOStepLabel(b *testing.B) {
+	const history = 100000
+	_, step := toLabelStepper(b)
 	for i := 0; i < history; i++ {
 		step(i)
 	}
@@ -399,6 +409,47 @@ func BenchmarkCoreTOStepLabel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		step(history + i)
 	}
+}
+
+// BenchmarkCoreTOGrow is the same path from an empty node through 200k
+// labels, the length of a fabric_sat run: the row that shows what growing
+// the history costs, which StepLabel — timing only from 100k on — averages
+// away. One op is the whole growth; ns/label and B/label are per message.
+func BenchmarkCoreTOGrow(b *testing.B) {
+	const labels = 200000
+	b.Run("0→200k", func(b *testing.B) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < b.N; i++ {
+			_, step := toLabelStepper(b)
+			for l := 0; l < labels; l++ {
+				step(l)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(b.N) * labels
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/label")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/label")
+	})
+}
+
+// BenchmarkCoreTOClone is Clone of a node holding 100k labels — what every
+// sample of the inline online checker pays twice (E13). Reported, not gated.
+func BenchmarkCoreTOClone(b *testing.B) {
+	const history = 100000
+	b.Run("history=100k", func(b *testing.B) {
+		n, step := toLabelStepper(b)
+		for i := 0; i < history; i++ {
+			step(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if c := n.Clone(); c.NextReport() != n.NextReport() {
+				b.Fatal("clone differs")
+			}
+		}
+	})
 }
 
 // --- Micro-benchmarks of the hot paths ---

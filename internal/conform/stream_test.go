@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -837,5 +839,61 @@ func TestStreamReplayOfOpenRecorder(t *testing.T) {
 	}
 	if err := sr.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObserversKeepNothingOfTheEffectsSlice: the shells hand every observer
+// the one effects slice they reuse for the next macro-step, so the slice is
+// dead the moment the observer returns. Each observer here gets a private
+// copy that is wiped right after the call; a recorder or checker that kept
+// the slice instead of encoding it would record, or re-check, the wiped
+// values. The trace must decode to what an unmolested run records and the
+// online checker must stay clean.
+func TestObserversKeepNothingOfTheEffectsSlice(t *testing.T) {
+	record := func(wipe bool) (NodeLog, OnlineStats) {
+		dir := t.TempDir()
+		p, initial := types.ProcID(0), types.InitialView(types.RangeProcSet(1))
+		sr, err := NewStreamRecorder(dir, StreamOptions{WindowSteps: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn, err := sr.Node(p, 0, initial, true, true, true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewOnlineChecker(p, initial, true, true, true, OnlineConfig{Window: 8, Every: 4})
+		driveScript(t, 20,
+			func(ev dvscore.Event, fx []dvscore.Effect) {
+				if wipe {
+					fx = slices.Clone(fx)
+					defer clear(fx)
+				}
+				sn.ObserveDVS(ev, fx)
+				c.ObserveDVS(ev, fx)
+			},
+			func(ev tocore.Event, fx []tocore.Effect) {
+				if wipe {
+					fx = slices.Clone(fx)
+					defer clear(fx)
+				}
+				sn.ObserveTO(ev, fx)
+				c.ObserveTO(ev, fx)
+			}, nil)
+		if err := sr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ReplayStream(dir)
+		if err != nil || rep.Err() != nil || !rep.Sealed {
+			t.Fatalf("wipe=%v: replay: %v, %s", wipe, err, rep)
+		}
+		return readLog(t, dir), c.Stats()
+	}
+	plain, _ := record(false)
+	wiped, st := record(true)
+	if !reflect.DeepEqual(plain, wiped) {
+		t.Error("wiping the effects slice after the observers returned changed the recorded trace")
+	}
+	if st.Checks == 0 || st.Divergences != 0 || st.Violations != 0 || st.LastError != "" {
+		t.Errorf("online checker over wiped slices: %+v", st)
 	}
 }

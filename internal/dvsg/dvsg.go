@@ -42,7 +42,9 @@ type Handler interface {
 // Observer receives every macro-step of the core, in execution order: the
 // input event and the effects it emitted. The conformance recorder is an
 // Observer. Called from the event loop; the effects slice must not be
-// mutated.
+// mutated and is valid only for the duration of the call (the layer reuses
+// it for the next step), so an observer that keeps a step encodes or copies
+// it before returning.
 type Observer func(ev dvscore.Event, effects []dvscore.Effect)
 
 // WireBatch groups the FxSendVS messages drained from one macro-step into a
@@ -86,6 +88,7 @@ type Layer struct {
 	// step's effects have been applied.
 	stepping bool
 	queue    []dvscore.Event
+	out      dvscore.Outbox // scratch of step, which the queue keeps from nesting
 
 	// Send coalescing: FxSendVS effects accumulate here during a dispatch
 	// and go down to vsg as one WireBatch at the end. Pending messages are
@@ -251,12 +254,12 @@ func (l *Layer) step(ev dvscore.Event) {
 		// See the pendingVS field comment: unsent messages die with the view.
 		l.pendingVS = l.pendingVS[:0]
 	}
-	var out dvscore.Outbox
-	dvscore.Step(l.filter, ev, l.gc, &out)
+	l.out.Effects = l.out.Effects[:0]
+	dvscore.Step(l.filter, ev, l.gc, &l.out)
 	if l.observer != nil {
-		l.observer(ev, out.Effects)
+		l.observer(ev, l.out.Effects)
 	}
-	for _, fx := range out.Effects {
+	for _, fx := range l.out.Effects {
 		switch fx := fx.(type) {
 		case dvscore.FxSendVS:
 			l.pendingVS = append(l.pendingVS, fx.M)

@@ -56,11 +56,9 @@ func DefaultCorestepConfig() CorestepConfig {
 			},
 			"repro/internal/protocol/tocore.Node": {
 				"P", "Current", "Status", "HighPrimary", "Established",
-				"BuildOrder", "Order", "ConfirmedOrder", "Content",
-				"GotState", "NextReport", "NextConfirm", "Summary",
+				"Order", "GotState", "NextReport", "NextConfirm", "Summary",
 				"Clone", "AddFingerprint", "DelayLen", "SelfLabeledCount",
-				"GotStateShared", "BuildOrderShared", "ConfirmedShared",
-				"Permute",
+				"ConfirmedShared", "Permute",
 			},
 			"repro/internal/protocol/staticcore.Node": {
 				"P", "ClientCur", "Amb", "Quorum",

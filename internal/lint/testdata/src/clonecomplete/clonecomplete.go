@@ -112,3 +112,35 @@ type Escaped struct {
 
 // Clone shares tbl under the escape.
 func (e *Escaped) Clone() *Escaped { return &Escaped{tbl: e.tbl} }
+
+// Runs is state kept behind a map: the owner's Clone only says runs.Clone(),
+// so the fields that matter are on a type no checked struct names. The
+// element is checked in its own right because it carries the method name —
+// the shape of tocore's history and run.
+type Runs map[int]*run
+
+type run struct {
+	dense  []string
+	safeTo int
+	sparse map[int]string
+}
+
+// Clone copies every run.
+func (h Runs) Clone() Runs {
+	out := make(Runs, len(h))
+	for k, r := range h {
+		out[k] = r.Clone()
+	}
+	return out
+}
+
+// Clone forgets the frontier and shares the overflow.
+func (r *run) Clone() *run { // want "run.Clone does not copy field safeTo" "run.Clone shallow-copies reference field sparse"
+	return &run{dense: append([]string(nil), r.dense...), sparse: r.sparse}
+}
+
+// Owner holds the map; its own Clone is complete.
+type Owner struct{ hist Runs }
+
+// Clone delegates to the map's Clone.
+func (o *Owner) Clone() *Owner { return &Owner{hist: o.hist.Clone()} }

@@ -77,3 +77,35 @@ type TypoDirective struct {
 
 // WriteFp forgets B.
 func (t TypoDirective) WriteFp(w W) { w.Int(t.A) }
+
+// Runs is state kept behind a map, written one line per element: the owner's
+// fingerprint method only mentions the map. The element is checked in its
+// own right because it carries a fingerprint method name — the shape of
+// tocore's history and run.
+type Runs map[int]*run
+
+type run struct {
+	dense  []string
+	safeTo int // want "field run.safeTo is never read on the fingerprint path"
+}
+
+// AddFingerprint writes every run.
+func (h Runs) AddFingerprint(w W) {
+	for k, r := range h {
+		w.Int(k)
+		r.WriteFp(w)
+	}
+}
+
+// WriteFp forgets the frontier.
+func (r *run) WriteFp(w W) {
+	for _, a := range r.dense {
+		w.Str(a)
+	}
+}
+
+// Owner holds the map; its own fingerprint is complete.
+type Owner struct{ hist Runs }
+
+// AddFingerprint delegates to the map's.
+func (o *Owner) AddFingerprint(w W) { o.hist.AddFingerprint(w) }

@@ -115,10 +115,9 @@ type Node struct {
 	current     types.View
 	currentOK   bool
 	status      Status
-	content     types.Content
+	hist        history // content and safe-labels
 	nextSeqno   int
 	buffer      []types.Label
-	safeLabels  map[types.Label]struct{}
 	order       []types.Label
 	nextConfirm int
 	nextReport  int
@@ -142,9 +141,8 @@ func NewNode(p types.ProcID, initial types.View, inP0, literal bool) *Node {
 		fpPre:       "t" + p.String() + ".",
 		literal:     literal,
 		status:      StatusNormal,
-		content:     make(types.Content),
+		hist:        make(history),
 		nextSeqno:   1,
-		safeLabels:  make(map[types.Label]struct{}),
 		nextConfirm: 1,
 		nextReport:  1,
 		gotstate:    make(types.GotState),
@@ -175,22 +173,8 @@ func (n *Node) HighPrimary() types.ViewID { return n.highPrimary }
 // Established reports whether the view with id g has been established here.
 func (n *Node) Established(g types.ViewID) bool { return n.established[g] }
 
-// BuildOrder returns the order computed when view g was established (history
-// variable); nil if never established.
-func (n *Node) BuildOrder(g types.ViewID) []types.Label {
-	return types.CloneSeq(n.buildOrder[g])
-}
-
 // Order returns the current tentative order.
 func (n *Node) Order() []types.Label { return types.CloneSeq(n.order) }
-
-// ConfirmedOrder returns the confirmed prefix order(1..nextconfirm-1).
-func (n *Node) ConfirmedOrder() []types.Label {
-	return types.CloneSeq(n.order[:n.nextConfirm-1])
-}
-
-// Content returns a copy of the content relation.
-func (n *Node) Content() types.Content { return n.content.Clone() }
 
 // GotState returns a copy of the recovery state summaries received.
 func (n *Node) GotState() types.GotState { return n.gotstate.Clone() }
@@ -205,7 +189,7 @@ func (n *Node) NextConfirm() int { return n.nextConfirm }
 // sent during recovery.
 func (n *Node) Summary() types.Summary {
 	return types.Summary{
-		Con:  n.content.Clone(),
+		Con:  n.hist.export(),
 		Ord:  types.CloneSeq(n.order),
 		Next: n.nextConfirm,
 		High: n.highPrimary,
@@ -224,7 +208,7 @@ func (n *Node) OnDVSNewView(v types.View) {
 	n.buffer = nil
 	n.gotstate = make(types.GotState)
 	n.safeExch = types.NewProcSet()
-	n.safeLabels = make(map[types.Label]struct{})
+	n.hist.clearSafe()
 	n.status = StatusSend
 }
 
@@ -232,11 +216,11 @@ func (n *Node) OnDVSNewView(v types.View) {
 func (n *Node) OnDVSGpRcv(m types.Msg, q types.ProcID) error {
 	switch msg := m.(type) {
 	case LabelMsg:
-		n.content[msg.L] = msg.A
+		n.hist.put(msg.L, msg.A)
 		n.order = append(n.order, msg.L)
 		return nil
 	case SummaryMsg:
-		n.content.Merge(msg.X.Con)
+		n.hist.merge(msg.X.Con)
 		n.gotstate[q] = msg.X.Clone()
 		if n.currentOK && n.status == StatusCollect && gotAll(n.gotstate, n.current.Members) {
 			n.establish()
@@ -274,9 +258,9 @@ func (n *Node) establish() {
 
 // OnDVSSafe handles input dvs-safe(m)_{q,p} by case analysis on m.
 func (n *Node) OnDVSSafe(m types.Msg, q types.ProcID) error {
-	switch m.(type) {
+	switch msg := m.(type) {
 	case LabelMsg:
-		n.safeLabels[m.(LabelMsg).L] = struct{}{}
+		n.hist.markSafe(msg.L)
 		return nil
 	case SummaryMsg:
 		n.safeExch.Add(q)
@@ -285,7 +269,7 @@ func (n *Node) OnDVSSafe(m types.Msg, q types.ProcID) error {
 			// regardless of whether the exchange has completed locally.
 			if n.currentOK && n.safeExch.Equal(n.current.Members) {
 				for _, l := range n.gotstate.FullOrder() {
-					n.safeLabels[l] = struct{}{}
+					n.hist.markSafe(l)
 				}
 			}
 			return nil
@@ -309,7 +293,7 @@ func (n *Node) maybeMarkExchangeSafe() {
 		return
 	}
 	for _, l := range n.gotstate.FullOrder() {
-		n.safeLabels[l] = struct{}{}
+		n.hist.markSafe(l)
 	}
 }
 
@@ -350,7 +334,7 @@ func (n *Node) PerformLabel(a string) error {
 func (n *Node) label() {
 	a := n.delay[0]
 	l := types.Label{ID: n.current.ID, Seqno: n.nextSeqno, Origin: n.p}
-	n.content[l] = a
+	n.hist.put(l, a)
 	n.buffer = append(n.buffer, l)
 	n.nextSeqno++
 	n.delay = n.delay[1:]
@@ -363,7 +347,7 @@ func (n *Node) GpSndLabel() (LabelMsg, bool) {
 		return LabelMsg{}, false
 	}
 	l := n.buffer[0]
-	a, ok := n.content[l]
+	a, ok := n.hist.get(l)
 	if !ok {
 		return LabelMsg{}, false
 	}
@@ -408,8 +392,7 @@ func (n *Node) ConfirmEnabled() bool {
 	if n.nextConfirm > len(n.order) {
 		return false
 	}
-	_, ok := n.safeLabels[n.order[n.nextConfirm-1]]
-	return ok
+	return n.hist.isSafe(n.order[n.nextConfirm-1])
 }
 
 // PerformConfirm applies the internal confirm action.
@@ -430,7 +413,7 @@ func (n *Node) BRcvNext() (a string, origin types.ProcID, ok bool) {
 		return "", 0, false
 	}
 	l := n.order[n.nextReport-1]
-	payload, has := n.content[l]
+	payload, has := n.hist.get(l)
 	if !has {
 		return "", 0, false
 	}
@@ -475,10 +458,9 @@ func (n *Node) Clone() *Node {
 		current:     n.current.Clone(),
 		currentOK:   n.currentOK,
 		status:      n.status,
-		content:     n.content.Clone(),
+		hist:        n.hist.Clone(),
 		nextSeqno:   n.nextSeqno,
 		buffer:      types.CloneSeq(n.buffer),
-		safeLabels:  make(map[types.Label]struct{}, len(n.safeLabels)),
 		order:       types.CloneSeq(n.order),
 		nextConfirm: n.nextConfirm,
 		nextReport:  n.nextReport,
@@ -489,9 +471,6 @@ func (n *Node) Clone() *Node {
 		delay:       types.CloneSeq(n.delay),
 		established: make(map[types.ViewID]bool, len(n.established)),
 		buildOrder:  make(map[types.ViewID][]types.Label, len(n.buildOrder)),
-	}
-	for l := range n.safeLabels {
-		c.safeLabels[l] = struct{}{}
 	}
 	for g, b := range n.registered {
 		c.registered[g] = b
@@ -516,28 +495,12 @@ func (n *Node) AddFingerprint(f *ioa.Fingerprinter) {
 		f.End()
 	}
 	f.Add("status", n.status.String())
-	if len(n.content) > 0 {
-		f.Begin("content")
-		f.Byte('=')
-		n.content.WriteFp(f)
-		f.End()
-	}
+	n.hist.AddFingerprint(f)
 	f.AddInt("nseq", n.nextSeqno)
 	if len(n.buffer) > 0 {
 		f.Begin("buffer")
 		f.Byte('=')
 		writeLabelsFp(f, n.buffer)
-		f.End()
-	}
-	if len(n.safeLabels) > 0 {
-		ls := make([]types.Label, 0, len(n.safeLabels))
-		for l := range n.safeLabels {
-			ls = append(ls, l)
-		}
-		types.SortLabels(ls)
-		f.Begin("safe")
-		f.Byte('=')
-		writeLabelsFp(f, ls)
 		f.End()
 	}
 	if len(n.order) > 0 {
@@ -619,24 +582,7 @@ func (n *Node) DelayLen() int { return len(n.delay) }
 // SelfLabeledCount counts the labels in the content relation that this node
 // created itself; labels with origin p never leave content, so the count is
 // monotone along every execution path (bounded environments rely on this).
-func (n *Node) SelfLabeledCount() int {
-	c := 0
-	for l := range n.content {
-		if l.Origin == n.p {
-			c++
-		}
-	}
-	return c
-}
-
-// GotStateShared returns the recovery summaries received in the current
-// exchange without copying; the map and its summaries are read-only. The
-// invariant checkers use it once per inspected state.
-func (n *Node) GotStateShared() types.GotState { return n.gotstate }
-
-// BuildOrderShared returns the order computed when view g was established
-// (history variable) without copying; nil if never established.
-func (n *Node) BuildOrderShared(g types.ViewID) []types.Label { return n.buildOrder[g] }
+func (n *Node) SelfLabeledCount() int { return n.hist.labeled(n.p) }
 
 // ConfirmedShared returns the confirmed prefix order(1..nextconfirm-1)
 // without copying; the slice is read-only.

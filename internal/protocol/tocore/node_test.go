@@ -158,7 +158,7 @@ func TestRecoveryExchangeAndEstablish(t *testing.T) {
 	if got := n.Order(); len(got) != 1 || got[0] != l {
 		t.Errorf("established order = %v", got)
 	}
-	if bo := n.BuildOrder(v1.ID); len(bo) != 1 {
+	if bo := n.buildOrder[v1.ID]; len(bo) != 1 {
 		t.Errorf("buildorder history = %v", bo)
 	}
 	// Registration now enabled exactly once.

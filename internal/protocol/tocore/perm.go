@@ -36,10 +36,9 @@ func (n *Node) Permute(pi types.Perm) *Node {
 		current:     pi.View(n.current),
 		currentOK:   n.currentOK,
 		status:      n.status,
-		content:     pi.Content(n.content),
+		hist:        n.hist.Permute(pi),
 		nextSeqno:   n.nextSeqno,
 		buffer:      pi.Labels(n.buffer),
-		safeLabels:  make(map[types.Label]struct{}, len(n.safeLabels)),
 		order:       pi.Labels(n.order),
 		nextConfirm: n.nextConfirm,
 		nextReport:  n.nextReport,
@@ -50,9 +49,6 @@ func (n *Node) Permute(pi types.Perm) *Node {
 		delay:       types.CloneSeq(n.delay),
 		established: make(map[types.ViewID]bool, len(n.established)),
 		buildOrder:  make(map[types.ViewID][]types.Label, len(n.buildOrder)),
-	}
-	for l := range n.safeLabels {
-		c.safeLabels[pi.Label(l)] = struct{}{}
 	}
 	for g, b := range n.registered {
 		c.registered[pi.ViewID(g)] = b

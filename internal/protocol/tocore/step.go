@@ -108,8 +108,8 @@ func Step(n *Node, ev Event, register bool, out *Outbox) error {
 // established views. Each action's precondition is evaluated once per
 // firing — the guard below — and its effect applied directly; the exported
 // Perform*/Take* methods re-check the guard for callers that name an action
-// from outside (the checker compositions), which here would repeat a lookup
-// in maps that hold the whole history.
+// from outside (the checker compositions), which here would repeat the
+// lookup.
 func Drain(n *Node, register bool, out *Outbox) {
 	for {
 		progress := false

@@ -43,8 +43,10 @@ type ViewEvent struct {
 // Observer receives every macro-step of the core, in execution order: the
 // input event and the effects it emitted. The conformance recorder is an
 // Observer. Called from the event loop; the effects slice must not be
-// mutated. Events the core rejects (unexpected message types) mutate no
-// state and are not observed.
+// mutated and is valid only for the duration of the call (the layer reuses
+// it for the next step), so an observer that keeps a step encodes or copies
+// it before returning. Events the core rejects (unexpected message types)
+// mutate no state and are not observed.
 type Observer func(ev tocore.Event, effects []tocore.Effect)
 
 // DeliverHook intercepts each totally-ordered delivery before it reaches
@@ -106,6 +108,7 @@ type Layer struct {
 	// the current step's effects have been applied.
 	stepping bool
 	queue    []tocore.Event
+	out      tocore.Outbox // scratch of step, which the queue keeps from nesting
 
 	// Send batching: FxSend effects accumulate in pending instead of going
 	// through DVS one frame per message. A flush is deferred through the
@@ -295,17 +298,17 @@ func (l *Layer) step(ev tocore.Event) {
 		l.stats.FlushDiscards += uint64(len(l.pending))
 		l.pending = nil
 	}
-	var out tocore.Outbox
-	if err := tocore.Step(l.node, ev, l.register, &out); err != nil {
+	l.out.Effects = l.out.Effects[:0]
+	if err := tocore.Step(l.node, ev, l.register, &l.out); err != nil {
 		return
 	}
 	if l.observer != nil {
-		l.observer(ev, out.Effects)
+		l.observer(ev, l.out.Effects)
 	}
 	if nv, ok := ev.(tocore.EvNewView); ok {
 		l.pushView(ViewEvent{View: nv.View.Clone()})
 	}
-	for _, fx := range out.Effects {
+	for _, fx := range l.out.Effects {
 		switch fx := fx.(type) {
 		case tocore.FxLabel:
 			l.stats.Labeled++

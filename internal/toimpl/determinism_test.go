@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/ioa"
+	"repro/internal/protocol/tocore"
+	"repro/internal/types"
 )
 
 // TestExecutionDeterminism mirrors the core package's determinism check for
@@ -52,6 +54,72 @@ func TestCloneMidExecutionEquivalence(t *testing.T) {
 		}
 		if ioa.FingerprintString(im) != ioa.FingerprintString(clone) {
 			t.Fatalf("step %d: states diverged", step)
+		}
+	}
+}
+
+// TestCloneStepLeavesOriginalUntouched steps a clone of a node through every
+// way its history can change — a label appended to a run, a summary whose
+// content lands past a gap, a safe indication, a new view emptying the safe
+// set — and requires the original's fingerprint unchanged after each, then
+// the same fingerprint from the same steps applied to the original: the
+// checker's frontier entries must share no storage, and clone-then-step must
+// equal step.
+func TestCloneStepLeavesOriginalUntouched(t *testing.T) {
+	_, v0 := toSetup(3)
+	fp := func(n *Node) string {
+		var f ioa.Fingerprinter
+		f.SetRecording(true)
+		n.AddFingerprint(&f)
+		return f.String()
+	}
+	lbl := func(seqno int, a string) LabelMsg {
+		return LabelMsg{L: types.Label{ID: v0.ID, Seqno: seqno, Origin: 1}, A: a}
+	}
+	v1 := types.NewView(v0.ID.Next(0), 0, 1)
+	gapped := SummaryMsg{X: types.Summary{Next: 1, Con: types.Content{lbl(7, "far").L: "far", lbl(1, "x").L: "x"}}}
+	steps := []tocore.Event{
+		tocore.EvRecv{M: lbl(3, "c"), From: 1},
+		tocore.EvSafe{M: lbl(2, "b"), From: 1},
+		tocore.EvNewView{View: v1},
+		tocore.EvRecv{M: gapped, From: 1},
+		tocore.EvSafe{M: lbl(9, "never seen"), From: 1},
+	}
+	orig := NewNode(0, v0, true, false)
+	var out tocore.Outbox
+	for _, ev := range []tocore.Event{
+		tocore.EvBroadcast{A: "own"},
+		tocore.EvRecv{M: lbl(1, "a"), From: 1}, tocore.EvSafe{M: lbl(1, "a"), From: 1},
+		tocore.EvRecv{M: lbl(2, "b"), From: 1},
+	} {
+		if err := tocore.Step(orig, ev, true, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clone := orig.Clone()
+	before := fp(orig)
+	if fp(clone) != before {
+		t.Fatal("clone fingerprints differently")
+	}
+	var after []string
+	for i, ev := range steps {
+		if err := tocore.Step(clone, ev, true, &out); err != nil {
+			t.Fatal(err)
+		}
+		if got := fp(orig); got != before {
+			t.Fatalf("step %d (%#v) on the clone changed the original:\n%s\nwas\n%s", i, ev, got, before)
+		}
+		after = append(after, fp(clone))
+		if i > 0 && after[i] == after[i-1] {
+			t.Fatalf("step %d (%#v) did not change the clone", i, ev)
+		}
+	}
+	for i, ev := range steps {
+		if err := tocore.Step(orig, ev, true, &out); err != nil {
+			t.Fatal(err)
+		}
+		if got := fp(orig); got != after[i] {
+			t.Fatalf("step %d (%#v): step on the original\n%s\nclone-then-step\n%s", i, ev, got, after[i])
 		}
 	}
 }

@@ -659,6 +659,9 @@ func (n *Node) onAckLocal(from types.ProcID, m Ack) {
 		}
 	}
 	if safe > n.safePoint {
+		// Retransmission starts at acked[q] ≥ safe: what lies below is never
+		// read again, so release the payloads; indices and len stay.
+		clear(n.leaderLog[n.safePoint:safe])
 		n.safePoint = safe
 		sp := SafePoint{ViewID: n.view.ID, Seq: safe}
 		for _, q := range n.members {
@@ -684,6 +687,7 @@ func (n *Node) onSafePoint(m SafePoint) {
 func (n *Node) emitSafe() {
 	for n.nextSafe <= n.safeUpTo && n.nextSafe <= len(n.delivered) {
 		o := n.delivered[n.nextSafe-1]
+		n.delivered[n.nextSafe-1] = Ordered{} // read exactly once, here
 		n.nextSafe++
 		if n.handler != nil {
 			n.handler.OnSafe(o.Payload, o.Sender)

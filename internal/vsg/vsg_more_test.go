@@ -3,6 +3,7 @@ package vsg
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,5 +279,84 @@ func TestStaleViewMessagesIgnored(t *testing.T) {
 	}, "real message despite stale frames")
 	if count(c.recs[1].snapshot(), "recv:ghost") != 0 {
 		t.Error("stale-view message delivered")
+	}
+}
+
+// safeCounter counts safe indications; nothing else about the run matters to
+// TestLogsReleaseWhatIsSafe.
+type safeCounter struct{ safes atomic.Int64 }
+
+func (*safeCounter) OnNewView(types.View)     {}
+func (*safeCounter) OnRecv(any, types.ProcID) {}
+func (c *safeCounter) OnSafe(any, types.ProcID) {
+	c.safes.Add(1)
+}
+
+// TestLogsReleaseWhatIsSafe: delivered is read once, when the entry's safe
+// indication goes up, and leaderLog only from the slowest member's ack on, so
+// neither may keep an Ordered (and through its payload a whole batch) alive
+// past that point. One view, 10k messages from a follower under a window of
+// 256: at every sample and at the end the entries still set in either log
+// are bounded by what is in flight, while len and indices stay the full run.
+func TestLogsReleaseWhatIsSafe(t *testing.T) {
+	const total, window = 10000, 256
+	universe := types.RangeProcSet(3)
+	v0 := types.InitialView(universe)
+	fab := netfab.NewFabric(universe, netfab.Config{})
+	nodes := make([]*Node, 3)
+	handlers := make([]*safeCounter, 3)
+	for i := range nodes {
+		handlers[i] = &safeCounter{}
+		nodes[i] = NewNode(Config{Self: types.ProcID(i), Universe: universe, Initial: v0, Transport: fab})
+		nodes[i].SetHandler(handlers[i])
+	}
+	for _, nd := range nodes {
+		nd.Start()
+		defer nd.Stop()
+	}
+	held := func(log []Ordered) (n int) {
+		for _, o := range log {
+			if o != (Ordered{}) {
+				n++
+			}
+		}
+		return n
+	}
+	// sample reads node i's logs on its own loop: entries still held, lengths.
+	sample := func(i int) (leaderHeld, deliveredHeld, leaderLen, deliveredLen int) {
+		done := make(chan struct{})
+		nodes[i].Do(func() {
+			nd := nodes[i]
+			leaderHeld, deliveredHeld = held(nd.leaderLog), held(nd.delivered)
+			leaderLen, deliveredLen = len(nd.leaderLog), len(nd.delivered)
+			close(done)
+		})
+		<-done
+		return
+	}
+	for k := 0; k < total; k++ {
+		k := k
+		waitFor(t, 10*time.Second, func() bool { return int(handlers[1].safes.Load()) > k-window }, "the window to open")
+		nodes[1].Do(func() { nodes[1].SendInLoop(k) })
+		if k%1000 == 999 {
+			for i := range nodes {
+				if lh, dh, _, _ := sample(i); lh > 2*window || dh > 2*window {
+					t.Fatalf("after %d sends node %d still holds %d leaderLog and %d delivered entries; at most %d are in flight", k+1, i, lh, dh, window)
+				}
+			}
+		}
+	}
+	for i, h := range handlers {
+		h := h
+		waitFor(t, 10*time.Second, func() bool { return h.safes.Load() == total }, fmt.Sprintf("all safe indications at node %d", i))
+	}
+	for i := range nodes {
+		lh, dh, ll, dl := sample(i)
+		if dh != 0 || lh != 0 {
+			t.Errorf("node %d at rest holds %d leaderLog and %d delivered entries", i, lh, dh)
+		}
+		if dl != total || (i == 0 && ll != total) {
+			t.Errorf("node %d: len(leaderLog)=%d len(delivered)=%d, want the whole run (%d): releasing must not move indices", i, ll, dl, total)
+		}
 	}
 }

@@ -29,8 +29,11 @@
 #
 # 5. Per-layer ledger (the protocol cores in isolation: one 10-label batch
 #    through the DVS core's gprcv + safe, one label's whole life through the
-#    TO core on a node holding 100k labels). Emits BENCH_layers.json;
-#    check.sh gates each row's allocs/op, which no machine changes.
+#    TO core on a node holding 100k labels; then the TO core grown from
+#    empty through 200k labels, and the clone of one holding 100k). Emits
+#    BENCH_layers.json; check.sh gates the step rows' allocs/op, which no
+#    machine changes, and the TO step's B/op, which the fixed iteration
+#    count makes exact.
 #
 # Every benchmark is repeated (`-count`, default 3 for E1-E3) and the
 # snapshot keeps only the best repetition per benchmark (lowest ns/op):
@@ -109,10 +112,13 @@ echo "wrote $out"
 
 # E8 isolated: two dedicated invocations (throughput, then recovery) with
 # nothing else sharing the process, so each sample reflects the stack alone.
+# Recovery is one heal per run, and with 20k messages of history one heal in
+# three picks up extra view changes under load (0.2 s becomes 1-2 s, on any
+# tree), so it is repeated and the best kept like every other row.
 out8=BENCH_e8.json
 raw8_tp=$(go test -run '^$' -bench 'BenchmarkE8TOThroughput' -benchtime "${E8_BENCHTIME:-3x}" .)
 printf '%s\n' "$raw8_tp"
-raw8_rec=$(go test -run '^$' -bench 'BenchmarkE8Recovery' -benchtime 1x .)
+raw8_rec=$(go test -run '^$' -bench 'BenchmarkE8Recovery' -benchtime 1x -count 3 .)
 printf '%s\n' "$raw8_rec"
 { printf '%s\n' "$raw8_tp"; printf '%s\n' "$raw8_rec"; } | to_json > "$out8"
 echo "wrote $out8"
@@ -136,10 +142,14 @@ printf '%s\n' "$raw13"
 printf '%s\n' "$raw13" | to_json > "$out13"
 echo "wrote $out13"
 
-# Layer ledger: the cores alone, a fixed iteration count so allocs/op is
-# exact and the TO node's history is the same size in every run.
+# Layer ledger: the cores alone, a fixed iteration count so allocs/op and
+# B/op are exact and the TO node's history is the same size in every run.
+# The growth and clone rows are whole-history operations (one op is 200k
+# labels, or one clone of 100k), so they run a few times, not 100000.
 outl=BENCH_layers.json
-rawl=$(go test -run '^$' -bench 'BenchmarkCore' -benchtime 100000x -count 3 -benchmem .)
+rawl=$(go test -run '^$' -bench 'BenchmarkCore(DVS|TO)Step' -benchtime 100000x -count 3 -benchmem .)
 printf '%s\n' "$rawl"
-printf '%s\n' "$rawl" | to_json > "$outl"
+rawh=$(go test -run '^$' -bench 'BenchmarkCoreTO(Grow|Clone)' -benchtime 5x -count 3 -benchmem .)
+printf '%s\n' "$rawh"
+{ printf '%s\n' "$rawl"; printf '%s\n' "$rawh"; } | to_json > "$outl"
 echo "wrote $outl"
