@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lintgate loc test race bench benchmark
+.PHONY: check build vet lint lintgate loc nogob test race bench benchmark
 
-check: build vet lint lintgate loc race
+check: build vet lint lintgate loc nogob race
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,10 @@ lintgate:
 # Non-test line counts per package, held to the ceilings in check.sh.
 loc:
 	sh scripts/check.sh loc
+
+# One byte encoding in the tree (internal/wire): encoding/gob stays out.
+nogob:
+	sh scripts/check.sh nogob
 
 test:
 	$(GO) test ./...

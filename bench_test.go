@@ -18,12 +18,15 @@ import (
 	dvs "repro"
 	"repro/internal/core"
 	"repro/internal/ioa"
+	"repro/internal/member"
 	"repro/internal/naive"
+	netfab "repro/internal/net"
 	"repro/internal/protocol/dvscore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/sim"
 	vsspec "repro/internal/spec/vs"
 	"repro/internal/types"
+	"repro/internal/vsg"
 )
 
 // --- E1: specification invariants (Figures 1 and 2, Invariants 3.1/4.1/4.2) ---
@@ -408,6 +411,55 @@ func BenchmarkCoreTOStepLabel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step(history + i)
+	}
+}
+
+// BenchmarkWireFrame is the transport row of the layer ledger: one TCP frame
+// body encoded into a reused buffer and decoded again, which every frame
+// pays once per peer. heartbeat is the smallest frame; ordered10x64B the
+// steady-state one (the leader's Ordered carrying a tob Batch of ten labels
+// with 64-byte payloads); summary20k a state-exchange summary of 20k
+// labels, the frame that grows with the history. check.sh gates the first
+// two rows' allocs/op, which no machine changes. The parent's gob figures
+// for the same three values are in EXPERIMENTS.md E15.
+func BenchmarkWireFrame(b *testing.B) {
+	for _, v := range []any{member.Heartbeat{}, vsg.Ordered{}, vsg.Data{}} {
+		netfab.RegisterWireType(v)
+	}
+	g := types.ViewID{Seq: 7, Origin: 2}
+	label := func(i int) types.Label { return types.Label{ID: g, Seqno: i, Origin: types.ProcID(i % 5)} }
+	payload := string(make([]byte, 64))
+	batch := types.Batch{Msgs: make([]types.Msg, 10)}
+	for i := range batch.Msgs {
+		batch.Msgs[i] = tocore.LabelMsg{L: label(i), A: payload}
+	}
+	sum := types.Summary{Con: make(types.Content, 20000), Next: 20001, High: g}
+	for i := 0; i < 20000; i++ {
+		sum.Con[label(i)] = payload
+		sum.Ord = append(sum.Ord, label(i))
+	}
+	for _, row := range []struct {
+		name string
+		v    any
+	}{
+		{"heartbeat", member.Heartbeat{}},
+		{"ordered10x64B", vsg.Ordered{ViewID: g, Seq: 123456, Sender: 3, SenderSeq: 4321, Safe: 123400, Payload: batch}},
+		{"summary20k", vsg.Data{ViewID: g, SenderSeq: 1, Payload: tocore.SummaryMsg{X: sum}}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if buf, err = netfab.AppendPayload(buf[:0], row.v, 0); err != nil {
+					b.Fatal(err)
+				}
+				if _, err = netfab.DecodeFrame(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(buf)), "frame_bytes")
+		})
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/dvsg"
 	netfab "repro/internal/net"
-	"repro/internal/tob"
 	"repro/internal/types"
 	"repro/internal/vsg"
 )
@@ -105,7 +103,10 @@ func (c *Cluster) InitialView() View { return c.initial.Clone() }
 
 // Partition splits the network into the given components; unmentioned
 // processes form one extra component together.
-func (c *Cluster) Partition(groups ...[]int) {
+func (c *Cluster) Partition(groups ...[]int) { c.fabric.Partition(procGroups(groups)...) }
+
+// procGroups converts partition components from process indices to ids.
+func procGroups(groups [][]int) [][]ProcID {
 	conv := make([][]ProcID, len(groups))
 	for i, g := range groups {
 		conv[i] = make([]ProcID, len(g))
@@ -113,7 +114,7 @@ func (c *Cluster) Partition(groups ...[]int) {
 			conv[i][j] = ProcID(p)
 		}
 	}
-	c.fabric.Partition(conv...)
+	return conv
 }
 
 // Heal reconnects the whole network.
@@ -139,74 +140,6 @@ func (c *Cluster) Close() {
 
 // ID returns the process id.
 func (p *Process) ID() ProcID { return p.id }
-
-// Broadcast submits a payload for totally-ordered delivery. It reports
-// false if the process has stopped.
-func (p *Process) Broadcast(payload string) bool {
-	return p.vsg.Do(func() { p.tob.Broadcast(payload) })
-}
-
-// Deliveries is the totally ordered stream of messages delivered to this
-// process. Consumers must drain it.
-func (p *Process) Deliveries() <-chan Delivery { return p.tob.Deliveries() }
-
-// Views is the stream of primary views at this process (best effort).
-func (p *Process) Views() <-chan ViewEvent { return p.tob.Views() }
-
-// CurrentPrimary returns this process's current primary view, if any.
-func (p *Process) CurrentPrimary() (View, bool) {
-	type reply struct {
-		v  View
-		ok bool
-	}
-	ch := make(chan reply, 1)
-	if !p.vsg.Do(func() {
-		v, ok := p.dvs.ClientCur()
-		ch <- reply{v.Clone(), ok}
-	}) {
-		return View{}, false
-	}
-	r := <-ch
-	return r.v, r.ok
-}
-
-// Established reports whether this process has established (completed state
-// exchange for) its current primary view.
-func (p *Process) Established() bool {
-	ch := make(chan bool, 1)
-	if !p.vsg.Do(func() {
-		// v0 needs no state exchange: the paper initializes
-		// registered[g0] = P0, so the initial view counts as established.
-		cur, ok := p.tob.Node().Current()
-		ch <- ok && (cur.ID.IsZero() || p.tob.Node().Established(cur.ID))
-	}) {
-		return false
-	}
-	return <-ch
-}
-
-// Stats returns snapshots of the broadcast-layer and view-layer counters.
-func (p *Process) Stats() (tob.Stats, dvsg.Stats) {
-	type reply struct {
-		t tob.Stats
-		d dvsg.Stats
-	}
-	ch := make(chan reply, 1)
-	if !p.vsg.Do(func() { ch <- reply{p.tob.Stats(), p.dvs.Stats()} }) {
-		return tob.Stats{}, dvsg.Stats{}
-	}
-	r := <-ch
-	return r.t, r.d
-}
-
-// CheckStats returns the online conformance checker's counters, or a zero
-// snapshot if the cluster was not built with Config.Online. Thread-safe.
-func (p *Process) CheckStats() OnlineCheckStats {
-	if p.check == nil {
-		return OnlineCheckStats{}
-	}
-	return p.check.Stats()
-}
 
 // VSStats returns the view-synchronous layer counters of this process
 // (views installed, retransmissions, delivery latency). Thread-safe.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/protocol/dvscore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // OnlineConfig bounds the in-process sampled checker.
@@ -82,13 +83,13 @@ type recWindow struct {
 // decodeWindow decodes every record of w and splits off those older than the
 // newest max, which it also drops from w. The slice head moves and append
 // reallocates eventually, so retained memory follows the live records.
-func decodeWindow[R any](w *recWindow, max int, one func(*wireReader) R) (aged, window []R) {
-	r := wireReader{b: w.b}
+func decodeWindow[R any](w *recWindow, max int, one func(*wire.Reader) R) (aged, window []R) {
+	r := wire.Reader{B: w.b}
 	recs := make([]R, w.n)
 	cut := w.n - min(w.n, max)
 	for i := range recs {
 		if i == cut {
-			w.b = r.b
+			w.b = r.B
 		}
 		recs[i] = one(&r)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/protocol/mcastcore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // encodeChunk re-encodes a decoded chunk through the production encoder
@@ -95,7 +96,7 @@ func genString(rng *rand.Rand) string {
 
 func genMsg(rng *rand.Rand, depth int) types.Msg {
 	k := rng.Intn(6)
-	if k == 1 && depth >= maxBatchDepth {
+	if k == 1 && depth >= wire.MaxBatchDepth {
 		k = 0
 	}
 	switch k {
@@ -246,15 +247,15 @@ func TestWireNilAndEmptyCollections(t *testing.T) {
 		{"empty batch", types.Batch{Msgs: []types.Msg{}}},
 		{"nested batch", types.Batch{Msgs: []types.Msg{types.Batch{Msgs: []types.Msg{types.ClientMsg("x"), types.Batch{}}}}}},
 	} {
-		b, err := appendMsg(nil, tc.m, 0)
+		b, err := wire.AppendMsg(nil, tc.m, 0)
 		if err != nil {
 			t.Errorf("%s: encode: %v", tc.name, err)
 			continue
 		}
-		r := wireReader{b: b}
-		got := r.msg(0)
-		if r.err != nil || len(r.b) != 0 {
-			t.Errorf("%s: decode: err=%v, %d bytes left", tc.name, r.err, len(r.b))
+		r := wire.Reader{B: b}
+		got := r.Msg(0)
+		if r.Err != nil || len(r.B) != 0 {
+			t.Errorf("%s: decode: err=%v, %d bytes left", tc.name, r.Err, len(r.B))
 			continue
 		}
 		if got.MsgKey() != tc.m.MsgKey() {
@@ -277,19 +278,19 @@ func TestWireBatchDepthLimited(t *testing.T) {
 		}
 		return m
 	}
-	if _, err := appendMsg(nil, nest(maxBatchDepth), 0); err != nil {
-		t.Errorf("encoding %d batch levels: %v", maxBatchDepth, err)
+	if _, err := wire.AppendMsg(nil, nest(wire.MaxBatchDepth), 0); err != nil {
+		t.Errorf("encoding %d batch levels: %v", wire.MaxBatchDepth, err)
 	}
-	if _, err := appendMsg(nil, nest(maxBatchDepth+1), 0); err == nil {
-		t.Errorf("encoding %d batch levels did not fail", maxBatchDepth+1)
+	if _, err := wire.AppendMsg(nil, nest(wire.MaxBatchDepth+1), 0); err == nil {
+		t.Errorf("encoding %d batch levels did not fail", wire.MaxBatchDepth+1)
 	}
 	// The decoder enforces the same bound on bytes no encoder produced.
 	var deep []byte
 	for i := 0; i < 10000; i++ {
-		deep = append(deep, tagBatch, 1)
+		deep = append(deep, wire.TagBatch, 1)
 	}
-	r := wireReader{b: deep}
-	if r.msg(0); r.err == nil {
+	r := wire.Reader{B: deep}
+	if r.Msg(0); r.Err == nil {
 		t.Error("decoding 10000 nested batches did not fail")
 	}
 }

@@ -35,14 +35,6 @@ func NewNode(p types.ProcID, initial types.View, inP0 bool) *Node {
 	return dvscore.NewNode(p, initial, inP0)
 }
 
-// NewInfoMsg builds an info message, copying and sorting the ambiguous set.
-func NewInfoMsg(act types.View, amb []types.View) InfoMsg {
-	return dvscore.NewInfoMsg(act, amb)
-}
-
 // Purge deletes every non-client ("info" or "registered") message from q,
 // per the refinement of Figure 4.
 func Purge(q []types.Msg) []types.Msg { return dvscore.Purge(q) }
-
-// PurgeSize counts the non-client messages in q.
-func PurgeSize(q []types.Msg) int { return dvscore.PurgeSize(q) }

@@ -21,9 +21,11 @@
 package dvsg
 
 import (
+	netfab "repro/internal/net"
 	"repro/internal/protocol/dvscore"
 	"repro/internal/types"
 	"repro/internal/vsg"
+	"repro/internal/wire"
 )
 
 // Filter is the primary-view decision state machine the shell drives: the
@@ -55,6 +57,31 @@ type Observer func(ev dvscore.Event, effects []dvscore.Effect)
 // tob-level unit, which flows through this core as one opaque client
 // message), WireBatch is not a types.Msg and can never enter a core.
 type WireBatch struct{ Msgs []types.Msg }
+
+// WireBatch and ExchangeMsg as TCP payloads (netfab.WirePayload), tags 0x98
+// and 0x99.
+func (WireBatch) WireTag() byte { return 0x98 }
+
+func (w WireBatch) AppendWire(b []byte, depth int) (_ []byte, err error) {
+	b = wire.AppendCount(b, len(w.Msgs))
+	for i := 0; i < len(w.Msgs) && err == nil; i++ {
+		b, err = netfab.AppendPayload(b, w.Msgs[i], depth)
+	}
+	return b, err
+}
+
+// ReadWire refuses a member that is not a types.Msg: nothing else may reach
+// a core.
+func (WireBatch) ReadWire(r *wire.Reader, depth int) any {
+	w := WireBatch{Msgs: make([]types.Msg, r.Count(1))}
+	for i := range w.Msgs {
+		var ok bool
+		if w.Msgs[i], ok = netfab.ReadPayload(r, depth).(types.Msg); !ok {
+			r.Fail("wire batch member is not a message")
+		}
+	}
+	return w
+}
 
 // Stats are cumulative per-node dvsg counters. WireFrames/WirePayloads are
 // the frames-vs-payloads distinction of the send path down to vsg:
@@ -114,10 +141,6 @@ var _ vsg.Handler = (*Layer)(nil)
 // Bind attaches the vsg node used for sending. It must be called before the
 // node starts.
 func (l *Layer) Bind(node *vsg.Node) { l.node = node }
-
-// SetObserver installs the macro-step observer, replacing any previous one.
-// It must be called before the node starts.
-func (l *Layer) SetObserver(o Observer) { l.observer = o }
 
 // AddObserver chains o after any already-installed observer, so a recorder,
 // a stream spiller, and an online checker can watch the same layer. It must

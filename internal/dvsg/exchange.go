@@ -2,6 +2,7 @@ package dvsg
 
 import (
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // This file implements the variation sketched in the paper's discussion
@@ -35,6 +36,16 @@ func (m ExchangeMsg) EqualMsg(o types.Msg) bool {
 }
 
 var _ types.Msg = ExchangeMsg{}
+
+func (ExchangeMsg) WireTag() byte { return 0x99 }
+
+func (m ExchangeMsg) AppendWire(b []byte, _ int) ([]byte, error) {
+	return wire.AppendString(wire.AppendViewID(b, m.ViewID), m.State), nil
+}
+
+func (ExchangeMsg) ReadWire(r *wire.Reader, _ int) any {
+	return ExchangeMsg{ViewID: r.ViewID(), State: r.Str()}
+}
 
 // ExchangeHandler is the application interface of the exchange-supporting
 // service. All upcalls run on the node's event loop.

@@ -2,11 +2,13 @@ package dvsg
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/member"
 	netfab "repro/internal/net"
 	"repro/internal/types"
 	"repro/internal/vsg"
@@ -56,15 +58,27 @@ func (a *exchangeApp) lastExchange() (types.View, map[types.ProcID]string, bool)
 func newExchangeStack(t *testing.T, n int) ([]*vsg.Node, []*ExchangeLayer, []*exchangeApp, *netfab.Fabric, []*Layer) {
 	t.Helper()
 	universe := types.RangeProcSet(n)
-	v0 := types.InitialView(universe)
 	fab := netfab.NewFabric(universe, netfab.Config{})
+	transports := make([]netfab.Transport, n)
+	for i := range transports {
+		transports[i] = fab
+	}
+	nodes, layers, apps, dvsLayers := newExchangeStackOver(t, universe, transports)
+	return nodes, layers, apps, fab, dvsLayers
+}
+
+// newExchangeStackOver starts one exchange-layer stack per transport, for
+// processes 0..len(transports)-1 of the universe.
+func newExchangeStackOver(t *testing.T, universe types.ProcSet, transports []netfab.Transport) ([]*vsg.Node, []*ExchangeLayer, []*exchangeApp, []*Layer) {
+	t.Helper()
+	v0 := types.InitialView(universe)
 	var nodes []*vsg.Node
 	var layers []*ExchangeLayer
 	var dvsLayers []*Layer
 	var apps []*exchangeApp
-	for i := 0; i < n; i++ {
+	for i, tr := range transports {
 		id := types.ProcID(i)
-		node := vsg.NewNode(vsg.Config{Self: id, Universe: universe, Initial: v0, Transport: fab})
+		node := vsg.NewNode(vsg.Config{Self: id, Universe: universe, Initial: v0, Transport: tr})
 		app := &exchangeApp{self: id}
 		xl := NewExchangeLayer(app)
 		layer := New(core.NewNode(id, v0, true), xl, true)
@@ -84,7 +98,61 @@ func newExchangeStack(t *testing.T, n int) ([]*vsg.Node, []*ExchangeLayer, []*ex
 			nd.Stop()
 		}
 	})
-	return nodes, layers, apps, fab, dvsLayers
+	return nodes, layers, apps, dvsLayers
+}
+
+// TestExchangeOverTCP runs an exchange round over a loopback pair: processes
+// 0 and 1 of a three-process universe whose third member never comes up, so
+// they form the primary {0,1} and exchange snapshots — ExchangeMsg frames,
+// alone and inside WireBatches — through the TCP codec.
+func TestExchangeOverTCP(t *testing.T) {
+	for _, v := range []any{
+		member.Heartbeat{}, member.Propose{}, member.Accept{}, member.Install{},
+		vsg.Data{}, vsg.Ordered{}, vsg.Ack{}, vsg.SafePoint{}, WireBatch{}, ExchangeMsg{},
+	} {
+		netfab.RegisterWireType(v)
+	}
+	lns := make([]string, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln.Addr().String()
+		ln.Close()
+	}
+	addrs := map[types.ProcID]string{0: lns[0], 1: lns[1], 2: "127.0.0.1:1"}
+	var transports []netfab.Transport
+	for i := range lns {
+		tcp, err := netfab.NewTCPTransport(netfab.TCPConfig{Self: types.ProcID(i), Listen: lns[i], Peers: addrs, RedialBackoffMax: 50 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tcp.Close)
+		transports = append(transports, tcp)
+	}
+	_, _, apps, _ := newExchangeStackOver(t, types.RangeProcSet(3), transports)
+	deadline := time.Now().Add(10 * time.Second)
+	for _, app := range apps {
+		for {
+			v, states, ok := app.lastExchange()
+			if ok && v.Members.Len() == 2 {
+				if states[0] != "state-of-0" || states[1] != "state-of-1" {
+					t.Fatalf("process %d exchanged %v", app.self, states)
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("process %d: no exchanged view over TCP; have %v %v", app.self, v, ok)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	for _, tr := range transports {
+		if st := tr.(*netfab.TCPTransport).Stats(); st.RecvMalformed != 0 || st.PeersRefused != 0 {
+			t.Errorf("transport saw bad input: %s", st)
+		}
+	}
 }
 
 func TestExchangeDeliversAllSnapshots(t *testing.T) {

@@ -83,9 +83,6 @@ func (f *Fingerprinter) Reset() {
 // the debug/verify mode: it allocates, so hot paths leave it off.
 func (f *Fingerprinter) SetRecording(on bool) { f.record = on }
 
-// Recording reports whether readable lines are being collected.
-func (f *Fingerprinter) Recording() bool { return f.record }
-
 // SetPrefix sets a namespace written before every subsequent line's key.
 // Composite automata use it to keep component keys disjoint without
 // concatenating strings per line.

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -422,15 +421,4 @@ func findImport(pkg *types.Package, path string, seen map[string]bool) *types.Pa
 		}
 	}
 	return nil
-}
-
-// rosterNames returns a sorted copy of a roster map's keys; used by the
-// -list output in cmd/dvslint to document sanctioned accessors.
-func rosterNames(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for name := range m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

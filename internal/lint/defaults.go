@@ -38,6 +38,7 @@ func DefaultModelpureConfig() ModelpureConfig {
 			// The conformance recorder/replayer must re-derive recorded
 			// effects bit-for-bit from the event stream alone.
 			"repro/internal/conform",
+			"repro/internal/wire", // the byte codec under conform's traces
 			"repro/internal/ioa",
 			"repro/internal/naive",
 			// The runtime shells around the cores: thin translation layers

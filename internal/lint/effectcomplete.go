@@ -66,18 +66,18 @@ func DefaultEffectcompleteConfig() EffectcompleteConfig {
 			// encoder cannot tag ends the trace, one the decoder cannot
 			// construct makes every trace holding it unreadable.
 			"repro/internal/conform": {
-				"repro/internal/conform.appendDVSEvent":            {dvsEvent},
-				"repro/internal/conform.appendDVSEffect":           {dvsEffect},
-				"repro/internal/conform.appendTOEvent":             {toEvent},
-				"repro/internal/conform.appendTOEffect":            {toEffect},
-				"repro/internal/conform.appendMcastEvent":          {mcEvent},
-				"repro/internal/conform.appendMcastEffect":         {mcEffect},
-				"(*repro/internal/conform.wireReader).dvsEvent":    {dvsEvent},
-				"(*repro/internal/conform.wireReader).dvsEffect":   {dvsEffect},
-				"(*repro/internal/conform.wireReader).toEvent":     {toEvent},
-				"(*repro/internal/conform.wireReader).toEffect":    {toEffect},
-				"(*repro/internal/conform.wireReader).mcastEvent":  {mcEvent},
-				"(*repro/internal/conform.wireReader).mcastEffect": {mcEffect},
+				"repro/internal/conform.appendDVSEvent":    {dvsEvent},
+				"repro/internal/conform.appendDVSEffect":   {dvsEffect},
+				"repro/internal/conform.appendTOEvent":     {toEvent},
+				"repro/internal/conform.appendTOEffect":    {toEffect},
+				"repro/internal/conform.appendMcastEvent":  {mcEvent},
+				"repro/internal/conform.appendMcastEffect": {mcEffect},
+				"repro/internal/conform.readDVSEvent":      {dvsEvent},
+				"repro/internal/conform.readDVSEffect":     {dvsEffect},
+				"repro/internal/conform.readTOEvent":       {toEvent},
+				"repro/internal/conform.readTOEffect":      {toEffect},
+				"repro/internal/conform.readMcastEvent":    {mcEvent},
+				"repro/internal/conform.readMcastEffect":   {mcEffect},
 			},
 		},
 	}

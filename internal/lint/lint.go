@@ -252,23 +252,6 @@ func reachable(pkg *Package, decls map[types.Object]*ast.FuncDecl, roots []types
 	return seen
 }
 
-// namedStruct returns the underlying struct of a named (or pointer-to-named)
-// type, or nil.
-func namedStruct(t types.Type) (*types.Named, *types.Struct) {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil, nil
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil, nil
-	}
-	return named, st
-}
-
 // receiverType returns the (possibly pointer-stripped) named receiver type
 // of a method declaration, or nil for plain functions.
 func receiverType(info *types.Info, fd *ast.FuncDecl) *types.Named {

@@ -1,154 +1,70 @@
 package mcast
 
 import (
-	"strconv"
 	"strings"
 
+	"repro/internal/protocol/mcastcore"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // The multicast coordinator's control traffic (message data and timestamp
 // proposals) travels through the per-group total orders as ordinary client
-// payloads, marked by a reserved prefix. Fields are netstring-framed
-// (len:bytes) so arbitrary application payloads round-trip. Application
-// payloads beginning with the magic byte sequence are reserved; submit
-// them through the multicast path, never through a raw group broadcast.
+// payloads, marked by a reserved prefix and a kind byte. The fields behind
+// them are package wire's encoding — data: id, origin, dests, payload;
+// proposal: pgroup, id, ts — so arbitrary application payloads round-trip.
+// Application payloads beginning with the magic byte sequence are reserved;
+// submit them through the multicast path, never through a raw group
+// broadcast.
 
 // magic marks a control payload. The NUL byte keeps it out of the way of
 // ordinary textual payloads.
 const magic = "\x00mc"
 
 const (
-	kindData = 'D'
-	kindProp = 'P'
+	kindData byte = 'D'
+	kindProp byte = 'P'
 )
 
-// dataFrame is a decoded multi-group data broadcast.
-type dataFrame struct {
-	id      string
-	origin  types.ProcID
-	dests   []types.GroupID
-	payload string
-}
-
-// propFrame is a decoded timestamp proposal.
-type propFrame struct {
-	pgroup types.GroupID
-	id     string
-	ts     uint64
-}
-
-func encField(b *strings.Builder, s string) {
-	b.WriteString(strconv.Itoa(len(s)))
-	b.WriteByte(':')
-	b.WriteString(s)
-}
-
-func decField(s string) (field, rest string, ok bool) {
-	i := strings.IndexByte(s, ':')
-	if i < 0 {
-		return "", "", false
-	}
-	n, err := strconv.Atoi(s[:i])
-	if err != nil || n < 0 || len(s) < i+1+n {
-		return "", "", false
-	}
-	return s[i+1 : i+1+n], s[i+1+n:], true
+// control starts a control payload of the given kind, with room for about
+// size bytes of fields.
+func control(kind byte, size int) []byte {
+	return append(append(make([]byte, 0, len(magic)+1+size), magic...), kind)
 }
 
 func encodeData(id string, origin types.ProcID, dests []types.GroupID, payload string) string {
-	var b strings.Builder
-	b.WriteString(magic)
-	b.WriteByte(kindData)
-	encField(&b, id)
-	encField(&b, strconv.Itoa(int(origin)))
-	var ds strings.Builder
-	for i, g := range dests {
-		if i > 0 {
-			ds.WriteByte(',')
-		}
-		ds.WriteString(strconv.Itoa(int(g)))
-	}
-	encField(&b, ds.String())
-	encField(&b, payload)
-	return b.String()
+	return string(wire.AppendMcData(control(kindData, 16+len(id)+len(payload)), id, origin, dests, payload))
 }
 
 func encodeProp(pg types.GroupID, id string, ts uint64) string {
-	var b strings.Builder
-	b.WriteString(magic)
-	b.WriteByte(kindProp)
-	encField(&b, strconv.Itoa(int(pg)))
-	encField(&b, id)
-	encField(&b, strconv.FormatUint(ts, 10))
-	return b.String()
+	return string(wire.AppendMcProp(control(kindProp, 16+len(id)), pg, id, ts))
 }
 
 // isControl reports whether a delivered payload is coordinator control
 // traffic.
 func isControl(s string) bool { return strings.HasPrefix(s, magic) }
 
-// decode parses a control payload into a dataFrame or propFrame. ok is
-// false for anything malformed (such payloads are dropped and counted).
-func decode(s string) (any, bool) {
+// decode parses a control payload delivered in group g into the core event
+// it stands for; ok is false for anything malformed (dropped and counted).
+// Ids and payloads are substrings of s, which the TO history holds anyway.
+func decode(g types.GroupID, s string) (ev mcastcore.Event, ok bool) {
 	if !isControl(s) || len(s) <= len(magic) {
 		return nil, false
 	}
-	kind := s[len(magic)]
-	rest := s[len(magic)+1:]
-	switch kind {
-	case kindData:
-		id, rest, ok := decField(rest)
-		if !ok {
-			return nil, false
-		}
-		originStr, rest, ok := decField(rest)
-		if !ok {
-			return nil, false
-		}
-		origin, err := strconv.Atoi(originStr)
-		if err != nil {
-			return nil, false
-		}
-		destsStr, rest, ok := decField(rest)
-		if !ok {
-			return nil, false
-		}
-		var dests []types.GroupID
-		for _, part := range strings.Split(destsStr, ",") {
-			g, err := strconv.Atoi(part)
-			if err != nil {
-				return nil, false
-			}
-			dests = append(dests, types.GroupID(g))
-		}
-		payload, rest, ok := decField(rest)
-		if !ok || rest != "" {
-			return nil, false
-		}
-		return dataFrame{id: id, origin: types.ProcID(origin), dests: dests, payload: payload}, true
-	case kindProp:
-		pgStr, rest, ok := decField(rest)
-		if !ok {
-			return nil, false
-		}
-		pg, err := strconv.Atoi(pgStr)
-		if err != nil {
-			return nil, false
-		}
-		id, rest, ok := decField(rest)
-		if !ok {
-			return nil, false
-		}
-		tsStr, rest, ok := decField(rest)
-		if !ok || rest != "" {
-			return nil, false
-		}
-		ts, err := strconv.ParseUint(tsStr, 10, 64)
-		if err != nil {
-			return nil, false
-		}
-		return propFrame{pgroup: types.GroupID(pg), id: id, ts: ts}, true
+	body := s[len(magic)+1:]
+	r := wire.Reader{B: []byte(body)}
+	str := func() string {
+		n := len(r.Take())
+		end := len(body) - len(r.B)
+		return body[end-n : end]
 	}
-	return nil, false
+	switch s[len(magic)] {
+	case kindData:
+		ev = mcastcore.EvData{Group: g, ID: str(), Origin: r.Proc(), Dests: r.Groups(), Payload: str()}
+	case kindProp:
+		ev = mcastcore.EvProposal{Group: g, PGroup: r.Group(), ID: str(), TS: r.Uvarint()}
+	default:
+		return nil, false
+	}
+	return ev, r.Finish("control payload") == nil
 }

@@ -5,25 +5,26 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/protocol/mcastcore"
 	"repro/internal/types"
 )
 
 func TestCodecDataRoundTrip(t *testing.T) {
-	cases := []dataFrame{
-		{id: "p1-1", origin: 1, dests: []types.GroupID{0}, payload: "hello"},
-		{id: "p0-42", origin: 0, dests: []types.GroupID{0, 2, 5}, payload: ""},
-		// Payloads containing the framing characters, the magic itself, and
-		// binary junk must survive the netstring framing untouched.
-		{id: "x", origin: 7, dests: []types.GroupID{1, 3}, payload: "7:colon,comma"},
-		{id: "y", origin: 2, dests: []types.GroupID{4}, payload: magic + "D5:inner"},
-		{id: "z", origin: 3, dests: []types.GroupID{0, 1}, payload: "\x00\xff\n:"},
+	cases := []mcastcore.EvData{
+		{ID: "p1-1", Origin: 1, Dests: []types.GroupID{0}, Payload: "hello"},
+		{Group: 3, ID: "p0-42", Origin: 0, Dests: []types.GroupID{0, 2, 5}, Payload: ""},
+		// Payloads containing punctuation, the magic itself, and binary junk
+		// must survive the framing untouched.
+		{ID: "x", Origin: 7, Dests: []types.GroupID{1, 3}, Payload: "7:colon,comma"},
+		{ID: "y", Origin: 2, Dests: []types.GroupID{4}, Payload: magic + "D5:inner"},
+		{ID: "z", Origin: 3, Dests: []types.GroupID{0, 1}, Payload: "\x00\xff\n:"},
 	}
 	for _, want := range cases {
-		enc := encodeData(want.id, want.origin, want.dests, want.payload)
+		enc := encodeData(want.ID, want.Origin, want.Dests, want.Payload)
 		if !isControl(enc) {
 			t.Fatalf("encoded data frame %q not recognized as control", enc)
 		}
-		got, ok := decode(enc)
+		got, ok := decode(want.Group, enc)
 		if !ok {
 			t.Fatalf("decode(%q) failed", enc)
 		}
@@ -34,17 +35,17 @@ func TestCodecDataRoundTrip(t *testing.T) {
 }
 
 func TestCodecPropRoundTrip(t *testing.T) {
-	cases := []propFrame{
-		{pgroup: 0, id: "p0-1", ts: 1},
-		{pgroup: 9, id: "p3-17", ts: 0},
-		{pgroup: 2, id: "weird:id,with\x00junk", ts: 1<<64 - 1},
+	cases := []mcastcore.EvProposal{
+		{PGroup: 0, ID: "p0-1", TS: 1},
+		{Group: 1, PGroup: 9, ID: "p3-17", TS: 0},
+		{PGroup: 2, ID: "weird:id,with\x00junk", TS: 1<<64 - 1},
 	}
 	for _, want := range cases {
-		enc := encodeProp(want.pgroup, want.id, want.ts)
+		enc := encodeProp(want.PGroup, want.ID, want.TS)
 		if !isControl(enc) {
 			t.Fatalf("encoded proposal %q not recognized as control", enc)
 		}
-		got, ok := decode(enc)
+		got, ok := decode(want.Group, enc)
 		if !ok {
 			t.Fatalf("decode(%q) failed", enc)
 		}
@@ -59,22 +60,24 @@ func TestCodecPropRoundTrip(t *testing.T) {
 // these are network-facing payloads on the TCP runtime.
 func TestCodecRejectsMalformed(t *testing.T) {
 	good := encodeData("id", 1, []types.GroupID{0, 1}, "payload")
+	prop := encodeProp(1, "id", 7)
+	overflow := strings.Repeat("\xff", 10) + "\x7f" // a varint past 64 bits
 	bad := []string{
 		"",
 		"plain application payload",
-		magic,              // magic with no kind
-		magic + "X",        // unknown kind
-		magic + "D",        // no fields
-		magic + "P3:0:",    // mangled netstring
-		magic + "D5:id",    // length overruns the buffer
-		good[:len(good)-3], // truncated tail
-		good + "extra",     // trailing garbage
-		magic + "Dx:id",    // non-numeric length
-		strings.Replace(encodeProp(1, "id", 7), "7", "ts", 1), // non-numeric timestamp
-		strings.Replace(good, "0,1", "g,1", 1),                // non-numeric dest
+		magic,                         // magic with no kind
+		magic + "X",                   // unknown kind
+		magic + "D",                   // no fields
+		magic + "P\x02\xff",           // pgroup, then a length varint that never ends
+		magic + "D\x05id",             // length overruns the buffer
+		good[:len(good)-3],            // truncated tail
+		good + "extra",                // trailing garbage
+		magic + "D" + overflow,        // id length overflows
+		prop[:len(prop)-1] + overflow, // timestamp overflows
+		strings.Replace(good, "\x02\x00\x02", "\x7f\x00\x02", 1), // more dests than bytes
 	}
 	for _, s := range bad {
-		if f, ok := decode(s); ok {
+		if f, ok := decode(0, s); ok {
 			t.Fatalf("decode(%q) accepted malformed input as %+v", s, f)
 		}
 	}

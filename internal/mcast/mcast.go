@@ -153,19 +153,12 @@ func (c *Coordinator) Hook(g types.GroupID) tob.DeliverHook {
 		if !isControl(d.Payload) {
 			return []tob.Delivery{d}
 		}
-		frame, ok := decode(d.Payload)
+		ev, ok := decode(g, d.Payload)
 		if !ok {
 			c.mu.Lock()
 			c.stats.BadFrames++
 			c.mu.Unlock()
 			return nil
-		}
-		var ev mcastcore.Event
-		switch fr := frame.(type) {
-		case dataFrame:
-			ev = mcastcore.EvData{Group: g, ID: fr.id, Origin: fr.origin, Dests: fr.dests, Payload: fr.payload}
-		case propFrame:
-			ev = mcastcore.EvProposal{Group: g, PGroup: fr.pgroup, ID: fr.id, TS: fr.ts}
 		}
 		effects, err := c.step(ev)
 		if err != nil {

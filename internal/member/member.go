@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // Wire messages of the membership layer.
@@ -33,6 +34,24 @@ type (
 	// Install instructs the recipients to install an accepted view.
 	Install struct{ View types.View }
 )
+
+// The wire messages as TCP payloads (net.WirePayload), tags 0x88–0x8B.
+func (Heartbeat) WireTag() byte { return 0x88 }
+func (Propose) WireTag() byte   { return 0x89 }
+func (Accept) WireTag() byte    { return 0x8A }
+func (Install) WireTag() byte   { return 0x8B }
+
+func (Heartbeat) AppendWire(b []byte, _ int) ([]byte, error) { return b, nil }
+func (m Propose) AppendWire(b []byte, _ int) ([]byte, error) { return wire.AppendView(b, m.View), nil }
+func (m Accept) AppendWire(b []byte, _ int) ([]byte, error) {
+	return wire.AppendViewID(b, m.ViewID), nil
+}
+func (m Install) AppendWire(b []byte, _ int) ([]byte, error) { return wire.AppendView(b, m.View), nil }
+
+func (Heartbeat) ReadWire(*wire.Reader, int) any   { return Heartbeat{} }
+func (Propose) ReadWire(r *wire.Reader, _ int) any { return Propose{View: r.View()} }
+func (Accept) ReadWire(r *wire.Reader, _ int) any  { return Accept{ViewID: r.ViewID()} }
+func (Install) ReadWire(r *wire.Reader, _ int) any { return Install{View: r.View()} }
 
 // Send is an outgoing unicast request produced by the state machines.
 type Send struct {
@@ -61,9 +80,13 @@ func NewDetector(self types.ProcID, universe types.ProcSet, timeout time.Duratio
 	return d
 }
 
-// Observe records a heartbeat (or any message) from q.
+// Observe records a heartbeat (or any message) from q. A q outside the
+// universe the detector was built with is ignored: it must never show up in
+// Alive, where Agreement would propose it into views nobody can accept.
 func (d *Detector) Observe(q types.ProcID, now time.Time) {
-	d.lastSeen[q] = now
+	if _, known := d.lastSeen[q]; known {
+		d.lastSeen[q] = now
+	}
 }
 
 // Alive returns the set of processes not currently suspected. It always

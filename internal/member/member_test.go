@@ -31,6 +31,20 @@ func TestDetectorAliveAndSuspect(t *testing.T) {
 	}
 }
 
+// TestDetectorIgnoresUnknownProcess: an id outside the universe never becomes
+// alive, however often it is observed, so Agreement is never handed a ghost
+// to propose into a view.
+func TestDetectorIgnoresUnknownProcess(t *testing.T) {
+	u := types.RangeProcSet(3)
+	d := NewDetector(0, u, 100*time.Millisecond, t0)
+	for _, ghost := range []types.ProcID{3, 99, -1} {
+		d.Observe(ghost, t0)
+	}
+	if alive := d.Alive(t0); !alive.Equal(u) {
+		t.Errorf("alive = %s after observing ids outside %s", alive, u)
+	}
+}
+
 func initialView() types.View {
 	return types.InitialView(types.NewProcSet(0, 1, 2))
 }

@@ -191,9 +191,6 @@ func NewFaultTransport(inner Transport, plan *FaultPlan) *FaultTransport {
 	return &FaultTransport{inner: inner, plan: plan, stop: make(chan struct{})}
 }
 
-// Inner returns the wrapped transport.
-func (f *FaultTransport) Inner() Transport { return f.inner }
-
 // Plan returns the governing fault plan.
 func (f *FaultTransport) Plan() *FaultPlan { return f.plan }
 

@@ -17,7 +17,7 @@ type PeerStats struct {
 	Delivered     uint64 // accepted for delivery (enqueued locally)
 	Dropped       uint64 // rejected at enqueue: full queue, partition, crash, loss
 	Redials       uint64 // failed connection attempts by the writer (TCP only)
-	WriterDrops   uint64 // payloads abandoned after enqueue (encode/dial give-up)
+	WriterDrops   uint64 // payloads abandoned after enqueue (unencodable, or dial/write give-up)
 	WriterFrames  uint64 // frames written to the connection (TCP only)
 	WriterFlushes uint64 // buffered-write flushes; WriterFrames/WriterFlushes is the mean batch size (TCP only)
 	QueueDepth    int    // snapshot of the outgoing queue depth (TCP only)
@@ -35,6 +35,8 @@ type Stats struct {
 	Misrouted     uint64 // sends rejected because from != local endpoint (subset of Dropped)
 	Duplicated    uint64 // extra copies injected by duplication (FaultTransport only; each copy also counts in Sent)
 	RecvDropped   uint64 // receiver-side drops: frames lost to inbox overflow
+	RecvMalformed uint64 // inbound connections closed on a frame that was oversized or did not decode (TCP only)
+	PeersRefused  uint64 // inbound connections refused at the preamble: foreign magic or version, unknown sender (TCP only)
 	AcceptErrors  uint64 // listener Accept failures (TCP only)
 	Redials       uint64 // failed connection attempts across all peers (TCP only)
 	WriterDrops   uint64 // post-enqueue writer give-ups across all peers (TCP only)
@@ -66,26 +68,18 @@ func (s Stats) CheckInvariant() error {
 func (s Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sent=%d delivered=%d dropped=%d", s.Sent, s.Delivered, s.Dropped)
-	if s.Misrouted > 0 {
-		fmt.Fprintf(&b, " misrouted=%d", s.Misrouted)
-	}
-	if s.Duplicated > 0 {
-		fmt.Fprintf(&b, " duplicated=%d", s.Duplicated)
-	}
-	if s.RecvDropped > 0 {
-		fmt.Fprintf(&b, " recv_dropped=%d", s.RecvDropped)
-	}
-	if s.Redials > 0 {
-		fmt.Fprintf(&b, " redials=%d", s.Redials)
-	}
-	if s.WriterDrops > 0 {
-		fmt.Fprintf(&b, " writer_drops=%d", s.WriterDrops)
-	}
-	if s.WriterFlushes > 0 {
-		fmt.Fprintf(&b, " writer_frames=%d writer_flushes=%d", s.WriterFrames, s.WriterFlushes)
-	}
-	if s.AcceptErrors > 0 {
-		fmt.Fprintf(&b, " accept_errors=%d", s.AcceptErrors)
+	for _, c := range []struct {
+		name string
+		n    uint64
+	}{
+		{"misrouted", s.Misrouted}, {"duplicated", s.Duplicated}, {"recv_dropped", s.RecvDropped},
+		{"recv_malformed", s.RecvMalformed}, {"peers_refused", s.PeersRefused}, {"redials", s.Redials},
+		{"writer_drops", s.WriterDrops}, {"writer_frames", s.WriterFrames}, {"writer_flushes", s.WriterFlushes},
+		{"accept_errors", s.AcceptErrors},
+	} {
+		if c.n > 0 {
+			fmt.Fprintf(&b, " %s=%d", c.name, c.n)
+		}
 	}
 	if len(s.Peers) > 0 {
 		ids := make([]types.ProcID, 0, len(s.Peers))
@@ -123,8 +117,8 @@ func (b *statsBook) peer(to types.ProcID) *PeerStats {
 	return ps
 }
 
-// send records one send attempt addressed to `to` and its outcome.
-func (b *statsBook) send(to types.ProcID, delivered bool) {
+// account records one send attempt and its outcome, in also too when that is set.
+func (b *statsBook) account(to types.ProcID, delivered bool, also *uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ps := b.peer(to)
@@ -137,50 +131,30 @@ func (b *statsBook) send(to types.ProcID, delivered bool) {
 		b.base.Dropped++
 		ps.Dropped++
 	}
+	if also != nil {
+		*also++
+	}
 }
+
+// send records one send attempt addressed to `to` and its outcome.
+func (b *statsBook) send(to types.ProcID, delivered bool) { b.account(to, delivered, nil) }
 
 // duplicate records one injected duplicate copy and its outcome. The copy
 // is a full send for accounting purposes — Sent == Delivered + Dropped
 // keeps holding — with Duplicated marking how many of the sends were
 // injection artifacts rather than caller traffic.
 func (b *statsBook) duplicate(to types.ProcID, delivered bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ps := b.peer(to)
-	b.base.Sent++
-	ps.Sent++
-	if delivered {
-		b.base.Delivered++
-		ps.Delivered++
-	} else {
-		b.base.Dropped++
-		ps.Dropped++
-	}
-	b.base.Duplicated++
+	b.account(to, delivered, &b.base.Duplicated)
 }
 
 // misrouted records a send rejected because the caller's from-id is not the
 // local endpoint. It counts as a drop, preserving the invariant.
-func (b *statsBook) misrouted(to types.ProcID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ps := b.peer(to)
-	b.base.Sent++
-	ps.Sent++
-	b.base.Dropped++
-	ps.Dropped++
-	b.base.Misrouted++
-}
+func (b *statsBook) misrouted(to types.ProcID) { b.account(to, false, &b.base.Misrouted) }
 
-func (b *statsBook) recvDrop() {
+// bump adds one to a counter of b.base that has no per-peer row.
+func (b *statsBook) bump(counter *uint64) {
 	b.mu.Lock()
-	b.base.RecvDropped++
-	b.mu.Unlock()
-}
-
-func (b *statsBook) acceptError() {
-	b.mu.Lock()
-	b.base.AcceptErrors++
+	*counter++
 	b.mu.Unlock()
 }
 
@@ -191,8 +165,8 @@ func (b *statsBook) redial(to types.ProcID) {
 	b.mu.Unlock()
 }
 
-// writerDrop records n payloads abandoned by the writer after its
-// connection attempts ran out (batched writers give up whole batches).
+// writerDrop records n payloads abandoned by the writer: one that did not
+// encode, or a whole batch after its connection attempts ran out.
 func (b *statsBook) writerDrop(to types.ProcID, n uint64) {
 	b.mu.Lock()
 	b.base.WriterDrops += n

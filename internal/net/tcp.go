@@ -2,8 +2,12 @@ package net
 
 import (
 	"bufio"
-	"encoding/gob"
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -12,26 +16,14 @@ import (
 	"repro/internal/types"
 )
 
-// frame is the wire format of the TCP transport: one gob-encoded frame per
-// message. Payload types must be registered with RegisterWireType before
-// use.
-type frame struct {
-	From    types.ProcID
-	Payload Payload
-}
-
-// RegisterWireType registers a concrete payload type for gob encoding over
-// the TCP transport. The runtime stack registers its own wire types;
-// applications embedding custom payloads must register them too.
-func RegisterWireType(v any) { gob.Register(v) }
-
 // TCPConfig configures a TCPTransport.
 type TCPConfig struct {
 	// Self is the local process id.
 	Self types.ProcID
 	// Listen is the local listen address, e.g. "127.0.0.1:7000".
 	Listen string
-	// Peers maps every remote process id to its address.
+	// Peers maps every remote process id to its address. Only these ids may
+	// connect: an inbound connection announcing any other sender is refused.
 	Peers map[types.ProcID]string
 	// DialTimeout bounds connection attempts (default 500ms).
 	DialTimeout time.Duration
@@ -56,44 +48,33 @@ type TCPConfig struct {
 	InboxSize int
 }
 
+// fill replaces every unset (or negative) knob by its default.
 func (c *TCPConfig) fill() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 500 * time.Millisecond
-	}
-	if c.RedialBackoff <= 0 {
-		c.RedialBackoff = 250 * time.Millisecond
-	}
-	if c.RedialBackoffMax <= 0 {
-		c.RedialBackoffMax = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 2 * time.Second
-	}
-	if c.PayloadAttempts <= 0 {
-		c.PayloadAttempts = 3
-	}
-	if c.OutboxSize <= 0 {
-		c.OutboxSize = 1024
-	}
-	if c.InboxSize <= 0 {
-		c.InboxSize = 8192
-	}
+	c.DialTimeout = cmp.Or(max(c.DialTimeout, 0), 500*time.Millisecond)
+	c.RedialBackoff = cmp.Or(max(c.RedialBackoff, 0), 250*time.Millisecond)
+	c.RedialBackoffMax = cmp.Or(max(c.RedialBackoffMax, 0), 5*time.Second)
+	c.WriteTimeout = cmp.Or(max(c.WriteTimeout, 0), 2*time.Second)
+	c.PayloadAttempts = cmp.Or(max(c.PayloadAttempts, 0), 3)
+	c.OutboxSize = cmp.Or(max(c.OutboxSize, 0), 1024)
+	c.InboxSize = cmp.Or(max(c.InboxSize, 0), 8192)
 }
 
 // TCPTransport implements Transport over real TCP connections, one
 // persistent outgoing connection per peer with exponential-backoff redial.
-// Frames are gob-encoded. Losses (dial give-ups, full queues, broken or
-// stalled connections) surface as message drops — exactly the fault model
-// the stack's retransmission machinery tolerates — and every loss is
-// counted in Stats, per peer.
+// Frames are length-prefixed payloads in package wire's encoding (wire.go).
+// Losses (dial give-ups, full queues, broken or stalled connections) surface
+// as message drops — exactly the fault model the stack's retransmission
+// machinery tolerates — and every loss is counted in Stats, per peer; so is
+// every connection closed on input a peer should never have sent.
 type TCPTransport struct {
 	cfg   TCPConfig
 	ln    net.Listener
 	inbox chan Envelope
 	book  statsBook
 
+	peers map[types.ProcID]*tcpPeer // fixed at construction
+
 	mu    sync.Mutex
-	peers map[types.ProcID]*tcpPeer
 	conns map[net.Conn]struct{} // live inbound connections, closed on Close
 	done  bool
 
@@ -158,31 +139,22 @@ func (t *TCPTransport) Send(from, to types.ProcID, payload Payload) bool {
 		t.book.misrouted(to)
 		return false
 	}
-	if to == t.cfg.Self {
+	ok := false
+	if peer := t.peers[to]; to == t.cfg.Self {
 		select {
 		case t.inbox <- Envelope{From: from, Payload: payload}:
-			t.book.send(to, true)
-			return true
+			ok = true
 		default:
-			t.book.send(to, false)
-			return false
+		}
+	} else if peer != nil {
+		select {
+		case peer.out <- payload:
+			ok = true
+		default:
 		}
 	}
-	t.mu.Lock()
-	peer := t.peers[to]
-	t.mu.Unlock()
-	if peer == nil {
-		t.book.send(to, false)
-		return false
-	}
-	select {
-	case peer.out <- payload:
-		t.book.send(to, true)
-		return true
-	default:
-		t.book.send(to, false)
-		return false
-	}
+	t.book.send(to, ok)
+	return ok
 }
 
 // Stats returns a snapshot of the counters, including the per-peer
@@ -191,13 +163,10 @@ func (t *TCPTransport) Send(from, to types.ProcID, payload Payload) bool {
 // counted as a WriterDrop and recovered by the stack's retransmissions.
 func (t *TCPTransport) Stats() Stats {
 	return t.book.snapshot(func(p types.ProcID) int {
-		t.mu.Lock()
-		peer := t.peers[p]
-		t.mu.Unlock()
-		if peer == nil {
-			return 0
+		if peer := t.peers[p]; peer != nil {
+			return len(peer.out)
 		}
-		return len(peer.out)
+		return 0
 	})
 }
 
@@ -265,7 +234,7 @@ func (t *TCPTransport) acceptLoop() {
 			}
 			// Persistent Accept errors (EMFILE, ENFILE, ...) must not
 			// busy-spin: back off, growing up to a second.
-			t.book.acceptError()
+			t.book.bump(&t.book.base.AcceptErrors)
 			if !t.sleep(backoff) {
 				return
 			}
@@ -283,60 +252,116 @@ func (t *TCPTransport) acceptLoop() {
 	}
 }
 
-// reader decodes frames from one inbound connection. The connection is
-// registered in t.conns, so Close unblocks the decoder by severing it — no
-// per-connection watchdog goroutine is needed, and a naturally-closed
-// connection leaves nothing behind.
+// readBufSize sizes an inbound connection's read buffer. Frame buffers grow
+// with the frames; one that a summary grew past maxKeepBuf is released.
+const (
+	readBufSize = 16 << 10
+	maxKeepBuf  = 1 << 20
+)
+
+// connError reports whether err came from the connection itself (end of
+// stream, reset, closed under the reader) rather than from the bytes read.
+func connError(err error) bool {
+	var ne net.Error
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &ne)
+}
+
+// reader serves one inbound connection until it ends or sends something it
+// should not have, which is counted. The connection is registered in
+// t.conns, so Close unblocks the read by severing it — no per-connection
+// watchdog goroutine is needed, and a naturally-closed connection leaves
+// nothing behind.
 func (t *TCPTransport) reader(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(conn)
 	defer conn.Close()
-	dec := gob.NewDecoder(conn)
+	br := bufio.NewReaderSize(conn, readBufSize)
+	bad := &t.book.base.PeersRefused // what bad input counts as before the preamble is through
+	from, err := t.readPreamble(br)
+	if err == nil {
+		bad = &t.book.base.RecvMalformed
+		err = t.readFrames(br, from)
+	}
+	if err != nil && !connError(err) {
+		t.book.bump(bad)
+	}
+}
+
+// readPreamble checks that the peer speaks this build's format and is one of
+// the configured peers. The sender id is taken here, once per connection;
+// frames carry none, so no frame can claim another origin.
+func (t *TCPTransport) readPreamble(br *bufio.Reader) (types.ProcID, error) {
+	var head [len(wireHead)]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return 0, err
+	}
+	if string(head[:]) != wireHead {
+		return 0, fmt.Errorf("tcp transport: preamble %q, want %q", head[:], wireHead)
+	}
+	id, err := binary.ReadVarint(br)
+	if err == nil && t.peers[types.ProcID(id)] == nil {
+		err = fmt.Errorf("tcp transport: sender %d is not a configured peer", id)
+	}
+	return types.ProcID(id), err
+}
+
+// readFrames decodes frames into the inbox until the connection fails or the
+// transport stops (nil). The frame buffer is reused and grows only as bytes
+// arrive, so a length prefix alone cannot make the reader allocate; decoded
+// payloads never alias it.
+func (t *TCPTransport) readFrames(br *bufio.Reader, from types.ProcID) error {
+	var buf bytes.Buffer
+	body := io.LimitedReader{R: br}
 	for {
-		var f frame
-		if err := dec.Decode(&f); err != nil {
-			return
+		n, err := binary.ReadUvarint(br)
+		if err != nil {
+			return err
+		}
+		if n > MaxFrame {
+			return fmt.Errorf("tcp transport: frame of %d bytes, over the %d-byte limit", n, MaxFrame)
+		}
+		buf.Reset()
+		body.N = int64(n)
+		if _, err := buf.ReadFrom(&body); err != nil || body.N > 0 {
+			return errors.Join(err, io.ErrUnexpectedEOF)
+		}
+		payload, err := DecodeFrame(buf.Bytes())
+		if err != nil {
+			return err
+		}
+		if buf.Cap() > maxKeepBuf {
+			buf = bytes.Buffer{}
 		}
 		select {
-		case t.inbox <- Envelope{From: f.From, Payload: f.Payload}:
+		case t.inbox <- Envelope{From: from, Payload: payload}:
 		case <-t.stop:
-			return
+			return nil
 		default:
 			// Inbox overflow: drop like the in-memory fabric, but make the
 			// loss visible to operators and tests.
-			t.book.recvDrop()
+			t.book.bump(&t.book.base.RecvDropped)
 		}
 	}
 }
 
-// maxWriteBatch is the most payloads one writer wakeup drains from its
-// queue into a single buffered write; writerBufSize is the per-connection
-// write buffer. One flush (usually one syscall) then carries the whole
-// batch, instead of one gob stream write per payload.
-const (
-	maxWriteBatch = 64
-	writerBufSize = 64 << 10
-)
+// maxWriteBatch is the most payloads one writer wakeup drains into one write.
+const maxWriteBatch = 64
 
 // writer owns the persistent outgoing connection to one peer. Each wakeup
-// drains up to maxWriteBatch queued payloads, encodes them into the
-// connection's buffered writer, and flushes once. Dial failures back off
-// exponentially with jitter; a batch is abandoned (every payload counted)
+// drains up to maxWriteBatch queued payloads, encodes them as frames into
+// one reusable buffer, and issues one Write. Dial failures back off
+// exponentially with jitter; a batch is abandoned (every frame counted)
 // after PayloadAttempts connection attempts, so a dead peer drains the
 // queue instead of wedging it. Writes carry a deadline so a stalled peer
 // with a full TCP buffer cannot block the writer forever.
 //
-// On any encode or flush error the connection is closed and the buffered
-// writer and encoder are abandoned with it — a fresh pair is built on the
-// next dial, so no stale frame prefix can leak into a redialed connection —
-// and the whole batch is retried. Retrying can duplicate frames the peer
-// already received (the error may have struck after a partial flush); the
-// stack above is duplicate-tolerant by design.
+// A payload that does not encode costs exactly itself: one WriterDrop, and
+// the batch goes on. On a write error the connection is closed and the whole
+// batch is retried on the next, the same bytes behind a fresh preamble. That
+// can duplicate frames the peer has; the stack above tolerates duplicates.
 func (t *TCPTransport) writer(p *tcpPeer) {
 	defer t.wg.Done()
 	var conn net.Conn
-	var bw *bufio.Writer
-	var enc *gob.Encoder
 	defer func() {
 		if conn != nil {
 			conn.Close()
@@ -345,6 +370,9 @@ func (t *TCPTransport) writer(p *tcpPeer) {
 	rng := rand.New(rand.NewSource(int64(p.id)*0x9e3779b9 + 1))
 	backoff := t.cfg.RedialBackoff
 	batch := make([]Payload, 0, maxWriteBatch)
+	buf := appendPreamble(nil, t.cfg.Self)
+	preamble := len(buf) // buf[:preamble] goes out with a connection's first write only
+next:
 	for {
 		batch = batch[:0]
 		select {
@@ -362,8 +390,24 @@ func (t *TCPTransport) writer(p *tcpPeer) {
 				break drain
 			}
 		}
-		sent := false
+		if cap(buf) > maxKeepBuf {
+			buf = appendPreamble(nil, t.cfg.Self)
+		}
+		buf = buf[:preamble]
+		frames := uint64(0)
+		for _, payload := range batch {
+			var err error
+			if buf, err = appendFrame(buf, payload); err != nil {
+				t.book.writerDrop(p.id, 1)
+				continue
+			}
+			frames++
+		}
+		if frames == 0 {
+			continue
+		}
 		for attempt := 0; attempt < t.cfg.PayloadAttempts; attempt++ {
+			out := buf[preamble:]
 			if conn == nil {
 				c, err := net.DialTimeout("tcp", p.addr, t.cfg.DialTimeout)
 				if err != nil {
@@ -379,32 +423,17 @@ func (t *TCPTransport) writer(p *tcpPeer) {
 					continue
 				}
 				backoff = t.cfg.RedialBackoff
-				conn = c
-				bw = bufio.NewWriterSize(conn, writerBufSize)
-				enc = gob.NewEncoder(bw)
+				conn, out = c, buf
 			}
 			conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-			ok := true
-			for _, payload := range batch {
-				if err := enc.Encode(frame{From: t.cfg.Self, Payload: payload}); err != nil {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				ok = bw.Flush() == nil
-			}
-			if !ok {
+			if _, err := conn.Write(out); err != nil {
 				conn.Close()
-				conn, bw, enc = nil, nil, nil
+				conn = nil
 				continue // redial and retry the whole batch
 			}
-			sent = true
-			t.book.writerFlush(p.id, uint64(len(batch)))
-			break
+			t.book.writerFlush(p.id, frames)
+			continue next
 		}
-		if !sent {
-			t.book.writerDrop(p.id, uint64(len(batch)))
-		}
+		t.book.writerDrop(p.id, frames)
 	}
 }

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"runtime"
@@ -8,14 +9,43 @@ import (
 	"time"
 
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
+// wirePayload and viewPayload are test-only payload types, tagged at the top
+// of the range so they cannot collide with the stack's.
 type wirePayload struct {
 	N int
 	S string
 }
 
-func init() { RegisterWireType(wirePayload{}) }
+func (wirePayload) WireTag() byte { return 0xF0 }
+func (p wirePayload) AppendWire(b []byte, _ int) ([]byte, error) {
+	return wire.AppendString(wire.AppendInt(b, p.N), p.S), nil
+}
+func (wirePayload) ReadWire(r *wire.Reader, _ int) any { return wirePayload{N: r.Int(), S: r.Str()} }
+
+type viewPayload struct{ V types.View }
+
+func (viewPayload) WireTag() byte { return 0xF1 }
+func (p viewPayload) AppendWire(b []byte, _ int) ([]byte, error) {
+	return wire.AppendView(b, p.V), nil
+}
+func (viewPayload) ReadWire(r *wire.Reader, _ int) any { return viewPayload{V: r.View()} }
+
+// unregisteredPayload implements the interface but is never registered;
+// plainPayload does not implement it at all. Neither can be encoded.
+type unregisteredPayload struct{ wirePayload }
+
+func (unregisteredPayload) WireTag() byte { return 0xF2 }
+
+type plainPayload struct{ N int }
+
+func init() {
+	RegisterWireType(wirePayload{})
+	RegisterWireType(viewPayload{})
+	RegisterWireType(GroupFrame{})
+}
 
 func startPair(t *testing.T) (*TCPTransport, *TCPTransport) {
 	t.Helper()
@@ -204,7 +234,7 @@ func TestTCPWriterRedialGiveUp(t *testing.T) {
 	}
 
 	// Peer comes up at the reserved address: the writer must reconnect.
-	b, err := NewTCPTransport(TCPConfig{Self: 1, Listen: peerAddr})
+	b, err := NewTCPTransport(TCPConfig{Self: 1, Listen: peerAddr, Peers: map[types.ProcID]string{0: a.Addr()}})
 	if err != nil {
 		t.Skipf("reserved address reused: %v", err)
 	}
@@ -224,7 +254,8 @@ func TestTCPWriterRedialGiveUp(t *testing.T) {
 // seed leaked one watchdog goroutine per inbound connection).
 func TestTCPNoGoroutineLeakOnPeerChurn(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	a, err := NewTCPTransport(TCPConfig{Self: 0, Listen: "127.0.0.1:0"})
+	// a never sends; it lists peer 1 so that 1's connections are accepted.
+	a, err := NewTCPTransport(TCPConfig{Self: 0, Listen: "127.0.0.1:0", Peers: map[types.ProcID]string{1: "127.0.0.1:1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,9 +300,9 @@ func assertGoroutineBaseline(t *testing.T, baseline int) {
 
 // TestTCPTornBatchNoCorruption tears the receiver's inbound connections out
 // from under the batched writer, repeatedly, while a stream of payloads is
-// in flight. A tear can strike mid-batch — after a partial flush — so the
-// writer must redial with a fresh buffered writer and encoder and resend the
-// whole batch; the stale buffer prefix must never reach the new connection.
+// in flight. A tear can strike mid-batch — after a partial write — so the
+// writer must redial and resend the whole batch behind a fresh preamble; a
+// partial frame must never be continued on the new connection.
 // The receiver-side guarantee under all this violence: every payload that
 // surfaces from the inbox is a well-formed member of the sent set (a torn
 // frame dies as a decoder error, closing the connection, never as a
@@ -345,19 +376,214 @@ func TestTCPTornBatchNoCorruption(t *testing.T) {
 }
 
 func TestTCPComplexPayloads(t *testing.T) {
-	// Views with ProcSet members survive the wire (custom gob encoding).
-	RegisterWireType(types.View{})
+	// Views with ProcSet members survive the wire, inside a group tag too.
 	a, b := startPair(t)
 	v := types.NewView(types.ViewID{Seq: 3, Origin: 1}, 0, 1, 5)
-	if !a.Send(0, 1, v) {
+	if !a.Send(0, 1, GroupFrame{G: 2, P: viewPayload{V: v}}) {
 		t.Fatal("enqueue failed")
 	}
 	env := recvTCP(t, b, 1, 5*time.Second)
-	got, ok := env.Payload.(types.View)
-	if !ok || !got.Equal(v) {
+	gf, _ := env.Payload.(GroupFrame)
+	got, ok := gf.P.(viewPayload)
+	if !ok || gf.G != 2 || !got.V.Equal(v) {
 		t.Fatalf("payload = %#v", env.Payload)
 	}
 }
+
+// TestTCPUnencodablePayloadDropsOnlyItself: a payload the codec cannot carry
+// costs one WriterDrop, not its batch and not the connection; the enqueue-
+// level accounting is untouched.
+func TestTCPUnencodablePayloadDropsOnlyItself(t *testing.T) {
+	a, b := startPair(t)
+	bad := []Payload{unregisteredPayload{}, plainPayload{N: 1}, nil, GroupFrame{G: 1, P: plainPayload{}}}
+	const good = 40
+	for i := 0; i < good; i++ {
+		if i%10 == 5 {
+			a.Send(0, 1, bad[i/10])
+		}
+		if !a.Send(0, 1, wirePayload{N: i}) {
+			t.Fatal("enqueue failed")
+		}
+	}
+	for i := 0; i < good; i++ {
+		if env := recvTCP(t, b, 1, 5*time.Second); env.Payload.(wirePayload).N != i {
+			t.Fatalf("payload %d: %#v", i, env.Payload)
+		}
+	}
+	// The receiver can see a frame before the writer has counted its flush.
+	waitStat(t, a, "WriterFrames", func(s Stats) uint64 { return s.WriterFrames }, good)
+	st := a.Stats()
+	if err := st.CheckInvariant(); err != nil {
+		t.Error(err)
+	}
+	if st.WriterDrops != uint64(len(bad)) || st.Peers[1].WriterDrops != uint64(len(bad)) || st.WriterFrames != good {
+		t.Errorf("writer drops %d (peer row %d), frames %d; want %d drops, %d frames", st.WriterDrops, st.Peers[1].WriterDrops, st.WriterFrames, len(bad), good)
+	}
+	if st.Redials != 0 || st.Sent != good+uint64(len(bad)) || st.Delivered != st.Sent {
+		t.Errorf("an unencodable payload disturbed the connection or the enqueue counts: %+v", st)
+	}
+	if bs := b.Stats(); bs.RecvMalformed != 0 || bs.PeersRefused != 0 {
+		t.Errorf("receiver saw bad input: %+v", bs)
+	}
+}
+
+// dialRaw opens a raw connection to tr and writes the given bytes.
+func dialRaw(t *testing.T, tr *TCPTransport, data ...[]byte) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	for _, d := range data {
+		if _, err := conn.Write(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return conn
+}
+
+// expectClosed waits for the transport to close conn from its side, then
+// checks that nothing was delivered and the heap did not balloon.
+func expectClosed(t *testing.T, tr *TCPTransport, conn net.Conn, before runtime.MemStats) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("transport sent bytes on an inbound connection")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("connection still open after bad input")
+	}
+	inbox, _ := tr.Inbox(tr.cfg.Self)
+	select {
+	case env := <-inbox:
+		t.Fatalf("bad input delivered %#v", env)
+	default:
+	}
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 8<<20 {
+		t.Errorf("%d bytes allocated handling a few bytes of bad input", grown)
+	}
+}
+
+func memBefore() (m runtime.MemStats) {
+	runtime.ReadMemStats(&m)
+	return m
+}
+
+// waitStat polls until get(Stats) reaches want.
+func waitStat(t *testing.T, tr *TCPTransport, name string, get func(Stats) uint64, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for get(tr.Stats()) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want %d (stats %+v)", name, get(tr.Stats()), want, tr.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func malformed(s Stats) uint64 { return s.RecvMalformed }
+func refused(s Stats) uint64   { return s.PeersRefused }
+
+func TestTCPMalformedFrameClosesConn(t *testing.T) {
+	_, b := startPair(t)
+	good, err := appendFrame(nil, wirePayload{N: 1, S: "ok"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, garbage := range [][]byte{
+		{3, 0xF0, 0xFF, 0xFF}, // wirePayload whose varint never ends
+		{2, 0xEE, 0x00},       // unregistered tag
+		{4, 0xF0, 2, 0, 9},    // trailing byte after a complete payload
+		{3, 0xF0, 2, 200},     // string longer than the frame
+		{0},                   // empty frame
+		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, // length overflows uint64
+	} {
+		before := memBefore()
+		// One good frame first: the connection is accepted and working.
+		conn := dialRaw(t, b, appendPreamble(nil, 0), good, garbage)
+		if env := recvTCP(t, b, 1, 5*time.Second); env.From != 0 || env.Payload.(wirePayload).S != "ok" {
+			t.Fatalf("case %d: good frame arrived as %#v", i, env)
+		}
+		expectClosed(t, b, conn, before)
+		waitStat(t, b, "RecvMalformed", malformed, uint64(i+1))
+	}
+	if st := b.Stats(); st.PeersRefused != 0 {
+		t.Errorf("malformed frames counted as refused peers: %+v", st)
+	}
+}
+
+func TestTCPOversizeLengthRefused(t *testing.T) {
+	_, b := startPair(t)
+	before := memBefore()
+	huge := binary.AppendUvarint(nil, 1<<40)
+	conn := dialRaw(t, b, appendPreamble(nil, 0), huge, []byte("only a few bytes follow"))
+	expectClosed(t, b, conn, before)
+	waitStat(t, b, "RecvMalformed", malformed, 1)
+
+	// A length within the limit is believed only as far as bytes arrive:
+	// the peer hangs up 10 bytes into a claimed gigabyte.
+	before = memBefore()
+	conn = dialRaw(t, b, appendPreamble(nil, 0), binary.AppendUvarint(nil, MaxFrame), []byte("ten bytes."))
+	conn.(*net.TCPConn).CloseWrite()
+	expectClosed(t, b, conn, before)
+	if st := b.Stats(); st.RecvMalformed != 1 {
+		t.Errorf("a truncated frame is a connection error, not a malformed one: %+v", st)
+	}
+}
+
+func TestTCPUnknownSenderRefused(t *testing.T) {
+	_, b := startPair(t) // b knows peer 0 only
+	frame, _ := appendFrame(nil, wirePayload{N: 1})
+	for i, id := range []types.ProcID{7, 1, -1} { // a stranger, b itself, nonsense
+		before := memBefore()
+		conn := dialRaw(t, b, appendPreamble(nil, id), frame)
+		expectClosed(t, b, conn, before)
+		waitStat(t, b, "PeersRefused", refused, uint64(i+1))
+	}
+}
+
+func TestTCPVersionMismatchRefused(t *testing.T) {
+	_, b := startPair(t)
+	frame, _ := appendFrame(nil, wirePayload{N: 1})
+	good := appendPreamble(nil, 0)
+	otherVersion := append([]byte(nil), good...)
+	otherVersion[len(wireHead)-1]++
+	otherMagic := append([]byte("GOB!"), good[len("GOB!"):]...)
+	for i, preamble := range [][]byte{otherVersion, otherMagic} {
+		before := memBefore()
+		conn := dialRaw(t, b, preamble, frame)
+		expectClosed(t, b, conn, before)
+		waitStat(t, b, "PeersRefused", refused, uint64(i+1))
+	}
+	if st := b.Stats(); st.RecvMalformed != 0 {
+		t.Errorf("refused peers counted as malformed frames: %+v", st)
+	}
+}
+
+func TestRegisterWireTypeRejects(t *testing.T) {
+	mustPanic := func(name string, v any) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("RegisterWireType(%s) did not panic", name)
+			}
+		}()
+		RegisterWireType(v)
+	}
+	mustPanic("a type that is neither a WirePayload nor a union message", plainPayload{})
+	mustPanic("a second type on a taken tag", struct{ wirePayload }{})
+	mustPanic("a tag below 0x80", lowTagPayload{})
+	mustPanic("nil", nil)
+	RegisterWireType(wirePayload{N: 3}) // the same type again is fine
+	RegisterWireType(types.ClientMsg("known"))
+	RegisterWireType(types.Batch{})
+}
+
+type lowTagPayload struct{ wirePayload }
+
+func (lowTagPayload) WireTag() byte { return wire.TagBatch }
 
 func TestTCPPeerDownThenUp(t *testing.T) {
 	a, err := NewTCPTransport(TCPConfig{Self: 0, Listen: "127.0.0.1:0",

@@ -144,10 +144,6 @@ var _ dvsg.Handler = (*Layer)(nil)
 // the node starts.
 func (l *Layer) Bind(dvs *dvsg.Layer) { l.dvs = dvs }
 
-// SetObserver installs the macro-step observer, replacing any previous one.
-// It must be called before the node starts.
-func (l *Layer) SetObserver(o Observer) { l.observer = o }
-
 // AddObserver chains o after any already-installed observer, so a recorder,
 // a stream spiller, and an online checker can watch the same layer. It must
 // be called before the node starts.

@@ -5,14 +5,10 @@
 package types
 
 import (
-	"errors"
 	"slices"
 	"strconv"
 	"strings"
 )
-
-// errInvalidProcSet reports a malformed gob encoding of a ProcSet.
-var errInvalidProcSet = errors.New("types: invalid ProcSet encoding")
 
 // ProcID identifies a processor. The paper uses "processor" and "process"
 // interchangeably; so do we.
@@ -267,34 +263,4 @@ func MaxView(vs []View) (View, bool) {
 		}
 	}
 	return best, true
-}
-
-// GobEncode implements gob encoding for ProcSet (a map with zero-sized
-// values, which gob cannot encode directly) as a sorted id list.
-func (s ProcSet) GobEncode() ([]byte, error) {
-	out := make([]byte, 0, 2+8*len(s))
-	for _, p := range s.Sorted() {
-		v := uint64(p)
-		for i := 0; i < 8; i++ {
-			out = append(out, byte(v>>(8*i)))
-		}
-	}
-	return out, nil
-}
-
-// GobDecode implements gob decoding for ProcSet.
-func (s *ProcSet) GobDecode(data []byte) error {
-	if len(data)%8 != 0 {
-		return errInvalidProcSet
-	}
-	out := make(ProcSet, len(data)/8)
-	for i := 0; i+8 <= len(data); i += 8 {
-		var v uint64
-		for j := 0; j < 8; j++ {
-			v |= uint64(data[i+j]) << (8 * j)
-		}
-		out[ProcID(v)] = struct{}{}
-	}
-	*s = out
-	return nil
 }

@@ -247,25 +247,3 @@ func TestRandomSubsetNonEmpty(t *testing.T) {
 		}
 	}
 }
-
-func TestProcSetGobRoundTrip(t *testing.T) {
-	s := NewProcSet(0, 5, 1000000)
-	data, err := s.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got ProcSet
-	if err := got.GobDecode(data); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(s) {
-		t.Errorf("round trip = %s, want %s", got, s)
-	}
-	var empty ProcSet
-	if err := empty.GobDecode(nil); err != nil || empty.Len() != 0 {
-		t.Error("empty round trip failed")
-	}
-	if err := got.GobDecode([]byte{1, 2, 3}); err == nil {
-		t.Error("malformed encoding accepted")
-	}
-}

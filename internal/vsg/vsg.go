@@ -24,6 +24,7 @@ import (
 	"repro/internal/member"
 	netfab "repro/internal/net"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // Wire messages of the data plane.
@@ -64,6 +65,38 @@ type (
 		Seq    int
 	}
 )
+
+// The wire messages as TCP payloads (netfab.WirePayload), tags 0x90–0x93.
+func (Data) WireTag() byte      { return 0x90 }
+func (Ordered) WireTag() byte   { return 0x91 }
+func (Ack) WireTag() byte       { return 0x92 }
+func (SafePoint) WireTag() byte { return 0x93 }
+
+func (m Data) AppendWire(b []byte, depth int) ([]byte, error) {
+	b = wire.AppendInt(wire.AppendInt(wire.AppendViewID(b, m.ViewID), m.SenderSeq), m.AckSeq)
+	return netfab.AppendPayload(b, m.Payload, depth)
+}
+func (m Ordered) AppendWire(b []byte, depth int) ([]byte, error) {
+	b = wire.AppendInt(wire.AppendInt(wire.AppendViewID(b, m.ViewID), m.Seq), int(m.Sender))
+	return netfab.AppendPayload(wire.AppendInt(wire.AppendInt(b, m.SenderSeq), m.Safe), m.Payload, depth)
+}
+func (m Ack) AppendWire(b []byte, _ int) ([]byte, error) {
+	return wire.AppendInt(wire.AppendViewID(b, m.ViewID), m.Seq), nil
+}
+func (m SafePoint) AppendWire(b []byte, _ int) ([]byte, error) {
+	return wire.AppendInt(wire.AppendViewID(b, m.ViewID), m.Seq), nil
+}
+
+func (Data) ReadWire(r *wire.Reader, depth int) any {
+	return Data{ViewID: r.ViewID(), SenderSeq: r.Int(), AckSeq: r.Int(), Payload: netfab.ReadPayload(r, depth)}
+}
+func (Ordered) ReadWire(r *wire.Reader, depth int) any {
+	return Ordered{ViewID: r.ViewID(), Seq: r.Int(), Sender: r.Proc(), SenderSeq: r.Int(), Safe: r.Int(), Payload: netfab.ReadPayload(r, depth)}
+}
+func (Ack) ReadWire(r *wire.Reader, _ int) any { return Ack{ViewID: r.ViewID(), Seq: r.Int()} }
+func (SafePoint) ReadWire(r *wire.Reader, _ int) any {
+	return SafePoint{ViewID: r.ViewID(), Seq: r.Int()}
+}
 
 // Handler receives the view-synchronous upcalls. Handlers are invoked from
 // the node's event loop; they may call Node.SendInLoop but must not block.

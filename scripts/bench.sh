@@ -30,10 +30,12 @@
 # 5. Per-layer ledger (the protocol cores in isolation: one 10-label batch
 #    through the DVS core's gprcv + safe, one label's whole life through the
 #    TO core on a node holding 100k labels; then the TO core grown from
-#    empty through 200k labels, and the clone of one holding 100k). Emits
-#    BENCH_layers.json; check.sh gates the step rows' allocs/op, which no
-#    machine changes, and the TO step's B/op, which the fixed iteration
-#    count makes exact.
+#    empty through 200k labels, and the clone of one holding 100k; and the
+#    transport's codec alone: one TCP frame body encoded and decoded, for a
+#    heartbeat, a steady-state Ordered of ten labels and a 20k-label
+#    summary). Emits BENCH_layers.json; check.sh gates the step and frame
+#    rows' allocs/op, which no machine changes, and the TO step's B/op,
+#    which the fixed iteration count makes exact.
 #
 # Every benchmark is repeated (`-count`, default 3 for E1-E3) and the
 # snapshot keeps only the best repetition per benchmark (lowest ns/op):
@@ -151,5 +153,11 @@ rawl=$(go test -run '^$' -bench 'BenchmarkCore(DVS|TO)Step' -benchtime 100000x -
 printf '%s\n' "$rawl"
 rawh=$(go test -run '^$' -bench 'BenchmarkCoreTO(Grow|Clone)' -benchtime 5x -count 3 -benchmem .)
 printf '%s\n' "$rawh"
-{ printf '%s\n' "$rawl"; printf '%s\n' "$rawh"; } | to_json > "$outl"
+# The transport row: small frames at the cores' iteration count, the 20k-label
+# summary (≈ 10 ms an op) a few times.
+raww=$(go test -run '^$' -bench 'BenchmarkWireFrame/(heartbeat|ordered)' -benchtime 100000x -count 3 -benchmem .)
+printf '%s\n' "$raww"
+rawws=$(go test -run '^$' -bench 'BenchmarkWireFrame/summary' -benchtime 20x -count 3 -benchmem .)
+printf '%s\n' "$rawws"
+{ printf '%s\n' "$rawl"; printf '%s\n' "$rawh"; printf '%s\n' "$raww"; printf '%s\n' "$rawws"; } | to_json > "$outl"
 echo "wrote $outl"

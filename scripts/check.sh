@@ -17,11 +17,15 @@
 #                               # module: its tests and dvslint over it
 #   sh scripts/check.sh fuzz    # only the fuzz smokes: 10 s each of the trace
 #                               # codec's decoders (FuzzDecodeChunk;
-#                               # FuzzDecodeSegment: header, footer) and of
-#                               # the TO core's history against its two-map
-#                               # model (FuzzHistory)
+#                               # FuzzDecodeSegment: header, footer), of the
+#                               # TCP transport's one frame decoder
+#                               # (FuzzDecodeFrame) and of the TO core's
+#                               # history against its two-map model
+#                               # (FuzzHistory)
 #   sh scripts/check.sh loc     # only the line-count ceilings on
 #                               # internal/conform and the tree
+#   sh scripts/check.sh nogob   # only the import ban: encoding/gob may not
+#                               # come back anywhere in the tree
 #   sh scripts/check.sh bench   # only the benchmark-snapshot gate: run
 #                               # `make bench` and fail unless it leaves
 #                               # parseable, non-empty BENCH_checks.json,
@@ -196,9 +200,18 @@ e13_guard() {
 # exact at bench.sh's fixed iteration count and machine-independent, so the
 # budgets are constants. The CoreTOGrow and CoreTOClone rows must be there
 # but are reported, not gated: ns is this box's.
+#
+# The transport rows are one TCP frame body encoded and decoded (gob cost 3
+# and 50 allocations on the same values): a heartbeat allocates its decoder's
+# reader and nothing else, an Ordered carrying ten 64-byte labels allocates
+# per label its payload copy and its boxed LabelMsg, plus the batch slice,
+# the boxed Batch and Ordered and the reader — 24; the budgets leave room for
+# one or two more, not for a reflection-driven codec. The summary row (a 20k
+# label state exchange) is reported, not gated.
 layers_guard() {
 	out=BENCH_layers.json
-	for row in CoreDVSStepBatch:allocs_per_op:8 CoreTOStepLabel:allocs_per_op:4 CoreTOStepLabel:B_per_op:450; do
+	for row in CoreDVSStepBatch:allocs_per_op:8 CoreTOStepLabel:allocs_per_op:4 CoreTOStepLabel:B_per_op:450 \
+		WireFrame/heartbeat:allocs_per_op:2 WireFrame/ordered10x64B:allocs_per_op:26; do
 		name=${row%%:*}
 		budget=${row##*:}
 		unit=${row#*:}
@@ -209,12 +222,12 @@ layers_guard() {
 			exit 1
 		fi
 		if ! awk -v g="$got" -v b="$budget" 'BEGIN { exit !(g + 0 <= b + 0) }'; then
-			echo "check.sh: $name is at ${got} ${unit}, over its budget of ${budget} — something on the core's per-message path started allocating (a rendered key? a map that grows with the history?)" >&2
+			echo "check.sh: $name is at ${got} ${unit}, over its budget of ${budget} — something on that layer's per-message path started allocating (a rendered key? a map that grows with the history? reflection in the frame codec?)" >&2
 			exit 1
 		fi
 		echo "check.sh: layer budget OK ($name: ${got} ${unit} <= ${budget})"
 	done
-	for name in 'CoreTOGrow/0→200k' 'CoreTOClone/history=100k'; do
+	for name in 'CoreTOGrow/0→200k' 'CoreTOClone/history=100k' 'WireFrame/summary20k'; do
 		if ! grep -q "\"name\": \"$name\"" "$out"; then
 			echo "check.sh: no $name record in $out" >&2
 			exit 1
@@ -231,31 +244,35 @@ benchmod_guard() {
 }
 
 # fuzz_guard is a 10 s smoke of each fuzz target — the stream segment
-# reader's (chunks; header and footer) and the TO core's history against the
-# two maps it replaced: it cannot prove much, but a decoder edit that panics
-# on malformed bytes, or a history edit that loses a label past a gap, tends
-# to die in the first seconds. The minimize budget is cut from its 60 s
+# reader's (chunks; header and footer), the TCP transport's frame decoder
+# (every byte a peer can send) and the TO core's history against the two
+# maps it replaced: it cannot prove much, but a decoder edit that panics on
+# malformed bytes, or a history edit that loses a label past a gap, tends to
+# die in the first seconds. The minimize budget is cut from its 60 s
 # default, which would otherwise swallow the whole smoke the first time an
 # input extends coverage. (go test takes one -fuzz target per run.)
 fuzz_guard() {
-	for row in FuzzDecodeChunk:internal/conform FuzzDecodeSegment:internal/conform FuzzHistory:internal/protocol/tocore; do
+	for row in FuzzDecodeChunk:internal/conform FuzzDecodeSegment:internal/conform FuzzDecodeFrame:internal/net FuzzHistory:internal/protocol/tocore; do
 		target=${row%%:*}
 		go test -run '^$' -fuzz "^$target\$" -fuzztime 10s -fuzzminimizetime 1s "./${row##*:}"
 		echo "check.sh: $target smoke OK"
 	done
 }
 
-# loc_guard holds internal/conform and the tree to the non-test line counts
-# PR 16 landed (scripts/loc.sh prints them per package). conform is where
-# this tree accretes — three recorders, four replayers and four encodings of
-# one record before that PR — so growing it again has to be a decision: raise
-# the ceiling in the same change and say in CHANGES.md what the lines buy.
-# The tree's ceiling rose once since, by PR 17's measured net of +226: the
-# TO core's dense history (tocore +192, with the two maps and four dead
-# accessors gone) and its bad-edit lint fixture (+26).
+# loc_guard holds internal/conform and the tree to measured non-test line
+# counts (scripts/loc.sh prints them per package). conform is where this tree
+# accretes — three recorders, four replayers and four encodings of one record
+# before PR 16 — so growing it again has to be a decision: raise the ceiling
+# in the same change and say in CHANGES.md what the lines buy. Its ceiling
+# fell from 2,670 to what PR 18 left when the primitives and the message
+# union moved to internal/wire. The tree's ceiling rose once, by PR 17's
+# measured net of +226 (the TO core's dense history and its bad-edit lint
+# fixture), and PR 18 kept it: the TCP framing, the payload codecs and the
+# refusal paths were paid for by gob, the netstring codec and duplicated
+# accessors going.
 loc_guard() {
 	counts="$(sh scripts/loc.sh)"
-	for row in internal/conform:2670 total:24250; do
+	for row in internal/conform:2335 total:24250; do
 		name=${row%%:*}
 		ceiling=${row##*:}
 		got=$(printf '%s\n' "$counts" | awk -v n="$name" '$2 == n { print $1 }')
@@ -292,6 +309,20 @@ lintgate_guard() {
 		fi
 	done
 	echo "check.sh: bad-edit lint gate OK (dvslint rejects the seeded fixtures)"
+}
+
+# nogob_guard keeps the deletion deleted: the tree has one byte encoding
+# (internal/wire), and encoding/gob — reflection on the TCP path, a type
+# descriptor that tears with the connection — may not be imported again,
+# tests and the bench module included.
+nogob_guard() {
+	found="$(grep -rln --include='*.go' --exclude-dir=.bench_build --exclude-dir=.git '"encoding/gob"' . || true)"
+	if [ -n "$found" ]; then
+		echo "check.sh: encoding/gob is imported again — use internal/wire:" >&2
+		echo "$found" >&2
+		exit 1
+	fi
+	echo "check.sh: no encoding/gob import in the tree"
 }
 
 bench_guard() {
@@ -335,12 +366,18 @@ if [ "$mode" = "loc" ]; then
 	exit 0
 fi
 
+if [ "$mode" = "nogob" ]; then
+	nogob_guard
+	exit 0
+fi
+
 if [ "$mode" = "all" ]; then
 	go build ./...
 	go vet ./...
 	go run ./cmd/dvslint ./...
 	lintgate_guard
 	loc_guard
+	nogob_guard
 	go test -race ./...
 	benchmod_guard
 	fuzz_guard

@@ -211,16 +211,7 @@ func (c *ShardedCluster) Ring() *shard.Ring { return c.ring }
 // Partition splits the network into the given components; unmentioned
 // processes form one extra component together. Faults are node-level:
 // every group of an isolated process is isolated.
-func (c *ShardedCluster) Partition(groups ...[]int) {
-	conv := make([][]ProcID, len(groups))
-	for i, g := range groups {
-		conv[i] = make([]ProcID, len(g))
-		for j, p := range g {
-			conv[i][j] = ProcID(p)
-		}
-	}
-	c.fabric.Partition(conv...)
-}
+func (c *ShardedCluster) Partition(groups ...[]int) { c.fabric.Partition(procGroups(groups)...) }
 
 // Heal reconnects the whole network.
 func (c *ShardedCluster) Heal() { c.fabric.Heal() }
@@ -277,8 +268,7 @@ func (p *ShardedProcess) Group(g types.GroupID) (*Process, bool) {
 // Submit routes a keyed payload to its group by consistent hash and
 // broadcasts it there, reporting false if that group's stack has stopped.
 func (p *ShardedProcess) Submit(key, payload string) bool {
-	st := p.stacks[p.ring.Group(key)]
-	return st.vsg.Do(func() { st.tob.Broadcast(payload) })
+	return p.stacks[p.ring.Group(key)].Broadcast(payload)
 }
 
 // SubmitKey returns the group a key routes to.

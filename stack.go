@@ -101,3 +101,73 @@ func buildStack(sc stackConfig) (*stack, error) {
 
 // Group returns the group this stack serves (0 in single-group runs).
 func (s *stack) Group() types.GroupID { return s.group }
+
+// Broadcast submits a payload for totally-ordered delivery. It reports
+// false if the stack has stopped.
+func (s *stack) Broadcast(payload string) bool {
+	return s.vsg.Do(func() { s.tob.Broadcast(payload) })
+}
+
+// Deliveries is the totally ordered stream of messages delivered by this
+// stack. Consumers must drain it.
+func (s *stack) Deliveries() <-chan Delivery { return s.tob.Deliveries() }
+
+// Views is the stream of primary views at this stack (best effort).
+func (s *stack) Views() <-chan ViewEvent { return s.tob.Views() }
+
+// CurrentPrimary returns the current primary view, if any.
+func (s *stack) CurrentPrimary() (View, bool) {
+	type reply struct {
+		v  View
+		ok bool
+	}
+	ch := make(chan reply, 1)
+	if !s.vsg.Do(func() {
+		v, ok := s.dvs.ClientCur()
+		ch <- reply{v.Clone(), ok}
+	}) {
+		return View{}, false
+	}
+	r := <-ch
+	return r.v, r.ok
+}
+
+// Established reports whether the stack has established (completed state
+// exchange for) its current primary view.
+func (s *stack) Established() bool {
+	ch := make(chan bool, 1)
+	if !s.vsg.Do(func() {
+		// v0 needs no state exchange: the paper initializes
+		// registered[g0] = P0, so the initial view counts as established.
+		cur, ok := s.tob.Node().Current()
+		ch <- ok && (cur.ID.IsZero() || s.tob.Node().Established(cur.ID))
+	}) {
+		return false
+	}
+	return <-ch
+}
+
+// CheckStats returns the online conformance checker's counters, or a zero
+// snapshot if the stack was built without an online checker (Config.Online,
+// NodeConfig.Online). Thread-safe.
+func (s *stack) CheckStats() OnlineCheckStats {
+	if s.check == nil {
+		return OnlineCheckStats{}
+	}
+	return s.check.Stats()
+}
+
+// Stats returns snapshots of the broadcast-layer and view-layer counters,
+// read through the event loop: zero if the stack has stopped.
+func (s *stack) Stats() (tob.Stats, dvsg.Stats) {
+	type reply struct {
+		t tob.Stats
+		d dvsg.Stats
+	}
+	ch := make(chan reply, 1)
+	if !s.vsg.Do(func() { ch <- reply{s.tob.Stats(), s.dvs.Stats()} }) {
+		return tob.Stats{}, dvsg.Stats{}
+	}
+	r := <-ch
+	return r.t, r.d
+}

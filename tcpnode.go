@@ -18,15 +18,16 @@ import (
 )
 
 // registerWireTypes registers every payload type the stack puts on the
-// wire, so the TCP transport can gob-encode them. GroupFrame is the
-// sharded mode's group tag wrapping every other payload.
+// wire, so the TCP transport can decode them. GroupFrame is the sharded
+// mode's group tag wrapping every other payload; ExchangeMsg is what a
+// dvsg.ExchangeLayer application sends.
 func registerWireTypes() {
 	for _, v := range []any{
 		member.Heartbeat{}, member.Propose{}, member.Accept{}, member.Install{},
 		vsg.Data{}, vsg.Ordered{}, vsg.Ack{}, vsg.SafePoint{},
 		core.InfoMsg{}, core.RegisteredMsg{},
 		toimpl.LabelMsg{}, toimpl.SummaryMsg{},
-		types.ClientMsg(""), types.Batch{}, dvsg.WireBatch{},
+		types.ClientMsg(""), types.Batch{}, dvsg.WireBatch{}, dvsg.ExchangeMsg{},
 		netfab.GroupFrame{},
 	} {
 		netfab.RegisterWireType(v)
@@ -269,7 +270,7 @@ func (n *Node) Submit(key, payload string) bool {
 	if n.mux != nil {
 		st = n.stacks[n.ring.Group(key)]
 	}
-	return st.vsg.Do(func() { st.tob.Broadcast(payload) })
+	return st.Broadcast(payload)
 }
 
 // SubmitKey returns the group a key routes to.
@@ -313,71 +314,9 @@ func (n *Node) NetStats() netfab.Stats { return n.tcp.Stats() }
 // vsg counters are always current; dvsg/tob counters are read through the
 // event loop and come back zero if the node has stopped.
 func (n *Node) StatsSnapshot() NodeStats {
-	s := NodeStats{Net: n.tcp.Stats(), VS: n.vsg.Stats()}
-	if n.check != nil {
-		s.Check = n.check.Stats()
-	}
-	done := make(chan struct{})
-	if n.vsg.Do(func() {
-		s.DVS = n.dvs.Stats()
-		s.TOB = n.tob.Stats()
-		close(done)
-	}) {
-		<-done
-	}
+	s := NodeStats{Net: n.tcp.Stats(), VS: n.vsg.Stats(), Check: n.CheckStats()}
+	s.TOB, s.DVS = n.Stats()
 	return s
-}
-
-// CheckStats returns the online conformance checker's counters, or a zero
-// snapshot if the node was not started with NodeConfig.Online. Thread-safe.
-func (n *Node) CheckStats() OnlineCheckStats {
-	if n.check == nil {
-		return OnlineCheckStats{}
-	}
-	return n.check.Stats()
-}
-
-// Broadcast submits a payload for totally-ordered delivery.
-func (n *Node) Broadcast(payload string) bool {
-	return n.vsg.Do(func() { n.tob.Broadcast(payload) })
-}
-
-// Deliveries is the totally ordered stream of messages.
-func (n *Node) Deliveries() <-chan Delivery { return n.tob.Deliveries() }
-
-// Views is the stream of primary views (best effort).
-func (n *Node) Views() <-chan ViewEvent { return n.tob.Views() }
-
-// CurrentPrimary returns the node's current primary view, if any.
-func (n *Node) CurrentPrimary() (View, bool) {
-	type reply struct {
-		v  View
-		ok bool
-	}
-	ch := make(chan reply, 1)
-	if !n.vsg.Do(func() {
-		v, ok := n.dvs.ClientCur()
-		ch <- reply{v.Clone(), ok}
-	}) {
-		return View{}, false
-	}
-	r := <-ch
-	return r.v, r.ok
-}
-
-// Established reports whether the current primary has completed its state
-// exchange at this node.
-func (n *Node) Established() bool {
-	ch := make(chan bool, 1)
-	if !n.vsg.Do(func() {
-		// v0 needs no state exchange: the paper initializes
-		// registered[g0] = P0, so the initial view counts as established.
-		cur, ok := n.tob.Node().Current()
-		ch <- ok && (cur.ID.IsZero() || n.tob.Node().Established(cur.ID))
-	}) {
-		return false
-	}
-	return <-ch
 }
 
 // Close stops the node — every group's stack, the multicast coordinator
