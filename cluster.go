@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	netfab "repro/internal/net"
+	"repro/internal/shard"
 	"repro/internal/types"
 	"repro/internal/vsg"
 )
@@ -14,10 +15,11 @@ import (
 // network. All processes run the full stack: membership, view-synchronous
 // ordering, the primary-view filter, and totally-ordered broadcast.
 type Cluster struct {
+	memNet
 	universe types.ProcSet
 	initial  types.View
-	fabric   *netfab.Fabric
 	procs    map[ProcID]*Process
+	running  []*proc // the runtimes behind procs
 	close    sync.Once
 }
 
@@ -29,42 +31,45 @@ type Process struct {
 	*stack
 }
 
+// initialView validates a configuration's Initial member list against a
+// universe of n processes and returns the universe and v0 (empty = all).
+func initialView(n int, members []int) (types.ProcSet, types.View, error) {
+	universe := types.RangeProcSet(n)
+	if len(members) == 0 {
+		return universe, types.InitialView(universe), nil
+	}
+	p0 := types.NewProcSet()
+	for _, i := range members {
+		if i < 0 || i >= n {
+			return types.ProcSet{}, types.View{}, fmt.Errorf("dvs: initial member %d out of range", i)
+		}
+		p0.Add(ProcID(i))
+	}
+	return universe, types.InitialView(p0), nil
+}
+
 // NewCluster builds and starts a cluster.
 func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Processes <= 0 {
 		return nil, errors.New("dvs: Config.Processes must be positive")
 	}
-	if cfg.Mode == 0 {
-		cfg.Mode = ModeDynamic
-	}
-	if cfg.Online != nil && cfg.Mode != ModeDynamic {
+	if cfg.Online != nil && cfg.Mode == ModeStatic {
 		return nil, errors.New("dvs: Config.Online requires ModeDynamic")
 	}
-	universe := types.RangeProcSet(cfg.Processes)
-	p0 := types.NewProcSet()
-	if len(cfg.Initial) == 0 {
-		p0 = universe.Clone()
-	} else {
-		for _, i := range cfg.Initial {
-			if i < 0 || i >= cfg.Processes {
-				return nil, fmt.Errorf("dvs: initial member %d out of range", i)
-			}
-			p0.Add(ProcID(i))
-		}
+	universe, initial, err := initialView(cfg.Processes, cfg.Initial)
+	if err != nil {
+		return nil, err
 	}
-	initial := types.InitialView(p0)
 
 	c := &Cluster{
+		memNet:   memNet{netfab.NewFabric(universe, netfab.Config{Seed: cfg.Seed, LossRate: cfg.LossRate})},
 		universe: universe,
 		initial:  initial,
-		fabric:   netfab.NewFabric(universe, netfab.Config{Seed: cfg.Seed, LossRate: cfg.LossRate}),
 		procs:    make(map[ProcID]*Process, cfg.Processes),
 	}
-	for _, id := range universe.Sorted() {
-		st, err := buildStack(stackConfig{
-			self:                id,
+	c.running, err = startProcs(procConfig{
+		stack: stackConfig{
 			universe:            universe,
-			p0:                  p0,
 			initial:             initial,
 			transport:           c.fabric,
 			mode:                cfg.Mode,
@@ -72,16 +77,17 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			tick:                cfg.TickInterval,
 			suspect:             cfg.SuspectTimeout,
 			retry:               cfg.ProposeRetry,
-			stream:              cfg.Stream,
 			online:              cfg.Online,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.procs[id] = &Process{id: id, stack: st}
+		},
+		ring:    shard.NewRing(types.RangeGroups(1), 0),
+		streams: map[types.GroupID]*TraceStream{0: cfg.Stream},
+	})
+	if err != nil {
+		c.Close()
+		return nil, err
 	}
-	for _, id := range universe.Sorted() {
-		c.procs[id].vsg.Start()
+	for _, p := range c.running {
+		c.procs[p.id], _ = p.Group(0)
 	}
 	return c, nil
 }
@@ -101,9 +107,26 @@ func (c *Cluster) Processes() []*Process {
 // InitialView returns v0.
 func (c *Cluster) InitialView() View { return c.initial.Clone() }
 
+// Close stops every process and disconnects the fabric. Close is
+// idempotent, so scenarios can close explicitly (to seal a trace stream at a
+// consistent cut) under a deferred Close.
+func (c *Cluster) Close() {
+	c.close.Do(func() {
+		c.fabric.Close()
+		for _, p := range c.running {
+			p.stop()
+		}
+	})
+}
+
+// memNet is the partitionable in-memory network under a Cluster or a
+// ShardedCluster, with the fault controls both expose. Faults are
+// node-level: they hit every group of the affected processes.
+type memNet struct{ fabric *netfab.Fabric }
+
 // Partition splits the network into the given components; unmentioned
 // processes form one extra component together.
-func (c *Cluster) Partition(groups ...[]int) { c.fabric.Partition(procGroups(groups)...) }
+func (m memNet) Partition(groups ...[]int) { m.fabric.Partition(procGroups(groups)...) }
 
 // procGroups converts partition components from process indices to ids.
 func procGroups(groups [][]int) [][]ProcID {
@@ -118,25 +141,13 @@ func procGroups(groups [][]int) [][]ProcID {
 }
 
 // Heal reconnects the whole network.
-func (c *Cluster) Heal() { c.fabric.Heal() }
+func (m memNet) Heal() { m.fabric.Heal() }
 
 // Crash permanently disconnects process i (crash-stop).
-func (c *Cluster) Crash(i int) { c.fabric.Crash(ProcID(i)) }
+func (m memNet) Crash(i int) { m.fabric.Crash(ProcID(i)) }
 
 // NetStats returns the cumulative fabric counters.
-func (c *Cluster) NetStats() netfab.Stats { return c.fabric.Stats() }
-
-// Close stops every process and disconnects the fabric. Close is
-// idempotent, so scenarios can close explicitly (to seal a trace stream at a
-// consistent cut) under a deferred Close.
-func (c *Cluster) Close() {
-	c.close.Do(func() {
-		c.fabric.Close()
-		for _, p := range c.procs {
-			p.vsg.Stop()
-		}
-	})
-}
+func (m memNet) NetStats() netfab.Stats { return m.fabric.Stats() }
 
 // ID returns the process id.
 func (p *Process) ID() ProcID { return p.id }

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -81,8 +82,8 @@ func DefaultCorestepConfig() CorestepConfig {
 //     method value, or method expression) is reported — these are the
 //     fine-grained transitions only Step may compose;
 //   - values obtained from alias accessors (InfoSent/InfoRcvd return
-//     interior views/slices without copying) are tracked per function in
-//     the style of sharedmut, and writes through them are reported;
+//     interior views/slices without copying) are tracked per function by
+//     aliasWrites, as sharedmut's are, and writes through them are reported;
 //   - a named type outside the core tree implementing a filter interface
 //     is reported: protocol filters must be extracted as pure cores.
 //
@@ -98,22 +99,6 @@ func Corestep(cfg CorestepConfig) *Analyzer {
 		}
 		sanctioned[tname] = m
 	}
-	aliasAcc := make(map[string]bool, len(cfg.AliasAccessors))
-	for _, name := range cfg.AliasAccessors {
-		m := false
-		for _, roster := range sanctioned {
-			if roster[name] {
-				m = true
-			}
-		}
-		if !m {
-			// An alias accessor outside every roster would never fire;
-			// treat as configured anyway so fixtures can use small rosters.
-			_ = m
-		}
-		aliasAcc[name] = true
-	}
-
 	a := &Analyzer{
 		Name: "corestep",
 		Doc:  "core state is touched only via Step/Outbox/sanctioned accessors (escape: //lint:corestep)",
@@ -126,10 +111,18 @@ func Corestep(cfg CorestepConfig) *Analyzer {
 		for _, f := range pass.Files {
 			checkStateSelections(pass, cfg, sanctioned, f)
 		}
+		// Rule 2: writes through values aliasing interior core state.
+		isSource := func(e ast.Expr) bool { return isAliasCall(pass.Info, cfg, sanctioned, e) }
+		report := func(at ast.Node, what string) {
+			if !pass.Escaped(at.Pos(), "corestep") {
+				pass.Reportf(at.Pos(),
+					"%s through a value aliasing interior core state (alias accessor result): mutates the automaton behind Step's back — clone first or annotate //lint:corestep <reason>", what)
+			}
+		}
 		for _, f := range pass.Files {
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					checkAliasWrites(pass, cfg, sanctioned, aliasAcc, fd)
+					aliasWrites(pass, fd, isSource, report)
 				}
 			}
 		}
@@ -186,150 +179,27 @@ func checkStateSelections(pass *Pass, cfg CorestepConfig, sanctioned map[string]
 	})
 }
 
-// checkAliasWrites is rule 2: per-function taint from alias-accessor calls
-// (values aliasing interior core state), flagging writes through them.
-func checkAliasWrites(pass *Pass, cfg CorestepConfig, sanctioned map[string]map[string]bool, aliasAcc map[string]bool, fd *ast.FuncDecl) {
-	info := pass.Info
-
-	// isAliasCall: a call to a configured alias accessor on a state type.
-	isAliasCall := func(e ast.Expr) bool {
-		call, ok := ast.Unparen(e).(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		s, ok := info.Selections[sel]
-		if !ok {
-			return false
-		}
-		fn, ok := s.Obj().(*types.Func)
-		if !ok || !aliasAcc[fn.Name()] {
-			return false
-		}
-		_, isState := sanctioned[stateTypeName(s.Recv())]
-		return isState
-	}
-
-	// Pass 1: fixed-point over assignments. Multi-value forms (v, ok :=
-	// n.InfoSent(g)) taint every left-hand ident, conservatively.
-	tainted := make(map[types.Object]bool)
-	lhsObj := func(e ast.Expr) types.Object {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return nil
-		}
-		if obj := info.Defs[id]; obj != nil {
-			return obj
-		}
-		return info.Uses[id]
-	}
-	// rootIdent unwraps selector/index/slice paths to their root identifier.
-	var rootIdent func(e ast.Expr) *ast.Ident
-	rootIdent = func(e ast.Expr) *ast.Ident {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			return rootIdent(x.X)
-		case *ast.IndexExpr:
-			return rootIdent(x.X)
-		case *ast.SliceExpr:
-			return rootIdent(x.X)
-		}
-		return nil
-	}
-	taintedPath := func(e ast.Expr) bool {
-		if isAliasCall(e) {
-			return true
-		}
-		if id := rootIdent(e); id != nil {
-			return tainted[info.Uses[id]]
-		}
+// isAliasCall reports whether e is a call of a configured alias accessor
+// on a state type: the source of corestep's rule 2.
+func isAliasCall(info *types.Info, cfg CorestepConfig, sanctioned map[string]map[string]bool, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
 		return false
 	}
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			mark := func(lhs ast.Expr) {
-				if obj := lhsObj(lhs); obj != nil && !tainted[obj] {
-					tainted[obj] = true
-					changed = true
-				}
-			}
-			if len(as.Lhs) != len(as.Rhs) {
-				// v, ok := n.InfoSent(g): one call, many results.
-				if len(as.Rhs) == 1 && isAliasCall(as.Rhs[0]) {
-					for _, lhs := range as.Lhs {
-						mark(lhs)
-					}
-				}
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				if taintedPath(as.Rhs[i]) {
-					mark(lhs)
-				}
-			}
-			return true
-		})
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
 	}
-
-	report := func(pos ast.Node, what string) {
-		if pass.Escaped(pos.Pos(), "corestep") {
-			return
-		}
-		pass.Reportf(pos.Pos(),
-			"%s through a value aliasing interior core state (alias accessor result): mutates the automaton behind Step's back — clone first or annotate //lint:corestep <reason>", what)
+	s, ok := info.Selections[sel]
+	if !ok {
+		return false
 	}
-
-	// Pass 2: flag mutations through tainted paths.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				switch l := ast.Unparen(lhs).(type) {
-				case *ast.IndexExpr:
-					if taintedPath(l.X) {
-						report(l, "index write")
-					}
-				case *ast.SelectorExpr:
-					if idx, ok := ast.Unparen(l.X).(*ast.IndexExpr); ok && taintedPath(idx.X) {
-						report(l, "element field write")
-					} else if taintedPath(l.X) {
-						report(l, "field write")
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if fun, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if (fun.Name == "delete" || fun.Name == "append") && len(n.Args) >= 1 && taintedPath(n.Args[0]) {
-					report(n, fun.Name)
-				}
-			}
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok {
-					if pn, ok := info.Uses[id].(*types.PkgName); ok {
-						p := pn.Imported().Path()
-						if (p == "sort" || p == "slices") && len(n.Args) >= 1 && taintedPath(n.Args[0]) {
-							report(n, "in-place sort")
-						}
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			if idx, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok && taintedPath(idx.X) {
-				report(n, "increment")
-			}
-		}
-		return true
-	})
+	fn, ok := s.Obj().(*types.Func)
+	if !ok || !slices.Contains(cfg.AliasAccessors, fn.Name()) {
+		return false
+	}
+	_, isState := sanctioned[stateTypeName(s.Recv())]
+	return isState
 }
 
 // checkFilterImpls is rule 3: named non-core types implementing a filter

@@ -13,7 +13,7 @@ func DefaultAnalyzers() []*Analyzer {
 		Corestep(DefaultCorestepConfig()),
 		Effectcomplete(DefaultEffectcompleteConfig()),
 		Shellsafe(DefaultShellsafeConfig()),
-		Keyequal("/internal/protocol/"),
+		Keyequal("/internal/protocol/", "/internal/spec/"),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -12,25 +13,26 @@ import (
 // key() helpers the cores used to build on top of them.
 var renderMethods = map[string]bool{"MsgKey": true, "String": true, "key": true}
 
-// Keyequal returns the keyequal analyzer: inside a protocol core — a
-// package whose import path contains coreSegment — an == or != whose
-// operands are both calls of MsgKey(), String() or a method named key is
-// reported. A rendering is for traces, error text and the fingerprint
-// fallback. As an equality test it formats and allocates both sides on
-// every head check, and it is not injective, because payloads may contain
-// the delimiters the renderings join with; the cores compare with
-// EqualMsg/Equal. There is no escape directive: nothing in a core needs to
-// compare two renderings.
+// Keyequal returns the keyequal analyzer: inside a protocol core or a
+// specification automaton — a package whose import path contains one of
+// the segments — an == or != whose operands are both calls of MsgKey(),
+// String() or a method named key is reported. A rendering is for traces,
+// error text and the fingerprint fallback. As an equality test it formats
+// and allocates both sides on every head check, and it is not injective,
+// because payloads may contain the delimiters the renderings join with; the
+// cores and the specs they are checked against compare with EqualMsg/Equal.
+// There is no escape directive: nothing in scope needs to compare two
+// renderings.
 //
-// The scope is a path segment rather than a prefix so that the bad-edit
+// The scope is path segments rather than prefixes so that the bad-edit
 // module's own internal/protocol/ tree is governed like the real one.
-func Keyequal(coreSegment string) *Analyzer {
+func Keyequal(segments ...string) *Analyzer {
 	a := &Analyzer{
 		Name: "keyequal",
-		Doc:  "protocol cores compare messages with EqualMsg/Equal, never by rendered key (no escape)",
+		Doc:  "protocol cores and specs compare messages with EqualMsg/Equal, never by rendered key (no escape)",
 	}
 	a.Run = func(pass *Pass) {
-		if !strings.Contains(pass.Path+"/", coreSegment) {
+		if !slices.ContainsFunc(segments, func(seg string) bool { return strings.Contains(pass.Path+"/", seg) }) {
 			return
 		}
 		for _, f := range pass.Files {

@@ -8,5 +8,5 @@ import (
 )
 
 func TestKeyequal(t *testing.T) {
-	linttest.Run(t, "testdata", lint.Keyequal("/src/keyequal/core/"), "./src/keyequal/...")
+	linttest.Run(t, "testdata", lint.Keyequal("/src/keyequal/core/", "/src/keyequal/spec/"), "./src/keyequal/...")
 }

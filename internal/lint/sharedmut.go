@@ -11,16 +11,10 @@ import (
 // maps/slices of an automaton's state without copying, so invariant checkers
 // and environments can read them allocation-free. Writing through such a
 // view corrupts the live state that every sibling frontier entry aliases.
-// The analyzer flags, per function body:
-//
-//   - index/field assignment through a shared view (v[k] = x, delete(v, k))
-//   - append with a shared view as first argument (may write the shared
-//     backing array in place when capacity allows)
-//   - passing a shared view to sort.Slice/sort.Sort/slices.Sort* (reorders
-//     the shared backing array)
-//
-// Tracking is a simple per-function dataflow: a variable is "shared" if it
-// is assigned from a *Shared call or from another shared variable.
+// The analyzer reports every write aliasWrites finds, per function body,
+// through a *Shared call result or a variable derived from one: index and
+// field assignment, delete, append (may write the shared backing array in
+// place when capacity allows) and sort.*/slices.* (reorder it).
 // Deliberate writes carry //lint:sharedwrite <reason>.
 func Sharedmut() *Analyzer {
 	a := &Analyzer{
@@ -28,13 +22,18 @@ func Sharedmut() *Analyzer {
 		Doc:  "results of zero-clone *Shared accessors must not be written through (escape: //lint:sharedwrite)",
 	}
 	a.Run = func(pass *Pass) {
+		isSource := func(e ast.Expr) bool { return isSharedCall(pass.Info, e) }
+		report := func(at ast.Node, what string) {
+			if !pass.Escaped(at.Pos(), "sharedwrite") {
+				pass.Reportf(at.Pos(),
+					"%s through zero-clone Shared view: mutates live automaton state aliased by other frontier entries — write to a clone or annotate //lint:sharedwrite <reason>", what)
+			}
+		}
 		for _, f := range pass.Files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					aliasWrites(pass, fd, isSource, report)
 				}
-				checkSharedMut(pass, fd)
 			}
 		}
 	}
@@ -53,116 +52,4 @@ func isSharedCall(info *types.Info, e ast.Expr) bool {
 	}
 	name := obj.Name()
 	return strings.HasSuffix(name, "Shared") && name != "Shared"
-}
-
-func checkSharedMut(pass *Pass, fd *ast.FuncDecl) {
-	info := pass.Info
-
-	// Pass 1: fixed-point over simple assignments to find variables holding
-	// shared views (v := x.FooShared(); w := v; ...).
-	shared := make(map[types.Object]bool)
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj == nil || shared[obj] {
-					continue
-				}
-				rhs := ast.Unparen(as.Rhs[i])
-				src := false
-				if isSharedCall(info, rhs) {
-					src = true
-				} else if rid, ok := rhs.(*ast.Ident); ok && shared[info.Uses[rid]] {
-					src = true
-				} else if sl, ok := rhs.(*ast.SliceExpr); ok {
-					// v2 := v[1:] keeps the shared backing array.
-					if sid, ok := ast.Unparen(sl.X).(*ast.Ident); ok && shared[info.Uses[sid]] {
-						src = true
-					}
-				}
-				if src {
-					shared[obj] = true
-					changed = true
-				}
-			}
-			return true
-		})
-	}
-
-	// isSharedView: expression is a shared call or a shared-tracked variable.
-	isSharedView := func(e ast.Expr) bool {
-		e = ast.Unparen(e)
-		if isSharedCall(info, e) {
-			return true
-		}
-		if id, ok := e.(*ast.Ident); ok {
-			return shared[info.Uses[id]]
-		}
-		return false
-	}
-
-	// Pass 2: flag mutations through shared views.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				switch l := ast.Unparen(lhs).(type) {
-				case *ast.IndexExpr:
-					if isSharedView(l.X) && !pass.Escaped(l.Pos(), "sharedwrite") {
-						pass.Reportf(l.Pos(),
-							"write through zero-clone Shared view: mutates live automaton state aliased by other frontier entries — clone first or annotate //lint:sharedwrite <reason>")
-					}
-				case *ast.SelectorExpr:
-					// v[i].Field = x hides the index inside the selector.
-					if idx, ok := ast.Unparen(l.X).(*ast.IndexExpr); ok && isSharedView(idx.X) && !pass.Escaped(l.Pos(), "sharedwrite") {
-						pass.Reportf(l.Pos(),
-							"field write into element of zero-clone Shared view — clone first or annotate //lint:sharedwrite <reason>")
-					}
-				}
-			}
-		case *ast.CallExpr:
-			switch fun := ast.Unparen(n.Fun).(type) {
-			case *ast.Ident:
-				if fun.Name == "delete" && len(n.Args) >= 1 && isSharedView(n.Args[0]) &&
-					!pass.Escaped(n.Pos(), "sharedwrite") {
-					pass.Reportf(n.Pos(),
-						"delete from zero-clone Shared view mutates live automaton state — clone first or annotate //lint:sharedwrite <reason>")
-				}
-				if fun.Name == "append" && len(n.Args) >= 1 && isSharedView(n.Args[0]) &&
-					!pass.Escaped(n.Pos(), "sharedwrite") {
-					pass.Reportf(n.Pos(),
-						"append to zero-clone Shared view may write its backing array in place — copy with CloneSeq/append(nil, ...) or annotate //lint:sharedwrite <reason>")
-				}
-			case *ast.SelectorExpr:
-				if id, ok := fun.X.(*ast.Ident); ok {
-					if pn, ok := info.Uses[id].(*types.PkgName); ok {
-						p := pn.Imported().Path()
-						if (p == "sort" || p == "slices") && len(n.Args) >= 1 && isSharedView(n.Args[0]) &&
-							!pass.Escaped(n.Pos(), "sharedwrite") {
-							pass.Reportf(n.Pos(),
-								"%s.%s reorders a zero-clone Shared view's backing array in place — sort a copy or annotate //lint:sharedwrite <reason>", id.Name, fun.Sel.Name)
-						}
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			if idx, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok && isSharedView(idx.X) && !pass.Escaped(n.Pos(), "sharedwrite") {
-				pass.Reportf(n.Pos(),
-					"increment through zero-clone Shared view mutates live automaton state — clone first or annotate //lint:sharedwrite <reason>")
-			}
-		}
-		return true
-	})
 }

@@ -1,5 +1,5 @@
-// Package shell is outside the core scope: specifications and shells may
-// still compare keys (the spec automata do), so nothing is reported.
+// Package shell is outside both scope segments: a shell or a test helper
+// may still compare keys, so nothing is reported.
 package shell
 
 type Msg interface{ MsgKey() string }

@@ -45,7 +45,7 @@ func DirectWrite(s *State) {
 func ViaLocal(s *State) {
 	m := s.ItemsShared()
 	m["x"] = 1     // want "write through zero-clone Shared view"
-	delete(m, "y") // want "delete from zero-clone Shared view"
+	delete(m, "y") // want "delete through zero-clone Shared view"
 }
 
 // ViaCopyChain tracks aliases through copies and reslices.
@@ -58,13 +58,13 @@ func ViaCopyChain(s *State) {
 // AppendInPlace may scribble on the shared backing array.
 func AppendInPlace(s *State) []int {
 	xs := s.ListShared()
-	return append(xs, 9) // want "append to zero-clone Shared view"
+	return append(xs, 9) // want "append through zero-clone Shared view"
 }
 
 // SortsShared reorders the live backing array.
 func SortsShared(s *State) {
 	xs := s.ListShared()
-	sort.Ints(xs) // want "sort.Ints reorders a zero-clone Shared view"
+	sort.Ints(xs) // want "in-place sort through zero-clone Shared view"
 }
 
 // Bump increments an element in place.

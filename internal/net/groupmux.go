@@ -27,7 +27,6 @@ type GroupFrame struct {
 type GroupMux struct {
 	self    types.ProcID
 	under   Transport
-	size    int
 	mu      sync.Mutex
 	chans   map[types.GroupID]chan Envelope
 	stop    chan struct{}
@@ -36,31 +35,27 @@ type GroupMux struct {
 	dropped atomic.Uint64
 }
 
-// GroupMuxConfig configures a GroupMux.
-type GroupMuxConfig struct {
-	// InboxSize is the per-group buffered channel capacity (default 4096).
-	// A full group inbox drops, like the fabric's shared inbox.
-	InboxSize int
-}
+// groupInboxSize is each group's buffered channel capacity. A full group
+// inbox drops, like the fabric's shared inbox.
+const groupInboxSize = 4096
+
+// GroupMuxConfig has no fields left (nothing ever set its inbox size); the
+// type stays because bench/traced.go passes one to NewGroupMux.
+type GroupMuxConfig struct{}
 
 // NewGroupMux builds the demultiplexer for endpoint self over the shared
 // transport, serving the given groups. Start must be called before
 // deliveries flow.
-func NewGroupMux(self types.ProcID, under Transport, groups []types.GroupID, cfg GroupMuxConfig) *GroupMux {
-	size := cfg.InboxSize
-	if size <= 0 {
-		size = 4096
-	}
+func NewGroupMux(self types.ProcID, under Transport, groups []types.GroupID, _ GroupMuxConfig) *GroupMux {
 	m := &GroupMux{
 		self:  self,
 		under: under,
-		size:  size,
 		chans: make(map[types.GroupID]chan Envelope, len(groups)),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
 	for _, g := range types.DedupGroups(append([]types.GroupID(nil), groups...)) {
-		m.chans[g] = make(chan Envelope, size)
+		m.chans[g] = make(chan Envelope, groupInboxSize)
 	}
 	return m
 }

@@ -595,7 +595,7 @@ func (a *DVS) Perform(act ioa.Action) error {
 		}
 		k := procView{p.P, p.G}
 		msgs := a.pending[k]
-		if len(msgs) == 0 || msgs[0].MsgKey() != p.M.MsgKey() {
+		if len(msgs) == 0 || !msgs[0].EqualMsg(p.M) {
 			return fmt.Errorf("dvs-order(%s): not head of pending[%s,%s]", p.M.MsgKey(), p.P, p.G)
 		}
 		a.pending[k] = msgs[1:]
@@ -617,7 +617,7 @@ func (a *DVS) Perform(act ioa.Action) error {
 		k := procView{p.To, g}
 		n := defaultOne(a.next, k)
 		queue := a.queues[g]
-		if n > len(queue) || queue[n-1].M.MsgKey() != p.M.MsgKey() || queue[n-1].P != p.From {
+		if n > len(queue) || !queue[n-1].M.EqualMsg(p.M) || queue[n-1].P != p.From {
 			return fmt.Errorf("dvs-gprcv(%s)_%s,%s: queue[%s](%d) mismatch", p.M.MsgKey(), p.From, p.To, g, n)
 		}
 		if !a.literal && n >= a.Rcvd(p.To, g) {
@@ -638,7 +638,7 @@ func (a *DVS) Perform(act ioa.Action) error {
 		k := procView{p.To, g}
 		ns := defaultOne(a.nextSafe, k)
 		queue := a.queues[g]
-		if ns > len(queue) || queue[ns-1].M.MsgKey() != p.M.MsgKey() || queue[ns-1].P != p.From {
+		if ns > len(queue) || !queue[ns-1].M.EqualMsg(p.M) || queue[ns-1].P != p.From {
 			return fmt.Errorf("dvs-safe(%s)_%s,%s: queue[%s](%d) mismatch", p.M.MsgKey(), p.From, p.To, g, ns)
 		}
 		if !a.safeEnabled(p.To, g, ns) {
@@ -665,7 +665,7 @@ func (a *DVS) Perform(act ioa.Action) error {
 		k := procView{p.To, p.G}
 		r := defaultOne(a.rcvd, k)
 		queue := a.queues[p.G]
-		if r > len(queue) || queue[r-1].M.MsgKey() != p.M.MsgKey() || queue[r-1].P != p.From {
+		if r > len(queue) || !queue[r-1].M.EqualMsg(p.M) || queue[r-1].P != p.From {
 			return fmt.Errorf("dvs-rcv(%s)_%s,%s: queue[%s](%d) mismatch", p.M.MsgKey(), p.From, p.To, p.G, r)
 		}
 		a.rcvd[k] = r + 1

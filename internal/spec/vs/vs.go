@@ -333,7 +333,7 @@ func (a *VS) Perform(act ioa.Action) error {
 		}
 		k := procView{p.P, p.G}
 		msgs := a.pending[k]
-		if len(msgs) == 0 || msgs[0].MsgKey() != p.M.MsgKey() {
+		if len(msgs) == 0 || !msgs[0].EqualMsg(p.M) {
 			return fmt.Errorf("vs-order(%s): not head of pending[%s,%s]", p.M.MsgKey(), p.P, p.G)
 		}
 		a.pending[k] = msgs[1:]
@@ -355,7 +355,7 @@ func (a *VS) Perform(act ioa.Action) error {
 		k := procView{p.To, g}
 		n := defaultOne(a.next, k)
 		queue := a.queues[g]
-		if n > len(queue) || queue[n-1].M.MsgKey() != p.M.MsgKey() || queue[n-1].P != p.From {
+		if n > len(queue) || !queue[n-1].M.EqualMsg(p.M) || queue[n-1].P != p.From {
 			return fmt.Errorf("vs-gprcv(%s)_%s,%s: queue[%s](%d) mismatch", p.M.MsgKey(), p.From, p.To, g, n)
 		}
 		a.next[k] = n + 1
@@ -373,7 +373,7 @@ func (a *VS) Perform(act ioa.Action) error {
 		k := procView{p.To, g}
 		ns := defaultOne(a.nextSafe, k)
 		queue := a.queues[g]
-		if ns > len(queue) || queue[ns-1].M.MsgKey() != p.M.MsgKey() || queue[ns-1].P != p.From {
+		if ns > len(queue) || !queue[ns-1].M.EqualMsg(p.M) || queue[ns-1].P != p.From {
 			return fmt.Errorf("vs-safe(%s)_%s,%s: queue[%s](%d) mismatch", p.M.MsgKey(), p.From, p.To, g, ns)
 		}
 		if !a.safeEnabled(p.To, g, ns) {

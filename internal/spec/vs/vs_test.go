@@ -250,3 +250,20 @@ func TestExecutionDeterminism(t *testing.T) {
 		t.Error("seeded executions must be reproducible")
 	}
 }
+
+// Two distinct batches can render the same key (payloads may contain the
+// delimiters): ordering the one that is not the pending head must fail.
+func TestSpecRejectsKeyCollidingMessage(t *testing.T) {
+	a, _, v0 := setup()
+	head := types.Batch{Msgs: []types.Msg{types.ClientMsg("x|c:y")}}
+	other := types.Batch{Msgs: []types.Msg{types.ClientMsg("x"), types.ClientMsg("y")}}
+	if head.MsgKey() != other.MsgKey() {
+		t.Fatalf("fixture no longer collides: %q vs %q", head.MsgKey(), other.MsgKey())
+	}
+	mustPerform(t, a, act(ActGpSnd, ioa.KindInput, SndParam{M: head, P: 0}))
+	err := a.Perform(act(ActOrder, ioa.KindInternal, OrderParam{M: other, P: 0, G: v0.ID}))
+	if err == nil || !strings.Contains(err.Error(), "not head of pending") {
+		t.Fatalf("vs-order of a message that only renders like the head: err = %v", err)
+	}
+	mustPerform(t, a, act(ActOrder, ioa.KindInternal, OrderParam{M: head, P: 0, G: v0.ID}))
+}

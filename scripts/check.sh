@@ -23,7 +23,8 @@
 #                               # history against its two-map model
 #                               # (FuzzHistory)
 #   sh scripts/check.sh loc     # only the line-count ceilings on
-#                               # internal/conform and the tree
+#                               # internal/conform, the root package and
+#                               # the tree
 #   sh scripts/check.sh nogob   # only the import ban: encoding/gob may not
 #                               # come back anywhere in the tree
 #   sh scripts/check.sh bench   # only the benchmark-snapshot gate: run
@@ -259,20 +260,23 @@ fuzz_guard() {
 	done
 }
 
-# loc_guard holds internal/conform and the tree to measured non-test line
-# counts (scripts/loc.sh prints them per package). conform is where this tree
-# accretes — three recorders, four replayers and four encodings of one record
-# before PR 16 — so growing it again has to be a decision: raise the ceiling
-# in the same change and say in CHANGES.md what the lines buy. Its ceiling
-# fell from 2,670 to what PR 18 left when the primitives and the message
-# union moved to internal/wire. The tree's ceiling rose once, by PR 17's
+# loc_guard holds internal/conform, the root package and the tree to
+# measured non-test line counts (scripts/loc.sh prints them per package).
+# conform is where this tree accretes — three recorders, four replayers and
+# four encodings of one record before PR 16 — so growing it again has to be
+# a decision: raise the ceiling in the same change and say in CHANGES.md
+# what the lines buy. Its ceiling fell from 2,670 to what PR 18 left when
+# the primitives and the message union moved to internal/wire. The root
+# package (`.`) is where runtimes accrete — the process assembly was written
+# three times there before PR 19 made it buildProc — and is held at what
+# that PR left, 1,711 → 1,673. The tree's ceiling rose once, by PR 17's
 # measured net of +226 (the TO core's dense history and its bad-edit lint
-# fixture), and PR 18 kept it: the TCP framing, the payload codecs and the
-# refusal paths were paid for by gob, the netstring codec and duplicated
-# accessors going.
+# fixture), PR 18 kept it, and PR 19 lowered it from 24,250 to its measured
+# 24,096: one process runtime instead of three assemblies, one alias
+# dataflow pass in internal/lint instead of two, and two never-set knobs.
 loc_guard() {
 	counts="$(sh scripts/loc.sh)"
-	for row in internal/conform:2335 total:24250; do
+	for row in internal/conform:2335 .:1673 total:24096; do
 		name=${row%%:*}
 		ceiling=${row##*:}
 		got=$(printf '%s\n' "$counts" | awk -v n="$name" '$2 == n { print $1 }')

@@ -2,8 +2,9 @@
 # Non-test Go lines per package and for the tree, the way ISSUE 16 counts
 # them: every *.go that is not a test, not under bench/ (its own module, off
 # limits to most PRs) and not an analyzer fixture under testdata/. The gate
-# in check.sh (loc_guard) reads the `internal/conform` and `total` rows; the
-# `internal/wire` row is the byte codec conform, net and mcast share.
+# in check.sh (loc_guard) reads the `internal/conform`, `.` (the root
+# package) and `total` rows; the `internal/wire` row is the byte codec
+# conform, net and mcast share.
 #
 # Usage: sh scripts/loc.sh
 set -eu

@@ -82,9 +82,16 @@ func assertCrossGroupOrder(t *testing.T, consensus map[GroupID][]McastDelivery, 
 // cluster: keyed submits route deterministically by consistent hash, land
 // only in their routed group, each group keeps one total order, and both
 // the per-group protocol traces and the (empty) multicast trace replay
-// clean.
+// clean. One group is the degenerate case, not a different runtime: it
+// too goes through the mux and runs a coordinator.
 func TestShardedKeyedRouting(t *testing.T) {
-	const n, ngroups, msgs = 4, 3, 36
+	for _, ngroups := range []int{1, 3} {
+		t.Run(fmt.Sprintf("groups=%d", ngroups), func(t *testing.T) { testShardedKeyedRouting(t, ngroups) })
+	}
+}
+
+func testShardedKeyedRouting(t *testing.T, ngroups int) {
+	const n, msgs = 4, 36
 	traceDir := t.TempDir()
 	cl, err := NewShardedCluster(ShardedConfig{Processes: n, Groups: ngroups, Seed: 11, StreamDir: traceDir})
 	if err != nil {
@@ -135,6 +142,14 @@ func TestShardedKeyedRouting(t *testing.T) {
 		}
 	}
 
+	for i := 0; i < n; i++ {
+		if d := cl.Process(i).MuxDropped(); d != 0 {
+			t.Errorf("process %d: group mux dropped %d frames", i, d)
+		}
+		if ms := cl.Process(i).McastStats(); ms.Submitted != 0 || ms.Delivered != 0 {
+			t.Errorf("process %d: keyed traffic reached the multicast coordinator: %+v", i, ms)
+		}
+	}
 	if err := cl.Close(); err != nil {
 		t.Fatalf("closing sharded cluster: %v", err)
 	}

@@ -1,15 +1,18 @@
 package dvs
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/conform"
 	"repro/internal/core"
 	"repro/internal/dvsg"
+	"repro/internal/mcast"
 	netfab "repro/internal/net"
 	"repro/internal/protocol/staticcore"
 	"repro/internal/quorum"
+	"repro/internal/shard"
 	"repro/internal/tob"
 	"repro/internal/types"
 	"repro/internal/vsg"
@@ -17,15 +20,14 @@ import (
 
 // stackConfig carries everything needed to assemble one process's protocol
 // stack for one group: membership (VS), the primary-view filter, and the
-// totally-ordered broadcast application, plus the conformance taps. The
-// single-group Cluster and TCP Node and the multi-group sharded runtime all
-// build their stacks here, so the wiring — and the recorded construction
-// parameters the replayer depends on — cannot drift between entry points.
+// totally-ordered broadcast application, plus the conformance taps. Every
+// runtime builds its stacks through buildProc and so through here, so the
+// wiring — and the recorded construction parameters the replayer depends on
+// — cannot drift between entry points.
 type stackConfig struct {
 	self      ProcID
 	group     types.GroupID // 0 in single-group runs
 	universe  types.ProcSet
-	p0        types.ProcSet // members of the initial view
 	initial   types.View
 	transport netfab.Transport
 
@@ -40,8 +42,7 @@ type stackConfig struct {
 }
 
 // stack is one group's protocol stack at one process. The embedding types
-// (Process, Node, and the sharded runtime's per-group handles) promote its
-// fields and methods.
+// (Process, Node) promote its fields and methods.
 type stack struct {
 	group types.GroupID
 	vsg   *vsg.Node
@@ -50,9 +51,9 @@ type stack struct {
 	check *conform.OnlineChecker // nil unless online
 }
 
-// buildStack assembles one stack. The vsg node is returned un-started;
-// callers start every stack of a process after all of them are wired (the
-// sharded runtime installs multicast hooks in between).
+// buildStack assembles one stack. The vsg node is returned un-started:
+// buildProc installs the multicast hooks on every stack of a process before
+// proc.start starts any of them.
 func buildStack(sc stackConfig) (*stack, error) {
 	node := vsg.NewNode(vsg.Config{
 		Self:           sc.self,
@@ -64,14 +65,16 @@ func buildStack(sc stackConfig) (*stack, error) {
 		ProposeRetry:   sc.retry,
 	})
 
+	// The zero Mode is ModeDynamic: this is the one place a Mode is read.
+	static := sc.mode == ModeStatic
 	var filter dvsg.Filter
-	if sc.mode == ModeStatic {
-		filter = staticcore.NewNode(sc.self, sc.initial, sc.initial.Contains(sc.self), quorum.Majority(sc.p0))
+	if static {
+		filter = staticcore.NewNode(sc.self, sc.initial, sc.initial.Contains(sc.self), quorum.Majority(sc.initial.Members))
 	} else {
 		filter = core.NewNode(sc.self, sc.initial, sc.initial.Contains(sc.self))
 	}
 	app := tob.New(sc.self, sc.initial, !sc.disableRegistration, node.Stopped())
-	layer := dvsg.New(filter, app, sc.mode == ModeDynamic)
+	layer := dvsg.New(filter, app, !static)
 	layer.Bind(node)
 	app.Bind(layer)
 	node.SetHandler(layer)
@@ -80,11 +83,9 @@ func buildStack(sc stackConfig) (*stack, error) {
 	// actually built above: gc is on only in dynamic mode, and static marks
 	// the filter as the staticcore baseline so the replayer re-executes the
 	// right automaton.
-	gcOn := sc.mode == ModeDynamic
-	static := sc.mode == ModeStatic
 	st := &stack{group: sc.group, vsg: node, dvs: layer, tob: app}
 	if sc.stream != nil {
-		sn, err := sc.stream.Node(sc.self, sc.group, sc.initial, sc.initial.Contains(sc.self), !sc.disableRegistration, gcOn, static)
+		sn, err := sc.stream.Node(sc.self, sc.group, sc.initial, sc.initial.Contains(sc.self), !sc.disableRegistration, !static, static)
 		if err != nil {
 			return nil, fmt.Errorf("dvs: registering process %s with trace stream: %w", sc.self, err)
 		}
@@ -97,6 +98,169 @@ func buildStack(sc stackConfig) (*stack, error) {
 		app.AddObserver(st.check.ObserveTO)
 	}
 	return st, nil
+}
+
+// procConfig is what one process's runtime needs above its stacks.
+type procConfig struct {
+	// stack is the per-stack template: buildProc sets group and stream per
+	// group, and transport — the process's endpoint — to the group's mux port.
+	stack stackConfig
+	ring  *shard.Ring // routes keys to groups; its group list is the process's
+	// mux makes the groups share the endpoint by tagging every frame
+	// (netfab.GroupFrame) and runs the multicast coordinator beside them;
+	// without it the process has one group and its frames go out untagged.
+	mux     bool
+	streams map[types.GroupID]*TraceStream // per recorded group
+	mstream *TraceStream                   // the coordinator's; nil = unrecorded
+}
+
+// proc is one process's runtime: a stack per group and, when the endpoint
+// is multiplexed, the group mux under them and the multicast coordinator
+// beside them. ShardedProcess and Node promote its methods.
+type proc struct {
+	id     ProcID
+	stacks map[types.GroupID]*stack
+	ring   *shard.Ring
+	mux    *netfab.GroupMux   // nil unless multiplexed
+	mc     *mcast.Coordinator // nil unless multiplexed
+}
+
+// buildProc assembles one process, un-started. The order matters: the mux
+// before the stacks whose transports are its ports, the coordinator after
+// the stacks whose total orders carry its control traffic, and its deliver
+// hooks on every stack before start runs any of them.
+func buildProc(pc procConfig) (*proc, error) {
+	sc, groups := pc.stack, pc.ring.Groups()
+	p := &proc{id: sc.self, stacks: make(map[types.GroupID]*stack, len(groups)), ring: pc.ring}
+	if pc.mux {
+		p.mux = netfab.NewGroupMux(sc.self, sc.transport, groups, netfab.GroupMuxConfig{})
+	}
+	ports := make([]mcast.GroupPort, 0, len(groups))
+	for _, g := range groups {
+		sc.group, sc.stream = g, pc.streams[g]
+		if pc.mux {
+			sc.transport = p.mux.Group(g)
+		}
+		st, err := buildStack(sc)
+		if err != nil {
+			return nil, err
+		}
+		p.stacks[g] = st
+		ports = append(ports, mcast.GroupPort{G: g, TOB: st.tob, Run: st.vsg.Do})
+	}
+	if !pc.mux {
+		return p, nil
+	}
+	p.mc = mcast.New(sc.self, ports)
+	if pc.mstream != nil {
+		sn, err := pc.mstream.McastNode(sc.self, groups)
+		if err != nil {
+			return nil, fmt.Errorf("dvs: registering process %s with the multicast trace stream: %w", sc.self, err)
+		}
+		p.mc.AddObserver(sn.ObserveMcast)
+	}
+	for _, g := range groups {
+		p.stacks[g].tob.SetDeliverHook(p.mc.Hook(g))
+	}
+	return p, nil
+}
+
+// start runs the mux, then the stacks, then the coordinator. On error
+// nothing is running and stop must not be called: vsg's Stop would wait for
+// a loop that never started.
+func (p *proc) start() error {
+	if p.mux != nil {
+		if err := p.mux.Start(); err != nil {
+			return fmt.Errorf("dvs: starting process %s's group mux: %w", p.id, err)
+		}
+	}
+	for _, g := range p.ring.Groups() {
+		p.stacks[g].vsg.Start()
+	}
+	if p.mc != nil {
+		p.mc.Start()
+	}
+	return nil
+}
+
+// stop is start in reverse.
+func (p *proc) stop() {
+	if p.mc != nil {
+		p.mc.Stop()
+	}
+	for _, g := range p.ring.Groups() {
+		p.stacks[g].vsg.Stop()
+	}
+	if p.mux != nil {
+		p.mux.Stop()
+	}
+}
+
+// startProcs builds one process per member of the universe and then starts
+// them, in id order (each is registered with the trace streams before any
+// steps). On error it returns the ones already running, for the caller to stop.
+func startProcs(pc procConfig) ([]*proc, error) {
+	ids := pc.stack.universe.Sorted()
+	procs := make([]*proc, 0, len(ids))
+	for _, id := range ids {
+		pc.stack.self = id
+		p, err := buildProc(pc)
+		if err != nil {
+			return nil, err
+		}
+		procs = append(procs, p)
+	}
+	for i, p := range procs {
+		if err := p.start(); err != nil {
+			return procs[:i], err
+		}
+	}
+	return procs, nil
+}
+
+// ID returns the process id.
+func (p *proc) ID() ProcID { return p.id }
+
+// Groups returns the process's group ids, sorted ({0} with one group).
+func (p *proc) Groups() []types.GroupID {
+	return append([]types.GroupID(nil), p.ring.Groups()...)
+}
+
+// Group returns the handle of group g's stack: the API a single-group
+// cluster's Process offers (Broadcast, Deliveries, Views, Established...).
+func (p *proc) Group(g types.GroupID) (*Process, bool) {
+	st, ok := p.stacks[g]
+	if !ok {
+		return nil, false
+	}
+	return &Process{id: p.id, stack: st}, true
+}
+
+// Submit routes a keyed payload to its group by consistent hash and
+// broadcasts it there, reporting false if that group's stack has stopped.
+func (p *proc) Submit(key, payload string) bool {
+	return p.stacks[p.ring.Group(key)].Broadcast(payload)
+}
+
+// SubmitKey returns the group a key routes to.
+func (p *proc) SubmitKey(key string) types.GroupID { return p.ring.Group(key) }
+
+// SubmitMulti atomically multicasts a payload to the destination groups:
+// every addressed group delivers it, and any two groups sharing two
+// multicasts deliver them in the same relative order.
+func (p *proc) SubmitMulti(dests []types.GroupID, payload string) error {
+	if p.mc == nil {
+		return errors.New("dvs: SubmitMulti requires Groups > 1")
+	}
+	return p.mc.Submit(dests, payload)
+}
+
+// McastStats returns the multicast coordinator's counters (zero without one).
+func (p *proc) McastStats() mcast.Stats {
+	if p.mc == nil {
+		return mcast.Stats{}
+	}
+	return p.mc.Stats()
 }
 
 // Group returns the group this stack serves (0 in single-group runs).

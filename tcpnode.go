@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dvsg"
-	"repro/internal/mcast"
 	"repro/internal/member"
 	netfab "repro/internal/net"
 	"repro/internal/shard"
@@ -98,24 +97,17 @@ type NodeStats struct {
 	Check OnlineCheckStats // zero unless NodeConfig.Online
 }
 
-// Node is one standalone process of a TCP-connected deployment. In
-// single-group mode (Groups <= 1) the embedded stack is the node's whole
-// protocol state and the historical API is unchanged. In sharded mode the
-// node runs one stack per group behind a group multiplexer; the embedded
-// stack is group 0's, so the single-group accessors keep working and read
-// that group, while Group, Submit and SubmitMulti expose the rest.
+// Node is one standalone process of a TCP-connected deployment: a TCP
+// transport under one process runtime. With Groups <= 1 the runtime is one
+// stack on the bare transport; with more it is one stack per group behind a
+// group multiplexer, with the multicast coordinator beside them. Either way
+// the embedded stack is group 0's, so the single-group accessors read that
+// group, while Group, Submit and SubmitMulti reach the rest.
 type Node struct {
-	id        ProcID
 	tcp       *netfab.TCPTransport
 	transport netfab.Transport // tcp, possibly wrapped (see WrapTransport)
-	*stack                     // group 0's stack
-
-	// Sharded mode only (nil/empty in single-group mode).
-	mux    *netfab.GroupMux
-	groups []types.GroupID
-	stacks map[types.GroupID]*stack
-	ring   *shard.Ring
-	mc     *mcast.Coordinator
+	*proc
+	*stack // group 0's stack
 }
 
 // StartNode launches a standalone process.
@@ -126,13 +118,10 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ID < 0 || cfg.ID >= cfg.Processes {
 		return nil, fmt.Errorf("dvs: node id %d out of range", cfg.ID)
 	}
-	if cfg.Mode == 0 {
-		cfg.Mode = ModeDynamic
-	}
 	if cfg.Groups <= 0 {
 		cfg.Groups = 1
 	}
-	if cfg.Online != nil && cfg.Mode != ModeDynamic {
+	if cfg.Online != nil && cfg.Mode == ModeStatic {
 		return nil, errors.New("dvs: NodeConfig.Online requires ModeDynamic")
 	}
 	if cfg.Groups > 1 && cfg.Stream != nil {
@@ -144,23 +133,13 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = 20 * time.Millisecond
 	}
+	universe, initial, err := initialView(cfg.Processes, cfg.Initial)
+	if err != nil {
+		return nil, err
+	}
 	registerWireTypes()
 
-	universe := types.RangeProcSet(cfg.Processes)
-	p0 := types.NewProcSet()
-	if len(cfg.Initial) == 0 {
-		p0 = universe.Clone()
-	} else {
-		for _, i := range cfg.Initial {
-			if i < 0 || i >= cfg.Processes {
-				return nil, fmt.Errorf("dvs: initial member %d out of range", i)
-			}
-			p0.Add(ProcID(i))
-		}
-	}
-	initial := types.InitialView(p0)
 	self := ProcID(cfg.ID)
-
 	peers := make(map[types.ProcID]string, len(cfg.Peers))
 	for id, addr := range cfg.Peers {
 		peers[ProcID(id)] = addr
@@ -173,135 +152,43 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	var transport netfab.Transport = tcp
+	n := &Node{tcp: tcp, transport: tcp}
 	if cfg.WrapTransport != nil {
-		transport = cfg.WrapTransport(tcp)
+		n.transport = cfg.WrapTransport(tcp)
 	}
 
-	n := &Node{id: self, tcp: tcp, transport: transport}
-	sc := stackConfig{
-		self:                self,
-		universe:            universe,
-		p0:                  p0,
-		initial:             initial,
-		transport:           transport,
-		mode:                cfg.Mode,
-		disableRegistration: cfg.DisableRegistration,
-		tick:                cfg.TickInterval,
-		suspect:             cfg.SuspectTimeout,
-		retry:               cfg.ProposeRetry,
-		stream:              cfg.Stream,
-		online:              cfg.Online,
+	n.proc, err = buildProc(procConfig{
+		stack: stackConfig{
+			self:                self,
+			universe:            universe,
+			initial:             initial,
+			transport:           n.transport,
+			mode:                cfg.Mode,
+			disableRegistration: cfg.DisableRegistration,
+			tick:                cfg.TickInterval,
+			suspect:             cfg.SuspectTimeout,
+			retry:               cfg.ProposeRetry,
+			online:              cfg.Online,
+		},
+		ring:    shard.NewRing(types.RangeGroups(cfg.Groups), 0),
+		mux:     cfg.Groups > 1,
+		streams: map[types.GroupID]*TraceStream{0: cfg.Stream},
+	})
+	if err == nil {
+		err = n.start()
 	}
-
-	if cfg.Groups == 1 {
-		st, err := buildStack(sc)
-		if err != nil {
-			tcp.Close()
-			return nil, err
-		}
-		n.stack = st
-		st.vsg.Start()
-		return n, nil
-	}
-
-	// Sharded mode: one stack per group over the shared transport, a
-	// consistent-hash ring on the submit path, and the cross-group atomic
-	// multicast coordinator hooked into every group's delivery stream.
-	n.groups = types.RangeGroups(cfg.Groups)
-	n.mux = netfab.NewGroupMux(self, transport, n.groups, netfab.GroupMuxConfig{})
-	n.stacks = make(map[types.GroupID]*stack, cfg.Groups)
-	n.ring = shard.NewRing(n.groups, 0)
-	ports := make([]mcast.GroupPort, 0, cfg.Groups)
-	for _, g := range n.groups {
-		sc.group = g
-		sc.transport = n.mux.Group(g)
-		st, err := buildStack(sc)
-		if err != nil {
-			tcp.Close()
-			return nil, err
-		}
-		n.stacks[g] = st
-		ports = append(ports, mcast.GroupPort{G: g, TOB: st.tob, Run: st.vsg.Do})
+	if err != nil {
+		n.closeTransport()
+		return nil, err
 	}
 	n.stack = n.stacks[0]
-	n.mc = mcast.New(self, ports)
-	for _, g := range n.groups {
-		n.stacks[g].tob.SetDeliverHook(n.mc.Hook(g))
-	}
-	n.mux.Start()
-	for _, g := range n.groups {
-		n.stacks[g].vsg.Start()
-	}
-	n.mc.Start()
 	return n, nil
 }
 
-// Groups returns the node's group ids ({0} in single-group mode).
-func (n *Node) Groups() []types.GroupID {
-	if n.mux == nil {
-		return []types.GroupID{0}
-	}
-	return append([]types.GroupID(nil), n.groups...)
-}
-
 // Group returns the stack handle of group g, presented as a Process (the
-// same per-group API the in-memory cluster hands out). In single-group
-// mode only group 0 exists.
-func (n *Node) Group(g types.GroupID) (*Process, bool) {
-	if n.mux == nil {
-		if g != 0 {
-			return nil, false
-		}
-		return &Process{id: n.id, stack: n.stack}, true
-	}
-	st, ok := n.stacks[g]
-	if !ok {
-		return nil, false
-	}
-	return &Process{id: n.id, stack: st}, true
-}
-
-// Submit routes a keyed payload to its group by consistent hash and
-// broadcasts it there. In single-group mode every key routes to group 0.
-// It reports false if the owning group's stack has stopped.
-func (n *Node) Submit(key, payload string) bool {
-	st := n.stack
-	if n.mux != nil {
-		st = n.stacks[n.ring.Group(key)]
-	}
-	return st.Broadcast(payload)
-}
-
-// SubmitKey returns the group a key routes to.
-func (n *Node) SubmitKey(key string) types.GroupID {
-	if n.mux == nil {
-		return 0
-	}
-	return n.ring.Group(key)
-}
-
-// SubmitMulti atomically multicasts a payload to several groups: every
-// addressed group delivers it, in the same relative order as every other
-// multicast those groups share. Requires sharded mode.
-func (n *Node) SubmitMulti(dests []types.GroupID, payload string) error {
-	if n.mc == nil {
-		return errors.New("dvs: SubmitMulti requires Groups > 1")
-	}
-	return n.mc.Submit(dests, payload)
-}
-
-// McastStats returns the multicast coordinator's counters (zero in
-// single-group mode).
-func (n *Node) McastStats() mcast.Stats {
-	if n.mc == nil {
-		return mcast.Stats{}
-	}
-	return n.mc.Stats()
-}
-
-// ID returns the node's process id.
-func (n *Node) ID() ProcID { return n.id }
+// same per-group API the in-memory cluster hands out). Spelled out because
+// the embedded stack's Group() would make the promoted selector ambiguous.
+func (n *Node) Group(g types.GroupID) (*Process, bool) { return n.proc.Group(g) }
 
 // Addr returns the actual TCP listen address.
 func (n *Node) Addr() string { return n.tcp.Addr() }
@@ -319,21 +206,15 @@ func (n *Node) StatsSnapshot() NodeStats {
 	return s
 }
 
-// Close stops the node — every group's stack, the multicast coordinator
-// and group multiplexer in sharded mode — and its transport (including any
-// wrapper installed via WrapTransport).
+// Close stops the node — every group's stack and, when multiplexed, the
+// multicast coordinator and the group multiplexer — and its transport
+// (including any wrapper installed via WrapTransport).
 func (n *Node) Close() {
-	if n.mc != nil {
-		n.mc.Stop()
-	}
-	if n.mux != nil {
-		for _, g := range n.groups {
-			n.stacks[g].vsg.Stop()
-		}
-		n.mux.Stop()
-	} else {
-		n.vsg.Stop()
-	}
+	n.stop()
+	n.closeTransport()
+}
+
+func (n *Node) closeTransport() {
 	if closer, ok := n.transport.(interface{ Close() }); ok && n.transport != netfab.Transport(n.tcp) {
 		closer.Close()
 	}

@@ -1,9 +1,15 @@
 package dvs
 
 import (
+	"errors"
 	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
+
+	netfab "repro/internal/net"
+	"repro/internal/types"
 )
 
 // startTCPGroup launches n standalone nodes over real localhost TCP.
@@ -221,5 +227,111 @@ func TestTCPNodeConfigValidation(t *testing.T) {
 	}
 	if _, err := StartNode(NodeConfig{Processes: 2, ID: 0, Listen: "127.0.0.1:1", Initial: []int{9}}); err == nil {
 		t.Error("out-of-range initial member accepted")
+	}
+}
+
+// deafTransport hands out no inbox, the way a transport that does not serve
+// the node's id would; Close records that the node released it.
+type deafTransport struct {
+	netfab.Transport
+	closed *bool
+}
+
+func (d deafTransport) Inbox(types.ProcID) (<-chan netfab.Envelope, error) {
+	return nil, errors.New("no inbox")
+}
+
+func (d deafTransport) Close() { *d.closed = true }
+
+// A multiplexed node whose group mux cannot start would never receive a
+// frame: StartNode must say so, and release the transport and its wrapper.
+func TestStartNodeSurfacesMuxStartError(t *testing.T) {
+	var addr string
+	closed := false
+	n, err := StartNode(NodeConfig{
+		Processes: 1,
+		Groups:    2,
+		Listen:    "127.0.0.1:0",
+		WrapTransport: func(tr netfab.Transport) netfab.Transport {
+			addr = tr.(*netfab.TCPTransport).Addr()
+			return deafTransport{tr, &closed}
+		},
+	})
+	if err == nil {
+		n.Close()
+		t.Fatal("StartNode returned a node whose group mux never started")
+	}
+	if !closed {
+		t.Error("the WrapTransport wrapper was not closed")
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("the TCP transport is still listening: %v", err)
+	}
+	ln.Close()
+}
+
+// tagCounter counts the frames a node sends with and without a group tag.
+type tagCounter struct {
+	netfab.Transport
+	mu               sync.Mutex
+	tagged, untagged int
+}
+
+func (c *tagCounter) Send(from, to types.ProcID, p netfab.Payload) bool {
+	c.mu.Lock()
+	if _, ok := p.(netfab.GroupFrame); ok {
+		c.tagged++
+	} else {
+		c.untagged++
+	}
+	c.mu.Unlock()
+	return c.Transport.Send(from, to, p)
+}
+
+func (c *tagCounter) counts() (tagged, untagged int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.tagged, c.untagged
+}
+
+// The wire shape of the two node modes: a single-group node never tags a
+// frame (it interoperates with nodes that predate sharding), a sharded node
+// tags every one (an untagged frame is dropped by its peers' muxes).
+func TestNodeTagsFramesIffSharded(t *testing.T) {
+	for _, groups := range []int{1, 2} {
+		var c *tagCounter
+		n, err := StartNode(NodeConfig{
+			Processes:    2, // the absent peer is what the heartbeats are sent to
+			Groups:       groups,
+			Listen:       "127.0.0.1:0",
+			TickInterval: 2 * time.Millisecond,
+			WrapTransport: func(tr netfab.Transport) netfab.Transport {
+				c = &tagCounter{Transport: tr}
+				return c
+			},
+		})
+		if err != nil {
+			t.Fatalf("groups=%d: %v", groups, err)
+		}
+		n.Broadcast("x")
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if tagged, untagged := c.counts(); tagged+untagged >= 5 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("groups=%d: the node sent fewer than 5 frames", groups)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		n.Close()
+		tagged, untagged := c.counts()
+		if groups == 1 && tagged != 0 {
+			t.Errorf("single-group node sent %d GroupFrames (and %d bare frames)", tagged, untagged)
+		}
+		if groups > 1 && untagged != 0 {
+			t.Errorf("sharded node sent %d untagged frames (and %d GroupFrames)", untagged, tagged)
+		}
 	}
 }
