@@ -16,8 +16,9 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis: fingerprint/clone completeness, model
-# determinism, shared-view mutation, fingerprint ordering, and the
-# macro-step boundary (corestep, effectcomplete, shellsafe; DESIGN.md §6.9).
+# determinism, shared-view mutation, fingerprint ordering, and what
+# visibility cannot hold of the macro-step boundary (effectcomplete,
+# shellsafe; DESIGN.md §6.9).
 lint:
 	$(GO) run ./cmd/dvslint ./...
 

@@ -16,7 +16,6 @@ import (
 	"math/rand"
 
 	dvs "repro"
-	"repro/internal/core"
 	"repro/internal/ioa"
 	"repro/internal/member"
 	"repro/internal/naive"
@@ -195,16 +194,16 @@ func BenchmarkE7MajorityCheck(b *testing.B) {
 	v0 := types.InitialView(types.NewProcSet(0, 1, 4))
 	var proposed, accepted float64
 	for i := 0; i < b.N; i++ {
-		im := core.NewImpl(universe, v0)
+		im := dvscore.NewImpl(universe, v0)
 		ex := &ioa.Executor{Steps: 600, Seed: int64(i)}
-		if _, err := ex.Run(im, core.NewEnv(int64(i)+17, universe), nil); err != nil {
+		if _, err := ex.Run(im, dvscore.NewEnv(int64(i)+17, universe), nil); err != nil {
 			b.Fatal(err)
 		}
 		// Views created by VS vs views that became primaries.
 		proposed += float64(len(im.VS().Created()) - 1)
 		accepted += float64(len(im.Att()) - 1)
 		// The global guarantee the local check buys (Invariant 5.6).
-		if err := core.CheckInvariant56(im); err != nil {
+		if err := dvscore.CheckInvariant56(im); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -590,9 +589,9 @@ func drainN(p *dvs.Process, n int) {
 func BenchmarkImplFingerprint(b *testing.B) {
 	universe := types.RangeProcSet(5)
 	v0 := types.InitialView(types.NewProcSet(0, 1, 4))
-	im := core.NewImpl(universe, v0)
+	im := dvscore.NewImpl(universe, v0)
 	ex := &ioa.Executor{Steps: 300, Seed: 5}
-	if _, err := ex.Run(im, core.NewEnv(5, universe), nil); err != nil {
+	if _, err := ex.Run(im, dvscore.NewEnv(5, universe), nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

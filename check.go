@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/ioa"
+	"repro/internal/protocol/dvscore"
+	"repro/internal/protocol/tocore"
 	dvsspec "repro/internal/spec/dvs"
 	tospec "repro/internal/spec/to"
 	vsspec "repro/internal/spec/vs"
-	"repro/internal/toimpl"
 	"repro/internal/types"
 )
 
@@ -85,16 +85,16 @@ func CheckDVSInvariants(cfg CheckConfig) (ioa.CheckReport, error) {
 // state and Invariants 4.1–4.2 at every specification state.
 func CheckDVSRefinement(cfg CheckConfig) (ioa.CheckReport, error) {
 	cfg, universe, v0 := cfg.fill()
-	ref := &core.Refinement{Universe: universe, Initial: v0}
+	ref := &dvscore.Refinement{Universe: universe, Initial: v0}
 	return ioa.CheckRefinementSeeds(cfg.Seeds,
-		func() ioa.Automaton { return core.NewImpl(universe, v0) },
+		func() ioa.Automaton { return dvscore.NewImpl(universe, v0) },
 		ref,
-		func(seed int64) ioa.Environment { return core.NewEnv(seed+1, universe) },
+		func(seed int64) ioa.Environment { return dvscore.NewEnv(seed+1, universe) },
 		ioa.CheckerConfig{
 			Steps:          cfg.Steps,
 			Seed:           cfg.Seed,
 			Parallel:       cfg.Parallel,
-			ImplInvariants: core.Invariants(),
+			ImplInvariants: dvscore.Invariants(),
 			SpecInvariants: dvsspec.Invariants(),
 		})
 }
@@ -107,14 +107,14 @@ func CheckTOTraceInclusion(cfg CheckConfig) (ioa.CheckReport, error) {
 	cfg, universe, v0 := cfg.fill()
 	return ioa.CheckTraceInclusionSeeds(cfg.Seeds,
 		func(seed int64) (ioa.Automaton, ioa.Monitor, ioa.Environment) {
-			impl := toimpl.NewImpl(universe, v0, toimpl.Config{DVS: toimpl.DVSLiteral})
-			return impl, tospec.NewMonitor(universe), toimpl.NewEnv(seed+1, universe)
+			impl := tocore.NewImpl(universe, v0, tocore.Config{DVS: tocore.DVSLiteral})
+			return impl, tospec.NewMonitor(universe), tocore.NewEnv(seed+1, universe)
 		},
 		ioa.CheckerConfig{
 			Steps:          cfg.Steps,
 			Seed:           cfg.Seed,
 			Parallel:       cfg.Parallel,
-			ImplInvariants: toimpl.Invariants(),
+			ImplInvariants: tocore.Invariants(),
 		})
 }
 
@@ -128,17 +128,17 @@ func CheckTOTraceInclusion(cfg CheckConfig) (ioa.CheckReport, error) {
 func CheckExplore(cfg CheckConfig) (ioa.CheckReport, error) {
 	universe := types.RangeProcSet(2)
 	v0 := types.InitialView(types.NewProcSet(0, 1))
-	env := &core.BoundedEnv{
+	env := &dvscore.BoundedEnv{
 		MaxMsgs:  1,
 		MaxViews: 2,
 		Views:    []types.ProcSet{types.NewProcSet(0), types.NewProcSet(0, 1)},
 	}
-	res, err := ioa.Explore(core.NewImpl(universe, v0), env, ioa.ExploreConfig{
+	res, err := ioa.Explore(dvscore.NewImpl(universe, v0), env, ioa.ExploreConfig{
 		MaxStates:      1 << 20,
 		MaxDepth:       12,
 		Parallel:       cfg.Parallel,
-		Invariants:     core.Invariants(),
-		Refinement:     &core.Refinement{Universe: universe, Initial: v0},
+		Invariants:     dvscore.Invariants(),
+		Refinement:     &dvscore.Refinement{Universe: universe, Initial: v0},
 		SpecInvariants: dvsspec.Invariants(),
 	})
 	return res.Report(), err
@@ -213,13 +213,13 @@ func CheckExploreDeep(cfg ExploreDeepConfig) (ioa.CheckReport, error) {
 	if cfg.Procs > 2 {
 		views = append(views, universe.Clone())
 	}
-	env := &core.BoundedEnv{
+	env := &dvscore.BoundedEnv{
 		MaxMsgs:    cfg.MaxMsgs,
 		MaxViews:   cfg.MaxViews,
 		Views:      views,
 		AllOrigins: true,
 	}
-	im := core.NewImpl(universe, v0)
+	im := dvscore.NewImpl(universe, v0)
 	if cfg.Symmetry || cfg.AuditSymmetry {
 		im.EnableSymmetry()
 	}
@@ -227,12 +227,12 @@ func CheckExploreDeep(cfg ExploreDeepConfig) (ioa.CheckReport, error) {
 		MaxStates:     cfg.MaxStates,
 		MaxDepth:      cfg.MaxDepth,
 		Parallel:      cfg.Parallel,
-		Invariants:    core.Invariants(),
+		Invariants:    dvscore.Invariants(),
 		Symmetry:      cfg.Symmetry,
 		AuditSymmetry: cfg.AuditSymmetry,
 	}
 	if cfg.Refinement {
-		ecfg.Refinement = &core.Refinement{Universe: universe, Initial: v0}
+		ecfg.Refinement = &dvscore.Refinement{Universe: universe, Initial: v0}
 		ecfg.SpecInvariants = dvsspec.Invariants()
 	}
 	res, err := ioa.Explore(im, env, ecfg)

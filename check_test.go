@@ -6,8 +6,8 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ioa"
+	"repro/internal/protocol/dvscore"
 	"repro/internal/types"
 )
 
@@ -74,12 +74,12 @@ func falsifiableRun(t *testing.T, parallel, seeds int, base int64) error {
 	universe := types.RangeProcSet(4)
 	v0 := types.InitialView(types.NewProcSet(0, 1, 3))
 	inv := []ioa.Invariant{{Name: "5.2(3) literal", Check: func(a ioa.Automaton) error {
-		return core.CheckInvariant52Part3Literal(a.(*core.Impl))
+		return dvscore.CheckInvariant52Part3Literal(a.(*dvscore.Impl))
 	}}}
 	ex := &ioa.Executor{Steps: 500, Seed: base, Parallel: parallel}
 	_, err := ex.RunSeeds(seeds,
-		func() ioa.Automaton { return core.NewImpl(universe, v0) },
-		func(seed int64) ioa.Environment { return core.NewEnv(seed+2000, universe) },
+		func() ioa.Automaton { return dvscore.NewImpl(universe, v0) },
+		func(seed int64) ioa.Environment { return dvscore.NewEnv(seed+2000, universe) },
 		inv)
 	return err
 }

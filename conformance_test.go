@@ -216,7 +216,7 @@ func TestOnlineCheckerCluster(t *testing.T) {
 }
 
 // TestOnlineRequiresDynamic pins what is left of the mode gate: recording
-// and streaming now cover the static baseline (the extracted staticcore is
+// and streaming now cover the static baseline (dvscore.StaticNode is
 // a replayable core), but the online checker still shadows the dynamic
 // cores only.
 func TestOnlineRequiresDynamic(t *testing.T) {
@@ -228,8 +228,8 @@ func TestOnlineRequiresDynamic(t *testing.T) {
 // TestConformanceStaticClusterReplay is the end-to-end trace-conformance
 // check on the static-primary baseline: a recording static-mode cluster
 // runs through broadcasts, a partition, and a heal; the replay re-executes
-// the DVS-layer records through staticcore and the TO-layer records through
-// tocore, and the final cut must satisfy the static suite (primaries are
+// the DVS-layer records through dvscore.StaticNode and the TO-layer records
+// through tocore, and the final cut must satisfy the static suite (primaries are
 // quorums of P0, pairwise intersecting, confirmed prefixes consistent).
 func TestConformanceStaticClusterReplay(t *testing.T) {
 	cl, harvest := recordedCluster(t, Config{Processes: 5, Seed: 7, Mode: ModeStatic})

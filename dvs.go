@@ -109,7 +109,7 @@ type Config struct {
 	// memory stays O(window) no matter how long the run is. The caller owns
 	// the stream — Close it after Cluster.Close, then check with
 	// ReplayTraceStream. Works in both modes: dynamic runs replay through the
-	// paper's automata, static runs through the extracted staticcore baseline
+	// paper's automata, static runs through the dvscore.StaticNode baseline
 	// (with the static invariant suite in place of 5.x/4.x); one stream holds
 	// one run, so a dynamic and a static run need separate streams.
 	Stream *TraceStream

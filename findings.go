@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/ioa"
+	"repro/internal/protocol/dvscore"
+	"repro/internal/protocol/tocore"
 	tospec "repro/internal/spec/to"
-	"repro/internal/toimpl"
 	"repro/internal/types"
 )
 
@@ -30,11 +30,11 @@ var ErrNoWitness = errors.New("no witness found within the search budget")
 // step.
 func DemonstrateF1(cfg CheckConfig) (Finding, error) {
 	cfg, universe, v0 := cfg.fill()
-	ref := &core.Refinement{Universe: universe, Initial: v0, Literal: true}
+	ref := &dvscore.Refinement{Universe: universe, Initial: v0, Literal: true}
 	for i := 0; i < cfg.Seeds*5; i++ {
 		seed := cfg.Seed + int64(i)
-		_, err := ioa.CheckRefinement(core.NewImpl(universe, v0), ref,
-			core.NewEnv(seed+1000, universe),
+		_, err := ioa.CheckRefinement(dvscore.NewImpl(universe, v0), ref,
+			dvscore.NewEnv(seed+1000, universe),
 			ioa.CheckerConfig{Steps: cfg.Steps, Seed: seed})
 		if err == nil {
 			continue
@@ -57,10 +57,10 @@ func DemonstrateF2(cfg CheckConfig) (Finding, error) {
 	cfg, universe, v0 := cfg.fill()
 	for i := 0; i < cfg.Seeds*5; i++ {
 		seed := cfg.Seed + int64(i)
-		impl := toimpl.NewImpl(universe, v0, toimpl.Config{DVS: toimpl.DVSAmended})
+		impl := tocore.NewImpl(universe, v0, tocore.Config{DVS: tocore.DVSAmended})
 		mon := tospec.NewMonitor(universe)
-		_, err := ioa.CheckTraceInclusion(impl, mon, toimpl.NewEnv(seed+900, universe),
-			ioa.CheckerConfig{Steps: cfg.Steps, Seed: seed, ImplInvariants: toimpl.Invariants()})
+		_, err := ioa.CheckTraceInclusion(impl, mon, tocore.NewEnv(seed+900, universe),
+			ioa.CheckerConfig{Steps: cfg.Steps, Seed: seed, ImplInvariants: tocore.Invariants()})
 		if err != nil {
 			return Finding{
 				ID:      "F2",
@@ -78,9 +78,9 @@ func DemonstrateF3(cfg CheckConfig) (Finding, error) {
 	cfg, universe, v0 := cfg.fill()
 	for i := 0; i < cfg.Seeds*5; i++ {
 		seed := cfg.Seed + int64(i)
-		impl := toimpl.NewImpl(universe, v0, toimpl.Config{DVS: toimpl.DVSLiteral, LiteralFigure5: true})
+		impl := tocore.NewImpl(universe, v0, tocore.Config{DVS: tocore.DVSLiteral, LiteralFigure5: true})
 		mon := tospec.NewMonitor(universe)
-		_, err := ioa.CheckTraceInclusion(impl, mon, toimpl.NewEnv(seed+500, universe),
+		_, err := ioa.CheckTraceInclusion(impl, mon, tocore.NewEnv(seed+500, universe),
 			ioa.CheckerConfig{Steps: cfg.Steps, Seed: seed})
 		if err != nil {
 			return Finding{
@@ -98,16 +98,16 @@ func DemonstrateF3(cfg CheckConfig) (Finding, error) {
 func DemonstrateF4(cfg CheckConfig) (Finding, error) {
 	cfg, universe, v0 := cfg.fill()
 	inv := ioa.Invariant{Name: "5.2(3) literal", Check: func(a ioa.Automaton) error {
-		im, ok := a.(*core.Impl)
+		im, ok := a.(*dvscore.Impl)
 		if !ok {
 			return fmt.Errorf("wrong automaton %T", a)
 		}
-		return core.CheckInvariant52Part3Literal(im)
+		return dvscore.CheckInvariant52Part3Literal(im)
 	}}
 	for i := 0; i < cfg.Seeds*5; i++ {
 		seed := cfg.Seed + int64(i)
 		ex := &ioa.Executor{Steps: cfg.Steps, Seed: seed}
-		_, err := ex.Run(core.NewImpl(universe, v0), core.NewEnv(seed+2000, universe), []ioa.Invariant{inv})
+		_, err := ex.Run(dvscore.NewImpl(universe, v0), dvscore.NewEnv(seed+2000, universe), []ioa.Invariant{inv})
 		if err != nil {
 			return Finding{
 				ID:      "F4",
@@ -162,7 +162,7 @@ func DemonstrateF5(cfg CheckConfig) (Finding, error) {
 	return Finding{
 		ID:    "F5",
 		Title: "chosenrep = \"some element in reps(Y)\" is unsafe; the rep must hold the maximal order",
-		Witness: fmt.Sprintf("least-id rep gives %v, which reorders the confirmed prefix %v (see toimpl.TestRegressionChosenRepSeed7 for the full schedule)",
+		Witness: fmt.Sprintf("least-id rep gives %v, which reorders the confirmed prefix %v (see tocore.TestRegressionChosenRepSeed7 for the full schedule)",
 			leastIDFull, member.Ord[:member.Next-1]),
 	}, nil
 }

@@ -3,12 +3,12 @@ package dvs_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ioa"
+	"repro/internal/protocol/dvscore"
+	"repro/internal/protocol/tocore"
 	dvsspec "repro/internal/spec/dvs"
 	tospec "repro/internal/spec/to"
 	vsspec "repro/internal/spec/vs"
-	"repro/internal/toimpl"
 	"repro/internal/types"
 )
 
@@ -77,15 +77,15 @@ func TestFingerprintAudit(t *testing.T) {
 		},
 		{
 			name: "DVS-IMPL",
-			a:    core.NewImpl(universe2, v02),
-			env: &core.BoundedEnv{MaxMsgs: 1, MaxViews: 2,
+			a:    dvscore.NewImpl(universe2, v02),
+			env: &dvscore.BoundedEnv{MaxMsgs: 1, MaxViews: 2,
 				Views: []types.ProcSet{types.NewProcSet(0), types.NewProcSet(0, 1)}},
 			cfg: ioa.ExploreConfig{MaxStates: 100000, MaxDepth: 10},
 		},
 		{
 			name: "TO-IMPL",
-			a:    toimpl.NewImpl(universe2, v02, toimpl.Config{DVS: toimpl.DVSLiteral}),
-			env: &toimpl.BoundedEnv{MaxMsgs: 1, MaxViews: 2,
+			a:    tocore.NewImpl(universe2, v02, tocore.Config{DVS: tocore.DVSLiteral}),
+			env: &tocore.BoundedEnv{MaxMsgs: 1, MaxViews: 2,
 				Views: []types.ProcSet{types.NewProcSet(0), types.NewProcSet(0, 1)}},
 			cfg: ioa.ExploreConfig{MaxStates: 100000, MaxDepth: 9},
 		},

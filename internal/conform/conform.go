@@ -55,8 +55,9 @@ type Record[E, F any] struct {
 	Fx []F
 }
 
-// The three recorded layers: the VS-TO-DVS core (dvscore, or staticcore in
-// static mode), the DVS-TO-TO core, and the cross-group multicast core.
+// The three recorded layers: the VS-TO-DVS core (dvscore.Node, or
+// dvscore.StaticNode in static mode), the DVS-TO-TO core, and the
+// cross-group multicast core.
 type (
 	DVSRecord   = Record[dvscore.Event, dvscore.Effect]
 	TORecord    = Record[tocore.Event, tocore.Effect]
@@ -82,7 +83,7 @@ type NodeMeta struct {
 	InP0     bool
 	Register bool // REGISTER mechanism enabled (tob layer)
 	GC       bool // eager garbage collection enabled (dvsg layer)
-	Static   bool // static-primary filter (staticcore) instead of the DVS core
+	Static   bool // static-primary filter (dvscore.StaticNode) instead of the DVS core
 	// McastGroups, when non-nil, makes this node a multicast coordinator over
 	// these groups.
 	McastGroups []types.GroupID

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/protocol/dvscore"
-	"repro/internal/protocol/staticcore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/types"
 )
@@ -55,7 +54,7 @@ func checkLocal(rep *Report, window int, n *replayNode) {
 // projection: any primary the node announced to its client must be a quorum
 // of the node's fixed quorum system — the property that makes two static
 // primaries intersect.
-func checkLocalStaticPrimary(p types.ProcID, sn *staticcore.Node) error {
+func checkLocalStaticPrimary(p types.ProcID, sn *dvscore.StaticNode) error {
 	cc, ok := sn.ClientCur()
 	if !ok {
 		return nil

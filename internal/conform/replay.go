@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/protocol/dvscore"
 	"repro/internal/protocol/mcastcore"
-	"repro/internal/protocol/staticcore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/quorum"
 	"repro/internal/spec/dvs"
@@ -158,7 +157,7 @@ func validateLogSet(rep *Report, sorted []NodeMeta) bool {
 type replayNode struct {
 	meta  NodeMeta
 	dvs   *dvscore.Node
-	stat  *staticcore.Node
+	stat  *dvscore.StaticNode
 	to    *tocore.Node
 	mc    *mcastcore.Node
 	local localState
@@ -176,7 +175,7 @@ func newReplayNode(m NodeMeta) *replayNode {
 		// The quorum system is part of the core's construction, so if a future
 		// runtime configures a different one, it must be carried in the header
 		// for replays to stay faithful.
-		n.stat = staticcore.NewNode(m.P, m.Initial, m.InP0, quorum.Majority(m.Initial.Members))
+		n.stat = dvscore.NewStaticNode(m.P, m.Initial, m.InP0, quorum.Majority(m.Initial.Members))
 	default:
 		n.dvs = dvscore.NewNode(m.P, m.Initial, m.InP0)
 	}

@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/protocol/dvscore"
-	"repro/internal/protocol/staticcore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/quorum"
 	"repro/internal/types"
 )
 
-// recordedStaticRun drives a singleton static-primary node (staticcore
+// recordedStaticRun drives a singleton static-primary node (dvscore.StaticNode
 // behind dvscore.Step, exactly as dvsg drives it in ModeStatic) plus its TO
 // core through a small scripted run into a stream, and returns the decoded
 // log.
@@ -28,7 +27,7 @@ func recordedStaticRun(t *testing.T) NodeLog {
 		t.Fatal(err)
 	}
 
-	sn := staticcore.NewNode(p, initial, true, quorum.Majority(initial.Members))
+	sn := dvscore.NewStaticNode(p, initial, true, quorum.Majority(initial.Members))
 	tn := tocore.NewNode(p, initial, true, false)
 
 	stepDVS := func(ev dvscore.Event) []dvscore.Effect {

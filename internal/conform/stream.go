@@ -322,8 +322,8 @@ func (r *StreamRecorder) Dir() string { return r.dir }
 // parameters. g tags the stack with its group (0 in single-group runs); a
 // stream must be group-homogeneous — each group's run is an independent
 // total order, so sharded runs keep one stream per group. static marks a
-// node whose view filter is the static-primary core (staticcore) rather than
-// the paper's DVS automaton; the replayer re-executes its DVS-layer records
+// node whose view filter is the static-primary core (dvscore.StaticNode)
+// rather than the paper's DVS automaton; the replayer re-executes its DVS-layer records
 // through that core instead. All nodes must register before the first record
 // is spilled (registration defines the header, which is written once).
 func (r *StreamRecorder) Node(p types.ProcID, g types.GroupID, initial types.View, inP0, register, gc, static bool) (*StreamNode, error) {

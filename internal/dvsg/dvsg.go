@@ -29,8 +29,9 @@ import (
 )
 
 // Filter is the primary-view decision state machine the shell drives: the
-// exact method set of the VS-TO-DVS automaton. The static baseline
-// (internal/protocol/staticcore) implements the same interface.
+// VS-TO-DVS automaton (dvscore.Node) or the static baseline
+// (dvscore.StaticNode). Its transitions are unexported: the shell holds one
+// to hand to dvscore.Step, and can read ClientCur and Amb.
 type Filter = dvscore.Filter
 
 // Handler receives the DVS upcalls (primary views, client messages, safe

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	netfab "repro/internal/net"
+	"repro/internal/protocol/dvscore"
 	"repro/internal/types"
 	"repro/internal/vsg"
 )
@@ -73,7 +73,7 @@ func newStack(t *testing.T, n int) *stack {
 		id := types.ProcID(i)
 		node := vsg.NewNode(vsg.Config{Self: id, Universe: universe, Initial: v0, Transport: s.fab})
 		rec := &recorder{}
-		layer := New(core.NewNode(id, v0, true), rec, true)
+		layer := New(dvscore.NewNode(id, v0, true), rec, true)
 		rec.layer = layer
 		layer.Bind(node)
 		node.SetHandler(layer)
@@ -160,7 +160,7 @@ func TestNoGCWhenDisabled(t *testing.T) {
 		id := types.ProcID(i)
 		node := vsg.NewNode(vsg.Config{Self: id, Universe: universe, Initial: v0, Transport: fab})
 		rec := &recorder{}
-		layer := New(core.NewNode(id, v0, true), rec, false) // GC disabled
+		layer := New(dvscore.NewNode(id, v0, true), rec, false) // GC disabled
 		rec.layer = layer
 		layer.Bind(node)
 		node.SetHandler(layer)

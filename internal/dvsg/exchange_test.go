@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/member"
 	netfab "repro/internal/net"
+	"repro/internal/protocol/dvscore"
 	"repro/internal/types"
 	"repro/internal/vsg"
 )
@@ -81,7 +81,7 @@ func newExchangeStackOver(t *testing.T, universe types.ProcSet, transports []net
 		node := vsg.NewNode(vsg.Config{Self: id, Universe: universe, Initial: v0, Transport: tr})
 		app := &exchangeApp{self: id}
 		xl := NewExchangeLayer(app)
-		layer := New(core.NewNode(id, v0, true), xl, true)
+		layer := New(dvscore.NewNode(id, v0, true), xl, true)
 		xl.BindDVS(layer)
 		layer.Bind(node)
 		node.SetHandler(layer)

@@ -28,3 +28,61 @@ type Symmetric interface {
 	// AuditSymmetry; need not be allocation-free.
 	Orbit() []Automaton
 }
+
+// permutable constrains the three helpers below: A is an automaton's own
+// state type, P its permutation type, and Permute maps a state to its image
+// without mutating the receiver. P's zero value must be the identity.
+type permutable[A, P any] interface {
+	Automaton
+	Permute(P) A
+}
+
+// Stabilizer returns, in order, the elements of perms that fix a by
+// fingerprint: the symmetry group an automaton installs for Canonicalize
+// and Orbit. Call it on the initial state, before exploration: the
+// stabilizer of the initial state is exactly the set of permutations under
+// which every reachable orbit has a reachable representative (assuming
+// equivariant transitions, invariants, and environment — see DESIGN.md
+// §6.7). perms must enumerate the identity first, so that it is the
+// stabilizer's first element too.
+func Stabilizer[A permutable[A, P], P any](a A, perms []P) []P {
+	self := FpOf(a)
+	var syms []P
+	for _, pi := range perms {
+		if FpOf(a.Permute(pi)) == self {
+			syms = append(syms, pi)
+		}
+	}
+	return syms
+}
+
+// Canonicalize is Symmetric.Canonicalize over an installed group: the orbit
+// member with the least fingerprint. With no group installed (or the
+// trivial group) a is its own representative.
+func Canonicalize[A permutable[A, P], P any](a A, syms []P) Automaton {
+	if len(syms) <= 1 {
+		return a
+	}
+	var best Automaton = a
+	bestFp := FpOf(a)
+	for _, pi := range syms[1:] { // syms[0] is the identity
+		cand := a.Permute(pi)
+		if fp := FpOf(cand); fp.Less(bestFp) {
+			best, bestFp = cand, fp
+		}
+	}
+	return best
+}
+
+// Orbit is Symmetric.Orbit over an installed group: the image of a under
+// every element, which with no group installed is a copy of a alone.
+func Orbit[A permutable[A, P], P any](a A, syms []P) []Automaton {
+	if len(syms) == 0 {
+		syms = make([]P, 1) // identity only
+	}
+	out := make([]Automaton, 0, len(syms))
+	for _, pi := range syms {
+		out = append(out, a.Permute(pi))
+	}
+	return out
+}

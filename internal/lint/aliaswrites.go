@@ -5,18 +5,24 @@ import (
 	"go/types"
 )
 
-// aliasWrites is the per-function alias dataflow sharedmut and corestep
-// share. isSource says which expressions yield a value aliasing state the
-// function does not own (a *Shared accessor call, an alias accessor on a
-// core state type). Pass 1 is a fixed point over assignments: a variable is
-// tainted when assigned a source or any selector/index/slice path rooted at
-// a tainted variable; a multi-value assignment from one source call taints
+// aliasWrites is sharedmut's per-function alias dataflow. A source is an
+// expression yielding a value that aliases state the function does not own:
+// a *Shared accessor call. Pass 1 is a fixed point over assignments: a
+// variable is tainted when assigned a source or any selector/index/slice
+// path rooted at a tainted variable; a multi-value assignment from one source call taints
 // every left-hand identifier, conservatively. Pass 2 reports each write
 // through a source or a tainted path — index, field and element-field
 // assignment, delete, append, sort.*/slices.* on it, and ++/-- of an
-// element — to report, which owns the message and the escape directive.
-func aliasWrites(pass *Pass, fd *ast.FuncDecl, isSource func(ast.Expr) bool, report func(at ast.Node, what string)) {
+// element — unless the line carries //lint:sharedwrite <reason>.
+func aliasWrites(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.Info
+	isSource := func(e ast.Expr) bool { return isSharedCall(info, e) }
+	report := func(at ast.Node, what string) {
+		if !pass.Escaped(at.Pos(), "sharedwrite") {
+			pass.Reportf(at.Pos(),
+				"%s through zero-clone Shared view: mutates live automaton state aliased by other frontier entries — write to a clone or annotate //lint:sharedwrite <reason>", what)
+		}
+	}
 	tainted := make(map[types.Object]bool)
 	lhsObj := func(e ast.Expr) types.Object {
 		id, ok := ast.Unparen(e).(*ast.Ident)
@@ -66,7 +72,7 @@ func aliasWrites(pass *Pass, fd *ast.FuncDecl, isSource func(ast.Expr) bool, rep
 				}
 			}
 			if len(as.Lhs) != len(as.Rhs) {
-				// v, ok := n.InfoSent(g): one call, many results.
+				// v, ok := a.HeadShared(g): one call, many results.
 				if len(as.Rhs) == 1 && isSource(as.Rhs[0]) {
 					for _, lhs := range as.Lhs {
 						mark(lhs)

@@ -1,31 +1,8 @@
-// Package badmcast breaks the multicast core's macro-step discipline both
-// ways the analyzers guard: it fires fine-grained mc transitions directly
-// (corestep) and consumes mcastcore.Effect with a switch that drops
-// variants behind default: (effectcomplete).
+// Package badmcast consumes mcastcore.Effect with a switch that drops
+// variants behind default: effectcomplete must report it.
 package badmcast
 
-import (
-	"repro/internal/protocol/mcastcore"
-	"repro/internal/types"
-)
-
-// HijackData orders a data frame straight into the core, skipping Step's
-// validation (canonical dests, carrier membership) and the drain that
-// delivers finalized messages.
-func HijackData(n *mcastcore.Node, g types.GroupID, id string, origin types.ProcID, payload string) {
-	n.OnData(g, id, origin, []types.GroupID{g}, payload)
-}
-
-// HijackProposal bumps a group clock from outside the seam.
-func HijackProposal(n *mcastcore.Node, g types.GroupID, id string, ts uint64) {
-	n.OnProposal(g, g, id, ts)
-}
-
-// StealID burns a message id without ever broadcasting it, desynchronizing
-// the node's id sequence from its recorded event stream.
-func StealID(n *mcastcore.Node) string {
-	return n.OnSubmit()
-}
+import "repro/internal/protocol/mcastcore"
 
 // Apply handles the send effects but silently swallows FxDeliver — the
 // variant-dropping switch that loses finalized multicast deliveries when a

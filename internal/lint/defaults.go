@@ -10,7 +10,6 @@ func DefaultAnalyzers() []*Analyzer {
 		Modelpure(DefaultModelpureConfig()),
 		Sharedmut(),
 		Fporder(),
-		Corestep(DefaultCorestepConfig()),
 		Effectcomplete(DefaultEffectcompleteConfig()),
 		Shellsafe(DefaultShellsafeConfig()),
 		Keyequal("/internal/protocol/", "/internal/spec/"),
@@ -26,14 +25,12 @@ func DefaultModelpureConfig() ModelpureConfig {
 	return ModelpureConfig{
 		PurePkgs: []string{
 			"repro/internal/spec",
-			"repro/internal/core",
-			"repro/internal/toimpl",
-			// The extracted protocol cores single-source the checked automata
-			// and the live runtime: both the explorer and the trace replayer
+			// The protocol cores single-source the checked automata and the
+			// live runtime, and hold the checked compositions (DVS-IMPL,
+			// TO-IMPL) beside them: both the explorer and the trace replayer
 			// re-execute them, so determinism is load-bearing twice over.
 			"repro/internal/protocol/dvscore",
 			"repro/internal/protocol/tocore",
-			"repro/internal/protocol/staticcore",
 			"repro/internal/protocol/mcastcore",
 			// The conformance recorder/replayer must re-derive recorded
 			// effects bit-for-bit from the event stream alone.

@@ -107,7 +107,7 @@ func Effectcomplete(cfg EffectcompleteConfig) *Analyzer {
 		}
 		var unions []union
 		for _, qname := range cfg.Unions {
-			it, _ := lookupInterface(pass.Pkg, qname)
+			it := lookupInterface(pass.Pkg, qname)
 			if it == nil {
 				continue
 			}

@@ -47,7 +47,6 @@ var knownDirectives = map[string]bool{
 	"impure":         true, // modelpure: nondeterminism is deliberate here
 	"sharedwrite":    true, // sharedmut: write through a Shared view is intended
 	"fporder":        true, // fporder: iteration order provably cannot leak
-	"corestep":       true, // corestep: audited fine-grained core access (checker compositions)
 	"effectcomplete": true, // effectcomplete: partial union switch is intended
 	"shellsafe":      true, // shellsafe: concurrency around the step loop is audited
 }
@@ -295,4 +294,60 @@ func refKind(t types.Type, seen map[types.Type]bool) bool {
 		}
 	}
 	return false
+}
+
+// stateTypeName returns the qualified name of t's pointer-stripped named
+// type ("path.Name"), or "" if t is not named.
+func stateTypeName(t types.Type) string {
+	t = types.Unalias(t)
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(ptr.Elem())
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	obj := named.Obj()
+	if obj.Pkg() == nil {
+		return ""
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// lookupInterface resolves a qualified interface name ("path.Name") through
+// the package's transitive imports. Returns nil when the package cannot
+// even see the interface's package — then nothing in it can be checked
+// against the seam, and nothing needs to be.
+func lookupInterface(pkg *types.Package, qname string) *types.Interface {
+	i := strings.LastIndex(qname, ".")
+	if i < 0 {
+		return nil
+	}
+	dep := findImport(pkg, qname[:i], make(map[string]bool))
+	if dep == nil {
+		return nil
+	}
+	obj, ok := dep.Scope().Lookup(qname[i+1:]).(*types.TypeName)
+	if !ok {
+		return nil
+	}
+	it, _ := obj.Type().Underlying().(*types.Interface)
+	return it
+}
+
+// findImport walks the transitive imports of pkg for the given path.
+func findImport(pkg *types.Package, path string, seen map[string]bool) *types.Package {
+	if pkg.Path() == path {
+		return pkg
+	}
+	if seen[pkg.Path()] {
+		return nil
+	}
+	seen[pkg.Path()] = true
+	for _, dep := range pkg.Imports() {
+		if found := findImport(dep, path, seen); found != nil {
+			return found
+		}
+	}
+	return nil
 }

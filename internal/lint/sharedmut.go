@@ -22,17 +22,10 @@ func Sharedmut() *Analyzer {
 		Doc:  "results of zero-clone *Shared accessors must not be written through (escape: //lint:sharedwrite)",
 	}
 	a.Run = func(pass *Pass) {
-		isSource := func(e ast.Expr) bool { return isSharedCall(pass.Info, e) }
-		report := func(at ast.Node, what string) {
-			if !pass.Escaped(at.Pos(), "sharedwrite") {
-				pass.Reportf(at.Pos(),
-					"%s through zero-clone Shared view: mutates live automaton state aliased by other frontier entries — write to a clone or annotate //lint:sharedwrite <reason>", what)
-			}
-		}
 		for _, f := range pass.Files {
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					aliasWrites(pass, fd, isSource, report)
+					aliasWrites(pass, fd)
 				}
 			}
 		}

@@ -25,22 +25,21 @@ type ShellsafeConfig struct {
 }
 
 // DefaultShellsafeConfig returns the shellsafe configuration for this
-// repository: the two Step entry points plus tocore.Drain, and the three
-// core node types together with the Filter seam.
+// repository: the three Step entry points, and the four core node types
+// together with the Filter seam.
 func DefaultShellsafeConfig() ShellsafeConfig {
 	return ShellsafeConfig{
 		CorePkgPrefix: "repro/internal/protocol/",
 		StepFuncs: []string{
 			"repro/internal/protocol/dvscore.Step",
 			"repro/internal/protocol/tocore.Step",
-			"repro/internal/protocol/tocore.Drain",
 			"repro/internal/protocol/mcastcore.Step",
 		},
 		StateTypes: []string{
 			"repro/internal/protocol/dvscore.Node",
 			"repro/internal/protocol/dvscore.Filter",
+			"repro/internal/protocol/dvscore.StaticNode",
 			"repro/internal/protocol/tocore.Node",
-			"repro/internal/protocol/staticcore.Node",
 			"repro/internal/protocol/mcastcore.Node",
 		},
 	}

@@ -7,9 +7,10 @@
 // dynamic voting"), which the tests demonstrate with the classic schedule
 // and which the paper's VS-TO-DVS filter provably rejects.
 //
-// The package mirrors the shape of internal/core: a per-process filter node
-// plus a composed system over the VS specification, so the two algorithms
-// can be driven through identical schedules and compared.
+// The package mirrors the shape of internal/protocol/dvscore: a per-process
+// filter node plus, in the same package, the composed system over the VS
+// specification (dvscore.Impl's counterpart), so the two algorithms can be
+// driven through identical schedules and compared.
 package naive
 
 import (
@@ -97,7 +98,7 @@ func (n *Node) clone() *Node {
 }
 
 // Impl composes the naive filters with the VS specification, mirroring
-// core.Impl's external shape (minus communication, which the strawman does
+// dvscore.Impl's external shape (minus communication, which the strawman does
 // not need to go wrong).
 type Impl struct {
 	//lint:fpignore fixed at construction; identical across every state of one exploration

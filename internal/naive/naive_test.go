@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ioa"
+	"repro/internal/protocol/dvscore"
 	dvsspec "repro/internal/spec/dvs"
 	vsspec "repro/internal/spec/vs"
 	"repro/internal/types"
@@ -71,7 +71,7 @@ func TestNaiveSplitBrainClassicSchedule(t *testing.T) {
 func TestPaperAlgorithmRejectsClassicSchedule(t *testing.T) {
 	universe := types.NewProcSet(1, 2, 3, 4, 5)
 	v0 := types.InitialView(universe)
-	im := core.NewImpl(universe, v0)
+	im := dvscore.NewImpl(universe, v0)
 
 	perform := func(a ioa.Action) {
 		t.Helper()
@@ -135,7 +135,7 @@ func TestPaperAlgorithmRejectsClassicSchedule(t *testing.T) {
 			t.Fatalf("process %d accepted {3,4,5}: info exchange failed to block the split", p)
 		}
 	}
-	if err := core.CheckInvariant56(im); err != nil {
+	if err := dvscore.CheckInvariant56(im); err != nil {
 		t.Fatalf("intersection property violated: %v", err)
 	}
 }

@@ -1,11 +1,82 @@
-package core
+package dvscore
 
 import (
+	"math/rand"
+	"strconv"
+
 	"repro/internal/ioa"
 	"repro/internal/spec/dvs"
 	vsspec "repro/internal/spec/vs"
 	"repro/internal/types"
 )
+
+// Env is an adversarial environment for DVS-IMPL executions. It supplies:
+//
+//   - dvs-gpsnd inputs with fresh client messages,
+//   - dvs-register inputs (biased toward processes whose client-current view
+//     is not yet registered, so registration actually happens on schedules),
+//   - vs-createview proposals with random membership sets and increasing
+//     ids — including disjoint and minority sets, which VS permits and the
+//     VS-TO-DVS filter must reject as primaries.
+//
+// The environment is deterministic for a given seed, provided the automaton
+// is driven deterministically (Enabled() results are sorted).
+type Env struct {
+	rng      *rand.Rand
+	procs    []types.ProcID
+	msgSeq   int
+	created  int
+	MaxViews int // cap on environment-proposed views (0 = unlimited)
+}
+
+var _ ioa.Environment = (*Env)(nil)
+
+// NewEnv returns an environment over the given universe.
+func NewEnv(seed int64, universe types.ProcSet) *Env {
+	return &Env{
+		rng:      rand.New(rand.NewSource(seed)),
+		procs:    universe.Sorted(),
+		MaxViews: 64,
+	}
+}
+
+// Inputs implements ioa.Environment.
+func (e *Env) Inputs(a ioa.Automaton) []ioa.Action {
+	im, ok := a.(*Impl)
+	if !ok {
+		return nil
+	}
+	var acts []ioa.Action
+
+	// Fresh client broadcast.
+	p := types.RandomMember(e.rng, e.procs)
+	e.msgSeq++
+	m := types.ClientMsg("m" + strconv.Itoa(e.msgSeq))
+	acts = append(acts, ioa.Action{Name: dvs.ActGpSnd, Kind: ioa.KindInput, Param: dvs.SndParam{M: m, P: p}})
+
+	// Registration: prefer a process with an unregistered client view.
+	regTarget := types.RandomMember(e.rng, e.procs)
+	for _, q := range e.procs {
+		n := im.Node(q)
+		if cc, ok := n.ClientCur(); ok && !n.Reg(cc.ID) {
+			regTarget = q
+			break
+		}
+	}
+	acts = append(acts, ioa.Action{Name: dvs.ActRegister, Kind: ioa.KindInput, Param: dvs.RegisterParam{P: regTarget}})
+
+	// View proposal for the underlying VS.
+	if e.MaxViews == 0 || e.created < e.MaxViews {
+		members := types.RandomSubset(e.rng, e.procs)
+		id := im.MaxCreatedID().Next(members.Sorted()[0])
+		v := types.View{ID: id, Members: members}
+		if im.VSCreateViewCandidateOK(v) {
+			e.created++
+			acts = append(acts, ioa.Action{Name: vsspec.ActCreateView, Kind: ioa.KindInternal, Param: vsspec.CreateViewParam{View: v}})
+		}
+	}
+	return acts
+}
 
 // BoundedEnv is a finitely-branching, *stateless* environment for
 // exhaustive exploration of DVS-IMPL (ioa.Explore): the available inputs
@@ -49,12 +120,12 @@ func (e *BoundedEnv) Inputs(a ioa.Automaton) []ioa.Action {
 	var acts []ioa.Action
 
 	if countClientMsgs(im) < e.MaxMsgs {
-		for _, p := range im.Procs() {
+		for _, p := range im.procs {
 			acts = append(acts, ioa.Action{Name: dvs.ActGpSnd, Kind: ioa.KindInput,
 				Param: dvs.SndParam{M: types.ClientMsg("m"), P: p}})
 		}
 	}
-	for _, p := range im.Procs() {
+	for _, p := range im.procs {
 		n := im.Node(p)
 		if cc, ok := n.ClientCur(); ok && !n.Reg(cc.ID) {
 			acts = append(acts, ioa.Action{Name: dvs.ActRegister, Kind: ioa.KindInput,
@@ -104,7 +175,7 @@ func countClientMsgs(im *Impl) int {
 		}
 		for _, p := range im.procs {
 			total += countClient(im.vs.PendingShared(p, g))
-			total += countClient(im.nodes[p].MsgsToVSShared(g))
+			total += countClient(im.nodes[p].msgsToVS[g])
 		}
 	}
 	return total

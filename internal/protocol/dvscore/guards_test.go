@@ -16,17 +16,17 @@ func primaryNode(t *testing.T) (n *Node, v0, v1 types.View) {
 	t.Helper()
 	n, v0 = newTestNode(t)
 	v1 = v(1, 0, 1)
-	n.OnVSNewView(v1)
-	info, _ := n.VSGpSndHead()
-	if err := n.TakeVSGpSndHead(info); err != nil {
+	n.onVSNewView(v1)
+	info, _ := n.vsGpSndHead()
+	if err := takeVSGpSnd(n, 0, info); err != nil {
 		t.Fatal(err)
 	}
-	n.OnVSGpRcv(NewInfoMsg(v0, nil), 1)
+	n.onVSGpRcv(NewInfoMsg(v0, nil), 1)
 	return n, v0, v1
 }
 
-// TestGuardsRejectNonEnabledActions drives every exported Take*/Perform* of
-// the Figure 3 node with an action that is not enabled — wrong message,
+// TestGuardsRejectNonEnabledActions drives every validating form of the
+// Figure 3 node with an action that is not enabled — wrong message,
 // wrong sender, wrong view, nothing queued — and requires the action's error
 // and an untouched state: the enabled action must still fire afterwards.
 func TestGuardsRejectNonEnabledActions(t *testing.T) {
@@ -40,106 +40,106 @@ func TestGuardsRejectNonEnabledActions(t *testing.T) {
 	}{
 		{
 			name:    "vs-gpsnd: nothing queued",
-			bad:     func(n *Node) error { return n.TakeVSGpSndHead(a) },
+			bad:     func(n *Node) error { return takeVSGpSnd(n, 0, a) },
 			wantErr: "not head of msgs-to-vs",
 		},
 		{
 			name:    "vs-gpsnd: second in queue",
-			setup:   func(n *Node) { n.OnDVSGpSnd(a); n.OnDVSGpSnd(b) },
-			bad:     func(n *Node) error { return n.TakeVSGpSndHead(b) },
+			setup:   func(n *Node) { n.onDVSGpSnd(a); n.onDVSGpSnd(b) },
+			bad:     func(n *Node) error { return takeVSGpSnd(n, 0, b) },
 			wantErr: "not head of msgs-to-vs",
-			good:    func(n *Node) error { return n.TakeVSGpSndHead(a) },
+			good:    func(n *Node) error { return takeVSGpSnd(n, 0, a) },
 		},
 		{
 			name:    "vs-gpsnd: other message type",
-			setup:   func(n *Node) { n.OnDVSRegister() },
-			bad:     func(n *Node) error { return n.TakeVSGpSndHead(types.ClientMsg("registered")) },
+			setup:   func(n *Node) { n.onDVSRegister() },
+			bad:     func(n *Node) error { return takeVSGpSnd(n, 0, types.ClientMsg("registered")) },
 			wantErr: "not head of msgs-to-vs",
-			good:    func(n *Node) error { return n.TakeVSGpSndHead(RegisteredMsg{}) },
+			good:    func(n *Node) error { return takeVSGpSnd(n, 0, RegisteredMsg{}) },
 		},
 		{
 			name:    "vs-gpsnd: queued for client-cur, VS already in a later view",
-			setup:   func(n *Node) { n.OnDVSGpSnd(a); n.OnVSNewView(v(1, 0, 1)) },
-			bad:     func(n *Node) error { return n.TakeVSGpSndHead(a) },
+			setup:   func(n *Node) { n.onDVSGpSnd(a); n.onVSNewView(v(1, 0, 1)) },
+			bad:     func(n *Node) error { return takeVSGpSnd(n, 0, a) },
 			wantErr: "not head of msgs-to-vs",
 		},
 		{
 			name:    "dvs-gprcv: nothing buffered",
-			bad:     func(n *Node) error { return n.TakeDVSGpRcvHead(MsgFrom{M: a, Q: 1}) },
+			bad:     func(n *Node) error { return takeDVSGpRcv(n, 0, MsgFrom{M: a, Q: 1}) },
 			wantErr: "not head of msgs-from-vs",
 		},
 		{
 			name:    "dvs-gprcv: wrong message",
-			setup:   func(n *Node) { n.OnVSGpRcv(a, 1) },
-			bad:     func(n *Node) error { return n.TakeDVSGpRcvHead(MsgFrom{M: b, Q: 1}) },
+			setup:   func(n *Node) { n.onVSGpRcv(a, 1) },
+			bad:     func(n *Node) error { return takeDVSGpRcv(n, 0, MsgFrom{M: b, Q: 1}) },
 			wantErr: "not head of msgs-from-vs",
-			good:    func(n *Node) error { return n.TakeDVSGpRcvHead(MsgFrom{M: a, Q: 1}) },
+			good:    func(n *Node) error { return takeDVSGpRcv(n, 0, MsgFrom{M: a, Q: 1}) },
 		},
 		{
 			name:    "dvs-gprcv: wrong sender",
-			setup:   func(n *Node) { n.OnVSGpRcv(a, 1) },
-			bad:     func(n *Node) error { return n.TakeDVSGpRcvHead(MsgFrom{M: a, Q: 2}) },
+			setup:   func(n *Node) { n.onVSGpRcv(a, 1) },
+			bad:     func(n *Node) error { return takeDVSGpRcv(n, 0, MsgFrom{M: a, Q: 2}) },
 			wantErr: "not head of msgs-from-vs",
-			good:    func(n *Node) error { return n.TakeDVSGpRcvHead(MsgFrom{M: a, Q: 1}) },
+			good:    func(n *Node) error { return takeDVSGpRcv(n, 0, MsgFrom{M: a, Q: 1}) },
 		},
 		{
 			name:    "dvs-gprcv: second in queue",
-			setup:   func(n *Node) { n.OnVSGpRcv(a, 1); n.OnVSGpRcv(b, 2) },
-			bad:     func(n *Node) error { return n.TakeDVSGpRcvHead(MsgFrom{M: b, Q: 2}) },
+			setup:   func(n *Node) { n.onVSGpRcv(a, 1); n.onVSGpRcv(b, 2) },
+			bad:     func(n *Node) error { return takeDVSGpRcv(n, 0, MsgFrom{M: b, Q: 2}) },
 			wantErr: "not head of msgs-from-vs",
-			good:    func(n *Node) error { return n.TakeDVSGpRcvHead(MsgFrom{M: a, Q: 1}) },
+			good:    func(n *Node) error { return takeDVSGpRcv(n, 0, MsgFrom{M: a, Q: 1}) },
 		},
 		{
 			name:    "dvs-gprcv: received in a view the client has not been given",
-			setup:   func(n *Node) { n.OnVSNewView(v(1, 0, 1)); n.OnVSGpRcv(a, 1) },
-			bad:     func(n *Node) error { return n.TakeDVSGpRcvHead(MsgFrom{M: a, Q: 1}) },
+			setup:   func(n *Node) { n.onVSNewView(v(1, 0, 1)); n.onVSGpRcv(a, 1) },
+			bad:     func(n *Node) error { return takeDVSGpRcv(n, 0, MsgFrom{M: a, Q: 1}) },
 			wantErr: "not head of msgs-from-vs",
 		},
 		{
 			name:    "dvs-safe: nothing buffered",
-			bad:     func(n *Node) error { return n.TakeDVSSafeHead(MsgFrom{M: a, Q: 1}) },
+			bad:     func(n *Node) error { return takeDVSSafe(n, 0, MsgFrom{M: a, Q: 1}) },
 			wantErr: "not head of safe-from-vs",
 		},
 		{
 			name:    "dvs-safe: wrong message",
-			setup:   func(n *Node) { n.OnVSSafe(a, 1) },
-			bad:     func(n *Node) error { return n.TakeDVSSafeHead(MsgFrom{M: b, Q: 1}) },
+			setup:   func(n *Node) { n.onVSSafe(a, 1) },
+			bad:     func(n *Node) error { return takeDVSSafe(n, 0, MsgFrom{M: b, Q: 1}) },
 			wantErr: "not head of safe-from-vs",
-			good:    func(n *Node) error { return n.TakeDVSSafeHead(MsgFrom{M: a, Q: 1}) },
+			good:    func(n *Node) error { return takeDVSSafe(n, 0, MsgFrom{M: a, Q: 1}) },
 		},
 		{
 			name:    "dvs-safe: wrong sender",
-			setup:   func(n *Node) { n.OnVSSafe(a, 1) },
-			bad:     func(n *Node) error { return n.TakeDVSSafeHead(MsgFrom{M: a, Q: 0}) },
+			setup:   func(n *Node) { n.onVSSafe(a, 1) },
+			bad:     func(n *Node) error { return takeDVSSafe(n, 0, MsgFrom{M: a, Q: 0}) },
 			wantErr: "not head of safe-from-vs",
-			good:    func(n *Node) error { return n.TakeDVSSafeHead(MsgFrom{M: a, Q: 1}) },
+			good:    func(n *Node) error { return takeDVSSafe(n, 0, MsgFrom{M: a, Q: 1}) },
 		},
 		{
 			name:    "dvs-safe: received but not yet safe",
-			setup:   func(n *Node) { n.OnVSGpRcv(a, 1) },
-			bad:     func(n *Node) error { return n.TakeDVSSafeHead(MsgFrom{M: a, Q: 1}) },
+			setup:   func(n *Node) { n.onVSGpRcv(a, 1) },
+			bad:     func(n *Node) error { return takeDVSSafe(n, 0, MsgFrom{M: a, Q: 1}) },
 			wantErr: "not head of safe-from-vs",
 		},
 		{
 			name:    "dvs-safe: indicated in a view the client has not been given",
-			setup:   func(n *Node) { n.OnVSNewView(v(1, 0, 1)); n.OnVSSafe(a, 1) },
-			bad:     func(n *Node) error { return n.TakeDVSSafeHead(MsgFrom{M: a, Q: 1}) },
+			setup:   func(n *Node) { n.onVSNewView(v(1, 0, 1)); n.onVSSafe(a, 1) },
+			bad:     func(n *Node) error { return takeDVSSafe(n, 0, MsgFrom{M: a, Q: 1}) },
 			wantErr: "not head of safe-from-vs",
 		},
 		{
 			name:    "dvs-newview: no later view installed",
-			bad:     func(n *Node) error { return n.PerformDVSNewView(v(1, 0, 1)) },
+			bad:     func(n *Node) error { return performDVSNewView(n, 0, v(1, 0, 1)) },
 			wantErr: "not enabled",
 		},
 		{
 			name:    "dvs-newview: info still missing",
-			setup:   func(n *Node) { n.OnVSNewView(v(1, 0, 1)) },
-			bad:     func(n *Node) error { return n.PerformDVSNewView(v(1, 0, 1)) },
+			setup:   func(n *Node) { n.onVSNewView(v(1, 0, 1)) },
+			bad:     func(n *Node) error { return performDVSNewView(n, 0, v(1, 0, 1)) },
 			wantErr: "not enabled",
 		},
 		{
 			name:    "dvs-gc: no registered messages",
-			bad:     func(n *Node) error { return n.PerformGC(v(1, 0, 1)) },
+			bad:     func(n *Node) error { return n.performGC(v(1, 0, 1)) },
 			wantErr: "not enabled",
 		},
 	} {
@@ -159,20 +159,20 @@ func TestGuardsRejectNonEnabledActions(t *testing.T) {
 
 	t.Run("dvs-newview: same id, other membership", func(t *testing.T) {
 		n, _, v1 := primaryNode(t)
-		requireRejected(t, n, func(n *Node) error { return n.PerformDVSNewView(v(1, 0, 1, 2)) }, "not enabled")
-		if err := n.PerformDVSNewView(v1); err != nil {
+		requireRejected(t, n, func(n *Node) error { return performDVSNewView(n, 0, v(1, 0, 1, 2)) }, "not enabled")
+		if err := performDVSNewView(n, 0, v1); err != nil {
 			t.Errorf("enabled action refused after the rejected one: %v", err)
 		}
 	})
 	t.Run("dvs-gc: same id, other membership", func(t *testing.T) {
 		n, _, v1 := primaryNode(t)
-		if err := n.PerformDVSNewView(v1); err != nil {
+		if err := performDVSNewView(n, 0, v1); err != nil {
 			t.Fatal(err)
 		}
-		n.OnVSGpRcv(RegisteredMsg{}, 0)
-		n.OnVSGpRcv(RegisteredMsg{}, 1)
-		requireRejected(t, n, func(n *Node) error { return n.PerformGC(v(1, 0)) }, "not enabled")
-		if err := n.PerformGC(v1); err != nil {
+		n.onVSGpRcv(RegisteredMsg{}, 0)
+		n.onVSGpRcv(RegisteredMsg{}, 1)
+		requireRejected(t, n, func(n *Node) error { return n.performGC(v(1, 0)) }, "not enabled")
+		if err := n.performGC(v1); err != nil {
 			t.Errorf("enabled action refused after the rejected one: %v", err)
 		}
 	})
@@ -205,18 +205,18 @@ func TestHeadChecksAreStructural(t *testing.T) {
 		t.Fatalf("the pair renders differently (%q vs %q) and pins nothing", head.MsgKey(), alike.MsgKey())
 	}
 	n, _ := newTestNode(t)
-	n.OnDVSGpSnd(head)
-	n.OnVSGpRcv(head, 1)
-	n.OnVSSafe(head, 1)
+	n.onDVSGpSnd(head)
+	n.onVSGpRcv(head, 1)
+	n.onVSSafe(head, 1)
 	for _, tc := range []struct {
 		name       string
 		take       func(types.Msg) error
 		wantErr    string
 		stillThere func() bool
 	}{
-		{"vs-gpsnd", n.TakeVSGpSndHead, "not head of msgs-to-vs", func() bool { _, ok := n.VSGpSndHead(); return ok }},
-		{"dvs-gprcv", func(m types.Msg) error { return n.TakeDVSGpRcvHead(MsgFrom{M: m, Q: 1}) }, "not head of msgs-from-vs", func() bool { _, ok := n.DVSGpRcvHead(); return ok }},
-		{"dvs-safe", func(m types.Msg) error { return n.TakeDVSSafeHead(MsgFrom{M: m, Q: 1}) }, "not head of safe-from-vs", func() bool { _, ok := n.DVSSafeHead(); return ok }},
+		{"vs-gpsnd", func(m types.Msg) error { return takeVSGpSnd(n, 0, m) }, "not head of msgs-to-vs", func() bool { _, ok := n.vsGpSndHead(); return ok }},
+		{"dvs-gprcv", func(m types.Msg) error { return takeDVSGpRcv(n, 0, MsgFrom{M: m, Q: 1}) }, "not head of msgs-from-vs", func() bool { _, ok := n.dvsGpRcvHead(); return ok }},
+		{"dvs-safe", func(m types.Msg) error { return takeDVSSafe(n, 0, MsgFrom{M: m, Q: 1}) }, "not head of safe-from-vs", func() bool { _, ok := n.dvsSafeHead(); return ok }},
 	} {
 		if err := tc.take(alike); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s accepted a message that only renders like the head (err = %v)", tc.name, err)

@@ -1,4 +1,4 @@
-package core
+package dvscore
 
 import (
 	"fmt"
@@ -55,20 +55,11 @@ func NewImpl(universe types.ProcSet, initial types.View) *Impl {
 // Name implements ioa.Automaton.
 func (im *Impl) Name() string { return "DVS-IMPL" }
 
-// Universe returns the processor universe.
-func (im *Impl) Universe() types.ProcSet { return im.universe.Clone() }
-
-// InitialView returns v0.
-func (im *Impl) InitialView() types.View { return im.initial.Clone() }
-
 // VS exposes the inner VS automaton (read-only use by checks and tests).
 func (im *Impl) VS() *vsspec.VS { return im.vs }
 
 // Node returns the VS-TO-DVS automaton of process p.
 func (im *Impl) Node(p types.ProcID) *Node { return im.nodes[p] }
-
-// Procs returns the sorted process ids.
-func (im *Impl) Procs() []types.ProcID { return types.CloneSeq(im.procs) }
 
 // MaxCreatedID returns the largest view id created in the underlying VS.
 func (im *Impl) MaxCreatedID() types.ViewID {
@@ -154,24 +145,34 @@ func (im *Impl) Enabled() []ioa.Action {
 	}
 	for _, p := range im.procs {
 		n := im.nodes[p]
-		if m, ok := n.VSGpSndHead(); ok { //lint:corestep checker composition: Enabled enumerates the fine-grained transitions Step composes
+		if m, ok := n.vsGpSndHead(); ok {
 			acts = append(acts, ioa.Action{Name: vsspec.ActGpSnd, Kind: ioa.KindInternal, Param: vsspec.SndParam{M: m, P: p}})
 		}
-		if v, ok := n.DVSNewViewEnabled(); ok { //lint:corestep checker composition: Enabled enumerates the fine-grained transitions Step composes
+		if v, ok := n.dvsNewViewEnabled(); ok {
 			acts = append(acts, ioa.Action{Name: dvs.ActNewView, Kind: ioa.KindOutput, Param: dvs.NewViewParam{View: v, P: p}})
 		}
-		if e, ok := n.DVSGpRcvHead(); ok { //lint:corestep checker composition: Enabled enumerates the fine-grained transitions Step composes
+		if e, ok := n.dvsGpRcvHead(); ok {
 			acts = append(acts, ioa.Action{Name: dvs.ActGpRcv, Kind: ioa.KindOutput, Param: dvs.RcvParam{M: e.M, From: e.Q, To: p}})
 		}
-		if e, ok := n.DVSSafeHead(); ok { //lint:corestep checker composition: Enabled enumerates the fine-grained transitions Step composes
+		if e, ok := n.dvsSafeHead(); ok {
 			acts = append(acts, ioa.Action{Name: dvs.ActSafe, Kind: ioa.KindOutput, Param: dvs.RcvParam{M: e.M, From: e.Q, To: p}})
 		}
-		for _, v := range n.GCCandidates() { //lint:corestep checker composition: Enabled enumerates the fine-grained transitions Step composes
+		for _, v := range n.gcCandidates() {
 			acts = append(acts, ioa.Action{Name: "dvs-garbage-collect", Kind: ioa.KindInternal, Param: GCParam{View: v, P: p}})
 		}
 	}
 	ioa.SortActions(acts)
 	return acts
+}
+
+// node returns the VS-TO-DVS automaton the action named name addresses, or
+// an error for a process outside the universe.
+func (im *Impl) node(name string, p types.ProcID) (*Node, error) {
+	n, ok := im.nodes[p]
+	if !ok {
+		return nil, fmt.Errorf("%s: unknown process %s", name, p)
+	}
+	return n, nil
 }
 
 // Perform implements ioa.Automaton.
@@ -185,32 +186,33 @@ func (im *Impl) Perform(act ioa.Action) error {
 		if !ok {
 			return badActParam(act)
 		}
+		n, err := im.node(act.Name, p.P)
+		if err != nil {
+			return err
+		}
 		if err := im.vs.Perform(act); err != nil {
 			return err
 		}
-		im.nodes[p.P].OnVSNewView(p.View) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		n.onVSNewView(p.View)
 		return nil
 
-	case vsspec.ActGpRcv:
+	case vsspec.ActGpRcv, vsspec.ActSafe:
 		p, ok := act.Param.(vsspec.RcvParam)
 		if !ok {
 			return badActParam(act)
 		}
-		if err := im.vs.Perform(act); err != nil {
+		n, err := im.node(act.Name, p.To)
+		if err != nil {
 			return err
-		}
-		im.nodes[p.To].OnVSGpRcv(p.M, p.From) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
-		return nil
-
-	case vsspec.ActSafe:
-		p, ok := act.Param.(vsspec.RcvParam)
-		if !ok {
-			return badActParam(act)
 		}
 		if err := im.vs.Perform(act); err != nil {
 			return err
 		}
-		im.nodes[p.To].OnVSSafe(p.M, p.From) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		if act.Name == vsspec.ActGpRcv {
+			n.onVSGpRcv(p.M, p.From)
+		} else {
+			n.onVSSafe(p.M, p.From)
+		}
 		return nil
 
 	case vsspec.ActGpSnd:
@@ -218,11 +220,11 @@ func (im *Impl) Perform(act ioa.Action) error {
 		if !ok {
 			return badActParam(act)
 		}
-		n, exists := im.nodes[p.P]
-		if !exists {
-			return fmt.Errorf("vs-gpsnd: unknown process %s", p.P)
+		n, err := im.node(act.Name, p.P)
+		if err != nil {
+			return err
 		}
-		if err := n.TakeVSGpSndHead(p.M); err != nil { //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		if err := takeVSGpSnd(n, p.P, p.M); err != nil {
 			return err
 		}
 		return im.vs.Perform(act)
@@ -235,11 +237,11 @@ func (im *Impl) Perform(act ioa.Action) error {
 		if !types.IsClient(p.M) {
 			return fmt.Errorf("dvs-gpsnd: %s is not a client message", p.M.MsgKey())
 		}
-		n, exists := im.nodes[p.P]
-		if !exists {
-			return fmt.Errorf("dvs-gpsnd: unknown process %s", p.P)
+		n, err := im.node(act.Name, p.P)
+		if err != nil {
+			return err
 		}
-		n.OnDVSGpSnd(p.M) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		n.onDVSGpSnd(p.M)
 		return nil
 
 	case dvs.ActRegister:
@@ -247,11 +249,11 @@ func (im *Impl) Perform(act ioa.Action) error {
 		if !ok {
 			return badActParam(act)
 		}
-		n, exists := im.nodes[p.P]
-		if !exists {
-			return fmt.Errorf("dvs-register: unknown process %s", p.P)
+		n, err := im.node(act.Name, p.P)
+		if err != nil {
+			return err
 		}
-		n.OnDVSRegister() //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		n.onDVSRegister()
 		return nil
 
 	case dvs.ActNewView:
@@ -259,48 +261,84 @@ func (im *Impl) Perform(act ioa.Action) error {
 		if !ok {
 			return badActParam(act)
 		}
-		n, exists := im.nodes[p.P]
-		if !exists {
-			return fmt.Errorf("dvs-newview: unknown process %s", p.P)
+		n, err := im.node(act.Name, p.P)
+		if err != nil {
+			return err
 		}
-		return n.PerformDVSNewView(p.View) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		return performDVSNewView(n, p.P, p.View)
 
-	case dvs.ActGpRcv:
+	case dvs.ActGpRcv, dvs.ActSafe:
 		p, ok := act.Param.(dvs.RcvParam)
 		if !ok {
 			return badActParam(act)
 		}
-		n, exists := im.nodes[p.To]
-		if !exists {
-			return fmt.Errorf("dvs-gprcv: unknown process %s", p.To)
+		n, err := im.node(act.Name, p.To)
+		if err != nil {
+			return err
 		}
-		return n.TakeDVSGpRcvHead(MsgFrom{M: p.M, Q: p.From}) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
-
-	case dvs.ActSafe:
-		p, ok := act.Param.(dvs.RcvParam)
-		if !ok {
-			return badActParam(act)
+		if act.Name == dvs.ActGpRcv {
+			return takeDVSGpRcv(n, p.To, MsgFrom{M: p.M, Q: p.From})
 		}
-		n, exists := im.nodes[p.To]
-		if !exists {
-			return fmt.Errorf("dvs-safe: unknown process %s", p.To)
-		}
-		return n.TakeDVSSafeHead(MsgFrom{M: p.M, Q: p.From}) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		return takeDVSSafe(n, p.To, MsgFrom{M: p.M, Q: p.From})
 
 	case "dvs-garbage-collect":
 		p, ok := act.Param.(GCParam)
 		if !ok {
 			return badActParam(act)
 		}
-		n, exists := im.nodes[p.P]
-		if !exists {
-			return fmt.Errorf("dvs-garbage-collect: unknown process %s", p.P)
+		n, err := im.node(act.Name, p.P)
+		if err != nil {
+			return err
 		}
-		return n.PerformGC(p.View) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		return n.performGC(p.View)
 
 	default:
 		return fmt.Errorf("dvs-impl: unknown action %q", act.Name)
 	}
+}
+
+// The validating forms of the four outputs whose effect drain applies
+// unguarded: Perform is handed an action by name and parameter, possibly one
+// that is not enabled, so here the guard is evaluated against the parameter
+// before the same effect runs. They are written over Filter so that both
+// implementations answer to one statement of each precondition.
+
+// takeVSGpSnd is vs-gpsnd(m)_p: m must be the head of msgs-to-vs[cur.id].
+func takeVSGpSnd(f Filter, p types.ProcID, m types.Msg) error {
+	if head, ok := f.vsGpSndHead(); !ok || !head.EqualMsg(m) {
+		return fmt.Errorf("vs-gpsnd(%s)_%s: not head of msgs-to-vs", m.MsgKey(), p)
+	}
+	f.popVSGpSnd()
+	return nil
+}
+
+// performDVSNewView is dvs-newview(v)_p: v must be the enabled candidate.
+func performDVSNewView(f Filter, p types.ProcID, v types.View) error {
+	if cand, ok := f.dvsNewViewEnabled(); !ok || !cand.Equal(v) {
+		return fmt.Errorf("dvs-newview(%s)_%s: not enabled", v, p)
+	}
+	f.dvsNewView(v)
+	return nil
+}
+
+// takeDVSGpRcv is dvs-gprcv(m)_{q,p}: ⟨m, q⟩ must be the head of
+// msgs-from-vs[client-cur.id].
+func takeDVSGpRcv(f Filter, p types.ProcID, e MsgFrom) error {
+	if head, ok := f.dvsGpRcvHead(); !ok || !head.Equal(e) {
+		return fmt.Errorf("dvs-gprcv(%s)_%s,%s: not head of msgs-from-vs", e.M.MsgKey(), e.Q, p)
+	}
+	f.popDVSGpRcv()
+	return nil
+}
+
+// takeDVSSafe is dvs-safe(m)_{q,p}: ⟨m, q⟩ must be the head of
+// safe-from-vs[client-cur.id].
+func takeDVSSafe(f Filter, p types.ProcID, e MsgFrom) error {
+	if head, ok := f.dvsSafeHead(); !ok || !head.Equal(e) {
+		return fmt.Errorf("dvs-safe(%s)_%s,%s: not head of safe-from-vs", e.M.MsgKey(), e.Q, p)
+	}
+	f.popDVSSafe()
+	return nil
 }
 
 func badActParam(act ioa.Action) error {

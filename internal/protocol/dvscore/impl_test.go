@@ -1,10 +1,11 @@
-package core
+package dvscore
 
 import (
 	"strings"
 	"testing"
 
 	"repro/internal/ioa"
+	"repro/internal/spec/dvs"
 	vsspec "repro/internal/spec/vs"
 	"repro/internal/types"
 )
@@ -125,7 +126,7 @@ func TestImplSpuriousPrimaryRejected(t *testing.T) {
 	if err := im.Perform(ioa.Action{Name: vsspec.ActNewView, Kind: ioa.KindInternal, Param: vsspec.NewViewParam{View: bad, P: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := im.Node(2).DVSNewViewEnabled(); ok {
+	if v, ok := im.Node(2).dvsNewViewEnabled(); ok {
 		t.Errorf("disjoint singleton %s accepted as primary", v)
 	}
 }
@@ -141,12 +142,46 @@ func TestGCReducesAmbiguity(t *testing.T) {
 	// garbage collected (act advanced beyond v0) — probabilistic but stable
 	// for this seed.
 	advanced := false
-	for _, p := range im.Procs() {
+	for _, p := range im.procs {
 		if !im.Node(p).Act().ID.IsZero() {
 			advanced = true
 		}
 	}
 	if !advanced {
 		t.Log("note: no GC happened for this seed; check seed choice")
+	}
+}
+
+// TestPerformUnknownProcess hands Perform every action that names a process
+// with an id outside the universe: each is refused with an error — no nil
+// node is dereferenced — and the state is left as it was.
+func TestPerformUnknownProcess(t *testing.T) {
+	universe, v0 := implSetup(2)
+	const out = types.ProcID(7)
+	m := types.ClientMsg("m")
+	v1 := v(1, 0, out)
+	for _, act := range []ioa.Action{
+		{Name: vsspec.ActNewView, Param: vsspec.NewViewParam{View: v1, P: out}},
+		{Name: vsspec.ActGpSnd, Param: vsspec.SndParam{M: m, P: out}},
+		{Name: vsspec.ActOrder, Param: vsspec.OrderParam{M: m, P: out, G: v0.ID}},
+		{Name: vsspec.ActGpRcv, Param: vsspec.RcvParam{M: m, From: 0, To: out}},
+		{Name: vsspec.ActSafe, Param: vsspec.RcvParam{M: m, From: 0, To: out}},
+		{Name: dvs.ActGpSnd, Param: dvs.SndParam{M: m, P: out}},
+		{Name: dvs.ActRegister, Param: dvs.RegisterParam{P: out}},
+		{Name: dvs.ActNewView, Param: dvs.NewViewParam{View: v1, P: out}},
+		{Name: dvs.ActGpRcv, Param: dvs.RcvParam{M: m, From: 0, To: out}},
+		{Name: dvs.ActSafe, Param: dvs.RcvParam{M: m, From: 0, To: out}},
+		{Name: "dvs-garbage-collect", Param: GCParam{View: v1, P: out}},
+	} {
+		t.Run(act.Name, func(t *testing.T) {
+			im := NewImpl(universe, v0)
+			before := ioa.FpOf(im)
+			if err := im.Perform(act); err == nil {
+				t.Error("action of an unknown process accepted")
+			}
+			if ioa.FpOf(im) != before {
+				t.Error("refused action changed the state")
+			}
+		})
 	}
 }

@@ -1,19 +1,23 @@
 // Package dvscore is the deterministic, side-effect-free protocol core of
 // the paper's primary contribution: the VS-TO-DVS_p automaton of Figure 3 as
 // a pure state machine. The same code is driven by two consumers — the
-// exhaustive checker (internal/core composes it with the VS specification
-// into DVS-IMPL and explores it against Invariants 5.1–5.6 and the Figure 4
-// refinement) and the live runtime (internal/dvsg translates view-synchronous
-// upcalls into Events and applies the Effects that Step emits). There is no
-// second hand-written implementation: what the checker verifies is what runs
-// over TCP.
+// exhaustive checker (Impl, in this package, composes it with the VS
+// specification into DVS-IMPL and explores it against Invariants 5.1–5.6 and
+// the Figure 4 refinement) and the live runtime (internal/dvsg translates
+// view-synchronous upcalls into Events and applies the Effects that Step
+// emits). There is no second hand-written implementation: what the checker
+// verifies is what runs over TCP.
 //
-// The package has three surfaces: the fine-grained transition methods on
-// Node (one per Figure 3 action, used by the explorer where every
-// interleaving matters), the macro-step Step/Drain functions over the Filter
-// interface (the runtime's drain policy, emitting Effects into an Outbox),
-// and the System invariant formulas 5.1–5.6 shared by the model checker and
-// the trace-conformance replayer (internal/conform).
+// The fine-grained transitions (one per Figure 3 action) are unexported:
+// the paper defines DVS-IMPL as a composition of these automata, so the
+// composition lives here and fires them one at a time, where every
+// interleaving matters, and everything outside the package drives a node
+// through Step — one input event, then the drain policy over the Filter
+// interface, emitting Effects into an Outbox. What is exported on Node is
+// the read-only accessor roster (pinned by TestExportedSurface), Impl with
+// its environments and the Refinement of Figure 4, and the System invariant
+// formulas 5.1–5.6 shared by the model checker and the trace-conformance
+// replayer (internal/conform).
 package dvscore
 
 import (
@@ -131,13 +135,6 @@ func (n *Node) Act() types.View { return n.act.Clone() }
 // Amb returns the ambiguous views, sorted by id.
 func (n *Node) Amb() []types.View { return sortedViews(n.amb) }
 
-// Use returns the derived variable use = {act} ∪ amb, sorted by id.
-func (n *Node) Use() []types.View {
-	out := append([]types.View{n.act.Clone()}, sortedViews(n.amb)...)
-	types.SortViews(out)
-	return out
-}
-
 // Attempted returns the history variable attempted_p, sorted by id.
 func (n *Node) Attempted() []types.View { return sortedViews(n.attempted) }
 
@@ -171,44 +168,6 @@ func (n *Node) HasAttempted(g types.ViewID) bool {
 // Reg reports reg[g]_p.
 func (n *Node) Reg(g types.ViewID) bool { return n.reg[g] }
 
-// InfoSent returns info-sent[g]_p; ok is false for ⊥.
-func (n *Node) InfoSent(g types.ViewID) (Info, bool) {
-	i, ok := n.infoSent[g]
-	return i, ok
-}
-
-// InfoRcvd returns info-rcvd[q, g]_p; ok is false for ⊥.
-func (n *Node) InfoRcvd(q types.ProcID, g types.ViewID) (Info, bool) {
-	i, ok := n.infoRcvd[procViewKey{q, g}]
-	return i, ok
-}
-
-// MsgsToVS returns a copy of msgs-to-vs[g].
-func (n *Node) MsgsToVS(g types.ViewID) []types.Msg {
-	return types.CloneSeq(n.msgsToVS[g])
-}
-
-// MsgsFromVS returns a copy of msgs-from-vs[g].
-func (n *Node) MsgsFromVS(g types.ViewID) []MsgFrom {
-	return types.CloneSeq(n.msgsFromVS[g])
-}
-
-// SafeFromVS returns a copy of safe-from-vs[g].
-func (n *Node) SafeFromVS(g types.ViewID) []MsgFrom {
-	return types.CloneSeq(n.safeFromVS[g])
-}
-
-// MsgsToVSShared returns msgs-to-vs[g] without copying; the slice and its
-// messages are read-only. The refinement's abstraction function and the
-// bounded environment use it on their per-state hot paths.
-func (n *Node) MsgsToVSShared(g types.ViewID) []types.Msg { return n.msgsToVS[g] }
-
-// MsgsFromVSLen returns |msgs-from-vs[g]|.
-func (n *Node) MsgsFromVSLen(g types.ViewID) int { return len(n.msgsFromVS[g]) }
-
-// SafeFromVSLen returns |safe-from-vs[g]|.
-func (n *Node) SafeFromVSLen(g types.ViewID) int { return len(n.safeFromVS[g]) }
-
 // RegisteredIDs returns the ids g with reg[g]_p, sorted. The conformance
 // replayer uses it to rebuild the DVS-level registered sets.
 func (n *Node) RegisteredIDs() []types.ViewID {
@@ -233,7 +192,7 @@ func sortedViews(m map[types.ViewID]types.View) []types.View {
 
 // --- Input handlers (effects of Figure 3 input actions) ---
 
-// OnVSNewView handles input vs-newview(v)_p: install cur := v and enqueue an
+// onVSNewView handles input vs-newview(v)_p: install cur := v and enqueue an
 // ⟨"info", act, amb⟩ message for the new view.
 //
 // Installs that do not advance cur are ignored. The VS specification
@@ -242,7 +201,7 @@ func sortedViews(m map[types.ViewID]types.View) []types.View {
 // re-delivery of the initial view (already reflected in the core's initial
 // state) and keeps a faulty view-synchronous layer from driving the core
 // outside the state space the invariants were verified on.
-func (n *Node) OnVSNewView(v types.View) {
+func (n *Node) onVSNewView(v types.View) {
 	if n.curOK && !n.cur.ID.Less(v.ID) {
 		return
 	}
@@ -252,8 +211,8 @@ func (n *Node) OnVSNewView(v types.View) {
 	n.infoSent[v.ID] = info
 }
 
-// OnVSGpRcv handles input vs-gprcv(m)_{q,p} by case analysis on m.
-func (n *Node) OnVSGpRcv(m types.Msg, q types.ProcID) {
+// onVSGpRcv handles input vs-gprcv(m)_{q,p} by case analysis on m.
+func (n *Node) onVSGpRcv(m types.Msg, q types.ProcID) {
 	switch msg := m.(type) {
 	case InfoMsg:
 		if !n.curOK {
@@ -292,10 +251,10 @@ func (n *Node) OnVSGpRcv(m types.Msg, q types.ProcID) {
 	}
 }
 
-// OnVSSafe handles input vs-safe(m)_{q,p}: client messages are buffered for
+// onVSSafe handles input vs-safe(m)_{q,p}: client messages are buffered for
 // dvs-safe delivery; "info" and "registered" safety indications have no
 // effect (Figure 3).
-func (n *Node) OnVSSafe(m types.Msg, q types.ProcID) {
+func (n *Node) onVSSafe(m types.Msg, q types.ProcID) {
 	if !types.IsClient(m) {
 		return
 	}
@@ -305,8 +264,8 @@ func (n *Node) OnVSSafe(m types.Msg, q types.ProcID) {
 	n.safeFromVS[n.cur.ID] = append(n.safeFromVS[n.cur.ID], MsgFrom{M: m, Q: q})
 }
 
-// OnDVSGpSnd handles input dvs-gpsnd(m)_p.
-func (n *Node) OnDVSGpSnd(m types.Msg) {
+// onDVSGpSnd handles input dvs-gpsnd(m)_p.
+func (n *Node) onDVSGpSnd(m types.Msg) {
 	if !n.clientCurOK {
 		return
 	}
@@ -314,8 +273,8 @@ func (n *Node) OnDVSGpSnd(m types.Msg) {
 	n.msgsToVS[g] = append(n.msgsToVS[g], m)
 }
 
-// OnDVSRegister handles input dvs-register_p.
-func (n *Node) OnDVSRegister() {
+// onDVSRegister handles input dvs-register_p.
+func (n *Node) onDVSRegister() {
 	if !n.clientCurOK {
 		return
 	}
@@ -325,38 +284,29 @@ func (n *Node) OnDVSRegister() {
 }
 
 // --- Locally controlled actions ---
+//
+// Each guarded output is split in two: the enabling condition (a head, or
+// dvsNewViewEnabled) and the unguarded effect (pop*, dvsNewView). drain
+// applies an effect right after the guard it has just evaluated; Impl.Perform,
+// which is handed an action by name, goes through the validating forms in
+// impl.go (takeVSGpSnd, …), which are guard plus the same effect.
 
-// VSGpSndHead returns the head of msgs-to-vs[cur.id], if any: the message a
+// vsGpSndHead returns the head of msgs-to-vs[cur.id], if any: the message a
 // vs-gpsnd(m)_p output would submit to VS.
-func (n *Node) VSGpSndHead() (types.Msg, bool) {
+func (n *Node) vsGpSndHead() (types.Msg, bool) {
 	if !n.curOK {
 		return nil, false
 	}
-	q := n.msgsToVS[n.cur.ID]
-	if len(q) == 0 {
-		return nil, false
-	}
-	return q[0], true
+	return headOf(n.msgsToVS, n.cur.ID)
 }
 
-// TakeVSGpSndHead removes and returns the head of msgs-to-vs[cur.id].
-func (n *Node) TakeVSGpSndHead(m types.Msg) error {
-	head, ok := n.VSGpSndHead()
-	if !ok || !head.EqualMsg(m) {
-		return fmt.Errorf("vs-gpsnd(%s)_%s: not head of msgs-to-vs", m.MsgKey(), n.p)
-	}
-	g := n.cur.ID
-	n.msgsToVS[g] = n.msgsToVS[g][1:]
-	if len(n.msgsToVS[g]) == 0 {
-		delete(n.msgsToVS, g)
-	}
-	return nil
-}
+// popVSGpSnd removes the head of msgs-to-vs[cur.id].
+func (n *Node) popVSGpSnd() { popHead(n.msgsToVS, n.cur.ID) }
 
-// DVSNewViewEnabled reports whether output dvs-newview(v)_p is enabled for
+// dvsNewViewEnabled reports whether output dvs-newview(v)_p is enabled for
 // v = cur (Figure 3): v.id > client-cur.id, info received from every other
 // member of v, and v majority-intersects every view in use.
-func (n *Node) DVSNewViewEnabled() (types.View, bool) {
+func (n *Node) dvsNewViewEnabled() (types.View, bool) {
 	if !n.curOK {
 		return types.View{}, false
 	}
@@ -383,75 +333,56 @@ func (n *Node) DVSNewViewEnabled() (types.View, bool) {
 	return v.Clone(), true
 }
 
-// PerformDVSNewView applies the effect of dvs-newview(v)_p.
-func (n *Node) PerformDVSNewView(v types.View) error {
-	cand, ok := n.DVSNewViewEnabled()
-	if !ok || !cand.Equal(v) {
-		return fmt.Errorf("dvs-newview(%s)_%s: not enabled", v, n.p)
-	}
+// dvsNewView applies the effect of dvs-newview(v)_p.
+func (n *Node) dvsNewView(v types.View) {
 	n.amb[v.ID] = v.Clone()
 	n.attempted[v.ID] = v.Clone()
 	n.clientCur, n.clientCurOK = v.Clone(), true
-	return nil
 }
 
-// DVSGpRcvHead returns the head of msgs-from-vs[client-cur.id], if any.
-func (n *Node) DVSGpRcvHead() (MsgFrom, bool) {
+// dvsGpRcvHead returns the head of msgs-from-vs[client-cur.id], if any.
+func (n *Node) dvsGpRcvHead() (MsgFrom, bool) {
 	if !n.clientCurOK {
 		return MsgFrom{}, false
 	}
-	q := n.msgsFromVS[n.clientCur.ID]
-	if len(q) == 0 {
-		return MsgFrom{}, false
-	}
-	return q[0], true
+	return headOf(n.msgsFromVS, n.clientCur.ID)
 }
 
-// TakeDVSGpRcvHead removes the head of msgs-from-vs[client-cur.id].
-func (n *Node) TakeDVSGpRcvHead(e MsgFrom) error {
-	head, ok := n.DVSGpRcvHead()
-	if !ok || !head.Equal(e) {
-		return fmt.Errorf("dvs-gprcv(%s)_%s,%s: not head of msgs-from-vs", e.M.MsgKey(), e.Q, n.p)
-	}
-	g := n.clientCur.ID
-	n.msgsFromVS[g] = n.msgsFromVS[g][1:]
-	if len(n.msgsFromVS[g]) == 0 {
-		delete(n.msgsFromVS, g)
-	}
-	return nil
-}
+// popDVSGpRcv removes the head of msgs-from-vs[client-cur.id].
+func (n *Node) popDVSGpRcv() { popHead(n.msgsFromVS, n.clientCur.ID) }
 
-// DVSSafeHead returns the head of safe-from-vs[client-cur.id], if any.
-func (n *Node) DVSSafeHead() (MsgFrom, bool) {
+// dvsSafeHead returns the head of safe-from-vs[client-cur.id], if any.
+func (n *Node) dvsSafeHead() (MsgFrom, bool) {
 	if !n.clientCurOK {
 		return MsgFrom{}, false
 	}
-	q := n.safeFromVS[n.clientCur.ID]
-	if len(q) == 0 {
-		return MsgFrom{}, false
-	}
-	return q[0], true
+	return headOf(n.safeFromVS, n.clientCur.ID)
 }
 
-// TakeDVSSafeHead removes the head of safe-from-vs[client-cur.id].
-func (n *Node) TakeDVSSafeHead(e MsgFrom) error {
-	head, ok := n.DVSSafeHead()
-	if !ok || !head.Equal(e) {
-		return fmt.Errorf("dvs-safe(%s)_%s,%s: not head of safe-from-vs", e.M.MsgKey(), e.Q, n.p)
+// popDVSSafe removes the head of safe-from-vs[client-cur.id].
+func (n *Node) popDVSSafe() { popHead(n.safeFromVS, n.clientCur.ID) }
+
+// headOf returns the head of the per-view queue qs[g], if any.
+func headOf[E any](qs map[types.ViewID][]E, g types.ViewID) (head E, ok bool) {
+	if q := qs[g]; len(q) > 0 {
+		return q[0], true
 	}
-	g := n.clientCur.ID
-	n.safeFromVS[g] = n.safeFromVS[g][1:]
-	if len(n.safeFromVS[g]) == 0 {
-		delete(n.safeFromVS, g)
-	}
-	return nil
+	return head, false
 }
 
-// GCCandidates returns the views v for which dvs-garbage-collect(v)_p is
+// popHead removes the head of the non-empty queue qs[g]; an emptied queue
+// leaves the map, so that equal states have equal maps.
+func popHead[E any](qs map[types.ViewID][]E, g types.ViewID) {
+	if qs[g] = qs[g][1:]; len(qs[g]) == 0 {
+		delete(qs, g)
+	}
+}
+
+// gcCandidates returns the views v for which dvs-garbage-collect(v)_p is
 // enabled: p has received "registered" messages from every member of v in
 // view v.id, and v.id > act.id. Candidates are drawn from the views p
 // knows (amb and cur), sorted by id.
-func (n *Node) GCCandidates() []types.View {
+func (n *Node) gcCandidates() []types.View {
 	var cands []types.View
 	consider := func(v types.View) {
 		if !n.act.ID.Less(v.ID) {
@@ -475,11 +406,13 @@ func (n *Node) GCCandidates() []types.View {
 	return cands
 }
 
-// PerformGC applies dvs-garbage-collect(v)_p: act := v and ambiguous views
-// with ids ≤ v.id are discarded.
-func (n *Node) PerformGC(v types.View) error {
+// performGC applies dvs-garbage-collect(v)_p: act := v and ambiguous views
+// with ids ≤ v.id are discarded. Unlike the other outputs it keeps its own
+// guard: one collection changes act under the remaining candidates drain
+// has already listed.
+func (n *Node) performGC(v types.View) error {
 	enabled := false
-	for _, c := range n.GCCandidates() {
+	for _, c := range n.gcCandidates() {
 		if c.Equal(v) {
 			enabled = true
 			break

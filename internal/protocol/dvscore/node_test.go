@@ -45,11 +45,11 @@ func TestNodeInitialState(t *testing.T) {
 func TestOnVSNewViewSendsInfo(t *testing.T) {
 	n, _ := newTestNode(t)
 	v1 := v(1, 0, 1)
-	n.OnVSNewView(v1)
+	n.onVSNewView(v1)
 	if cur, _ := n.Cur(); !cur.Equal(v1) {
 		t.Error("cur not updated")
 	}
-	m, ok := n.VSGpSndHead()
+	m, ok := n.vsGpSndHead()
 	if !ok {
 		t.Fatal("info message not enqueued")
 	}
@@ -60,7 +60,7 @@ func TestOnVSNewViewSendsInfo(t *testing.T) {
 	if !info.Act.ID.IsZero() || len(info.Amb) != 0 {
 		t.Errorf("info = %v", info)
 	}
-	if _, ok := n.InfoSent(v1.ID); !ok {
+	if _, ok := n.infoSent[v1.ID]; !ok {
 		t.Error("info-sent not recorded")
 	}
 }
@@ -68,16 +68,16 @@ func TestOnVSNewViewSendsInfo(t *testing.T) {
 func TestDVSNewViewRequiresAllInfos(t *testing.T) {
 	n, _ := newTestNode(t)
 	v1 := v(1, 0, 1)
-	n.OnVSNewView(v1)
-	if _, ok := n.DVSNewViewEnabled(); ok {
+	n.onVSNewView(v1)
+	if _, ok := n.dvsNewViewEnabled(); ok {
 		t.Fatal("enabled before info from 1")
 	}
-	n.OnVSGpRcv(NewInfoMsg(types.InitialView(types.NewProcSet(0, 1, 2)), nil), 1)
-	cand, ok := n.DVSNewViewEnabled()
+	n.onVSGpRcv(NewInfoMsg(types.InitialView(types.NewProcSet(0, 1, 2)), nil), 1)
+	cand, ok := n.dvsNewViewEnabled()
 	if !ok || !cand.Equal(v1) {
 		t.Fatal("should be enabled after all infos (majority of v0 holds: {0,1} ∩ {0,1,2} = 2 > 1.5)")
 	}
-	if err := n.PerformDVSNewView(cand); err != nil {
+	if err := performDVSNewView(n, 0, cand); err != nil {
 		t.Fatal(err)
 	}
 	if cc, _ := n.ClientCur(); !cc.Equal(v1) {
@@ -91,10 +91,10 @@ func TestDVSNewViewRequiresAllInfos(t *testing.T) {
 func TestDVSNewViewMajorityCheckRejects(t *testing.T) {
 	n, _ := newTestNode(t)
 	v1 := v(1, 0) // singleton: |{0} ∩ {0,1,2}| = 1, not > 1.5
-	n.OnVSNewView(v1)
+	n.onVSNewView(v1)
 	// No other members, so the info condition is vacuous; the majority
 	// check must reject.
-	if _, ok := n.DVSNewViewEnabled(); ok {
+	if _, ok := n.dvsNewViewEnabled(); ok {
 		t.Error("minority view accepted as primary")
 	}
 }
@@ -103,10 +103,10 @@ func TestInfoUpdatesActAndAmb(t *testing.T) {
 	n, _ := newTestNode(t)
 	v1 := v(1, 0, 1)
 	v2 := v(2, 0, 1, 2)
-	n.OnVSNewView(v2)
+	n.onVSNewView(v2)
 	// Peer reports act = v1 (higher than our v0) and an ambiguous view.
 	amb := v(3, 1, 2) // note: id 3 > act id 1
-	n.OnVSGpRcv(NewInfoMsg(v1, []types.View{amb}), 1)
+	n.onVSGpRcv(NewInfoMsg(v1, []types.View{amb}), 1)
 	if !n.Act().Equal(v1) {
 		t.Errorf("act = %s, want %s", n.Act(), v1)
 	}
@@ -116,7 +116,7 @@ func TestInfoUpdatesActAndAmb(t *testing.T) {
 	}
 	// A later info with act above the ambiguous view must filter it out.
 	v4 := v(4, 1, 2)
-	n.OnVSGpRcv(NewInfoMsg(v4, nil), 2)
+	n.onVSGpRcv(NewInfoMsg(v4, nil), 2)
 	if !n.Act().Equal(v4) || len(n.Amb()) != 0 {
 		t.Errorf("act=%s amb=%v after higher act", n.Act(), n.Amb())
 	}
@@ -124,11 +124,11 @@ func TestInfoUpdatesActAndAmb(t *testing.T) {
 
 func TestRegisterSendsRegisteredMsg(t *testing.T) {
 	n, v0 := newTestNode(t)
-	n.OnDVSRegister()
+	n.onDVSRegister()
 	if !n.Reg(v0.ID) {
 		t.Error("reg not set")
 	}
-	m, ok := n.VSGpSndHead()
+	m, ok := n.vsGpSndHead()
 	if !ok {
 		t.Fatal("registered message not enqueued")
 	}
@@ -140,22 +140,22 @@ func TestRegisterSendsRegisteredMsg(t *testing.T) {
 func TestGarbageCollection(t *testing.T) {
 	n, _ := newTestNode(t)
 	v1 := v(1, 0, 1)
-	n.OnVSNewView(v1)
-	n.OnVSGpRcv(NewInfoMsg(types.InitialView(types.NewProcSet(0, 1, 2)), nil), 1)
-	if err := n.PerformDVSNewView(v1); err != nil {
+	n.onVSNewView(v1)
+	n.onVSGpRcv(NewInfoMsg(types.InitialView(types.NewProcSet(0, 1, 2)), nil), 1)
+	if err := performDVSNewView(n, 0, v1); err != nil {
 		t.Fatal(err)
 	}
-	if len(n.GCCandidates()) != 0 {
+	if len(n.gcCandidates()) != 0 {
 		t.Fatal("GC enabled without registered messages")
 	}
 	// Registered messages from both members of v1, received in view v1.
-	n.OnVSGpRcv(RegisteredMsg{}, 0)
-	n.OnVSGpRcv(RegisteredMsg{}, 1)
-	cands := n.GCCandidates()
+	n.onVSGpRcv(RegisteredMsg{}, 0)
+	n.onVSGpRcv(RegisteredMsg{}, 1)
+	cands := n.gcCandidates()
 	if len(cands) != 1 || !cands[0].Equal(v1) {
 		t.Fatalf("GC candidates = %v", cands)
 	}
-	if err := n.PerformGC(v1); err != nil {
+	if err := n.performGC(v1); err != nil {
 		t.Fatal(err)
 	}
 	if !n.Act().Equal(v1) {
@@ -165,7 +165,7 @@ func TestGarbageCollection(t *testing.T) {
 		t.Error("amb not filtered by GC")
 	}
 	// GC of the same view again: no longer enabled (act.id not < v.id).
-	if err := n.PerformGC(v1); err == nil {
+	if err := n.performGC(v1); err == nil {
 		t.Error("repeated GC accepted")
 	}
 }
@@ -173,30 +173,30 @@ func TestGarbageCollection(t *testing.T) {
 func TestClientMessageBuffering(t *testing.T) {
 	n, _ := newTestNode(t)
 	m := types.ClientMsg("x")
-	n.OnDVSGpSnd(m)
-	head, ok := n.VSGpSndHead()
+	n.onDVSGpSnd(m)
+	head, ok := n.vsGpSndHead()
 	if !ok || !head.EqualMsg(m) {
 		t.Fatal("client message not queued for vs")
 	}
-	if err := n.TakeVSGpSndHead(m); err != nil {
+	if err := takeVSGpSnd(n, 0, m); err != nil {
 		t.Fatal(err)
 	}
 	// Receive a client message and a safe indication from VS.
-	n.OnVSGpRcv(m, 1)
-	n.OnVSSafe(m, 1)
-	if e, ok := n.DVSGpRcvHead(); !ok || e.Q != 1 {
+	n.onVSGpRcv(m, 1)
+	n.onVSSafe(m, 1)
+	if e, ok := n.dvsGpRcvHead(); !ok || e.Q != 1 {
 		t.Fatal("delivery not buffered")
 	}
-	if e, ok := n.DVSSafeHead(); !ok || e.Q != 1 {
+	if e, ok := n.dvsSafeHead(); !ok || e.Q != 1 {
 		t.Fatal("safe not buffered")
 	}
-	if err := n.TakeDVSGpRcvHead(MsgFrom{M: m, Q: 1}); err != nil {
+	if err := takeDVSGpRcv(n, 0, MsgFrom{M: m, Q: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.TakeDVSSafeHead(MsgFrom{M: m, Q: 1}); err != nil {
+	if err := takeDVSSafe(n, 0, MsgFrom{M: m, Q: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := n.DVSGpRcvHead(); ok {
+	if _, ok := n.dvsGpRcvHead(); ok {
 		t.Error("buffer should be empty")
 	}
 }
@@ -207,30 +207,30 @@ func TestBufferedDeliveriesFollowClientView(t *testing.T) {
 	// VS delivers m in v0, then the node's VS view moves to v1 before the
 	// client attempts it: the old buffered delivery stays available while
 	// client-cur is still v0.
-	n.OnVSGpRcv(m, 1)
+	n.onVSGpRcv(m, 1)
 	v1 := v(1, 0, 1)
-	n.OnVSNewView(v1)
-	if _, ok := n.DVSGpRcvHead(); !ok {
+	n.onVSNewView(v1)
+	if _, ok := n.dvsGpRcvHead(); !ok {
 		t.Fatal("old-view delivery must remain available while client-cur = v0")
 	}
 	// Attempt v1: deliveries for v0 become unreachable (client moved on).
-	n.OnVSGpRcv(NewInfoMsg(types.InitialView(types.NewProcSet(0, 1, 2)), nil), 1)
-	if err := n.PerformDVSNewView(v1); err != nil {
+	n.onVSGpRcv(NewInfoMsg(types.InitialView(types.NewProcSet(0, 1, 2)), nil), 1)
+	if err := performDVSNewView(n, 0, v1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := n.DVSGpRcvHead(); ok {
+	if _, ok := n.dvsGpRcvHead(); ok {
 		t.Error("deliveries of an abandoned view must not surface in the new view")
 	}
 }
 
 func TestNodeCloneDeep(t *testing.T) {
 	n, _ := newTestNode(t)
-	n.OnDVSGpSnd(types.ClientMsg("x"))
+	n.onDVSGpSnd(types.ClientMsg("x"))
 	c := n.Clone()
-	if err := c.TakeVSGpSndHead(types.ClientMsg("x")); err != nil {
+	if err := takeVSGpSnd(c, 0, types.ClientMsg("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := n.VSGpSndHead(); !ok {
+	if _, ok := n.vsGpSndHead(); !ok {
 		t.Error("clone mutation leaked")
 	}
 }

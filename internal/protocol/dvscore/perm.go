@@ -1,6 +1,9 @@
 package dvscore
 
-import "repro/internal/types"
+import (
+	"repro/internal/ioa"
+	"repro/internal/types"
+)
 
 // PermuteMsg implements types.PermutableMsg: the carried active and
 // ambiguous views permute; Amb is re-sorted because permuting view-id
@@ -87,3 +90,51 @@ func permuteMsgFrom(pi types.Perm, q []MsgFrom) []MsgFrom {
 	}
 	return out
 }
+
+// Symmetry reduction for DVS-IMPL. Every transition of the composition —
+// the VS specification's actions, the VS-TO-DVS node actions, and the
+// derived enabling conditions — is defined by set membership, majority
+// intersection, and per-process bookkeeping, never by comparing process
+// identifiers, so the composition is equivariant under any permutation of
+// the universe: s --act--> s' implies π(s) --π(act)--> π(s'). The same
+// holds for Invariants 5.1–5.6 and for the Figure 4 abstraction function.
+// Exploring orbit representatives is therefore sound for DVS-IMPL whenever
+// the environment's input enumeration is equivariant too (its proposed
+// views closed under the group, all originating processes enumerated) —
+// see DESIGN.md §6.7 and the symmetric bounded-environment mode.
+var _ ioa.Symmetric = (*Impl)(nil)
+
+// Permute returns π(im): a fresh DVS-IMPL state with every process identity
+// replaced by its image under π — the inner VS state, each node's state,
+// and the node indexing itself (π(im)'s node for π(p) is the permutation of
+// im's node for p). The receiver is not mutated.
+func (im *Impl) Permute(pi types.Perm) *Impl {
+	c := &Impl{
+		universe: pi.Set(im.universe),
+		initial:  pi.View(im.initial),
+		vs:       im.vs.Permute(pi),
+		nodes:    make(map[types.ProcID]*Node, len(im.nodes)),
+		syms:     im.syms, // conjugating a stabilizer by its own element is the identity
+	}
+	c.procs = c.universe.Sorted()
+	for p, n := range im.nodes {
+		c.nodes[pi.ID(p)] = n.Permute(pi)
+	}
+	return c
+}
+
+// EnableSymmetry installs the symmetry group — the permutations of the
+// universe that fix the CURRENT state (see ioa.Stabilizer: call it on the
+// initial state) — and returns its order. With the initial view covering
+// the whole universe the group is the full symmetric group (order n!);
+// asymmetric initial views yield the appropriate subgroup automatically.
+func (im *Impl) EnableSymmetry() int {
+	im.syms = ioa.Stabilizer(im, types.PermsOf(im.universe))
+	return len(im.syms)
+}
+
+// Canonicalize implements ioa.Symmetric.
+func (im *Impl) Canonicalize() ioa.Automaton { return ioa.Canonicalize(im, im.syms) }
+
+// Orbit implements ioa.Symmetric.
+func (im *Impl) Orbit() []ioa.Automaton { return ioa.Orbit(im, im.syms) }

@@ -1,4 +1,4 @@
-package core
+package dvscore
 
 import (
 	"fmt"
@@ -38,7 +38,7 @@ func (r *Refinement) SpecInitial() ioa.Automaton {
 func (r *Refinement) Abstract(a ioa.Automaton) (ioa.Automaton, error) {
 	im, ok := a.(*Impl)
 	if !ok {
-		return nil, fmt.Errorf("abstract: want *core.Impl, got %T", a)
+		return nil, fmt.Errorf("abstract: want *dvscore.Impl, got %T", a)
 	}
 	st := dvs.State{
 		Universe:   r.Universe,
@@ -109,7 +109,7 @@ func (r *Refinement) Abstract(a ioa.Automaton) (ioa.Automaton, error) {
 			n := im.nodes[p]
 			// t.pending[p,g] = purge(s.pending[p,g]) + purge(s.msgs-to-vs[g]_p).
 			pend := Purge(im.vs.PendingShared(p, g))
-			pend = append(pend, Purge(n.MsgsToVSShared(g))...)
+			pend = append(pend, Purge(n.msgsToVS[g])...)
 			if len(pend) > 0 {
 				if st.Pending[p] == nil {
 					st.Pending[p] = make(map[types.ViewID][]types.Msg)
@@ -128,7 +128,7 @@ func (r *Refinement) Abstract(a ioa.Automaton) (ioa.Automaton, error) {
 				st.Rcvd[p][g] = tRcvd
 			}
 			// t.next[p,g] = s.next[p,g] - purgesize(queue(1..next-1)) - |msgs-from-vs[g]_p|.
-			tNext := tRcvd - n.MsgsFromVSLen(g)
+			tNext := tRcvd - len(n.msgsFromVS[g])
 			if tNext != 1 {
 				if st.Next[p] == nil {
 					st.Next[p] = make(map[types.ViewID]int)
@@ -137,7 +137,7 @@ func (r *Refinement) Abstract(a ioa.Automaton) (ioa.Automaton, error) {
 			}
 			// t.next-safe analogous with safe-from-vs.
 			ns := im.vs.NextSafe(p, g)
-			tNS := ns - purgeSizeEntries(vsQueue[:ns-1]) - n.SafeFromVSLen(g)
+			tNS := ns - purgeSizeEntries(vsQueue[:ns-1]) - len(n.safeFromVS[g])
 			if tNS != 1 {
 				if st.NextSafe[p] == nil {
 					st.NextSafe[p] = make(map[types.ViewID]int)
@@ -170,7 +170,7 @@ func purgeSizeEntries(q []vsspec.Entry) int {
 func (r *Refinement) Plan(pre ioa.Automaton, act ioa.Action) ([]ioa.Action, error) {
 	im, ok := pre.(*Impl)
 	if !ok {
-		return nil, fmt.Errorf("plan: want *core.Impl, got %T", pre)
+		return nil, fmt.Errorf("plan: want *dvscore.Impl, got %T", pre)
 	}
 	switch act.Name {
 	case dvs.ActNewView:

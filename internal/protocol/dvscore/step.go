@@ -13,29 +13,35 @@ import "repro/internal/types"
 // same code and flags any divergence.
 
 // Filter is the primary-view decision state machine the drain policy
-// drives: the exact method set of the VS-TO-DVS automaton (Node). The
-// static-primary baseline (internal/protocol/staticcore) implements the same interface.
+// drives: the transition set of the VS-TO-DVS automaton (Node), which the
+// static-primary baseline (StaticNode) implements too. The transitions are
+// unexported, so only this package can implement a Filter or fire one of
+// its actions; a holder outside it may observe the client-facing projection
+// the paper's DVS interface exports, and every transition goes through Step.
 type Filter interface {
-	OnVSNewView(v types.View)
-	OnVSGpRcv(m types.Msg, q types.ProcID)
-	OnVSSafe(m types.Msg, q types.ProcID)
-	OnDVSGpSnd(m types.Msg)
-	OnDVSRegister()
-	VSGpSndHead() (types.Msg, bool)
-	TakeVSGpSndHead(m types.Msg) error
-	DVSNewViewEnabled() (types.View, bool)
-	PerformDVSNewView(v types.View) error
-	DVSGpRcvHead() (MsgFrom, bool)
-	TakeDVSGpRcvHead(e MsgFrom) error
-	DVSSafeHead() (MsgFrom, bool)
-	TakeDVSSafeHead(e MsgFrom) error
-	GCCandidates() []types.View
-	PerformGC(v types.View) error
+	onVSNewView(v types.View)
+	onVSGpRcv(m types.Msg, q types.ProcID)
+	onVSSafe(m types.Msg, q types.ProcID)
+	onDVSGpSnd(m types.Msg)
+	onDVSRegister()
+	vsGpSndHead() (types.Msg, bool)
+	popVSGpSnd()
+	dvsNewViewEnabled() (types.View, bool)
+	dvsNewView(v types.View)
+	dvsGpRcvHead() (MsgFrom, bool)
+	popDVSGpRcv()
+	dvsSafeHead() (MsgFrom, bool)
+	popDVSSafe()
+	gcCandidates() []types.View
+	performGC(v types.View) error
 	ClientCur() (types.View, bool)
 	Amb() []types.View
 }
 
-var _ Filter = (*Node)(nil)
+var (
+	_ Filter = (*Node)(nil)
+	_ Filter = (*StaticNode)(nil)
+)
 
 // Event is one input of the VS-TO-DVS automaton as seen at runtime: a
 // view-synchronous upcall or a client downcall.
@@ -112,71 +118,66 @@ func (o *Outbox) add(fx Effect) { o.Effects = append(o.Effects, fx) }
 func Step(f Filter, ev Event, gc bool, out *Outbox) {
 	switch e := ev.(type) {
 	case EvVSNewView:
-		f.OnVSNewView(e.View)
+		f.onVSNewView(e.View)
 	case EvVSRecv:
-		f.OnVSGpRcv(e.M, e.From)
+		f.onVSGpRcv(e.M, e.From)
 	case EvVSSafe:
-		f.OnVSSafe(e.M, e.From)
+		f.onVSSafe(e.M, e.From)
 	case EvClientSend:
-		f.OnDVSGpSnd(e.M)
+		f.onDVSGpSnd(e.M)
 	case EvClientRegister:
-		f.OnDVSRegister()
+		f.onDVSRegister()
 	}
-	Drain(f, gc, out)
+	drain(f, gc, out)
 }
 
-// Drain fires the filter's enabled locally-controlled actions until
+// drain fires the filter's enabled locally-controlled actions until
 // quiescent, emitting one effect per action: outgoing messages first, then
 // client deliveries and safe indications of the current client view, then
 // (only once those are drained) a new primary announcement, then garbage
 // collection. This is the view-synchronous drain contract: all client
 // deliveries and safe indications of a client view are handed up before a
-// later primary view is announced.
-func Drain(f Filter, gc bool, out *Outbox) {
+// later primary view is announced. Each guard is evaluated once per firing
+// and the effect applied directly — re-checking it would compare a whole
+// batch with itself, per frame, on the up-path.
+func drain(f Filter, gc bool, out *Outbox) {
 	for {
 		progress := false
 		for {
-			m, ok := f.VSGpSndHead()
+			m, ok := f.vsGpSndHead()
 			if !ok {
 				break
 			}
-			if err := f.TakeVSGpSndHead(m); err != nil {
-				break
-			}
+			f.popVSGpSnd()
 			out.add(FxSendVS{M: m})
 			progress = true
 		}
 		for {
-			e, ok := f.DVSGpRcvHead()
+			e, ok := f.dvsGpRcvHead()
 			if !ok {
 				break
 			}
-			if err := f.TakeDVSGpRcvHead(e); err != nil {
-				break
-			}
+			f.popDVSGpRcv()
 			out.add(FxDeliver{M: e.M, From: e.Q})
 			progress = true
 		}
 		for {
-			e, ok := f.DVSSafeHead()
+			e, ok := f.dvsSafeHead()
 			if !ok {
 				break
 			}
-			if err := f.TakeDVSSafeHead(e); err != nil {
-				break
-			}
+			f.popDVSSafe()
 			out.add(FxSafeInd{M: e.M, From: e.Q})
 			progress = true
 		}
-		if v, ok := f.DVSNewViewEnabled(); ok {
-			if err := f.PerformDVSNewView(v); err == nil {
-				out.add(FxNewPrimary{View: v})
-				progress = true
-			}
+		if v, ok := f.dvsNewViewEnabled(); ok {
+			f.dvsNewView(v)
+			out.add(FxNewPrimary{View: v})
+			progress = true
 		}
 		if gc {
-			for _, v := range f.GCCandidates() {
-				if err := f.PerformGC(v); err == nil {
+			for _, v := range f.gcCandidates() {
+				if err := f.performGC(v); err == nil {
 					out.add(FxGC{View: v})
 					progress = true
 				}

@@ -10,7 +10,7 @@ import (
 // This file mechanizes Invariants 5.1–5.6 of the paper as executable checks
 // over a collection of VS-TO-DVS_p states. The formulas are written once,
 // against System, and shared by both consumers: the exhaustive checker
-// (internal/core wraps them as ioa invariants over reachable DVS-IMPL
+// (invariants.go wraps them as ioa invariants over reachable DVS-IMPL
 // states) and the trace-conformance replayer (internal/conform evaluates
 // them on the global cut reconstructed from runtime event logs).
 //
@@ -245,11 +245,12 @@ func (s System) CheckInvariant52() error {
 func (s System) CheckInvariant52Part3Literal() error {
 	for _, p := range s.Procs {
 		n := s.Nodes[p]
-		cc, ok := n.ClientCur()
-		if !ok {
+		if !n.clientCurOK {
 			continue
 		}
-		for _, w := range n.Use() {
+		cc := n.clientCur
+		// use_p = {act} ∪ amb in id order: amb ids exceed act.id (5.2(2)).
+		for _, w := range append([]types.View{n.act}, sortedViews(n.amb)...) {
 			if cc.ID.Less(w.ID) {
 				return fmt.Errorf("5.2(3 literal): use_%s contains %s with id > client-cur.id %s", p, w, cc.ID)
 			}

@@ -286,19 +286,19 @@ func (pd *pending) final() bool {
 	return pd.haveData && len(pd.props) == len(pd.dests)
 }
 
-// OnSubmit is the mc-submit action: it assigns the next locally unique
-// message id. Drive it through Step (EvSubmit); corestep guards direct use.
-func (n *Node) OnSubmit() string {
+// onSubmit is the mc-submit action: it assigns the next locally unique
+// message id.
+func (n *Node) onSubmit() string {
 	id := strconv.Itoa(int(n.p)) + "." + strconv.FormatUint(n.nextID, 10)
 	n.nextID++
 	return id
 }
 
-// OnData is the mc-data action: it applies the ordering of m's data in group g: assign g's proposal
+// onData is the mc-data action: it applies the ordering of m's data in group g: assign g's proposal
 // (clock+1) and remember the message. Duplicates and already-delivered ids
 // are ignored. It reports whether this was the first data ordering (the
 // origin then disseminates g's proposal).
-func (n *Node) OnData(g types.GroupID, id string, origin types.ProcID, dests []types.GroupID, payload string) bool {
+func (n *Node) onData(g types.GroupID, id string, origin types.ProcID, dests []types.GroupID, payload string) bool {
 	st := n.gs[g]
 	if st.done[id] {
 		return false
@@ -320,11 +320,11 @@ func (n *Node) OnData(g types.GroupID, id string, origin types.ProcID, dests []t
 	return true
 }
 
-// OnProposal is the mc-proposal action: it applies a proposal from group pg for message id, carried by
+// onProposal is the mc-proposal action: it applies a proposal from group pg for message id, carried by
 // group g's total order. The group clock advances to at least the proposed
 // value (the Lamport bump that keeps later finals above delivered ones);
 // duplicate proposals are idempotent.
-func (n *Node) OnProposal(g types.GroupID, pg types.GroupID, id string, ts uint64) {
+func (n *Node) onProposal(g types.GroupID, pg types.GroupID, id string, ts uint64) {
 	st := n.gs[g]
 	if ts > st.clock {
 		st.clock = ts

@@ -126,7 +126,7 @@ func Step(n *Node, ev Event, out *Outbox) error {
 		if err := n.checkDests(e.Dests); err != nil {
 			return err
 		}
-		id := n.OnSubmit()
+		id := n.onSubmit()
 		dests := append([]types.GroupID(nil), e.Dests...)
 		for _, g := range dests {
 			out.add(FxSendData{To: g, ID: id, Origin: n.p, Dests: dests, Payload: e.Payload})
@@ -144,7 +144,7 @@ func Step(n *Node, ev Event, out *Outbox) error {
 		if !types.ContainsGroup(e.Dests, e.Group) {
 			return ErrBadEvent
 		}
-		if n.OnData(e.Group, e.ID, e.Origin, append([]types.GroupID(nil), e.Dests...), e.Payload) && n.p == e.Origin {
+		if n.onData(e.Group, e.ID, e.Origin, append([]types.GroupID(nil), e.Dests...), e.Payload) && n.p == e.Origin {
 			ts := n.gs[e.Group].clock
 			for _, g := range e.Dests {
 				if g != e.Group {
@@ -158,7 +158,7 @@ func Step(n *Node, ev Event, out *Outbox) error {
 		if !types.ContainsGroup(n.groups, e.Group) {
 			return ErrBadEvent
 		}
-		n.OnProposal(e.Group, e.PGroup, e.ID, e.TS)
+		n.onProposal(e.Group, e.PGroup, e.ID, e.TS)
 		drain(n, e.Group, out)
 		return nil
 	}

@@ -1,10 +1,9 @@
-package toimpl
+package tocore
 
 import (
 	"testing"
 
 	"repro/internal/ioa"
-	"repro/internal/protocol/tocore"
 	"repro/internal/types"
 )
 
@@ -78,21 +77,21 @@ func TestCloneStepLeavesOriginalUntouched(t *testing.T) {
 	}
 	v1 := types.NewView(v0.ID.Next(0), 0, 1)
 	gapped := SummaryMsg{X: types.Summary{Next: 1, Con: types.Content{lbl(7, "far").L: "far", lbl(1, "x").L: "x"}}}
-	steps := []tocore.Event{
-		tocore.EvRecv{M: lbl(3, "c"), From: 1},
-		tocore.EvSafe{M: lbl(2, "b"), From: 1},
-		tocore.EvNewView{View: v1},
-		tocore.EvRecv{M: gapped, From: 1},
-		tocore.EvSafe{M: lbl(9, "never seen"), From: 1},
+	steps := []Event{
+		EvRecv{M: lbl(3, "c"), From: 1},
+		EvSafe{M: lbl(2, "b"), From: 1},
+		EvNewView{View: v1},
+		EvRecv{M: gapped, From: 1},
+		EvSafe{M: lbl(9, "never seen"), From: 1},
 	}
 	orig := NewNode(0, v0, true, false)
-	var out tocore.Outbox
-	for _, ev := range []tocore.Event{
-		tocore.EvBroadcast{A: "own"},
-		tocore.EvRecv{M: lbl(1, "a"), From: 1}, tocore.EvSafe{M: lbl(1, "a"), From: 1},
-		tocore.EvRecv{M: lbl(2, "b"), From: 1},
+	var out Outbox
+	for _, ev := range []Event{
+		EvBroadcast{A: "own"},
+		EvRecv{M: lbl(1, "a"), From: 1}, EvSafe{M: lbl(1, "a"), From: 1},
+		EvRecv{M: lbl(2, "b"), From: 1},
 	} {
-		if err := tocore.Step(orig, ev, true, &out); err != nil {
+		if err := Step(orig, ev, true, &out); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +102,7 @@ func TestCloneStepLeavesOriginalUntouched(t *testing.T) {
 	}
 	var after []string
 	for i, ev := range steps {
-		if err := tocore.Step(clone, ev, true, &out); err != nil {
+		if err := Step(clone, ev, true, &out); err != nil {
 			t.Fatal(err)
 		}
 		if got := fp(orig); got != before {
@@ -115,7 +114,7 @@ func TestCloneStepLeavesOriginalUntouched(t *testing.T) {
 		}
 	}
 	for i, ev := range steps {
-		if err := tocore.Step(orig, ev, true, &out); err != nil {
+		if err := Step(orig, ev, true, &out); err != nil {
 			t.Fatal(err)
 		}
 		if got := fp(orig); got != after[i] {

@@ -1,11 +1,64 @@
-package toimpl
+package tocore
 
 import (
+	"math/rand"
+	"strconv"
+
 	"repro/internal/ioa"
 	"repro/internal/spec/dvs"
 	"repro/internal/spec/to"
 	"repro/internal/types"
 )
+
+// Env drives TO-IMPL executions: it supplies bcast inputs and proposes
+// dvs-createview candidates that satisfy the DVS creation precondition
+// (random membership, increasing ids).
+type Env struct {
+	rng      *rand.Rand
+	procs    []types.ProcID
+	msgSeq   int
+	proposed int
+	MaxViews int // cap on proposed views (0 = unlimited)
+}
+
+var _ ioa.Environment = (*Env)(nil)
+
+// NewEnv returns an environment over the given universe.
+func NewEnv(seed int64, universe types.ProcSet) *Env {
+	return &Env{
+		rng:      rand.New(rand.NewSource(seed)),
+		procs:    universe.Sorted(),
+		MaxViews: 32,
+	}
+}
+
+// Inputs implements ioa.Environment.
+func (e *Env) Inputs(a ioa.Automaton) []ioa.Action {
+	im, ok := a.(*Impl)
+	if !ok {
+		return nil
+	}
+	var acts []ioa.Action
+
+	p := types.RandomMember(e.rng, e.procs)
+	e.msgSeq++
+	acts = append(acts, ioa.Action{
+		Name:  to.ActBCast,
+		Kind:  ioa.KindInput,
+		Param: to.BCastParam{A: "a" + strconv.Itoa(e.msgSeq), P: p},
+	})
+
+	if e.MaxViews == 0 || e.proposed < e.MaxViews {
+		members := types.RandomSubset(e.rng, e.procs)
+		maxID := im.DVS().MaxCreatedID()
+		v := types.View{ID: maxID.Next(members.Sorted()[0]), Members: members}
+		if im.DVS().CreateViewCandidateOK(v) {
+			e.proposed++
+			acts = append(acts, ioa.Action{Name: dvs.ActCreateView, Kind: ioa.KindInternal, Param: dvs.CreateViewParam{View: v}})
+		}
+	}
+	return acts
+}
 
 // BoundedEnv is a finitely-branching, stateless environment for exhaustive
 // exploration of TO-IMPL (ioa.Explore). Broadcasts are bounded by a
@@ -53,8 +106,7 @@ func countClientCommands(im *Impl) int {
 	total := 0
 	for _, p := range im.procs {
 		n := im.nodes[p]
-		total += n.DelayLen()
-		total += n.SelfLabeledCount()
+		total += len(n.delay) + n.hist.labeled(p)
 	}
 	return total
 }

@@ -1,4 +1,4 @@
-package toimpl
+package tocore
 
 import (
 	"testing"

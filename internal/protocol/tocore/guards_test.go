@@ -9,17 +9,17 @@ import (
 	"repro/internal/types"
 )
 
-// TestGuardsRejectNonEnabledActions drives every exported Take*/Perform* of
-// the Figure 5 node with an action that is not enabled and requires the
+// TestGuardsRejectNonEnabledActions drives every take*/perform* of the
+// Figure 5 node with an action that is not enabled and requires the
 // action's error and an untouched node; the enabled action must still fire
-// afterwards. Drain no longer goes through these methods, so nothing else
+// afterwards. drain does not go through these methods, so nothing else
 // exercises their failing branch.
 func TestGuardsRejectNonEnabledActions(t *testing.T) {
 	v0 := types.InitialView(types.NewProcSet(0, 1, 2))
 	l1 := types.Label{ID: v0.ID, Seqno: 1, Origin: 1}
 	recvSafe := func(n *Node) {
-		n.OnDVSGpRcv(LabelMsg{L: l1, A: "x"}, 1)
-		n.OnDVSSafe(LabelMsg{L: l1, A: "x"}, 1)
+		n.onDVSGpRcv(LabelMsg{L: l1, A: "x"}, 1)
+		n.onDVSSafe(LabelMsg{L: l1, A: "x"}, 1)
 	}
 	own := func(seq int, a string) LabelMsg {
 		return LabelMsg{L: types.Label{ID: v0.ID, Seqno: seq, Origin: 0}, A: a}
@@ -33,120 +33,120 @@ func TestGuardsRejectNonEnabledActions(t *testing.T) {
 	}{
 		{
 			name:    "label: nothing delayed",
-			bad:     func(n *Node) error { return n.PerformLabel("a") },
+			bad:     func(n *Node) error { return n.performLabel("a") },
 			wantErr: "label(a)_0: not enabled",
 		},
 		{
 			name:    "label: not the head of delay",
-			setup:   func(n *Node) { n.OnBCast("a"); n.OnBCast("b") },
-			bad:     func(n *Node) error { return n.PerformLabel("b") },
+			setup:   func(n *Node) { n.onBCast("a"); n.onBCast("b") },
+			bad:     func(n *Node) error { return n.performLabel("b") },
 			wantErr: "label(b)_0: not enabled",
-			good:    func(n *Node) error { return n.PerformLabel("a") },
+			good:    func(n *Node) error { return n.performLabel("a") },
 		},
 		{
 			name:    "label: during recovery",
-			setup:   func(n *Node) { n.OnBCast("a"); n.OnDVSNewView(v(1, 0, 1)) },
-			bad:     func(n *Node) error { return n.PerformLabel("a") },
+			setup:   func(n *Node) { n.onBCast("a"); n.onDVSNewView(v(1, 0, 1)) },
+			bad:     func(n *Node) error { return n.performLabel("a") },
 			wantErr: "label(a)_0: not enabled",
 		},
 		{
 			name:    "gpsnd label: nothing buffered",
-			bad:     func(n *Node) error { return n.TakeGpSndLabel(own(1, "a")) },
+			bad:     func(n *Node) error { return n.takeGpSndLabel(own(1, "a")) },
 			wantErr: "dvs-gpsnd(lbl:0.0/1@0=a)_0: not enabled",
 		},
 		{
 			name:    "gpsnd label: wrong payload",
-			setup:   func(n *Node) { n.OnBCast("a"); n.PerformLabel("a") },
-			bad:     func(n *Node) error { return n.TakeGpSndLabel(own(1, "b")) },
+			setup:   func(n *Node) { n.onBCast("a"); n.performLabel("a") },
+			bad:     func(n *Node) error { return n.takeGpSndLabel(own(1, "b")) },
 			wantErr: "not enabled",
-			good:    func(n *Node) error { return n.TakeGpSndLabel(own(1, "a")) },
+			good:    func(n *Node) error { return n.takeGpSndLabel(own(1, "a")) },
 		},
 		{
 			name:    "gpsnd label: second in buffer",
-			setup:   func(n *Node) { n.OnBCast("a"); n.OnBCast("b"); n.PerformLabel("a"); n.PerformLabel("b") },
-			bad:     func(n *Node) error { return n.TakeGpSndLabel(own(2, "b")) },
+			setup:   func(n *Node) { n.onBCast("a"); n.onBCast("b"); n.performLabel("a"); n.performLabel("b") },
+			bad:     func(n *Node) error { return n.takeGpSndLabel(own(2, "b")) },
 			wantErr: "not enabled",
-			good:    func(n *Node) error { return n.TakeGpSndLabel(own(1, "a")) },
+			good:    func(n *Node) error { return n.takeGpSndLabel(own(1, "a")) },
 		},
 		{
 			name:    "gpsnd label: during recovery",
-			setup:   func(n *Node) { n.OnBCast("a"); n.PerformLabel("a"); n.OnDVSNewView(v(1, 0, 1)) },
-			bad:     func(n *Node) error { return n.TakeGpSndLabel(own(1, "a")) },
+			setup:   func(n *Node) { n.onBCast("a"); n.performLabel("a"); n.onDVSNewView(v(1, 0, 1)) },
+			bad:     func(n *Node) error { return n.takeGpSndLabel(own(1, "a")) },
 			wantErr: "not enabled",
 		},
 		{
 			name:    "gpsnd summary: status normal",
-			bad:     func(n *Node) error { return n.TakeGpSndSummary(SummaryMsg{X: n.Summary()}) },
+			bad:     func(n *Node) error { return n.takeGpSndSummary(SummaryMsg{X: n.Summary()}) },
 			wantErr: "dvs-gpsnd(summary)_0: not enabled",
 		},
 		{
 			name:  "gpsnd summary: not this node's summary",
-			setup: func(n *Node) { recvSafe(n); n.OnDVSNewView(v(1, 0, 1)) },
+			setup: func(n *Node) { recvSafe(n); n.onDVSNewView(v(1, 0, 1)) },
 			bad: func(n *Node) error {
 				x := n.Summary()
 				x.Con[l1] = "y"
-				return n.TakeGpSndSummary(SummaryMsg{X: x})
+				return n.takeGpSndSummary(SummaryMsg{X: x})
 			},
 			wantErr: "dvs-gpsnd(summary)_0: not enabled",
-			good:    func(n *Node) error { return n.TakeGpSndSummary(SummaryMsg{X: n.Summary()}) },
+			good:    func(n *Node) error { return n.takeGpSndSummary(SummaryMsg{X: n.Summary()}) },
 		},
 		{
 			name:    "gpsnd summary: already sent",
-			setup:   func(n *Node) { n.OnDVSNewView(v(1, 0, 1)); n.TakeGpSndSummary(SummaryMsg{X: n.Summary()}) },
-			bad:     func(n *Node) error { return n.TakeGpSndSummary(SummaryMsg{X: n.Summary()}) },
+			setup:   func(n *Node) { n.onDVSNewView(v(1, 0, 1)); n.takeGpSndSummary(SummaryMsg{X: n.Summary()}) },
+			bad:     func(n *Node) error { return n.takeGpSndSummary(SummaryMsg{X: n.Summary()}) },
 			wantErr: "dvs-gpsnd(summary)_0: not enabled",
 		},
 		{
 			name:    "confirm: nothing ordered",
-			bad:     func(n *Node) error { return n.PerformConfirm() },
+			bad:     func(n *Node) error { return n.performConfirm() },
 			wantErr: "confirm_0: not enabled",
 		},
 		{
 			name:    "confirm: ordered but not safe",
-			setup:   func(n *Node) { n.OnDVSGpRcv(LabelMsg{L: l1, A: "x"}, 1) },
-			bad:     func(n *Node) error { return n.PerformConfirm() },
+			setup:   func(n *Node) { n.onDVSGpRcv(LabelMsg{L: l1, A: "x"}, 1) },
+			bad:     func(n *Node) error { return n.performConfirm() },
 			wantErr: "confirm_0: not enabled",
 		},
 		{
 			name:    "brcv: not yet confirmed",
 			setup:   recvSafe,
-			bad:     func(n *Node) error { return n.PerformBRcv("x", 1) },
+			bad:     func(n *Node) error { return n.performBRcv("x", 1) },
 			wantErr: "brcv(x)_1,0: not enabled",
-			good:    func(n *Node) error { return n.PerformConfirm() },
+			good:    func(n *Node) error { return n.performConfirm() },
 		},
 		{
 			name:    "brcv: wrong payload",
-			setup:   func(n *Node) { recvSafe(n); n.PerformConfirm() },
-			bad:     func(n *Node) error { return n.PerformBRcv("y", 1) },
+			setup:   func(n *Node) { recvSafe(n); n.performConfirm() },
+			bad:     func(n *Node) error { return n.performBRcv("y", 1) },
 			wantErr: "brcv(y)_1,0: not enabled",
-			good:    func(n *Node) error { return n.PerformBRcv("x", 1) },
+			good:    func(n *Node) error { return n.performBRcv("x", 1) },
 		},
 		{
 			name:    "brcv: wrong origin",
-			setup:   func(n *Node) { recvSafe(n); n.PerformConfirm() },
-			bad:     func(n *Node) error { return n.PerformBRcv("x", 2) },
+			setup:   func(n *Node) { recvSafe(n); n.performConfirm() },
+			bad:     func(n *Node) error { return n.performBRcv("x", 2) },
 			wantErr: "brcv(x)_2,0: not enabled",
-			good:    func(n *Node) error { return n.PerformBRcv("x", 1) },
+			good:    func(n *Node) error { return n.performBRcv("x", 1) },
 		},
 		{
 			name:    "register: initial view is registered from the start",
-			bad:     func(n *Node) error { return n.PerformRegister() },
+			bad:     func(n *Node) error { return n.performRegister() },
 			wantErr: "dvs-register_0: not enabled",
 		},
 		{
 			name:    "register: view not yet established",
-			setup:   func(n *Node) { n.OnDVSNewView(v(1, 0, 1)) },
-			bad:     func(n *Node) error { return n.PerformRegister() },
+			setup:   func(n *Node) { n.onDVSNewView(v(1, 0, 1)) },
+			bad:     func(n *Node) error { return n.performRegister() },
 			wantErr: "dvs-register_0: not enabled",
 		},
 		{
 			name:    "gprcv: not a TO message",
-			bad:     func(n *Node) error { return n.OnDVSGpRcv(types.ClientMsg("raw"), 1) },
+			bad:     func(n *Node) error { return n.onDVSGpRcv(types.ClientMsg("raw"), 1) },
 			wantErr: "unexpected message c:raw",
 		},
 		{
 			name:    "safe: not a TO message",
-			bad:     func(n *Node) error { return n.OnDVSSafe(types.ClientMsg("raw"), 1) },
+			bad:     func(n *Node) error { return n.onDVSSafe(types.ClientMsg("raw"), 1) },
 			wantErr: "unexpected safe message c:raw",
 		},
 	} {
@@ -175,33 +175,33 @@ func TestGuardsRejectNonEnabledActions(t *testing.T) {
 	}
 }
 
-// drainByName is Drain's policy with every action fired through its
-// exported guard-plus-apply method, the way the checker compositions fire
-// them: the reference TestDrainMatchesExportedActions holds Drain to.
+// drainByName is drain's policy with every action fired through its
+// guard-plus-apply method, the way Impl.Perform fires them: the reference
+// TestDrainMatchesExportedActions holds drain to.
 func drainByName(n *Node, register bool, out *Outbox) {
 	for progress := true; progress; {
 		progress = false
-		if a, ok := n.LabelHead(); ok && n.PerformLabel(a) == nil {
+		if a, ok := n.labelHead(); ok && n.performLabel(a) == nil {
 			out.add(FxLabel{A: a})
 			progress = true
 		}
-		if m, ok := n.GpSndSummary(); ok && n.TakeGpSndSummary(m) == nil {
+		if m, ok := n.gpSndSummary(); ok && n.takeGpSndSummary(m) == nil {
 			out.add(FxSend{M: m})
 			progress = true
 		}
-		if m, ok := n.GpSndLabel(); ok && n.TakeGpSndLabel(m) == nil {
+		if m, ok := n.gpSndLabel(); ok && n.takeGpSndLabel(m) == nil {
 			out.add(FxSend{M: m})
 			progress = true
 		}
-		if n.ConfirmEnabled() && n.PerformConfirm() == nil {
+		if n.confirmEnabled() && n.performConfirm() == nil {
 			out.add(FxConfirm{})
 			progress = true
 		}
-		if a, origin, ok := n.BRcvNext(); ok && n.PerformBRcv(a, origin) == nil {
+		if a, origin, ok := n.brcvNext(); ok && n.performBRcv(a, origin) == nil {
 			out.add(FxDeliver{A: a, Origin: origin})
 			progress = true
 		}
-		if register && n.RegisterEnabled() && n.PerformRegister() == nil {
+		if register && n.registerEnabled() && n.performRegister() == nil {
 			cur, _ := n.Current()
 			out.add(FxRegister{View: cur.Clone()})
 			progress = true
@@ -213,7 +213,7 @@ func drainByName(n *Node, register bool, out *Outbox) {
 // broadcasts, its own and its peers' labels looped back as deliveries and
 // safe indications, view changes with a full summary exchange — twice: once
 // through Step, once applying the same inputs and draining action by action
-// through the exported surface. The effects of every event and the node
+// through the validating methods. The effects of every event and the node
 // state (sampled, and at the end) must agree, with REGISTER on and off.
 func TestDrainMatchesExportedActions(t *testing.T) {
 	for _, register := range []bool{true, false} {
@@ -286,13 +286,13 @@ func TestDrainMatchesExportedActions(t *testing.T) {
 func applyInput(n *Node, ev Event) error {
 	switch e := ev.(type) {
 	case EvBroadcast:
-		n.OnBCast(e.A)
+		n.onBCast(e.A)
 	case EvNewView:
-		n.OnDVSNewView(e.View)
+		n.onDVSNewView(e.View)
 	case EvRecv:
-		return n.OnDVSGpRcv(e.M, e.From)
+		return n.onDVSGpRcv(e.M, e.From)
 	case EvSafe:
-		return n.OnDVSSafe(e.M, e.From)
+		return n.onDVSSafe(e.M, e.From)
 	}
 	return nil
 }

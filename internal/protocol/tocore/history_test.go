@@ -239,7 +239,7 @@ func TestSummaryMergeStaysDense(t *testing.T) {
 		l := types.Label{ID: v0.ID, Seqno: (i + 1) / 2, Origin: 1 + types.ProcID(i%2)}
 		con[l] = "p" + strconv.Itoa(i)
 		if i <= held {
-			if err := n.OnDVSGpRcv(LabelMsg{L: l, A: con[l]}, l.Origin); err != nil {
+			if err := n.onDVSGpRcv(LabelMsg{L: l, A: con[l]}, l.Origin); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -251,8 +251,8 @@ func TestSummaryMergeStaysDense(t *testing.T) {
 	if few > all/4 {
 		t.Errorf("merging %d new labels allocated %d bytes, %d from empty: the cost follows the summary, not what is new", total-held, few, all)
 	}
-	n.OnDVSNewView(v(1, 0, 1, 2))
-	if err := n.OnDVSGpRcv(SummaryMsg{X: types.Summary{Con: con, Next: 1}}, 1); err != nil {
+	n.onDVSNewView(v(1, 0, 1, 2))
+	if err := n.onDVSGpRcv(SummaryMsg{X: types.Summary{Con: con, Next: 1}}, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, h := range []history{n.hist, grown, fresh} {

@@ -1,4 +1,4 @@
-package toimpl
+package tocore
 
 import (
 	"fmt"
@@ -106,12 +106,6 @@ func (im *Impl) DVS() *dvs.DVS { return im.dvs }
 // Node returns the DVS-TO-TO automaton of process p.
 func (im *Impl) Node(p types.ProcID) *Node { return im.nodes[p] }
 
-// Procs returns the sorted process ids.
-func (im *Impl) Procs() []types.ProcID { return types.CloneSeq(im.procs) }
-
-// Universe returns the processor universe.
-func (im *Impl) Universe() types.ProcSet { return im.universe.Clone() }
-
 // Enabled implements ioa.Automaton.
 func (im *Impl) Enabled() []ioa.Action {
 	var acts []ioa.Action
@@ -121,27 +115,37 @@ func (im *Impl) Enabled() []ioa.Action {
 	}
 	for _, p := range im.procs {
 		n := im.nodes[p]
-		if a, ok := n.LabelHead(); ok { //lint:corestep checker composition: Enabled enumerates the fine-grained transitions Step composes
+		if a, ok := n.labelHead(); ok {
 			acts = append(acts, ioa.Action{Name: "label", Kind: ioa.KindInternal, Param: LabelParam{A: a, P: p}})
 		}
-		if m, ok := n.GpSndLabel(); ok { //lint:corestep checker composition: Enabled enumerates the fine-grained transitions Step composes
+		if m, ok := n.gpSndLabel(); ok {
 			acts = append(acts, ioa.Action{Name: dvs.ActGpSnd, Kind: ioa.KindInternal, Param: dvs.SndParam{M: m, P: p}})
 		}
-		if m, ok := n.GpSndSummary(); ok { //lint:corestep checker composition: Enabled enumerates the fine-grained transitions Step composes
+		if m, ok := n.gpSndSummary(); ok {
 			acts = append(acts, ioa.Action{Name: dvs.ActGpSnd, Kind: ioa.KindInternal, Param: dvs.SndParam{M: m, P: p}})
 		}
-		if n.ConfirmEnabled() { //lint:corestep checker composition: Enabled enumerates the fine-grained transitions Step composes
+		if n.confirmEnabled() {
 			acts = append(acts, ioa.Action{Name: "confirm", Kind: ioa.KindInternal, Param: ConfirmParam{P: p}})
 		}
-		if a, origin, ok := n.BRcvNext(); ok { //lint:corestep checker composition: Enabled enumerates the fine-grained transitions Step composes
+		if a, origin, ok := n.brcvNext(); ok {
 			acts = append(acts, ioa.Action{Name: to.ActBRcv, Kind: ioa.KindOutput, Param: to.BRcvParam{A: a, Origin: origin, To: p}})
 		}
-		if n.RegisterEnabled() { //lint:corestep checker composition: Enabled enumerates the fine-grained transitions Step composes
+		if n.registerEnabled() {
 			acts = append(acts, ioa.Action{Name: dvs.ActRegister, Kind: ioa.KindInternal, Param: dvs.RegisterParam{P: p}})
 		}
 	}
 	ioa.SortActions(acts)
 	return acts
+}
+
+// node returns the DVS-TO-TO automaton the action named name addresses, or
+// an error for a process outside the universe.
+func (im *Impl) node(name string, p types.ProcID) (*Node, error) {
+	n, ok := im.nodes[p]
+	if !ok {
+		return nil, fmt.Errorf("%s: unknown process %s", name, p)
+	}
+	return n, nil
 }
 
 // Perform implements ioa.Automaton.
@@ -152,11 +156,11 @@ func (im *Impl) Perform(act ioa.Action) error {
 		if !ok {
 			return badActParam(act)
 		}
-		n, exists := im.nodes[p.P]
-		if !exists {
-			return fmt.Errorf("bcast: unknown process %s", p.P)
+		n, err := im.node(act.Name, p.P)
+		if err != nil {
+			return err
 		}
-		n.OnBCast(p.A) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		n.onBCast(p.A)
 		return nil
 
 	case "label":
@@ -164,39 +168,53 @@ func (im *Impl) Perform(act ioa.Action) error {
 		if !ok {
 			return badActParam(act)
 		}
-		return im.nodes[p.P].PerformLabel(p.A) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		n, err := im.node(act.Name, p.P)
+		if err != nil {
+			return err
+		}
+		return n.performLabel(p.A)
 
 	case "confirm":
 		p, ok := act.Param.(ConfirmParam)
 		if !ok {
 			return badActParam(act)
 		}
-		return im.nodes[p.P].PerformConfirm() //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		n, err := im.node(act.Name, p.P)
+		if err != nil {
+			return err
+		}
+		return n.performConfirm()
 
 	case to.ActBRcv:
 		p, ok := act.Param.(to.BRcvParam)
 		if !ok {
 			return badActParam(act)
 		}
-		return im.nodes[p.To].PerformBRcv(p.A, p.Origin) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		n, err := im.node(act.Name, p.To)
+		if err != nil {
+			return err
+		}
+		return n.performBRcv(p.A, p.Origin)
 
 	case dvs.ActGpSnd:
 		p, ok := act.Param.(dvs.SndParam)
 		if !ok {
 			return badActParam(act)
 		}
-		n := im.nodes[p.P]
+		n, err := im.node(act.Name, p.P)
+		if err != nil {
+			return err
+		}
 		switch m := p.M.(type) {
 		case LabelMsg:
-			if err := n.TakeGpSndLabel(m); err != nil { //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
-				return err
-			}
+			err = n.takeGpSndLabel(m)
 		case SummaryMsg:
-			if err := n.TakeGpSndSummary(m); err != nil { //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
-				return err
-			}
+			err = n.takeGpSndSummary(m)
 		default:
-			return fmt.Errorf("dvs-gpsnd: unexpected message %s", p.M.MsgKey())
+			err = fmt.Errorf("dvs-gpsnd: unexpected message %s", p.M.MsgKey())
+		}
+		if err != nil {
+			return err
 		}
 		return im.dvs.Perform(act)
 
@@ -205,7 +223,11 @@ func (im *Impl) Perform(act ioa.Action) error {
 		if !ok {
 			return badActParam(act)
 		}
-		if err := im.nodes[p.P].PerformRegister(); err != nil { //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		n, err := im.node(act.Name, p.P)
+		if err != nil {
+			return err
+		}
+		if err := n.performRegister(); err != nil {
 			return err
 		}
 		return im.dvs.Perform(act)
@@ -215,31 +237,32 @@ func (im *Impl) Perform(act ioa.Action) error {
 		if !ok {
 			return badActParam(act)
 		}
+		n, err := im.node(act.Name, p.P)
+		if err != nil {
+			return err
+		}
 		if err := im.dvs.Perform(act); err != nil {
 			return err
 		}
-		im.nodes[p.P].OnDVSNewView(p.View) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		n.onDVSNewView(p.View)
 		return nil
 
-	case dvs.ActGpRcv:
+	case dvs.ActGpRcv, dvs.ActSafe:
 		p, ok := act.Param.(dvs.RcvParam)
 		if !ok {
 			return badActParam(act)
 		}
-		if err := im.dvs.Perform(act); err != nil {
+		n, err := im.node(act.Name, p.To)
+		if err != nil {
 			return err
-		}
-		return im.nodes[p.To].OnDVSGpRcv(p.M, p.From) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
-
-	case dvs.ActSafe:
-		p, ok := act.Param.(dvs.RcvParam)
-		if !ok {
-			return badActParam(act)
 		}
 		if err := im.dvs.Perform(act); err != nil {
 			return err
 		}
-		return im.nodes[p.To].OnDVSSafe(p.M, p.From) //lint:corestep checker composition: Perform fires one fine-grained transition of the composed automaton
+		if act.Name == dvs.ActGpRcv {
+			return n.onDVSGpRcv(p.M, p.From)
+		}
+		return n.onDVSSafe(p.M, p.From)
 
 	case dvs.ActCreateView, dvs.ActOrder, dvs.ActRcv:
 		return im.dvs.Perform(act)

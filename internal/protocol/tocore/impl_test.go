@@ -1,10 +1,11 @@
-package toimpl
+package tocore
 
 import (
 	"strings"
 	"testing"
 
 	"repro/internal/ioa"
+	"repro/internal/spec/dvs"
 	"repro/internal/spec/to"
 	"repro/internal/types"
 )
@@ -127,13 +128,13 @@ func TestAllStateTracksSummaries(t *testing.T) {
 	if len(im.AllState()) == 0 {
 		t.Log("note: no summaries in flight for this seed")
 	}
-	if err := CheckInvariant61(im); err != nil {
+	if err := im.system().CheckInvariant61(); err != nil {
 		t.Errorf("6.1: %v", err)
 	}
-	if err := CheckInvariant62(im); err != nil {
+	if err := im.system().CheckInvariant62(); err != nil {
 		t.Errorf("6.2: %v", err)
 	}
-	if err := CheckInvariant63(im); err != nil {
+	if err := im.system().CheckInvariant63(); err != nil {
 		t.Errorf("6.3: %v", err)
 	}
 }
@@ -147,5 +148,41 @@ func TestTOImplCloneDeterminism(t *testing.T) {
 	}
 	if ioa.FingerprintString(im.Clone()) != ioa.FingerprintString(im) {
 		t.Error("clone fingerprint differs")
+	}
+}
+
+// TestPerformUnknownProcess hands Perform every action that names a process
+// with an id outside the universe: each is refused with an error — no nil
+// node is dereferenced — and the state is left as it was.
+func TestPerformUnknownProcess(t *testing.T) {
+	universe, v0 := toSetup(2)
+	const out = types.ProcID(7)
+	lm := LabelMsg{L: types.Label{ID: v0.ID, Seqno: 1, Origin: out}, A: "a"}
+	v1 := v(1, 0, out)
+	for _, act := range []ioa.Action{
+		{Name: to.ActBCast, Param: to.BCastParam{A: "a", P: out}},
+		{Name: "label", Param: LabelParam{A: "a", P: out}},
+		{Name: "confirm", Param: ConfirmParam{P: out}},
+		{Name: to.ActBRcv, Param: to.BRcvParam{A: "a", Origin: 0, To: out}},
+		{Name: dvs.ActGpSnd, Param: dvs.SndParam{M: lm, P: out}},
+		{Name: dvs.ActRegister, Param: dvs.RegisterParam{P: out}},
+		{Name: dvs.ActNewView, Param: dvs.NewViewParam{View: v1, P: out}},
+		{Name: dvs.ActOrder, Param: dvs.OrderParam{M: lm, P: out, G: v0.ID}},
+		{Name: dvs.ActRcv, Param: dvs.SvcRcvParam{M: lm, From: 0, To: out, G: v0.ID}},
+		{Name: dvs.ActGpRcv, Param: dvs.RcvParam{M: lm, From: 0, To: out}},
+		{Name: dvs.ActSafe, Param: dvs.RcvParam{M: lm, From: 0, To: out}},
+	} {
+		t.Run(act.Name, func(t *testing.T) {
+			for _, variant := range []DVSVariant{DVSLiteral, DVSAmended, DVSAmendedDrained} {
+				im := NewImpl(universe, v0, Config{DVS: variant})
+				before := ioa.FpOf(im)
+				if err := im.Perform(act); err == nil {
+					t.Errorf("DVS variant %d: action of an unknown process accepted", variant)
+				}
+				if ioa.FpOf(im) != before {
+					t.Errorf("DVS variant %d: refused action changed the state", variant)
+				}
+			}
+		})
 	}
 }

@@ -1,17 +1,15 @@
-package toimpl
+package tocore
 
 import (
 	"fmt"
 
 	"repro/internal/ioa"
-	"repro/internal/protocol/tocore"
 	"repro/internal/types"
 )
 
 // Invariants 6.1–6.3 and the confirmed-prefix agreement property are
-// mechanized once, in internal/protocol/tocore (System), and shared with
-// the runtime trace-conformance replayer. This file adapts them to TO-IMPL
-// states: the system cut is the composition's node map plus the DVS
+// mechanized once, against System (system.go), and shared with the runtime
+// trace-conformance replayer. This file adapts them to TO-IMPL states: the system cut is the composition's node map plus the DVS
 // specification's created/attempted oracles and the summaries still in
 // transit inside the service.
 
@@ -56,8 +54,8 @@ func (im *Impl) transitSummariesShared() []types.Summary {
 
 // system returns the invariant-checking cut of the composition. The nodes,
 // views, and summaries are shared, not cloned: the checks are read-only.
-func (im *Impl) system() tocore.System {
-	return tocore.System{
+func (im *Impl) system() System {
+	return System{
 		Procs:     im.procs,
 		Nodes:     im.nodes,
 		Created:   im.dvs.CreatedShared(),
@@ -66,31 +64,11 @@ func (im *Impl) system() tocore.System {
 	}
 }
 
-// CheckInvariant61 checks Invariant 6.1: for every x ∈ allstate there is a
-// created view w with x.high = w.id that was attempted by all its members.
-func CheckInvariant61(im *Impl) error { return im.system().CheckInvariant61() }
-
-// CheckInvariant62 checks Invariant 6.2: if v ∈ created and some summary has
-// high > v.id, then some member of v has moved past v.
-func CheckInvariant62(im *Impl) error { return im.system().CheckInvariant62() }
-
-// CheckInvariant63 checks Invariant 6.3, instantiated at its strongest σ;
-// see tocore/system.go for the instantiation.
-func CheckInvariant63(im *Impl) error { return im.system().CheckInvariant63() }
-
-// CheckConfirmedConsistent is the end-to-end agreement property the
-// invariants exist to support: the confirmed label prefixes of all nodes are
-// pairwise consistent (one is a prefix of the other), and so are the
-// reported prefixes. It reads node state only, so the cut omits the
-// DVS-level oracles and the (allocation-heavy) in-transit summary scan.
-func CheckConfirmedConsistent(im *Impl) error {
-	return tocore.System{Procs: im.procs, Nodes: im.nodes}.CheckConfirmedConsistent()
-}
-
 // Invariants returns Invariants 6.1–6.3 plus the confirmed-prefix agreement
-// check as ioa invariants over *Impl states.
+// check — the end-to-end property the invariants exist to support — as ioa
+// invariants over *Impl states.
 func Invariants() []ioa.Invariant {
-	wrap := func(name string, check func(*Impl) error) ioa.Invariant {
+	wrap := func(name string, cut func(*Impl) System, check func(System) error) ioa.Invariant {
 		return ioa.Invariant{
 			Name: name,
 			Check: func(a ioa.Automaton) error {
@@ -98,14 +76,17 @@ func Invariants() []ioa.Invariant {
 				if !ok {
 					return fmt.Errorf("TO-IMPL invariant on %T", a)
 				}
-				return check(im)
+				return check(cut(im))
 			},
 		}
 	}
+	// The agreement check reads node state only, so its cut omits the
+	// DVS-level oracles and the (allocation-heavy) in-transit summary scan.
+	nodesOnly := func(im *Impl) System { return System{Procs: im.procs, Nodes: im.nodes} }
 	return []ioa.Invariant{
-		wrap("TOIMPL-6.1", CheckInvariant61),
-		wrap("TOIMPL-6.2", CheckInvariant62),
-		wrap("TOIMPL-6.3", CheckInvariant63),
-		wrap("TOIMPL-confirmed-consistent", CheckConfirmedConsistent),
+		wrap("TOIMPL-6.1", (*Impl).system, System.CheckInvariant61),
+		wrap("TOIMPL-6.2", (*Impl).system, System.CheckInvariant62),
+		wrap("TOIMPL-6.3", (*Impl).system, System.CheckInvariant63),
+		wrap("TOIMPL-confirmed-consistent", nodesOnly, System.CheckConfirmedConsistent),
 	}
 }

@@ -3,12 +3,18 @@
 // Figure 5 (a variant of the totally-ordered broadcast algorithm of
 // Amir/Dolev/Keidar/Melliar-Smith/Moser adapted to the dynamic view
 // service) as a pure state machine. The same code is driven by two
-// consumers — the exhaustive checker (internal/toimpl composes it with the
-// DVS specification into TO-IMPL and explores it against Invariants
-// 6.1–6.3) and the live runtime (internal/tob translates DVS upcalls into
-// Events and applies the Effects that Step emits). The System invariant
-// formulas are likewise shared with the trace-conformance replayer
-// (internal/conform).
+// consumers — the exhaustive checker (Impl, in this package, composes it
+// with the DVS specification into TO-IMPL and explores it against
+// Invariants 6.1–6.3) and the live runtime (internal/tob translates DVS
+// upcalls into Events and applies the Effects that Step emits). The System
+// invariant formulas are likewise shared with the trace-conformance
+// replayer (internal/conform).
+//
+// The fine-grained transitions (one per Figure 5 action) are unexported:
+// the paper defines TO-IMPL as a composition of these automata, so the
+// composition lives here and fires them one at a time, and everything
+// outside the package drives a node through Step. What is exported on Node
+// is the read-only accessor roster, pinned by TestExportedSurface.
 //
 // Figure 5's DVS-SAFE(summary) handler marks the exchanged labels safe as
 // soon as safe indications for all members' summaries have arrived. Over the
@@ -167,9 +173,6 @@ func (n *Node) Current() (types.View, bool) { return n.current, n.currentOK }
 // Status returns the node status.
 func (n *Node) Status() Status { return n.status }
 
-// HighPrimary returns the id of the highest established primary.
-func (n *Node) HighPrimary() types.ViewID { return n.highPrimary }
-
 // Established reports whether the view with id g has been established here.
 func (n *Node) Established(g types.ViewID) bool { return n.established[g] }
 
@@ -198,11 +201,11 @@ func (n *Node) Summary() types.Summary {
 
 // --- Input handlers ---
 
-// OnBCast handles input bcast(a)_p: buffer into delay.
-func (n *Node) OnBCast(a string) { n.delay = append(n.delay, a) }
+// onBCast handles input bcast(a)_p: buffer into delay.
+func (n *Node) onBCast(a string) { n.delay = append(n.delay, a) }
 
-// OnDVSNewView handles input dvs-newview(v)_p.
-func (n *Node) OnDVSNewView(v types.View) {
+// onDVSNewView handles input dvs-newview(v)_p.
+func (n *Node) onDVSNewView(v types.View) {
 	n.current, n.currentOK = v.Clone(), true
 	n.nextSeqno = 1
 	n.buffer = nil
@@ -212,8 +215,8 @@ func (n *Node) OnDVSNewView(v types.View) {
 	n.status = StatusSend
 }
 
-// OnDVSGpRcv handles input dvs-gprcv(m)_{q,p} by case analysis on m.
-func (n *Node) OnDVSGpRcv(m types.Msg, q types.ProcID) error {
+// onDVSGpRcv handles input dvs-gprcv(m)_{q,p} by case analysis on m.
+func (n *Node) onDVSGpRcv(m types.Msg, q types.ProcID) error {
 	switch msg := m.(type) {
 	case LabelMsg:
 		n.hist.put(msg.L, msg.A)
@@ -256,8 +259,8 @@ func (n *Node) establish() {
 	}
 }
 
-// OnDVSSafe handles input dvs-safe(m)_{q,p} by case analysis on m.
-func (n *Node) OnDVSSafe(m types.Msg, q types.ProcID) error {
+// onDVSSafe handles input dvs-safe(m)_{q,p} by case analysis on m.
+func (n *Node) onDVSSafe(m types.Msg, q types.ProcID) error {
 	switch msg := m.(type) {
 	case LabelMsg:
 		n.hist.markSafe(msg.L)
@@ -299,7 +302,7 @@ func (n *Node) maybeMarkExchangeSafe() {
 
 // --- Locally controlled actions ---
 
-// LabelHead returns the head of delay if the internal label action is
+// labelHead returns the head of delay if the internal label action is
 // enabled. Figure 5 as printed allows labeling whenever current ≠ ⊥; in
 // literal mode we reproduce that. The repaired (default) mode additionally
 // requires status = normal: labeling during recovery puts the fresh label
@@ -307,7 +310,7 @@ func (n *Node) maybeMarkExchangeSafe() {
 // label-order tail, and the buffered copy sent after establishment is then
 // ordered a second time — a duplicate delivery (demonstrated mechanically in
 // the tests).
-func (n *Node) LabelHead() (string, bool) {
+func (n *Node) labelHead() (string, bool) {
 	if len(n.delay) == 0 || !n.currentOK {
 		return "", false
 	}
@@ -317,9 +320,9 @@ func (n *Node) LabelHead() (string, bool) {
 	return n.delay[0], true
 }
 
-// PerformLabel applies the internal label(a)_p action.
-func (n *Node) PerformLabel(a string) error {
-	head, ok := n.LabelHead()
+// performLabel applies the internal label(a)_p action.
+func (n *Node) performLabel(a string) error {
+	head, ok := n.labelHead()
 	if !ok || head != a {
 		return fmt.Errorf("label(%s)_%s: not enabled", a, n.p)
 	}
@@ -327,10 +330,11 @@ func (n *Node) PerformLabel(a string) error {
 	return nil
 }
 
-// label is the effect of label(a)_p for a = head of delay. The unexported
-// effect helpers (label, sendLabel, sendSummary, confirm, brcv, register)
-// let Drain apply an action right after the guard it has just evaluated;
-// the exported Perform*/Take* methods are guard plus the same helper.
+// label is the effect of label(a)_p for a = head of delay. The effect
+// helpers (label, sendLabel, sendSummary, confirm, brcv, register) let drain
+// apply an action right after the guard it has just evaluated; the
+// perform*/take* methods, which Impl.Perform calls with an action it was
+// handed by name, are guard plus the same helper.
 func (n *Node) label() {
 	a := n.delay[0]
 	l := types.Label{ID: n.current.ID, Seqno: n.nextSeqno, Origin: n.p}
@@ -340,9 +344,9 @@ func (n *Node) label() {
 	n.delay = n.delay[1:]
 }
 
-// GpSndLabel returns the ⟨l,a⟩ message a dvs-gpsnd output would send, if
+// gpSndLabel returns the ⟨l,a⟩ message a dvs-gpsnd output would send, if
 // enabled (status = normal, buffer nonempty).
-func (n *Node) GpSndLabel() (LabelMsg, bool) {
+func (n *Node) gpSndLabel() (LabelMsg, bool) {
 	if n.status != StatusNormal || len(n.buffer) == 0 {
 		return LabelMsg{}, false
 	}
@@ -354,9 +358,9 @@ func (n *Node) GpSndLabel() (LabelMsg, bool) {
 	return LabelMsg{L: l, A: a}, true
 }
 
-// TakeGpSndLabel applies the effect of sending the buffered label message.
-func (n *Node) TakeGpSndLabel(m LabelMsg) error {
-	head, ok := n.GpSndLabel()
+// takeGpSndLabel applies the effect of sending the buffered label message.
+func (n *Node) takeGpSndLabel(m LabelMsg) error {
+	head, ok := n.gpSndLabel()
 	if !ok || head != m {
 		return fmt.Errorf("dvs-gpsnd(%s)_%s: not enabled", m.MsgKey(), n.p)
 	}
@@ -366,18 +370,18 @@ func (n *Node) TakeGpSndLabel(m LabelMsg) error {
 
 func (n *Node) sendLabel() { n.buffer = n.buffer[1:] }
 
-// GpSndSummary returns the summary message a dvs-gpsnd output would send, if
+// gpSndSummary returns the summary message a dvs-gpsnd output would send, if
 // enabled (status = send).
-func (n *Node) GpSndSummary() (SummaryMsg, bool) {
+func (n *Node) gpSndSummary() (SummaryMsg, bool) {
 	if n.status != StatusSend {
 		return SummaryMsg{}, false
 	}
 	return SummaryMsg{X: n.Summary()}, true
 }
 
-// TakeGpSndSummary applies the effect of sending the summary.
-func (n *Node) TakeGpSndSummary(m SummaryMsg) error {
-	head, ok := n.GpSndSummary()
+// takeGpSndSummary applies the effect of sending the summary.
+func (n *Node) takeGpSndSummary(m SummaryMsg) error {
+	head, ok := n.gpSndSummary()
 	if !ok || !head.EqualMsg(m) {
 		return fmt.Errorf("dvs-gpsnd(summary)_%s: not enabled", n.p)
 	}
@@ -387,17 +391,17 @@ func (n *Node) TakeGpSndSummary(m SummaryMsg) error {
 
 func (n *Node) sendSummary() { n.status = StatusCollect }
 
-// ConfirmEnabled reports whether the internal confirm action is enabled.
-func (n *Node) ConfirmEnabled() bool {
+// confirmEnabled reports whether the internal confirm action is enabled.
+func (n *Node) confirmEnabled() bool {
 	if n.nextConfirm > len(n.order) {
 		return false
 	}
 	return n.hist.isSafe(n.order[n.nextConfirm-1])
 }
 
-// PerformConfirm applies the internal confirm action.
-func (n *Node) PerformConfirm() error {
-	if !n.ConfirmEnabled() {
+// performConfirm applies the internal confirm action.
+func (n *Node) performConfirm() error {
+	if !n.confirmEnabled() {
 		return fmt.Errorf("confirm_%s: not enabled", n.p)
 	}
 	n.confirm()
@@ -406,9 +410,9 @@ func (n *Node) PerformConfirm() error {
 
 func (n *Node) confirm() { n.nextConfirm++ }
 
-// BRcvNext returns the (a, origin) pair the next brcv output would deliver,
+// brcvNext returns the (a, origin) pair the next brcv output would deliver,
 // if enabled (nextreport < nextconfirm).
-func (n *Node) BRcvNext() (a string, origin types.ProcID, ok bool) {
+func (n *Node) brcvNext() (a string, origin types.ProcID, ok bool) {
 	if n.nextReport >= n.nextConfirm || n.nextReport > len(n.order) {
 		return "", 0, false
 	}
@@ -420,9 +424,9 @@ func (n *Node) BRcvNext() (a string, origin types.ProcID, ok bool) {
 	return payload, l.Origin, true
 }
 
-// PerformBRcv applies the brcv(a)_{q,p} output.
-func (n *Node) PerformBRcv(a string, origin types.ProcID) error {
-	wa, worigin, ok := n.BRcvNext()
+// performBRcv applies the brcv(a)_{q,p} output.
+func (n *Node) performBRcv(a string, origin types.ProcID) error {
+	wa, worigin, ok := n.brcvNext()
 	if !ok || wa != a || worigin != origin {
 		return fmt.Errorf("brcv(%s)_%s,%s: not enabled", a, origin, n.p)
 	}
@@ -432,15 +436,15 @@ func (n *Node) PerformBRcv(a string, origin types.ProcID) error {
 
 func (n *Node) brcv() { n.nextReport++ }
 
-// RegisterEnabled reports whether the dvs-register output is enabled:
+// registerEnabled reports whether the dvs-register output is enabled:
 // current ≠ ⊥, established, and not yet registered.
-func (n *Node) RegisterEnabled() bool {
+func (n *Node) registerEnabled() bool {
 	return n.currentOK && n.established[n.current.ID] && !n.registered[n.current.ID]
 }
 
-// PerformRegister applies the dvs-register output.
-func (n *Node) PerformRegister() error {
-	if !n.RegisterEnabled() {
+// performRegister applies the dvs-register output.
+func (n *Node) performRegister() error {
+	if !n.registerEnabled() {
 		return fmt.Errorf("dvs-register_%s: not enabled", n.p)
 	}
 	n.register()
@@ -575,14 +579,6 @@ func writeLabelsFp(f *ioa.Fingerprinter, ls []types.Label) {
 		l.WriteFp(f)
 	}
 }
-
-// DelayLen returns the number of buffered client commands awaiting labels.
-func (n *Node) DelayLen() int { return len(n.delay) }
-
-// SelfLabeledCount counts the labels in the content relation that this node
-// created itself; labels with origin p never leave content, so the count is
-// monotone along every execution path (bounded environments rely on this).
-func (n *Node) SelfLabeledCount() int { return n.hist.labeled(n.p) }
 
 // ConfirmedShared returns the confirmed prefix order(1..nextconfirm-1)
 // without copying; the slice is read-only.

@@ -24,7 +24,7 @@ func TestTONodeInitial(t *testing.T) {
 	if n.Status() != StatusNormal {
 		t.Error("status must start normal")
 	}
-	if !n.HighPrimary().IsZero() {
+	if !n.highPrimary.IsZero() {
 		t.Error("highprimary must start at g0")
 	}
 	out := NewNode(4, v0, false, false)
@@ -35,28 +35,28 @@ func TestTONodeInitial(t *testing.T) {
 
 func TestLabelAssignsSequentialLabels(t *testing.T) {
 	n, v0 := newTONode(t)
-	n.OnBCast("a")
-	n.OnBCast("b")
+	n.onBCast("a")
+	n.onBCast("b")
 	for _, want := range []string{"a", "b"} {
-		head, ok := n.LabelHead()
+		head, ok := n.labelHead()
 		if !ok || head != want {
 			t.Fatalf("LabelHead = %q, %v (want %q)", head, ok, want)
 		}
-		if err := n.PerformLabel(head); err != nil {
+		if err := n.performLabel(head); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m1, ok := n.GpSndLabel()
+	m1, ok := n.gpSndLabel()
 	if !ok {
 		t.Fatal("no buffered label message")
 	}
 	if m1.L != (types.Label{ID: v0.ID, Seqno: 1, Origin: 0}) || m1.A != "a" {
 		t.Errorf("first label message = %+v", m1)
 	}
-	if err := n.TakeGpSndLabel(m1); err != nil {
+	if err := n.takeGpSndLabel(m1); err != nil {
 		t.Fatal(err)
 	}
-	m2, _ := n.GpSndLabel()
+	m2, _ := n.gpSndLabel()
 	if m2.L.Seqno != 2 {
 		t.Errorf("second label seqno = %d", m2.L.Seqno)
 	}
@@ -65,20 +65,20 @@ func TestLabelAssignsSequentialLabels(t *testing.T) {
 func TestLabelRequiresViewAndNormalStatus(t *testing.T) {
 	v0 := types.InitialView(types.NewProcSet(0, 1, 2))
 	outsider := NewNode(4, v0, false, false)
-	outsider.OnBCast("x")
-	if _, ok := outsider.LabelHead(); ok {
+	outsider.onBCast("x")
+	if _, ok := outsider.labelHead(); ok {
 		t.Error("labeling without a view")
 	}
 	n, _ := newTONode(t)
-	n.OnDVSNewView(v(1, 0, 1))
-	n.OnBCast("x")
-	if _, ok := n.LabelHead(); ok {
+	n.onDVSNewView(v(1, 0, 1))
+	n.onBCast("x")
+	if _, ok := n.labelHead(); ok {
 		t.Error("repaired node must not label during recovery")
 	}
 	lit := NewNode(0, v0, true, true)
-	lit.OnDVSNewView(v(1, 0, 1))
-	lit.OnBCast("x")
-	if _, ok := lit.LabelHead(); !ok {
+	lit.onDVSNewView(v(1, 0, 1))
+	lit.onBCast("x")
+	if _, ok := lit.labelHead(); !ok {
 		t.Error("literal Figure 5 labels during recovery (that is the printed behavior)")
 	}
 }
@@ -86,32 +86,32 @@ func TestLabelRequiresViewAndNormalStatus(t *testing.T) {
 func TestRecvAppendsOrderAndConfirm(t *testing.T) {
 	n, v0 := newTONode(t)
 	l := types.Label{ID: v0.ID, Seqno: 1, Origin: 1}
-	if err := n.OnDVSGpRcv(LabelMsg{L: l, A: "x"}, 1); err != nil {
+	if err := n.onDVSGpRcv(LabelMsg{L: l, A: "x"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := n.Order(); len(got) != 1 || got[0] != l {
 		t.Fatalf("order = %v", got)
 	}
-	if n.ConfirmEnabled() {
+	if n.confirmEnabled() {
 		t.Fatal("confirm before safe")
 	}
-	if err := n.OnDVSSafe(LabelMsg{L: l, A: "x"}, 1); err != nil {
+	if err := n.onDVSSafe(LabelMsg{L: l, A: "x"}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !n.ConfirmEnabled() {
+	if !n.confirmEnabled() {
 		t.Fatal("confirm should be enabled after safe")
 	}
-	if err := n.PerformConfirm(); err != nil {
+	if err := n.performConfirm(); err != nil {
 		t.Fatal(err)
 	}
-	a, origin, ok := n.BRcvNext()
+	a, origin, ok := n.brcvNext()
 	if !ok || a != "x" || origin != 1 {
 		t.Fatalf("BRcvNext = %q, %v, %v", a, origin, ok)
 	}
-	if err := n.PerformBRcv(a, origin); err != nil {
+	if err := n.performBRcv(a, origin); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := n.BRcvNext(); ok {
+	if _, _, ok := n.brcvNext(); ok {
 		t.Error("nothing further to report")
 	}
 }
@@ -120,39 +120,39 @@ func TestRecoveryExchangeAndEstablish(t *testing.T) {
 	n, v0 := newTONode(t)
 	// Confirmed work in v0.
 	l := types.Label{ID: v0.ID, Seqno: 1, Origin: 0}
-	if err := n.OnDVSGpRcv(LabelMsg{L: l, A: "pre"}, 0); err != nil {
+	if err := n.onDVSGpRcv(LabelMsg{L: l, A: "pre"}, 0); err != nil {
 		t.Fatal(err)
 	}
 	v1 := v(1, 0, 1)
-	n.OnDVSNewView(v1)
+	n.onDVSNewView(v1)
 	if n.Status() != StatusSend {
 		t.Fatal("status must be send after newview")
 	}
-	sum, ok := n.GpSndSummary()
+	sum, ok := n.gpSndSummary()
 	if !ok {
 		t.Fatal("summary not offered")
 	}
 	if len(sum.X.Ord) != 1 || sum.X.Ord[0] != l {
 		t.Errorf("summary order = %v", sum.X.Ord)
 	}
-	if err := n.TakeGpSndSummary(sum); err != nil {
+	if err := n.takeGpSndSummary(sum); err != nil {
 		t.Fatal(err)
 	}
 	if n.Status() != StatusCollect {
 		t.Fatal("status must be collect after sending summary")
 	}
 	// Receive own summary and peer's summary: establishment.
-	if err := n.OnDVSGpRcv(sum, 0); err != nil {
+	if err := n.onDVSGpRcv(sum, 0); err != nil {
 		t.Fatal(err)
 	}
 	peer := types.Summary{Con: types.Content{}, Next: 1, High: types.ViewIDZero}
-	if err := n.OnDVSGpRcv(SummaryMsg{X: peer}, 1); err != nil {
+	if err := n.onDVSGpRcv(SummaryMsg{X: peer}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if n.Status() != StatusNormal || !n.Established(v1.ID) {
 		t.Fatal("establishment did not happen")
 	}
-	if n.HighPrimary() != v1.ID {
+	if n.highPrimary != v1.ID {
 		t.Error("highprimary not advanced")
 	}
 	if got := n.Order(); len(got) != 1 || got[0] != l {
@@ -162,13 +162,13 @@ func TestRecoveryExchangeAndEstablish(t *testing.T) {
 		t.Errorf("buildorder history = %v", bo)
 	}
 	// Registration now enabled exactly once.
-	if !n.RegisterEnabled() {
+	if !n.registerEnabled() {
 		t.Fatal("register should be enabled after establishment")
 	}
-	if err := n.PerformRegister(); err != nil {
+	if err := n.performRegister(); err != nil {
 		t.Fatal(err)
 	}
-	if n.RegisterEnabled() {
+	if n.registerEnabled() {
 		t.Error("register must be once per view")
 	}
 }
@@ -176,9 +176,9 @@ func TestRecoveryExchangeAndEstablish(t *testing.T) {
 func TestEstablishmentPicksMaxHighRep(t *testing.T) {
 	n, v0 := newTONode(t)
 	v1 := v(1, 0, 1)
-	n.OnDVSNewView(v1)
-	sum, _ := n.GpSndSummary()
-	if err := n.TakeGpSndSummary(sum); err != nil {
+	n.onDVSNewView(v1)
+	sum, _ := n.gpSndSummary()
+	if err := n.takeGpSndSummary(sum); err != nil {
 		t.Fatal(err)
 	}
 	lNew := types.Label{ID: types.ViewID{Seq: 9}, Seqno: 1, Origin: 1}
@@ -188,10 +188,10 @@ func TestEstablishmentPicksMaxHighRep(t *testing.T) {
 		Next: 2,
 		High: types.ViewID{Seq: 9}, // peer established a higher primary
 	}
-	if err := n.OnDVSGpRcv(sum, 0); err != nil {
+	if err := n.onDVSGpRcv(sum, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.OnDVSGpRcv(SummaryMsg{X: peer}, 1); err != nil {
+	if err := n.onDVSGpRcv(SummaryMsg{X: peer}, 1); err != nil {
 		t.Fatal(err)
 	}
 	ord := n.Order()
@@ -207,33 +207,33 @@ func TestEstablishmentPicksMaxHighRep(t *testing.T) {
 func TestSafeExchangeMarksLabels(t *testing.T) {
 	n, v0 := newTONode(t)
 	l := types.Label{ID: v0.ID, Seqno: 1, Origin: 0}
-	if err := n.OnDVSGpRcv(LabelMsg{L: l, A: "pre"}, 0); err != nil {
+	if err := n.onDVSGpRcv(LabelMsg{L: l, A: "pre"}, 0); err != nil {
 		t.Fatal(err)
 	}
 	v1 := v(1, 0, 1)
-	n.OnDVSNewView(v1)
-	sum, _ := n.GpSndSummary()
-	if err := n.TakeGpSndSummary(sum); err != nil {
+	n.onDVSNewView(v1)
+	sum, _ := n.gpSndSummary()
+	if err := n.takeGpSndSummary(sum); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.OnDVSGpRcv(sum, 0); err != nil {
+	if err := n.onDVSGpRcv(sum, 0); err != nil {
 		t.Fatal(err)
 	}
 	peer := types.Summary{Con: types.Content{}, Next: 1, High: types.ViewIDZero}
-	if err := n.OnDVSGpRcv(SummaryMsg{X: peer}, 1); err != nil {
+	if err := n.onDVSGpRcv(SummaryMsg{X: peer}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Safe for both summaries: exchanged labels become safe; l confirms.
-	if err := n.OnDVSSafe(sum, 0); err != nil {
+	if err := n.onDVSSafe(sum, 0); err != nil {
 		t.Fatal(err)
 	}
-	if n.ConfirmEnabled() {
+	if n.confirmEnabled() {
 		t.Fatal("confirm before the whole exchange is safe")
 	}
-	if err := n.OnDVSSafe(SummaryMsg{X: peer}, 1); err != nil {
+	if err := n.onDVSSafe(SummaryMsg{X: peer}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !n.ConfirmEnabled() {
+	if !n.confirmEnabled() {
 		t.Fatal("confirm should be enabled once the exchange is safe")
 	}
 }
@@ -241,51 +241,51 @@ func TestSafeExchangeMarksLabels(t *testing.T) {
 func TestRepairedDefersSafeExchangeUntilEstablished(t *testing.T) {
 	n, v0 := newTONode(t)
 	l := types.Label{ID: v0.ID, Seqno: 1, Origin: 0}
-	if err := n.OnDVSGpRcv(LabelMsg{L: l, A: "pre"}, 0); err != nil {
+	if err := n.onDVSGpRcv(LabelMsg{L: l, A: "pre"}, 0); err != nil {
 		t.Fatal(err)
 	}
 	v1 := v(1, 0, 1)
-	n.OnDVSNewView(v1)
-	sum, _ := n.GpSndSummary()
-	if err := n.TakeGpSndSummary(sum); err != nil {
+	n.onDVSNewView(v1)
+	sum, _ := n.gpSndSummary()
+	if err := n.takeGpSndSummary(sum); err != nil {
 		t.Fatal(err)
 	}
 	// Safe indications arrive BEFORE the summaries themselves (possible
 	// over the amended DVS): the repaired node must not mark anything yet.
-	if err := n.OnDVSSafe(sum, 0); err != nil {
+	if err := n.onDVSSafe(sum, 0); err != nil {
 		t.Fatal(err)
 	}
 	peer := types.Summary{Con: types.Content{}, Next: 1, High: types.ViewIDZero}
-	if err := n.OnDVSSafe(SummaryMsg{X: peer}, 1); err != nil {
+	if err := n.onDVSSafe(SummaryMsg{X: peer}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if n.ConfirmEnabled() {
+	if n.confirmEnabled() {
 		t.Fatal("repaired node must not confirm from a partial exchange")
 	}
 	// Now the summaries arrive and the view establishes: the pending safe
 	// exchange is applied.
-	if err := n.OnDVSGpRcv(sum, 0); err != nil {
+	if err := n.onDVSGpRcv(sum, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.OnDVSGpRcv(SummaryMsg{X: peer}, 1); err != nil {
+	if err := n.onDVSGpRcv(SummaryMsg{X: peer}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !n.Established(v1.ID) {
 		t.Fatal("not established")
 	}
-	if !n.ConfirmEnabled() {
+	if !n.confirmEnabled() {
 		t.Fatal("deferred safe-exchange marking did not happen")
 	}
 }
 
 func TestTONodeCloneDeep(t *testing.T) {
 	n, _ := newTONode(t)
-	n.OnBCast("x")
+	n.onBCast("x")
 	c := n.Clone()
-	if err := c.PerformLabel("x"); err != nil {
+	if err := c.performLabel("x"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := n.LabelHead(); !ok {
+	if _, ok := n.labelHead(); !ok {
 		t.Error("clone mutation leaked")
 	}
 }

@@ -1,6 +1,9 @@
 package tocore
 
-import "repro/internal/types"
+import (
+	"repro/internal/ioa"
+	"repro/internal/types"
+)
 
 // PermuteMsg implements types.PermutableMsg: the label's view id and origin
 // permute, the payload is opaque.
@@ -25,7 +28,7 @@ var (
 // under process permutations — gotstate.ChosenRep breaks ties by least
 // process id and fullorder's tail sorts labels by (viewid, seqno, origin) —
 // so π of a reachable TO-IMPL state need not be reachable. Permute and the
-// Symmetric hooks on toimpl.Impl exist for orbit-soundness audits and
+// Symmetric hooks on Impl exist for orbit-soundness audits and
 // experiments, not for sound state-space reduction; see DESIGN.md §6.7.
 func (n *Node) Permute(pi types.Perm) *Node {
 	p := pi.ID(n.p)
@@ -61,3 +64,47 @@ func (n *Node) Permute(pi types.Perm) *Node {
 	}
 	return c
 }
+
+// TO-IMPL implements the Symmetric hooks, but with a caveat the DVS layer
+// does not have: the Figure 5 algorithm itself is NOT equivariant under
+// process permutations — the state-exchange representative is chosen by
+// least process id among the longest orders, and fullorder's tail sorts
+// labels by (viewid, seqno, origin) — so exploring orbit representatives of
+// TO-IMPL is not a sound reduction in general. The hooks exist for
+// orbit-soundness audits (ExploreConfig.AuditSymmetry) and for experiments
+// measuring how much of the space IS symmetric; see DESIGN.md §6.7.
+var _ ioa.Symmetric = (*Impl)(nil)
+
+// Permute returns π(im): a fresh TO-IMPL state with every process identity
+// replaced by its image under π. The receiver is not mutated.
+func (im *Impl) Permute(pi types.Perm) *Impl {
+	c := &Impl{
+		universe: pi.Set(im.universe),
+		initial:  pi.View(im.initial),
+		cfg:      im.cfg,
+		dvs:      im.dvs.Permute(pi),
+		nodes:    make(map[types.ProcID]*Node, len(im.nodes)),
+		syms:     im.syms, // conjugating a stabilizer by its own element is the identity
+	}
+	c.procs = c.universe.Sorted()
+	for p, n := range im.nodes {
+		c.nodes[pi.ID(p)] = n.Permute(pi)
+	}
+	return c
+}
+
+// EnableSymmetry installs the symmetry group — the permutations of the
+// universe that fix the CURRENT state (see ioa.Stabilizer: call it on the
+// initial state) — and returns its order. Note the equivariance caveat
+// above: installing a group makes the hooks available, it does not make
+// reduction sound for this composition.
+func (im *Impl) EnableSymmetry() int {
+	im.syms = ioa.Stabilizer(im, types.PermsOf(im.universe))
+	return len(im.syms)
+}
+
+// Canonicalize implements ioa.Symmetric.
+func (im *Impl) Canonicalize() ioa.Automaton { return ioa.Canonicalize(im, im.syms) }
+
+// Orbit implements ioa.Symmetric.
+func (im *Impl) Orbit() []ioa.Automaton { return ioa.Orbit(im, im.syms) }

@@ -85,60 +85,59 @@ func (o *Outbox) add(fx Effect) { o.Effects = append(o.Effects, fx) }
 func Step(n *Node, ev Event, register bool, out *Outbox) error {
 	switch e := ev.(type) {
 	case EvBroadcast:
-		n.OnBCast(e.A)
+		n.onBCast(e.A)
 	case EvNewView:
-		n.OnDVSNewView(e.View)
+		n.onDVSNewView(e.View)
 	case EvRecv:
-		if err := n.OnDVSGpRcv(e.M, e.From); err != nil {
+		if err := n.onDVSGpRcv(e.M, e.From); err != nil {
 			return err
 		}
 	case EvSafe:
-		if err := n.OnDVSSafe(e.M, e.From); err != nil {
+		if err := n.onDVSSafe(e.M, e.From); err != nil {
 			return err
 		}
 	}
-	Drain(n, register, out)
+	drain(n, register, out)
 	return nil
 }
 
-// Drain fires the node's enabled locally-controlled actions until
+// drain fires the node's enabled locally-controlled actions until
 // quiescent, emitting one effect per action: labeling buffered client
 // payloads, sending the recovery summary and then labeled messages through
 // DVS, confirming safe labels, reporting deliveries, and registering
 // established views. Each action's precondition is evaluated once per
-// firing — the guard below — and its effect applied directly; the exported
-// Perform*/Take* methods re-check the guard for callers that name an action
-// from outside (the checker compositions), which here would repeat the
-// lookup.
-func Drain(n *Node, register bool, out *Outbox) {
+// firing — the guard below — and its effect applied directly; the
+// perform*/take* methods re-check the guard for the caller that is handed
+// an action by name (Impl.Perform), which here would repeat the lookup.
+func drain(n *Node, register bool, out *Outbox) {
 	for {
 		progress := false
-		if a, ok := n.LabelHead(); ok {
+		if a, ok := n.labelHead(); ok {
 			n.label()
 			out.add(FxLabel{A: a})
 			progress = true
 		}
-		if m, ok := n.GpSndSummary(); ok {
+		if m, ok := n.gpSndSummary(); ok {
 			n.sendSummary()
 			out.add(FxSend{M: m})
 			progress = true
 		}
-		if m, ok := n.GpSndLabel(); ok {
+		if m, ok := n.gpSndLabel(); ok {
 			n.sendLabel()
 			out.add(FxSend{M: m})
 			progress = true
 		}
-		if n.ConfirmEnabled() {
+		if n.confirmEnabled() {
 			n.confirm()
 			out.add(FxConfirm{})
 			progress = true
 		}
-		if a, origin, ok := n.BRcvNext(); ok {
+		if a, origin, ok := n.brcvNext(); ok {
 			n.brcv()
 			out.add(FxDeliver{A: a, Origin: origin})
 			progress = true
 		}
-		if register && n.RegisterEnabled() {
+		if register && n.registerEnabled() {
 			n.register()
 			out.add(FxRegister{View: n.current.Clone()})
 			progress = true

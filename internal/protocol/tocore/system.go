@@ -10,7 +10,7 @@ import (
 // confirmed-prefix agreement property, as executable checks over a
 // collection of DVS-TO-TO_p states. The formulas are written once, against
 // System, and shared by both consumers: the exhaustive checker
-// (internal/toimpl wraps them as ioa invariants over reachable TO-IMPL
+// (invariants.go wraps them as ioa invariants over reachable TO-IMPL
 // states, supplying the DVS specification's created/attempted oracles and
 // the summaries still in transit inside the service) and the
 // trace-conformance replayer (internal/conform, which reconstructs the

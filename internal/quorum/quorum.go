@@ -1,6 +1,6 @@
 // Package quorum provides static quorum systems: the pre-defined primary
 // definitions (Section 1 of the paper) that dynamic voting replaces. They
-// back the static baseline (internal/protocol/staticcore) and the availability
+// back the static baseline (dvscore.StaticNode) and the availability
 // experiments.
 package quorum
 

@@ -63,52 +63,16 @@ func (a *DVS) Permute(pi types.Perm) *DVS {
 	return b
 }
 
-// EnableSymmetry computes the automaton's symmetry group — the permutations
-// of the universe that fix the CURRENT state by fingerprint — and installs
-// it for Canonicalize/Orbit. Call it on the initial state, before
-// exploration: the stabilizer of the initial state is exactly the set of
-// permutations under which every reachable orbit has a reachable
-// representative (assuming equivariant transitions, invariants, and
-// environment — see DESIGN.md §6.7). Returns the group order.
+// EnableSymmetry installs the automaton's symmetry group — the
+// permutations of the universe that fix the CURRENT state (see
+// ioa.Stabilizer: call it on the initial state) — and returns its order.
 func (a *DVS) EnableSymmetry() int {
-	self := ioa.FpOf(a)
-	var syms []types.Perm
-	for _, pi := range types.PermsOf(a.universe) {
-		if ioa.FpOf(a.Permute(pi)) == self {
-			syms = append(syms, pi)
-		}
-	}
-	a.syms = syms
-	return len(syms)
+	a.syms = ioa.Stabilizer(a, types.PermsOf(a.universe))
+	return len(a.syms)
 }
 
-// Canonicalize implements ioa.Symmetric: the orbit member with the least
-// fingerprint, under the group installed by EnableSymmetry. With no group
-// installed (or the trivial group) the receiver is its own representative.
-func (a *DVS) Canonicalize() ioa.Automaton {
-	if len(a.syms) <= 1 {
-		return a
-	}
-	var best ioa.Automaton = a
-	bestFp := ioa.FpOf(a)
-	for _, pi := range a.syms[1:] { // syms[0] is the identity
-		cand := a.Permute(pi)
-		if fp := ioa.FpOf(cand); fp.Less(bestFp) {
-			best, bestFp = cand, fp
-		}
-	}
-	return best
-}
+// Canonicalize implements ioa.Symmetric.
+func (a *DVS) Canonicalize() ioa.Automaton { return ioa.Canonicalize(a, a.syms) }
 
 // Orbit implements ioa.Symmetric.
-func (a *DVS) Orbit() []ioa.Automaton {
-	syms := a.syms
-	if len(syms) == 0 {
-		syms = []types.Perm{nil} // identity only
-	}
-	out := make([]ioa.Automaton, 0, len(syms))
-	for _, pi := range syms {
-		out = append(out, a.Permute(pi))
-	}
-	return out
-}
+func (a *DVS) Orbit() []ioa.Automaton { return ioa.Orbit(a, a.syms) }

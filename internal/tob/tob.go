@@ -23,7 +23,6 @@ package tob
 import (
 	"repro/internal/dvsg"
 	"repro/internal/protocol/tocore"
-	"repro/internal/toimpl"
 	"repro/internal/types"
 )
 
@@ -91,7 +90,7 @@ const maxBatch = 64
 
 // Layer drives a tocore.Node over a dvsg.Layer.
 type Layer struct {
-	node     *toimpl.Node
+	node     *tocore.Node
 	dvs      *dvsg.Layer
 	stop     <-chan struct{}
 	stats    Stats
@@ -130,7 +129,7 @@ type Layer struct {
 // node shuts down.
 func New(self types.ProcID, initial types.View, register bool, stop <-chan struct{}) *Layer {
 	return &Layer{
-		node:       toimpl.NewNode(self, initial, initial.Contains(self), false),
+		node:       tocore.NewNode(self, initial, initial.Contains(self), false),
 		stop:       stop,
 		register:   register,
 		deliveries: make(chan Delivery, 1<<14),
@@ -176,7 +175,7 @@ func (l *Layer) Stats() Stats { return l.stats }
 
 // Node exposes the underlying automaton for inspection by tests and
 // experiments (event-loop context only).
-func (l *Layer) Node() *toimpl.Node { return l.node }
+func (l *Layer) Node() *tocore.Node { return l.node }
 
 // Broadcast submits a client payload. It must be called from the event
 // loop (via vsg.Node.Do).
@@ -309,7 +308,7 @@ func (l *Layer) step(ev tocore.Event) {
 		case tocore.FxLabel:
 			l.stats.Labeled++
 		case tocore.FxSend:
-			if _, isSummary := fx.M.(toimpl.SummaryMsg); isSummary {
+			if _, isSummary := fx.M.(tocore.SummaryMsg); isSummary {
 				l.stats.StateExchanges++
 			} else {
 				l.stats.LabelsSent++

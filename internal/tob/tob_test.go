@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dvsg"
 	netfab "repro/internal/net"
+	"repro/internal/protocol/dvscore"
 	"repro/internal/types"
 	"repro/internal/vsg"
 )
@@ -27,7 +27,7 @@ func newStack(t *testing.T, n int, register bool) *stack {
 		id := types.ProcID(i)
 		node := vsg.NewNode(vsg.Config{Self: id, Universe: universe, Initial: v0, Transport: s.fab})
 		app := New(id, v0, register, node.Stopped())
-		layer := dvsg.New(core.NewNode(id, v0, true), app, true)
+		layer := dvsg.New(dvscore.NewNode(id, v0, true), app, true)
 		layer.Bind(node)
 		app.Bind(layer)
 		node.SetHandler(layer)
@@ -153,7 +153,7 @@ func TestBufferedBroadcastBeforeView(t *testing.T) {
 		id := types.ProcID(i)
 		node := vsg.NewNode(vsg.Config{Self: id, Universe: universe, Initial: v0, Transport: fab})
 		app := New(id, v0, true, node.Stopped())
-		layer := dvsg.New(core.NewNode(id, v0, v0.Contains(id)), app, true)
+		layer := dvsg.New(dvscore.NewNode(id, v0, v0.Contains(id)), app, true)
 		layer.Bind(node)
 		app.Bind(layer)
 		node.SetHandler(layer)

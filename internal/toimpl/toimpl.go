@@ -1,42 +1,11 @@
-// Package toimpl implements the application algorithm of Section 6 at the
-// level the checker explores: the composed system TO-IMPL (all DVS-TO-TO_p
-// automata plus the DVS specification, with DVS actions hidden) and
-// executable checkers for Invariants 6.1–6.3.
-//
-// The DVS-TO-TO_p automaton itself lives in internal/protocol/tocore — a
-// pure protocol core shared verbatim with the live runtime (internal/tob).
-// This package re-exports its types under their historical names so that
-// the composition and external consumers read as before. See the tocore
-// package comment for the Literal/repaired treatment of Figure 5's
-// DVS-SAFE(summary) handler.
+// Package toimpl is a shim, as internal/core is and until the same change:
+// the two names bench/traced.go imports from here. TO-IMPL is in
+// internal/protocol/tocore.
 package toimpl
 
-import (
-	"repro/internal/protocol/tocore"
-	"repro/internal/types"
+import "repro/internal/protocol/tocore"
+
+type (
+	LabelMsg   = tocore.LabelMsg
+	SummaryMsg = tocore.SummaryMsg
 )
-
-// Node is the DVS-TO-TO_p automaton of Figure 5 (see tocore.Node).
-type Node = tocore.Node
-
-// Status is the node status (normal, send, collect).
-type Status = tocore.Status
-
-// Status constants (Figure 5: normal, send, collect).
-const (
-	StatusNormal  = tocore.StatusNormal
-	StatusSend    = tocore.StatusSend
-	StatusCollect = tocore.StatusCollect
-)
-
-// LabelMsg is a ⟨l, a⟩ message in C = L × A.
-type LabelMsg = tocore.LabelMsg
-
-// SummaryMsg carries a state summary x ∈ S.
-type SummaryMsg = tocore.SummaryMsg
-
-// NewNode returns DVS-TO-TO_p in its initial state; literal selects the
-// exact Figure 5 safe-exchange handling.
-func NewNode(p types.ProcID, initial types.View, inP0, literal bool) *Node {
-	return tocore.NewNode(p, initial, inP0, literal)
-}

@@ -22,9 +22,10 @@
 #                               # (FuzzDecodeFrame) and of the TO core's
 #                               # history against its two-map model
 #                               # (FuzzHistory)
-#   sh scripts/check.sh loc     # only the line-count ceilings on
-#                               # internal/conform, the root package and
-#                               # the tree
+#   sh scripts/check.sh loc     # only the ceilings scripts/loc.sh feeds:
+#                               # non-test lines of internal/conform,
+#                               # internal/lint, the root package and the
+#                               # tree, and the //lint: escape directives
 #   sh scripts/check.sh nogob   # only the import ban: encoding/gob may not
 #                               # come back anywhere in the tree
 #   sh scripts/check.sh bench   # only the benchmark-snapshot gate: run
@@ -260,23 +261,29 @@ fuzz_guard() {
 	done
 }
 
-# loc_guard holds internal/conform, the root package and the tree to
-# measured non-test line counts (scripts/loc.sh prints them per package).
-# conform is where this tree accretes — three recorders, four replayers and
-# four encodings of one record before PR 16 — so growing it again has to be
-# a decision: raise the ceiling in the same change and say in CHANGES.md
-# what the lines buy. Its ceiling fell from 2,670 to what PR 18 left when
-# the primitives and the message union moved to internal/wire. The root
-# package (`.`) is where runtimes accrete — the process assembly was written
-# three times there before PR 19 made it buildProc — and is held at what
-# that PR left, 1,711 → 1,673. The tree's ceiling rose once, by PR 17's
-# measured net of +226 (the TO core's dense history and its bad-edit lint
-# fixture), PR 18 kept it, and PR 19 lowered it from 24,250 to its measured
-# 24,096: one process runtime instead of three assemblies, one alias
-# dataflow pass in internal/lint instead of two, and two never-set knobs.
+# loc_guard holds internal/conform, internal/lint, the root package and the
+# tree to measured non-test line counts, and the //lint: escape directives
+# outside internal/lint to a measured number (scripts/loc.sh prints every
+# row). conform is where this tree accretes — three recorders, four
+# replayers and four encodings of one record before PR 16 — so growing it
+# again has to be a decision: raise the ceiling in the same change and say
+# in CHANGES.md what the lines buy. Its ceiling fell from 2,670 to what
+# PR 18 left when the primitives and the message union moved to
+# internal/wire. The root package (`.`) is where runtimes accrete — the
+# process assembly was written three times there before PR 19 made it
+# buildProc — and is held at what that PR left, 1,711 → 1,673. The tree's
+# ceiling rose once, by PR 17's measured net of +226 (the TO core's dense
+# history and its bad-edit lint fixture), PR 18 kept it, PR 19 lowered it
+# from 24,250 to 24,096, and PR 20 to 23,582 when DVS-IMPL and TO-IMPL
+# moved beside their cores and the transitions went unexported: the
+# corestep analyzer (internal/lint 2,492 → 2,248, held from here on: an
+# analyzer is code that needs its own tests and fixtures, so a new one says
+# what it replaces), its 31 audited escapes (59 → 28 directives; each one
+# left is a field an analyzer was told to skip, and a new one is a review
+# point), the alias packages and three copies of the symmetry hooks went.
 loc_guard() {
 	counts="$(sh scripts/loc.sh)"
-	for row in internal/conform:2335 .:1673 total:24096; do
+	for row in internal/conform:2335 internal/lint:2248 .:1673 total:23582 lint-directives:28; do
 		name=${row%%:*}
 		ceiling=${row##*:}
 		got=$(printf '%s\n' "$counts" | awk -v n="$name" '$2 == n { print $1 }')
@@ -285,19 +292,21 @@ loc_guard() {
 			exit 1
 		fi
 		if [ "$got" -gt "$ceiling" ]; then
-			echo "check.sh: $name is $got non-test lines, over its ceiling of $ceiling (scripts/loc.sh) — delete something, or raise the ceiling in this change and say why in CHANGES.md" >&2
+			echo "check.sh: $name is at $got, over its ceiling of $ceiling (scripts/loc.sh) — delete something, or raise the ceiling in this change and say why in CHANGES.md" >&2
 			exit 1
 		fi
-		echo "check.sh: line count OK ($name: $got <= $ceiling)"
+		echo "check.sh: count OK ($name: $got <= $ceiling)"
 	done
 }
 
 # lintgate_guard is the negative half of the lint gate: dvslint over the
 # seeded-bad-edit module must exit 1 (diagnostics reported) with at least
 # one finding from each analyzer the fixtures are seeded for. Exit 0 means
-# the corestep/effectcomplete/shellsafe/keyequal/clonecomplete analyzers
-# stopped protecting the macro-step boundary, the cores' head checks and the
-# TO core's history; exit 2 means the fixtures no longer even load.
+# the effectcomplete/shellsafe/keyequal/clonecomplete analyzers stopped
+# protecting the effect switches, the step loop, the cores' head checks and
+# the TO core's history; exit 2 means the fixtures no longer even load. (A
+# shell calling a core transition directly is not seeded: the transitions
+# are unexported, so the compiler refuses it.)
 lintgate_guard() {
 	status=0
 	out="$(go run ./cmd/dvslint -dir internal/lint/badedit ./... 2>&1)" || status=$?
@@ -306,7 +315,7 @@ lintgate_guard() {
 		echo "$out" >&2
 		exit 1
 	fi
-	for a in corestep effectcomplete shellsafe keyequal clonecomplete; do
+	for a in effectcomplete shellsafe keyequal clonecomplete; do
 		if ! printf '%s\n' "$out" | grep -q ": $a: "; then
 			echo "check.sh: dvslint reported nothing from $a on internal/lint/badedit — that analyzer's seeded bad edit now passes" >&2
 			exit 1

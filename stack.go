@@ -6,11 +6,10 @@ import (
 	"time"
 
 	"repro/internal/conform"
-	"repro/internal/core"
 	"repro/internal/dvsg"
 	"repro/internal/mcast"
 	netfab "repro/internal/net"
-	"repro/internal/protocol/staticcore"
+	"repro/internal/protocol/dvscore"
 	"repro/internal/quorum"
 	"repro/internal/shard"
 	"repro/internal/tob"
@@ -69,9 +68,9 @@ func buildStack(sc stackConfig) (*stack, error) {
 	static := sc.mode == ModeStatic
 	var filter dvsg.Filter
 	if static {
-		filter = staticcore.NewNode(sc.self, sc.initial, sc.initial.Contains(sc.self), quorum.Majority(sc.initial.Members))
+		filter = dvscore.NewStaticNode(sc.self, sc.initial, sc.initial.Contains(sc.self), quorum.Majority(sc.initial.Members))
 	} else {
-		filter = core.NewNode(sc.self, sc.initial, sc.initial.Contains(sc.self))
+		filter = dvscore.NewNode(sc.self, sc.initial, sc.initial.Contains(sc.self))
 	}
 	app := tob.New(sc.self, sc.initial, !sc.disableRegistration, node.Stopped())
 	layer := dvsg.New(filter, app, !static)
@@ -81,8 +80,8 @@ func buildStack(sc stackConfig) (*stack, error) {
 
 	// The recorded construction parameters must match how the cores were
 	// actually built above: gc is on only in dynamic mode, and static marks
-	// the filter as the staticcore baseline so the replayer re-executes the
-	// right automaton.
+	// the filter as the dvscore.StaticNode baseline so the replayer
+	// re-executes the right automaton.
 	st := &stack{group: sc.group, vsg: node, dvs: layer, tob: app}
 	if sc.stream != nil {
 		sn, err := sc.stream.Node(sc.self, sc.group, sc.initial, sc.initial.Contains(sc.self), !sc.disableRegistration, !static, static)

@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dvsg"
 	"repro/internal/member"
 	netfab "repro/internal/net"
+	"repro/internal/protocol/dvscore"
+	"repro/internal/protocol/tocore"
 	"repro/internal/shard"
 	"repro/internal/tob"
-	"repro/internal/toimpl"
 	"repro/internal/types"
 	"repro/internal/vsg"
 )
@@ -24,8 +24,8 @@ func registerWireTypes() {
 	for _, v := range []any{
 		member.Heartbeat{}, member.Propose{}, member.Accept{}, member.Install{},
 		vsg.Data{}, vsg.Ordered{}, vsg.Ack{}, vsg.SafePoint{},
-		core.InfoMsg{}, core.RegisteredMsg{},
-		toimpl.LabelMsg{}, toimpl.SummaryMsg{},
+		dvscore.InfoMsg{}, dvscore.RegisteredMsg{},
+		tocore.LabelMsg{}, tocore.SummaryMsg{},
 		types.ClientMsg(""), types.Batch{}, dvsg.WireBatch{}, dvsg.ExchangeMsg{},
 		netfab.GroupFrame{},
 	} {
@@ -78,7 +78,7 @@ type NodeConfig struct {
 	// with bounded recorder memory for arbitrarily long runs. The caller
 	// owns the stream and must Close it after Node.Close; check the
 	// directory with ReplayTraceStream. Works in both modes: static runs
-	// replay through the staticcore baseline.
+	// replay through the dvscore.StaticNode baseline.
 	Stream *TraceStream
 	// Online, when set, runs the in-process sampled conformance checker on
 	// this node (see OnlineCheckConfig); counters surface in
