@@ -234,22 +234,22 @@ func BenchmarkE8TOThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkE13RecordOverhead is the E8 n=5 pump run twice, without observers
-// and with Config.Stream spilling every macro-step to a chunked trace (E13).
-// scripts/check.sh gates recorded/unrecorded; every recorded run must close
-// its stream without error, and the first one is replayed sealed and clean
-// so the rate is that of a recorder whose trace actually checks out.
+// BenchmarkE13RecordOverhead is the E8 n=5 pump run three times: without
+// observers, with Config.Stream spilling every macro-step to a chunked trace,
+// and with Config.Online replaying every macro-step in process (E13).
+// scripts/check.sh gates recorded/unrecorded and checked/unrecorded, and the
+// checked case's mean views installed against the unrecorded one's (a check
+// that perturbs the run shows as view changes). Every recorded run must close
+// its stream without error, and the first one is replayed sealed and clean so
+// the rate is that of a recorder whose trace actually checks out; every
+// checked run must have re-executed all it observed and found nothing.
 func BenchmarkE13RecordOverhead(b *testing.B) {
-	for _, recorded := range []bool{false, true} {
-		name := "unrecorded"
-		if recorded {
-			name = "recorded"
-		}
+	for _, name := range []string{"unrecorded", "recorded", "checked"} {
 		b.Run(name, func(b *testing.B) {
-			var rate float64
+			var rate, views float64
 			for i := 0; i < b.N; i++ {
-				cfg := sim.ThroughputConfig{Processes: 5, Duration: 300 * time.Millisecond, Seed: int64(i)}
-				if recorded {
+				cfg := sim.ThroughputConfig{Processes: 5, Duration: 300 * time.Millisecond, Seed: int64(i), Online: name == "checked"}
+				if name == "recorded" {
 					stream, err := dvs.NewTraceStream(b.TempDir(), dvs.TraceStreamOptions{})
 					if err != nil {
 						b.Fatal(err)
@@ -277,9 +277,14 @@ func BenchmarkE13RecordOverhead(b *testing.B) {
 						}
 					}
 				}
+				if cs := res.Check; cfg.Online && (cs.Steps == 0 || cs.Steps != cs.StepsChecked || cs.Divergences+cs.Violations > 0 || cs.LastError != "") {
+					b.Fatalf("checked run: %+v", cs)
+				}
 				rate += res.PerSecond()
+				views += float64(res.Run.Views)
 			}
 			b.ReportMetric(rate/float64(b.N), "msg/s")
+			b.ReportMetric(views/float64(b.N), "views")
 		})
 	}
 }
@@ -484,8 +489,9 @@ func BenchmarkCoreTOGrow(b *testing.B) {
 	})
 }
 
-// BenchmarkCoreTOClone is Clone of a node holding 100k labels — what every
-// sample of the inline online checker pays twice (E13). Reported, not gated.
+// BenchmarkCoreTOClone is Clone of a node holding 100k labels — what the
+// explorer pays per successor state at that depth; nothing at run time clones
+// a core. Reported, not gated.
 func BenchmarkCoreTOClone(b *testing.B) {
 	const history = 100000
 	b.Run("history=100k", func(b *testing.B) {

@@ -53,9 +53,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Processes <= 0 {
 		return nil, errors.New("dvs: Config.Processes must be positive")
 	}
-	if cfg.Online != nil && cfg.Mode == ModeStatic {
-		return nil, errors.New("dvs: Config.Online requires ModeDynamic")
-	}
 	universe, initial, err := initialView(cfg.Processes, cfg.Initial)
 	if err != nil {
 		return nil, err

@@ -51,9 +51,7 @@ func run() error {
 		record   = flag.String("record", "", "stream protocol traces to this directory (chunked segments), then verify conformance; scenarios with a static variant record it to <dir>-static")
 		traceWin = flag.Int("trace-window", 0, "macro-steps per trace chunk (0 = default)")
 		replay   = flag.String("replay", "", "replay a recorded trace directory (one stream, or a sharded run's group-NN/ and mcast/ streams) through the protocol cores and check conformance (ignores -scenario)")
-		check    = flag.Bool("check", false, "run the in-process sampled conformance checker during the run and report its overhead (throughput scenario)")
-		checkWin = flag.Int("check-window", 0, "online checker: macro-steps re-stepped per sample (0 = default)")
-		checkEvr = flag.Int("check-every", 0, "online checker: sample every this many macro-steps (0 = default)")
+		check    = flag.Bool("check", false, "run the in-process conformance checker during the run and report what it cost (throughput scenario)")
 	)
 	flag.Parse()
 
@@ -91,10 +89,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-	}
-	var online *dvs.OnlineCheckConfig
-	if *check {
-		online = &dvs.OnlineCheckConfig{Window: *checkWin, Every: *checkEvr}
 	}
 	// skipRecord warns when a variant of the scenario cannot be recorded, so
 	// "-record" is never silently ignored: the replayer models registration,
@@ -159,20 +153,26 @@ func run() error {
 	case "throughput":
 		res, err := sim.Throughput(sim.ThroughputConfig{
 			Processes: *procs, Duration: *duration, Seed: *seed,
-			Stream: stream, Online: online,
+			Stream: stream, Online: *check,
 		})
 		if err != nil {
 			return err
 		}
 		fmt.Println(res)
 		fmt.Printf("  net: %s\n", res.Run)
-		if online != nil {
+		if *check {
 			cs := res.Check
-			fmt.Printf("  check: %d checks over %d steps (%d re-stepped), %d divergences, %d violations, %.2fms total, %.2fms max\n",
-				cs.Checks, cs.Steps, cs.StepsChecked, cs.Divergences, cs.Violations,
+			fmt.Printf("  check: %d checks over %d steps (%d re-stepped), %d divergences, %d violations, stalls=%d, %.2fms total, %.2fms max\n",
+				cs.Checks, cs.Steps, cs.StepsChecked, cs.Divergences, cs.Violations, cs.Stalls,
 				float64(cs.CheckNanos)/1e6, float64(cs.MaxCheckNanos)/1e6)
+			for _, f := range cs.Findings {
+				fmt.Printf("  finding: %s\n", f)
+			}
 			if cs.LastError != "" {
 				return fmt.Errorf("online checker: %s", cs.LastError)
+			}
+			if cs.Steps != cs.StepsChecked {
+				return fmt.Errorf("online checker re-stepped %d of %d observed steps", cs.StepsChecked, cs.Steps)
 			}
 		}
 	case "recovery":

@@ -38,7 +38,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		id       = flag.Int("id", 0, "this process's id")
 		n        = flag.Int("n", 3, "universe size")
@@ -50,9 +50,7 @@ func run() error {
 		metrics  = flag.String("metrics", "", "serve per-layer stats over HTTP at this address (expvar at /debug/vars, JSON at /stats)")
 		traceDir = flag.String("trace-dir", "", "stream this node's protocol trace to chunked segments in this directory; replay with dvsim -replay <dir>")
 		traceWin = flag.Int("trace-window", 0, "macro-steps per trace chunk (0 = default)")
-		check    = flag.Bool("check", false, "run the in-process sampled conformance checker (dynamic mode only; stats in the metrics Check section)")
-		checkWin = flag.Int("check-window", 0, "online checker: macro-steps re-stepped per sample (0 = default)")
-		checkEvr = flag.Int("check-every", 0, "online checker: sample every this many macro-steps (0 = default)")
+		check    = flag.Bool("check", false, "run the in-process conformance checker on every group (stats in the metrics Check section; exit status 1 if it found anything)")
 	)
 	flag.Parse()
 
@@ -72,6 +70,7 @@ func run() error {
 		Mode:         mode,
 		Groups:       *groups,
 		TickInterval: *tick,
+		Online:       *check,
 	}
 	var stream *dvs.TraceStream
 	if *traceDir != "" {
@@ -80,9 +79,6 @@ func run() error {
 			return err
 		}
 		cfg.Stream = stream
-	}
-	if *check {
-		cfg.Online = &dvs.OnlineCheckConfig{Window: *checkWin, Every: *checkEvr}
 	}
 	node, err := dvs.StartNode(cfg)
 	if err != nil {
@@ -100,17 +96,16 @@ func run() error {
 			}
 		}()
 	}
-	defer node.Close()
-	if *check {
-		defer func() {
-			cs := node.CheckStats()
-			fmt.Printf("online checker: %d checks over %d steps, %d divergences, %d violations\n",
-				cs.Checks, cs.Steps, cs.Divergences, cs.Violations)
-			if cs.LastError != "" {
-				fmt.Fprintln(os.Stderr, "dvsnode: online checker:", cs.LastError)
+	// Closing the node replays the tail of the run through the checkers, so
+	// their summary — and the exit status it decides — comes after it.
+	defer func() {
+		node.Close()
+		if *check {
+			if cerr := checkSummary(node.CheckStats()); err == nil {
+				err = cerr
 			}
-		}()
-	}
+		}
+	}()
 	fmt.Printf("node %d listening on %s (%s primaries)\n", *id, node.Addr(), mode)
 	if *metrics != "" {
 		addr, err := serveMetrics(*metrics, node)
@@ -162,6 +157,21 @@ func run() error {
 		}
 	}
 	return sc.Err()
+}
+
+// checkSummary prints the exit line of the in-process checkers (summed over
+// the node's groups) and returns an error if they found anything or stopped
+// before the end of the run.
+func checkSummary(cs dvs.OnlineCheckStats) error {
+	fmt.Printf("online checker: %d checks over %d steps (%d re-stepped), %d divergences, %d violations, stalls=%d\n",
+		cs.Checks, cs.Steps, cs.StepsChecked, cs.Divergences, cs.Violations, cs.Stalls)
+	for _, f := range cs.Findings {
+		fmt.Fprintln(os.Stderr, "dvsnode: online checker:", f)
+	}
+	if cs.Divergences+cs.Violations > 0 || cs.LastError != "" {
+		return fmt.Errorf("online checker: %d divergences, %d violations, first: %s", cs.Divergences, cs.Violations, cs.LastError)
+	}
+	return nil
 }
 
 // submitSharded routes one stdin line of a sharded node: "@g0,g1:payload"

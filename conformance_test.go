@@ -1,6 +1,7 @@
 package dvs
 
 import (
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -183,45 +184,46 @@ func TestConformanceStreamedCluster(t *testing.T) {
 	t.Logf("streamed conformance: %s (peak window %d)", rep, stream.PeakWindowSteps())
 }
 
-// TestOnlineCheckerCluster runs the in-process sampled checker on every
-// process of a healthy cluster: it must run checks and find nothing.
+// TestOnlineCheckerCluster runs the in-process checker on every process of a
+// healthy cluster, in both modes, through broadcasts, a partition and a heal:
+// every observed macro-step must have been re-executed by the time the
+// cluster is closed, the per-node invariant suite (the dynamic projections;
+// STATIC-primary-quorum-local and the TO pair in static mode) must have run,
+// nothing may be flagged, and no checker's worker may outlive Close.
 func TestOnlineCheckerCluster(t *testing.T) {
-	cl, err := NewCluster(Config{
-		Processes: 3, Seed: 13,
-		Online: &OnlineCheckConfig{Window: 64, Every: 32},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	time.Sleep(50 * time.Millisecond)
-	for i := 0; i < 30; i++ {
-		cl.Process(i % 3).Broadcast("m" + strconv.Itoa(i))
-	}
-	time.Sleep(200 * time.Millisecond)
-	cl.Close()
+	for _, mode := range []Mode{ModeDynamic, ModeStatic} {
+		t.Run(mode.String(), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			cl, err := NewCluster(Config{Processes: 3, Seed: 13, Mode: mode, Online: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			time.Sleep(50 * time.Millisecond)
+			for i := 0; i < 30; i++ {
+				cl.Process(i % 3).Broadcast("m" + strconv.Itoa(i))
+			}
+			time.Sleep(100 * time.Millisecond)
+			cl.Partition([]int{0, 1}, []int{2})
+			time.Sleep(150 * time.Millisecond)
+			cl.Heal()
+			time.Sleep(200 * time.Millisecond)
+			cl.Close()
 
-	var steps, checks uint64
-	for _, p := range cl.Processes() {
-		cs := p.CheckStats()
-		steps += cs.Steps
-		checks += cs.Checks
-		if cs.Divergences != 0 || cs.Violations != 0 {
-			t.Errorf("process %s online checker flagged a healthy run: %+v", p.ID(), cs)
-		}
-	}
-	if steps == 0 || checks == 0 {
-		t.Fatalf("online checker never ran: steps=%d checks=%d", steps, checks)
-	}
-}
-
-// TestOnlineRequiresDynamic pins what is left of the mode gate: recording
-// and streaming now cover the static baseline (dvscore.StaticNode is
-// a replayable core), but the online checker still shadows the dynamic
-// cores only.
-func TestOnlineRequiresDynamic(t *testing.T) {
-	if _, err := NewCluster(Config{Processes: 3, Mode: ModeStatic, Online: &OnlineCheckConfig{}}); err == nil {
-		t.Fatal("NewCluster accepted Online with ModeStatic")
+			for _, p := range cl.Processes() {
+				cs := p.CheckStats()
+				if cs.Steps == 0 || cs.Steps != cs.StepsChecked || cs.Checks == 0 {
+					t.Errorf("process %s: %d steps observed, %d re-stepped, %d invariant checks", p.ID(), cs.Steps, cs.StepsChecked, cs.Checks)
+				}
+				if cs.Divergences != 0 || cs.Violations != 0 || cs.LastError != "" {
+					t.Errorf("process %s online checker flagged a healthy run: %+v", p.ID(), cs)
+				}
+				if p.VSStats().ViewsInstalled < 2 {
+					t.Errorf("process %s installed %d views: the partition never happened", p.ID(), p.VSStats().ViewsInstalled)
+				}
+			}
+			waitGoroutines(t, baseline)
+		})
 	}
 }
 

@@ -113,11 +113,12 @@ type Config struct {
 	// (with the static invariant suite in place of 5.x/4.x); one stream holds
 	// one run, so a dynamic and a static run need separate streams.
 	Stream *TraceStream
-	// Online, when set, runs the bounded-suffix sampled conformance checker
-	// in-process on every node: a shadow core pair re-steps the last
-	// Window macro-steps every Every steps, entirely in memory. Read the
-	// counters with Process.CheckStats. Requires ModeDynamic.
-	Online *OnlineCheckConfig
+	// Online runs the conformance check in-process on every node: a trace
+	// stream with no directory, whose writer goroutine replays each window of
+	// macro-steps through the cores as the run cuts it — every step, off the
+	// event loop, in either mode — and the tail at Cluster.Close. Read the
+	// counters with Process.CheckStats.
+	Online bool
 }
 
 // TraceLog is the decoded protocol trace of one node: the core construction
@@ -153,7 +154,8 @@ type TraceStreamOptions = conform.StreamOptions
 // records into rolling chunks, so recorder memory is bounded by the chunk
 // window rather than the run length. Pass one to Config.Stream (or
 // NodeConfig.Stream for TCP nodes), Close it after the cluster or node has
-// stopped, and check the directory with ReplayTraceStream.
+// stopped, and check the directory with ReplayTraceStream. Config.Online runs
+// the same recorder without a directory: its writer replays what it cuts.
 type TraceStream = conform.StreamRecorder
 
 // NewTraceStream creates a chunked trace stream rooted at dir.
@@ -177,8 +179,5 @@ func ReplayTraceStream(dir string) (*StreamConformanceReport, error) {
 	return conform.ReplayStream(dir)
 }
 
-// OnlineCheckConfig bounds the in-process sampled conformance checker.
-type OnlineCheckConfig = conform.OnlineConfig
-
-// OnlineCheckStats is a snapshot of one node's online checker counters.
+// OnlineCheckStats is a snapshot of one node's in-process checker counters.
 type OnlineCheckStats = conform.OnlineStats

@@ -34,8 +34,8 @@
 //
 // ReplayStream feeds the engine a trace directory chunk by chunk, Replay a
 // decoded log set as one window, ReplaySharded loops ReplayStream over the
-// streams of a sharded run, and OnlineChecker runs the same re-stepping over
-// a bounded in-memory suffix of encoded records.
+// streams of a sharded run, and a recorder with no directory (NewOnlineChecker)
+// has its writer feed it each chunk as the run cuts it.
 package conform
 
 import (

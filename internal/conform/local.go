@@ -9,13 +9,12 @@ import (
 )
 
 // Per-node invariant projections, run by the replay engine at every window
-// boundary and by the online checker at every sampled check. Each is a
-// sound single-node instance of a paper invariant: it quantifies only over
-// state owned by the node itself (plus the node's own history across
-// boundaries), so it holds at every consistent cut of a correct run — no
-// quiescence assumption needed. The full cross-node suite (checkCut) runs
-// only at quiescent boundaries, where the in-flight components the global
-// formulas implicitly assume empty really are empty.
+// boundary. Each is a sound single-node instance of a paper invariant: it
+// quantifies only over state owned by the node itself (plus the node's own
+// history across boundaries), so it holds at every consistent cut of a
+// correct run — no quiescence assumption needed. The full cross-node suite
+// (checkCut) runs only at quiescent boundaries, where the in-flight
+// components the global formulas implicitly assume empty really are empty.
 
 // localState carries a node's cross-boundary check memory: the confirmed
 // prefix's length and last label at the previous check, used to verify the

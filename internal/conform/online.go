@@ -1,194 +1,133 @@
 package conform
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
-	"repro/internal/protocol/dvscore"
-	"repro/internal/protocol/tocore"
 	"repro/internal/types"
-	"repro/internal/wire"
 )
 
-// OnlineConfig bounds the in-process sampled checker.
-type OnlineConfig struct {
-	// Window is the number of most-recent macro-steps kept per layer for
-	// re-stepping (default 256). Larger windows catch corruption with more
-	// context but cost more per check.
-	Window int
-	// Every runs one sampled check per this many observed macro-steps,
-	// summed over both layers (default 1024).
-	Every int
-}
+// maxFindings bounds what a checker keeps of what it found: a node left on
+// beside a faulty shell counts every finding and renders the first few.
+const maxFindings = 8
 
-func (c OnlineConfig) withDefaults() OnlineConfig {
-	if c.Window <= 0 {
-		c.Window = 256
-	}
-	if c.Every <= 0 {
-		c.Every = 1024
-	}
-	return c
-}
-
-// OnlineStats is a snapshot of the checker's counters, exported by dvsnode
-// through the expvar surface.
+// OnlineStats is a snapshot of an in-process checker's counters, exported by
+// dvsnode through the expvar surface.
 type OnlineStats struct {
-	Steps         uint64 // macro-steps observed (both layers)
-	Checks        uint64 // sampled checks run
-	StepsChecked  uint64 // macro-steps re-stepped across all checks
-	Divergences   uint64
-	Violations    uint64
-	LastError     string // most recent divergence or violation, rendered
-	CheckNanos    int64  // cumulative wall time spent inside checks
-	MaxCheckNanos int64  // slowest single check
+	Steps         uint64   // macro-steps observed
+	Checks        uint64   // invariant checks evaluated: the per-node suite after every window
+	StepsChecked  uint64   // macro-steps re-executed and compared; equals Steps once closed
+	Divergences   uint64   // steps whose re-derived effects differ from the observed ones
+	Violations    uint64   // failed invariant checks
+	LastError     string   // the first finding, or why the checker stopped early
+	Findings      []string // the first maxFindings flagged windows, each with its first findings rendered
+	CheckNanos    int64    // cumulative wall time the worker spent on windows
+	MaxCheckNanos int64    // slowest single window
+	Stalls        uint64   // cuts that found the worker a full window behind and waited for it
 }
 
-// OnlineChecker is the always-on, bounded-suffix conformance checker: it
-// keeps a pair of shadow cores lagging the live ones, and on a sampling
-// schedule advances them to Window macro-steps per layer behind, clones
-// them, re-steps the buffered suffix, compares the re-derived effects
-// against the recorded ones, and runs the per-node invariant projections on
-// the result. Records are buffered the way the stream recorder buffers a
-// chunk — encoded at the observation point, nothing of the live event or
-// effects retained — and decoded when a sample fires. Memory is O(Window +
-// Every) encoded records on top of the shadow core state; check cost is
-// O(Window) per sample, amortized to O(Window/Every) per macro-step.
-//
-// Observe callbacks run on the node's event loop, so check latency is paid
-// inline — that is the overhead EXPERIMENTS.md E13 measures. Stats may be
-// read from any goroutine.
-type OnlineChecker struct {
-	cfg OnlineConfig
-	// scratch is where a record is encoded before the mutex is taken; both
-	// observers run on the node's event loop, never nested.
-	scratch []byte
-
-	mu      sync.Mutex
-	base    replayNode // shadow cores, lagging the live ones by the buffered records
-	winDVS  recWindow
-	winTO   recWindow
-	since   int
-	stopped bool // a record did not encode: the window has a hole
-	stats   OnlineStats
-}
-
-// recWindow is a FIFO of encoded records: how many, and their concatenated
-// bytes.
-type recWindow struct {
-	n int
-	b []byte
-}
-
-// decodeWindow decodes every record of w and splits off those older than the
-// newest max, which it also drops from w. The slice head moves and append
-// reallocates eventually, so retained memory follows the live records.
-func decodeWindow[R any](w *recWindow, max int, one func(*wire.Reader) R) (aged, window []R) {
-	r := wire.Reader{B: w.b}
-	recs := make([]R, w.n)
-	cut := w.n - min(w.n, max)
-	for i := range recs {
-		if i == cut {
-			w.b = r.B
-		}
-		recs[i] = one(&r)
+// Add folds another checker's snapshot into s: counters sum, the slowest
+// window and the first error win.
+func (s *OnlineStats) Add(o OnlineStats) {
+	s.Steps += o.Steps
+	s.Checks += o.Checks
+	s.StepsChecked += o.StepsChecked
+	s.Divergences += o.Divergences
+	s.Violations += o.Violations
+	if s.LastError == "" {
+		s.LastError = o.LastError
 	}
-	w.n -= cut
-	return recs[:cut], recs[cut:]
+	s.Findings = append(s.Findings, o.Findings[:min(len(o.Findings), maxFindings-len(s.Findings))]...)
+	s.CheckNanos += o.CheckNanos
+	s.MaxCheckNanos = max(s.MaxCheckNanos, o.MaxCheckNanos)
+	s.Stalls += o.Stalls
 }
 
-// NewOnlineChecker builds a checker for the node with the given core
-// construction parameters (StreamRecorder.Node's, minus group and static:
-// the online checker shadows the dynamic cores only).
-func NewOnlineChecker(p types.ProcID, initial types.View, inP0, register, gc bool, cfg OnlineConfig) *OnlineChecker {
-	return &OnlineChecker{
-		cfg:  cfg.withDefaults(),
-		base: *newReplayNode(NodeMeta{P: p, Initial: initial, InP0: inP0, Register: register, GC: gc}),
+// NewOnlineChecker returns the in-process conformance checker: a recorder
+// with no directory, whose writer goroutine hands every cut chunk to the
+// replay engine instead of the disk. Observation is the recorder's, so the
+// observing event loop never steps a core, decodes a record or evaluates an
+// invariant, and waits only when the worker is a full window behind. Every
+// macro-step is re-executed once: within a window of steps while the run
+// lasts, the tail at Close. Register the stack with Node, Close it once the
+// stack has stopped, read Stats at any time.
+func NewOnlineChecker() *StreamRecorder {
+	return &StreamRecorder{
+		opts:  StreamOptions{}.withDefaults(),
+		byP:   make(map[types.ProcID]*StreamNode),
+		check: &checker{},
 	}
 }
 
-// ObserveDVS buffers one VS-TO-DVS macro-step; install as a dvsg observer.
-func (c *OnlineChecker) ObserveDVS(ev dvscore.Event, fx []dvscore.Effect) {
-	var err error
-	c.scratch, err = dvsCodec.append(c.scratch[:0], ev, fx)
-	c.observed(&c.winDVS, err)
+// Stats returns a snapshot of the checker's counters. Thread-safe, and valid
+// after Close; while an observer is stalled it waits with it.
+func (r *StreamRecorder) Stats() OnlineStats {
+	err := r.Err()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st := OnlineStats{Steps: uint64(r.cut + r.steps), Stalls: r.stalls}
+	if c := r.check; c != nil {
+		c.mu.Lock()
+		st.Add(c.stats)
+		c.mu.Unlock()
+	}
+	if err != nil && st.LastError == "" {
+		st.LastError = err.Error()
+	}
+	return st
 }
 
-// ObserveTO buffers one DVS-TO-TO macro-step; install as a tob observer.
-func (c *OnlineChecker) ObserveTO(ev tocore.Event, fx []tocore.Effect) {
-	var err error
-	c.scratch, err = toCodec.append(c.scratch[:0], ev, fx)
-	c.observed(&c.winTO, err)
+// checker is what a directory-less recorder's writer feeds: the replay engine
+// over the registered nodes (built where the header would be written), and
+// the counters each window's findings are folded into. Engine and report
+// belong to the writer goroutine, and to Close once that has exited.
+type checker struct {
+	e   *replayer
+	rep Report // e's report; its finding lists are emptied after every window
+
+	mu    sync.Mutex  // guards stats; the writer never holds it across a receive
+	stats OnlineStats // the engine's half: Steps and Stalls are the recorder's
 }
 
-// observed appends the record in scratch to w and runs a check when one is
-// due.
-func (c *OnlineChecker) observed(w *recWindow, encErr error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return
-	}
-	if encErr != nil {
-		// A message type with no wire tag: like the stream recorder's sticky
-		// error, past the hole the shadow cores could only diverge.
-		c.stopped = true
-		c.stats.LastError = encErr.Error()
-		return
-	}
-	w.b = append(w.b, c.scratch...)
-	w.n++
-	c.stats.Steps++
-	c.since++
-	if c.since >= c.cfg.Every {
-		c.since = 0
-		c.checkLocked()
-	}
-}
-
-// checkLocked is one sampled check: decode the buffered records, age the
-// shadow cores past all but the newest Window of each layer, clone them,
-// re-step that suffix, compare effects, run the per-node projections.
-func (c *OnlineChecker) checkLocked() {
+// window replays one cut chunk from the payload a directory would have
+// stored, through the decoder a directory is read with.
+func (c *checker) window(seq int, payload []byte) error {
 	start := time.Now()
-	agedDVS, dvsRecs := decodeWindow(&c.winDVS, c.cfg.Window, dvsCodec.read)
-	agedTO, toRecs := decodeWindow(&c.winTO, c.cfg.Window, toCodec.read)
-	// Recorded events were accepted by the live core, so the shadow cannot
-	// reject them; a rejection would surface as a divergence in the
-	// re-stepped suffix anyway.
-	for _, rec := range agedDVS {
-		c.base.stepDVS(rec.Ev)
+	ch, err := decodeChunk(payload)
+	if err != nil {
+		return fmt.Errorf("conform: check chunk %d: %w", seq, err)
 	}
-	for _, rec := range agedTO {
-		c.base.stepTO(rec.Ev)
-	}
-	n := replayNode{meta: c.base.meta, dvs: c.base.dvs.Clone(), to: c.base.to.Clone(), local: c.base.local}
-	rep := &Report{}
-	part := chunkPart{DVS: dvsRecs, TO: toRecs}
-	n.replay(rep, 0, &part)
-	checkLocal(rep, 0, &n)
-	c.base.local = n.local
-
-	c.stats.Checks++
-	c.stats.StepsChecked += uint64(len(part.DVS) + len(part.TO))
-	if n := len(rep.Divergences); n > 0 {
-		c.stats.Divergences += uint64(n)
-		c.stats.LastError = rep.Divergences[0].String()
-	}
-	if n := len(rep.Violations); n > 0 {
-		c.stats.Violations += uint64(n)
-		c.stats.LastError = rep.Violations[0].String()
-	}
-	nanos := time.Since(start).Nanoseconds()
-	c.stats.CheckNanos += nanos
-	if nanos > c.stats.MaxCheckNanos {
-		c.stats.MaxCheckNanos = nanos
-	}
+	c.e.window(ch)
+	c.fold(start)
+	return nil
 }
 
-// Stats returns a snapshot of the counters. Thread-safe.
-func (c *OnlineChecker) Stats() OnlineStats {
+// end runs the engine's end-of-trace suite where a directory gets its
+// footer: Close's cut is quiescent, every node having stopped.
+func (c *checker) end() {
+	start := time.Now()
+	c.e.end(true)
+	c.fold(start)
+}
+
+// fold moves what the engine has found since start into the counters: every
+// finding counted, a flagged window's summary kept while there is room, the
+// report's lists emptied. Records in a layer the node has no core for count
+// as divergences.
+func (c *checker) fold(start time.Time) {
+	rep, nanos := &c.rep, time.Since(start).Nanoseconds()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	st := &c.stats
+	if err := rep.Err(); err != nil && len(st.Findings) < maxFindings {
+		st.Findings = append(st.Findings, err.Error())
+		st.LastError = st.Findings[0]
+	}
+	st.Checks, st.StepsChecked = uint64(rep.Checks), uint64(rep.DVSSteps+rep.TOSteps+rep.McastSteps)
+	st.Divergences += uint64(len(rep.Malformed) + len(rep.Divergences))
+	st.Violations += uint64(len(rep.Violations))
+	rep.Malformed, rep.Divergences, rep.Violations = nil, nil, nil
+	st.CheckNanos += nanos
+	st.MaxCheckNanos = max(st.MaxCheckNanos, nanos)
 }

@@ -231,8 +231,9 @@ func (o StreamOptions) withDefaults() StreamOptions {
 // node with Node before any observer fires; Close after every node has
 // stopped to write the final quiescent cut and the sealing footer.
 type StreamRecorder struct {
-	dir  string
-	opts StreamOptions
+	dir   string   // where the writer puts segments; "" for an in-process checker
+	check *checker // where its writer puts chunks instead (NewOnlineChecker); else nil
+	opts  StreamOptions
 
 	// beforeWrite, when set before the first cut, runs on the writer
 	// goroutine ahead of each chunk write. Tests use it to stall the writer.
@@ -244,9 +245,11 @@ type StreamRecorder struct {
 	started bool // header written; registration closed
 	closed  bool
 	seq     int        // chunks handed to the writer
+	cut     int        // records in them
 	steps   int        // records buffered since the last cut
 	bytes   int        // their encoded size
 	peak    int        // high-water mark of steps (the O(window) witness)
+	stalls  uint64     // cuts that found the writer's queue full and waited for it
 	w       *segWriter // started at the first cut, drained by Close
 	err     error
 }
@@ -376,7 +379,8 @@ func (r *StreamRecorder) Cut(quiescent bool) {
 
 // Close hands the final cut (quiescent: every node has stopped) to the
 // writer, waits for the writer to drain and exit, writes the sealing
-// footer, and returns the first error encountered over the stream's
+// footer — an in-process checker runs the engine's end-of-trace checks
+// instead — and returns the first error encountered over the stream's
 // lifetime. Close is idempotent.
 func (r *StreamRecorder) Close() error {
 	r.mu.Lock()
@@ -400,7 +404,9 @@ func (r *StreamRecorder) Close() error {
 		}
 		r.w = nil
 	}
-	if r.err == nil {
+	if r.err == nil && r.check != nil {
+		r.check.end()
+	} else if r.err == nil {
 		ft := streamFooter{Chunks: r.seq}
 		for _, sn := range r.nodes {
 			tot := nodeTotal{P: sn.meta.P}
@@ -444,7 +450,13 @@ func (r *StreamRecorder) writeHeaderLocked() {
 	for i, sn := range r.nodes {
 		metas[i] = sn.meta
 	}
-	if err := writeSegment(filepath.Join(r.dir, headerSeg), appendHeader(nil, metas)); err != nil && r.err == nil {
+	var err error
+	if c := r.check; c == nil {
+		err = writeSegment(filepath.Join(r.dir, headerSeg), appendHeader(nil, metas))
+	} else if c.e = newReplayer(&c.rep, metas); c.e == nil {
+		err = fmt.Errorf("conform: online checker: %s", c.rep.Malformed[0])
+	}
+	if err != nil && r.err == nil {
 		r.err = err
 	}
 	r.started = true
@@ -464,7 +476,7 @@ func (r *StreamRecorder) cutLocked(quiescent bool) {
 		return
 	}
 	if r.w == nil {
-		r.w = startSegWriter(r.dir, r.beforeWrite)
+		r.w = startSegWriter(r.dir, r.check, r.beforeWrite)
 	}
 	job := r.w.recycled(len(r.nodes))
 	job.seq, job.quiescent = r.seq+1, quiescent
@@ -475,7 +487,10 @@ func (r *StreamRecorder) cutLocked(quiescent bool) {
 			part.layers[l], sn.win[l] = lb, layerBuf{start: lb.start + lb.count, b: part.layers[l].b[:0]}
 		}
 	}
-	r.steps, r.bytes = 0, 0
+	r.cut, r.steps, r.bytes = r.cut+r.steps, 0, 0
+	if len(r.w.q) == cap(r.w.q) {
+		r.stalls++
+	}
 	select {
 	case r.w.q <- job:
 		r.seq = job.seq
@@ -560,12 +575,14 @@ type chunkJob struct {
 	parts     []partBuf // one per node, sorted by p
 }
 
-// segWriter is the one goroutine that puts chunks on disk, strictly in the
-// order they were cut. It sees encoded bytes only.
+// segWriter is the one goroutine that puts chunks on disk — or through an
+// in-process checker's engine — strictly in the order they were cut. It sees
+// encoded bytes only.
 type segWriter struct {
-	dir  string
-	hook func(seq int)
-	q    chan *chunkJob // depth 1: one chunk queued while one is being written
+	dir   string
+	check *checker // replays each chunk instead of writing it; nil with a dir
+	hook  func(seq int)
+	q     chan *chunkJob // depth 1: one chunk queued while one is being written
 	// free holds written-out jobs so the next cut reuses their buffers;
 	// sized to the jobs that can be outstanding (queued + in flight), and a
 	// full list drops the job, so buffer memory cannot creep.
@@ -574,21 +591,24 @@ type segWriter struct {
 	err  error         // why run returned early; read only after done
 }
 
-func startSegWriter(dir string, hook func(seq int)) *segWriter {
+func startSegWriter(dir string, check *checker, hook func(seq int)) *segWriter {
 	w := &segWriter{
-		dir:  dir,
-		hook: hook,
-		q:    make(chan *chunkJob, 1),
-		free: make(chan *chunkJob, 2),
-		done: make(chan struct{}),
+		dir:   dir,
+		check: check,
+		hook:  hook,
+		q:     make(chan *chunkJob, 1),
+		free:  make(chan *chunkJob, 2),
+		done:  make(chan struct{}),
 	}
+	//lint:shellsafe the only cores this goroutine can reach are an in-process checker's shadows, built by the replay engine from NodeMeta and stepped by no one else; it is handed encoded bytes, never a live core or record
 	go w.run()
 	return w
 }
 
-// run writes jobs until q is closed (Close) or a write fails. A failure sets
-// err and ends the writer, which cutters and Err observe through done; done
-// closing with err nil happens only after Close closed q.
+// run writes — or, for a checker, replays — jobs until q is closed (Close) or
+// one fails. A failure sets err and ends the writer, which cutters and Err
+// observe through done; done closing with err nil happens only after Close
+// closed q.
 func (w *segWriter) run() {
 	defer close(w.done)
 	var payload []byte // reused across chunks
@@ -597,16 +617,19 @@ func (w *segWriter) run() {
 			w.hook(job.seq)
 		}
 		payload = appendChunk(payload[:0], job)
-		if err := writeFramed(filepath.Join(w.dir, chunkSeg(job.seq)), payload); err != nil {
+		if w.check != nil {
+			w.err = w.check.window(job.seq, payload)
+		} else if err := writeFramed(filepath.Join(w.dir, chunkSeg(job.seq)), payload); err != nil {
 			w.err = fmt.Errorf("conform: write chunk %d: %w", job.seq, err)
 			syncDir(w.dir)
-			return
-		}
-		// A directory sync makes every earlier rename durable, so while the
-		// next chunk is already waiting, its sync will cover this one: a
-		// writer that is behind pays one fsync per chunk instead of two.
-		if len(w.q) == 0 {
+		} else if len(w.q) == 0 {
+			// A directory sync makes every earlier rename durable, so while the
+			// next chunk is already waiting, its sync will cover this one: a
+			// writer that is behind pays one fsync per chunk instead of two.
 			syncDir(w.dir)
+		}
+		if w.err != nil {
+			return
 		}
 		select {
 		case w.free <- job:

@@ -19,8 +19,9 @@ import (
 
 // driveScript runs a singleton node's two cores through rounds of the same
 // scripted broadcast cycle recordedRun uses, feeding every macro-step to the
-// given observers (the signatures StreamNode and OnlineChecker share). cut, if non-nil, is called between cycles — each cycle ends
-// with the interface quiescent, so it is a safe place for a quiescent cut.
+// given observers (StreamNode's signatures). cut, if non-nil, is called
+// between cycles — each cycle ends with the interface quiescent, so it is a
+// safe place for a quiescent cut.
 func driveScript(t testing.TB, rounds int,
 	obsDVS func(dvscore.Event, []dvscore.Effect),
 	obsTO func(tocore.Event, []tocore.Effect),
@@ -751,6 +752,53 @@ func TestStreamWriterBackpressure(t *testing.T) {
 	}
 }
 
+// feedPastStalledWriter stalls r's writer (or, for a checker, worker) and
+// feeds it 2*earlyCutSteps + window + earlyCutSteps records through observe,
+// pinning the one back-pressure rule on the way: chunk 1 is cut early and
+// stalls in the writer, chunk 2 is cut early into the free queue slot, and
+// with the queue full the third window runs to the hard bound, whose cut is
+// the only place the observer waits — once, counted in Stalls. It returns
+// the number of records fed, with the writer released and all of them in.
+func feedPastStalledWriter(t *testing.T, r *StreamRecorder, window int, observe func(i int)) int {
+	t.Helper()
+	stalled, release := make(chan int, 8), make(chan struct{})
+	r.beforeWrite = func(seq int) {
+		stalled <- seq
+		<-release
+	}
+	blockedAt := 2*earlyCutSteps + window
+	var fed atomic.Int64
+	done, writerHasFirst := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < blockedAt+earlyCutSteps; i++ {
+			if i == earlyCutSteps {
+				// Chunk 1 is queued; whether chunk 2 is cut early depends on the
+				// writer having taken it, so wait for that rather than race it.
+				<-writerHasFirst
+			}
+			observe(i)
+			fed.Add(1)
+		}
+	}()
+	if seq := <-stalled; seq != 1 {
+		t.Fatalf("writer started with chunk %d", seq)
+	}
+	close(writerHasFirst)
+	waitFor(t, "the feeder to reach the blocked cut", func() bool { return int(fed.Load()) == blockedAt-1 })
+	time.Sleep(50 * time.Millisecond)
+	if n := int(fed.Load()); n != blockedAt-1 {
+		t.Errorf("feeder got %d records in with the writer stalled, want it blocked at %d", n, blockedAt-1)
+	}
+	close(release)
+	<-done
+	// Read before Close, whose own cut of the tail may find the writer busy.
+	if n := r.Stats().Stalls; n != 1 {
+		t.Errorf("Stalls = %d, want the one cut at the hard bound", n)
+	}
+	return blockedAt + earlyCutSteps
+}
+
 // TestStreamChunkSizeFollowsWriter: from earlyCutSteps on, a window is cut as
 // soon as the writer has room for it, and keeps growing while it has none —
 // so a slow disk gets fewer, larger segments and no observer waits for it
@@ -763,44 +811,11 @@ func TestStreamChunkSizeFollowsWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stalled, release := make(chan int, 8), make(chan struct{})
-	sr.beforeWrite = func(seq int) {
-		stalled <- seq
-		<-release
-	}
 	sn, err := sr.Node(0, 0, types.InitialView(types.RangeProcSet(1)), true, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chunk 1 is cut early and stalls in the writer, chunk 2 is cut early
-	// into the free queue slot, and with the queue full the third window
-	// runs to the threshold, whose cut blocks.
-	const blockedAt = 2*earlyCutSteps + window
-	var fed atomic.Int64
-	done, writerHasFirst := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < blockedAt+earlyCutSteps; i++ {
-			if i == earlyCutSteps {
-				// Chunk 1 is queued; whether chunk 2 is cut early depends on the
-				// writer having taken it, so wait for that rather than race it.
-				<-writerHasFirst
-			}
-			sn.ObserveDVS(ev, nil)
-			fed.Add(1)
-		}
-	}()
-	if seq := <-stalled; seq != 1 {
-		t.Fatalf("writer started with chunk %d", seq)
-	}
-	close(writerHasFirst)
-	waitFor(t, "the feeder to reach the blocked cut", func() bool { return fed.Load() == blockedAt-1 })
-	time.Sleep(50 * time.Millisecond)
-	if n := fed.Load(); n != blockedAt-1 {
-		t.Errorf("feeder got %d records in with the writer stalled, want it blocked at %d", n, blockedAt-1)
-	}
-	close(release)
-	<-done
+	feedPastStalledWriter(t, sr, window, func(int) { sn.ObserveDVS(ev, nil) })
 	if err := sr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -861,7 +876,7 @@ func TestObserversKeepNothingOfTheEffectsSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewOnlineChecker(p, initial, true, true, true, OnlineConfig{Window: 8, Every: 4})
+		c, cn := onlineChecker(t, 8)
 		driveScript(t, 20,
 			func(ev dvscore.Event, fx []dvscore.Effect) {
 				if wipe {
@@ -869,7 +884,7 @@ func TestObserversKeepNothingOfTheEffectsSlice(t *testing.T) {
 					defer clear(fx)
 				}
 				sn.ObserveDVS(ev, fx)
-				c.ObserveDVS(ev, fx)
+				cn.ObserveDVS(ev, fx)
 			},
 			func(ev tocore.Event, fx []tocore.Effect) {
 				if wipe {
@@ -877,9 +892,9 @@ func TestObserversKeepNothingOfTheEffectsSlice(t *testing.T) {
 					defer clear(fx)
 				}
 				sn.ObserveTO(ev, fx)
-				c.ObserveTO(ev, fx)
+				cn.ObserveTO(ev, fx)
 			}, nil)
-		if err := sr.Close(); err != nil {
+		if err := errors.Join(sr.Close(), c.Close()); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := ReplayStream(dir)
@@ -893,7 +908,7 @@ func TestObserversKeepNothingOfTheEffectsSlice(t *testing.T) {
 	if !reflect.DeepEqual(plain, wiped) {
 		t.Error("wiping the effects slice after the observers returned changed the recorded trace")
 	}
-	if st.Checks == 0 || st.Divergences != 0 || st.Violations != 0 || st.LastError != "" {
+	if st.Checks == 0 || st.Steps != st.StepsChecked || st.Divergences != 0 || st.Violations != 0 || st.LastError != "" {
 		t.Errorf("online checker over wiped slices: %+v", st)
 	}
 }

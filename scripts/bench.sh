@@ -23,9 +23,11 @@
 #    reason. Emits BENCH_e14.json; check.sh gates the 4-group/1-group
 #    ratio on machines with enough CPUs to show scaling.
 #
-# 4. Recording overhead (E13: the E8 n=5 pump without observers and with
-#    Config.Stream spilling every macro-step to a chunked trace), isolated
-#    likewise. Emits BENCH_e13.json; check.sh gates recorded/unrecorded.
+# 4. Recording and checking overhead (E13: the E8 n=5 pump without
+#    observers, with Config.Stream spilling every macro-step to a chunked
+#    trace, and with Config.Online replaying every macro-step in process),
+#    isolated likewise. Emits BENCH_e13.json; check.sh gates
+#    recorded/unrecorded, checked/unrecorded and the checked run's views.
 #
 # 5. Per-layer ledger (the protocol cores in isolation: one 10-label batch
 #    through the DVS core's gprcv + safe, one label's whole life through the
@@ -135,9 +137,11 @@ printf '%s\n' "$raw14"
 printf '%s\n' "$raw14" | to_json > "$out14"
 echo "wrote $out14"
 
-# E13 isolated: the same pump with and without the stream recorder. The
-# recorded variant fails the benchmark unless every stream closes without
-# error and the first run's trace replays sealed and clean.
+# E13 isolated: the same pump without observers, with the stream recorder
+# and with the in-process checker. The recorded variant fails the benchmark
+# unless every stream closes without error and the first run's trace replays
+# sealed and clean; the checked one unless every observed step was re-executed
+# and nothing was found.
 out13=BENCH_e13.json
 raw13=$(go test -run '^$' -bench 'BenchmarkE13RecordOverhead' -benchtime 3x .)
 printf '%s\n' "$raw13"

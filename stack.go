@@ -37,7 +37,7 @@ type stackConfig struct {
 	retry               time.Duration
 
 	stream *TraceStream
-	online *OnlineCheckConfig
+	online bool
 }
 
 // stack is one group's protocol stack at one process. The embedding types
@@ -47,7 +47,7 @@ type stack struct {
 	vsg   *vsg.Node
 	dvs   *dvsg.Layer
 	tob   *tob.Layer
-	check *conform.OnlineChecker // nil unless online
+	check *TraceStream // the in-process checker; nil unless online
 }
 
 // buildStack assembles one stack. The vsg node is returned un-started:
@@ -83,18 +83,21 @@ func buildStack(sc stackConfig) (*stack, error) {
 	// the filter as the dvscore.StaticNode baseline so the replayer
 	// re-executes the right automaton.
 	st := &stack{group: sc.group, vsg: node, dvs: layer, tob: app}
-	if sc.stream != nil {
-		sn, err := sc.stream.Node(sc.self, sc.group, sc.initial, sc.initial.Contains(sc.self), !sc.disableRegistration, !static, static)
+	if sc.online {
+		// One checker per stack: its mutex is shared with no other event loop,
+		// and a node with several groups keeps per-group counters.
+		st.check = conform.NewOnlineChecker()
+	}
+	for _, r := range []*TraceStream{sc.stream, st.check} {
+		if r == nil {
+			continue
+		}
+		sn, err := r.Node(sc.self, sc.group, sc.initial, sc.initial.Contains(sc.self), !sc.disableRegistration, !static, static)
 		if err != nil {
 			return nil, fmt.Errorf("dvs: registering process %s with trace stream: %w", sc.self, err)
 		}
 		layer.AddObserver(sn.ObserveDVS)
 		app.AddObserver(sn.ObserveTO)
-	}
-	if sc.online != nil {
-		st.check = conform.NewOnlineChecker(sc.self, sc.initial, sc.initial.Contains(sc.self), !sc.disableRegistration, true, *sc.online)
-		layer.AddObserver(st.check.ObserveDVS)
-		app.AddObserver(st.check.ObserveTO)
 	}
 	return st, nil
 }
@@ -182,13 +185,18 @@ func (p *proc) start() error {
 	return nil
 }
 
-// stop is start in reverse.
+// stop is start in reverse. Closing a stopped stack's checker replays the
+// tail of its run; the outcome, a sticky error included, is CheckStats'.
 func (p *proc) stop() {
 	if p.mc != nil {
 		p.mc.Stop()
 	}
 	for _, g := range p.ring.Groups() {
-		p.stacks[g].vsg.Stop()
+		st := p.stacks[g]
+		st.vsg.Stop()
+		if st.check != nil {
+			st.check.Close()
+		}
 	}
 	if p.mux != nil {
 		p.mux.Stop()
@@ -310,9 +318,9 @@ func (s *stack) Established() bool {
 	return <-ch
 }
 
-// CheckStats returns the online conformance checker's counters, or a zero
-// snapshot if the stack was built without an online checker (Config.Online,
-// NodeConfig.Online). Thread-safe.
+// CheckStats returns the in-process conformance checker's counters, or a zero
+// snapshot if the stack was built without one (Config.Online,
+// NodeConfig.Online). Thread-safe; complete once the cluster or node is closed.
 func (s *stack) CheckStats() OnlineCheckStats {
 	if s.check == nil {
 		return OnlineCheckStats{}

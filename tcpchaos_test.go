@@ -40,16 +40,13 @@ func TestChaosTCPFaultSoak(t *testing.T) {
 	const n = 3
 	// All three nodes spill their macro-steps into one chunked on-disk
 	// trace; the small window forces many rolling cuts under chaos. The
-	// online sampled checker runs in-process on every node at the same time.
+	// in-process checker runs on every node at the same time.
 	traceDir := t.TempDir()
 	const traceWindow = 256
 	stream, err := NewTraceStream(traceDir, TraceStreamOptions{WindowSteps: traceWindow})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every is small so even the minority node (which sees little traffic
-	// while partitioned) gets sampled checks during the soak.
-	online := &OnlineCheckConfig{Window: 128, Every: 16}
 	plan := netfab.NewFaultPlan(99)
 	plan.SetLatency(time.Millisecond, 2*time.Millisecond)
 	plan.SetDuplicate(0.05)
@@ -77,7 +74,7 @@ func TestChaosTCPFaultSoak(t *testing.T) {
 			Peers:        peers,
 			TickInterval: 5 * time.Millisecond,
 			Stream:       stream,
-			Online:       online,
+			Online:       true,
 			WrapTransport: func(tr netfab.Transport) netfab.Transport {
 				faults[i] = netfab.NewFaultTransport(tr, plan)
 				return faults[i]
@@ -298,18 +295,26 @@ func TestChaosTCPFaultSoak(t *testing.T) {
 	}
 	t.Logf("streamed conformance: %s (peak window %d)", srep, stream.PeakWindowSteps())
 
-	// The online checkers ran on every node and found nothing.
+	// The in-process checkers re-executed every step of every node — the
+	// tail when the node closed — and found nothing.
 	for i := 0; i < n; i++ {
 		cs := nodes[i].CheckStats()
-		if cs.Steps == 0 || cs.Checks == 0 {
-			t.Errorf("node %d online checker never ran: %+v", i, cs)
+		if cs.Steps == 0 || cs.Steps != cs.StepsChecked || cs.Checks == 0 {
+			t.Errorf("node %d online checker: %d steps observed, %d re-stepped, %d invariant checks", i, cs.Steps, cs.StepsChecked, cs.Checks)
 		}
-		if cs.Divergences != 0 || cs.Violations != 0 {
+		if cs.Divergences != 0 || cs.Violations != 0 || cs.LastError != "" {
 			t.Errorf("node %d online checker flagged the run: %+v", i, cs)
 		}
-		t.Logf("node %d online checker: %d checks / %d steps, max %.2fms",
-			i, cs.Checks, cs.Steps, float64(cs.MaxCheckNanos)/1e6)
+		t.Logf("node %d online checker: %d checks / %d steps, max %.2fms, %d stalls",
+			i, cs.Checks, cs.Steps, float64(cs.MaxCheckNanos)/1e6, cs.Stalls)
 	}
+	waitGoroutines(t, baseline)
+}
+
+// waitGoroutines fails the test unless the goroutine count comes back to
+// (within two of) baseline: whatever the test started has to end with Close.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
 	leakDeadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()

@@ -80,10 +80,10 @@ type NodeConfig struct {
 	// directory with ReplayTraceStream. Works in both modes: static runs
 	// replay through the dvscore.StaticNode baseline.
 	Stream *TraceStream
-	// Online, when set, runs the in-process sampled conformance checker on
-	// this node (see OnlineCheckConfig); counters surface in
-	// NodeStats.Check. Requires ModeDynamic.
-	Online *OnlineCheckConfig
+	// Online runs the in-process conformance checker on every group's stack
+	// of this node, as in Config; the counters, summed over the groups, are
+	// NodeStats.Check and Node.CheckStats.
+	Online bool
 }
 
 // NodeStats aggregates the per-layer counters of one node: transport,
@@ -94,7 +94,7 @@ type NodeStats struct {
 	VS    vsg.Stats
 	DVS   dvsg.Stats
 	TOB   tob.Stats
-	Check OnlineCheckStats // zero unless NodeConfig.Online
+	Check OnlineCheckStats // summed over the node's groups; zero unless NodeConfig.Online
 }
 
 // Node is one standalone process of a TCP-connected deployment: a TCP
@@ -120,9 +120,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.Groups <= 0 {
 		cfg.Groups = 1
-	}
-	if cfg.Online != nil && cfg.Mode == ModeStatic {
-		return nil, errors.New("dvs: NodeConfig.Online requires ModeDynamic")
 	}
 	if cfg.Groups > 1 && cfg.Stream != nil {
 		// One stream holds one group's run (the trace is group-homogeneous);
@@ -196,6 +193,17 @@ func (n *Node) Addr() string { return n.tcp.Addr() }
 // NetStats returns a snapshot of the TCP transport's counters, including
 // the per-peer breakdown.
 func (n *Node) NetStats() netfab.Stats { return n.tcp.Stats() }
+
+// CheckStats sums the in-process checkers' counters over the node's groups
+// (the first non-empty LastError wins). Spelled out because the embedded
+// group-0 stack's would make the promoted selector read one group.
+func (n *Node) CheckStats() OnlineCheckStats {
+	var sum OnlineCheckStats
+	for _, g := range n.ring.Groups() {
+		sum.Add(n.stacks[g].CheckStats())
+	}
+	return sum
+}
 
 // StatsSnapshot returns the per-layer counters of this node. Transport and
 // vsg counters are always current; dvsg/tob counters are read through the
