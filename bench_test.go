@@ -341,8 +341,9 @@ func BenchmarkE8Recovery(b *testing.B) {
 	for _, n := range []int{3, 5, 7, 9} {
 		run(fmt.Sprintf("n=%d", n), sim.RecoveryConfig{Processes: n})
 	}
-	// The state exchange carries the whole history, so the same heal costs
-	// more the longer the group has run; this row makes that a number.
+	// The state exchange carries what the full view has not confirmed, not
+	// the history: the same heal after 20k messages must cost what it costs
+	// on an empty group (check.sh holds it within 3×).
 	run("n=5/history=20k", sim.RecoveryConfig{Processes: 5, History: 20000, Timeout: 30 * time.Second})
 }
 
@@ -379,11 +380,21 @@ func BenchmarkCoreDVSStepBatch(b *testing.B) {
 
 // toLabelStepper returns a fresh DVS-TO-TO node and the function that takes
 // label i of one peer through its whole life in the core: gprcv, safe,
-// confirm, brcv (32 B payloads like the repo benchmark).
-func toLabelStepper(b *testing.B) (*tocore.Node, func(i int)) {
+// confirm, brcv (32 B payloads like the repo benchmark). The node has been
+// told the universe, as in every runtime, and its view is that, so each
+// label's life ends with its truncation — unless pinned, which is a node
+// whose view lacks a process and so holds everything.
+func toLabelStepper(b *testing.B, pinned bool) (*tocore.Node, func(i int)) {
 	v0 := types.InitialView(types.RangeProcSet(3))
 	n := tocore.NewNode(0, v0, true, false)
 	var out tocore.Outbox
+	universe := v0.Members
+	if pinned {
+		universe = types.RangeProcSet(4)
+	}
+	if err := tocore.Step(n, tocore.EvUniverse{Set: universe}, true, &out); err != nil {
+		b.Fatal(err)
+	}
 	return n, func(i int) {
 		out.Effects = out.Effects[:0]
 		m := tocore.LabelMsg{L: types.Label{ID: v0.ID, Seqno: i + 1, Origin: 1}, A: "00000000000000000000000000000000"}
@@ -400,14 +411,13 @@ func toLabelStepper(b *testing.B) (*tocore.Node, func(i int)) {
 }
 
 // BenchmarkCoreTOStepLabel is one label's whole life in the DVS-TO-TO core
-// on a node that already holds 100k labels, the history a saturated run
-// accumulates in a second. check.sh gates allocs/op and, at the fixed
-// iteration count bench.sh uses, B/op: what is left is the regrowth of order
-// (a 32 B label per message) and of the run's payload slice, and the boxed
-// FxDeliver.
+// on a node that has been through 100k labels, what a saturated run sends in
+// half a second. check.sh gates allocs/op and, at the fixed iteration count
+// bench.sh uses, B/op: what is left is the boxed events and FxDeliver and
+// the slot the label and its payload take for as long as they are held.
 func BenchmarkCoreTOStepLabel(b *testing.B) {
 	const history = 100000
-	_, step := toLabelStepper(b)
+	_, step := toLabelStepper(b, false)
 	for i := 0; i < history; i++ {
 		step(i)
 	}
@@ -422,10 +432,11 @@ func BenchmarkCoreTOStepLabel(b *testing.B) {
 // body encoded into a reused buffer and decoded again, which every frame
 // pays once per peer. heartbeat is the smallest frame; ordered10x64B the
 // steady-state one (the leader's Ordered carrying a tob Batch of ten labels
-// with 64-byte payloads); summary20k a state-exchange summary of 20k
-// labels, the frame that grows with the history. check.sh gates the first
-// two rows' allocs/op, which no machine changes. The parent's gob figures
-// for the same three values are in EXPERIMENTS.md E15.
+// with 64-byte payloads); summary20k the state-exchange summary a node sends
+// after 20k stable messages, which is its base and digest and no label.
+// check.sh gates the rows' allocs/op and the summary's size, which no
+// machine changes. The gob figures for the first two values, and for a
+// summary that carried the 20k labels, are in EXPERIMENTS.md E15.
 func BenchmarkWireFrame(b *testing.B) {
 	for _, v := range []any{member.Heartbeat{}, vsg.Ordered{}, vsg.Data{}} {
 		netfab.RegisterWireType(v)
@@ -437,10 +448,13 @@ func BenchmarkWireFrame(b *testing.B) {
 	for i := range batch.Msgs {
 		batch.Msgs[i] = tocore.LabelMsg{L: label(i), A: payload}
 	}
-	sum := types.Summary{Con: make(types.Content, 20000), Next: 20001, High: g}
+	stable, step := toLabelStepper(b, false)
 	for i := 0; i < 20000; i++ {
-		sum.Con[label(i)] = payload
-		sum.Ord = append(sum.Ord, label(i))
+		step(i)
+	}
+	sum := stable.Summary()
+	if sum.Base != 20000 || len(sum.Ord)+len(sum.Con) != 0 {
+		b.Fatalf("summary after 20k stable labels: base %d, %d labels, %d payloads", sum.Base, len(sum.Ord), len(sum.Con))
 	}
 	for _, row := range []struct {
 		name string
@@ -468,16 +482,17 @@ func BenchmarkWireFrame(b *testing.B) {
 }
 
 // BenchmarkCoreTOGrow is the same path from an empty node through 200k
-// labels, the length of a fabric_sat run: the row that shows what growing
-// the history costs, which StepLabel — timing only from 100k on — averages
-// away. One op is the whole growth; ns/label and B/label are per message.
+// labels, the length of a fabric_sat run: the row that would show a cost
+// that grows with the run, which StepLabel — timing only from 100k on —
+// averages away. One op is the whole run; ns/label and B/label are per
+// message.
 func BenchmarkCoreTOGrow(b *testing.B) {
 	const labels = 200000
 	b.Run("0→200k", func(b *testing.B) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < b.N; i++ {
-			_, step := toLabelStepper(b)
+			_, step := toLabelStepper(b, false)
 			for l := 0; l < labels; l++ {
 				step(l)
 			}
@@ -489,13 +504,13 @@ func BenchmarkCoreTOGrow(b *testing.B) {
 	})
 }
 
-// BenchmarkCoreTOClone is Clone of a node holding 100k labels — what the
-// explorer pays per successor state at that depth; nothing at run time clones
-// a core. Reported, not gated.
+// BenchmarkCoreTOClone is Clone of a node holding 100k labels, pinned by a
+// process that is away — what the explorer pays per successor state at that
+// depth; nothing at run time clones a core. Reported, not gated.
 func BenchmarkCoreTOClone(b *testing.B) {
 	const history = 100000
 	b.Run("history=100k", func(b *testing.B) {
-		n, step := toLabelStepper(b)
+		n, step := toLabelStepper(b, true)
 		for i := 0; i < history; i++ {
 			step(i)
 		}
@@ -558,7 +573,7 @@ func BenchmarkGotStateFullOrder(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := gs.FullOrder(); len(got) == 0 {
+		if got := gs.FullOrder(); len(got.Ord) == 0 {
 			b.Fatal("empty order")
 		}
 	}

@@ -107,7 +107,7 @@ func CheckTOTraceInclusion(cfg CheckConfig) (ioa.CheckReport, error) {
 	cfg, universe, v0 := cfg.fill()
 	return ioa.CheckTraceInclusionSeeds(cfg.Seeds,
 		func(seed int64) (ioa.Automaton, ioa.Monitor, ioa.Environment) {
-			impl := tocore.NewImpl(universe, v0, tocore.Config{DVS: tocore.DVSLiteral})
+			impl := tocore.NewImpl(universe, v0, tocore.Config{DVS: tocore.DVSLiteral, Universe: true})
 			return impl, tospec.NewMonitor(universe), tocore.NewEnv(seed+1, universe)
 		},
 		ioa.CheckerConfig{

@@ -51,7 +51,7 @@ func TestMetricsExposeTransportRefusals(t *testing.T) {
 	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	var stats struct{ Net map[string]any }
+	var stats struct{ Net, TOB map[string]any }
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		resp, err := http.Get("http://" + addr + "/stats")
 		if err != nil {
@@ -71,6 +71,11 @@ func TestMetricsExposeTransportRefusals(t *testing.T) {
 	}
 	if _, ok := stats.Net["RecvMalformed"]; !ok {
 		t.Errorf("/stats has no RecvMalformed counter: %v", stats.Net)
+	}
+	for _, k := range []string{"HistoryBase", "HistoryRetained", "HistoryPinned", "BaseMismatch"} {
+		if _, ok := stats.TOB[k]; !ok {
+			t.Errorf("/stats has no TOB.%s: %v", k, stats.TOB)
+		}
 	}
 }
 

@@ -156,7 +156,7 @@ func DemonstrateF5(cfg CheckConfig) (Finding, error) {
 	if rep, ok := gs.ChosenRep(); !ok || rep != 3 {
 		return Finding{}, fmt.Errorf("longest-order rule picked %v", rep)
 	}
-	if !types.IsPrefix(member.Ord[:member.Next-1], gs.FullOrder()) {
+	if !types.IsPrefix(member.Ord[:member.Next-1], gs.FullOrder().Ord) {
 		return Finding{}, fmt.Errorf("longest-order rule broke the confirmed prefix")
 	}
 	return Finding{

@@ -21,7 +21,8 @@ import (
 // prefix only ever grows in place — the per-node shadow of the TO service's
 // no-unconfirming guarantee. (The TO core may rebuild its order at view
 // establishment; a rebuild that shrank or rewrote the already-confirmed
-// prefix would reorder messages already handed to the application.)
+// prefix would reorder messages already handed to the application.) Lengths
+// count the stable prefix the core has truncated, which no rebuild reaches.
 type localState struct {
 	confirmedLen  int
 	confirmedTail types.Label
@@ -115,12 +116,13 @@ func checkLocal52(p types.ProcID, dn *dvscore.Node) error {
 
 // checkLocalTOOrder checks the structural index bounds of the DVS-TO-TO
 // automaton: the 1-based report and confirm indices satisfy
-// 1 ≤ nextReport ≤ nextConfirm ≤ |order|+1 — delivery never overtakes
-// confirmation, confirmation never overtakes the built order.
+// base < nextReport ≤ nextConfirm ≤ |order|+1 — nothing undelivered is
+// dropped, delivery never overtakes confirmation, confirmation never
+// overtakes the built order.
 func checkLocalTOOrder(p types.ProcID, tn *tocore.Node) error {
-	nr, nc, n := tn.NextReport(), tn.NextConfirm(), len(tn.Order())
-	if nr < 1 || nc < nr || nc > n+1 {
-		return fmt.Errorf("p=%s index bounds broken: nextReport=%d nextConfirm=%d |order|=%d", p, nr, nc, n)
+	nr, nc, n := tn.NextReport(), tn.NextConfirm(), tn.Base()+tn.Retained()
+	if tn.Base() >= nr || nc < nr || nc > n+1 {
+		return fmt.Errorf("p=%s index bounds broken: base=%d nextReport=%d nextConfirm=%d |order|=%d", p, tn.Base(), nr, nc, n)
 	}
 	return nil
 }
@@ -129,15 +131,15 @@ func checkLocalTOOrder(p types.ProcID, tn *tocore.Node) error {
 // since the previous boundary: it never shrinks, and the label that closed
 // the old prefix is still at its position in the new one.
 func checkConfirmedMonotone(p types.ProcID, tn *tocore.Node, st *localState) error {
-	cur := tn.ConfirmedShared()
-	if len(cur) < st.confirmedLen {
-		return fmt.Errorf("p=%s confirmed prefix shrank from %d to %d", p, st.confirmedLen, len(cur))
+	cur, base := tn.ConfirmedShared(), tn.Base()
+	if base+len(cur) < st.confirmedLen {
+		return fmt.Errorf("p=%s confirmed prefix shrank from %d to %d", p, st.confirmedLen, base+len(cur))
 	}
-	if st.confirmedLen > 0 && cur[st.confirmedLen-1] != st.confirmedTail {
+	if i := st.confirmedLen - 1 - base; i >= 0 && cur[i] != st.confirmedTail {
 		return fmt.Errorf("p=%s confirmed prefix rewritten at %d: had %s, now %s",
-			p, st.confirmedLen-1, st.confirmedTail, cur[st.confirmedLen-1])
+			p, st.confirmedLen-1, st.confirmedTail, cur[i])
 	}
-	st.confirmedLen = len(cur)
+	st.confirmedLen = base + len(cur)
 	if len(cur) > 0 {
 		st.confirmedTail = cur[len(cur)-1]
 	}

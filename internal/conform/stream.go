@@ -49,7 +49,7 @@ import (
 
 const (
 	segMagic      = "DVSSEG1\n"
-	streamVersion = 3 // every segment is the wire.go codec; 1 and 2 had gob headers
+	streamVersion = 4 // summaries carry base and digest, TO logs open with EvUniverse; 1 and 2 had gob headers
 	headerSeg     = "header.seg"
 	footerSeg     = "footer.seg"
 

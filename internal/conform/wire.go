@@ -23,7 +23,7 @@ import (
 const (
 	tagEvVSNewView, tagEvVSRecv, tagEvVSSafe, tagEvClientSend, tagEvClientRegister byte = 0x10, 0x11, 0x12, 0x13, 0x14
 	tagFxSendVS, tagFxDVSDeliver, tagFxSafeInd, tagFxNewPrimary, tagFxGC           byte = 0x20, 0x21, 0x22, 0x23, 0x24
-	tagEvBroadcast, tagEvNewView, tagEvRecv, tagEvSafe                             byte = 0x30, 0x31, 0x32, 0x33
+	tagEvBroadcast, tagEvNewView, tagEvRecv, tagEvSafe, tagEvUniverse              byte = 0x30, 0x31, 0x32, 0x33, 0x34
 	tagFxLabel, tagFxSend, tagFxConfirm, tagFxTODeliver, tagFxRegister             byte = 0x40, 0x41, 0x42, 0x43, 0x44
 	tagEvMcSubmit, tagEvMcData, tagEvMcProposal                                    byte = 0x60, 0x61, 0x62
 	tagFxMcSendData, tagFxMcSendProp, tagFxMcDeliver                               byte = 0x70, 0x71, 0x72
@@ -78,6 +78,8 @@ func appendTOEvent(b []byte, ev tocore.Event) ([]byte, error) {
 		return appendMsgFrom(append(b, tagEvRecv), e.M, e.From)
 	case tocore.EvSafe:
 		return appendMsgFrom(append(b, tagEvSafe), e.M, e.From)
+	case tocore.EvUniverse: // a view's member list is the one set encoding there is
+		return wire.AppendView(append(b, tagEvUniverse), types.View{Members: e.Set}), nil
 	default:
 		return b, fmt.Errorf("conform: to event type %T has no wire tag", ev)
 	}
@@ -252,6 +254,8 @@ func readTOEvent(r *wire.Reader) tocore.Event {
 		return tocore.EvRecv{M: r.Msg(0), From: r.Proc()}
 	case tagEvSafe:
 		return tocore.EvSafe{M: r.Msg(0), From: r.Proc()}
+	case tagEvUniverse:
+		return tocore.EvUniverse{Set: r.View().Members}
 	default:
 		r.Fail("unknown to event tag %#x", tag)
 		return nil
@@ -361,7 +365,8 @@ func decodeChunk(payload []byte) (streamChunk, error) {
 
 // decodeHeader parses a header payload. The version is checked before the
 // rest is read: a v1 or v2 header is gob, whose first bytes read here as
-// some other number, and must be refused rather than misparsed.
+// some other number, and a v3 trace has summaries without bases; both must
+// be refused rather than misparsed.
 func decodeHeader(payload []byte) ([]NodeMeta, error) {
 	r := wire.Reader{B: payload}
 	if version := r.Index(); r.Err == nil && version != streamVersion {

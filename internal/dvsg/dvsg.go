@@ -167,6 +167,9 @@ func (l *Layer) ClientCur() (types.View, bool) { return l.filter.ClientCur() }
 // AmbCount returns the current number of ambiguous views in the filter.
 func (l *Layer) AmbCount() int { return len(l.filter.Amb()) }
 
+// Universe exposes the process universe the vsg node was configured with.
+func (l *Layer) Universe() types.ProcSet { return l.node.Universe() }
+
 // Defer schedules f onto a later iteration of the vsg event loop without
 // blocking; it reports false when the loop is stopped or its queue is full.
 // The tob shell uses it to defer batch flushes behind already-queued work.

@@ -84,7 +84,7 @@ func wireSamples() []any {
 	label := tocore.LabelMsg{L: l(7), A: "payload \x00\xff with junk"}
 	batch := types.Batch{Msgs: []types.Msg{label, tocore.LabelMsg{L: l(8)}, types.ClientMsg("")}}
 	summary := tocore.SummaryMsg{X: types.Summary{
-		Con: types.Content{l(1): "a", l(2): ""}, Ord: []types.Label{l(2), l(1)}, Next: 3, High: g,
+		Con: types.Content{l(1): "a", l(2): ""}, Base: 1 << 20, Digest: 1<<63 + 5, Ord: []types.Label{l(2), l(1)}, Next: 3, High: g,
 	}}
 	return []any{
 		member.Heartbeat{},
@@ -151,6 +151,16 @@ func TestWireFrameDepthLimited(t *testing.T) {
 	}
 	if _, err := netfab.DecodeFrame(deepNest(t, 10000)); err == nil {
 		t.Error("10000 nested group frames decoded")
+	}
+}
+
+// hugeBase is a summary whose base is what a negative int reads as: no
+// encoder writes it, and a decoder that took it would hand the core an index.
+var hugeBase = append([]byte{0x55, 0}, binary.AppendUvarint(nil, 1<<63)...)
+
+func TestWireFrameSummaryBaseRefused(t *testing.T) {
+	if v, err := netfab.DecodeFrame(append(hugeBase, 0, 0, 2, 0, 0)); err == nil {
+		t.Errorf("a summary with base 2^63 decoded: %#v", v)
 	}
 }
 
@@ -230,6 +240,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(deepNest(f, 1000))
 	f.Add(bytes.Repeat([]byte{0x51, 1}, 1000)) // over-deep Batch nest
 	f.Add([]byte{})
+	f.Add(append(hugeBase, 0, 0, 2, 0, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := netfab.DecodeFrame(data)

@@ -61,6 +61,7 @@ type pending struct {
 	payload  string
 	haveData bool
 	props    map[types.GroupID]uint64
+	effTs    uint64 // max of props: the lower bound on the final timestamp
 }
 
 // group is the per-group protocol state of a node: the group's Lamport
@@ -157,6 +158,7 @@ func (n *Node) Clone() *Node {
 				payload:  pd.payload,
 				haveData: pd.haveData,
 				props:    make(map[types.GroupID]uint64, len(pd.props)),
+				effTs:    pd.effTs,
 			}
 			for g, ts := range pd.props {
 				cp.props[g] = ts
@@ -204,6 +206,8 @@ func (n *Node) AddFingerprint(f *ioa.Fingerprinter) {
 					}
 				}
 				f.Byte(':')
+				f.Uint(pd.effTs)
+				f.Byte('<')
 				for _, d := range sortedPropGroups(pd.props) {
 					f.Int(int(d))
 					f.Byte('>')
@@ -266,17 +270,13 @@ func sortedPropGroups(props map[types.GroupID]uint64) []types.GroupID {
 	return out
 }
 
-// effTs is the message's current lower bound on its final timestamp: the
-// maximum proposal collected so far. The final timestamp is the max over
-// all destination groups, so effTs only ever grows toward it.
-func (pd *pending) effTs() uint64 {
-	var ts uint64
-	for _, v := range pd.props {
-		if v > ts {
-			ts = v
-		}
-	}
-	return ts
+// propose records group g's proposal and keeps effTs, the message's current
+// lower bound on its final timestamp: the maximum proposal collected so far.
+// The final timestamp is the max over all destination groups, so effTs only
+// ever grows toward it.
+func (pd *pending) propose(g types.GroupID, ts uint64) {
+	pd.props[g] = ts
+	pd.effTs = max(pd.effTs, ts)
 }
 
 // final reports whether the message's timestamp is decided in this group:
@@ -316,7 +316,7 @@ func (n *Node) onData(g types.GroupID, id string, origin types.ProcID, dests []t
 	pd.payload = payload
 	pd.haveData = true
 	st.clock++
-	pd.props[g] = st.clock
+	pd.propose(g, st.clock)
 	return true
 }
 
@@ -338,7 +338,7 @@ func (n *Node) onProposal(g types.GroupID, pg types.GroupID, id string, ts uint6
 		st.pend[id] = pd
 	}
 	if _, have := pd.props[pg]; !have {
-		pd.props[pg] = ts
+		pd.propose(pg, ts)
 	}
 }
 
@@ -350,7 +350,7 @@ func (st *group) deliverable() *pending {
 	var best *pending
 	var bestTs uint64
 	for _, pd := range st.pend {
-		ts := pd.effTs()
+		ts := pd.effTs
 		if best == nil || ts < bestTs || (ts == bestTs && pd.id < best.id) {
 			best, bestTs = pd, ts
 		}
@@ -364,7 +364,7 @@ func (st *group) deliverable() *pending {
 // deliver removes pd from the pending set and appends it to the delivery
 // history.
 func (st *group) deliver(pd *pending) Delivered {
-	d := Delivered{ID: pd.id, Origin: pd.origin, Payload: pd.payload, TS: pd.effTs()}
+	d := Delivered{ID: pd.id, Origin: pd.origin, Payload: pd.payload, TS: pd.effTs}
 	delete(st.pend, pd.id)
 	st.done[pd.id] = true
 	st.delivered = append(st.delivered, d)

@@ -29,8 +29,8 @@ func TestExportedSurface(t *testing.T) {
 		{reflect.TypeOf((*dvscore.StaticNode)(nil)), []string{"Amb", "ClientCur", "P", "Quorum"}},
 		{reflect.TypeOf((*dvscore.Filter)(nil)).Elem(), []string{"Amb", "ClientCur"}},
 		{reflect.TypeOf((*tocore.Node)(nil)), []string{
-			"AddFingerprint", "Clone", "ConfirmedShared", "Current", "Established", "GotState",
-			"NextConfirm", "NextReport", "Order", "P", "Permute", "Status", "Summary",
+			"AddFingerprint", "Base", "BaseMismatches", "Clone", "ConfirmedShared", "Current", "Established",
+			"GotState", "NextConfirm", "NextReport", "Order", "P", "Permute", "Retained", "Status", "Summary",
 		}},
 		{reflect.TypeOf((*mcastcore.Node)(nil)), []string{
 			"AddFingerprint", "Clock", "Clone", "Delivered", "DeliveredCount", "Groups", "P", "PendingCount",

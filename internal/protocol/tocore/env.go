@@ -63,8 +63,9 @@ func (e *Env) Inputs(a ioa.Automaton) []ioa.Action {
 // BoundedEnv is a finitely-branching, stateless environment for exhaustive
 // exploration of TO-IMPL (ioa.Explore). Broadcasts are bounded by a
 // monotone state measure (a client message is either still in a delay
-// buffer or has been labeled, and labels never leave the originator's
-// content relation), and view proposals come from a fixed candidate list.
+// buffer or has been labeled, and the originator's history counts the labels
+// it has made, held or dropped), and view proposals come from a fixed
+// candidate list.
 type BoundedEnv struct {
 	MaxMsgs  int
 	MaxViews int
@@ -101,7 +102,8 @@ func (e *BoundedEnv) Inputs(a ioa.Automaton) []ioa.Action {
 
 // countClientCommands is a monotone measure of broadcasts in the state:
 // commands still in delay buffers plus labels each node created itself
-// (labels with the node's own origin never leave its content relation).
+// (a label with the node's own origin leaves its content relation only by
+// truncation, which the run's base goes on counting).
 func countClientCommands(im *Impl) int {
 	total := 0
 	for _, p := range im.procs {

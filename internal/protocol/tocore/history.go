@@ -16,7 +16,11 @@ import (
 // seqno) goes to the run's overflow maps and is drained into the dense part
 // the moment it becomes contiguous. The representation is therefore exact
 // for every input, canonical (equal relations give equal histories) and
-// never allocates in proportion to a seqno. A run in the map is never empty.
+// never allocates in proportion to a seqno. drop removes a run's lowest
+// label for good — the node calls it on the stable prefix it truncates — and
+// leaves the seqno in the run's base, which is all that remains of it: a
+// peer's summary that still carries the label is ignored there. A run in the
+// map is never empty unless it has dropped labels.
 type history map[runKey]*run
 
 type runKey struct {
@@ -24,11 +28,13 @@ type runKey struct {
 	origin types.ProcID
 }
 
-// run holds the labels ⟨id, 1.., origin⟩ of one key: dense[i-1] is the
-// payload of seqno i and seqnos 1..safeTo are safe. sparse holds content at
-// every other seqno (never len(dense)+1), safeSparse the safe seqnos outside
-// 1..safeTo (never safeTo+1); both are nil unless input arrived with gaps.
+// run holds the labels ⟨id, base+1.., origin⟩ of one key, seqnos 1..base
+// having been dropped: dense[i-1-base] is the payload of seqno i and seqnos
+// base+1..safeTo are safe (safeTo ≥ base). sparse holds content at every
+// other seqno (never base+len(dense)+1), safeSparse the safe seqnos beyond
+// safeTo (never safeTo+1); both are nil unless input arrived with gaps.
 type run struct {
+	base       int
 	dense      []string
 	safeTo     int
 	sparse     map[int]string
@@ -50,19 +56,20 @@ func (h history) at(l types.Label) *run {
 // put is content[l] = a.
 func (h history) put(l types.Label, a string) {
 	r := h.at(l)
-	switch i := l.Seqno - 1; {
+	switch i := l.Seqno - 1 - r.base; {
 	case uint(i) < uint(len(r.dense)):
 		r.dense[i] = a
 	case i == len(r.dense):
-		r.dense = append(r.dense, a)
+		r.dense = append(grow(r.dense), a)
 		// What a gap held back may be contiguous now (a nil map yields nothing).
-		for next, ok := r.sparse[len(r.dense)+1]; ok; next, ok = r.sparse[len(r.dense)+1] {
-			delete(r.sparse, len(r.dense)+1)
+		for next, ok := r.sparse[r.end()+1]; ok; next, ok = r.sparse[r.end()+1] {
+			delete(r.sparse, r.end()+1)
 			r.dense = append(r.dense, next)
 		}
 		if r.sparse != nil && len(r.sparse) == 0 {
 			r.sparse = nil
 		}
+	case i < 0 && l.Seqno > 0: // dropped
 	default:
 		if r.sparse == nil {
 			r.sparse = make(map[int]string)
@@ -71,17 +78,37 @@ func (h history) put(l types.Label, a string) {
 	}
 }
 
+// end is the highest seqno of the dense part.
+func (r *run) end() int { return r.base + len(r.dense) }
+
 // get is the lookup content[l].
 func (h history) get(l types.Label) (string, bool) {
 	r := h[keyOf(l)]
 	if r == nil {
 		return "", false
 	}
-	if i := l.Seqno - 1; uint(i) < uint(len(r.dense)) {
+	if i := l.Seqno - 1 - r.base; uint(i) < uint(len(r.dense)) {
 		return r.dense[i], true
 	}
 	a, ok := r.sparse[l.Seqno]
 	return a, ok
+}
+
+// drop removes l, content and safe mark, if it is the lowest label its run
+// holds; the slot is cleared so the payload does not outlive it in the
+// backing array, which the next append that grows the run leaves behind
+// (clearSafe, at the next view, if the run never grows again).
+func (h history) drop(l types.Label) bool {
+	r := h[keyOf(l)]
+	if r == nil || l.Seqno != r.base+1 || len(r.dense) == 0 {
+		return false
+	}
+	r.dense[0] = ""
+	r.dense = r.dense[1:]
+	if r.base++; r.safeTo < r.base {
+		r.advanceSafe() // the frontier never lags the base
+	}
+	return true
 }
 
 // merge is content.Merge(con). Labels already present are overwritten where
@@ -103,12 +130,12 @@ func (h history) merge(con types.Content) {
 	}
 }
 
-// labeled returns how many labels of origin p have content.
+// labeled returns how many labels of origin p have or had content.
 func (h history) labeled(p types.ProcID) int {
 	n := 0
 	for k, r := range h {
 		if k.origin == p {
-			n += len(r.dense) + len(r.sparse)
+			n += r.end() + len(r.sparse)
 		}
 	}
 	return n
@@ -123,7 +150,7 @@ func (h history) export() types.Content {
 	out := make(types.Content, n)
 	for k, r := range h {
 		for i, a := range r.dense {
-			out[types.Label{ID: k.id, Seqno: i + 1, Origin: k.origin}] = a
+			out[types.Label{ID: k.id, Seqno: r.base + i + 1, Origin: k.origin}] = a
 		}
 		for s, a := range r.sparse {
 			out[types.Label{ID: k.id, Seqno: s, Origin: k.origin}] = a
@@ -137,19 +164,25 @@ func (h history) markSafe(l types.Label) {
 	r := h.at(l)
 	switch {
 	case l.Seqno == r.safeTo+1:
-		r.safeTo++
-		for _, ok := r.safeSparse[r.safeTo+1]; ok; _, ok = r.safeSparse[r.safeTo+1] {
-			r.safeTo++
-			delete(r.safeSparse, r.safeTo)
-		}
-		if r.safeSparse != nil && len(r.safeSparse) == 0 {
-			r.safeSparse = nil
-		}
+		r.advanceSafe()
 	case uint(l.Seqno-1) >= uint(r.safeTo):
 		if r.safeSparse == nil {
 			r.safeSparse = make(map[int]struct{})
 		}
 		r.safeSparse[l.Seqno] = struct{}{}
+	}
+}
+
+// advanceSafe moves the safe frontier one seqno up and on over whatever the
+// overflow holds next.
+func (r *run) advanceSafe() {
+	r.safeTo++
+	for _, ok := r.safeSparse[r.safeTo+1]; ok; _, ok = r.safeSparse[r.safeTo+1] {
+		r.safeTo++
+		delete(r.safeSparse, r.safeTo)
+	}
+	if r.safeSparse != nil && len(r.safeSparse) == 0 {
+		r.safeSparse = nil
 	}
 }
 
@@ -159,7 +192,7 @@ func (h history) isSafe(l types.Label) bool {
 	if r == nil {
 		return false
 	}
-	if uint(l.Seqno-1) < uint(r.safeTo) {
+	if uint(l.Seqno-1-r.base) < uint(r.safeTo-r.base) {
 		return true
 	}
 	_, ok := r.safeSparse[l.Seqno]
@@ -169,8 +202,11 @@ func (h history) isSafe(l types.Label) bool {
 // clearSafe is safe-labels := ∅.
 func (h history) clearSafe() {
 	for k, r := range h {
-		r.safeTo, r.safeSparse = 0, nil
-		if len(r.dense) == 0 && r.sparse == nil {
+		r.safeTo, r.safeSparse = r.base, nil
+		if len(r.dense) == 0 {
+			r.dense = nil
+		}
+		if r.end() == 0 && r.sparse == nil {
 			delete(h, k)
 		}
 	}
@@ -189,6 +225,7 @@ func (h history) Clone() history {
 // Clone returns an independent copy of r.
 func (r *run) Clone() *run {
 	return &run{
+		base:       r.base,
 		dense:      slices.Clone(r.dense),
 		safeTo:     r.safeTo,
 		sparse:     maps.Clone(r.sparse),
@@ -220,9 +257,14 @@ func (h history) AddFingerprint(f *ioa.Fingerprinter) {
 	}
 }
 
-// WriteFp writes the run canonically: the safe frontier and the safe seqnos
-// beyond it, then the payloads in seqno order and the overflow by seqno.
+// WriteFp writes the run canonically: the base, the safe frontier and the
+// safe seqnos beyond it, then the payloads in seqno order and the overflow
+// by seqno.
 func (r *run) WriteFp(w types.FpWriter) {
+	if r.base > 0 {
+		w.Int(r.base)
+		w.Byte('+')
+	}
 	w.Int(r.safeTo)
 	for _, s := range sortedKeys(r.safeSparse) {
 		w.Byte(',')

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -14,11 +14,16 @@ import (
 )
 
 // histModel is the reference the representation is held to: Figure 5's
-// content and safe-labels as the two maps keyed by label they used to be.
+// content and safe-labels as the two maps keyed by label they used to be,
+// and per run how many of its lowest labels have been dropped — those are in
+// neither map and nothing puts them back.
 type histModel struct {
 	content types.Content
 	safe    map[types.Label]struct{}
+	gone    map[runKey]int
 }
+
+func (m histModel) isGone(l types.Label) bool { return l.Seqno >= 1 && l.Seqno <= m.gone[keyOf(l)] }
 
 func (m histModel) safeLabels() []types.Label {
 	safe := make([]types.Label, 0, len(m.safe))
@@ -34,6 +39,9 @@ func (m histModel) safeLabels() []types.Label {
 // order of operations produced them.
 func (m histModel) build() history {
 	h := make(history)
+	for k, base := range m.gone {
+		h[k] = &run{base: base, safeTo: base}
+	}
 	for _, l := range m.content.Labels() {
 		h.put(l, m.content[l])
 	}
@@ -63,7 +71,7 @@ var (
 // fingerprint met to the relations it stood for: one text, one state.
 func runHistoryOps(t testing.TB, seen map[string]string, next func(n int) (int, bool)) {
 	h := make(history)
-	m := histModel{content: types.Content{}, safe: map[types.Label]struct{}{}}
+	m := histModel{content: types.Content{}, safe: map[types.Label]struct{}{}, gone: map[runKey]int{}}
 	pick := func(n int) int {
 		v, _ := next(n)
 		return v
@@ -73,7 +81,7 @@ func runHistoryOps(t testing.TB, seen map[string]string, next func(n int) (int, 
 		if k := pick(3 + len(histSeqnos)); k >= 3 {
 			l.Seqno = histSeqnos[k-3] // out of order, duplicate, gapped, zero, negative, huge
 		} else {
-			for l.Seqno = 1; ; l.Seqno++ { // in order: the first seqno the run lacks
+			for l.Seqno = m.gone[keyOf(l)] + 1; ; l.Seqno++ { // in order: the first seqno the run lacks
 				if _, has := m.content[l]; !has {
 					break
 				}
@@ -86,10 +94,14 @@ func runHistoryOps(t testing.TB, seen map[string]string, next func(n int) (int, 
 			t.Fatalf("op %d: content\n got %v\nwant %v", step, got, m.content)
 		}
 		want := m.build()
-		if !reflect.DeepEqual(h, want) {
+		if !maps.EqualFunc(h, want, func(a, b *run) bool {
+			return a.base == b.base && a.safeTo == b.safeTo && slices.Equal(a.dense, b.dense) &&
+				maps.Equal(a.sparse, b.sparse) && (a.sparse == nil) == (b.sparse == nil) &&
+				maps.Equal(a.safeSparse, b.safeSparse) && (a.safeSparse == nil) == (b.safeSparse == nil)
+		}) {
 			t.Fatalf("op %d: representation is not canonical for content %v safe %v", step, m.content, m.safe)
 		}
-		fp, state := histFingerprint(h), fmt.Sprint(m.content, m.safeLabels())
+		fp, state := histFingerprint(h), fmt.Sprint(m.content, m.safeLabels(), m.gone)
 		if fp != histFingerprint(want) {
 			t.Fatalf("op %d: fingerprint %s depends on how %s was built", step, fp, state)
 		}
@@ -108,18 +120,22 @@ func runHistoryOps(t testing.TB, seen map[string]string, next func(n int) (int, 
 		case op < 6:
 			l, a := label(), strconv.Itoa(pick(4))
 			h.put(l, a)
-			m.content[l] = a
+			if !m.isGone(l) {
+				m.content[l] = a
+			}
 		case op < 10:
 			l := label()
 			if pick(4) > 0 { // mostly in order: the first seqno of the run not yet safe
-				for l.Seqno = 1; ; l.Seqno++ {
+				for l.Seqno = m.gone[keyOf(l)] + 1; ; l.Seqno++ {
 					if _, safe := m.safe[l]; !safe {
 						break
 					}
 				}
 			}
 			h.markSafe(l)
-			m.safe[l] = struct{}{}
+			if !m.isGone(l) {
+				m.safe[l] = struct{}{}
+			}
 		case op == 10:
 			h.clearSafe()
 			m.safe = map[types.Label]struct{}{}
@@ -144,13 +160,36 @@ func runHistoryOps(t testing.TB, seen map[string]string, next func(n int) (int, 
 				safe[pi.Label(l)] = struct{}{}
 			}
 			m.safe = safe
+			gone := make(map[runKey]int, len(m.gone))
+			for k, base := range m.gone {
+				gone[runKey{pi.ViewID(k.id), pi.ID(k.origin)}] = base
+			}
+			m.gone = gone
 		case op == 14:
 			con := types.Content{}
 			for i, k := 0, pick(6); i < k; i++ {
 				con[label()] = "m" + strconv.Itoa(i)
 			}
 			h.merge(con)
-			m.content.Merge(con)
+			for l, a := range con {
+				if !m.isGone(l) {
+					m.content[l] = a
+				}
+			}
+		case op == 15:
+			// Drop the lowest label of a run: it goes iff it has content, and
+			// takes its safe mark along.
+			l := label()
+			l.Seqno = m.gone[keyOf(l)] + 1
+			_, has := m.content[l]
+			if h.drop(l) != has {
+				t.Fatalf("op %d: drop %s: %v, model holds it: %v", step, l, !has, has)
+			}
+			if has {
+				delete(m.content, l)
+				delete(m.safe, l)
+				m.gone[keyOf(l)]++
+			}
 		}
 		l := label()
 		ga, gok := h.get(l)
@@ -165,7 +204,7 @@ func runHistoryOps(t testing.TB, seen map[string]string, next func(n int) (int, 
 // TestHistoryMatchesMapModel holds the dense runs to the two maps they
 // replaced over seeded random interleavings of every operation, with labels
 // arriving out of order, twice, past gaps, at zero, negative and huge seqnos,
-// and marked safe before or without content.
+// marked safe before or without content, and dropped from the low end.
 func TestHistoryMatchesMapModel(t *testing.T) {
 	seen := map[string]string{}
 	for seed := int64(1); seed <= 20; seed++ {

@@ -52,6 +52,10 @@ type Config struct {
 	// created during recovery) and defers marking the state exchange safe
 	// until the view is established locally.
 	LiteralFigure5 bool
+	// Universe gives every node the EvUniverse input before anything else,
+	// as the runtime shell does, so the nodes truncate; without it they are
+	// Figure 5 and hold everything.
+	Universe bool
 }
 
 // Impl is TO-IMPL: the composition of the DVS specification automaton with
@@ -68,6 +72,9 @@ type Impl struct {
 	cfg   Config
 	dvs   *dvs.DVS
 	nodes map[types.ProcID]*Node
+	// dropped is the history variable of truncation: the labels each node
+	// has dropped, which the node itself knows only by count and digest.
+	dropped map[types.ProcID][]types.Label
 	//lint:fpignore symmetry group computed once from the initial state; identical (and immutable) across every state of one exploration
 	syms []types.Perm //lint:clonesafe the group is immutable and conjugation-closed, so clones share it by design
 }
@@ -82,6 +89,7 @@ func NewImpl(universe types.ProcSet, initial types.View, cfg Config) *Impl {
 		procs:    universe.Sorted(),
 		cfg:      cfg,
 		nodes:    make(map[types.ProcID]*Node, universe.Len()),
+		dropped:  make(map[types.ProcID][]types.Label),
 	}
 	switch cfg.DVS {
 	case DVSAmended:
@@ -93,6 +101,9 @@ func NewImpl(universe types.ProcSet, initial types.View, cfg Config) *Impl {
 	}
 	for _, p := range im.procs {
 		im.nodes[p] = NewNode(p, initial, initial.Contains(p), cfg.LiteralFigure5)
+		if cfg.Universe {
+			im.nodes[p].onUniverse(universe)
+		}
 	}
 	return im
 }
@@ -183,7 +194,7 @@ func (im *Impl) Perform(act ioa.Action) error {
 		if err != nil {
 			return err
 		}
-		return n.performConfirm()
+		return im.recordDrops(n, n.performConfirm)
 
 	case to.ActBRcv:
 		p, ok := act.Param.(to.BRcvParam)
@@ -194,7 +205,7 @@ func (im *Impl) Perform(act ioa.Action) error {
 		if err != nil {
 			return err
 		}
-		return n.performBRcv(p.A, p.Origin)
+		return im.recordDrops(n, func() error { return n.performBRcv(p.A, p.Origin) })
 
 	case dvs.ActGpSnd:
 		p, ok := act.Param.(dvs.SndParam)
@@ -262,7 +273,7 @@ func (im *Impl) Perform(act ioa.Action) error {
 		if act.Name == dvs.ActGpRcv {
 			return n.onDVSGpRcv(p.M, p.From)
 		}
-		return n.onDVSSafe(p.M, p.From)
+		return im.recordDrops(n, func() error { return n.onDVSSafe(p.M, p.From) })
 
 	case dvs.ActCreateView, dvs.ActOrder, dvs.ActRcv:
 		return im.dvs.Perform(act)
@@ -270,6 +281,18 @@ func (im *Impl) Perform(act ioa.Action) error {
 	default:
 		return fmt.Errorf("to-impl: unknown action %q", act.Name)
 	}
+}
+
+// recordDrops runs something that may truncate — confirm, brcv and dvs-safe
+// do — and appends what the node dropped to its history variable. The old order's storage still
+// holds it: truncation only advances the slice.
+func (im *Impl) recordDrops(n *Node, act func() error) error {
+	held, base := n.order, n.base
+	err := act()
+	if n.base > base {
+		im.dropped[n.p] = append(im.dropped[n.p], held[:n.base-base]...)
+	}
+	return err
 }
 
 func badActParam(act ioa.Action) error {
@@ -285,10 +308,14 @@ func (im *Impl) Clone() ioa.Automaton {
 		cfg:      im.cfg,
 		dvs:      im.dvs.Clone().(*dvs.DVS),
 		nodes:    make(map[types.ProcID]*Node, len(im.nodes)),
+		dropped:  make(map[types.ProcID][]types.Label, len(im.dropped)),
 		syms:     im.syms, // immutable; shared across clones
 	}
 	for p, n := range im.nodes {
 		c.nodes[p] = n.Clone()
+	}
+	for p, ls := range im.dropped {
+		c.dropped[p] = types.CloneSeq(ls)
 	}
 	return c
 }
@@ -302,5 +329,12 @@ func (im *Impl) Fingerprint(f *ioa.Fingerprinter) {
 	f.SetPrefix("")
 	for _, p := range im.procs {
 		im.nodes[p].AddFingerprint(f)
+		if ls := im.dropped[p]; len(ls) > 0 {
+			f.Begin("drop.")
+			p.WriteFp(f)
+			f.Byte('=')
+			writeLabelsFp(f, ls)
+			f.End()
+		}
 	}
 }

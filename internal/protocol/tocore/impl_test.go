@@ -31,12 +31,15 @@ func runTO(universe types.ProcSet, v0 types.View, cfg Config, seeds, steps int) 
 // TestTheorem64OverLiteralDVS mechanically checks Theorem 6.4 in the
 // paper's own setting: TO-IMPL (Figure 5 with the label repair) over the
 // DVS specification exactly as printed in Figure 2. Every external trace is
-// accepted by the TO monitor and Invariants 6.1–6.3 hold at every state.
+// accepted by the TO monitor and Invariants 6.1–6.3 hold at every state,
+// with nodes that hold everything and with nodes that truncate.
 func TestTheorem64OverLiteralDVS(t *testing.T) {
 	for _, n := range []int{3, 4, 5} {
 		universe, v0 := toSetup(n)
-		if err := runTO(universe, v0, Config{DVS: DVSLiteral}, 6, 500); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+		for _, truncating := range []bool{false, true} {
+			if err := runTO(universe, v0, Config{DVS: DVSLiteral, Universe: truncating}, 6, 500); err != nil {
+				t.Fatalf("n=%d truncating=%v: %v", n, truncating, err)
+			}
 		}
 	}
 }
@@ -48,8 +51,10 @@ func TestTheorem64OverLiteralDVS(t *testing.T) {
 func TestTO64OverDrainedDVS(t *testing.T) {
 	for _, n := range []int{3, 4, 5} {
 		universe, v0 := toSetup(n)
-		if err := runTO(universe, v0, Config{DVS: DVSAmendedDrained}, 6, 500); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+		for _, truncating := range []bool{false, true} {
+			if err := runTO(universe, v0, Config{DVS: DVSAmendedDrained, Universe: truncating}, 6, 500); err != nil {
+				t.Fatalf("n=%d truncating=%v: %v", n, truncating, err)
+			}
 		}
 	}
 }

@@ -55,20 +55,62 @@ func (im *Impl) transitSummariesShared() []types.Summary {
 // system returns the invariant-checking cut of the composition. The nodes,
 // views, and summaries are shared, not cloned: the checks are read-only.
 func (im *Impl) system() System {
-	return System{
-		Procs:     im.procs,
-		Nodes:     im.nodes,
-		Created:   im.dvs.CreatedShared(),
-		Attempted: im.dvs.AttemptedShared,
-		Extra:     im.transitSummariesShared(),
+	sys := im.nodesOnly()
+	sys.Created = im.dvs.CreatedShared()
+	sys.Attempted = im.dvs.AttemptedShared
+	sys.Extra = im.transitSummariesShared()
+	return sys
+}
+
+// nodesOnly is the cut without the DVS-level oracles and the
+// (allocation-heavy) in-transit summary scan, for the checks that read node
+// state only. Dropped is the longest of the nodes' dropped prefixes;
+// checkTruncation is what makes it stand for them all.
+func (im *Impl) nodesOnly() System {
+	sys := System{Procs: im.procs, Nodes: im.nodes}
+	if im.cfg.Universe {
+		sys.Dropped = []types.Label{}
+		for _, ls := range im.dropped {
+			if len(ls) > len(sys.Dropped) {
+				sys.Dropped = ls
+			}
+		}
 	}
+	return sys
+}
+
+// checkTruncation is the invariant truncation rests on, over the history
+// variable: what p has dropped is what its base and digest say, none of it
+// undelivered (with the frontier exactly where the rule puts it, so no drop
+// was refused either); it is a prefix of, or extends, what any q has dropped
+// followed by what q holds — p dropped only what q has or will have; and no
+// exchange has met a representative it could not align with.
+func (im *Impl) checkTruncation() error {
+	for _, p := range im.procs {
+		n, mine := im.nodes[p], im.dropped[p]
+		if pre, _ := (types.Suffix{Ord: mine}).From(len(mine)); len(mine) != n.base || pre.Digest != n.digest {
+			return fmt.Errorf("%s dropped %d labels but keeps base %d, or another digest", p, len(mine), n.base)
+		}
+		if n.base != min(n.stable, n.nextReport-1) {
+			return fmt.Errorf("%s dropped %d labels with stable %d and nextreport %d", p, n.base, n.stable, n.nextReport)
+		}
+		if n.mismatch > 0 {
+			return fmt.Errorf("%s could not align with a representative", p)
+		}
+		for _, q := range im.procs {
+			if all := append(im.dropped[q][:len(im.dropped[q]):len(im.dropped[q])], im.nodes[q].order...); !types.Consistent(mine, all) {
+				return fmt.Errorf("%s dropped %v, which %s neither holds nor can come to hold: %v", p, mine, q, all)
+			}
+		}
+	}
+	return nil
 }
 
 // Invariants returns Invariants 6.1–6.3 plus the confirmed-prefix agreement
 // check — the end-to-end property the invariants exist to support — as ioa
 // invariants over *Impl states.
 func Invariants() []ioa.Invariant {
-	wrap := func(name string, cut func(*Impl) System, check func(System) error) ioa.Invariant {
+	wrap := func(name string, check func(*Impl) error) ioa.Invariant {
 		return ioa.Invariant{
 			Name: name,
 			Check: func(a ioa.Automaton) error {
@@ -76,17 +118,15 @@ func Invariants() []ioa.Invariant {
 				if !ok {
 					return fmt.Errorf("TO-IMPL invariant on %T", a)
 				}
-				return check(cut(im))
+				return check(im)
 			},
 		}
 	}
-	// The agreement check reads node state only, so its cut omits the
-	// DVS-level oracles and the (allocation-heavy) in-transit summary scan.
-	nodesOnly := func(im *Impl) System { return System{Procs: im.procs, Nodes: im.nodes} }
 	return []ioa.Invariant{
-		wrap("TOIMPL-6.1", (*Impl).system, System.CheckInvariant61),
-		wrap("TOIMPL-6.2", (*Impl).system, System.CheckInvariant62),
-		wrap("TOIMPL-6.3", (*Impl).system, System.CheckInvariant63),
-		wrap("TOIMPL-confirmed-consistent", nodesOnly, System.CheckConfirmedConsistent),
+		wrap("TOIMPL-6.1", func(im *Impl) error { return im.system().CheckInvariant61() }),
+		wrap("TOIMPL-6.2", func(im *Impl) error { return im.system().CheckInvariant62() }),
+		wrap("TOIMPL-6.3", func(im *Impl) error { return im.system().CheckInvariant63() }),
+		wrap("TOIMPL-confirmed-consistent", func(im *Impl) error { return im.nodesOnly().CheckConfirmedConsistent() }),
+		wrap("TOIMPL-truncation", (*Impl).checkTruncation),
 	}
 }

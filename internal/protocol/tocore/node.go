@@ -26,10 +26,22 @@
 // handler can fire with a partial gotstate. Nodes therefore support two
 // modes: Literal (exactly Figure 5) and the default repaired mode, which
 // defers marking the exchange safe until the view has been established.
+//
+// Figure 5 keeps content, order and safe-labels forever. A node that has been
+// told the process universe (EvUniverse) drops the stable prefix instead:
+// confirm_p fired while current.set is the whole universe (or such a view's
+// exchange become safe) means every process's client attempted this view and
+// holds — or, by the drain rule the DVS layer provides, will hold before its
+// next dvs-newview — the identical order prefix with its content, so no state
+// exchange will ever need p's copy. p keeps the prefix's length and chain digest (types.Suffix), sends
+// those in its summaries, and at establishment splices the representative's
+// suffix onto its own. A node never told the universe is Figure 5 as printed.
 package tocore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"repro/internal/ioa"
@@ -124,9 +136,20 @@ type Node struct {
 	hist        history // content and safe-labels
 	nextSeqno   int
 	buffer      []types.Label
-	order       []types.Label
+	order       []types.Label // from position base on; nextConfirm and nextReport index the whole
 	nextConfirm int
 	nextReport  int
+	// Truncation: whole caches current.set = universe (never, while universe is
+	// nil); stable is the highest nextconfirm-1 reached in such a view, and
+	// order, hist and buildOrder hold nothing below base = min(stable,
+	// nextreport-1), of which digest is the chain. mismatch counts exchanges
+	// whose representative this node could not align with.
+	universe    types.ProcSet
+	whole       bool
+	stable      int
+	base        int
+	digest      uint64
+	mismatch    int
 	highPrimary types.ViewID
 	gotstate    types.GotState
 	safeExch    types.ProcSet
@@ -136,7 +159,10 @@ type Node struct {
 
 	// buildOrder is a history variable: the order computed when the view
 	// with the given id was established at this node (used by Invariant 6.3).
-	buildOrder map[types.ViewID][]types.Label
+	// boEnd is the highest Len among its entries: past it there is nothing
+	// left in any of them to drop.
+	buildOrder map[types.ViewID]types.Suffix
+	boEnd      int
 }
 
 // NewNode returns DVS-TO-TO_p in its initial state; literal selects the
@@ -155,7 +181,7 @@ func NewNode(p types.ProcID, initial types.View, inP0, literal bool) *Node {
 		safeExch:    types.NewProcSet(),
 		registered:  make(map[types.ViewID]bool),
 		established: make(map[types.ViewID]bool),
-		buildOrder:  make(map[types.ViewID][]types.Label),
+		buildOrder:  make(map[types.ViewID]types.Suffix),
 	}
 	if inP0 {
 		n.current, n.currentOK = initial.Clone(), true
@@ -176,8 +202,19 @@ func (n *Node) Status() Status { return n.status }
 // Established reports whether the view with id g has been established here.
 func (n *Node) Established(g types.ViewID) bool { return n.established[g] }
 
-// Order returns the current tentative order.
+// Order returns the current tentative order from position Base on.
 func (n *Node) Order() []types.Label { return types.CloneSeq(n.order) }
+
+// Base returns how many labels of the order have been dropped.
+func (n *Node) Base() int { return n.base }
+
+// Retained returns how many labels of the order are held.
+func (n *Node) Retained() int { return len(n.order) }
+
+// BaseMismatches returns how many state exchanges named a representative
+// whose base this node could not align its own order with, and so were left
+// un-established. No correct execution has one.
+func (n *Node) BaseMismatches() int { return n.mismatch }
 
 // GotState returns a copy of the recovery state summaries received.
 func (n *Node) GotState() types.GotState { return n.gotstate.Clone() }
@@ -192,11 +229,17 @@ func (n *Node) NextConfirm() int { return n.nextConfirm }
 // sent during recovery.
 func (n *Node) Summary() types.Summary {
 	return types.Summary{
-		Con:  n.hist.export(),
-		Ord:  types.CloneSeq(n.order),
-		Next: n.nextConfirm,
-		High: n.highPrimary,
+		Con:    n.hist.export(),
+		Base:   n.base,
+		Digest: n.digest,
+		Ord:    types.CloneSeq(n.order),
+		Next:   n.nextConfirm,
+		High:   n.highPrimary,
 	}
+}
+
+func (n *Node) suffix() types.Suffix {
+	return types.Suffix{Base: n.base, Digest: n.digest, Ord: n.order}
 }
 
 // --- Input handlers ---
@@ -204,9 +247,16 @@ func (n *Node) Summary() types.Summary {
 // onBCast handles input bcast(a)_p: buffer into delay.
 func (n *Node) onBCast(a string) { n.delay = append(n.delay, a) }
 
+// onUniverse records the process universe, which turns truncation on.
+func (n *Node) onUniverse(u types.ProcSet) {
+	n.universe = u.Clone()
+	n.whole = n.currentOK && n.current.Members.Equal(u)
+}
+
 // onDVSNewView handles input dvs-newview(v)_p.
 func (n *Node) onDVSNewView(v types.View) {
 	n.current, n.currentOK = v.Clone(), true
+	n.whole = n.universe != nil && v.Members.Equal(n.universe)
 	n.nextSeqno = 1
 	n.buffer = nil
 	n.gotstate = make(types.GotState)
@@ -220,7 +270,7 @@ func (n *Node) onDVSGpRcv(m types.Msg, q types.ProcID) error {
 	switch msg := m.(type) {
 	case LabelMsg:
 		n.hist.put(msg.L, msg.A)
-		n.order = append(n.order, msg.L)
+		n.order = append(grow(n.order), msg.L)
 		return nil
 	case SummaryMsg:
 		n.hist.merge(msg.X.Con)
@@ -232,6 +282,17 @@ func (n *Node) onDVSGpRcv(m types.Msg, q types.ProcID) error {
 	default:
 		return fmt.Errorf("to node %s: unexpected message %s", n.p, m.MsgKey())
 	}
+}
+
+// grow gives a full slice shorter than 64 elements room for 64 more; longer
+// ones are append's business. Truncation consumes a slice from the front, so
+// one that holds a single element at a time runs out of capacity with length
+// 0, from which append would grow it by one, every time.
+func grow[T any](s []T) []T {
+	if len(s) < cap(s) || len(s) >= 64 {
+		return s
+	}
+	return slices.Grow(s, 64)
 }
 
 func gotAll(gs types.GotState, members types.ProcSet) bool {
@@ -246,14 +307,29 @@ func gotAll(gs types.GotState, members types.ProcSet) bool {
 	return true
 }
 
-// establish processes the complete state exchange in one atomic step.
+// establish processes the complete state exchange in one atomic step. The
+// representative's order and this node's are cut at the higher of their two
+// bases, where their digests must agree: below it the node keeps what it
+// holds, from it on the order is the representative's. A representative the
+// node cannot be aligned with — its base beyond this order's end or this
+// base beyond its end, or a different prefix below — is counted and the view
+// left un-established.
 func (n *Node) establish() {
+	full := n.gotstate.FullOrder()
+	at := max(full.Base, n.base)
+	mine, ok1 := n.suffix().From(at)
+	rep, ok2 := full.From(at)
+	if !ok1 || !ok2 || mine.Digest != rep.Digest {
+		n.mismatch++
+		return
+	}
 	n.nextConfirm = n.gotstate.MaxNextConfirm()
-	n.order = n.gotstate.FullOrder()
+	n.order = append(n.order[:at-n.base:at-n.base], rep.Ord...)
 	n.highPrimary = n.current.ID
 	n.status = StatusNormal
 	n.established[n.current.ID] = true
-	n.buildOrder[n.current.ID] = types.CloneSeq(n.order)
+	n.buildOrder[n.current.ID] = types.Suffix{Base: n.base, Digest: n.digest, Ord: types.CloneSeq(n.order)}
+	n.boEnd = max(n.boEnd, n.base+len(n.order))
 	if !n.literal {
 		n.maybeMarkExchangeSafe()
 	}
@@ -271,13 +347,19 @@ func (n *Node) onDVSSafe(m types.Msg, q types.ProcID) error {
 			// Figure 5 exactly: mark as soon as safe-exch covers the view,
 			// regardless of whether the exchange has completed locally.
 			if n.currentOK && n.safeExch.Equal(n.current.Members) {
-				for _, l := range n.gotstate.FullOrder() {
+				for _, l := range n.gotstate.FullOrder().Ord {
 					n.hist.markSafe(l)
 				}
 			}
 			return nil
 		}
-		n.maybeMarkExchangeSafe()
+		if n.maybeMarkExchangeSafe() && n.whole {
+			// Every endpoint holds every summary of a view that is the whole
+			// universe, so every client establishes this very order: what is
+			// confirmed in it is stable without waiting for the next confirm_p.
+			n.stable = n.nextConfirm - 1
+			n.truncate()
+		}
 		return nil
 	default:
 		return fmt.Errorf("to node %s: unexpected safe message %s", n.p, m.MsgKey())
@@ -287,17 +369,18 @@ func (n *Node) onDVSSafe(m types.Msg, q types.ProcID) error {
 // maybeMarkExchangeSafe marks the exchanged labels safe once (a) the view is
 // established locally and (b) safe indications for all members' summaries
 // have arrived. This is the repaired form of Figure 5's DVS-SAFE(summary)
-// handler; see the package comment.
-func (n *Node) maybeMarkExchangeSafe() {
+// handler; see the package comment. It reports whether it marked them.
+func (n *Node) maybeMarkExchangeSafe() bool {
 	if !n.currentOK || n.status != StatusNormal || !n.established[n.current.ID] {
-		return
+		return false
 	}
 	if !n.safeExch.Equal(n.current.Members) {
-		return
+		return false
 	}
-	for _, l := range n.gotstate.FullOrder() {
+	for _, l := range n.gotstate.FullOrder().Ord {
 		n.hist.markSafe(l)
 	}
+	return true
 }
 
 // --- Locally controlled actions ---
@@ -393,10 +476,8 @@ func (n *Node) sendSummary() { n.status = StatusCollect }
 
 // confirmEnabled reports whether the internal confirm action is enabled.
 func (n *Node) confirmEnabled() bool {
-	if n.nextConfirm > len(n.order) {
-		return false
-	}
-	return n.hist.isSafe(n.order[n.nextConfirm-1])
+	i := n.nextConfirm - 1 - n.base
+	return uint(i) < uint(len(n.order)) && n.hist.isSafe(n.order[i])
 }
 
 // performConfirm applies the internal confirm action.
@@ -408,15 +489,42 @@ func (n *Node) performConfirm() error {
 	return nil
 }
 
-func (n *Node) confirm() { n.nextConfirm++ }
+// confirm is the effect of confirm_p. In a normal view that is the whole
+// universe the label confirmed is safe at every process there is, which is
+// what makes it stable (see the package comment; onDVSSafe has the other
+// way there, for what an exchange confirms without a confirm_p).
+func (n *Node) confirm() {
+	n.nextConfirm++
+	if n.whole && n.status == StatusNormal {
+		n.stable = n.nextConfirm - 1
+		n.truncate()
+	}
+}
+
+// truncate drops the order below min(stable, nextreport-1), with its
+// content and safe marks, and whatever the buildOrder entries hold of it.
+func (n *Node) truncate() {
+	from, to := n.base, min(n.stable, n.nextReport-1)
+	for n.base < to && len(n.order) > 0 && n.hist.drop(n.order[0]) {
+		n.digest = types.Roll(n.digest, n.order[0])
+		n.order = n.order[1:]
+		n.base++
+	}
+	if from < n.boEnd && from < n.base {
+		for g, bo := range n.buildOrder {
+			n.buildOrder[g], _ = bo.From(max(bo.Base, min(n.base, bo.Len())))
+		}
+	}
+}
 
 // brcvNext returns the (a, origin) pair the next brcv output would deliver,
 // if enabled (nextreport < nextconfirm).
 func (n *Node) brcvNext() (a string, origin types.ProcID, ok bool) {
-	if n.nextReport >= n.nextConfirm || n.nextReport > len(n.order) {
+	i := n.nextReport - 1 - n.base
+	if n.nextReport >= n.nextConfirm || uint(i) >= uint(len(n.order)) {
 		return "", 0, false
 	}
-	l := n.order[n.nextReport-1]
+	l := n.order[i]
 	payload, has := n.hist.get(l)
 	if !has {
 		return "", 0, false
@@ -434,7 +542,10 @@ func (n *Node) performBRcv(a string, origin types.ProcID) error {
 	return nil
 }
 
-func (n *Node) brcv() { n.nextReport++ }
+func (n *Node) brcv() {
+	n.nextReport++
+	n.truncate()
+}
 
 // registerEnabled reports whether the dvs-register output is enabled:
 // current ≠ ⊥, established, and not yet registered.
@@ -468,13 +579,20 @@ func (n *Node) Clone() *Node {
 		order:       types.CloneSeq(n.order),
 		nextConfirm: n.nextConfirm,
 		nextReport:  n.nextReport,
+		universe:    maps.Clone(n.universe),
+		whole:       n.whole,
+		stable:      n.stable,
+		base:        n.base,
+		digest:      n.digest,
+		mismatch:    n.mismatch,
 		highPrimary: n.highPrimary,
 		gotstate:    n.gotstate.Clone(),
 		safeExch:    n.safeExch.Clone(),
 		registered:  make(map[types.ViewID]bool, len(n.registered)),
 		delay:       types.CloneSeq(n.delay),
 		established: make(map[types.ViewID]bool, len(n.established)),
-		buildOrder:  make(map[types.ViewID][]types.Label, len(n.buildOrder)),
+		buildOrder:  make(map[types.ViewID]types.Suffix, len(n.buildOrder)),
+		boEnd:       n.boEnd,
 	}
 	for g, b := range n.registered {
 		c.registered[g] = b
@@ -482,8 +600,9 @@ func (n *Node) Clone() *Node {
 	for g, b := range n.established {
 		c.established[g] = b
 	}
-	for g, ord := range n.buildOrder {
-		c.buildOrder[g] = types.CloneSeq(ord)
+	for g, bo := range n.buildOrder {
+		bo.Ord = types.CloneSeq(bo.Ord)
+		c.buildOrder[g] = bo
 	}
 	return c
 }
@@ -515,6 +634,21 @@ func (n *Node) AddFingerprint(f *ioa.Fingerprinter) {
 	}
 	f.AddInt("nconf", n.nextConfirm)
 	f.AddInt("nrep", n.nextReport)
+	if n.universe != nil {
+		f.Begin("trunc")
+		f.Byte('=')
+		n.universe.WriteFp(f)
+		if n.whole {
+			f.Byte('*')
+		}
+		for _, v := range [...]int{n.stable, n.base, n.mismatch, n.boEnd} {
+			f.Byte(' ')
+			f.Int(v)
+		}
+		f.Byte('#')
+		f.Uint(n.digest)
+		f.End()
+	}
 	f.Begin("high")
 	f.Byte('=')
 	n.highPrimary.WriteFp(f)
@@ -559,12 +693,18 @@ func (n *Node) AddFingerprint(f *ioa.Fingerprinter) {
 			f.End()
 		}
 	}
-	for g, ord := range n.buildOrder {
-		if len(ord) > 0 {
+	for g, bo := range n.buildOrder {
+		if bo.Len() > 0 {
 			f.Begin("bo.")
 			g.WriteFp(f)
 			f.Byte('=')
-			writeLabelsFp(f, ord)
+			if bo.Base > 0 {
+				f.Int(bo.Base)
+				f.Byte('#')
+				f.Uint(bo.Digest)
+				f.Byte('+')
+			}
+			writeLabelsFp(f, bo.Ord)
 			f.End()
 		}
 	}
@@ -580,6 +720,6 @@ func writeLabelsFp(f *ioa.Fingerprinter, ls []types.Label) {
 	}
 }
 
-// ConfirmedShared returns the confirmed prefix order(1..nextconfirm-1)
-// without copying; the slice is read-only.
-func (n *Node) ConfirmedShared() []types.Label { return n.order[:n.nextConfirm-1] }
+// ConfirmedShared returns what is held of the confirmed prefix,
+// order(base+1..nextconfirm-1), without copying; the slice is read-only.
+func (n *Node) ConfirmedShared() []types.Label { return n.order[:n.nextConfirm-1-n.base] }

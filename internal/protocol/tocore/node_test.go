@@ -158,7 +158,7 @@ func TestRecoveryExchangeAndEstablish(t *testing.T) {
 	if got := n.Order(); len(got) != 1 || got[0] != l {
 		t.Errorf("established order = %v", got)
 	}
-	if bo := n.buildOrder[v1.ID]; len(bo) != 1 {
+	if bo := n.buildOrder[v1.ID]; bo.Len() != 1 {
 		t.Errorf("buildorder history = %v", bo)
 	}
 	// Registration now enabled exactly once.
@@ -287,5 +287,93 @@ func TestTONodeCloneDeep(t *testing.T) {
 	}
 	if _, ok := n.labelHead(); !ok {
 		t.Error("clone mutation leaked")
+	}
+}
+
+// deliverInView feeds n k labels of origin 1 through receipt, safe indication
+// and the drain, and returns them.
+func deliverInView(t *testing.T, n *Node, g types.ViewID, from, k int) []types.Label {
+	t.Helper()
+	var ls []types.Label
+	for i := from; i < from+k; i++ {
+		m := LabelMsg{L: types.Label{ID: g, Seqno: i, Origin: 1}, A: "x"}
+		ls = append(ls, m.L)
+		for _, ev := range []Event{EvRecv{M: m, From: 1}, EvSafe{M: m, From: 1}} {
+			if err := Step(n, ev, true, &Outbox{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return ls
+}
+
+// TestTruncateAndSplice walks one node through the rule: it holds
+// everything until told the universe, drops what it has confirmed and
+// delivered while the view is the universe, and at the next exchange aligns
+// with a representative whose base is behind its own, ahead of it, or out of
+// its reach.
+func TestTruncateAndSplice(t *testing.T) {
+	n, v0 := newTONode(t)
+	ls := deliverInView(t, n, v0.ID, 1, 3)
+	if n.Base() != 0 || n.Retained() != 3 {
+		t.Fatalf("a node never told the universe dropped labels: base %d, %d held", n.Base(), n.Retained())
+	}
+	if err := Step(n, EvUniverse{Set: v0.Members}, true, &Outbox{}); err != nil {
+		t.Fatal(err)
+	}
+	ls = append(ls, deliverInView(t, n, v0.ID, 4, 2)...)
+	if n.Base() != 5 || n.Retained() != 0 || len(n.hist.export()) != 0 {
+		t.Fatalf("in the universe view: base %d, %d held, content %v; want everything dropped", n.Base(), n.Retained(), n.hist.export())
+	}
+	want, _ := types.Suffix{Ord: ls}.From(5)
+	if n.digest != want.Digest {
+		t.Fatal("digest is not the chain over the dropped labels")
+	}
+
+	// A view without process 2 pins the frontier: delivered, held.
+	v1 := v(1, 0, 1)
+	var out Outbox
+	if err := Step(n, EvNewView{View: v1}, true, &out); err != nil {
+		t.Fatal(err)
+	}
+	mine := out.Effects[0].(FxSend).M.(SummaryMsg).X
+	if mine.Base != 5 || mine.Digest != want.Digest || len(mine.Ord) != 0 || len(mine.Con) != 0 || mine.Next != 6 {
+		t.Fatalf("summary %v, want base 5 and nothing else", mine)
+	}
+	// Process 1 is behind: it holds the last two labels (base 3) and one more,
+	// made in v0 but never ordered there.
+	extra := types.Label{ID: v0.ID, Seqno: 1, Origin: 2}
+	behind, _ := types.Suffix{Ord: ls}.From(3)
+	peer := types.Summary{Con: types.Content{ls[3]: "x", ls[4]: "x", extra: "y"}, Base: 3, Digest: behind.Digest, Ord: behind.Ord, Next: 4}
+	for q, x := range map[types.ProcID]types.Summary{0: mine, 1: peer} {
+		if err := Step(n, EvRecv{M: SummaryMsg{X: x}, From: q}, true, &Outbox{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !n.Established(v1.ID) || n.Base() != 5 || n.BaseMismatches() != 0 {
+		t.Fatalf("established %v base %d mismatches %d", n.Established(v1.ID), n.Base(), n.BaseMismatches())
+	}
+	if got := n.Order(); len(got) != 1 || got[0] != extra {
+		t.Fatalf("order after the exchange = %v, want only %v: the peer's two stale labels are below this node's base", got, extra)
+	}
+	if _, stale := n.hist.get(ls[4]); stale {
+		t.Error("a dropped label's content came back with the peer's summary")
+	}
+
+	// A representative whose base this node's order does not reach, and one
+	// whose dropped prefix is another sequence: counted, not established.
+	for i, rep := range []types.Summary{
+		{Base: 9, Digest: 1, Next: 10, High: v1.ID},
+		{Base: 5, Digest: want.Digest + 1, Ord: []types.Label{extra, {ID: v1.ID, Seqno: 1, Origin: 1}}, Next: 6, High: v1.ID},
+	} {
+		vi := v(uint64(2+i), 0, 1)
+		for _, ev := range []Event{EvNewView{View: vi}, EvRecv{M: SummaryMsg{X: n.Summary()}, From: 0}, EvRecv{M: SummaryMsg{X: rep}, From: 1}} {
+			if err := Step(n, ev, true, &Outbox{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n.Established(vi.ID) || n.BaseMismatches() != i+1 {
+			t.Fatalf("misaligned representative %d: established %v, %d mismatches", i, n.Established(vi.ID), n.BaseMismatches())
+		}
 	}
 }

@@ -29,7 +29,9 @@ var (
 // process id and fullorder's tail sorts labels by (viewid, seqno, origin) —
 // so π of a reachable TO-IMPL state need not be reachable. Permute and the
 // Symmetric hooks on Impl exist for orbit-soundness audits and
-// experiments, not for sound state-space reduction; see DESIGN.md §6.7.
+// experiments, not for sound state-space reduction; see DESIGN.md §6.7. Nor
+// can a digest be permuted without the labels it chains: the image is exact
+// only while nothing has been dropped, as in every audited exploration.
 func (n *Node) Permute(pi types.Perm) *Node {
 	p := pi.ID(n.p)
 	c := &Node{
@@ -45,13 +47,20 @@ func (n *Node) Permute(pi types.Perm) *Node {
 		order:       pi.Labels(n.order),
 		nextConfirm: n.nextConfirm,
 		nextReport:  n.nextReport,
+		universe:    pi.Set(n.universe),
+		whole:       n.whole,
+		stable:      n.stable,
+		base:        n.base,
+		digest:      n.digest,
+		mismatch:    n.mismatch,
 		highPrimary: pi.ViewID(n.highPrimary),
 		gotstate:    pi.GotState(n.gotstate),
 		safeExch:    pi.Set(n.safeExch),
 		registered:  make(map[types.ViewID]bool, len(n.registered)),
 		delay:       types.CloneSeq(n.delay),
 		established: make(map[types.ViewID]bool, len(n.established)),
-		buildOrder:  make(map[types.ViewID][]types.Label, len(n.buildOrder)),
+		buildOrder:  make(map[types.ViewID]types.Suffix, len(n.buildOrder)),
+		boEnd:       n.boEnd,
 	}
 	for g, b := range n.registered {
 		c.registered[pi.ViewID(g)] = b
@@ -59,8 +68,9 @@ func (n *Node) Permute(pi types.Perm) *Node {
 	for g, b := range n.established {
 		c.established[pi.ViewID(g)] = b
 	}
-	for g, ord := range n.buildOrder {
-		c.buildOrder[pi.ViewID(g)] = pi.Labels(ord)
+	for g, bo := range n.buildOrder {
+		bo.Ord = pi.Labels(bo.Ord)
+		c.buildOrder[pi.ViewID(g)] = bo
 	}
 	return c
 }
@@ -84,11 +94,15 @@ func (im *Impl) Permute(pi types.Perm) *Impl {
 		cfg:      im.cfg,
 		dvs:      im.dvs.Permute(pi),
 		nodes:    make(map[types.ProcID]*Node, len(im.nodes)),
+		dropped:  make(map[types.ProcID][]types.Label, len(im.dropped)),
 		syms:     im.syms, // conjugating a stabilizer by its own element is the identity
 	}
 	c.procs = c.universe.Sorted()
 	for p, n := range im.nodes {
 		c.nodes[pi.ID(p)] = n.Permute(pi)
+	}
+	for p, ls := range im.dropped {
+		c.dropped[pi.ID(p)] = pi.Labels(ls)
 	}
 	return c
 }

@@ -16,6 +16,13 @@ import "repro/internal/types"
 // upcall or a client broadcast.
 type Event interface{ toEvent() }
 
+// EvUniverse tells the node the process universe P, the one input Figure 5
+// does not have: a view whose membership is Set is one no process is away
+// from, which is when the node truncates (see the package comment). The
+// shell dispatches it once, before anything else, so it is in the recorded
+// log and replay re-derives every truncation from it.
+type EvUniverse struct{ Set types.ProcSet }
+
 // EvBroadcast is the bcast(a)_p input.
 type EvBroadcast struct{ A string }
 
@@ -34,6 +41,7 @@ type EvSafe struct {
 	From types.ProcID
 }
 
+func (EvUniverse) toEvent()  {}
 func (EvBroadcast) toEvent() {}
 func (EvNewView) toEvent()   {}
 func (EvRecv) toEvent()      {}
@@ -84,6 +92,8 @@ func (o *Outbox) add(fx Effect) { o.Effects = append(o.Effects, fx) }
 // undrained, matching the runtime's drop-and-continue handling.
 func Step(n *Node, ev Event, register bool, out *Outbox) error {
 	switch e := ev.(type) {
+	case EvUniverse:
+		n.onUniverse(e.Set)
 	case EvBroadcast:
 		n.onBCast(e.A)
 	case EvNewView:

@@ -30,6 +30,43 @@ type System struct {
 	// Extra lists the summaries present in the system state outside the
 	// nodes: pending in the DVS service or ordered in a DVS per-view queue.
 	Extra []types.Summary
+	// Dropped is the history variable of truncation: every label any node
+	// has dropped, as the one sequence they are all prefixes of (TO-IMPL
+	// keeps each node's and checks that they are). With it a Suffix is
+	// restored to the sequence it stands for and the formulas read as printed.
+	// A replayed cut has none (nil), and compares suffixes from the highest
+	// base among them on, the digests vouching for everything below.
+	Dropped []types.Label
+}
+
+// align gives the sequences one base so that they compare label by label:
+// 0 where Dropped supplies what each has lost, else the highest base among
+// them, each digest rolled up to it. ok is false if one of them ends below
+// that base — what it would be compared with no longer exists. err reports
+// digests that disagree: two different sequences below the common base.
+func (s System) align(seqs ...types.Suffix) (out []types.Suffix, ok bool, err error) {
+	at := 0
+	if s.Dropped == nil {
+		for _, x := range seqs {
+			at = max(at, x.Base)
+		}
+	}
+	for _, x := range seqs {
+		if s.Dropped != nil {
+			pre, reach := types.Suffix{Ord: s.Dropped}.From(x.Base)
+			if !reach || pre.Digest != x.Digest {
+				return nil, false, fmt.Errorf("a sequence with base %d is not a suffix of the %d dropped labels", x.Base, len(s.Dropped))
+			}
+			x = types.Suffix{Ord: append(s.Dropped[:x.Base:x.Base], x.Ord...)}
+		} else if x, ok = x.From(at); !ok {
+			return nil, false, nil
+		}
+		if len(out) > 0 && x.Digest != out[0].Digest {
+			return nil, false, fmt.Errorf("sequences differ below position %d", at)
+		}
+		out = append(out, x)
+	}
+	return out, true, nil
 }
 
 // allStateShared returns the derived variable allstate of Section 6.2:
@@ -125,39 +162,48 @@ func (s System) CheckInvariant63() error {
 		return nil
 	}
 	for _, v := range s.Created {
-		var sigma []types.Label
+		var bos []types.Suffix
 		vacuous := false
-		sMembers := 0
-		first := true
 		for p := range v.Members {
 			cur, has := s.Nodes[p].Current()
 			if !has || !v.ID.Less(cur.ID) {
 				continue
 			}
-			sMembers++
 			if !s.Nodes[p].Established(v.ID) {
 				vacuous = true
 				break
 			}
-			bo := s.Nodes[p].buildOrder[v.ID]
-			if first {
-				sigma = bo
-				first = false
-			} else {
-				sigma = types.CommonPrefix(sigma, bo)
-			}
+			bos = append(bos, s.Nodes[p].buildOrder[v.ID])
 		}
 		if vacuous {
 			continue
+		}
+		// Orders and summaries are suffixes; an instance that cannot be
+		// aligned (see align) says nothing.
+		bos, ok, err := s.align(bos...)
+		if err != nil {
+			return fmt.Errorf("6.3: build orders of view %s: %w", v, err)
+		}
+		var sigma types.Suffix
+		for i, bo := range bos {
+			if i == 0 {
+				sigma = bo
+			} else {
+				sigma.Ord = types.CommonPrefix(sigma.Ord, bo.Ord)
+			}
 		}
 		for _, x := range allstate {
 			if !v.ID.Less(x.High) {
 				continue
 			}
-			if sMembers == 0 {
+			if len(bos) == 0 {
 				return fmt.Errorf("6.3: summary with high %s exists but no member of %s moved past it", x.High, v)
 			}
-			if !types.IsPrefix(sigma, x.Ord) {
+			pair, ok2, err := s.align(sigma, x.Suffix())
+			if err != nil {
+				return fmt.Errorf("6.3: view %s and a summary with high %s: %w", v, x.High, err)
+			}
+			if ok && ok2 && !types.IsPrefix(pair[0].Ord, pair[1].Ord) {
 				return fmt.Errorf("6.3: common established prefix of view %s is not a prefix of a summary with high %s", v, x.High)
 			}
 		}
@@ -167,12 +213,25 @@ func (s System) CheckInvariant63() error {
 
 // CheckConfirmedConsistent is the end-to-end agreement property the
 // invariants exist to support: the confirmed label prefixes of all nodes are
-// pairwise consistent (one is a prefix of the other).
+// pairwise consistent (one is a prefix of the other). The whole orders are
+// aligned, not the confirmed prefixes: a node drops only what is safe
+// everywhere, so at a replayed cut, which is quiescent, every order reaches
+// every base, and one that does not has lost labels another node confirmed.
 func (s System) CheckConfirmedConsistent() error {
-	confirmed := make([][]types.Label, 0, len(s.Procs))
-	for _, p := range s.Procs {
-		n := s.Nodes[p]
-		confirmed = append(confirmed, n.order[:n.nextConfirm-1])
+	orders := make([]types.Suffix, len(s.Procs))
+	for i, p := range s.Procs {
+		orders[i] = s.Nodes[p].suffix()
+	}
+	orders, ok, err := s.align(orders...)
+	if err != nil {
+		return fmt.Errorf("confirmed orders inconsistent across nodes: %w", err)
+	}
+	if !ok {
+		return fmt.Errorf("confirmed orders inconsistent across nodes: an order ends below another node's base")
+	}
+	confirmed := make([][]types.Label, len(orders))
+	for i, p := range s.Procs {
+		confirmed[i] = orders[i].Ord[:max(0, s.Nodes[p].nextConfirm-1-orders[i].Base)]
 	}
 	if !types.Consistent(confirmed...) {
 		return fmt.Errorf("confirmed orders inconsistent across nodes")

@@ -194,6 +194,7 @@ func Sharded(cfg ShardedConfig) (ShardedResult, error) {
 			vs := handles[g][i].VSStats()
 			res.Run.Views += vs.ViewsInstalled
 			res.Run.Retransmits += vs.Retransmits
+			res.Run.Periodic += vs.Periodic
 			samples += vs.LatencySamples
 			total += vs.LatencyTotal
 		}

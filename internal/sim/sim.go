@@ -19,14 +19,15 @@ import (
 type RunStats struct {
 	Net         netfab.Stats
 	Views       uint64        // vsg views installed, summed over processes
-	Retransmits uint64        // tick-driven retransmissions, summed
+	Retransmits uint64        // Data/Ordered frames resent after a stall, summed
+	Periodic    uint64        // tick-driven gossip, ack and safe-point frames, summed
 	AvgLatency  time.Duration // mean submit-to-deliver latency of own submissions
 }
 
 // String renders the summary as one compact report line.
 func (r RunStats) String() string {
-	return fmt.Sprintf("sent=%d delivered=%d dropped=%d views=%d retransmits=%d avg_latency=%v",
-		r.Net.Sent, r.Net.Delivered, r.Net.Dropped, r.Views, r.Retransmits, r.AvgLatency)
+	return fmt.Sprintf("sent=%d delivered=%d dropped=%d views=%d retransmits=%d periodic=%d avg_latency=%v",
+		r.Net.Sent, r.Net.Delivered, r.Net.Dropped, r.Views, r.Retransmits, r.Periodic, r.AvgLatency)
 }
 
 // captureRunStats snapshots the cluster's counters; scenarios call it just
@@ -39,6 +40,7 @@ func captureRunStats(cl *dvs.Cluster) RunStats {
 		vs := p.VSStats()
 		rs.Views += vs.ViewsInstalled
 		rs.Retransmits += vs.Retransmits
+		rs.Periodic += vs.Periodic
 		samples += vs.LatencySamples
 		total += vs.LatencyTotal
 	}

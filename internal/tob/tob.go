@@ -80,6 +80,15 @@ type Stats struct {
 	BatchesIn      uint64 // received DVS frames that were batches
 	PayloadsIn     uint64 // individual messages expanded from received batches
 	FlushDiscards  uint64 // pending payloads discarded at a view change
+	// The core's history (gauges, not counters): labels of the order dropped
+	// as stable and labels still held; of those, the delivered ones, which a
+	// view that is the whole universe lets go of and any other pins; and the
+	// state exchanges left un-established because the representative's base
+	// could not be aligned with (no correct run has one).
+	HistoryBase     uint64
+	HistoryRetained uint64
+	HistoryPinned   uint64
+	BaseMismatch    uint64
 }
 
 // maxBatch bounds the number of label/summary messages coalesced into one
@@ -139,9 +148,13 @@ func New(self types.ProcID, initial types.View, register bool, stop <-chan struc
 
 var _ dvsg.Handler = (*Layer)(nil)
 
-// Bind attaches the dvsg layer used for sending. It must be called before
-// the node starts.
-func (l *Layer) Bind(dvs *dvsg.Layer) { l.dvs = dvs }
+// Bind attaches the dvsg layer used for sending and, through it, reads the
+// process universe, which goes to the core as its first event. It must be
+// called before the node starts.
+func (l *Layer) Bind(dvs *dvsg.Layer) {
+	l.dvs = dvs
+	l.queue = append(l.queue, tocore.EvUniverse{Set: dvs.Universe()})
+}
 
 // AddObserver chains o after any already-installed observer, so a recorder,
 // a stream spiller, and an online checker can watch the same layer. It must
@@ -171,7 +184,12 @@ func (l *Layer) Views() <-chan ViewEvent { return l.views }
 
 // Stats returns a snapshot of the counters. Read from the event loop (via
 // Node.Do) or after shutdown.
-func (l *Layer) Stats() Stats { return l.stats }
+func (l *Layer) Stats() Stats {
+	s, n := l.stats, l.node
+	s.HistoryBase, s.HistoryRetained = uint64(n.Base()), uint64(n.Retained())
+	s.HistoryPinned, s.BaseMismatch = uint64(n.NextReport()-1-n.Base()), uint64(n.BaseMismatches())
+	return s
+}
 
 // Node exposes the underlying automaton for inspection by tests and
 // experiments (event-loop context only).
@@ -226,7 +244,11 @@ func (l *Layer) dispatch(ev tocore.Event) {
 		return
 	}
 	l.stepping = true
-	l.step(ev)
+	if len(l.queue) == 0 {
+		l.step(ev)
+	} else { // the first event: Bind's EvUniverse goes before it
+		l.queue = append(l.queue, ev)
+	}
 	for len(l.queue) > 0 {
 		next := l.queue[0]
 		l.queue = l.queue[1:]

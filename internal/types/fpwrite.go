@@ -94,6 +94,12 @@ func (c Content) WriteFp(w FpWriter) {
 func (x Summary) WriteFp(w FpWriter) {
 	w.Str("sum{con=")
 	x.Con.WriteFp(w)
+	if x.Base > 0 {
+		w.Str(" base=")
+		w.Int(x.Base)
+		w.Byte('#')
+		w.Uint(x.Digest)
+	}
 	w.Str(" ord=[")
 	for i, l := range x.Ord {
 		if i > 0 {

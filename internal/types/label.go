@@ -86,24 +86,71 @@ func (c Content) String() string {
 	return b.String()
 }
 
+// Suffix is a label sequence whose first Base labels are no longer held:
+// Digest chains them (Roll; 0 for none) and Ord is the rest. Two holders that
+// dropped different amounts of one sequence compare what is left by rolling
+// the lower base's digest forward over its own labels (From).
+type Suffix struct {
+	Base   int
+	Digest uint64
+	Ord    []Label
+}
+
+// Roll chains l onto the digest of the labels before it.
+func Roll(d uint64, l Label) uint64 {
+	for _, v := range [...]uint64{l.ID.Seq, uint64(l.ID.Origin), uint64(l.Seqno), uint64(l.Origin)} {
+		d = (d ^ v) * 0x100000001b3
+		d ^= d >> 29
+	}
+	return d
+}
+
+// Len is the length of the whole sequence, dropped labels included.
+func (s Suffix) Len() int { return s.Base + len(s.Ord) }
+
+// From returns s with the labels below position at dropped as well; ok is
+// false when at lies outside Base..Len. The result shares Ord's storage, or
+// none of it once nothing is left.
+func (s Suffix) From(at int) (_ Suffix, ok bool) {
+	if at < s.Base || at > s.Len() {
+		return s, false
+	}
+	for _, l := range s.Ord[:at-s.Base] {
+		s.Digest = Roll(s.Digest, l)
+	}
+	if s.Base, s.Ord = at, s.Ord[at-s.Base:]; len(s.Ord) == 0 {
+		s.Ord = nil
+	}
+	return s, true
+}
+
 // Summary is an element of S = 2^C × seqof(L) × N>0 × G, the state summary a
 // process multicasts during recovery (Section 6): its content relation, its
 // tentative order, its next-confirm index, and the highest primary it has
-// established.
+// established. The order is a Suffix: a sender that has truncated its stable
+// prefix (tocore) sends Base and Digest in its place, and Con holds content
+// for no label below Base. Next indexes the whole sequence.
 type Summary struct {
-	Con  Content
-	Ord  []Label
-	Next int
-	High ViewID
+	Con    Content
+	Base   int
+	Digest uint64
+	Ord    []Label
+	Next   int
+	High   ViewID
 }
+
+// Suffix returns x's order as a Suffix sharing Ord.
+func (x Summary) Suffix() Suffix { return Suffix{Base: x.Base, Digest: x.Digest, Ord: x.Ord} }
 
 // Clone returns an independent copy of x.
 func (x Summary) Clone() Summary {
 	return Summary{
-		Con:  x.Con.Clone(),
-		Ord:  CloneSeq(x.Ord),
-		Next: x.Next,
-		High: x.High,
+		Con:    x.Con.Clone(),
+		Base:   x.Base,
+		Digest: x.Digest,
+		Ord:    CloneSeq(x.Ord),
+		Next:   x.Next,
+		High:   x.High,
 	}
 }
 
@@ -111,15 +158,19 @@ func (x Summary) Clone() Summary {
 // slices.Equal compare lengths first, so nil and empty agree (as they do in
 // String) and unequal histories are usually told apart without a scan.
 func (x Summary) Equal(y Summary) bool {
-	return x.Next == y.Next && x.High == y.High &&
+	return x.Next == y.Next && x.High == y.High && x.Base == y.Base && x.Digest == y.Digest &&
 		slices.Equal(x.Ord, y.Ord) && maps.Equal(x.Con, y.Con)
 }
 
-// String renders the summary canonically.
+// String renders the summary canonically; an untruncated order renders as
+// it did before orders had bases.
 func (x Summary) String() string {
 	var b strings.Builder
 	b.WriteString("sum{con=")
 	b.WriteString(x.Con.String())
+	if x.Base > 0 {
+		b.WriteString(" base=" + strconv.Itoa(x.Base) + "#" + strconv.FormatUint(x.Digest, 10))
+	}
 	b.WriteString(" ord=[")
 	for i, l := range x.Ord {
 		if i > 0 {
@@ -193,6 +244,7 @@ func (y GotState) MaxNextConfirm() int {
 // received identical per-view delivery sequences; defaulted reps hold λ),
 // so "longest order, ties by least id" is well-defined, agreed on by all
 // members holding equal gotstate maps, and extends every confirmed prefix.
+// Length counts the labels a rep has dropped below its base.
 func (y GotState) ChosenRep() (ProcID, bool) {
 	high := y.MaxPrimary()
 	var rep ProcID
@@ -202,31 +254,39 @@ func (y GotState) ChosenRep() (ProcID, bool) {
 		if x.High != high {
 			continue
 		}
-		if !found || len(x.Ord) > best || (len(x.Ord) == best && p < rep) {
-			rep = p
-			best = len(x.Ord)
-			found = true
+		if n := x.Base + len(x.Ord); !found || n > best || (n == best && p < rep) {
+			rep, best, found = p, n, true
 		}
 	}
 	return rep, found
 }
 
 // ShortOrder returns the tentative order of the chosen representative.
-func (y GotState) ShortOrder() []Label {
+func (y GotState) ShortOrder() Suffix {
 	rep, ok := y.ChosenRep()
 	if !ok {
-		return nil
+		return Suffix{}
 	}
-	return CloneSeq(y[rep].Ord)
+	s := y[rep].Suffix()
+	s.Ord = CloneSeq(s.Ord)
+	return s
 }
 
 // FullOrder returns shortorder(Y) followed by the remaining labels of
-// dom(knowncontent(Y)) in label order.
-func (y GotState) FullOrder() []Label {
-	short := y.ShortOrder()
-	seen := make(map[Label]struct{}, len(short))
-	for _, l := range short {
+// dom(knowncontent(Y)) in label order. The representative's base is the
+// result's: a label that some summary orders below it is in the stable
+// prefix the representative dropped, so it is not one of the remaining
+// labels, whoever still sends its content.
+func (y GotState) FullOrder() Suffix {
+	full := y.ShortOrder()
+	seen := make(map[Label]struct{}, len(full.Ord))
+	for _, l := range full.Ord {
 		seen[l] = struct{}{}
+	}
+	for _, x := range y {
+		for i := 0; i < len(x.Ord) && x.Base+i < full.Base; i++ {
+			seen[x.Ord[i]] = struct{}{}
+		}
 	}
 	rest := make([]Label, 0)
 	for l := range y.KnownContent() {
@@ -235,5 +295,6 @@ func (y GotState) FullOrder() []Label {
 		}
 	}
 	SortLabels(rest)
-	return append(short, rest...)
+	full.Ord = append(full.Ord, rest...)
+	return full
 }

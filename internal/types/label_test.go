@@ -147,7 +147,7 @@ func TestGotStateChosenRepPrefersLongestOrder(t *testing.T) {
 	if !ok || rep != 3 {
 		t.Fatalf("ChosenRep = %v, want the rep with the longest order", rep)
 	}
-	full := gs.FullOrder()
+	full := gs.FullOrder().Ord
 	if len(full) < 2 || full[0] != l1 || full[1] != l2 {
 		t.Fatalf("fullorder must preserve the rep's prefix: %v", full)
 	}
@@ -162,7 +162,7 @@ func TestGotStateFullOrder(t *testing.T) {
 	rep := newSummary(ViewID{2, 0}, 1, lB) // rep ordered only lB
 	other := newSummary(ViewID{1, 0}, 1, lA, lC)
 	gs := GotState{0: rep, 1: other}
-	full := gs.FullOrder()
+	full := gs.FullOrder().Ord
 	if len(full) != 3 {
 		t.Fatalf("FullOrder = %v", full)
 	}

@@ -72,14 +72,12 @@ func (pi Perm) Labels(ls []Label) []Label {
 	return out
 }
 
-// Summary returns π(x) as a fresh summary.
+// Summary returns π(x) as a fresh summary. A digest cannot be permuted
+// without the labels it chains, so the image is exact only for Base = 0,
+// which is every summary the symmetry audits meet.
 func (pi Perm) Summary(x Summary) Summary {
-	return Summary{
-		Con:  pi.Content(x.Con),
-		Ord:  pi.Labels(x.Ord),
-		Next: x.Next,
-		High: pi.ViewID(x.High),
-	}
+	x.Con, x.Ord, x.High = pi.Content(x.Con), pi.Labels(x.Ord), pi.ViewID(x.High)
+	return x
 }
 
 // GotState returns π(y) as a fresh map: domain re-keyed, summaries

@@ -111,7 +111,8 @@ type Handler interface {
 type Stats struct {
 	ViewsInstalled uint64        // views installed (initial view included)
 	Heartbeats     uint64        // heartbeats sent
-	Retransmits    uint64        // messages resent by the tick-based reliability
+	Retransmits    uint64        // Data and Ordered frames resent after a stall: loss, or a peer too slow to ack
+	Periodic       uint64        // Install gossip, cumulative Acks and SafePoints sent on the tick whatever the state
 	Submissions    uint64        // payloads submitted via SendInLoop
 	Delivered      uint64        // ordered messages delivered in-view
 	LatencySamples uint64        // own submissions whose delivery latency was measured
@@ -177,12 +178,12 @@ type Node struct {
 	hasView     bool
 	members     []types.ProcID
 	leaderID    types.ProcID
-	leaderLog   []Ordered // leader only: the ordered stream
+	leaderLog   logWindow // leader only: the ordered stream from safePoint on
 	acked       map[types.ProcID]int
 	safePoint   int // leader: last multicast safe point
 	buffer      map[int]Ordered
 	nextDeliver int
-	delivered   []Ordered
+	delivered   logWindow // delivered, not yet safe: seqs nextSafe..nextDeliver-1
 	nextSafe    int
 	safeUpTo    int
 
@@ -221,10 +222,36 @@ type Node struct {
 	nViews      atomic.Uint64
 	nHeartbeats atomic.Uint64
 	nRetransmit atomic.Uint64
+	nPeriodic   atomic.Uint64
 	nSubmit     atomic.Uint64
 	nDelivered  atomic.Uint64
 	nLatSamples atomic.Uint64
 	latTotalNs  atomic.Int64
+}
+
+// logWindow is the part of a view's ordered stream still needed, the frame
+// with Seq s at index s-1: push appends, dropTo forgets everything below an
+// index, for good. The frames left are moved to the front of the storage
+// whenever the forgotten ones take up half of it, so the storage stays
+// proportional to what is held at amortised O(1) per frame, and a stream
+// with one frame in flight reuses one slot.
+type logWindow struct {
+	buf  []Ordered
+	head int // buf[head:] is held
+	base int // index of buf[head]
+}
+
+func (w *logWindow) end() int         { return w.base + len(w.buf) - w.head }
+func (w *logWindow) at(i int) Ordered { return w.buf[w.head+i-w.base] }
+func (w *logWindow) push(o Ordered)   { w.buf = append(w.buf, o) }
+func (w *logWindow) dropTo(i int) {
+	clear(w.buf[w.head : w.head+i-w.base]) // release the payloads
+	w.head, w.base = w.head+i-w.base, i
+	if w.head*2 >= len(w.buf) {
+		k := copy(w.buf, w.buf[w.head:])
+		clear(w.buf[k:])
+		w.buf, w.head = w.buf[:k], 0
+	}
 }
 
 // NewNode builds a node without starting it. Call SetHandler (handlers
@@ -246,6 +273,9 @@ func NewNode(cfg Config) *Node {
 	n.agreement = member.NewAgreement(cfg.Self, cfg.Initial, cfg.ProposeRetry)
 	return n
 }
+
+// Universe returns the configured process universe (read-only).
+func (n *Node) Universe() types.ProcSet { return n.cfg.Universe }
 
 // SetHandler attaches the layer above. It must be called before Start.
 func (n *Node) SetHandler(h Handler) { n.handler = h }
@@ -303,6 +333,7 @@ func (n *Node) Stats() Stats {
 		ViewsInstalled: n.nViews.Load(),
 		Heartbeats:     n.nHeartbeats.Load(),
 		Retransmits:    n.nRetransmit.Load(),
+		Periodic:       n.nPeriodic.Load(),
 		Submissions:    n.nSubmit.Load(),
 		Delivered:      n.nDelivered.Load(),
 		LatencySamples: n.nLatSamples.Load(),
@@ -429,7 +460,7 @@ func (n *Node) retransmit() {
 		for _, q := range n.universe {
 			if q != n.self {
 				n.fabric.Send(n.self, q, member.Install{View: n.view.Clone()})
-				n.nRetransmit.Add(1)
+				n.nPeriodic.Add(1)
 			}
 		}
 	}
@@ -453,7 +484,7 @@ func (n *Node) retransmit() {
 		}
 		if n.nextDeliver > 1 {
 			n.fabric.Send(n.self, n.leaderID, Ack{ViewID: n.view.ID, Seq: n.nextDeliver - 1})
-			n.nRetransmit.Add(1)
+			n.nPeriodic.Add(1)
 		}
 		return
 	}
@@ -461,10 +492,10 @@ func (n *Node) retransmit() {
 		if q == n.self {
 			continue
 		}
-		from := n.acked[q]
-		if from < len(n.leaderLog) && n.tickCount-n.ackTick[q] >= stallTicks {
-			for s := from; s < len(n.leaderLog) && s < from+window; s++ {
-				o := n.leaderLog[s]
+		from := n.acked[q] // ≥ safePoint, where the log starts
+		if from < n.leaderLog.end() && n.tickCount-n.ackTick[q] >= stallTicks {
+			for s := from; s < n.leaderLog.end() && s < from+window; s++ {
+				o := n.leaderLog.at(s)
 				o.Safe = n.safePoint
 				n.fabric.Send(n.self, q, o)
 				n.nRetransmit.Add(1)
@@ -475,7 +506,7 @@ func (n *Node) retransmit() {
 		}
 		if n.safePoint > 0 && n.tickCount%safeTicks == 1 {
 			n.fabric.Send(n.self, q, SafePoint{ViewID: n.view.ID, Seq: n.safePoint})
-			n.nRetransmit.Add(1)
+			n.nPeriodic.Add(1)
 		}
 	}
 }
@@ -516,12 +547,12 @@ func (n *Node) installView(v types.View) {
 	n.hasView = true
 	n.members = n.view.Members.Sorted()
 	n.leaderID = n.members[0]
-	n.leaderLog = nil
+	n.leaderLog = logWindow{}
 	n.acked = make(map[types.ProcID]int, v.Members.Len())
 	n.safePoint = 0
 	n.buffer = make(map[int]Ordered)
 	n.nextDeliver = 1
-	n.delivered = nil
+	n.delivered = logWindow{}
 	n.nextSafe = 1
 	n.safeUpTo = 0
 	n.sendSeq = 0
@@ -606,8 +637,8 @@ func (n *Node) onData(from types.ProcID, m Data) {
 }
 
 func (n *Node) order(sender types.ProcID, payload any) {
-	o := Ordered{ViewID: n.view.ID, Seq: len(n.leaderLog) + 1, Sender: sender, SenderSeq: n.dataNext[sender], Payload: payload}
-	n.leaderLog = append(n.leaderLog, o)
+	o := Ordered{ViewID: n.view.ID, Seq: n.leaderLog.end() + 1, Sender: sender, SenderSeq: n.dataNext[sender], Payload: payload}
+	n.leaderLog.push(o)
 	o.Safe = n.safePoint // stamped at send time; the log copy stays canonical
 	for _, q := range n.members {
 		if q == n.self {
@@ -638,7 +669,7 @@ func (n *Node) onOrdered(m Ordered) {
 			break
 		}
 		delete(n.buffer, n.nextDeliver)
-		n.delivered = append(n.delivered, o)
+		n.delivered.push(o)
 		n.nextDeliver++
 		n.nDelivered.Add(1)
 		progressed = true
@@ -693,8 +724,8 @@ func (n *Node) onAckLocal(from types.ProcID, m Ack) {
 	}
 	if safe > n.safePoint {
 		// Retransmission starts at acked[q] ≥ safe: what lies below is never
-		// read again, so release the payloads; indices and len stay.
-		clear(n.leaderLog[n.safePoint:safe])
+		// read again.
+		n.leaderLog.dropTo(safe)
 		n.safePoint = safe
 		sp := SafePoint{ViewID: n.view.ID, Seq: safe}
 		for _, q := range n.members {
@@ -718,9 +749,9 @@ func (n *Node) onSafePoint(m SafePoint) {
 }
 
 func (n *Node) emitSafe() {
-	for n.nextSafe <= n.safeUpTo && n.nextSafe <= len(n.delivered) {
-		o := n.delivered[n.nextSafe-1]
-		n.delivered[n.nextSafe-1] = Ordered{} // read exactly once, here
+	for n.nextSafe <= n.safeUpTo && n.nextSafe <= n.delivered.end() {
+		o := n.delivered.at(n.nextSafe - 1)
+		n.delivered.dropTo(n.nextSafe) // read exactly once, here
 		n.nextSafe++
 		if n.handler != nil {
 			n.handler.OnSafe(o.Payload, o.Sender)

@@ -292,14 +292,14 @@ func (c *safeCounter) OnSafe(any, types.ProcID) {
 	c.safes.Add(1)
 }
 
-// TestLogsReleaseWhatIsSafe: delivered is read once, when the entry's safe
+// TestVSLogsBounded: delivered is read once, when the entry's safe
 // indication goes up, and leaderLog only from the slowest member's ack on, so
-// neither may keep an Ordered (and through its payload a whole batch) alive
-// past that point. One view, 10k messages from a follower under a window of
-// 256: at every sample and at the end the entries still set in either log
-// are bounded by what is in flight, while len and indices stay the full run.
-func TestLogsReleaseWhatIsSafe(t *testing.T) {
-	const total, window = 10000, 256
+// neither keeps an Ordered (and through its payload a whole batch), nor the
+// slot it sat in, past that point. One view, 50k messages from a follower
+// under a window of 256: at every sample and at the end both logs' length
+// and capacity are bounded by what is in flight, not by the run.
+func TestVSLogsBounded(t *testing.T) {
+	const total, window = 50000, 256
 	universe := types.RangeProcSet(3)
 	v0 := types.InitialView(universe)
 	fab := netfab.NewFabric(universe, netfab.Config{})
@@ -314,21 +314,15 @@ func TestLogsReleaseWhatIsSafe(t *testing.T) {
 		nd.Start()
 		defer nd.Stop()
 	}
-	held := func(log []Ordered) (n int) {
-		for _, o := range log {
-			if o != (Ordered{}) {
-				n++
-			}
-		}
-		return n
-	}
-	// sample reads node i's logs on its own loop: entries still held, lengths.
-	sample := func(i int) (leaderHeld, deliveredHeld, leaderLen, deliveredLen int) {
+	// sample reads node i's logs on its own loop: frames held, storage, and
+	// where the two logs end.
+	sample := func(i int) (held, storage, leaderEnd, deliveredEnd int) {
 		done := make(chan struct{})
 		nodes[i].Do(func() {
 			nd := nodes[i]
-			leaderHeld, deliveredHeld = held(nd.leaderLog), held(nd.delivered)
-			leaderLen, deliveredLen = len(nd.leaderLog), len(nd.delivered)
+			leaderEnd, deliveredEnd = nd.leaderLog.end(), nd.delivered.end()
+			held = leaderEnd - nd.leaderLog.base + deliveredEnd - nd.delivered.base
+			storage = cap(nd.leaderLog.buf) + cap(nd.delivered.buf)
 			close(done)
 		})
 		<-done
@@ -338,10 +332,10 @@ func TestLogsReleaseWhatIsSafe(t *testing.T) {
 		k := k
 		waitFor(t, 10*time.Second, func() bool { return int(handlers[1].safes.Load()) > k-window }, "the window to open")
 		nodes[1].Do(func() { nodes[1].SendInLoop(k) })
-		if k%1000 == 999 {
+		if k%5000 == 4999 {
 			for i := range nodes {
-				if lh, dh, _, _ := sample(i); lh > 2*window || dh > 2*window {
-					t.Fatalf("after %d sends node %d still holds %d leaderLog and %d delivered entries; at most %d are in flight", k+1, i, lh, dh, window)
+				if held, storage, _, _ := sample(i); held > 4*window || storage > 16*window {
+					t.Fatalf("after %d sends node %d holds %d frames in storage for %d; at most %d are in flight", k+1, i, held, storage, window)
 				}
 			}
 		}
@@ -351,12 +345,12 @@ func TestLogsReleaseWhatIsSafe(t *testing.T) {
 		waitFor(t, 10*time.Second, func() bool { return h.safes.Load() == total }, fmt.Sprintf("all safe indications at node %d", i))
 	}
 	for i := range nodes {
-		lh, dh, ll, dl := sample(i)
-		if dh != 0 || lh != 0 {
-			t.Errorf("node %d at rest holds %d leaderLog and %d delivered entries", i, lh, dh)
+		held, storage, le, de := sample(i)
+		if held != 0 || storage > 16*window {
+			t.Errorf("node %d at rest holds %d frames in storage for %d", i, held, storage)
 		}
-		if dl != total || (i == 0 && ll != total) {
-			t.Errorf("node %d: len(leaderLog)=%d len(delivered)=%d, want the whole run (%d): releasing must not move indices", i, ll, dl, total)
+		if de != total || (i == 0 && le != total) {
+			t.Errorf("node %d: logs end at %d and %d, want the whole run (%d): dropping must not move indices", i, le, de, total)
 		}
 	}
 }

@@ -143,6 +143,7 @@ func (r *Reader) Summary() types.Summary {
 		l := r.Label()
 		x.Con[l] = r.Str()
 	}
+	x.Base, x.Digest = r.Index(), r.Uvarint()
 	if n = r.Count(3); n > 0 {
 		x.Ord = make([]types.Label, n)
 		for i := range x.Ord {

@@ -7,9 +7,9 @@
 // a trace record be encoded outside the recorder's mutex and a TCP frame be
 // retried on a fresh connection. Layout in DESIGN.md §6.8.
 //
-// Conventions: counts, lengths, record offsets and ViewID.Seq are uvarints;
-// every other integer (process ids, label sequence numbers, Summary.Next)
-// is a zigzag varint; a string is a uvarint length plus its bytes; sets and
+// Conventions: counts, lengths, record offsets, ViewID.Seq and a summary's
+// Base and Digest are uvarints; every other integer (process ids, label
+// sequence numbers, Summary.Next) is a zigzag varint; a string is a uvarint length plus its bytes; sets and
 // maps are written in sorted order so equal values encode to equal bytes.
 // Each union has its own tag range, so a byte from the wrong union is a decode
 // error rather than a misparse: 0x10–0x4F and 0x60–0x7F the trace codec's events
@@ -72,7 +72,7 @@ func AppendSummary(b []byte, x types.Summary) []byte {
 	for _, l := range x.Con.Labels() {
 		b = AppendString(AppendLabel(b, l), x.Con[l])
 	}
-	b = AppendCount(b, len(x.Ord))
+	b = AppendCount(binary.AppendUvarint(AppendCount(b, x.Base), x.Digest), len(x.Ord))
 	for _, l := range x.Ord {
 		b = AppendLabel(b, l)
 	}

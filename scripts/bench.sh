@@ -31,13 +31,14 @@
 #
 # 5. Per-layer ledger (the protocol cores in isolation: one 10-label batch
 #    through the DVS core's gprcv + safe, one label's whole life through the
-#    TO core on a node holding 100k labels; then the TO core grown from
-#    empty through 200k labels, and the clone of one holding 100k; and the
-#    transport's codec alone: one TCP frame body encoded and decoded, for a
-#    heartbeat, a steady-state Ordered of ten labels and a 20k-label
-#    summary). Emits BENCH_layers.json; check.sh gates the step and frame
-#    rows' allocs/op, which no machine changes, and the TO step's B/op,
-#    which the fixed iteration count makes exact.
+#    TO core on a node 100k labels into its run; then the TO core taken from
+#    empty through 200k labels, and the clone of one that a missing process
+#    makes hold 100k; and the transport's codec alone: one TCP frame body
+#    encoded and decoded, for a heartbeat, a steady-state Ordered of ten
+#    labels and the summary of a node 20k stable labels into its run).
+#    Emits BENCH_layers.json; check.sh gates the step and frame rows'
+#    allocs/op and the summary's size, which no machine changes, and the TO
+#    step's B/op, which the fixed iteration count makes exact.
 #
 # Every benchmark is repeated (`-count`, default 3 for E1-E3) and the
 # snapshot keeps only the best repetition per benchmark (lowest ns/op):
@@ -116,9 +117,9 @@ echo "wrote $out"
 
 # E8 isolated: two dedicated invocations (throughput, then recovery) with
 # nothing else sharing the process, so each sample reflects the stack alone.
-# Recovery is one heal per run, and with 20k messages of history one heal in
-# three picks up extra view changes under load (0.2 s becomes 1-2 s, on any
-# tree), so it is repeated and the best kept like every other row.
+# Recovery is one heal per run and a few milliseconds of it, so it is
+# repeated and the best kept like every other row; check.sh compares the
+# history=20k row with the empty one from this same invocation.
 out8=BENCH_e8.json
 raw8_tp=$(go test -run '^$' -bench 'BenchmarkE8TOThroughput' -benchtime "${E8_BENCHTIME:-3x}" .)
 printf '%s\n' "$raw8_tp"
@@ -157,11 +158,8 @@ rawl=$(go test -run '^$' -bench 'BenchmarkCore(DVS|TO)Step' -benchtime 100000x -
 printf '%s\n' "$rawl"
 rawh=$(go test -run '^$' -bench 'BenchmarkCoreTO(Grow|Clone)' -benchtime 5x -count 3 -benchmem .)
 printf '%s\n' "$rawh"
-# The transport row: small frames at the cores' iteration count, the 20k-label
-# summary (≈ 10 ms an op) a few times.
-raww=$(go test -run '^$' -bench 'BenchmarkWireFrame/(heartbeat|ordered)' -benchtime 100000x -count 3 -benchmem .)
+# The transport row, at the cores' iteration count.
+raww=$(go test -run '^$' -bench 'BenchmarkWireFrame' -benchtime 100000x -count 3 -benchmem .)
 printf '%s\n' "$raww"
-rawws=$(go test -run '^$' -bench 'BenchmarkWireFrame/summary' -benchtime 20x -count 3 -benchmem .)
-printf '%s\n' "$rawws"
-{ printf '%s\n' "$rawl"; printf '%s\n' "$rawh"; printf '%s\n' "$raww"; printf '%s\n' "$rawws"; } | to_json > "$outl"
+{ printf '%s\n' "$rawl"; printf '%s\n' "$rawh"; printf '%s\n' "$raww"; } | to_json > "$outl"
 echo "wrote $outl"
