@@ -10,7 +10,6 @@ import (
 	"repro/internal/protocol/dvscore"
 	"repro/internal/protocol/mcastcore"
 	"repro/internal/protocol/tocore"
-	"repro/internal/quorum"
 	"repro/internal/spec/dvs"
 	"repro/internal/types"
 )
@@ -170,12 +169,9 @@ func newReplayNode(m NodeMeta) *replayNode {
 		n.mc = mcastcore.NewNode(m.P, m.McastGroups)
 		return n
 	case m.Static:
-		// The static-primary core exactly as the runtime builds it (stack.go): a
-		// strict-majority quorum system over the members of the initial view.
-		// The quorum system is part of the core's construction, so if a future
-		// runtime configures a different one, it must be carried in the header
-		// for replays to stay faithful.
-		n.stat = dvscore.NewStaticNode(m.P, m.Initial, m.InP0, quorum.Majority(m.Initial.Members))
+		// The static-primary core exactly as the runtime builds it (stack.go):
+		// primaries are strict majorities of the initial view's members.
+		n.stat = dvscore.NewStaticNode(m.P, m.Initial, m.InP0)
 	default:
 		n.dvs = dvscore.NewNode(m.P, m.Initial, m.InP0)
 	}

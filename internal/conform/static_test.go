@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/protocol/dvscore"
 	"repro/internal/protocol/tocore"
-	"repro/internal/quorum"
 	"repro/internal/types"
 )
 
@@ -27,7 +26,7 @@ func recordedStaticRun(t *testing.T) NodeLog {
 		t.Fatal(err)
 	}
 
-	sn := dvscore.NewStaticNode(p, initial, true, quorum.Majority(initial.Members))
+	sn := dvscore.NewStaticNode(p, initial, true)
 	tn := tocore.NewNode(p, initial, true, false)
 
 	stepDVS := func(ev dvscore.Event) []dvscore.Effect {

@@ -59,8 +59,7 @@ type Observer func(ev dvscore.Event, effects []dvscore.Effect)
 // message), WireBatch is not a types.Msg and can never enter a core.
 type WireBatch struct{ Msgs []types.Msg }
 
-// WireBatch and ExchangeMsg as TCP payloads (netfab.WirePayload), tags 0x98
-// and 0x99.
+// WireBatch as a TCP payload (netfab.WirePayload), tag 0x98.
 func (WireBatch) WireTag() byte { return 0x98 }
 
 func (w WireBatch) AppendWire(b []byte, depth int) (_ []byte, err error) {

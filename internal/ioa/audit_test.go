@@ -1,0 +1,136 @@
+package ioa
+
+import (
+	"maps"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// auditToy is a small Symmetric automaton: four processes step in turn (at
+// most three steps, each logged and counted) and a flag flips. Its
+// Fingerprint, Clone and Permute each take one seeded bad edit, named by
+// edit, that AuditFingerprints must reject.
+type auditToy struct {
+	flip bool
+	log  []int
+	seen map[int]int
+	edit string
+}
+
+// toySwap exchanges processes 0 and 1; the zero value is the identity.
+type toySwap bool
+
+func (s toySwap) id(p int) int {
+	if s && p < 2 {
+		return 1 - p
+	}
+	return p
+}
+
+func (t *auditToy) Name() string { return "auditToy" }
+
+func (t *auditToy) Enabled() []Action {
+	acts := []Action{{Name: "flip", Kind: KindInternal}}
+	for p := 0; p < 4 && len(t.log) < 3; p++ {
+		acts = append(acts, Action{Name: "step", Kind: KindInternal, Param: p})
+	}
+	return acts
+}
+
+func (t *auditToy) Perform(a Action) error {
+	if a.Name == "flip" {
+		t.flip = !t.flip
+		return nil
+	}
+	p := a.Param.(int)
+	t.log = append(t.log, p)
+	if t.seen == nil {
+		t.seen = make(map[int]int)
+	}
+	t.seen[p]++
+	return nil
+}
+
+func (t *auditToy) Clone() Automaton {
+	c := &auditToy{flip: t.flip, log: slices.Clone(t.log), seen: maps.Clone(t.seen), edit: t.edit}
+	switch t.edit {
+	case "clone forgets a field":
+		c.flip = false
+	case "clone shares a slice":
+		c.log = t.log
+	}
+	return c
+}
+
+func (t *auditToy) Fingerprint(f *Fingerprinter) {
+	if t.flip && t.edit != "fingerprint skips a field" {
+		f.Add("flip", "1")
+	}
+	f.Begin("log=")
+	for _, p := range t.log {
+		f.Int(p)
+		f.Byte(',')
+	}
+	f.End()
+	if t.edit == "map order leaks into a line" {
+		f.Begin("seen=")
+		for p, n := range t.seen {
+			f.Int(p)
+			f.Byte(':')
+			f.Int(n)
+			f.Byte(',')
+		}
+		f.End()
+		return
+	}
+	for p, n := range t.seen {
+		f.Begin("seen.")
+		f.Int(p)
+		f.Byte('=')
+		f.Int(n)
+		f.End()
+	}
+}
+
+func (t *auditToy) Permute(s toySwap) *auditToy {
+	c := &auditToy{flip: t.flip, seen: make(map[int]int, len(t.seen)), edit: t.edit}
+	if t.edit == "permute forgets a field" {
+		c.flip = false
+	}
+	for _, p := range t.log {
+		c.log = append(c.log, s.id(p))
+	}
+	for p, n := range t.seen {
+		c.seen[s.id(p)] = n
+	}
+	return c
+}
+
+func (t *auditToy) Canonicalize() Automaton { return Canonicalize(t, []toySwap{false, true}) }
+func (t *auditToy) Orbit() []Automaton      { return Orbit(t, []toySwap{false, true}) }
+
+// TestAuditCatchesSeededEdits: the correct toy passes AuditFingerprints,
+// and each seeded edit to its Fingerprint, Clone or Permute is rejected
+// with the check that names it. Without the audit every edit explores
+// clean.
+func TestAuditCatchesSeededEdits(t *testing.T) {
+	if _, err := Explore(&auditToy{}, nil, ExploreConfig{AuditFingerprints: true}); err != nil {
+		t.Fatalf("the correct automaton fails the audit: %v", err)
+	}
+	for edit, want := range map[string]string{
+		"fingerprint skips a field":   "covers two distinct states",
+		"map order leaks into a line": "non-canonical fingerprint",
+		"clone forgets a field":       "clone differs from its original",
+		"clone shares a slice":        "clone shares *ioa.auditToy.log",
+		"permute forgets a field":     "no member of the orbit",
+	} {
+		if _, err := Explore(&auditToy{edit: edit}, nil, ExploreConfig{}); err != nil {
+			t.Errorf("%s: the exploration without the audit failed: %v", edit, err)
+		}
+		_, err := Explore(&auditToy{edit: edit}, nil, ExploreConfig{AuditFingerprints: true})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: want an audit failure containing %q, got %v", edit, want, err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package ioa
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,7 +21,7 @@ import (
 // produce canonical fingerprints (equal states ⇔ equal fingerprints), and
 // the environment's Inputs must be a pure function of the automaton state
 // (equal state ⇒ equal successors) — see StateSeed. AuditFingerprints
-// cross-checks the hash against the readable string representation.
+// cross-checks the hash against a reflective rendering of each state.
 
 // ExploreConfig bounds an exploration.
 type ExploreConfig struct {
@@ -45,11 +46,12 @@ type ExploreConfig struct {
 	// SpecInvariants are checked on intermediate spec states when
 	// Refinement is set.
 	SpecInvariants []Invariant
-	// AuditFingerprints enables the dual-fingerprint verification mode:
-	// every visited state is fingerprinted both as a 128-bit hash and as
-	// the readable sorted-line string, and the exploration fails if
-	// hash-equality and string-equality ever disagree (a hash collision or
-	// a non-canonical digest). Expensive; for tests.
+	// AuditFingerprints renders every state by reflection and fails the
+	// exploration if one hash covers two renderings or one rendering two
+	// hashes, a queued state's rendering changes, a clone renders otherwise
+	// or shares a map, slice or pointer with its original (bar fields
+	// tagged ioa:"shared"), or no member of a Symmetric state's Orbit
+	// renders as the state. Expensive; for tests.
 	AuditFingerprints bool
 	// Symmetry enables symmetry reduction over process identities: every
 	// discovered state is replaced by its orbit representative
@@ -189,27 +191,30 @@ func (sc *exploreScratch) flushBucket(level *[exploreShards]shardBuf, s int) {
 // grow per-level memory by worker count.
 const bucketFlushLen = 128
 
-// fpAudit cross-checks hash fingerprints against string fingerprints for
-// every visited state (AuditFingerprints mode).
+// fpAudit cross-checks hash fingerprints against renderings for every
+// visited state, and holds each queued state's rendering until it is
+// expanded (AuditFingerprints mode).
 type fpAudit struct {
 	mu    sync.Mutex
 	byFp  map[Fp]string
 	byStr map[string]Fp
+	queue map[Automaton]string
 }
 
 func newFpAudit() *fpAudit {
-	return &fpAudit{byFp: make(map[Fp]string), byStr: make(map[string]Fp)}
+	return &fpAudit{byFp: make(map[Fp]string), byStr: make(map[string]Fp), queue: make(map[Automaton]string)}
 }
 
-// check records the (hash, string) pair for one state and fails if it is
-// inconsistent with any previously visited state: two distinct strings with
-// one hash is a collision; two distinct hashes for one string means the
-// digest is not a function of the state text.
+// check records the (hash, rendering) pair for one state and fails if it is
+// inconsistent with any previously visited state: two renderings with one
+// hash means the fingerprint drops or merges state (or, rarely, a hash
+// collision); two hashes for one rendering means the digest is not a
+// function of the state.
 func (au *fpAudit) check(fp Fp, s string) error {
 	au.mu.Lock()
 	defer au.mu.Unlock()
 	if prev, ok := au.byFp[fp]; ok && prev != s {
-		return fmt.Errorf("fingerprint collision: hash %v for two distinct states:\n--- state A ---\n%s\n--- state B ---\n%s", fp, prev, s)
+		return fmt.Errorf("fingerprint %v covers two distinct states (the fingerprint drops or merges state):%s", fp, firstDiff(prev, s))
 	}
 	if prev, ok := au.byStr[s]; ok && prev != fp {
 		return fmt.Errorf("non-canonical fingerprint: state hashed to both %v and %v:\n%s", prev, fp, s)
@@ -217,6 +222,43 @@ func (au *fpAudit) check(fp Fp, s string) error {
 	au.byFp[fp] = s
 	au.byStr[s] = fp
 	return nil
+}
+
+// admit records the rendering of a state entering the next frontier.
+func (au *fpAudit) admit(a Automaton, s string) {
+	au.mu.Lock()
+	au.queue[a] = s
+	au.mu.Unlock()
+}
+
+// expand checks a queued state before its successors are taken: it renders
+// as admitted, a clone renders alike and shares no storage with it, and a
+// Symmetric state is rendered by some member of its orbit.
+func (au *fpAudit) expand(a Automaton) error {
+	s, c := render(reflect.ValueOf(a)), a.Clone()
+	au.mu.Lock()
+	was := au.queue[a]
+	delete(au.queue, a)
+	au.mu.Unlock()
+	cs := render(reflect.ValueOf(c))
+	switch p := sharedRef(reflect.ValueOf(a), reflect.ValueOf(c), fmt.Sprintf("%T", a)); {
+	case s != was:
+		return fmt.Errorf("queued state changed after admission:%s", firstDiff(was, s))
+	case cs != s:
+		return fmt.Errorf("clone differs from its original:%s", firstDiff(s, cs))
+	case p != "":
+		return fmt.Errorf("clone shares %s with its original", p)
+	}
+	sym, ok := a.(Symmetric)
+	if !ok {
+		return nil
+	}
+	for _, m := range sym.Orbit() {
+		if cs = render(reflect.ValueOf(m)); cs == s {
+			return nil
+		}
+	}
+	return fmt.Errorf("no member of the orbit renders as the state (Permute drops state):%s", firstDiff(s, cs))
 }
 
 // absIntern interns abstract (specification) states by fingerprint so that
@@ -357,11 +399,11 @@ func Explore(initial Automaton, env Environment, cfg ExploreConfig) (res Explore
 		absFirst = interned.intern(absFp, absFirst)
 	}
 	if audit != nil {
-		fp, s := FingerprintBoth(first)
-		firstFp = fp
-		if err := audit.check(fp, s); err != nil {
+		s := render(reflect.ValueOf(first))
+		if err := audit.check(firstFp, s); err != nil {
 			return res, err
 		}
+		audit.admit(first, s)
 	}
 
 	seen := newFpSet()
@@ -428,6 +470,12 @@ func Explore(initial Automaton, env Environment, cfg ExploreConfig) (res Explore
 					}
 					cur := frontier[i].a
 					absPre := frontier[i].abs
+					if audit != nil {
+						if err := audit.expand(cur); err != nil {
+							fail(i, 0, fmt.Errorf("depth %d: %w", depth, err))
+							break claim
+						}
+					}
 					acts := append(sc.acts[:0], cur.Enabled()...)
 					acts = append(acts, env.Inputs(cur)...)
 					sc.acts = acts
@@ -472,19 +520,19 @@ func Explore(initial Automaton, env Environment, cfg ExploreConfig) (res Explore
 						sc.f.Reset()
 						succ.Fingerprint(&sc.f)
 						fp := sc.f.Sum()
+						var astr string
 						if audit != nil {
-							afp, astr := FingerprintBoth(succ)
-							if afp != fp {
-								fail(i, j, fmt.Errorf("depth %d, action %s: hash-only and recording fingerprints disagree: %v vs %v", depth, act, fp, afp))
-								break
-							}
-							if err := audit.check(afp, astr); err != nil {
+							astr = render(reflect.ValueOf(succ))
+							if err := audit.check(fp, astr); err != nil {
 								fail(i, j, fmt.Errorf("depth %d, action %s: %w", depth, act, err))
 								break
 							}
 						}
 						if !seen.Add(fp) {
 							continue
+						}
+						if audit != nil {
+							audit.admit(succ, astr)
 						}
 						localInvs += nInvs
 						if err := checkInvariants(succ, cfg.Invariants); err != nil {

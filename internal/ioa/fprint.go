@@ -54,8 +54,8 @@ const (
 //
 // The hash-only mode is allocation-free. Recording mode (SetRecording)
 // additionally collects the readable lines so String can render the
-// sorted-and-joined text form — used for error messages and the
-// collision-audit tests, never on the exploration hot path.
+// sorted-and-joined text form — used for error messages and tests, never
+// on the exploration hot path.
 //
 // The zero value is ready to use; Reset allows reuse across states without
 // reallocating internal buffers.
@@ -238,14 +238,4 @@ func FingerprintString(a Automaton) string {
 	f.SetRecording(true)
 	a.Fingerprint(&f)
 	return f.String()
-}
-
-// FingerprintBoth computes the hash and text fingerprints in a single pass
-// over the state, guaranteeing both describe the same bytes. The
-// collision-audit exploration mode is built on it.
-func FingerprintBoth(a Automaton) (Fp, string) {
-	var f Fingerprinter
-	f.SetRecording(true)
-	a.Fingerprint(&f)
-	return f.Sum(), f.String()
 }

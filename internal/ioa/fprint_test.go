@@ -87,7 +87,7 @@ func TestFingerprinterRelatedLinesSeparate(t *testing.T) {
 // checks the two properties the exploration engine relies on: the digest is
 // invariant under the order lines are written (map iteration order cannot
 // leak in), and it matches the digest of the recording mode whose sorted
-// text form defines state identity for the collision audit.
+// text form error messages print.
 func FuzzFpCanonical(f *testing.F) {
 	f.Add([]byte("cur=3.0\xffnext=1"), uint8(1))
 	f.Add([]byte("a=\xffb=\xffc="), uint8(2))

@@ -98,7 +98,7 @@ type Automaton interface {
 	// Fingerprint writes the canonical state components into f, one
 	// key=value line per component (omit default-valued components). The
 	// digest is order-canonical, so writes driven by map iteration are
-	// fine. Use FpOf / FingerprintString / FingerprintBoth to consume it.
+	// fine. Use FpOf / FingerprintString to consume it.
 	Fingerprint(f *Fingerprinter)
 }
 

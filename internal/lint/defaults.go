@@ -5,8 +5,6 @@ package lint
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		Fpcomplete(),
-		Permcomplete(),
-		Clonecomplete(),
 		Modelpure(DefaultModelpureConfig()),
 		Sharedmut(),
 		Fporder(),
@@ -46,7 +44,6 @@ func DefaultModelpureConfig() ModelpureConfig {
 			"repro/internal/mcast",
 			"repro/internal/member",
 			"repro/internal/types",
-			"repro/internal/quorum",
 		},
 		AllowTimeFiles: []string{
 			"internal/ioa/report.go",

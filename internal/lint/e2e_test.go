@@ -81,8 +81,7 @@ func runOnScratch(t *testing.T, src string) []lint.Diagnostic {
 // TestBadEditFixturesAreCaught pins the negative end-to-end guarantee: the
 // seeded-bad-edit module under badedit/ (a type switch dropping Effect
 // variants, goroutines breaking run-to-completion around Step, a head check
-// reverted to key comparison, a history clone that forgets the safe
-// frontier) must keep failing the default suite. Direct core access from a
+// reverted to key comparison) must keep failing the default suite. Direct core access from a
 // shell is not seeded: the transitions are unexported and it does not compile.
 // scripts/check.sh and CI
 // run the same check through cmd/dvslint and require a nonzero exit.
@@ -96,7 +95,7 @@ func TestBadEditFixturesAreCaught(t *testing.T) {
 	for _, d := range diags {
 		got[d.Analyzer]++
 	}
-	for _, a := range []string{"effectcomplete", "shellsafe", "keyequal", "clonecomplete"} {
+	for _, a := range []string{"effectcomplete", "shellsafe", "keyequal"} {
 		if got[a] == 0 {
 			t.Errorf("analyzer %s reported nothing on the seeded-bad-edit fixtures; the gate is dead", a)
 		}
@@ -138,17 +137,9 @@ func TestBadEditFixturesAreCaught(t *testing.T) {
 			t.Errorf("keyequal fired outside the core fixture: %s", d)
 		}
 	}
-	// The TO core's history keeps its state in a type the node only reaches
-	// through a map: clonecomplete must still see a field dropped there, and
-	// that is its only finding.
-	for _, d := range diags {
-		if d.Analyzer == "clonecomplete" && !(strings.Contains(d.Pos.Filename, "badhistory") && strings.Contains(d.Message, "run.Clone does not copy field safeTo")) {
-			t.Errorf("clonecomplete: want only the dropped safe frontier in badhistory, got %s", d)
-		}
-	}
 	for _, d := range diags {
 		switch d.Analyzer {
-		case "effectcomplete", "shellsafe", "keyequal", "clonecomplete":
+		case "effectcomplete", "shellsafe", "keyequal":
 		default:
 			t.Errorf("fixture tripped an unrelated analyzer: %s", d)
 		}

@@ -42,8 +42,6 @@ type directive struct {
 // //lint: is reported as malformed so typos cannot silently disable a check.
 var knownDirectives = map[string]bool{
 	"fpignore":       true, // fpcomplete: field is derived/config, not state
-	"permsafe":       true, // permcomplete: field value is independent of process identities
-	"clonesafe":      true, // clonecomplete: field is safe to share or re-derived
 	"impure":         true, // modelpure: nondeterminism is deliberate here
 	"sharedwrite":    true, // sharedmut: write through a Shared view is intended
 	"fporder":        true, // fporder: iteration order provably cannot leak
@@ -266,34 +264,6 @@ func receiverType(info *types.Info, fd *ast.FuncDecl) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
-}
-
-// isRefKind reports whether a value of type t shares mutable state when
-// copied by assignment: maps, slices, pointers, channels, and any struct or
-// array that (transitively) contains one. Interfaces and funcs are excluded:
-// the automata treat interface-typed state (messages) as immutable values.
-func isRefKind(t types.Type) bool {
-	return refKind(t, make(map[types.Type]bool))
-}
-
-func refKind(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch u := t.Underlying().(type) {
-	case *types.Map, *types.Slice, *types.Pointer, *types.Chan:
-		return true
-	case *types.Array:
-		return refKind(u.Elem(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if refKind(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // stateTypeName returns the qualified name of t's pointer-stripped named

@@ -1,8 +1,10 @@
 // Package lint is a domain-specific static-analysis suite that
-// machine-enforces the automaton discipline the checker's soundness rests
-// on: fingerprint completeness, deep clones, model determinism, read-only
-// use of zero-clone Shared accessors, and canonical iteration order on the
-// fingerprint path (DESIGN.md §6.4).
+// machine-enforces the automaton and shell discipline the checker's
+// soundness rests on: fingerprint completeness, model determinism, read-only
+// use of zero-clone Shared accessors, canonical iteration order on the
+// fingerprint path, total effect switches, run-to-completion around Step and
+// structural message comparison (DESIGN.md §6.4). Clones and permutations
+// are checked by the exploration audit (ioa.ExploreConfig.AuditFingerprints).
 //
 // The suite is deliberately self-contained: it drives `go list -export` for
 // package metadata and export data and type-checks target packages from

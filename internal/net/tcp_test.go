@@ -493,11 +493,12 @@ func TestTCPMalformedFrameClosesConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, garbage := range [][]byte{
-		{3, 0xF0, 0xFF, 0xFF}, // wirePayload whose varint never ends
-		{2, 0xEE, 0x00},       // unregistered tag
-		{4, 0xF0, 2, 0, 9},    // trailing byte after a complete payload
-		{3, 0xF0, 2, 200},     // string longer than the frame
-		{0},                   // empty frame
+		{3, 0xF0, 0xFF, 0xFF},   // wirePayload whose varint never ends
+		{2, 0xEE, 0x00},         // unregistered tag
+		{5, 0x99, 1, 0, 1, 's'}, // the freed tag of the deleted exchange snapshot
+		{4, 0xF0, 2, 0, 9},      // trailing byte after a complete payload
+		{3, 0xF0, 2, 200},       // string longer than the frame
+		{0},                     // empty frame
 		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, // length overflows uint64
 	} {
 		before := memBefore()

@@ -19,7 +19,7 @@ func init() {
 	for _, v := range []any{
 		member.Heartbeat{}, member.Propose{}, member.Accept{}, member.Install{},
 		vsg.Data{}, vsg.Ordered{}, vsg.Ack{}, vsg.SafePoint{},
-		dvsg.WireBatch{}, dvsg.ExchangeMsg{}, netfab.GroupFrame{},
+		dvsg.WireBatch{}, netfab.GroupFrame{},
 	} {
 		netfab.RegisterWireType(v)
 	}
@@ -74,8 +74,8 @@ func equalPayload(a, b any) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// wireSamples covers all sixteen stack wire types and ExchangeMsg, nil and
-// empty collections both, a ProcSet-carrying View, and the deepest nesting
+// wireSamples covers all sixteen stack wire types, nil and empty
+// collections both, a ProcSet-carrying View, and the deepest nesting
 // the stack produces.
 func wireSamples() []any {
 	g := types.ViewID{Seq: 1 << 40, Origin: 3}
@@ -99,9 +99,8 @@ func wireSamples() []any {
 		label, summary, tocore.SummaryMsg{}, tocore.SummaryMsg{X: types.Summary{Con: types.Content{}, Ord: []types.Label{}}},
 		types.ClientMsg("hello"), types.ClientMsg(""),
 		batch, types.Batch{}, types.Batch{Msgs: []types.Msg{}}, types.Batch{Msgs: []types.Msg{types.Batch{Msgs: []types.Msg{batch}}}},
-		dvsg.WireBatch{Msgs: []types.Msg{batch, summary, dvscore.RegisteredMsg{}, dvsg.ExchangeMsg{ViewID: g, State: "s"}}},
+		dvsg.WireBatch{Msgs: []types.Msg{batch, summary, dvscore.RegisteredMsg{}}},
 		dvsg.WireBatch{}, dvsg.WireBatch{Msgs: []types.Msg{}},
-		dvsg.ExchangeMsg{ViewID: g, State: "snapshot"}, dvsg.ExchangeMsg{},
 		netfab.GroupFrame{G: 3, P: member.Heartbeat{}},
 		netfab.GroupFrame{G: 1, P: vsg.Data{ViewID: g, Payload: dvsg.WireBatch{Msgs: []types.Msg{batch, label}}}},
 	}
@@ -213,8 +212,6 @@ func size(v any) int {
 			n += size(m)
 		}
 		return n
-	case dvsg.ExchangeMsg:
-		return 1 + len(v.State)
 	case netfab.GroupFrame:
 		return 1 + size(v.P)
 	}
@@ -225,8 +222,14 @@ func size(v any) int {
 // error or a payload — never a panic, never more elements than the bytes
 // could encode — and whatever decodes is something the encoder writes.
 func FuzzDecodeFrame(f *testing.F) {
+	frames := [][]byte{ // what the deleted exchange snapshot encoded to: its tag, 0x99, is free
+		append(binary.AppendUvarint([]byte{0x99}, 1<<40), 6, 8, 's', 'n', 'a', 'p', 's', 'h', 'o', 't'),
+		{0x99, 0, 0, 0},
+	}
 	for _, x := range wireSamples() {
-		b := encode(f, x)
+		frames = append(frames, encode(f, x))
+	}
+	for _, b := range frames {
 		f.Add(b)
 		f.Add(b[:len(b)/2])
 		f.Add(b[:len(b)-1])

@@ -32,7 +32,7 @@ type Impl struct {
 	vs      *vsspec.VS
 	nodes   map[types.ProcID]*Node
 	//lint:fpignore symmetry group computed once from the initial state; identical (and immutable) across every state of one exploration
-	syms []types.Perm //lint:clonesafe the group is immutable and conjugation-closed, so clones share it by design
+	syms []types.Perm `ioa:"shared"`
 }
 
 var _ ioa.Automaton = (*Impl)(nil)

@@ -3,18 +3,16 @@ package dvscore
 import (
 	"fmt"
 
-	"repro/internal/quorum"
 	"repro/internal/types"
 )
 
 // StaticNode is the static-primary baseline the paper argues against
 // (Section 1), as the second implementation of Filter: it accepts a view as
 // primary exactly when it contains a strict majority of the *static*
-// universe P0 (or, more generally, a quorum of a fixed quorum system). No
-// information exchange, registration, or garbage collection is needed — and
-// none is possible: when the active population drifts away from P0, no
-// primary can ever form again, which is precisely the availability gap
-// experiment E4 measures.
+// universe P0. No information exchange, registration, or garbage
+// collection is needed — and none is possible: when the active population
+// drifts away from P0, no primary can ever form again, which is precisely
+// the availability gap experiment E4 measures.
 //
 // It lives beside Node because Filter's transitions are unexported: the
 // runtime shell (internal/dvsg) drives it through Step and consumes its
@@ -23,7 +21,7 @@ import (
 // runs through this exact code.
 type StaticNode struct {
 	p  types.ProcID
-	qs quorum.System
+	p0 types.ProcSet
 
 	cur         types.View
 	curOK       bool
@@ -35,12 +33,12 @@ type StaticNode struct {
 	safeFromVS map[types.ViewID][]MsgFrom
 }
 
-// NewStaticNode builds the filter. qs decides primacy (typically
-// quorum.Majority(P0)); inP0 states whether p belongs to the initial view.
-func NewStaticNode(p types.ProcID, initial types.View, inP0 bool, qs quorum.System) *StaticNode {
+// NewStaticNode builds the filter over P0 = initial.Members; inP0 states
+// whether p belongs to the initial view.
+func NewStaticNode(p types.ProcID, initial types.View, inP0 bool) *StaticNode {
 	n := &StaticNode{
 		p:          p,
-		qs:         qs,
+		p0:         initial.Members.Clone(),
 		msgsToVS:   make(map[types.ViewID][]types.Msg),
 		msgsFromVS: make(map[types.ViewID][]MsgFrom),
 		safeFromVS: make(map[types.ViewID][]MsgFrom),
@@ -109,7 +107,7 @@ func (n *StaticNode) dvsNewViewEnabled() (types.View, bool) {
 	if n.clientCurOK && !n.clientCur.ID.Less(v.ID) {
 		return types.View{}, false
 	}
-	if !n.qs.IsQuorum(v.Members) {
+	if !n.Quorum(v.Members) {
 		return types.View{}, false
 	}
 	return v.Clone(), true
@@ -157,7 +155,7 @@ func (n *StaticNode) ClientCur() (types.View, bool) { return n.clientCur, n.clie
 // Amb returns nothing: the static filter has no ambiguous views.
 func (n *StaticNode) Amb() []types.View { return nil }
 
-// Quorum reports whether s is accepted as primary-forming by this node's
-// fixed quorum system; the conformance replayer uses it to check that every
-// announced static primary really was a quorum of P0.
-func (n *StaticNode) Quorum(s types.ProcSet) bool { return n.qs.IsQuorum(s) }
+// Quorum reports whether s holds a strict majority of P0; the conformance
+// replayer uses it to check that every announced static primary really was
+// one.
+func (n *StaticNode) Quorum(s types.ProcSet) bool { return s.MajorityOf(n.p0) }

@@ -1,18 +1,67 @@
 package dvscore
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
-	"repro/internal/quorum"
 	"repro/internal/types"
 )
 
 func newStatic(t *testing.T) (*StaticNode, types.View) {
 	t.Helper()
 	v0 := types.InitialView(types.NewProcSet(0, 1, 2))
-	qs := quorum.Majority(v0.Members)
-	return NewStaticNode(0, v0, true, qs), v0
+	return NewStaticNode(0, v0, true), v0
+}
+
+// TestStaticQuorumMajority pins the static rule: a quorum is a strict
+// majority of P0, and members outside P0 do not count.
+func TestStaticQuorumMajority(t *testing.T) {
+	p0 := types.RangeProcSet(5)
+	n := NewStaticNode(0, types.InitialView(p0), true)
+	if n.Quorum(types.NewProcSet(0, 1)) {
+		t.Error("2 of 5 accepted")
+	}
+	if !n.Quorum(types.NewProcSet(0, 1, 2)) {
+		t.Error("3 of 5 rejected")
+	}
+	if n.Quorum(types.NewProcSet(7, 8, 9)) {
+		t.Error("foreign members counted")
+	}
+	if n.Quorum(types.NewProcSet(0, 7, 8, 9)) {
+		t.Error("foreign members counted towards a P0 member")
+	}
+}
+
+// TestStaticQuorumEvenP0 pins that half of an even P0 is not a quorum.
+func TestStaticQuorumEvenP0(t *testing.T) {
+	n := NewStaticNode(0, types.InitialView(types.RangeProcSet(4)), true)
+	if n.Quorum(types.NewProcSet(0, 1)) {
+		t.Error("half is not a strict majority")
+	}
+	if !n.Quorum(types.NewProcSet(0, 1, 2)) {
+		t.Error("3 of 4 rejected")
+	}
+}
+
+// TestStaticQuorumIntersection pins that any two static quorums intersect.
+func TestStaticQuorumIntersection(t *testing.T) {
+	u := types.RangeProcSet(7)
+	n := NewStaticNode(0, types.InitialView(u), true)
+	rng := rand.New(rand.NewSource(1))
+	var quorums []types.ProcSet
+	for len(quorums) < 50 {
+		if s := types.RandomSubset(rng, u.Sorted()); n.Quorum(s) {
+			quorums = append(quorums, s)
+		}
+	}
+	for i := range quorums {
+		for j := i + 1; j < len(quorums); j++ {
+			if !quorums[i].Intersects(quorums[j]) {
+				t.Fatalf("quorums %s and %s disjoint", quorums[i], quorums[j])
+			}
+		}
+	}
 }
 
 func TestStaticAcceptsMajorityOfP0(t *testing.T) {
@@ -105,7 +154,7 @@ func TestStaticNewViewMonotone(t *testing.T) {
 
 func TestStaticOutsiderStartsBottom(t *testing.T) {
 	v0 := types.InitialView(types.NewProcSet(0, 1, 2))
-	n := NewStaticNode(4, v0, false, quorum.Majority(v0.Members))
+	n := NewStaticNode(4, v0, false)
 	if _, ok := n.ClientCur(); ok {
 		t.Error("outsider must start at ⊥")
 	}

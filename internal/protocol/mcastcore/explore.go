@@ -42,7 +42,7 @@ type System struct {
 	groups []types.GroupID
 	// menu lists the destination sets submissions draw from.
 	//lint:fpignore fixed at construction; identical across every state of one exploration
-	menu [][]types.GroupID //lint:clonesafe built once, never mutated; clones share it by design
+	menu [][]types.GroupID `ioa:"shared"`
 	//lint:fpignore fixed at construction; identical across every state of one exploration
 	maxMsgs   int
 	nodes     map[types.ProcID]*Node
@@ -257,6 +257,9 @@ func (s *System) Clone() ioa.Automaton {
 	}
 	for g, log := range s.logs {
 		c.logs[g] = append([]logItem(nil), log...)
+		for i := range log {
+			c.logs[g][i].dests = append([]types.GroupID(nil), log[i].dests...)
+		}
 	}
 	for p, cur := range s.cursor {
 		cc := make(map[types.GroupID]int, len(cur))

@@ -76,7 +76,7 @@ type Impl struct {
 	// has dropped, which the node itself knows only by count and digest.
 	dropped map[types.ProcID][]types.Label
 	//lint:fpignore symmetry group computed once from the initial state; identical (and immutable) across every state of one exploration
-	syms []types.Perm //lint:clonesafe the group is immutable and conjugation-closed, so clones share it by design
+	syms []types.Perm `ioa:"shared"`
 }
 
 var _ ioa.Automaton = (*Impl)(nil)

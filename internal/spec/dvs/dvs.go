@@ -147,7 +147,7 @@ type DVS struct {
 	//lint:fpignore mode flag fixed at construction, never toggled by a transition
 	drained bool // amended + view-synchronous drain on newview
 	//lint:fpignore symmetry group computed once from the initial state; identical (and immutable) across every state of one exploration
-	syms []types.Perm //lint:clonesafe the group is immutable and conjugation-closed, so clones share it by design
+	syms []types.Perm `ioa:"shared"`
 }
 
 var _ ioa.Automaton = (*DVS)(nil)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dvsg"
 	"repro/internal/protocol/dvscore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/types"
@@ -72,9 +71,9 @@ func (g *msgGen) summary() types.Summary {
 }
 
 func (g *msgGen) msg(depth int) types.Msg {
-	kinds := 7
+	kinds := 6
 	if depth >= 2 {
-		kinds = 6 // no Batch below two levels of nesting
+		kinds = 5 // no Batch below two levels of nesting
 	}
 	switch g.shape.Intn(kinds) {
 	case 0:
@@ -94,8 +93,6 @@ func (g *msgGen) msg(depth int) types.Msg {
 		return tocore.LabelMsg{L: g.label(), A: g.payload()}
 	case 4:
 		return tocore.SummaryMsg{X: g.summary()}
-	case 5:
-		return dvsg.ExchangeMsg{ViewID: g.viewID(), State: g.payload()}
 	default:
 		var b types.Batch
 		if n, isNil := g.count(3); n > 0 || !isNil {

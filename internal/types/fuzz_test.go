@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzPrefixLaws checks the partial-order laws of ≤ on byte sequences and
-// the lub definition of Section 2 against arbitrary inputs.
+// the consistency definition of Section 2 against arbitrary inputs.
 func FuzzPrefixLaws(f *testing.F) {
 	f.Add([]byte("abc"), []byte("abcd"))
 	f.Add([]byte{}, []byte{1})
@@ -21,17 +21,9 @@ func FuzzPrefixLaws(f *testing.F) {
 		if !IsPrefix(p, a) || !IsPrefix(p, b) {
 			t.Fatal("common prefix not a prefix")
 		}
-		// LUB succeeds iff consistent, and is the longer sequence.
-		lub, ok := LUB(a, b)
-		consistent := IsPrefix(a, b) || IsPrefix(b, a)
-		if ok != consistent {
-			t.Fatalf("LUB ok=%v but consistent=%v", ok, consistent)
-		}
-		if ok && !IsPrefix(a, lub) {
-			t.Fatal("a not below lub")
-		}
-		if ok && len(lub) != max(len(a), len(b)) {
-			t.Fatal("lub not minimal")
+		// Two sequences are consistent iff one is a prefix of the other.
+		if Consistent(a, b) != (IsPrefix(a, b) || IsPrefix(b, a)) {
+			t.Fatal("consistency is not comparability under ≤")
 		}
 	})
 }

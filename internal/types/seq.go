@@ -29,26 +29,6 @@ func Consistent[T comparable](seqs ...[]T) bool {
 	return true
 }
 
-// LUB returns the least upper bound of a consistent collection of sequences:
-// the minimum sequence b with a ≤ b for every a. The second result is false
-// if the collection is not consistent. LUB of the empty collection is λ.
-func LUB[T comparable](seqs ...[]T) ([]T, bool) {
-	var longest []T
-	for _, s := range seqs {
-		if len(s) > len(longest) {
-			longest = s
-		}
-	}
-	for _, s := range seqs {
-		if !IsPrefix(s, longest) {
-			return nil, false
-		}
-	}
-	out := make([]T, len(longest))
-	copy(out, longest)
-	return out, true
-}
-
 // CommonPrefix returns the longest sequence that is a prefix of both a and b.
 func CommonPrefix[T comparable](a, b []T) []T {
 	n := len(a)
@@ -62,23 +42,6 @@ func CommonPrefix[T comparable](a, b []T) []T {
 	out := make([]T, i)
 	copy(out, a[:i])
 	return out
-}
-
-// ApplyToAll maps f over a, per the paper's applytoall(f, a).
-func ApplyToAll[S, T any](f func(S) T, a []S) []T {
-	out := make([]T, len(a))
-	for i, x := range a {
-		out[i] = f(x)
-	}
-	return out
-}
-
-// Head returns the first element of a nonempty sequence; ok is false for λ.
-func Head[T any](a []T) (head T, ok bool) {
-	if len(a) == 0 {
-		return head, false
-	}
-	return a[0], true
 }
 
 // CloneSeq returns an independent copy of a. The clone of λ is a non-nil

@@ -54,33 +54,6 @@ func TestConsistent(t *testing.T) {
 	}
 }
 
-func TestLUB(t *testing.T) {
-	lub, ok := LUB([]int{1}, []int{1, 2, 3}, []int{1, 2})
-	if !ok || len(lub) != 3 || lub[2] != 3 {
-		t.Errorf("LUB = %v, %v", lub, ok)
-	}
-	if _, ok := LUB([]int{1}, []int{2}); ok {
-		t.Error("LUB of inconsistent collection should fail")
-	}
-	lub, ok = LUB[int]()
-	if !ok || len(lub) != 0 {
-		t.Error("LUB of empty collection is λ")
-	}
-}
-
-func TestLUBProperty(t *testing.T) {
-	// For any sequence s and cut points, the prefixes' LUB is the longest
-	// prefix.
-	f := func(s []byte, i, j uint8) bool {
-		ci, cj := int(i)%(len(s)+1), int(j)%(len(s)+1)
-		lub, ok := LUB(s[:ci], s[:cj], s)
-		return ok && string(lub) == string(s)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCommonPrefix(t *testing.T) {
 	got := CommonPrefix([]int{1, 2, 3}, []int{1, 2, 9, 9})
 	if len(got) != 2 || got[1] != 2 {
@@ -105,23 +78,6 @@ func TestCommonPrefixProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestApplyToAll(t *testing.T) {
-	got := ApplyToAll(func(x int) int { return x * 2 }, []int{1, 2, 3})
-	if len(got) != 3 || got[2] != 6 {
-		t.Errorf("ApplyToAll = %v", got)
-	}
-}
-
-func TestHead(t *testing.T) {
-	if _, ok := Head([]int{}); ok {
-		t.Error("Head of λ should fail")
-	}
-	h, ok := Head([]int{7, 8})
-	if !ok || h != 7 {
-		t.Errorf("Head = %v, %v", h, ok)
 	}
 }
 

@@ -249,18 +249,3 @@ func SortViews(vs []View) {
 		return 0
 	})
 }
-
-// MaxView returns the view with the greatest identifier in vs, and false if
-// vs is empty.
-func MaxView(vs []View) (View, bool) {
-	if len(vs) == 0 {
-		return View{}, false
-	}
-	best := vs[0]
-	for _, v := range vs[1:] {
-		if best.ID.Less(v.ID) {
-			best = v
-		}
-	}
-	return best, true
-}

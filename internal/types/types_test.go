@@ -219,7 +219,7 @@ func TestInitialView(t *testing.T) {
 	}
 }
 
-func TestSortViewsAndMaxView(t *testing.T) {
+func TestSortViews(t *testing.T) {
 	vs := []View{
 		NewView(ViewID{3, 0}, 0),
 		NewView(ViewID{1, 1}, 1),
@@ -228,13 +228,6 @@ func TestSortViewsAndMaxView(t *testing.T) {
 	SortViews(vs)
 	if vs[0].ID != (ViewID{1, 0}) || vs[2].ID != (ViewID{3, 0}) {
 		t.Errorf("SortViews = %v", vs)
-	}
-	m, ok := MaxView(vs)
-	if !ok || m.ID != (ViewID{3, 0}) {
-		t.Errorf("MaxView = %v, %v", m, ok)
-	}
-	if _, ok := MaxView(nil); ok {
-		t.Error("MaxView of empty should be false")
 	}
 }
 

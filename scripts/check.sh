@@ -313,9 +313,8 @@ fuzz_guard() {
 }
 
 # loc_guard holds internal/conform, internal/lint, the root package and the
-# tree to measured non-test line counts, and the //lint: escape directives
-# outside internal/lint to a measured number (scripts/loc.sh prints every
-# row). conform is where this tree accretes — three recorders, four
+# tree to measured non-test line counts, and the exemptions and DESIGN.md's
+# lines to measured numbers (scripts/loc.sh prints every row). conform is where this tree accretes — three recorders, four
 # replayers and four encodings of one record before PR 16 — so growing it
 # again has to be a decision: raise the ceiling in the same change and say
 # in CHANGES.md what the lines buy. Its ceiling fell from 2,670 to what
@@ -345,9 +344,15 @@ fuzz_guard() {
 # internal/types (+65), vsg's log windows (+30), the gauges in tob (+22);
 # conform rose by 7 (2,295 → 2,302: EvUniverse's two codec cases and the
 # local checks' bases). The root package and the directives did not move.
+# The exploration audit then took over clonecomplete's and permcomplete's
+# work (internal/lint 2,248 → 1,871), and dvsg's exchange layer,
+# internal/quorum and four unused sequence helpers went. The escape row
+# became `exemptions`: the //lint: directives plus the ioa:"shared" tags
+# that replaced the four //lint:clonesafe ones. DESIGN.md has a row too,
+# the ROADMAP's standing rule that documents only shrink.
 loc_guard() {
 	counts="$(sh scripts/loc.sh)"
-	for row in internal/conform:2302 internal/lint:2248 .:1684 total:24027 lint-directives:29; do
+	for row in internal/conform:2298 internal/lint:1871 .:1682 total:23470 exemptions:29 DESIGN.md:1432; do
 		name=${row%%:*}
 		ceiling=${row##*:}
 		got=$(printf '%s\n' "$counts" | awk -v n="$name" '$2 == n { print $1 }')
@@ -366,9 +371,9 @@ loc_guard() {
 # lintgate_guard is the negative half of the lint gate: dvslint over the
 # seeded-bad-edit module must exit 1 (diagnostics reported) with at least
 # one finding from each analyzer the fixtures are seeded for. Exit 0 means
-# the effectcomplete/shellsafe/keyequal/clonecomplete analyzers stopped
-# protecting the effect switches, the step loop, the cores' head checks and
-# the TO core's history; exit 2 means the fixtures no longer even load. (A
+# the effectcomplete/shellsafe/keyequal analyzers stopped protecting the
+# effect switches, the step loop and the cores' head checks; exit 2 means
+# the fixtures no longer even load. (A
 # shell calling a core transition directly is not seeded: the transitions
 # are unexported, so the compiler refuses it.)
 lintgate_guard() {
@@ -379,7 +384,7 @@ lintgate_guard() {
 		echo "$out" >&2
 		exit 1
 	fi
-	for a in effectcomplete shellsafe keyequal clonecomplete; do
+	for a in effectcomplete shellsafe keyequal; do
 		if ! printf '%s\n' "$out" | grep -q ": $a: "; then
 			echo "check.sh: dvslint reported nothing from $a on internal/lint/badedit — that analyzer's seeded bad edit now passes" >&2
 			exit 1

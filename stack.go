@@ -10,7 +10,6 @@ import (
 	"repro/internal/mcast"
 	netfab "repro/internal/net"
 	"repro/internal/protocol/dvscore"
-	"repro/internal/quorum"
 	"repro/internal/shard"
 	"repro/internal/tob"
 	"repro/internal/types"
@@ -68,7 +67,7 @@ func buildStack(sc stackConfig) (*stack, error) {
 	static := sc.mode == ModeStatic
 	var filter dvsg.Filter
 	if static {
-		filter = dvscore.NewStaticNode(sc.self, sc.initial, sc.initial.Contains(sc.self), quorum.Majority(sc.initial.Members))
+		filter = dvscore.NewStaticNode(sc.self, sc.initial, sc.initial.Contains(sc.self))
 	} else {
 		filter = dvscore.NewNode(sc.self, sc.initial, sc.initial.Contains(sc.self))
 	}

@@ -53,11 +53,7 @@ func TestChaosTCPFaultSoak(t *testing.T) {
 	plan.SetReorder(0.1, 5*time.Millisecond)
 	faults := make([]*netfab.FaultTransport, n)
 
-	base := 39700
-	addrs := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", base+i)
-	}
+	addrs := loopbackAddrs(t, n)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		peers := make(map[int]string, n-1)

@@ -18,15 +18,14 @@ import (
 
 // registerWireTypes registers every payload type the stack puts on the
 // wire, so the TCP transport can decode them. GroupFrame is the sharded
-// mode's group tag wrapping every other payload; ExchangeMsg is what a
-// dvsg.ExchangeLayer application sends.
+// mode's group tag wrapping every other payload.
 func registerWireTypes() {
 	for _, v := range []any{
 		member.Heartbeat{}, member.Propose{}, member.Accept{}, member.Install{},
 		vsg.Data{}, vsg.Ordered{}, vsg.Ack{}, vsg.SafePoint{},
 		dvscore.InfoMsg{}, dvscore.RegisteredMsg{},
 		tocore.LabelMsg{}, tocore.SummaryMsg{},
-		types.ClientMsg(""), types.Batch{}, dvsg.WireBatch{}, dvsg.ExchangeMsg{},
+		types.ClientMsg(""), types.Batch{}, dvsg.WireBatch{},
 		netfab.GroupFrame{},
 	} {
 		netfab.RegisterWireType(v)

@@ -12,20 +12,30 @@ import (
 	"repro/internal/types"
 )
 
+// loopbackAddrs reserves n distinct loopback ports by binding them all and
+// then releasing them: every node needs its peers' addresses before any of
+// them starts, and ports the kernel picks do not collide with other tests or
+// processes on the host the way fixed ones can.
+func loopbackAddrs(t *testing.T, n int) map[int]string {
+	t.Helper()
+	addrs := make(map[int]string, n)
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("reserving a loopback port: %v", err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs
+}
+
 // startTCPGroup launches n standalone nodes over real localhost TCP.
 func startTCPGroup(t *testing.T, n int, mode Mode) []*Node {
 	t.Helper()
 	// First pass: bind listeners on ephemeral ports.
 	nodes := make([]*Node, n)
-	addrs := make(map[int]string, n)
-	// Start node 0..n-1 with the addresses discovered incrementally: we
-	// must know every address before starting, so bind in two phases using
-	// ":0" and a placeholder peer map, which we fill by restarting. To keep
-	// it simple and deterministic, bind explicit ports instead.
-	base := 39200 + n*17
-	for i := 0; i < n; i++ {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", base+i)
-	}
+	addrs := loopbackAddrs(t, n)
 	for i := 0; i < n; i++ {
 		peers := make(map[int]string, n-1)
 		for j := 0; j < n; j++ {
@@ -88,11 +98,7 @@ func TestTCPNodesDeliverTotalOrder(t *testing.T) {
 
 func TestTCPNodesShardedDeliverPerGroup(t *testing.T) {
 	const n, groups = 3, 2
-	base := 39600
-	addrs := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", base+i)
-	}
+	addrs := loopbackAddrs(t, n)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		peers := make(map[int]string, n-1)
