@@ -15,10 +15,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: fingerprint/clone completeness, model
-# determinism, shared-view mutation, fingerprint ordering, and what
-# visibility cannot hold of the macro-step boundary (effectcomplete,
-# shellsafe; DESIGN.md §6.9).
+# Project-specific static analysis: fingerprint completeness, model
+# determinism, fingerprint ordering, message comparison in the cores, and
+# what visibility cannot hold of the macro-step boundary (shellsafe;
+# DESIGN.md §6.9).
 lint:
 	$(GO) run ./cmd/dvslint ./...
 

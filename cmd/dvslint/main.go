@@ -1,9 +1,9 @@
 // Command dvslint runs the project's domain-specific static-analysis suite
 // (internal/lint) over the given package patterns and reports every
 // violation of the automaton and shell discipline: fingerprint
-// completeness, model determinism, read-only Shared views, canonical
-// fingerprint iteration order, total effect switches, run-to-completion
-// around Step and structural message comparison. See DESIGN.md §6.4.
+// completeness, model determinism, canonical fingerprint iteration order,
+// run-to-completion around Step and structural message comparison. See
+// DESIGN.md §6.4.
 //
 // Usage:
 //

@@ -191,6 +191,7 @@ func genChunk(rng *rand.Rand) streamChunk {
 		for _, ev := range []tocore.Event{
 			tocore.EvBroadcast{A: genString(rng)}, tocore.EvNewView{View: genView(rng)},
 			tocore.EvRecv{M: m(), From: p()}, tocore.EvSafe{M: m(), From: p()},
+			tocore.EvUniverse{Set: genView(rng).Members},
 		} {
 			part.TO = append(part.TO, TORecord{Ev: ev, Fx: toFx()})
 		}

@@ -6,9 +6,7 @@ func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		Fpcomplete(),
 		Modelpure(DefaultModelpureConfig()),
-		Sharedmut(),
 		Fporder(),
-		Effectcomplete(DefaultEffectcompleteConfig()),
 		Shellsafe(DefaultShellsafeConfig()),
 		Keyequal("/internal/protocol/", "/internal/spec/"),
 	}

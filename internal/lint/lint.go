@@ -41,12 +41,10 @@ type directive struct {
 // knownDirectives is the closed set of escape hatches; anything else spelled
 // //lint: is reported as malformed so typos cannot silently disable a check.
 var knownDirectives = map[string]bool{
-	"fpignore":       true, // fpcomplete: field is derived/config, not state
-	"impure":         true, // modelpure: nondeterminism is deliberate here
-	"sharedwrite":    true, // sharedmut: write through a Shared view is intended
-	"fporder":        true, // fporder: iteration order provably cannot leak
-	"effectcomplete": true, // effectcomplete: partial union switch is intended
-	"shellsafe":      true, // shellsafe: concurrency around the step loop is audited
+	"fpignore":  true, // fpcomplete: field is derived/config, not state
+	"impure":    true, // modelpure: nondeterminism is deliberate here
+	"fporder":   true, // fporder: iteration order provably cannot leak
+	"shellsafe": true, // shellsafe: concurrency around the step loop is audited
 }
 
 // Pass carries one package through one analyzer.
@@ -282,42 +280,4 @@ func stateTypeName(t types.Type) string {
 		return ""
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// lookupInterface resolves a qualified interface name ("path.Name") through
-// the package's transitive imports. Returns nil when the package cannot
-// even see the interface's package — then nothing in it can be checked
-// against the seam, and nothing needs to be.
-func lookupInterface(pkg *types.Package, qname string) *types.Interface {
-	i := strings.LastIndex(qname, ".")
-	if i < 0 {
-		return nil
-	}
-	dep := findImport(pkg, qname[:i], make(map[string]bool))
-	if dep == nil {
-		return nil
-	}
-	obj, ok := dep.Scope().Lookup(qname[i+1:]).(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	it, _ := obj.Type().Underlying().(*types.Interface)
-	return it
-}
-
-// findImport walks the transitive imports of pkg for the given path.
-func findImport(pkg *types.Package, path string, seen map[string]bool) *types.Package {
-	if pkg.Path() == path {
-		return pkg
-	}
-	if seen[pkg.Path()] {
-		return nil
-	}
-	seen[pkg.Path()] = true
-	for _, dep := range pkg.Imports() {
-		if found := findImport(dep, path, seen); found != nil {
-			return found
-		}
-	}
-	return nil
 }

@@ -1,10 +1,11 @@
 // Package lint is a domain-specific static-analysis suite that
 // machine-enforces the automaton and shell discipline the checker's
-// soundness rests on: fingerprint completeness, model determinism, read-only
-// use of zero-clone Shared accessors, canonical iteration order on the
-// fingerprint path, total effect switches, run-to-completion around Step and
+// soundness rests on: fingerprint completeness, model determinism, canonical
+// iteration order on the fingerprint path, run-to-completion around Step and
 // structural message comparison (DESIGN.md §6.4). Clones and permutations
-// are checked by the exploration audit (ioa.ExploreConfig.AuditFingerprints).
+// are checked by the exploration audit (ioa.ExploreConfig.AuditFingerprints);
+// effects and writes through Shared views by the conformance replay and the
+// tests.
 //
 // The suite is deliberately self-contained: it drives `go list -export` for
 // package metadata and export data and type-checks target packages from

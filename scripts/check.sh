@@ -314,45 +314,16 @@ fuzz_guard() {
 
 # loc_guard holds internal/conform, internal/lint, the root package and the
 # tree to measured non-test line counts, and the exemptions and DESIGN.md's
-# lines to measured numbers (scripts/loc.sh prints every row). conform is where this tree accretes — three recorders, four
-# replayers and four encodings of one record before PR 16 — so growing it
-# again has to be a decision: raise the ceiling in the same change and say
-# in CHANGES.md what the lines buy. Its ceiling fell from 2,670 to what
-# PR 18 left when the primitives and the message union moved to
-# internal/wire. The root package (`.`) is where runtimes accrete — the
-# process assembly was written three times there before PR 19 made it
-# buildProc — and is held at what that PR left, 1,711 → 1,673. The tree's
-# ceiling rose once, by PR 17's measured net of +226 (the TO core's dense
-# history and its bad-edit lint fixture), PR 18 kept it, PR 19 lowered it
-# from 24,250 to 24,096, and PR 20 to 23,582 when DVS-IMPL and TO-IMPL
-# moved beside their cores and the transitions went unexported: the
-# corestep analyzer (internal/lint 2,492 → 2,248, held from here on: an
-# analyzer is code that needs its own tests and fixtures, so a new one says
-# what it replaces), its 31 audited escapes (59 → 28 directives; each one
-# left is a field an analyzer was told to skip, and a new one is a review
-# point), the alias packages and three copies of the symmetry hooks went.
-# PR 21 made the in-process checker a mode of the stream recorder: conform
-# 2,334 → 2,295 and the tree → 23,554 (the second re-stepping path and its
-# two knobs went; the counters' Add, the bounded findings and Stalls came);
-# the root package rose to 1,684 for Node.CheckStats summing over a node's
-# groups and proc.stop closing the checkers; and the directives rose by the
-# one review point that change is: the recorder's writer goroutine, which
-# for a checker steps the replay engine's shadow cores (stream.go). PR 22
-# bounded the history and raised the tree by its measured net, 23,554 →
-# 24,027: truncation in the TO core, its history variable and invariant
-# (internal/protocol/tocore +341), suffixes and their alignment in
-# internal/types (+65), vsg's log windows (+30), the gauges in tob (+22);
-# conform rose by 7 (2,295 → 2,302: EvUniverse's two codec cases and the
-# local checks' bases). The root package and the directives did not move.
-# The exploration audit then took over clonecomplete's and permcomplete's
-# work (internal/lint 2,248 → 1,871), and dvsg's exchange layer,
-# internal/quorum and four unused sequence helpers went. The escape row
-# became `exemptions`: the //lint: directives plus the ioa:"shared" tags
-# that replaced the four //lint:clonesafe ones. DESIGN.md has a row too,
-# the ROADMAP's standing rule that documents only shrink.
+# lines to measured numbers (scripts/loc.sh prints every row). Each ceiling
+# is where the tree stands, so an addition deletes something or raises the
+# ceiling in the same change and says in CHANGES.md what the lines buy.
+# conform is where recorders and replayers accrete, the root package where
+# runtimes do, internal/lint where analyzers do (a new one says what it
+# replaces); each exemption is a place a check was told to accept, and
+# DESIGN.md only shrinks. CHANGES.md has each ceiling's history.
 loc_guard() {
 	counts="$(sh scripts/loc.sh)"
-	for row in internal/conform:2298 internal/lint:1871 .:1682 total:23470 exemptions:29 DESIGN.md:1432; do
+	for row in internal/conform:2298 internal/lint:1321 .:1682 total:22840 exemptions:29 DESIGN.md:1396; do
 		name=${row%%:*}
 		ceiling=${row##*:}
 		got=$(printf '%s\n' "$counts" | awk -v n="$name" '$2 == n { print $1 }')
@@ -371,9 +342,8 @@ loc_guard() {
 # lintgate_guard is the negative half of the lint gate: dvslint over the
 # seeded-bad-edit module must exit 1 (diagnostics reported) with at least
 # one finding from each analyzer the fixtures are seeded for. Exit 0 means
-# the effectcomplete/shellsafe/keyequal analyzers stopped protecting the
-# effect switches, the step loop and the cores' head checks; exit 2 means
-# the fixtures no longer even load. (A
+# the shellsafe/keyequal analyzers stopped protecting the step loop and the
+# cores' head checks; exit 2 means the fixtures no longer even load. (A
 # shell calling a core transition directly is not seeded: the transitions
 # are unexported, so the compiler refuses it.)
 lintgate_guard() {
@@ -384,7 +354,7 @@ lintgate_guard() {
 		echo "$out" >&2
 		exit 1
 	fi
-	for a in effectcomplete shellsafe keyequal; do
+	for a in shellsafe keyequal; do
 		if ! printf '%s\n' "$out" | grep -q ": $a: "; then
 			echo "check.sh: dvslint reported nothing from $a on internal/lint/badedit — that analyzer's seeded bad edit now passes" >&2
 			exit 1
