@@ -600,7 +600,7 @@ func startSegWriter(dir string, check *checker, hook func(seq int)) *segWriter {
 		free:  make(chan *chunkJob, 2),
 		done:  make(chan struct{}),
 	}
-	//lint:shellsafe the only cores this goroutine can reach are an in-process checker's shadows, built by the replay engine from NodeMeta and stepped by no one else; it is handed encoded bytes, never a live core or record
+	// Handed encoded bytes, never a live core or record; a checker steps only its own shadow cores.
 	go w.run()
 	return w
 }

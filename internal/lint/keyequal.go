@@ -23,9 +23,6 @@ var renderMethods = map[string]bool{"MsgKey": true, "String": true, "key": true}
 // cores and the specs they are checked against compare with EqualMsg/Equal.
 // There is no escape directive: nothing in scope needs to compare two
 // renderings.
-//
-// The scope is path segments rather than prefixes so that the bad-edit
-// module's own internal/protocol/ tree is governed like the real one.
 func Keyequal(segments ...string) *Analyzer {
 	a := &Analyzer{
 		Name: "keyequal",

@@ -41,10 +41,8 @@ type directive struct {
 // knownDirectives is the closed set of escape hatches; anything else spelled
 // //lint: is reported as malformed so typos cannot silently disable a check.
 var knownDirectives = map[string]bool{
-	"fpignore":  true, // fpcomplete: field is derived/config, not state
-	"impure":    true, // modelpure: nondeterminism is deliberate here
-	"fporder":   true, // fporder: iteration order provably cannot leak
-	"shellsafe": true, // shellsafe: concurrency around the step loop is audited
+	"fpignore": true, // fpcomplete: field is derived/config, not state
+	"fporder":  true, // fporder: iteration order provably cannot leak
 }
 
 // Pass carries one package through one analyzer.
@@ -262,22 +260,4 @@ func receiverType(info *types.Info, fd *ast.FuncDecl) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
-}
-
-// stateTypeName returns the qualified name of t's pointer-stripped named
-// type ("path.Name"), or "" if t is not named.
-func stateTypeName(t types.Type) string {
-	t = types.Unalias(t)
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(ptr.Elem())
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return ""
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
 }

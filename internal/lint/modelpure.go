@@ -17,11 +17,6 @@ type ModelpureConfig struct {
 	// files inside pure packages that may read the wall clock: the check
 	// reports' timing fields, which never feed transitions or fingerprints.
 	AllowTimeFiles []string
-	// GlobalRandEverywhere extends the global-math/rand ban to every package
-	// analyzed, not just the pure ones: all randomness in the module (jitter,
-	// loss, latency) must flow from seeded per-instance RNGs so that runs
-	// are reproducible from their seeds.
-	GlobalRandEverywhere bool
 }
 
 // bannedTime / bannedOS are the nondeterminism sources forbidden in pure
@@ -30,9 +25,11 @@ var bannedTime = map[string]bool{"Now": true, "Since": true, "Until": true}
 var bannedOS = map[string]bool{"Getenv": true, "LookupEnv": true, "Environ": true, "ExpandEnv": true}
 
 // allowedGlobalRand are the only package-level math/rand identifiers usable
-// anywhere: constructors for seeded per-instance generators and the types
-// themselves. Everything else (rand.Intn, rand.Shuffle, rand.Read, ...)
-// draws from the process-global source and breaks seed reproduction.
+// in any package, pure or not: constructors for seeded per-instance
+// generators and the types themselves. Everything else (rand.Intn,
+// rand.Shuffle, rand.Read, ...) draws from the process-global source and
+// breaks seed reproduction; all randomness in the module (jitter, loss,
+// latency) flows from seeded per-instance RNGs.
 var allowedGlobalRand = map[string]bool{
 	"New":       true,
 	"NewSource": true,
@@ -43,18 +40,12 @@ var allowedGlobalRand = map[string]bool{
 	"Zipf":      true,
 }
 
-// pureReceiverMethods are the ioa.Symmetric hooks whose contract forbids
-// mutating the receiver: Canonicalize runs on states already admitted to
-// the seen-set, and Orbit runs on states mid-audit, so an in-place tweak
-// corrupts the exploration behind the deduplicator's back.
-var pureReceiverMethods = map[string]bool{"Canonicalize": true, "Orbit": true}
-
-// Modelpure returns the modelpure analyzer for the given scope. Escapes:
-// //lint:impure <reason> on the offending line.
+// Modelpure returns the modelpure analyzer for the given scope. There is no
+// escape directive.
 func Modelpure(cfg ModelpureConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "modelpure",
-		Doc:  "model code must be deterministic: no time.Now/os.Getenv/global math/rand, and Canonicalize/Orbit must not mutate their receiver (escape: //lint:impure)",
+		Doc:  "model code must be deterministic: no time.Now/os.Getenv, and no global math/rand anywhere (no escape)",
 	}
 	a.Run = func(pass *Pass) {
 		pure := false
@@ -63,9 +54,6 @@ func Modelpure(cfg ModelpureConfig) *Analyzer {
 				pure = true
 				break
 			}
-		}
-		if !pure && !cfg.GlobalRandEverywhere {
-			return
 		}
 		for _, f := range pass.Files {
 			filename := pass.Fset.Position(f.Pos()).Filename
@@ -89,133 +77,29 @@ func Modelpure(cfg ModelpureConfig) *Analyzer {
 				if !ok {
 					return true
 				}
-				if pass.Escaped(sel.Pos(), "impure") {
-					return true
-				}
 				name := sel.Sel.Name
 				switch pkgName.Imported().Path() {
 				case "time":
 					if pure && !timeAllowed && bannedTime[name] {
 						pass.Reportf(sel.Pos(),
-							"time.%s in model code: transitions must be deterministic for seed replay (move timing to the report layer or annotate //lint:impure <reason>)", name)
+							"time.%s in model code: transitions must be deterministic for seed replay (move timing to the report layer)", name)
 					}
 				case "os":
 					if pure && bannedOS[name] {
 						pass.Reportf(sel.Pos(),
-							"os.%s in model code: environment reads make runs irreproducible (plumb configuration explicitly or annotate //lint:impure <reason>)", name)
+							"os.%s in model code: environment reads make runs irreproducible (plumb configuration explicitly)", name)
 					}
 				case "math/rand", "math/rand/v2":
 					if !allowedGlobalRand[name] {
 						pass.Reportf(sel.Pos(),
-							"global math/rand.%s: draws from the process-global source and breaks seed reproduction — use a seeded *rand.Rand instance (or annotate //lint:impure <reason>)", name)
+							"global math/rand.%s: draws from the process-global source and breaks seed reproduction — use a seeded *rand.Rand instance", name)
 					}
 				}
 				return true
 			})
-			if pure {
-				for _, decl := range f.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Recv == nil || fd.Body == nil || !pureReceiverMethods[fd.Name.Name] {
-						continue
-					}
-					checkReceiverPurity(pass, fd)
-				}
-			}
 		}
 	}
 	return a
-}
-
-// checkReceiverPurity reports writes through the receiver of a
-// Canonicalize/Orbit method: assignments and ++/-- rooted at the receiver,
-// and the mutating builtins delete/copy applied to receiver storage.
-// Mutating a local copy (cp := *s; cp.x = ...) is the intended idiom and
-// stays silent.
-func checkReceiverPurity(pass *Pass, fd *ast.FuncDecl) {
-	names := fd.Recv.List[0].Names
-	if len(names) == 0 {
-		return // anonymous receiver: nothing to mutate through
-	}
-	recv := pass.Info.Defs[names[0]]
-	if recv == nil {
-		return
-	}
-	if _, ok := recv.Type().(*types.Pointer); !ok {
-		// A value receiver is already a private copy: mutate-and-return is
-		// the pure idiom, not a hazard.
-		return
-	}
-	viaRecv := func(e ast.Expr) bool {
-		root := rootIdent(e)
-		return root != nil && pass.Info.Uses[root] == recv
-	}
-	report := func(n ast.Node, what string) {
-		if pass.Escaped(n.Pos(), "impure") {
-			return
-		}
-		pass.Reportf(n.Pos(),
-			"%s in %s.%s mutates the receiver: the hook runs on states already admitted to the seen-set, so in-place changes corrupt the exploration — work on a clone (or annotate //lint:impure <reason>)",
-			what, receiverTypeName(pass, fd), fd.Name.Name)
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if viaRecv(lhs) {
-					report(n, "assignment")
-					break
-				}
-			}
-		case *ast.IncDecStmt:
-			if viaRecv(n.X) {
-				report(n, n.Tok.String())
-			}
-		case *ast.CallExpr:
-			id, ok := ast.Unparen(n.Fun).(*ast.Ident)
-			if !ok || len(n.Args) == 0 {
-				return true
-			}
-			if b, ok := pass.Info.Uses[id].(*types.Builtin); ok {
-				switch b.Name() {
-				case "delete", "copy":
-					if viaRecv(n.Args[0]) {
-						report(n, b.Name())
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// rootIdent descends selector/index/slice/star chains to the base
-// identifier of an lvalue, or nil when the base is not an identifier.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// receiverTypeName names the receiver's type for diagnostics, tolerating
-// pointer receivers.
-func receiverTypeName(pass *Pass, fd *ast.FuncDecl) string {
-	if named := receiverType(pass.Info, fd); named != nil {
-		return named.Obj().Name()
-	}
-	return "receiver"
 }
 
 // slashPath normalizes a filename to slash form for suffix matching.

@@ -9,9 +9,8 @@ import (
 
 func TestModelpure(t *testing.T) {
 	cfg := lint.ModelpureConfig{
-		PurePkgs:             []string{"linttest/src/modelpure"},
-		AllowTimeFiles:       []string{"src/modelpure/report.go"},
-		GlobalRandEverywhere: true,
+		PurePkgs:       []string{"linttest/src/modelpure"},
+		AllowTimeFiles: []string{"src/modelpure/report.go"},
 	}
 	linttest.Run(t, "testdata", lint.Modelpure(cfg), "./src/modelpure", "./src/modelpurext")
 }

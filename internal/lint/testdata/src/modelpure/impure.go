@@ -31,12 +31,6 @@ func Seeded(seed int64, n int) int {
 	return r.Intn(n)
 }
 
-// Delay is deliberate nondeterminism under an escape.
-func Delay() time.Time {
-	//lint:impure wall-clock used only to stamp a debug artifact filename
-	return time.Now()
-}
-
 // Scale uses a time constant, which is always fine.
 func Scale(d time.Duration) time.Duration {
 	return d * time.Second / time.Millisecond

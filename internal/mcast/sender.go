@@ -42,7 +42,9 @@ func (s *sender) start() {
 		return
 	}
 	s.started = true
-	//lint:shellsafe the goroutine holds no core state — only encoded strings and group ports — and never calls Step: each broadcast is scheduled onto the destination group's event loop via port.Run
+	// The goroutine holds no core state, only encoded strings and group
+	// ports, and never calls Step: each broadcast is scheduled onto the
+	// destination group's event loop through port.Run.
 	go s.run()
 }
 

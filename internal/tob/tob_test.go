@@ -176,3 +176,58 @@ func TestBufferedBroadcastBeforeView(t *testing.T) {
 		t.Fatalf("delivery = %+v", got[0])
 	}
 }
+
+// TestUndrainedChannelsNeverBlockTheLoop holds the shell's hand-offs to the
+// application non-blocking: with nobody reading Views or Deliveries, more
+// events than the channel holds must be counted as dropped while the event
+// loop keeps serving Do. A bare send there wedges the loop once the buffer
+// is full, and with it every node sharing the process.
+func TestUndrainedChannelsNeverBlockTheLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		events  int
+		feed    func(app *Layer, k int)
+		dropped func(Stats) uint64
+		drain   func(app *Layer)
+	}{
+		{"views", 1100,
+			func(app *Layer, k int) { app.OnDVSNewView(types.NewView(types.ViewID{Seq: uint64(k + 1)}, 0)) },
+			func(st Stats) uint64 { return st.DroppedViews },
+			func(app *Layer) {
+				for range app.Views() {
+				}
+			}},
+		{"deliveries", 1<<14 + 100,
+			func(app *Layer, k int) { app.Broadcast(fmt.Sprint(k)) },
+			func(st Stats) uint64 { return st.DroppedUp },
+			func(app *Layer) {
+				for range app.Deliveries() {
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStack(t, 1, true)
+			node, app := s.nodes[0], s.apps[0]
+			go func() {
+				for k := 0; k < tc.events && node.Do(func() { tc.feed(app, k) }); k++ {
+				}
+			}()
+			deadline := time.After(5 * time.Second)
+			for {
+				got := make(chan Stats, 1)
+				go node.Do(func() { got <- app.Stats() })
+				select {
+				case st := <-got:
+					if tc.dropped(st) > 0 {
+						return
+					}
+					time.Sleep(time.Millisecond)
+				case <-deadline:
+					// Unwedge the loop, or the cleanup's Stop waits on it forever.
+					go tc.drain(app)
+					t.Fatalf("no %s dropped 5 s after feeding %d: the loop blocked on the undrained channel", tc.name, tc.events)
+				}
+			}
+		})
+	}
+}

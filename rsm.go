@@ -16,7 +16,7 @@ type StateMachine struct {
 	proc *Process
 	// deliveries is snapshotted at construction so the apply loop owns only
 	// channels: the goroutine must not reach through Process into the layer
-	// structs holding the protocol cores (shellsafe).
+	// structs holding the protocol cores.
 	deliveries <-chan Delivery
 	apply      func(cmd string, origin ProcID)
 
