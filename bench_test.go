@@ -16,6 +16,7 @@ import (
 	"math/rand"
 
 	dvs "repro"
+	"repro/internal/conform"
 	"repro/internal/ioa"
 	"repro/internal/member"
 	"repro/internal/naive"
@@ -425,6 +426,37 @@ func BenchmarkCoreTOStepLabel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step(history + i)
+	}
+}
+
+// BenchmarkStreamRecord is the recorder's row of the layer ledger: one
+// typical TO record (a label's safe indication, its confirm and its
+// delivery) observed into a stream recorder with the default windows, whose
+// writer cuts and writes chunks to disk as in a recorded run. check.sh gates
+// allocs/op: the record is encoded into the node's scratch and copied into
+// blocks from the writer's pool, so only a cut (its job) and a block the
+// pool has none for allocate, once per thousands of records.
+func BenchmarkStreamRecord(b *testing.B) {
+	r, err := conform.NewStreamRecorder(b.TempDir(), conform.StreamOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v0 := types.InitialView(types.RangeProcSet(3))
+	sn, err := r.Node(0, 0, v0, true, true, true, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := tocore.LabelMsg{L: types.Label{ID: v0.ID, Seqno: 1, Origin: 1}, A: "00000000000000000000000000000000"}
+	var ev tocore.Event = tocore.EvSafe{M: m, From: 1}
+	fx := []tocore.Effect{tocore.FxConfirm{}, tocore.FxDeliver{A: m.A, Origin: 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sn.ObserveTO(ev, fx)
+	}
+	b.StopTimer()
+	if err := r.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -105,8 +105,8 @@ type Config struct {
 	ProposeRetry   time.Duration
 	// Stream, when set, records the run: every macro-step of the two
 	// protocol cores (input event plus emitted effects) is encoded where it
-	// is observed and spilled to the given chunked on-disk trace, so recorder
-	// memory stays O(window) no matter how long the run is. The caller owns
+	// is observed and spilled to the given chunked on-disk trace; recorder
+	// memory is three windows and a fixed block pool at most. The caller owns
 	// the stream — Close it after Cluster.Close, then check with
 	// ReplayTraceStream. Works in both modes: dynamic runs replay through the
 	// paper's automata, static runs through the dvscore.StaticNode baseline

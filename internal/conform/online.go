@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -84,19 +85,22 @@ func (r *StreamRecorder) Stats() OnlineStats {
 // belong to the writer goroutine, and to Close once that has exited.
 type checker struct {
 	e   *replayer
-	rep Report // e's report; its finding lists are emptied after every window
+	rep Report       // e's report; its finding lists are emptied after every window
+	buf bytes.Buffer // the window's payload, reused
 
 	mu    sync.Mutex  // guards stats; the writer never holds it across a receive
 	stats OnlineStats // the engine's half: Steps and Stalls are the recorder's
 }
 
 // window replays one cut chunk from the payload a directory would have
-// stored, through the decoder a directory is read with.
-func (c *checker) window(seq int, payload []byte) error {
+// stored (the writer's encoder, into buf), through its decoder.
+func (c *checker) window(job *chunkJob) error {
 	start := time.Now()
-	ch, err := decodeChunk(payload)
+	c.buf.Reset()
+	job.WriteTo(&c.buf)
+	ch, err := decodeChunk(c.buf.Bytes())
 	if err != nil {
-		return fmt.Errorf("conform: check chunk %d: %w", seq, err)
+		return fmt.Errorf("conform: check chunk %d: %w", job.seq, err)
 	}
 	c.e.window(ch)
 	c.fold(start)

@@ -1,6 +1,8 @@
 package conform
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/protocol/mcastcore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // The chunked on-disk trace format. A trace is a directory of segment
@@ -64,6 +67,15 @@ const (
 	// falls behind finds a larger window waiting — fewer, bigger segments —
 	// before any observer has to stall for it at the thresholds.
 	earlyCutSteps = 4096
+
+	// Windows are buffered in blocks of blockSize bytes, which records may
+	// straddle. poolBlocks bounds the written-out blocks the writer keeps: the
+	// steady working set, the open window and the one in flight at
+	// earlyCutSteps records of ≈ 128 bytes (fabric_recorded's 1.6 kB per
+	// message in 12 steps), plus one partial block for each of up to 16
+	// (node, layer) buffers — 80 blocks, 1.25 MiB. A full pool drops a block.
+	blockSize  = 16 << 10
+	poolBlocks = 2*earlyCutSteps*128/blockSize + 16
 )
 
 func chunkSeg(seq int) string { return fmt.Sprintf("chunk-%08d.seg", seq) }
@@ -102,7 +114,7 @@ type streamFooter struct {
 
 // writeSegment atomically and durably writes one header or footer segment.
 func writeSegment(path string, payload []byte) error {
-	if err := writeFramed(path, payload); err != nil {
+	if err := writeFramed(path, bufio.NewWriter(nil), bytes.NewReader(payload)); err != nil {
 		return err
 	}
 	syncDir(filepath.Dir(path))
@@ -110,13 +122,13 @@ func writeSegment(path string, payload []byte) error {
 }
 
 // writeFramed atomically writes one segment: magic + length + payload + CRC
-// to a temp file in the target directory, fsync, rename. A failure at any
-// point leaves no partial file at path. The rename is durable once the
-// directory is synced (syncDir), which is left to the caller: one directory
-// sync covers every rename before it.
-func writeFramed(path string, payload []byte) (err error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".seg-*.tmp")
+// through bw to a temp file in the target directory, fsync, rename. body
+// streams the payload, summed on the way; its length fills its slot last. A
+// failure at any point leaves no partial file at path. The rename is durable
+// once the directory is synced (syncDir), which is left to the caller: one
+// directory sync covers every rename before it.
+func writeFramed(path string, bw *bufio.Writer, body io.WriterTo) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), ".seg-*.tmp")
 	if err != nil {
 		return err
 	}
@@ -127,18 +139,16 @@ func writeFramed(path string, payload []byte) (err error) {
 		}
 	}()
 	var frame [8]byte
-	if _, err = io.WriteString(f, segMagic); err != nil {
+	bw.Reset(f)
+	bw.WriteString(segMagic)
+	bw.Write(frame[:]) // the length's slot
+	crc := crc32.NewIEEE()
+	n, _ := body.WriteTo(io.MultiWriter(bw, crc)) // a failed write is bw's, and sticks until Flush
+	bw.Write(crc.Sum(frame[:0]))
+	if err = bw.Flush(); err != nil {
 		return err
 	}
-	binary.BigEndian.PutUint64(frame[:], uint64(len(payload)))
-	if _, err = f.Write(frame[:]); err != nil {
-		return err
-	}
-	if _, err = f.Write(payload); err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint32(frame[:4], crc32.ChecksumIEEE(payload))
-	if _, err = f.Write(frame[:4]); err != nil {
+	if _, err = f.WriteAt(binary.BigEndian.AppendUint64(frame[:0], uint64(n)), int64(len(segMagic))); err != nil {
 		return err
 	}
 	if err = f.Sync(); err != nil {
@@ -203,8 +213,8 @@ func syncDir(dir string) {
 
 // StreamOptions bound the recorder's in-memory window. A cut is taken as
 // soon as either threshold is reached (and from earlyCutSteps on whenever
-// the writer is free to take it), so recorder memory is O(window)
-// regardless of run length.
+// the writer is free to take it), so recorder memory is three windows and
+// poolBlocks spare blocks at most, regardless of run length.
 type StreamOptions struct {
 	// WindowSteps cuts a chunk after this many buffered macro-steps summed
 	// over all nodes and layers (default 16384).
@@ -237,7 +247,7 @@ type StreamRecorder struct {
 
 	// beforeWrite, when set before the first cut, runs on the writer
 	// goroutine ahead of each chunk write. Tests use it to stall the writer.
-	beforeWrite func(seq int)
+	beforeWrite func(job *chunkJob)
 
 	mu      sync.Mutex
 	nodes   []*StreamNode // sorted by P
@@ -248,7 +258,7 @@ type StreamRecorder struct {
 	cut     int        // records in them
 	steps   int        // records buffered since the last cut
 	bytes   int        // their encoded size
-	peak    int        // high-water mark of steps (the O(window) witness)
+	peak    int        // high-water mark of steps (the window bound's witness)
 	stalls  uint64     // cuts that found the writer's queue full and waited for it
 	w       *segWriter // started at the first cut, drained by Close
 	err     error
@@ -437,7 +447,7 @@ func (r *StreamRecorder) Err() error {
 }
 
 // PeakWindowSteps returns the high-water mark of buffered macro-steps — the
-// witness that recorder memory stayed O(window): it can never exceed the
+// witness that the open window stayed bounded: it can never exceed the
 // steps threshold plus one in-flight record per node.
 func (r *StreamRecorder) PeakWindowSteps() int {
 	r.mu.Lock()
@@ -462,10 +472,10 @@ func (r *StreamRecorder) writeHeaderLocked() {
 	r.started = true
 }
 
-// cutLocked swaps every node's open-window buffers into a chunkJob and
+// cutLocked moves every node's open-window blocks into a chunkJob and
 // queues it for the writer. The send happens under the mutex on purpose: it
 // keeps jobs in sequence order, and when the writer is a full chunk behind
-// it stalls every observer — backpressure that bounds recorder memory at
+// it stalls every observer — backpressure that bounds the blocks in use at
 // the open window plus one queued and one in-flight chunk, instead of
 // dropping records or leaving a gap.
 func (r *StreamRecorder) cutLocked(quiescent bool) {
@@ -478,13 +488,12 @@ func (r *StreamRecorder) cutLocked(quiescent bool) {
 	if r.w == nil {
 		r.w = startSegWriter(r.dir, r.check, r.beforeWrite)
 	}
-	job := r.w.recycled(len(r.nodes))
-	job.seq, job.quiescent = r.seq+1, quiescent
+	job := &chunkJob{seq: r.seq + 1, quiescent: quiescent, parts: make([]partBuf, len(r.nodes))}
 	for i, sn := range r.nodes {
-		part := &job.parts[i]
-		part.p = sn.meta.P
+		job.parts[i].p = sn.meta.P
 		for l, lb := range sn.win {
-			part.layers[l], sn.win[l] = lb, layerBuf{start: lb.start + lb.count, b: part.layers[l].b[:0]}
+			// Sized like this window's, so the next one's records do not grow it.
+			job.parts[i].layers[l], sn.win[l] = lb, layerBuf{start: lb.start + lb.count, blocks: make([][]byte, 0, len(lb.blocks))}
 		}
 	}
 	r.cut, r.steps, r.bytes = r.cut+r.steps, 0, 0
@@ -512,8 +521,7 @@ func (r *StreamRecorder) record(lb *layerBuf, rec []byte, encErr error) {
 		r.err = encErr
 		return
 	}
-	lb.b = append(lb.b, rec...)
-	lb.count++
+	lb.write(rec, r.w)
 	r.steps++
 	r.bytes += len(rec)
 	if r.steps > r.peak {
@@ -556,10 +564,24 @@ func (sn *StreamNode) ObserveMcast(ev mcastcore.Event, fx []mcastcore.Effect) {
 
 // layerBuf is one node's encoded records of one layer since the last cut:
 // their start offset in the node's full per-layer log, how many there are,
-// and their concatenated encodings.
+// and their concatenated encodings, size bytes in blocks of blockSize.
 type layerBuf struct {
-	start, count int
-	b            []byte
+	start, count, size int
+	blocks             [][]byte
+}
+
+// write appends one record, taking a block from w's pool when the last is full.
+func (lb *layerBuf) write(rec []byte, w *segWriter) {
+	lb.count++
+	lb.size += len(rec)
+	for len(rec) > 0 {
+		k := len(lb.blocks) - 1
+		if k < 0 || len(lb.blocks[k]) == blockSize {
+			lb.blocks, k = append(lb.blocks, w.block()), k+1
+		}
+		n := min(len(rec), blockSize-len(lb.blocks[k]))
+		lb.blocks[k], rec = append(lb.blocks[k], rec[:n]...), rec[n:]
+	}
 }
 
 type partBuf struct {
@@ -575,29 +597,48 @@ type chunkJob struct {
 	parts     []partBuf // one per node, sorted by p
 }
 
+// WriteTo writes the chunk payload piece by piece: seq, the quiescence mark,
+// the part count, then per part the process id and each layer's (start,
+// count, byteLen) ahead of its blocks — the one chunk encoder, for the disk
+// and a checker. Errors are the sinks' (bufio's stick until Flush).
+func (job *chunkJob) WriteTo(w io.Writer) (int64, error) {
+	pre := wire.AppendCount(wire.AppendBool(wire.AppendCount(make([]byte, 0, 64), job.seq), job.quiescent), len(job.parts))
+	w.Write(pre)
+	n, pre := len(pre), pre[:0]
+	for i := range job.parts {
+		pre = wire.AppendInt(pre, int(job.parts[i].p))
+		for _, lb := range job.parts[i].layers {
+			pre = wire.AppendCount(wire.AppendCount(wire.AppendCount(pre, lb.start), lb.count), lb.size)
+			w.Write(pre)
+			for _, b := range lb.blocks {
+				w.Write(b)
+			}
+			n, pre = n+len(pre)+lb.size, pre[:0]
+		}
+	}
+	return int64(n), nil
+}
+
 // segWriter is the one goroutine that puts chunks on disk — or through an
 // in-process checker's engine — strictly in the order they were cut. It sees
 // encoded bytes only.
 type segWriter struct {
 	dir   string
 	check *checker // replays each chunk instead of writing it; nil with a dir
-	hook  func(seq int)
+	hook  func(job *chunkJob)
 	q     chan *chunkJob // depth 1: one chunk queued while one is being written
-	// free holds written-out jobs so the next cut reuses their buffers;
-	// sized to the jobs that can be outstanding (queued + in flight), and a
-	// full list drops the job, so buffer memory cannot creep.
-	free chan *chunkJob
-	done chan struct{} // closed when run returns
-	err  error         // why run returned early; read only after done
+	pool  chan []byte    // written-out blocks, at most poolBlocks
+	done  chan struct{}  // closed when run returns
+	err   error          // why run returned early; read only after done
 }
 
-func startSegWriter(dir string, check *checker, hook func(seq int)) *segWriter {
+func startSegWriter(dir string, check *checker, hook func(job *chunkJob)) *segWriter {
 	w := &segWriter{
 		dir:   dir,
 		check: check,
 		hook:  hook,
 		q:     make(chan *chunkJob, 1),
-		free:  make(chan *chunkJob, 2),
+		pool:  make(chan []byte, poolBlocks),
 		done:  make(chan struct{}),
 	}
 	// Handed encoded bytes, never a live core or record; a checker steps only its own shadow cores.
@@ -611,15 +652,14 @@ func startSegWriter(dir string, check *checker, hook func(seq int)) *segWriter {
 // closed q.
 func (w *segWriter) run() {
 	defer close(w.done)
-	var payload []byte // reused across chunks
+	bw := bufio.NewWriterSize(nil, 64<<10) // reused across chunks
 	for job := range w.q {
 		if w.hook != nil {
-			w.hook(job.seq)
+			w.hook(job)
 		}
-		payload = appendChunk(payload[:0], job)
 		if w.check != nil {
-			w.err = w.check.window(job.seq, payload)
-		} else if err := writeFramed(filepath.Join(w.dir, chunkSeg(job.seq)), payload); err != nil {
+			w.err = w.check.window(job)
+		} else if err := writeFramed(filepath.Join(w.dir, chunkSeg(job.seq)), bw, job); err != nil {
 			w.err = fmt.Errorf("conform: write chunk %d: %w", job.seq, err)
 			syncDir(w.dir)
 		} else if len(w.q) == 0 {
@@ -628,22 +668,32 @@ func (w *segWriter) run() {
 			// writer that is behind pays one fsync per chunk instead of two.
 			syncDir(w.dir)
 		}
+		w.release(job)
 		if w.err != nil {
 			return
-		}
-		select {
-		case w.free <- job:
-		default:
 		}
 	}
 }
 
-// recycled returns a job with n parts, reusing a written-out one if any.
-func (w *segWriter) recycled(n int) *chunkJob {
-	select {
-	case job := <-w.free:
-		return job
-	default:
-		return &chunkJob{parts: make([]partBuf, n)}
+// block returns an empty block: a written-out one if the pool has one, else
+// a fresh one (the first window's, or a window's past the pool's bound).
+func (w *segWriter) block() []byte {
+	if w != nil && len(w.pool) > 0 { // only record receives, under the recorder's mutex
+		return <-w.pool
+	}
+	return make([]byte, 0, blockSize)
+}
+
+// release hands a written job's blocks to the pool (a full one drops them) and forgets them.
+func (w *segWriter) release(job *chunkJob) {
+	for i := range job.parts {
+		for l, lb := range job.parts[i].layers {
+			for _, b := range lb.blocks {
+				if len(w.pool) < cap(w.pool) { // only this goroutine sends
+					w.pool <- b[:0]
+				}
+			}
+			job.parts[i].layers[l].blocks = nil
+		}
 	}
 }

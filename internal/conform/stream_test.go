@@ -1,7 +1,10 @@
 package conform
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +18,7 @@ import (
 	"repro/internal/protocol/dvscore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // driveScript runs a singleton node's two cores through rounds of the same
@@ -122,7 +126,7 @@ func tamperChunk(t *testing.T, dir string) int {
 			for ri := range ch.Parts[pi].TO {
 				if len(ch.Parts[pi].TO[ri].Fx) > 0 {
 					ch.Parts[pi].TO[ri].Fx = nil
-					if err := writeFramed(path, encodeChunk(t, ch)); err != nil {
+					if err := writeSegment(path, encodeChunk(t, ch)); err != nil {
 						t.Fatalf("rewrite chunk: %v", err)
 					}
 					return seq
@@ -194,6 +198,12 @@ func TestStreamReplayMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestStreamRecorderMemoryBounded: the open window never outgrows its
+// threshold however long the run, and blocks outlive their windows only in
+// the writer's bounded pool. A writer stalled until windows fill to
+// WindowBytes, then released, leaves at most poolBlocks pooled and no
+// written-out job holding a block, and a record allocates nothing while the
+// pool has blocks.
 func TestStreamRecorderMemoryBounded(t *testing.T) {
 	dir := t.TempDir()
 	const window = 8
@@ -201,8 +211,6 @@ func TestStreamRecorderMemoryBounded(t *testing.T) {
 	if err := sr.Close(); err != nil {
 		t.Fatalf("close stream: %v", err)
 	}
-	// The recorder's buffered-record high-water mark must be bounded by the
-	// window no matter how long the run was: that is the O(window) claim.
 	if peak := sr.PeakWindowSteps(); peak > window {
 		t.Errorf("peak buffered steps %d exceeds window %d", peak, window)
 	}
@@ -218,6 +226,178 @@ func TestStreamRecorderMemoryBounded(t *testing.T) {
 	}
 	if chunks < 5 {
 		t.Errorf("long run spilled only %d chunks", chunks)
+	}
+
+	// Three windows of 32 blocks each, more than the pool keeps.
+	const windowBytes = 32 * blockSize
+	if sr, err = NewStreamRecorder(t.TempDir(), StreamOptions{WindowBytes: windowBytes}); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := sr.Node(0, 0, types.InitialView(types.RangeProcSet(1)), true, true, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []*chunkJob // every job the writer took, in order
+	seen, release := make(chan *chunkJob, 16), make(chan struct{})
+	sr.beforeWrite = func(job *chunkJob) {
+		seen <- job
+		<-release
+	}
+	var big tocore.Event = tocore.EvBroadcast{A: strings.Repeat("x", 1000)}
+	rec, _ := toCodec.append(nil, big, nil)
+	perWindow := (windowBytes + len(rec) - 1) / len(rec)
+	var fed atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3*perWindow+100; i++ {
+			sn.ObserveTO(big, nil)
+			fed.Add(1)
+		}
+	}()
+	jobs = append(jobs, <-seen)
+	waitFor(t, "the feeder to block on the third cut", func() bool { return int(fed.Load()) == 3*perWindow-1 })
+	close(release)
+	<-done
+	sr.Cut(true) // the tail
+	sr.Cut(true) // nothing: its write marks every earlier job released
+	sr.mu.Lock()
+	w, last := sr.w, sr.seq
+	sr.mu.Unlock()
+	for jobs[len(jobs)-1].seq != last {
+		jobs = append(jobs, <-seen)
+	}
+	for _, job := range jobs[:3] {
+		if size := job.parts[0].layers[layerTO].size; size < windowBytes {
+			t.Errorf("chunk %d cut at %d bytes, below the %d-byte window", job.seq, size, windowBytes)
+		}
+	}
+	if pooled := len(w.pool) * blockSize; pooled > poolBlocks*blockSize || len(w.pool) != poolBlocks {
+		t.Errorf("pool holds %d bytes after %d windows, want its bound %d", pooled, len(jobs)-1, poolBlocks*blockSize)
+	}
+	for _, job := range jobs[:len(jobs)-1] {
+		for _, part := range job.parts {
+			for l, lb := range part.layers {
+				if lb.blocks != nil {
+					t.Errorf("written-out chunk %d still references %d blocks of layer %d", job.seq, len(lb.blocks), l)
+				}
+			}
+		}
+	}
+
+	// Grow the window to three blocks, so its list has room for a fourth.
+	var small tocore.Event = tocore.EvBroadcast{A: strings.Repeat("y", 90)}
+	for len(sn.win[layerTO].blocks) < 3 {
+		sn.ObserveTO(small, nil)
+	}
+	if c := cap(sn.win[layerTO].blocks); c < 4 {
+		t.Fatalf("window's block list has capacity %d, want room for a fourth block", c)
+	}
+	pooled := len(w.pool)
+	if allocs := testing.AllocsPerRun(300, func() { sn.ObserveTO(small, nil) }); allocs != 0 {
+		t.Errorf("a record with a warm pool allocates %v times", allocs)
+	}
+	if len(w.pool) != pooled-1 {
+		t.Errorf("records into a fourth block took %d blocks from the pool, want 1", pooled-len(w.pool))
+	}
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frameChunk is the reference encoding of a job: the payload assembled in
+// one buffer and framed in memory, as the recorder wrote chunks before it
+// streamed them block by block.
+func frameChunk(job *chunkJob) []byte {
+	b := wire.AppendCount(wire.AppendBool(wire.AppendCount(nil, job.seq), job.quiescent), len(job.parts))
+	for _, part := range job.parts {
+		b = wire.AppendInt(b, int(part.p))
+		for _, lb := range part.layers {
+			flat := bytes.Join(lb.blocks, nil)
+			b = append(wire.AppendCount(wire.AppendCount(wire.AppendCount(b, lb.start), lb.count), len(flat)), flat...)
+		}
+	}
+	seg := binary.BigEndian.AppendUint64([]byte(segMagic), uint64(len(b)))
+	return binary.BigEndian.AppendUint32(append(seg, b...), crc32.ChecksumIEEE(b))
+}
+
+// TestStreamSegmentsByteIdentical: a chunk streamed block by block is byte
+// for byte the one-buffer reference encoding of its job, with a record that
+// straddles two blocks and one larger than a block (a summary of 20k labels)
+// among them; and testdata/v4, which the one-buffer recorder wrote, replays
+// sealed and clean and is what the same run records today, file for file.
+func TestStreamSegmentsByteIdentical(t *testing.T) {
+	const rounds = 300 // the run testdata/v4 holds: 1800 steps, windows of 1600
+	opts := StreamOptions{WindowSteps: 1600}
+	sum := types.Summary{Ord: make([]types.Label, 20000)}
+	for i := range sum.Ord {
+		sum.Ord[i] = types.Label{ID: types.ViewID{Seq: 1}, Seqno: i + 1, Origin: types.ProcID(i % 3)}
+	}
+	var huge tocore.Event = tocore.EvRecv{M: tocore.SummaryMsg{X: sum}, From: 0}
+	for _, summary := range []bool{false, true} {
+		dir := t.TempDir()
+		want := map[int][]byte{}
+		_, sr := recordStreamed(t, dir, opts, rounds, func(r *StreamRecorder, round int) {
+			if round == 0 {
+				r.beforeWrite = func(job *chunkJob) { want[job.seq] = frameChunk(job) }
+			}
+			if summary && round == rounds/2 {
+				r.byP[0].ObserveTO(huge, nil)
+			}
+		})
+		if err := sr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		straddled, spanned := false, false
+		for seq := 1; seq <= len(want); seq++ {
+			path := filepath.Join(dir, chunkSeg(seq))
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want[seq]) {
+				t.Errorf("summary=%v: chunk %d is not its reference encoding (%d bytes, want %d; %v)", summary, seq, len(got), len(want[seq]), err)
+			}
+			ch, err := readSegment(path, decodeChunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, part := range ch.Parts {
+				var lens [numLayers][]int
+				for _, r := range part.DVS {
+					b, _ := dvsCodec.append(nil, r.Ev, r.Fx)
+					lens[layerDVS] = append(lens[layerDVS], len(b))
+				}
+				for _, r := range part.TO {
+					b, _ := toCodec.append(nil, r.Ev, r.Fx)
+					lens[layerTO] = append(lens[layerTO], len(b))
+				}
+				for _, ls := range lens {
+					off := 0
+					for _, n := range ls {
+						spanned = spanned || n > blockSize
+						straddled = straddled || n <= blockSize && off/blockSize != (off+n-1)/blockSize
+						off += n
+					}
+				}
+			}
+		}
+		if len(want) < 2 || !straddled || spanned != summary {
+			t.Errorf("summary=%v: %d chunks, a record straddling blocks %v, one larger than a block %v", summary, len(want), straddled, spanned)
+		}
+		if summary {
+			continue
+		}
+		for _, name := range []string{headerSeg, chunkSeg(1), chunkSeg(2), footerSeg} {
+			got, err1 := os.ReadFile(filepath.Join(dir, name))
+			old, err2 := os.ReadFile(filepath.Join("testdata", "v4", name))
+			if err1 != nil || err2 != nil || !bytes.Equal(got, old) {
+				t.Errorf("%s differs from testdata/v4's (%d and %d bytes; %v, %v)", name, len(got), len(old), err1, err2)
+			}
+		}
+	}
+	rep, err := ReplayStream(filepath.Join("testdata", "v4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Sealed || !rep.OK() || rep.DVSSteps+rep.TOSteps != 6*rounds {
+		t.Errorf("testdata/v4 does not replay sealed and clean: %s", rep)
 	}
 }
 
@@ -701,8 +881,8 @@ func TestStreamWriterBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	stalled, release := make(chan int, len(evs)), make(chan struct{})
-	sr.beforeWrite = func(seq int) {
-		stalled <- seq
+	sr.beforeWrite = func(job *chunkJob) {
+		stalled <- job.seq
 		<-release
 	}
 	sn, err := sr.Node(0, 0, types.InitialView(types.RangeProcSet(1)), true, true, true, false)
@@ -762,8 +942,8 @@ func TestStreamWriterBackpressure(t *testing.T) {
 func feedPastStalledWriter(t *testing.T, r *StreamRecorder, window int, observe func(i int)) int {
 	t.Helper()
 	stalled, release := make(chan int, 8), make(chan struct{})
-	r.beforeWrite = func(seq int) {
-		stalled <- seq
+	r.beforeWrite = func(job *chunkJob) {
+		stalled <- job.seq
 		<-release
 	}
 	blockedAt := 2*earlyCutSteps + window

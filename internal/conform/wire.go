@@ -167,20 +167,6 @@ func appendEffects[F any](b []byte, fx []F, appendFx func([]byte, F) ([]byte, er
 	return b, err
 }
 
-// appendChunk assembles a chunk payload: seq, the quiescence mark, then per
-// part the process id and each layer's (start, count, byteLen, bytes).
-func appendChunk(b []byte, job *chunkJob) []byte {
-	b = wire.AppendCount(wire.AppendBool(wire.AppendCount(b, job.seq), job.quiescent), len(job.parts))
-	for i := range job.parts {
-		part := &job.parts[i]
-		b = wire.AppendInt(b, int(part.p))
-		for _, lb := range part.layers {
-			b = append(wire.AppendCount(wire.AppendCount(wire.AppendCount(b, lb.start), lb.count), len(lb.b)), lb.b...)
-		}
-	}
-	return b
-}
-
 // appendHeader encodes the header segment: the format version first, so a
 // reader can refuse a foreign version before parsing anything else, then one
 // NodeMeta per node. A flag keeps "not a coordinator" (nil McastGroups) apart

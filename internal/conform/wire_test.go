@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -17,35 +18,43 @@ import (
 )
 
 // encodeChunk re-encodes a decoded chunk through the production encoder
-// (the per-layer record encoders into layer buffers, then appendChunk), so
-// tests can rewrite a chunk on disk and seed the fuzzer with real payloads.
+// (the per-layer record encoders into layer blocks, then chunkJob.WriteTo),
+// so tests can rewrite a chunk on disk and seed the fuzzer with real payloads.
 func encodeChunk(t testing.TB, ch streamChunk) []byte {
 	t.Helper()
 	job := chunkJob{seq: ch.Seq, quiescent: ch.Quiescent}
+	var rec []byte
+	fail := func(err error) {
+		if err != nil {
+			t.Fatalf("encode record: %v", err)
+		}
+	}
 	for _, part := range ch.Parts {
 		pb := partBuf{p: part.P}
-		for l, n := range part.counts() {
-			pb.layers[l].start, pb.layers[l].count = part.Start[l], n
+		for l := range pb.layers {
+			pb.layers[l].start = part.Start[l]
 		}
 		var err error
-		for _, rec := range part.DVS {
-			if pb.layers[layerDVS].b, err = dvsCodec.append(pb.layers[layerDVS].b, rec.Ev, rec.Fx); err != nil {
-				t.Fatalf("encode dvs record: %v", err)
-			}
+		for _, r := range part.DVS {
+			rec, err = dvsCodec.append(rec[:0], r.Ev, r.Fx)
+			fail(err)
+			pb.layers[layerDVS].write(rec, nil)
 		}
-		for _, rec := range part.TO {
-			if pb.layers[layerTO].b, err = toCodec.append(pb.layers[layerTO].b, rec.Ev, rec.Fx); err != nil {
-				t.Fatalf("encode to record: %v", err)
-			}
+		for _, r := range part.TO {
+			rec, err = toCodec.append(rec[:0], r.Ev, r.Fx)
+			fail(err)
+			pb.layers[layerTO].write(rec, nil)
 		}
-		for _, rec := range part.Mcast {
-			if pb.layers[layerMcast].b, err = mcastCodec.append(pb.layers[layerMcast].b, rec.Ev, rec.Fx); err != nil {
-				t.Fatalf("encode mcast record: %v", err)
-			}
+		for _, r := range part.Mcast {
+			rec, err = mcastCodec.append(rec[:0], r.Ev, r.Fx)
+			fail(err)
+			pb.layers[layerMcast].write(rec, nil)
 		}
 		job.parts = append(job.parts, pb)
 	}
-	return appendChunk(nil, &job)
+	var b bytes.Buffer
+	job.WriteTo(&b)
+	return b.Bytes()
 }
 
 // renderChunk is the replayer's own view of a chunk: the text divergence

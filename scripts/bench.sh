@@ -35,10 +35,11 @@
 #    empty through 200k labels, and the clone of one that a missing process
 #    makes hold 100k; and the transport's codec alone: one TCP frame body
 #    encoded and decoded, for a heartbeat, a steady-state Ordered of ten
-#    labels and the summary of a node 20k stable labels into its run).
-#    Emits BENCH_layers.json; check.sh gates the step and frame rows'
-#    allocs/op and the summary's size, which no machine changes, and the TO
-#    step's B/op, which the fixed iteration count makes exact.
+#    labels and the summary of a node 20k stable labels into its run; and
+#    the trace recorder: one TO record observed into a stream on disk).
+#    Emits BENCH_layers.json; check.sh gates the step, frame and record
+#    rows' allocs/op and the summary's size, which no machine changes, and
+#    the TO step's B/op, which the fixed iteration count makes exact.
 #
 # Every benchmark is repeated (`-count`, default 3 for E1-E3) and the
 # snapshot keeps only the best repetition per benchmark (lowest ns/op):
@@ -154,7 +155,7 @@ echo "wrote $out13"
 # The growth and clone rows are whole-history operations (one op is 200k
 # labels, or one clone of 100k), so they run a few times, not 100000.
 outl=BENCH_layers.json
-rawl=$(go test -run '^$' -bench 'BenchmarkCore(DVS|TO)Step' -benchtime 100000x -count 3 -benchmem .)
+rawl=$(go test -run '^$' -bench 'BenchmarkCore(DVS|TO)Step|BenchmarkStreamRecord' -benchtime 100000x -count 3 -benchmem .)
 printf '%s\n' "$rawl"
 rawh=$(go test -run '^$' -bench 'BenchmarkCoreTO(Grow|Clone)' -benchtime 5x -count 3 -benchmem .)
 printf '%s\n' "$rawh"

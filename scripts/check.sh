@@ -256,11 +256,17 @@ e13_guard() {
 # state exchange of a node 20k stable messages into its run: a base, a
 # digest and no label, 26 bytes and 5 allocations where the history made it
 # 1.5 MB and 20,077; the budgets are a label's worth above that.
+#
+# The recorder row is one TO record observed into a stream on disk: encoded
+# into the node's scratch, copied into blocks the writer's pool recycles, so
+# only a cut (its job) and a block the pool has none for allocate and
+# allocs/op rounds to its measured 0; anything allocated per record (a copy
+# of it, a boxed value) makes it 1.
 layers_guard() {
 	out=BENCH_layers.json
 	for row in CoreDVSStepBatch:allocs_per_op:8 CoreTOStepLabel:allocs_per_op:4 CoreTOStepLabel:B_per_op:176 \
 		WireFrame/heartbeat:allocs_per_op:2 WireFrame/ordered10x64B:allocs_per_op:26 \
-		WireFrame/summary20k:allocs_per_op:8 WireFrame/summary20k:frame_bytes:64; do
+		WireFrame/summary20k:allocs_per_op:8 WireFrame/summary20k:frame_bytes:64 StreamRecord:allocs_per_op:0; do
 		name=${row%%:*}
 		budget=${row##*:}
 		unit=${row#*:}
@@ -319,7 +325,7 @@ fuzz_guard() {
 # DESIGN.md only shrinks. CHANGES.md has each ceiling's history.
 loc_guard() {
 	counts="$(sh scripts/loc.sh)"
-	for row in internal/conform:2298 internal/lint:920 .:1682 total:22306 exemptions:27 DESIGN.md:1385; do
+	for row in internal/conform:2338 internal/lint:920 .:1682 total:22346 exemptions:27 DESIGN.md:1385; do
 		name=${row%%:*}
 		ceiling=${row##*:}
 		got=$(printf '%s\n' "$counts" | awk -v n="$name" '$2 == n { print $1 }')
