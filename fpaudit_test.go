@@ -7,67 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ioa"
-	"repro/internal/naive"
-	"repro/internal/protocol/dvscore"
-	"repro/internal/protocol/mcastcore"
-	"repro/internal/protocol/tocore"
-	dvsspec "repro/internal/spec/dvs"
-	tospec "repro/internal/spec/to"
-	vsspec "repro/internal/spec/vs"
-	"repro/internal/types"
 )
-
-// toAuditEnv is a tiny pure environment for exploring the TO specification:
-// it offers bcast inputs until two messages are in the system. The count of
-// broadcast messages (pending plus ordered) is monotone, so the bound holds
-// on every path and the input set is a function of the state only.
-type toAuditEnv struct {
-	universe types.ProcSet
-}
-
-func (e toAuditEnv) Inputs(a ioa.Automaton) []ioa.Action {
-	spec, ok := a.(*tospec.TO)
-	if !ok {
-		return nil
-	}
-	total := len(spec.Queue())
-	for p := range e.universe {
-		total += len(spec.Pending(p))
-	}
-	if total >= 2 {
-		return nil
-	}
-	var acts []ioa.Action
-	for _, p := range e.universe.Sorted() {
-		acts = append(acts, ioa.Action{Name: tospec.ActBCast, Kind: ioa.KindInput,
-			Param: tospec.BCastParam{A: "a", P: p}})
-	}
-	return acts
-}
-
-// naiveAuditEnv proposes each candidate membership as the next view while
-// fewer than maxViews views exist. Naive's nodes ignore messages, so views
-// are the only input that matters, and they are a function of the state.
-type naiveAuditEnv struct {
-	maxViews int
-	views    []types.ProcSet
-}
-
-func (e naiveAuditEnv) Inputs(a ioa.Automaton) []ioa.Action {
-	vs := a.(*naive.Impl).VS()
-	if vs.CreatedCount() >= e.maxViews {
-		return nil
-	}
-	var acts []ioa.Action
-	for _, m := range e.views {
-		v := types.View{ID: vs.MaxCreatedID().Next(m.Sorted()[0]), Members: m.Clone()}
-		if vs.CreateViewCandidateOK(v) {
-			acts = append(acts, ioa.Action{Name: vsspec.ActCreateView, Kind: ioa.KindInternal,
-				Param: vsspec.CreateViewParam{View: v}})
-		}
-	}
-	return acts
-}
 
 // fieldCoverage records, for every field of every struct type reachable
 // from an audited state, whether it was non-zero in some state: a field the
@@ -131,114 +71,13 @@ var neverNonZero = map[string]string{
 // audited state leaves at zero is a field the audit never saw: it must be
 // listed in neverNonZero with its reason.
 func TestFingerprintAudit(t *testing.T) {
-	universe2 := types.RangeProcSet(2)
-	v02 := types.InitialView(types.NewProcSet(0, 1))
-	views := []types.ProcSet{types.NewProcSet(0), types.NewProcSet(0, 1)}
-	toEnv := &tocore.BoundedEnv{MaxMsgs: 1, MaxViews: 2, Views: views}
-	symmetric := func(a interface{ EnableSymmetry() int }) ioa.Automaton {
-		a.EnableSymmetry()
-		return a.(ioa.Automaton)
-	}
-	mcastMenu := [][]types.GroupID{{0}, {1}, {0, 1}}
-
-	cases := []struct {
-		name string
-		a    ioa.Automaton
-		env  ioa.Environment
-		cfg  ioa.ExploreConfig
-	}{
-		{
-			name: "VS",
-			a:    vsspec.New(universe2, v02),
-			env:  vsspec.NewEnv(1, universe2),
-			cfg:  ioa.ExploreConfig{MaxStates: 3000, MaxDepth: 8},
-		},
-		{
-			name: "DVS",
-			a:    dvsspec.New(universe2, v02),
-			env:  dvsspec.NewEnv(1, universe2),
-			cfg:  ioa.ExploreConfig{MaxStates: 3000, MaxDepth: 8},
-		},
-		{
-			name: "DVS/symmetry",
-			a:    symmetric(dvsspec.New(universe2, v02)),
-			env:  dvsspec.NewEnv(1, universe2),
-			cfg:  ioa.ExploreConfig{MaxStates: 3000, MaxDepth: 8, Symmetry: true},
-		},
-		{
-			name: "TO",
-			a:    tospec.New(universe2),
-			env:  toAuditEnv{universe: universe2},
-			cfg:  ioa.ExploreConfig{MaxStates: 3000},
-		},
-		{
-			name: "DVS-IMPL",
-			a:    dvscore.NewImpl(universe2, v02),
-			env:  &dvscore.BoundedEnv{MaxMsgs: 1, MaxViews: 2, Views: views},
-			cfg:  ioa.ExploreConfig{MaxStates: 100000, MaxDepth: 10},
-		},
-		{
-			// Views only, three of them: what it takes for a node to hold
-			// ambiguous views and to receive a registered message.
-			name: "DVS-IMPL/views",
-			a:    dvscore.NewImpl(universe2, v02),
-			env:  &dvscore.BoundedEnv{MaxViews: 3, Views: []types.ProcSet{universe2}},
-			cfg:  ioa.ExploreConfig{MaxStates: 3500},
-		},
-		{
-			name: "DVS-IMPL/symmetry",
-			a:    symmetric(dvscore.NewImpl(universe2, v02)),
-			env:  &dvscore.BoundedEnv{MaxMsgs: 1, MaxViews: 2, Views: views, AllOrigins: true},
-			cfg:  ioa.ExploreConfig{MaxStates: 100000, MaxDepth: 10, Symmetry: true},
-		},
-		{
-			name: "TO-IMPL",
-			a:    tocore.NewImpl(universe2, v02, tocore.Config{DVS: tocore.DVSLiteral}),
-			env:  toEnv,
-			cfg:  ioa.ExploreConfig{MaxStates: 100000, MaxDepth: 9},
-		},
-		{
-			name: "TO-IMPL/symmetry",
-			a:    symmetric(tocore.NewImpl(universe2, v02, tocore.Config{DVS: tocore.DVSLiteral})),
-			env:  toEnv,
-			cfg:  ioa.ExploreConfig{MaxStates: 100000, MaxDepth: 9, Symmetry: true},
-		},
-		{
-			name: "TO-IMPL/figure5",
-			a:    tocore.NewImpl(universe2, v02, tocore.Config{DVS: tocore.DVSLiteral, LiteralFigure5: true}),
-			env:  toEnv,
-			cfg:  ioa.ExploreConfig{MaxStates: 100000, MaxDepth: 9},
-		},
-		{
-			// Truncation in the universe view, then two views of {0}: the
-			// second exchange carries a base and a high primary.
-			name: "TO-IMPL/universe",
-			a:    tocore.NewImpl(universe2, v02, tocore.Config{DVS: tocore.DVSLiteral, Universe: true}),
-			env:  &tocore.BoundedEnv{MaxMsgs: 1, MaxViews: 3, Views: []types.ProcSet{types.NewProcSet(0)}},
-			cfg:  ioa.ExploreConfig{},
-		},
-		{
-			name: "TO-IMPL/drained",
-			a:    tocore.NewImpl(universe2, v02, tocore.Config{DVS: tocore.DVSAmendedDrained, Universe: true}),
-			env:  toEnv,
-			cfg:  ioa.ExploreConfig{MaxStates: 100000, MaxDepth: 12},
-		},
-		{
-			name: "NAIVE",
-			a:    naive.NewImpl(universe2, v02),
-			env:  naiveAuditEnv{maxViews: 4, views: []types.ProcSet{types.NewProcSet(0), types.NewProcSet(1), types.NewProcSet(0, 1)}},
-			cfg:  ioa.ExploreConfig{MaxStates: 100000},
-		},
-		{
-			name: "MCAST",
-			a:    mcastcore.NewSystem(2, 2, mcastMenu, 2),
-			env:  mcastcore.Env(),
-			cfg:  ioa.ExploreConfig{},
-		},
-	}
 	cov := &fieldCoverage{nonzero: make(map[coveredField]bool)}
-	ran := 0
-	for _, tc := range cases {
+	ran, audited := 0, 0
+	for _, tc := range spaces() {
+		if tc.large {
+			continue
+		}
+		audited++
 		t.Run(tc.name, func(t *testing.T) {
 			ran++
 			cfg := tc.cfg
@@ -260,7 +99,7 @@ func TestFingerprintAudit(t *testing.T) {
 				res.States, res.Edges, res.MaxDepth, res.Truncated)
 		})
 	}
-	if ran < len(cases) {
+	if ran < audited {
 		return // the coverage gate holds over every case, not a -run selection
 	}
 	var zero []string
