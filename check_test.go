@@ -111,7 +111,7 @@ func TestSeedFailureReproducesAlone(t *testing.T) {
 	if !errors.As(full, &fullStep) || !errors.As(alone, &aloneStep) {
 		t.Fatal("failures should carry StepErrors")
 	}
-	if fullStep.Step != aloneStep.Step || fullStep.Fingerprint != aloneStep.Fingerprint {
+	if fullStep.Step != aloneStep.Step || fullStep.State != aloneStep.State {
 		t.Errorf("witness step diverged: step %d vs %d", fullStep.Step, aloneStep.Step)
 	}
 }

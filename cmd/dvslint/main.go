@@ -1,8 +1,7 @@
 // Command dvslint runs the project's domain-specific static-analysis suite
 // (internal/lint) over the given package patterns and reports every
-// violation of the automaton discipline: fingerprint completeness, model
-// determinism, canonical fingerprint iteration order and structural message
-// comparison. See DESIGN.md §6.4.
+// violation of the automaton discipline: model determinism and structural
+// message comparison. See DESIGN.md §6.4.
 //
 // Usage:
 //

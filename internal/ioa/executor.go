@@ -61,7 +61,7 @@ func (e *Executor) Run(a Automaton, env Environment, invs []Invariant) (*RunResu
 
 	res.InvariantEvals += nInvs
 	if err := checkInvariants(a, invs); err != nil {
-		return res, &StepError{Step: 0, Action: Action{Name: "<init>"}, Fingerprint: FingerprintString(a), Err: err}
+		return res, &StepError{Step: 0, Action: Action{Name: "<init>"}, State: Render(a), Err: err}
 	}
 
 	weight := e.InputWeight
@@ -74,7 +74,7 @@ func (e *Executor) Run(a Automaton, env Environment, invs []Invariant) (*RunResu
 			break
 		}
 		if err := a.Perform(act); err != nil {
-			return res, &StepError{Step: step, Action: act, Fingerprint: FingerprintString(a), Err: fmt.Errorf("perform: %w", err)}
+			return res, &StepError{Step: step, Action: act, State: Render(a), Err: fmt.Errorf("perform: %w", err)}
 		}
 		res.StepsTaken = step
 		if act.External() {
@@ -82,7 +82,7 @@ func (e *Executor) Run(a Automaton, env Environment, invs []Invariant) (*RunResu
 		}
 		res.InvariantEvals += nInvs
 		if err := checkInvariants(a, invs); err != nil {
-			return res, &StepError{Step: step, Action: act, Fingerprint: FingerprintString(a), Err: err}
+			return res, &StepError{Step: step, Action: act, State: Render(a), Err: err}
 		}
 	}
 	return res, nil

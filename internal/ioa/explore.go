@@ -17,9 +17,10 @@ import (
 // complete check up to the given bounds: if it passes, no reachable state
 // within the bounds violates the properties.
 //
-// States are deduplicated by 128-bit hash fingerprint, so automata must
-// produce canonical fingerprints (equal states ⇔ equal fingerprints), and
-// the environment's Inputs must be a pure function of the automaton state
+// States are deduplicated by their 128-bit fingerprint (FpOf), so an
+// automaton's state must be its value: whatever FpOf skips (func, chan and
+// ioa:"shared" fields) must not tell two states apart. The environment's
+// Inputs must be a pure function of the automaton state
 // (equal state ⇒ equal successors) — see StateSeed. AuditFingerprints
 // cross-checks the hash against a reflective rendering of each state.
 
@@ -161,12 +162,10 @@ type shardBuf struct {
 	_  [32]byte
 }
 
-// exploreScratch is per-worker reusable storage: the fingerprint digest,
-// the action buffer, and the per-shard discovery buckets survive across
-// frontier entries and across levels, so steady-state expansion does not
-// allocate for bookkeeping.
+// exploreScratch is per-worker reusable storage: the action buffer and the
+// per-shard discovery buckets survive across frontier entries and across
+// levels, so steady-state expansion does not allocate for bookkeeping.
 type exploreScratch struct {
-	f       Fingerprinter
 	acts    []Action
 	buckets [exploreShards][]discovery
 }
@@ -291,38 +290,30 @@ func (in *absIntern) intern(fp Fp, a Automaton) Automaton {
 // canonicalizes to the same fingerprint (orbit soundness: the
 // representative is a well-defined function of the orbit, not of the
 // particular member the search happened to reach).
-func canonicalize(a Automaton, f *Fingerprinter, audit bool) (Automaton, Fp, error) {
+func canonicalize(a Automaton, audit bool) (Automaton, Fp, error) {
 	sym, ok := a.(Symmetric)
 	if !ok {
 		return nil, Fp{}, fmt.Errorf("symmetry reduction: %T does not implement ioa.Symmetric", a)
 	}
 	rep := sym.Canonicalize()
-	f.Reset()
-	rep.Fingerprint(f)
-	repFp := f.Sum()
+	repFp := FpOf(rep)
 	if audit {
 		inOrbit := false
 		for _, m := range sym.Orbit() {
-			f.Reset()
-			m.Fingerprint(f)
-			mFp := f.Sum()
-			if mFp == repFp {
+			if FpOf(m) == repFp {
 				inOrbit = true
 			}
 			ms, ok := m.(Symmetric)
 			if !ok {
 				return nil, Fp{}, fmt.Errorf("symmetry audit: orbit member %T does not implement ioa.Symmetric", m)
 			}
-			mRep := ms.Canonicalize()
-			f.Reset()
-			mRep.Fingerprint(f)
-			if mRepFp := f.Sum(); mRepFp != repFp {
+			if mRepFp := FpOf(ms.Canonicalize()); mRepFp != repFp {
 				return nil, Fp{}, fmt.Errorf("symmetry audit: orbit members canonicalize to different representatives:\n  state     = %s\n  member    = %s\n  canon(state)  = %v\n  canon(member) = %v",
-					FingerprintString(a), FingerprintString(m), repFp, mRepFp)
+					Render(a), Render(m), repFp, mRepFp)
 			}
 		}
 		if !inOrbit {
-			return nil, Fp{}, fmt.Errorf("symmetry audit: representative %v is not in the orbit of %s", repFp, FingerprintString(a))
+			return nil, Fp{}, fmt.Errorf("symmetry audit: representative %v is not in the orbit of %s", repFp, Render(a))
 		}
 	}
 	return rep, repFp, nil
@@ -378,7 +369,7 @@ func Explore(initial Automaton, env Environment, cfg ExploreConfig) (res Explore
 	firstFp := FpOf(first)
 	if symmetry {
 		var err error
-		first, firstFp, err = canonicalize(first, &scratch[0].f, cfg.AuditSymmetry)
+		first, firstFp, err = canonicalize(first, cfg.AuditSymmetry)
 		if err != nil {
 			return res, fmt.Errorf("initial state: %w", err)
 		}
@@ -394,7 +385,7 @@ func Explore(initial Automaton, env Environment, cfg ExploreConfig) (res Explore
 		absFp := FpOf(absFirst)
 		if absFp != FpOf(specInit) {
 			return res, fmt.Errorf("F(init) is not the spec initial state:\n  F(init) = %s\n  init    = %s",
-				FingerprintString(absFirst), FingerprintString(specInit))
+				Render(absFirst), Render(specInit))
 		}
 		absFirst = interned.intern(absFp, absFirst)
 	}
@@ -499,16 +490,17 @@ func Explore(initial Automaton, env Environment, cfg ExploreConfig) (res Explore
 								break
 							}
 						}
+						var fp Fp
 						if symmetry {
 							// The refinement obligation above was checked on
 							// the real edge; dedup, invariants, and the next
 							// frontier use the orbit representative.
-							rep, _, err := canonicalize(succ, &sc.f, cfg.AuditSymmetry)
+							rep, repFp, err := canonicalize(succ, cfg.AuditSymmetry)
 							if err != nil {
 								fail(i, j, fmt.Errorf("depth %d, action %s: %w", depth, act, err))
 								break
 							}
-							succ = rep
+							succ, fp = rep, repFp
 							if cfg.Refinement != nil {
 								absSucc, err = cfg.Refinement.Abstract(succ)
 								if err != nil {
@@ -516,10 +508,9 @@ func Explore(initial Automaton, env Environment, cfg ExploreConfig) (res Explore
 									break
 								}
 							}
+						} else {
+							fp = FpOf(succ)
 						}
-						sc.f.Reset()
-						succ.Fingerprint(&sc.f)
-						fp := sc.f.Sum()
 						var astr string
 						if audit != nil {
 							astr = render(reflect.ValueOf(succ))

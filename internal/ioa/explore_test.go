@@ -27,8 +27,7 @@ func (r *ring) Perform(a Action) error {
 	}
 	return nil
 }
-func (r *ring) Clone() Automaton             { cp := *r; return &cp }
-func (r *ring) Fingerprint(f *Fingerprinter) { f.AddInt("n", r.n) }
+func (r *ring) Clone() Automaton { cp := *r; return &cp }
 
 func TestExploreVisitsWholeSpace(t *testing.T) {
 	res, err := Explore(&ring{m: 10}, nil, ExploreConfig{})

@@ -2,70 +2,130 @@ package ioa
 
 import (
 	"bytes"
-	"strings"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 )
 
-// TestFingerprinterRecordingMatchesHashOnly: recording mode must not change
-// the digest — the hash is over exactly the bytes the text renders.
-func TestFingerprinterRecordingMatchesHashOnly(t *testing.T) {
-	write := func(f *Fingerprinter) {
-		f.Add("cur", "<0.0,{0,1}>")
-		f.AddInt("n", 42)
-		f.SetPrefix("vs.")
-		f.Begin("queue.")
-		f.Int(3)
-		f.Byte('=')
-		f.Str("a|b")
-		f.End()
-		f.SetPrefix("")
-	}
-	var plain, rec Fingerprinter
-	rec.SetRecording(true)
-	write(&plain)
-	write(&rec)
-	if plain.Sum() != rec.Sum() {
-		t.Errorf("recording changed the digest: %v vs %v", plain.Sum(), rec.Sum())
-	}
-	want := "cur=<0.0,{0,1}>\nn=42\nvs.queue.3=a|b"
-	if got := rec.String(); got != want {
-		t.Errorf("recorded text:\n%q\nwant:\n%q", got, want)
+// fpToy is an automaton whose state is whatever a test puts in its fields.
+type fpToy struct {
+	lines map[string]string
+	set   map[int]struct{}
+	seq   []int
+	ptr   *int
+	val   any
+	fn    func()
+	note  string `ioa:"shared"`
+}
+
+func (*fpToy) Name() string           { return "fpToy" }
+func (*fpToy) Enabled() []Action      { return nil }
+func (*fpToy) Perform(a Action) error { return nil }
+func (t *fpToy) Clone() Automaton     { cp := *t; return &cp }
+
+// toyLines is a toy whose lines hold the key-value pairs kv.
+func toyLines(kv ...string) *fpToy {
+	t := &fpToy{lines: map[string]string{}}
+	t.add(kv...)
+	return t
+}
+
+func (t *fpToy) add(kv ...string) {
+	for i := 0; i+1 < len(kv); i += 2 {
+		t.lines[kv[i]] = kv[i+1]
 	}
 }
 
-// TestFingerprinterEmptyNotZero: an empty digest must not be the zero Fp
-// (the striped seen-set uses zero as its empty-slot marker and stores a real
-// zero fingerprint out of band, but the common empty state should not land
-// there), and it must differ from a one-empty-line digest.
+// TestFingerprinterEmptyNotZero: an empty state's fingerprint must not be
+// the zero Fp (the striped seen-set uses zero as its empty-slot marker and
+// stores a real zero fingerprint out of band, but the common empty state
+// should not land there), and it must differ from a one-entry state.
 func TestFingerprinterEmptyNotZero(t *testing.T) {
-	var f Fingerprinter
-	if (f.Sum() == Fp{}) {
-		t.Error("empty digest is the zero Fp")
+	empty := FpOf(&fpToy{})
+	if (empty == Fp{}) {
+		t.Error("empty state fingerprints as the zero Fp")
 	}
-	var g Fingerprinter
-	g.Begin("")
-	g.End()
-	if f.Sum() == g.Sum() {
-		t.Error("empty digest equals one-empty-line digest")
+	if empty == FpOf(toyLines("", "x")) {
+		t.Error("empty state equals a one-entry state")
+	}
+}
+
+// TestFpOfRules pins what FpOf counts as state and what it does not.
+func TestFpOfRules(t *testing.T) {
+	one, zero := 1, 0
+	same := []struct {
+		name string
+		a, b *fpToy
+	}{
+		{"nil equals empty", &fpToy{}, &fpToy{lines: map[string]string{}, seq: []int{}}},
+		{"a zero-valued entry is left out", &fpToy{}, toyLines("k", "")},
+		{"funcs are skipped", &fpToy{}, &fpToy{fn: func() {}}},
+		{"shared fields are skipped", &fpToy{}, &fpToy{note: "x"}},
+	}
+	for _, c := range same {
+		if FpOf(c.a) != FpOf(c.b) {
+			t.Errorf("%s: fingerprints differ", c.name)
+		}
+	}
+	differ := []struct {
+		name string
+		a, b *fpToy
+	}{
+		{"set keys are kept", &fpToy{}, &fpToy{set: map[int]struct{}{0: {}}}},
+		{"nil pointer is marked", &fpToy{}, &fpToy{ptr: &zero}},
+		{"pointers are followed", &fpToy{ptr: &zero}, &fpToy{ptr: &one}},
+		{"an interface writes its type", &fpToy{val: 1}, &fpToy{val: int64(1)}},
+		{"slice boundaries count", &fpToy{seq: []int{1}, val: []int{}}, &fpToy{seq: []int{}, val: []int{1}}},
+	}
+	for _, c := range differ {
+		if FpOf(c.a) == FpOf(c.b) {
+			t.Errorf("%s: fingerprints equal", c.name)
+		}
+	}
+}
+
+// TestFpOfConcurrentFirstUse: goroutines that meet a type for the first
+// time together see its plan, and the plans it reaches, complete. Each
+// round builds fresh types, a map value type among them, since a type is
+// compiled once per process.
+func TestFpOfConcurrentFirstUse(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		field := func(name string, typ reflect.Type) reflect.Type {
+			return reflect.StructOf([]reflect.StructField{{Name: fmt.Sprintf("%s%d", name, round), Type: typ}})
+		}
+		elem := field("E", reflect.TypeFor[uint16]())
+		m := reflect.MakeMap(reflect.MapOf(reflect.TypeFor[string](), elem))
+		m.SetMapIndex(reflect.ValueOf("a"), reflect.New(elem).Elem())
+		v := reflect.New(field("M", m.Type())).Elem()
+		v.Field(0).Set(m)
+		toy := &fpToy{val: v.Interface(), seq: []int{round}}
+		fps := make([]Fp, 8)
+		var wg sync.WaitGroup
+		for i := range fps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fps[i] = FpOf(toy)
+			}()
+		}
+		wg.Wait()
+		for _, fp := range fps[1:] {
+			if fp != fps[0] {
+				t.Fatalf("round %d: fingerprints differ: %v vs %v", round, fp, fps[0])
+			}
+		}
 	}
 }
 
 // TestFingerprinterRelatedLinesSeparate reproduces the structured near-miss
-// the collision audit caught during development: states whose line multisets
-// differ by small digit changes in two lines. With raw FNV line hashes the
-// additive fold let such differences cancel; the mix128 finalizer in End
-// must keep them apart.
+// the collision audit caught during development: states whose map entries
+// differ by small digit changes in two entries. With raw FNV entry hashes the
+// additive fold let such differences cancel; the mix128 finalizer must keep
+// them apart.
 func TestFingerprinterRelatedLinesSeparate(t *testing.T) {
-	sum := func(lines ...string) Fp {
-		var f Fingerprinter
-		for _, l := range lines {
-			k, v, _ := strings.Cut(l, "=")
-			f.Add(k, v)
-		}
-		return f.Sum()
-	}
-	a := sum("cur.0=3.0", "cur.1=3.0")
-	b := sum("cur.0=0.0", "cur.1=4.0")
+	a := FpOf(toyLines("cur.0", "3.0", "cur.1", "3.0"))
+	b := FpOf(toyLines("cur.0", "0.0", "cur.1", "4.0"))
 	if a == b {
 		t.Errorf("related states collide: %v", a)
 	}
@@ -73,7 +133,7 @@ func TestFingerprinterRelatedLinesSeparate(t *testing.T) {
 	seen := make(map[Fp]string, 100)
 	for x := '0'; x <= '9'; x++ {
 		for y := '0'; y <= '9'; y++ {
-			fp := sum("cur.0="+string(x), "cur.1="+string(y))
+			fp := FpOf(toyLines("cur.0", string(x), "cur.1", string(y)))
 			key := string(x) + string(y)
 			if prev, dup := seen[fp]; dup {
 				t.Fatalf("digit pair %s collides with %s", key, prev)
@@ -83,44 +143,31 @@ func TestFingerprinterRelatedLinesSeparate(t *testing.T) {
 	}
 }
 
-// FuzzFpCanonical feeds arbitrary line multisets to the Fingerprinter and
-// checks the two properties the exploration engine relies on: the digest is
-// invariant under the order lines are written (map iteration order cannot
-// leak in), and it matches the digest of the recording mode whose sorted
-// text form error messages print.
+// FuzzFpCanonical inserts arbitrary entries into a map in two orders and
+// checks the two properties the exploration engine relies on: the
+// fingerprint does not depend on the map's history (iteration order cannot
+// leak in), and changing one entry's value changes it.
 func FuzzFpCanonical(f *testing.F) {
 	f.Add([]byte("cur=3.0\xffnext=1"), uint8(1))
 	f.Add([]byte("a=\xffb=\xffc="), uint8(2))
 	f.Add([]byte(""), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, rot uint8) {
-		lines := bytes.Split(data, []byte{0xff})
-		write := func(f *Fingerprinter, order []int) {
-			for _, i := range order {
-				k, v, _ := bytes.Cut(lines[i], []byte{'='})
-				f.Add(string(k), string(v))
-			}
+		var kv []string
+		for _, line := range bytes.Split(data, []byte{0xff}) {
+			k, v, _ := bytes.Cut(line, []byte{'='})
+			kv = append(kv, string(k), string(v))
 		}
-		fwd := make([]int, len(lines))
-		for i := range fwd {
-			fwd[i] = i
+		fwd, rotated := toyLines(kv...), toyLines()
+		r := 2 * (int(rot) % (len(kv) / 2))
+		rotated.add(kv[r:]...)
+		rotated.add(kv[:r]...)
+		rotated.add(kv...) // the later of two equal keys wins in both
+		if FpOf(fwd) != FpOf(rotated) {
+			t.Errorf("digest depends on insertion order: %v vs %v", FpOf(fwd), FpOf(rotated))
 		}
-		rotated := make([]int, 0, len(lines))
-		if n := len(lines); n > 0 {
-			r := int(rot) % n
-			rotated = append(rotated, fwd[r:]...)
-			rotated = append(rotated, fwd[:r]...)
-		}
-
-		var a, b, rec Fingerprinter
-		rec.SetRecording(true)
-		write(&a, fwd)
-		write(&b, rotated)
-		write(&rec, fwd)
-		if a.Sum() != b.Sum() {
-			t.Errorf("digest depends on write order: %v vs %v", a.Sum(), b.Sum())
-		}
-		if a.Sum() != rec.Sum() {
-			t.Errorf("recording mode changed the digest: %v vs %v", a.Sum(), rec.Sum())
+		rotated.lines[kv[0]] += "x"
+		if FpOf(fwd) == FpOf(rotated) {
+			t.Errorf("a changed entry left the digest alone:\n%s\n%s", Render(fwd), Render(rotated))
 		}
 	})
 }

@@ -80,9 +80,9 @@ func paramString(p any) string {
 
 // Automaton is an executable I/O automaton. Implementations are
 // single-threaded value-semantics state machines: Clone must produce a fully
-// independent copy, and Fingerprint must write a canonical rendering of the
-// state (equal states ⇒ equal fingerprints, and for the automata in this
-// repository the converse as well).
+// independent copy. The state is the value itself: FpOf derives its
+// fingerprint from the type, so every field is state unless it is a func,
+// a chan or tagged ioa:"shared".
 type Automaton interface {
 	// Name identifies the automaton (for diagnostics).
 	Name() string
@@ -95,11 +95,6 @@ type Automaton interface {
 	Perform(a Action) error
 	// Clone returns an independent deep copy.
 	Clone() Automaton
-	// Fingerprint writes the canonical state components into f, one
-	// key=value line per component (omit default-valued components). The
-	// digest is order-canonical, so writes driven by map iteration are
-	// fine. Use FpOf / FingerprintString to consume it.
-	Fingerprint(f *Fingerprinter)
 }
 
 // Environment supplies candidate input actions for an automaton's current
@@ -126,12 +121,12 @@ type Invariant struct {
 }
 
 // StepError describes a violation found during an execution: which step,
-// which action, and the state fingerprint at the point of failure.
+// which action, and the state (as Render text) at the point of failure.
 type StepError struct {
-	Step        int
-	Action      Action
-	Fingerprint string
-	Err         error
+	Step   int
+	Action Action
+	State  string
+	Err    error
 }
 
 // Error implements the error interface.

@@ -52,8 +52,6 @@ func (c *counter) Perform(a Action) error {
 
 func (c *counter) Clone() Automaton { cp := *c; return &cp }
 
-func (c *counter) Fingerprint(f *Fingerprinter) { f.AddInt("n", c.n) }
-
 func TestKindString(t *testing.T) {
 	if KindInput.String() != "input" || KindOutput.String() != "output" || KindInternal.String() != "internal" {
 		t.Error("Kind.String wrong")
@@ -120,7 +118,7 @@ func TestExecutorDeterministicPerSeed(t *testing.T) {
 		for i, a := range res.Trace {
 			keys[i] = a.Key()
 		}
-		return strings.Join(keys, ";") + "|" + FingerprintString(res.Final)
+		return strings.Join(keys, ";") + "|" + Render(res.Final)
 	}
 	if run() != run() {
 		t.Error("same seed must give the same execution")
@@ -197,7 +195,11 @@ func TestRunSeeds(t *testing.T) {
 
 // doubler abstracts counter: its state is n as well, but transitions come
 // only from the correspondence (tick maps to tick, emit to emit).
-type identityRefinement struct{ bad bool }
+// limit is the abstracted counter's, since the state includes it.
+type identityRefinement struct {
+	bad   bool
+	limit int
+}
 
 func (r identityRefinement) Abstract(impl Automaton) (Automaton, error) {
 	c := impl.(*counter)
@@ -208,21 +210,21 @@ func (r identityRefinement) Abstract(impl Automaton) (Automaton, error) {
 	return &cp, nil
 }
 
-func (r identityRefinement) SpecInitial() Automaton { return &counter{limit: 1 << 30} }
+func (r identityRefinement) SpecInitial() Automaton { return &counter{limit: r.limit} }
 
 func (r identityRefinement) Plan(pre Automaton, act Action) ([]Action, error) {
 	return []Action{act}, nil
 }
 
 func TestCheckRefinementIdentity(t *testing.T) {
-	_, err := CheckRefinement(&counter{limit: 6}, identityRefinement{}, nil, CheckerConfig{Steps: 50, Seed: 2})
+	_, err := CheckRefinement(&counter{limit: 6}, identityRefinement{limit: 6}, nil, CheckerConfig{Steps: 50, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCheckRefinementDetectsBadAbstraction(t *testing.T) {
-	_, err := CheckRefinement(&counter{limit: 6}, identityRefinement{bad: true}, nil, CheckerConfig{Steps: 50, Seed: 2})
+	_, err := CheckRefinement(&counter{limit: 6}, identityRefinement{bad: true, limit: 6}, nil, CheckerConfig{Steps: 50, Seed: 2})
 	if err == nil {
 		t.Fatal("bad abstraction must be detected")
 	}
@@ -240,7 +242,7 @@ func (planDropper) Plan(pre Automaton, act Action) ([]Action, error) {
 }
 
 func TestCheckRefinementDetectsTraceMismatch(t *testing.T) {
-	_, err := CheckRefinement(&counter{limit: 6}, planDropper{}, nil, CheckerConfig{Steps: 50, Seed: 2})
+	_, err := CheckRefinement(&counter{limit: 6}, planDropper{identityRefinement{limit: 6}}, nil, CheckerConfig{Steps: 50, Seed: 2})
 	if err == nil || !strings.Contains(err.Error(), "trace") {
 		t.Fatalf("dropped external action must be a trace mismatch, got %v", err)
 	}
@@ -249,7 +251,7 @@ func TestCheckRefinementDetectsTraceMismatch(t *testing.T) {
 func TestCheckRefinementSeeds(t *testing.T) {
 	_, err := CheckRefinementSeeds(3,
 		func() Automaton { return &counter{limit: 4} },
-		identityRefinement{}, nil, CheckerConfig{Steps: 30})
+		identityRefinement{limit: 4}, nil, CheckerConfig{Steps: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,18 +275,18 @@ func TestCheckTraceInclusion(t *testing.T) {
 	}
 }
 
+// TestFingerprinterCanonical: a map's fingerprint does not depend on the
+// order its entries were inserted in, and Render sorts them too.
 func TestFingerprinterCanonical(t *testing.T) {
-	var a, b Fingerprinter
-	a.SetRecording(true)
-	b.SetRecording(true)
-	a.Add("x", "1")
-	a.Add("y", "2")
-	b.Add("y", "2")
-	b.Add("x", "1")
-	if a.Sum() != b.Sum() {
+	a, b := toyLines(), toyLines()
+	for i := 1; i <= 50; i++ {
+		a.add(fmt.Sprint(i), fmt.Sprint(i*i))
+		b.add(fmt.Sprint(51-i), fmt.Sprint((51-i)*(51-i)))
+	}
+	if FpOf(a) != FpOf(b) {
 		t.Error("hash fingerprint must not depend on insertion order")
 	}
-	if a.String() != b.String() {
+	if Render(a) != Render(b) {
 		t.Error("text fingerprint must not depend on insertion order")
 	}
 }

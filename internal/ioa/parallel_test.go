@@ -36,12 +36,6 @@ func (b *bomb) Perform(a Action) error {
 	return nil
 }
 func (b *bomb) Clone() Automaton { cp := *b; return &cp }
-func (b *bomb) Fingerprint(f *Fingerprinter) {
-	f.AddInt("n", b.n)
-	if b.tripped {
-		f.Add("tripped", "true")
-	}
-}
 
 var tripwire = []Invariant{{Name: "never tripped", Check: func(a Automaton) error {
 	if a.(*bomb).tripped {

@@ -82,11 +82,11 @@ func CheckRefinement(impl Automaton, ref Refinement, env Environment, cfg Checke
 	specInit := ref.SpecInitial()
 	if FpOf(absCur) != FpOf(specInit) {
 		return rep, fmt.Errorf("F(init) is not the spec initial state:\n  F(init) = %s\n  init    = %s",
-			FingerprintString(absCur), FingerprintString(specInit))
+			Render(absCur), Render(specInit))
 	}
 	rep.InvariantEvals += nImplInvs
 	if err := checkInvariants(impl, cfg.ImplInvariants); err != nil {
-		return rep, &StepError{Step: 0, Action: Action{Name: "<init>"}, Fingerprint: FingerprintString(impl), Err: err}
+		return rep, &StepError{Step: 0, Action: Action{Name: "<init>"}, State: Render(impl), Err: err}
 	}
 
 	for step := 1; step <= cfg.Steps; step++ {
@@ -100,25 +100,25 @@ func CheckRefinement(impl Automaton, ref Refinement, env Environment, cfg Checke
 		// allocation of the refinement check) is gone.
 		plan, err := ref.Plan(impl, act)
 		if err != nil {
-			return rep, &StepError{Step: step, Action: act, Fingerprint: FingerprintString(impl), Err: fmt.Errorf("plan: %w", err)}
+			return rep, &StepError{Step: step, Action: act, State: Render(impl), Err: fmt.Errorf("plan: %w", err)}
 		}
 		if err := impl.Perform(act); err != nil {
-			return rep, &StepError{Step: step, Action: act, Fingerprint: FingerprintString(impl), Err: fmt.Errorf("perform: %w", err)}
+			return rep, &StepError{Step: step, Action: act, State: Render(impl), Err: fmt.Errorf("perform: %w", err)}
 		}
 		rep.Steps++
 		rep.States++
 		rep.InvariantEvals += nImplInvs
 		if err := checkInvariants(impl, cfg.ImplInvariants); err != nil {
-			return rep, &StepError{Step: step, Action: act, Fingerprint: FingerprintString(impl), Err: err}
+			return rep, &StepError{Step: step, Action: act, State: Render(impl), Err: err}
 		}
 		// The walk is sequential, so F(post) of this step is F(pre) of the
 		// next: one Abstract call per step instead of two.
 		absPost, err := ref.Abstract(impl)
 		if err != nil {
-			return rep, &StepError{Step: step, Action: act, Fingerprint: FingerprintString(impl), Err: fmt.Errorf("abstract post-state: %w", err)}
+			return rep, &StepError{Step: step, Action: act, State: Render(impl), Err: fmt.Errorf("abstract post-state: %w", err)}
 		}
 		if err := checkPlanExecution(plan, act, absCur, absPost, cfg.SpecInvariants, &rep); err != nil {
-			return rep, &StepError{Step: step, Action: act, Fingerprint: FingerprintString(impl), Err: err}
+			return rep, &StepError{Step: step, Action: act, State: Render(impl), Err: err}
 		}
 		absCur = absPost
 	}
@@ -212,7 +212,7 @@ func checkPlanExecution(plan []Action, act Action, absPre, absPost Automaton, sp
 		}
 	}
 	if FpOf(state) != FpOf(absPost) {
-		return errors.New("simulated spec state differs from F(post):\n  simulated = " + FingerprintString(state) + "\n  F(post)   = " + FingerprintString(absPost))
+		return errors.New("simulated spec state differs from F(post):\n  simulated = " + Render(state) + "\n  F(post)   = " + Render(absPost))
 	}
 	return nil
 }
@@ -245,7 +245,7 @@ func CheckTraceInclusion(impl Automaton, mon Monitor, env Environment, cfg Check
 	nInvs := int64(countInvs(cfg.ImplInvariants))
 	rep.InvariantEvals += nInvs
 	if err := checkInvariants(impl, cfg.ImplInvariants); err != nil {
-		return rep, &StepError{Step: 0, Action: Action{Name: "<init>"}, Fingerprint: FingerprintString(impl), Err: err}
+		return rep, &StepError{Step: 0, Action: Action{Name: "<init>"}, State: Render(impl), Err: err}
 	}
 	for step := 1; step <= cfg.Steps; step++ {
 		act, ok := pickAction(impl, env, rng, weight)
@@ -253,17 +253,17 @@ func CheckTraceInclusion(impl Automaton, mon Monitor, env Environment, cfg Check
 			return rep, nil
 		}
 		if err := impl.Perform(act); err != nil {
-			return rep, &StepError{Step: step, Action: act, Fingerprint: FingerprintString(impl), Err: fmt.Errorf("perform: %w", err)}
+			return rep, &StepError{Step: step, Action: act, State: Render(impl), Err: fmt.Errorf("perform: %w", err)}
 		}
 		rep.Steps++
 		rep.States++
 		rep.InvariantEvals += nInvs
 		if err := checkInvariants(impl, cfg.ImplInvariants); err != nil {
-			return rep, &StepError{Step: step, Action: act, Fingerprint: FingerprintString(impl), Err: err}
+			return rep, &StepError{Step: step, Action: act, State: Render(impl), Err: err}
 		}
 		if act.External() {
 			if err := mon.Observe(act); err != nil {
-				return rep, &StepError{Step: step, Action: act, Fingerprint: FingerprintString(impl), Err: fmt.Errorf("trace rejected: %w", err)}
+				return rep, &StepError{Step: step, Action: act, State: Render(impl), Err: fmt.Errorf("trace rejected: %w", err)}
 			}
 		}
 	}

@@ -8,10 +8,14 @@ import (
 	"strings"
 )
 
+// Render is the text of a value for error messages and tests: render's
+// text of the whole of it, which holds more than FpOf (see render).
+func Render(v any) string { return render(reflect.ValueOf(v)) }
+
 // render is the audit's text of a state: the whole value by reflection,
 // unexported fields included, map entries sorted and nil the same as empty.
-// No automaton writes it, so it holds what a Fingerprint, Clone or Permute
-// forgot.
+// It shares no code with FpOf, so it holds what FpOf skips (ioa:"shared"
+// fields, map entries with zero values) and what a Clone or Permute forgot.
 func render(v reflect.Value) string {
 	var b strings.Builder
 	renderTo(&b, v)

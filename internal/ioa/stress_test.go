@@ -100,11 +100,6 @@ func (g *grid) Perform(a Action) error {
 	return nil
 }
 func (g *grid) Clone() Automaton { cp := *g; return &cp }
-func (g *grid) Fingerprint(f *Fingerprinter) {
-	f.AddInt("v0", g.v[0])
-	f.AddInt("v1", g.v[1])
-	f.AddInt("v2", g.v[2])
-}
 
 // TestExploreDeterministicAcrossWorkers pins the pipelined BFS contract:
 // the full result — state, edge, and depth counts, truncation, and even
@@ -209,10 +204,6 @@ func (p *pairSym) Perform(act Action) error {
 	return nil
 }
 func (p *pairSym) Clone() Automaton { cp := *p; return &cp }
-func (p *pairSym) Fingerprint(f *Fingerprinter) {
-	f.AddInt("a", p.a)
-	f.AddInt("b", p.b)
-}
 func (p *pairSym) Canonicalize() Automaton {
 	cp := *p
 	if !p.bad && cp.a > cp.b {

@@ -4,9 +4,7 @@ package lint
 // repository, in the order diagnostics should be grouped when positions tie.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		Fpcomplete(),
 		Modelpure(DefaultModelpureConfig()),
-		Fporder(),
 		Keyequal("/internal/protocol/", "/internal/spec/"),
 	}
 }

@@ -16,8 +16,8 @@ var renderMethods = map[string]bool{"MsgKey": true, "String": true, "key": true}
 // Keyequal returns the keyequal analyzer: inside a protocol core or a
 // specification automaton — a package whose import path contains one of
 // the segments — an == or != whose operands are both calls of MsgKey(),
-// String() or a method named key is reported. A rendering is for traces,
-// error text and the fingerprint fallback. As an equality test it formats
+// String() or a method named key is reported. A rendering is for traces
+// and error text. As an equality test it formats
 // and allocates both sides on every head check, and it is not injective,
 // because payloads may contain the delimiters the renderings join with; the
 // cores and the specs they are checked against compare with EqualMsg/Equal.

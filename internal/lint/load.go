@@ -1,8 +1,8 @@
 // Package lint is a domain-specific static-analysis suite that
 // machine-enforces the automaton discipline the checker's soundness rests
-// on: fingerprint completeness, model determinism, canonical iteration order
-// on the fingerprint path and structural message comparison (DESIGN.md
-// §6.4). Clones and permutations are checked by the exploration audit
+// on: model determinism and structural message comparison (DESIGN.md §6.4).
+// Fingerprints are derived from the state's type (ioa.FpOf); clones and
+// permutations are checked by the exploration audit
 // (ioa.ExploreConfig.AuditFingerprints); effects and writes through Shared
 // views by the conformance replay and the tests; run-to-completion by the
 // race detector and the tob loop-liveness test (DESIGN.md §6.9).

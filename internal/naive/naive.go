@@ -25,7 +25,6 @@ import (
 // is the last primary this process accepted.
 type Node struct {
 	p     types.ProcID
-	fpPre string // fingerprint line prefix "n<p>.", precomputed
 	cur   types.View
 	curOK bool
 	last  types.View // last accepted primary; starts at v0
@@ -38,7 +37,6 @@ type Node struct {
 func NewNode(p types.ProcID, initial types.View, inP0 bool) *Node {
 	n := &Node{
 		p:         p,
-		fpPre:     "n" + p.String() + ".",
 		last:      initial.Clone(),
 		attempted: make(map[types.ViewID]types.View),
 	}
@@ -89,7 +87,7 @@ func (n *Node) Attempted() []types.View {
 }
 
 func (n *Node) clone() *Node {
-	c := &Node{p: n.p, fpPre: n.fpPre, cur: n.cur.Clone(), curOK: n.curOK, last: n.last.Clone(),
+	c := &Node{p: n.p, cur: n.cur.Clone(), curOK: n.curOK, last: n.last.Clone(),
 		attempted: make(map[types.ViewID]types.View, len(n.attempted))}
 	for id, v := range n.attempted {
 		c.attempted[id] = v.Clone()
@@ -101,13 +99,11 @@ func (n *Node) clone() *Node {
 // dvscore.Impl's external shape (minus communication, which the strawman does
 // not need to go wrong).
 type Impl struct {
-	//lint:fpignore fixed at construction; identical across every state of one exploration
 	universe types.ProcSet
-	//lint:fpignore fixed at construction; identical across every state of one exploration
-	initial types.View
-	procs   []types.ProcID
-	vs      *vsspec.VS
-	nodes   map[types.ProcID]*Node
+	initial  types.View
+	procs    []types.ProcID
+	vs       *vsspec.VS
+	nodes    map[types.ProcID]*Node
 }
 
 var _ ioa.Automaton = (*Impl)(nil)
@@ -232,36 +228,6 @@ func (im *Impl) Clone() ioa.Automaton {
 		c.nodes[p] = n.clone()
 	}
 	return c
-}
-
-// Fingerprint implements ioa.Automaton. The VS component's lines are
-// flattened under a "vs." prefix; node values stream into the digest.
-func (im *Impl) Fingerprint(f *ioa.Fingerprinter) {
-	f.SetPrefix("vs.")
-	im.vs.Fingerprint(f)
-	f.SetPrefix("")
-	for _, p := range im.procs {
-		n := im.nodes[p]
-		f.SetPrefix(n.fpPre)
-		if n.curOK {
-			f.Begin("cur")
-			f.Byte('=')
-			n.cur.WriteFp(f)
-			f.End()
-		}
-		f.Begin("last")
-		f.Byte('=')
-		n.last.WriteFp(f)
-		f.End()
-		for id, v := range n.attempted {
-			f.Begin("att.")
-			id.WriteFp(f)
-			f.Byte('=')
-			v.Members.WriteFp(f)
-			f.End()
-		}
-		f.SetPrefix("")
-	}
 }
 
 // maxCreated returns the largest view id created in the underlying VS.

@@ -196,14 +196,14 @@ func TestNaiveDeterminismAndClone(t *testing.T) {
 		if _, err := ex.Run(im, envFunc(universe, rand.New(rand.NewSource(9))), nil); err != nil {
 			t.Fatal(err)
 		}
-		return ioa.FingerprintString(im)
+		return ioa.Render(im)
 	}
 	if run() != run() {
 		t.Fatal("naive executions not reproducible")
 	}
 	im := NewImpl(universe, v0)
 	c := im.Clone().(*Impl)
-	if ioa.FingerprintString(c) != ioa.FingerprintString(im) {
+	if ioa.Render(c) != ioa.Render(im) {
 		t.Fatal("clone fingerprint differs")
 	}
 	if err := im.Perform(ioa.Action{Name: "bogus"}); err == nil {

@@ -17,7 +17,7 @@ func TestExecutionDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ioa.FingerprintString(res.Final)
+		return ioa.Render(res.Final)
 	}
 	a, b := run(), run()
 	if a != b {
@@ -55,7 +55,7 @@ func TestCloneMidExecutionEquivalence(t *testing.T) {
 		if err := clone.Perform(actsB[0]); err != nil {
 			t.Fatal(err)
 		}
-		if ioa.FingerprintString(im) != ioa.FingerprintString(clone) {
+		if ioa.Render(im) != ioa.Render(clone) {
 			t.Fatalf("step %d: states diverged", step)
 		}
 	}

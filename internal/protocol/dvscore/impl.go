@@ -24,15 +24,12 @@ func (p GCParam) String() string { return p.View.String() + "_" + p.P.String() }
 // and the external actions reuse the dvs package's names and parameter
 // types so implementation and specification traces compare directly.
 type Impl struct {
-	//lint:fpignore fixed at construction; identical across every state of one exploration
 	universe types.ProcSet
-	//lint:fpignore fixed at construction; identical across every state of one exploration
-	initial types.View
-	procs   []types.ProcID // sorted universe, for deterministic enumeration
-	vs      *vsspec.VS
-	nodes   map[types.ProcID]*Node
-	//lint:fpignore symmetry group computed once from the initial state; identical (and immutable) across every state of one exploration
-	syms []types.Perm `ioa:"shared"`
+	initial  types.View
+	procs    []types.ProcID // sorted universe, for deterministic enumeration
+	vs       *vsspec.VS
+	nodes    map[types.ProcID]*Node
+	syms     []types.Perm `ioa:"shared"`
 }
 
 var _ ioa.Automaton = (*Impl)(nil)
@@ -359,16 +356,4 @@ func (im *Impl) Clone() ioa.Automaton {
 		c.nodes[p] = n.Clone()
 	}
 	return c
-}
-
-// Fingerprint implements ioa.Automaton. The VS component's lines are
-// flattened under a "vs." prefix; each node contributes its own "n<p>."
-// lines.
-func (im *Impl) Fingerprint(f *ioa.Fingerprinter) {
-	f.SetPrefix("vs.")
-	im.vs.Fingerprint(f)
-	f.SetPrefix("")
-	for _, p := range im.procs {
-		im.nodes[p].AddFingerprint(f)
-	}
 }

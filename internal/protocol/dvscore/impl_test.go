@@ -98,17 +98,17 @@ func TestImplCloneDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := im.Clone()
-	if ioa.FingerprintString(c) != ioa.FingerprintString(im) {
+	if ioa.Render(c) != ioa.Render(im) {
 		t.Error("clone fingerprint differs")
 	}
 	// Advancing the clone must not affect the original.
-	pre := ioa.FingerprintString(im)
+	pre := ioa.Render(im)
 	if acts := c.Enabled(); len(acts) > 0 {
 		if err := c.Perform(acts[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ioa.FingerprintString(im) != pre {
+	if ioa.Render(im) != pre {
 		t.Error("clone mutation leaked")
 	}
 }

@@ -49,20 +49,6 @@ func (m InfoMsg) EqualMsg(o types.Msg) bool {
 	return ok && m.Act.Equal(om.Act) && slices.EqualFunc(m.Amb, om.Amb, types.View.Equal)
 }
 
-// WriteFp streams the canonical key (same format as MsgKey) into a
-// fingerprint digest.
-func (m InfoMsg) WriteFp(w types.FpWriter) {
-	w.Str("info:")
-	m.Act.WriteFp(w)
-	w.Byte(';')
-	for i, v := range m.Amb {
-		if i > 0 {
-			w.Byte('|')
-		}
-		v.WriteFp(w)
-	}
-}
-
 // Clone returns an independent copy.
 func (m InfoMsg) Clone() InfoMsg { return NewInfoMsg(m.Act, m.Amb) }
 
@@ -80,9 +66,6 @@ func (RegisteredMsg) EqualMsg(o types.Msg) bool {
 	_, ok := o.(RegisteredMsg)
 	return ok
 }
-
-// WriteFp streams the canonical key into a fingerprint digest.
-func (RegisteredMsg) WriteFp(w types.FpWriter) { w.Str("registered") }
 
 // ServiceMsg marks RegisteredMsg as internal to the group-communication
 // layer.

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/ioa"
 	"repro/internal/types"
 )
 
@@ -40,20 +39,6 @@ func (i Info) clone() Info {
 		cp = append(cp, v.Clone())
 	}
 	return Info{Act: i.Act.Clone(), Amb: cp}
-}
-
-// writeFp streams the same canonical form as InfoMsg.MsgKey (Amb is kept
-// sorted, so no copy or re-sort is needed).
-func (i Info) writeFp(f *ioa.Fingerprinter) {
-	f.Str("info:")
-	i.Act.WriteFp(f)
-	f.Byte(';')
-	for j, v := range i.Amb {
-		if j > 0 {
-			f.Byte('|')
-		}
-		v.WriteFp(f)
-	}
 }
 
 type procViewKey struct {
@@ -74,9 +59,7 @@ func (e MsgFrom) Equal(o MsgFrom) bool { return e.Q == o.Q && e.M.EqualMsg(o.M) 
 // process p. It is not a standalone ioa.Automaton: its vs-* actions
 // synchronize with the VS automaton inside the Impl composition.
 type Node struct {
-	//lint:fpignore identity reaches the digest through the fpPre prefix on every line
-	p     types.ProcID
-	fpPre string // fingerprint line prefix "n<p>.", precomputed
+	p types.ProcID
 
 	cur         types.View // meaningful iff curOK
 	curOK       bool
@@ -99,7 +82,6 @@ type Node struct {
 func NewNode(p types.ProcID, initial types.View, inP0 bool) *Node {
 	n := &Node{
 		p:          p,
-		fpPre:      "n" + p.String() + ".",
 		act:        initial.Clone(),
 		amb:        make(map[types.ViewID]types.View),
 		attempted:  make(map[types.ViewID]types.View),
@@ -434,7 +416,6 @@ func (n *Node) performGC(v types.View) error {
 func (n *Node) Clone() *Node {
 	c := &Node{
 		p:           n.p,
-		fpPre:       n.fpPre,
 		cur:         n.cur.Clone(),
 		curOK:       n.curOK,
 		clientCur:   n.clientCur.Clone(),
@@ -478,121 +459,4 @@ func (n *Node) Clone() *Node {
 		c.infoSent[g] = i.clone()
 	}
 	return c
-}
-
-// AddFingerprint appends the node's state to a composite fingerprint. Every
-// line carries the node's "n<p>." prefix; values stream into the digest.
-func (n *Node) AddFingerprint(f *ioa.Fingerprinter) {
-	f.SetPrefix(n.fpPre)
-	if n.curOK {
-		f.Begin("cur")
-		f.Byte('=')
-		n.cur.WriteFp(f)
-		f.End()
-	}
-	if n.clientCurOK {
-		f.Begin("ccur")
-		f.Byte('=')
-		n.clientCur.WriteFp(f)
-		f.End()
-	}
-	f.Begin("act")
-	f.Byte('=')
-	n.act.WriteFp(f)
-	f.End()
-	for id, v := range n.amb {
-		f.Begin("amb.")
-		id.WriteFp(f)
-		f.Byte('=')
-		v.Members.WriteFp(f)
-		f.End()
-	}
-	for id, v := range n.attempted {
-		f.Begin("attempted.")
-		id.WriteFp(f)
-		f.Byte('=')
-		v.Members.WriteFp(f)
-		f.End()
-	}
-	for k, i := range n.infoRcvd {
-		f.Begin("ircv.")
-		k.Q.WriteFp(f)
-		f.Byte('.')
-		k.G.WriteFp(f)
-		f.Byte('=')
-		i.writeFp(f)
-		f.End()
-	}
-	for g, s := range n.rcvdRgst {
-		if s.Len() > 0 {
-			f.Begin("rgst.")
-			g.WriteFp(f)
-			f.Byte('=')
-			s.WriteFp(f)
-			f.End()
-		}
-	}
-	for g, q := range n.msgsToVS {
-		if len(q) > 0 {
-			f.Begin("tovs.")
-			g.WriteFp(f)
-			f.Byte('=')
-			writeMsgSeqFp(f, q)
-			f.End()
-		}
-	}
-	for g, q := range n.msgsFromVS {
-		if len(q) > 0 {
-			f.Begin("fromvs.")
-			g.WriteFp(f)
-			f.Byte('=')
-			writeMsgFromSeqFp(f, q)
-			f.End()
-		}
-	}
-	for g, q := range n.safeFromVS {
-		if len(q) > 0 {
-			f.Begin("safevs.")
-			g.WriteFp(f)
-			f.Byte('=')
-			writeMsgFromSeqFp(f, q)
-			f.End()
-		}
-	}
-	for g, b := range n.reg {
-		if b {
-			f.Begin("reg.")
-			g.WriteFp(f)
-			f.Str("=1")
-			f.End()
-		}
-	}
-	for g, i := range n.infoSent {
-		f.Begin("isent.")
-		g.WriteFp(f)
-		f.Byte('=')
-		i.writeFp(f)
-		f.End()
-	}
-	f.SetPrefix("")
-}
-
-func writeMsgSeqFp(f *ioa.Fingerprinter, q []types.Msg) {
-	for i, m := range q {
-		if i > 0 {
-			f.Byte('|')
-		}
-		types.WriteMsgFp(f, m)
-	}
-}
-
-func writeMsgFromSeqFp(f *ioa.Fingerprinter, q []MsgFrom) {
-	for i, e := range q {
-		if i > 0 {
-			f.Byte('|')
-		}
-		types.WriteMsgFp(f, e.M)
-		f.Byte('@')
-		e.Q.WriteFp(f)
-	}
 }

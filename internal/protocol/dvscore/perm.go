@@ -37,7 +37,6 @@ func (n *Node) Permute(pi types.Perm) *Node {
 	p := pi.ID(n.p)
 	c := &Node{
 		p:           p,
-		fpPre:       "n" + p.String() + ".",
 		cur:         pi.View(n.cur),
 		curOK:       n.curOK,
 		clientCur:   pi.View(n.clientCur),

@@ -66,7 +66,7 @@ func TestAbstractInitialState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ioa.FingerprintString(abs) != ioa.FingerprintString(dvs.New(universe, v0)) {
+	if ioa.FpOf(abs) != ioa.FpOf(dvs.New(universe, v0)) {
 		t.Error("F(init) must equal the DVS initial state (Lemma 5.7)")
 	}
 }

@@ -41,9 +41,7 @@ type System struct {
 	procs  []types.ProcID
 	groups []types.GroupID
 	// menu lists the destination sets submissions draw from.
-	//lint:fpignore fixed at construction; identical across every state of one exploration
-	menu [][]types.GroupID `ioa:"shared"`
-	//lint:fpignore fixed at construction; identical across every state of one exploration
+	menu      [][]types.GroupID `ioa:"shared"`
 	maxMsgs   int
 	nodes     map[types.ProcID]*Node
 	logs      map[types.GroupID][]logItem
@@ -53,7 +51,6 @@ type System struct {
 	// breakHeadWait is a seeded fault for the invariant-teeth test: after
 	// every consume it delivers any finalized pending message immediately,
 	// ignoring the head-of-line wait the protocol's safety depends on.
-	//lint:fpignore fault knob fixed at construction, never toggled by a transition
 	breakHeadWait bool
 }
 
@@ -269,51 +266,6 @@ func (s *System) Clone() ioa.Automaton {
 		c.cursor[p] = cc
 	}
 	return c
-}
-
-// Fingerprint implements ioa.Automaton.
-func (s *System) Fingerprint(f *ioa.Fingerprinter) {
-	f.AddInt("sub", s.submitted)
-	for _, g := range s.groups {
-		f.SetPrefix("log" + strconv.Itoa(int(g)) + ".")
-		log := s.logs[g]
-		if len(log) > 0 {
-			f.Begin("items")
-			f.Byte('=')
-			for _, it := range log {
-				if it.data {
-					f.Byte('d')
-					f.Str(it.id)
-					f.Byte(':')
-					f.Int(int(it.origin))
-					f.Byte(':')
-					f.Str(it.payload)
-					for _, d := range it.dests {
-						f.Byte(',')
-						f.Int(int(d))
-					}
-				} else {
-					f.Byte('p')
-					f.Str(it.id)
-					f.Byte(':')
-					f.Int(int(it.pgroup))
-					f.Byte(':')
-					f.Uint(it.ts)
-				}
-				f.Byte('|')
-			}
-			f.End()
-		}
-	}
-	f.SetPrefix("")
-	for _, p := range s.procs {
-		for _, g := range s.groups {
-			if c := s.cursor[p][g]; c > 0 {
-				f.AddInt("cur"+consumeParam(p, g), c)
-			}
-		}
-		s.nodes[p].AddFingerprint(f)
-	}
 }
 
 // brokenDrain is the seeded fault's transition: deliver every finalized

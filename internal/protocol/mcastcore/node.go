@@ -37,7 +37,6 @@ package mcastcore
 import (
 	"strconv"
 
-	"repro/internal/ioa"
 	"repro/internal/types"
 )
 
@@ -171,103 +170,6 @@ func (n *Node) Clone() *Node {
 		c.gs[gid] = cs
 	}
 	return c
-}
-
-// AddFingerprint appends the node's state to a composite fingerprint.
-// Every field that can differ between states is written.
-func (n *Node) AddFingerprint(f *ioa.Fingerprinter) {
-	f.SetPrefix("mc" + strconv.Itoa(int(n.p)) + ".")
-	f.AddInt("id", int(n.nextID))
-	for _, gid := range n.groups {
-		st := n.gs[gid]
-		pre := "g" + strconv.Itoa(int(gid)) + "."
-		f.SetPrefix("mc" + strconv.Itoa(int(n.p)) + "." + pre)
-		f.AddInt("clock", int(st.clock))
-		if len(st.pend) > 0 {
-			ids := make([]string, 0, len(st.pend))
-			for id := range st.pend {
-				ids = append(ids, id)
-			}
-			sortStrings(ids)
-			f.Begin("pend")
-			f.Byte('=')
-			for _, id := range ids {
-				pd := st.pend[id]
-				f.Str(pd.id)
-				f.Byte(':')
-				f.Int(int(pd.origin))
-				f.Byte(':')
-				if pd.haveData {
-					f.Byte('d')
-					f.Str(pd.payload)
-					for _, d := range pd.dests {
-						f.Byte(',')
-						f.Int(int(d))
-					}
-				}
-				f.Byte(':')
-				f.Uint(pd.effTs)
-				f.Byte('<')
-				for _, d := range sortedPropGroups(pd.props) {
-					f.Int(int(d))
-					f.Byte('>')
-					f.Uint(pd.props[d])
-					f.Byte(';')
-				}
-				f.Byte('|')
-			}
-			f.End()
-		}
-		if len(st.done) > 0 {
-			ids := make([]string, 0, len(st.done))
-			for id := range st.done {
-				ids = append(ids, id)
-			}
-			sortStrings(ids)
-			f.Begin("done")
-			f.Byte('=')
-			for _, id := range ids {
-				f.Str(id)
-				f.Byte('|')
-			}
-			f.End()
-		}
-		if len(st.delivered) > 0 {
-			f.Begin("dlv")
-			f.Byte('=')
-			for _, d := range st.delivered {
-				f.Str(d.ID)
-				f.Byte(':')
-				f.Int(int(d.Origin))
-				f.Byte(':')
-				f.Str(d.Payload)
-				f.Byte(':')
-				f.Uint(d.TS)
-				f.Byte('|')
-			}
-			f.End()
-		}
-	}
-	f.SetPrefix("")
-}
-
-// sortStrings is an allocation-free insertion sort for the small id slices
-// fingerprinting walks.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func sortedPropGroups(props map[types.GroupID]uint64) []types.GroupID {
-	out := make([]types.GroupID, 0, len(props))
-	for g := range props {
-		out = append(out, g)
-	}
-	types.SortGroups(out)
-	return out
 }
 
 // propose records group g's proposal and keeps effTs, the message's current

@@ -235,13 +235,7 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func fpOf(n *Node) string {
-	var f ioa.Fingerprinter
-	f.Reset()
-	f.SetRecording(true)
-	n.AddFingerprint(&f)
-	return f.String()
-}
+func fpOf(n *Node) string { return ioa.Render(n) }
 
 // TestCrossGroupOrderViolationCaught checks the checker itself: a
 // fabricated pair of histories that disagree on the relative order of two

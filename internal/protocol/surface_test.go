@@ -23,17 +23,17 @@ func TestExportedSurface(t *testing.T) {
 		want []string
 	}{
 		{reflect.TypeOf((*dvscore.Node)(nil)), []string{
-			"Act", "AddFingerprint", "Amb", "Attempted", "AttemptedShared", "ClientCur", "Clone",
+			"Act", "Amb", "Attempted", "AttemptedShared", "ClientCur", "Clone",
 			"Cur", "HasAttempted", "P", "Permute", "Reg", "RegisteredIDs",
 		}},
 		{reflect.TypeOf((*dvscore.StaticNode)(nil)), []string{"Amb", "ClientCur", "P", "Quorum"}},
 		{reflect.TypeOf((*dvscore.Filter)(nil)).Elem(), []string{"Amb", "ClientCur"}},
 		{reflect.TypeOf((*tocore.Node)(nil)), []string{
-			"AddFingerprint", "Base", "BaseMismatches", "Clone", "ConfirmedShared", "Current", "Established",
+			"Base", "BaseMismatches", "Clone", "ConfirmedShared", "Current", "Established",
 			"GotState", "NextConfirm", "NextReport", "Order", "P", "Permute", "Retained", "Status", "Summary",
 		}},
 		{reflect.TypeOf((*mcastcore.Node)(nil)), []string{
-			"AddFingerprint", "Clock", "Clone", "Delivered", "DeliveredCount", "Groups", "P", "PendingCount",
+			"Clock", "Clone", "Delivered", "DeliveredCount", "Groups", "P", "PendingCount",
 		}},
 	} {
 		var got []string

@@ -22,7 +22,7 @@ func TestExecutionDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return ioa.FingerprintString(res.Final)
+			return ioa.Render(res.Final)
 		}
 		if run() != run() {
 			t.Fatalf("variant %+v: nondeterministic execution", cfg)
@@ -51,7 +51,7 @@ func TestCloneMidExecutionEquivalence(t *testing.T) {
 		if err := clone.Perform(acts[0]); err != nil {
 			t.Fatalf("step %d: clone rejected %s: %v", step, acts[0], err)
 		}
-		if ioa.FingerprintString(im) != ioa.FingerprintString(clone) {
+		if ioa.Render(im) != ioa.Render(clone) {
 			t.Fatalf("step %d: states diverged", step)
 		}
 	}
@@ -66,12 +66,7 @@ func TestCloneMidExecutionEquivalence(t *testing.T) {
 // equal step.
 func TestCloneStepLeavesOriginalUntouched(t *testing.T) {
 	_, v0 := toSetup(3)
-	fp := func(n *Node) string {
-		var f ioa.Fingerprinter
-		f.SetRecording(true)
-		n.AddFingerprint(&f)
-		return f.String()
-	}
+	fp := func(n *Node) string { return ioa.Render(n) }
 	lbl := func(seqno int, a string) LabelMsg {
 		return LabelMsg{L: types.Label{ID: v0.ID, Seqno: seqno, Origin: 1}, A: a}
 	}

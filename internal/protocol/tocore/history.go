@@ -4,7 +4,6 @@ import (
 	"maps"
 	"slices"
 
-	"repro/internal/ioa"
 	"repro/internal/types"
 )
 
@@ -240,53 +239,4 @@ func (h history) Permute(pi types.Perm) history {
 		out[runKey{pi.ViewID(k.id), pi.ID(k.origin)}] = r.Clone()
 	}
 	return out
-}
-
-// AddFingerprint writes one line per run. Lines commute and the
-// representation is canonical, so neither a sort across runs nor a map per
-// inspected state is needed.
-func (h history) AddFingerprint(f *ioa.Fingerprinter) {
-	for k, r := range h {
-		f.Begin("hist.")
-		k.id.WriteFp(f)
-		f.Byte('@')
-		k.origin.WriteFp(f)
-		f.Byte('=')
-		r.WriteFp(f)
-		f.End()
-	}
-}
-
-// WriteFp writes the run canonically: the base, the safe frontier and the
-// safe seqnos beyond it, then the payloads in seqno order and the overflow
-// by seqno.
-func (r *run) WriteFp(w types.FpWriter) {
-	if r.base > 0 {
-		w.Int(r.base)
-		w.Byte('+')
-	}
-	w.Int(r.safeTo)
-	for _, s := range sortedKeys(r.safeSparse) {
-		w.Byte(',')
-		w.Int(s)
-	}
-	for _, a := range r.dense {
-		w.Byte('|')
-		w.Str(a)
-	}
-	for _, s := range sortedKeys(r.sparse) {
-		w.Byte(' ')
-		w.Int(s)
-		w.Byte('=')
-		w.Str(r.sparse[s])
-	}
-}
-
-func sortedKeys[V any](m map[int]V) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	slices.Sort(ks)
-	return ks
 }

@@ -51,12 +51,7 @@ func (m histModel) build() history {
 	return h
 }
 
-func histFingerprint(h history) string {
-	var f ioa.Fingerprinter
-	f.SetRecording(true)
-	h.AddFingerprint(&f)
-	return f.String()
-}
+func histFingerprint(h history) string { return ioa.Render(h) }
 
 var (
 	histViews  = []types.ViewID{{}, {Seq: 1}, {Seq: 1, Origin: 1}, {Seq: 2, Origin: 2}}

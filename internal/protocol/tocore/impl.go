@@ -63,20 +63,16 @@ type Config struct {
 // external signature is that of the TO service: bcast(a)_p inputs and
 // brcv(a)_{q,p} outputs.
 type Impl struct {
-	//lint:fpignore fixed at construction; identical across every state of one exploration
 	universe types.ProcSet
-	//lint:fpignore fixed at construction; identical across every state of one exploration
-	initial types.View
-	procs   []types.ProcID
-	//lint:fpignore mode configuration fixed at construction, never mutated by transitions
-	cfg   Config
-	dvs   *dvs.DVS
-	nodes map[types.ProcID]*Node
+	initial  types.View
+	procs    []types.ProcID
+	cfg      Config
+	dvs      *dvs.DVS
+	nodes    map[types.ProcID]*Node
 	// dropped is the history variable of truncation: the labels each node
 	// has dropped, which the node itself knows only by count and digest.
 	dropped map[types.ProcID][]types.Label
-	//lint:fpignore symmetry group computed once from the initial state; identical (and immutable) across every state of one exploration
-	syms []types.Perm `ioa:"shared"`
+	syms    []types.Perm `ioa:"shared"`
 }
 
 var _ ioa.Automaton = (*Impl)(nil)
@@ -318,23 +314,4 @@ func (im *Impl) Clone() ioa.Automaton {
 		c.dropped[p] = types.CloneSeq(ls)
 	}
 	return c
-}
-
-// Fingerprint implements ioa.Automaton. The DVS component's lines are
-// flattened under a "dvs." prefix; each node contributes its own "t<p>."
-// lines.
-func (im *Impl) Fingerprint(f *ioa.Fingerprinter) {
-	f.SetPrefix("dvs.")
-	im.dvs.Fingerprint(f)
-	f.SetPrefix("")
-	for _, p := range im.procs {
-		im.nodes[p].AddFingerprint(f)
-		if ls := im.dropped[p]; len(ls) > 0 {
-			f.Begin("drop.")
-			p.WriteFp(f)
-			f.Byte('=')
-			writeLabelsFp(f, ls)
-			f.End()
-		}
-	}
 }

@@ -151,7 +151,7 @@ func TestTOImplCloneDeterminism(t *testing.T) {
 	if _, err := ex.Run(im, NewEnv(9, universe), nil); err != nil {
 		t.Fatal(err)
 	}
-	if ioa.FingerprintString(im.Clone()) != ioa.FingerprintString(im) {
+	if ioa.Render(im.Clone()) != ioa.Render(im) {
 		t.Error("clone fingerprint differs")
 	}
 }

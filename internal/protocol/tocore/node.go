@@ -44,7 +44,6 @@ import (
 	"slices"
 	"strconv"
 
-	"repro/internal/ioa"
 	"repro/internal/types"
 )
 
@@ -87,15 +86,6 @@ func (m LabelMsg) EqualMsg(o types.Msg) bool {
 	return ok && om == m
 }
 
-// WriteFp streams the canonical key (same format as MsgKey) into a
-// fingerprint digest.
-func (m LabelMsg) WriteFp(w types.FpWriter) {
-	w.Str("lbl:")
-	m.L.WriteFp(w)
-	w.Byte('=')
-	w.Str(m.A)
-}
-
 // SummaryMsg carries a state summary x ∈ S.
 type SummaryMsg struct {
 	X types.Summary
@@ -110,13 +100,6 @@ func (m SummaryMsg) EqualMsg(o types.Msg) bool {
 	return ok && m.X.Equal(om.X)
 }
 
-// WriteFp streams the canonical key (same format as MsgKey) into a
-// fingerprint digest.
-func (m SummaryMsg) WriteFp(w types.FpWriter) {
-	w.Str("sum:")
-	m.X.WriteFp(w)
-}
-
 var (
 	_ types.Msg = LabelMsg{}
 	_ types.Msg = SummaryMsg{}
@@ -124,10 +107,7 @@ var (
 
 // Node is the state of the DVS-TO-TO_p automaton of Figure 5.
 type Node struct {
-	//lint:fpignore identity reaches the digest through the fpPre prefix on every line
-	p     types.ProcID
-	fpPre string // fingerprint line prefix "t<p>.", precomputed
-	//lint:fpignore mode flag fixed at construction, never toggled by a transition
+	p       types.ProcID
 	literal bool // exactly Figure 5's safe-exchange handling
 
 	current     types.View
@@ -170,7 +150,6 @@ type Node struct {
 func NewNode(p types.ProcID, initial types.View, inP0, literal bool) *Node {
 	n := &Node{
 		p:           p,
-		fpPre:       "t" + p.String() + ".",
 		literal:     literal,
 		status:      StatusNormal,
 		hist:        make(history),
@@ -568,7 +547,6 @@ func (n *Node) register() { n.registered[n.current.ID] = true }
 func (n *Node) Clone() *Node {
 	c := &Node{
 		p:           n.p,
-		fpPre:       n.fpPre,
 		literal:     n.literal,
 		current:     n.current.Clone(),
 		currentOK:   n.currentOK,
@@ -605,119 +583,6 @@ func (n *Node) Clone() *Node {
 		c.buildOrder[g] = bo
 	}
 	return c
-}
-
-// AddFingerprint appends the node's state to a composite fingerprint. Every
-// line carries the node's "t<p>." prefix; values stream into the digest.
-func (n *Node) AddFingerprint(f *ioa.Fingerprinter) {
-	f.SetPrefix(n.fpPre)
-	if n.currentOK {
-		f.Begin("cur")
-		f.Byte('=')
-		n.current.WriteFp(f)
-		f.End()
-	}
-	f.Add("status", n.status.String())
-	n.hist.AddFingerprint(f)
-	f.AddInt("nseq", n.nextSeqno)
-	if len(n.buffer) > 0 {
-		f.Begin("buffer")
-		f.Byte('=')
-		writeLabelsFp(f, n.buffer)
-		f.End()
-	}
-	if len(n.order) > 0 {
-		f.Begin("order")
-		f.Byte('=')
-		writeLabelsFp(f, n.order)
-		f.End()
-	}
-	f.AddInt("nconf", n.nextConfirm)
-	f.AddInt("nrep", n.nextReport)
-	if n.universe != nil {
-		f.Begin("trunc")
-		f.Byte('=')
-		n.universe.WriteFp(f)
-		if n.whole {
-			f.Byte('*')
-		}
-		for _, v := range [...]int{n.stable, n.base, n.mismatch, n.boEnd} {
-			f.Byte(' ')
-			f.Int(v)
-		}
-		f.Byte('#')
-		f.Uint(n.digest)
-		f.End()
-	}
-	f.Begin("high")
-	f.Byte('=')
-	n.highPrimary.WriteFp(f)
-	f.End()
-	for q, x := range n.gotstate {
-		f.Begin("got.")
-		q.WriteFp(f)
-		f.Byte('=')
-		x.WriteFp(f)
-		f.End()
-	}
-	if n.safeExch.Len() > 0 {
-		f.Begin("sexch")
-		f.Byte('=')
-		n.safeExch.WriteFp(f)
-		f.End()
-	}
-	for g, b := range n.registered {
-		if b {
-			f.Begin("rgst.")
-			g.WriteFp(f)
-			f.Str("=1")
-			f.End()
-		}
-	}
-	if len(n.delay) > 0 {
-		f.Begin("delay")
-		f.Byte('=')
-		for i, a := range n.delay {
-			if i > 0 {
-				f.Byte('|')
-			}
-			f.Str(a)
-		}
-		f.End()
-	}
-	for g, b := range n.established {
-		if b {
-			f.Begin("est.")
-			g.WriteFp(f)
-			f.Str("=1")
-			f.End()
-		}
-	}
-	for g, bo := range n.buildOrder {
-		if bo.Len() > 0 {
-			f.Begin("bo.")
-			g.WriteFp(f)
-			f.Byte('=')
-			if bo.Base > 0 {
-				f.Int(bo.Base)
-				f.Byte('#')
-				f.Uint(bo.Digest)
-				f.Byte('+')
-			}
-			writeLabelsFp(f, bo.Ord)
-			f.End()
-		}
-	}
-	f.SetPrefix("")
-}
-
-func writeLabelsFp(f *ioa.Fingerprinter, ls []types.Label) {
-	for i, l := range ls {
-		if i > 0 {
-			f.Byte('|')
-		}
-		l.WriteFp(f)
-	}
 }
 
 // ConfirmedShared returns what is held of the confirmed prefix,

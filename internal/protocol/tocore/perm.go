@@ -36,7 +36,6 @@ func (n *Node) Permute(pi types.Perm) *Node {
 	p := pi.ID(n.p)
 	c := &Node{
 		p:           p,
-		fpPre:       "t" + p.String() + ".",
 		literal:     n.literal,
 		current:     pi.View(n.current),
 		currentOK:   n.currentOK,

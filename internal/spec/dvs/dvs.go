@@ -128,10 +128,8 @@ type procView struct {
 
 // DVS is the specification automaton state of Figure 2.
 type DVS struct {
-	//lint:fpignore fixed at construction; identical across every state of one exploration
 	universe types.ProcSet
-	//lint:fpignore fixed at construction; identical across every state of one exploration
-	initial types.View
+	initial  types.View
 
 	created    map[types.ViewID]types.View
 	current    map[types.ProcID]types.ViewID // absent = ⊥
@@ -142,12 +140,9 @@ type DVS struct {
 	next       map[procView]int // absent = 1
 	nextSafe   map[procView]int // absent = 1
 	rcvd       map[procView]int // absent = 1; amended spec only
-	//lint:fpignore mode flag fixed at construction, never toggled by a transition
-	literal bool // Figure 2 exactly as printed
-	//lint:fpignore mode flag fixed at construction, never toggled by a transition
-	drained bool // amended + view-synchronous drain on newview
-	//lint:fpignore symmetry group computed once from the initial state; identical (and immutable) across every state of one exploration
-	syms []types.Perm `ioa:"shared"`
+	literal    bool             // Figure 2 exactly as printed
+	drained    bool             // amended + view-synchronous drain on newview
+	syms       []types.Perm     `ioa:"shared"`
 }
 
 var _ ioa.Automaton = (*DVS)(nil)
@@ -727,107 +722,4 @@ func (a *DVS) Clone() ioa.Automaton {
 		b.rcvd[k] = n
 	}
 	return b
-}
-
-// Fingerprint implements ioa.Automaton. Values stream into the digest; no
-// intermediate strings are built.
-func (a *DVS) Fingerprint(f *ioa.Fingerprinter) {
-	for id, v := range a.created {
-		f.Begin("created.")
-		id.WriteFp(f)
-		f.Byte('=')
-		v.Members.WriteFp(f)
-		f.End()
-	}
-	for p, g := range a.current {
-		f.Begin("cur.")
-		p.WriteFp(f)
-		f.Byte('=')
-		g.WriteFp(f)
-		f.End()
-	}
-	for g, q := range a.queues {
-		if len(q) > 0 {
-			f.Begin("queue.")
-			g.WriteFp(f)
-			f.Byte('=')
-			writeEntriesFp(f, q)
-			f.End()
-		}
-	}
-	for g, s := range a.attempted {
-		if s.Len() > 0 {
-			f.Begin("att.")
-			g.WriteFp(f)
-			f.Byte('=')
-			s.WriteFp(f)
-			f.End()
-		}
-	}
-	for g, s := range a.registered {
-		if s.Len() > 0 {
-			f.Begin("reg.")
-			g.WriteFp(f)
-			f.Byte('=')
-			s.WriteFp(f)
-			f.End()
-		}
-	}
-	for k, msgs := range a.pending {
-		if len(msgs) > 0 {
-			beginProcViewFp(f, "pending.", k)
-			writeMsgsFp(f, msgs)
-			f.End()
-		}
-	}
-	for k, n := range a.next {
-		if n != 1 {
-			beginProcViewFp(f, "next.", k)
-			f.Int(n)
-			f.End()
-		}
-	}
-	for k, n := range a.nextSafe {
-		if n != 1 {
-			beginProcViewFp(f, "nextsafe.", k)
-			f.Int(n)
-			f.End()
-		}
-	}
-	for k, n := range a.rcvd {
-		if n != 1 {
-			beginProcViewFp(f, "rcvd.", k)
-			f.Int(n)
-			f.End()
-		}
-	}
-}
-
-// beginProcViewFp opens a "key.p.g=" fingerprint line.
-func beginProcViewFp(f *ioa.Fingerprinter, key string, k procView) {
-	f.Begin(key)
-	k.P.WriteFp(f)
-	f.Byte('.')
-	k.G.WriteFp(f)
-	f.Byte('=')
-}
-
-func writeEntriesFp(f *ioa.Fingerprinter, q []Entry) {
-	for i, e := range q {
-		if i > 0 {
-			f.Byte('|')
-		}
-		types.WriteMsgFp(f, e.M)
-		f.Byte('@')
-		e.P.WriteFp(f)
-	}
-}
-
-func writeMsgsFp(f *ioa.Fingerprinter, msgs []types.Msg) {
-	for i, m := range msgs {
-		if i > 0 {
-			f.Byte('|')
-		}
-		types.WriteMsgFp(f, m)
-	}
 }

@@ -331,8 +331,8 @@ func TestFromStateRoundTrip(t *testing.T) {
 		Queues:     map[types.ViewID][]Entry{v0.ID: a.Queue(v0.ID)},
 	}
 	b := FromState(st)
-	if ioa.FingerprintString(a) != ioa.FingerprintString(b) {
-		t.Errorf("round trip mismatch:\n%s\n---\n%s", ioa.FingerprintString(a), ioa.FingerprintString(b))
+	if ioa.FpOf(a) != ioa.FpOf(b) {
+		t.Errorf("round trip mismatch:\n%s\n---\n%s", ioa.Render(a), ioa.Render(b))
 	}
 }
 
@@ -343,7 +343,7 @@ func TestCloneDeep(t *testing.T) {
 	if len(a.Pending(0, v0.ID)) != 0 {
 		t.Error("clone mutation leaked into original")
 	}
-	if ioa.FingerprintString(a) == ioa.FingerprintString(b) {
+	if ioa.FpOf(a) == ioa.FpOf(b) {
 		t.Error("diverged states must fingerprint differently")
 	}
 }

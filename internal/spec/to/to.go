@@ -66,7 +66,6 @@ func (e Entry) key() string { return e.A + "@" + e.P.String() }
 
 // TO is the specification automaton.
 type TO struct {
-	//lint:fpignore fixed at construction; identical across every state of one exploration
 	universe types.ProcSet
 	pending  map[types.ProcID][]string
 	queue    []Entry
@@ -176,47 +175,6 @@ func (a *TO) Clone() ioa.Automaton {
 		b.next[p] = n
 	}
 	return b
-}
-
-// Fingerprint implements ioa.Automaton. Values stream into the digest; no
-// intermediate strings are built.
-func (a *TO) Fingerprint(f *ioa.Fingerprinter) {
-	if len(a.queue) > 0 {
-		f.Begin("queue")
-		f.Byte('=')
-		for i, e := range a.queue {
-			if i > 0 {
-				f.Byte('|')
-			}
-			f.Str(e.A)
-			f.Byte('@')
-			e.P.WriteFp(f)
-		}
-		f.End()
-	}
-	for p, msgs := range a.pending {
-		if len(msgs) > 0 {
-			f.Begin("pending.")
-			p.WriteFp(f)
-			f.Byte('=')
-			for i, m := range msgs {
-				if i > 0 {
-					f.Byte('|')
-				}
-				f.Str(m)
-			}
-			f.End()
-		}
-	}
-	for p, n := range a.next {
-		if n != 1 {
-			f.Begin("next.")
-			p.WriteFp(f)
-			f.Byte('=')
-			f.Int(n)
-			f.End()
-		}
-	}
 }
 
 // Monitor is a greedy trace-inclusion monitor for TO. Feed it the external

@@ -76,7 +76,7 @@ func TestCloneAndFingerprint(t *testing.T) {
 	if len(a.Queue()) != 0 {
 		t.Error("clone leaked")
 	}
-	if ioa.FingerprintString(a) == ioa.FingerprintString(b) {
+	if ioa.FpOf(a) == ioa.FpOf(b) {
 		t.Error("diverged fingerprints equal")
 	}
 }

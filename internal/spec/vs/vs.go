@@ -94,10 +94,8 @@ type procView struct {
 
 // VS is the specification automaton state of Figure 1.
 type VS struct {
-	//lint:fpignore fixed at construction; identical across every state of one exploration
 	universe types.ProcSet
-	//lint:fpignore fixed at construction; identical across every state of one exploration
-	initial types.View
+	initial  types.View
 
 	created  map[types.ViewID]types.View
 	current  map[types.ProcID]types.ViewID // current-viewid; absent key = ⊥
@@ -422,86 +420,6 @@ func (a *VS) Clone() ioa.Automaton {
 		b.nextSafe[k] = n
 	}
 	return b
-}
-
-// Fingerprint implements ioa.Automaton. Default-valued components (empty
-// queues, next = 1) are omitted so materialized-but-default map entries do
-// not perturb the fingerprint. Values stream into the digest; no
-// intermediate strings are built.
-func (a *VS) Fingerprint(f *ioa.Fingerprinter) {
-	for id, v := range a.created {
-		f.Begin("created.")
-		id.WriteFp(f)
-		f.Byte('=')
-		v.Members.WriteFp(f)
-		f.End()
-	}
-	for p, g := range a.current {
-		f.Begin("cur.")
-		p.WriteFp(f)
-		f.Byte('=')
-		g.WriteFp(f)
-		f.End()
-	}
-	for g, q := range a.queues {
-		if len(q) > 0 {
-			f.Begin("queue.")
-			g.WriteFp(f)
-			f.Byte('=')
-			writeEntriesFp(f, q)
-			f.End()
-		}
-	}
-	for k, msgs := range a.pending {
-		if len(msgs) > 0 {
-			beginProcViewFp(f, "pending.", k)
-			writeMsgsFp(f, msgs)
-			f.End()
-		}
-	}
-	for k, n := range a.next {
-		if n != 1 {
-			beginProcViewFp(f, "next.", k)
-			f.Int(n)
-			f.End()
-		}
-	}
-	for k, n := range a.nextSafe {
-		if n != 1 {
-			beginProcViewFp(f, "nextsafe.", k)
-			f.Int(n)
-			f.End()
-		}
-	}
-}
-
-// beginProcViewFp opens a "key.p.g=" fingerprint line.
-func beginProcViewFp(f *ioa.Fingerprinter, key string, k procView) {
-	f.Begin(key)
-	k.P.WriteFp(f)
-	f.Byte('.')
-	k.G.WriteFp(f)
-	f.Byte('=')
-}
-
-func writeEntriesFp(f *ioa.Fingerprinter, q []Entry) {
-	for i, e := range q {
-		if i > 0 {
-			f.Byte('|')
-		}
-		types.WriteMsgFp(f, e.M)
-		f.Byte('@')
-		e.P.WriteFp(f)
-	}
-}
-
-func writeMsgsFp(f *ioa.Fingerprinter, msgs []types.Msg) {
-	for i, m := range msgs {
-		if i > 0 {
-			f.Byte('|')
-		}
-		types.WriteMsgFp(f, m)
-	}
 }
 
 // CheckInvariant31 checks Invariant 3.1: created views have unique ids. The

@@ -196,18 +196,18 @@ func TestCloneIndependence(t *testing.T) {
 	if len(a.Queue(v0.ID)) != 0 {
 		t.Error("clone mutation leaked into original")
 	}
-	if ioa.FingerprintString(a) == ioa.FingerprintString(b) {
+	if ioa.FpOf(a) == ioa.FpOf(b) {
 		t.Error("diverged states must have different fingerprints")
 	}
 }
 
 func TestFingerprintStable(t *testing.T) {
 	a, _, _ := setup()
-	if ioa.FingerprintString(a) != ioa.FingerprintString(a) {
+	if ioa.FpOf(a) != ioa.FpOf(a) {
 		t.Error("fingerprint not deterministic")
 	}
 	b, _, _ := setup()
-	if ioa.FingerprintString(a) != ioa.FingerprintString(b) {
+	if ioa.FpOf(a) != ioa.FpOf(b) {
 		t.Error("equal states must fingerprint equally")
 	}
 }
@@ -244,7 +244,7 @@ func TestExecutionDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ioa.FingerprintString(res.Final)
+		return ioa.Render(res.Final)
 	}
 	if run() != run() {
 		t.Error("seeded executions must be reproducible")

@@ -3,7 +3,7 @@ package types
 import "strings"
 
 // Msg is a message in the universe M. MsgKey is the canonical rendering
-// (traces, error text, the fingerprint fallback); EqualMsg is equality —
+// (traces, error text); EqualMsg is equality —
 // structural, allocation-free, and injective where the rendering is not
 // (payloads may contain the delimiters MsgKey joins with).
 type Msg interface {
@@ -38,7 +38,7 @@ func (m ClientMsg) String() string { return string(m) }
 type Batch struct{ Msgs []Msg }
 
 // MsgKey implements Msg: the concatenation of the member keys, so batches
-// fingerprint and render canonically wherever single messages do.
+// render canonically wherever single messages do.
 func (b Batch) MsgKey() string {
 	var sb strings.Builder
 	sb.WriteString("batch[")

@@ -35,11 +35,12 @@
 #    empty through 200k labels, and the clone of one that a missing process
 #    makes hold 100k; and the transport's codec alone: one TCP frame body
 #    encoded and decoded, for a heartbeat, a steady-state Ordered of ten
-#    labels and the summary of a node 20k stable labels into its run; and
-#    the trace recorder: one TO record observed into a stream on disk).
-#    Emits BENCH_layers.json; check.sh gates the step, frame and record
-#    rows' allocs/op and the summary's size, which no machine changes, and
-#    the TO step's B/op, which the fixed iteration count makes exact.
+#    labels and the summary of a node 20k stable labels into its run; the
+#    trace recorder: one TO record observed into a stream on disk; and the
+#    checker's fingerprint of one DVS-IMPL state). Emits BENCH_layers.json;
+#    check.sh gates the step, frame, record and fingerprint rows' allocs/op
+#    and the summary's size, which no machine changes, and the TO step's
+#    B/op, which the fixed iteration count makes exact.
 #
 # Every benchmark is repeated (`-count`, default 3 for E1-E3) and the
 # snapshot keeps only the best repetition per benchmark (lowest ns/op):
@@ -162,5 +163,8 @@ printf '%s\n' "$rawh"
 # The transport row, at the cores' iteration count.
 raww=$(go test -run '^$' -bench 'BenchmarkWireFrame' -benchtime 100000x -count 3 -benchmem .)
 printf '%s\n' "$raww"
-{ printf '%s\n' "$rawl"; printf '%s\n' "$rawh"; printf '%s\n' "$raww"; } | to_json > "$outl"
+# The fingerprint row: one walk is tens of µs, so a tenth of the count.
+rawf=$(go test -run '^$' -bench 'BenchmarkImplFingerprint' -benchtime 10000x -count 3 -benchmem .)
+printf '%s\n' "$rawf"
+{ printf '%s\n' "$rawl"; printf '%s\n' "$rawh"; printf '%s\n' "$raww"; printf '%s\n' "$rawf"; } | to_json > "$outl"
 echo "wrote $outl"

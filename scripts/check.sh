@@ -21,7 +21,8 @@
 #   sh scripts/check.sh loc     # only the ceilings scripts/loc.sh feeds:
 #                               # non-test lines of internal/conform,
 #                               # internal/lint, the root package and the
-#                               # tree, and the //lint: escape directives
+#                               # tree, and the exemptions (ioa:"shared"
+#                               # tags, and any leftover //lint: comment)
 #   sh scripts/check.sh nogob   # only the import ban: encoding/gob may not
 #                               # come back anywhere in the tree
 #   sh scripts/check.sh bench   # only the benchmark-snapshot gate: run
@@ -262,11 +263,16 @@ e13_guard() {
 # only a cut (its job) and a block the pool has none for allocate and
 # allocs/op rounds to its measured 0; anything allocated per record (a copy
 # of it, a boxed value) makes it 1.
+#
+# The fingerprint row is ioa.FpOf on one DVS-IMPL state: the walker copies
+# map entries and interface values into holders it keeps from walk to walk,
+# so it allocates nothing once warm; a heap copy of a message or a map
+# iterator that escapes makes it tens.
 layers_guard() {
 	out=BENCH_layers.json
 	for row in CoreDVSStepBatch:allocs_per_op:8 CoreTOStepLabel:allocs_per_op:4 CoreTOStepLabel:B_per_op:176 \
 		WireFrame/heartbeat:allocs_per_op:2 WireFrame/ordered10x64B:allocs_per_op:26 \
-		WireFrame/summary20k:allocs_per_op:8 WireFrame/summary20k:frame_bytes:64 StreamRecord:allocs_per_op:0; do
+		WireFrame/summary20k:allocs_per_op:8 WireFrame/summary20k:frame_bytes:64 StreamRecord:allocs_per_op:0 ImplFingerprint:allocs_per_op:0; do
 		name=${row%%:*}
 		budget=${row##*:}
 		unit=${row#*:}
@@ -325,7 +331,7 @@ fuzz_guard() {
 # DESIGN.md only shrinks. CHANGES.md has each ceiling's history.
 loc_guard() {
 	counts="$(sh scripts/loc.sh)"
-	for row in internal/conform:2338 internal/lint:920 .:1682 total:22346 exemptions:27 DESIGN.md:1385; do
+	for row in internal/conform:2338 internal/lint:461 .:1682 total:21019 exemptions:4 DESIGN.md:1375; do
 		name=${row%%:*}
 		ceiling=${row##*:}
 		got=$(printf '%s\n' "$counts" | awk -v n="$name" '$2 == n { print $1 }')

@@ -5,9 +5,10 @@
 # in check.sh (loc_guard) reads the `internal/conform`, `internal/lint`, `.`
 # (the root package) and `total` rows; the `internal/wire` row is the byte
 # codec conform, net and mcast share. The `exemptions` row counts the
-# `//lint:` escape directives in the same files outside internal/lint (which
-# spells the prefix in its own source) and the `ioa:"shared"` field tags the
-# exploration audit's clone check skips: each is an exception a check was
+# `//lint:` directives in the same files outside internal/lint (which
+# spells the prefix in its own source; no analyzer takes one, so any is a
+# leftover) and the `ioa:"shared"` field tags that ioa.FpOf and the
+# exploration audit's clone check skip: each is an exception a check was
 # told to accept. The `DESIGN.md` row is that document's line count. loc_guard
 # holds both.
 #

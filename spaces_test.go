@@ -3,6 +3,7 @@ package dvs_test
 import (
 	"testing"
 
+	dvs "repro"
 	"repro/internal/ioa"
 	"repro/internal/naive"
 	"repro/internal/protocol/dvscore"
@@ -83,9 +84,10 @@ type space struct {
 	// moves with the hash. Those spaces give the reason in sampled instead.
 	pin     counts
 	sampled string
-	// large spaces are pinned but not audited: rendering every state would
-	// take minutes.
-	large bool
+	// deep, when set, is an E12 space, explored by dvs.CheckExploreDeep in
+	// place of a, env and cfg. It is pinned (states and edges) but not
+	// audited: rendering every state would take minutes.
+	deep *dvs.ExploreDeepConfig
 }
 
 const sampledWhy = "cut by MaxStates, and its environment draws inputs through StateSeed"
@@ -102,25 +104,6 @@ func spaces() []space {
 		return a.(ioa.Automaton)
 	}
 	mcastMenu := [][]types.GroupID{{0}, {1}, {0, 1}}
-	e12 := func(symmetry bool) (ioa.Automaton, ioa.Environment) {
-		// dvs.CheckExploreDeep's defaults: three processes, one message,
-		// two views drawn from the pairs and the universe, any origin.
-		universe3 := types.RangeProcSet(3)
-		var e12Views []types.ProcSet
-		for i := 0; i < 3; i++ {
-			for j := i + 1; j < 3; j++ {
-				e12Views = append(e12Views, types.NewProcSet(types.ProcID(i), types.ProcID(j)))
-			}
-		}
-		e12Views = append(e12Views, universe3)
-		im := dvscore.NewImpl(universe3, types.InitialView(universe3))
-		if symmetry {
-			im.EnableSymmetry()
-		}
-		return im, &dvscore.BoundedEnv{MaxMsgs: 1, MaxViews: 2, Views: e12Views, AllOrigins: true}
-	}
-	e12a, e12env := e12(false)
-	e12sa, e12senv := e12(true)
 
 	return []space{
 		{
@@ -225,22 +208,8 @@ func spaces() []space {
 			cfg:  ioa.ExploreConfig{},
 			pin:  counts{8863, 25210, 18},
 		},
-		{
-			name:  "E12",
-			a:     e12a,
-			env:   e12env,
-			cfg:   ioa.ExploreConfig{MaxDepth: 11},
-			pin:   counts{e12States, e12Edges, 11},
-			large: true,
-		},
-		{
-			name:  "E12/symmetry",
-			a:     e12sa,
-			env:   e12senv,
-			cfg:   ioa.ExploreConfig{MaxDepth: 11, Symmetry: true},
-			pin:   counts{e12SymStates, e12SymEdges, 11},
-			large: true,
-		},
+		{name: "E12", deep: &dvs.ExploreDeepConfig{}, pin: counts{e12States, e12Edges, 0}},
+		{name: "E12/symmetry", deep: &dvs.ExploreDeepConfig{Symmetry: true}, pin: counts{e12SymStates, e12SymEdges, 0}},
 	}
 }
 
@@ -254,14 +223,24 @@ func TestPinnedSpaces(t *testing.T) {
 			if sp.sampled != "" {
 				t.Skip("sampled, not pinned: " + sp.sampled)
 			}
-			if sp.large && testing.Short() {
-				t.Skip("large space skipped in -short mode")
+			var got counts
+			if sp.deep != nil {
+				if testing.Short() {
+					t.Skip("E12 skipped in -short mode")
+				}
+				rep, err := dvs.CheckExploreDeep(*sp.deep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = counts{int(rep.States), int(rep.Steps), 0} // the report has no depth
+			} else {
+				res, err := ioa.Explore(sp.a, sp.env, sp.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = counts{res.States, res.Edges, res.MaxDepth}
 			}
-			res, err := ioa.Explore(sp.a, sp.env, sp.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := (counts{res.States, res.Edges, res.MaxDepth}); got != sp.pin {
+			if got != sp.pin {
 				t.Errorf("explored %d states, %d edges, depth %d; pinned %d, %d, %d",
 					got.states, got.edges, got.depth, sp.pin.states, sp.pin.edges, sp.pin.depth)
 			}
