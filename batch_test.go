@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/protocol/dvscore"
 	"repro/internal/types"
 )
 
@@ -121,16 +120,7 @@ func TestBatchedConformanceSoak(t *testing.T) {
 	batched := 0
 	for _, lg := range logs {
 		for _, rec := range lg.DVS {
-			var m types.Msg
-			switch ev := rec.Ev.(type) {
-			case dvscore.EvClientSend:
-				m = ev.M
-			case dvscore.EvVSRecv:
-				m = ev.M
-			case dvscore.EvVSSafe:
-				m = ev.M
-			}
-			if _, ok := m.(types.Batch); ok {
+			if _, ok := rec.Ev.M.(types.Batch); ok {
 				batched++
 			}
 		}

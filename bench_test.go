@@ -362,17 +362,18 @@ func BenchmarkE8Recovery(b *testing.B) {
 func BenchmarkCoreDVSStepBatch(b *testing.B) {
 	v0 := types.InitialView(types.RangeProcSet(3))
 	n := dvscore.NewNode(0, v0, true)
-	batch := types.Batch{Msgs: make([]types.Msg, 10)}
-	for i := range batch.Msgs {
-		batch.Msgs[i] = tocore.LabelMsg{L: types.Label{ID: v0.ID, Seqno: i + 1, Origin: 1}, A: fmt.Sprintf("%032d", i)}
+	msgs := make([]types.Msg, 10)
+	for i := range msgs {
+		msgs[i] = tocore.LabelMsg{L: types.Label{ID: v0.ID, Seqno: i + 1, Origin: 1}, A: fmt.Sprintf("%032d", i)}
 	}
+	var batch types.Msg = types.Batch{Msgs: msgs} // as the wire hands it in: boxed once, for both steps
 	var out dvscore.Outbox
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out.Effects = out.Effects[:0]
-		dvscore.Step(n, dvscore.EvVSRecv{M: batch, From: 1}, true, &out)
-		dvscore.Step(n, dvscore.EvVSSafe{M: batch, From: 1}, true, &out)
+		dvscore.Step(n, dvscore.Event{Kind: dvscore.EvVSRecv, M: batch, From: 1}, true, &out)
+		dvscore.Step(n, dvscore.Event{Kind: dvscore.EvVSSafe, M: batch, From: 1}, true, &out)
 		if len(out.Effects) != 2 {
 			b.Fatalf("%d effects, want deliver + safe", len(out.Effects))
 		}
@@ -393,16 +394,16 @@ func toLabelStepper(b *testing.B, pinned bool) (*tocore.Node, func(i int)) {
 	if pinned {
 		universe = types.RangeProcSet(4)
 	}
-	if err := tocore.Step(n, tocore.EvUniverse{Set: universe}, true, &out); err != nil {
+	if err := tocore.Step(n, tocore.Event{Kind: tocore.EvUniverse, Set: universe}, true, &out); err != nil {
 		b.Fatal(err)
 	}
 	return n, func(i int) {
 		out.Effects = out.Effects[:0]
-		m := tocore.LabelMsg{L: types.Label{ID: v0.ID, Seqno: i + 1, Origin: 1}, A: "00000000000000000000000000000000"}
-		if err := tocore.Step(n, tocore.EvRecv{M: m, From: 1}, true, &out); err != nil {
+		var m types.Msg = tocore.LabelMsg{L: types.Label{ID: v0.ID, Seqno: i + 1, Origin: 1}, A: "00000000000000000000000000000000"}
+		if err := tocore.Step(n, tocore.Event{Kind: tocore.EvRecv, M: m, From: 1}, true, &out); err != nil {
 			b.Fatal(err)
 		}
-		if err := tocore.Step(n, tocore.EvSafe{M: m, From: 1}, true, &out); err != nil {
+		if err := tocore.Step(n, tocore.Event{Kind: tocore.EvSafe, M: m, From: 1}, true, &out); err != nil {
 			b.Fatal(err)
 		}
 		if len(out.Effects) != 2 {
@@ -414,8 +415,9 @@ func toLabelStepper(b *testing.B, pinned bool) (*tocore.Node, func(i int)) {
 // BenchmarkCoreTOStepLabel is one label's whole life in the DVS-TO-TO core
 // on a node that has been through 100k labels, what a saturated run sends in
 // half a second. check.sh gates allocs/op and, at the fixed iteration count
-// bench.sh uses, B/op: what is left is the boxed events and FxDeliver and
-// the slot the label and its payload take for as long as they are held.
+// bench.sh uses, B/op: what is left is the label message, boxed once as the
+// wire hands it in, and the slot the label and its payload take for as long
+// as they are held. Events and effects are values and box nothing.
 func BenchmarkCoreTOStepLabel(b *testing.B) {
 	const history = 100000
 	_, step := toLabelStepper(b, false)
@@ -447,8 +449,8 @@ func BenchmarkStreamRecord(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := tocore.LabelMsg{L: types.Label{ID: v0.ID, Seqno: 1, Origin: 1}, A: "00000000000000000000000000000000"}
-	var ev tocore.Event = tocore.EvSafe{M: m, From: 1}
-	fx := []tocore.Effect{tocore.FxConfirm{}, tocore.FxDeliver{A: m.A, Origin: 1}}
+	ev := tocore.Event{Kind: tocore.EvSafe, M: m, From: 1}
+	fx := []tocore.Effect{{Kind: tocore.FxConfirm}, {Kind: tocore.FxDeliver, A: m.A, Origin: 1}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

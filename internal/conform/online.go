@@ -93,12 +93,18 @@ type checker struct {
 }
 
 // window replays one cut chunk from the payload a directory would have
-// stored (the writer's encoder, into buf), through its decoder.
+// stored (the writer's encoder, into buf), through its decoder. A window
+// that fills less than a quarter of a buffer grown past one block lets the
+// buffer go, so one large window is not held for the rest of the run.
 func (c *checker) window(job *chunkJob) error {
 	start := time.Now()
 	c.buf.Reset()
 	job.WriteTo(&c.buf)
-	ch, err := decodeChunk(c.buf.Bytes())
+	payload := c.buf.Bytes()
+	if c.buf.Cap() > blockSize && 4*len(payload) < c.buf.Cap() {
+		c.buf = bytes.Buffer{}
+	}
+	ch, err := decodeChunk(payload)
 	if err != nil {
 		return fmt.Errorf("conform: check chunk %d: %w", job.seq, err)
 	}

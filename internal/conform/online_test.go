@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
@@ -182,5 +183,33 @@ func TestOnlineCheckerFaultyShellBounded(t *testing.T) {
 	// Kept, the 4,000 rendered divergences are ≈ 0.8 MB.
 	if extra := faulty - clean; extra > 256<<10 {
 		t.Errorf("the faulty run left %d B more live heap than the clean one (%d vs %d)", extra, faulty, clean)
+	}
+}
+
+// TestOnlineCheckerWindowBufferShrinks: the buffer a window is replayed from
+// does not keep the capacity of the largest window for the rest of the run.
+// One 3 MB window and then ten 18-byte ones (neither decodes: the buffer is
+// what is under test) must leave it within 64 KiB.
+func TestOnlineCheckerWindowBufferShrinks(t *testing.T) {
+	job := func(size int) *chunkJob {
+		lb := layerBuf{size: size}
+		for ; size > 0; size -= blockSize {
+			lb.blocks = append(lb.blocks, make([]byte, min(size, blockSize)))
+		}
+		return &chunkJob{parts: []partBuf{{layers: [numLayers]layerBuf{lb}}}}
+	}
+	if n, _ := job(5).WriteTo(io.Discard); n != 18 {
+		t.Fatalf("the small window is %d bytes, want 18", n)
+	}
+	var c checker
+	c.window(job(3 << 20))
+	if c.buf.Cap() < 3<<20 {
+		t.Fatalf("a 3 MB window left a %d-byte buffer", c.buf.Cap())
+	}
+	for i := 0; i < 10; i++ {
+		c.window(job(5))
+	}
+	if c.buf.Cap() > 64<<10 {
+		t.Errorf("after ten 18-byte windows the buffer still holds %d bytes", c.buf.Cap())
 	}
 }

@@ -185,12 +185,12 @@ func newReplayNode(m NodeMeta) *replayNode {
 
 func (n *replayNode) stepDVS(ev dvscore.Event) ([]dvscore.Effect, error) {
 	var out dvscore.Outbox
+	var f dvscore.Filter = n.dvs
 	if n.stat != nil {
-		dvscore.Step(n.stat, ev, n.meta.GC, &out)
-	} else {
-		dvscore.Step(n.dvs, ev, n.meta.GC, &out)
+		f = n.stat
 	}
-	return out.Effects, nil
+	err := dvscore.Step(f, ev, n.meta.GC, &out)
+	return out.Effects, err
 }
 
 func (n *replayNode) stepTO(ev tocore.Event) ([]tocore.Effect, error) {

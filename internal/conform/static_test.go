@@ -44,18 +44,18 @@ func recordedStaticRun(t *testing.T) NodeLog {
 		return out.Effects
 	}
 
-	for _, fx := range stepTO(tocore.EvBroadcast{A: "a1"}) {
-		if send, ok := fx.(tocore.FxSend); ok {
-			for _, dfx := range stepDVS(dvscore.EvClientSend{M: send.M}) {
-				if sv, ok := dfx.(dvscore.FxSendVS); ok {
-					for _, up := range stepDVS(dvscore.EvVSRecv{M: sv.M, From: p}) {
-						if d, ok := up.(dvscore.FxDeliver); ok {
-							stepTO(tocore.EvRecv{M: d.M, From: d.From})
+	for _, fx := range stepTO(tocore.Event{Kind: tocore.EvBroadcast, A: "a1"}) {
+		if fx.Kind == tocore.FxSend {
+			for _, dfx := range stepDVS(dvscore.Event{Kind: dvscore.EvClientSend, M: fx.M}) {
+				if dfx.Kind == dvscore.FxSendVS {
+					for _, up := range stepDVS(dvscore.Event{Kind: dvscore.EvVSRecv, M: dfx.M, From: p}) {
+						if up.Kind == dvscore.FxDeliver {
+							stepTO(tocore.Event{Kind: tocore.EvRecv, M: up.M, From: up.From})
 						}
 					}
-					for _, up := range stepDVS(dvscore.EvVSSafe{M: sv.M, From: p}) {
-						if s, ok := up.(dvscore.FxSafeInd); ok {
-							stepTO(tocore.EvSafe{M: s.M, From: s.From})
+					for _, up := range stepDVS(dvscore.Event{Kind: dvscore.EvVSSafe, M: dfx.M, From: p}) {
+						if up.Kind == dvscore.FxSafeInd {
+							stepTO(tocore.Event{Kind: tocore.EvSafe, M: up.M, From: up.From})
 						}
 					}
 				}
@@ -94,7 +94,7 @@ func TestReplayStaticDetectsTampering(t *testing.T) {
 	for i, r := range log.DVS {
 		if len(r.Fx) > 0 {
 			fx := append([]dvscore.Effect(nil), r.Fx...)
-			fx[len(fx)-1] = dvscore.FxNewPrimary{View: log.Initial.Clone()}
+			fx[len(fx)-1] = dvscore.Effect{Kind: dvscore.FxNewPrimary, View: log.Initial.Clone()}
 			log.DVS[i].Fx = fx
 			tampered = true
 			break

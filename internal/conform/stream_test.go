@@ -52,18 +52,18 @@ func driveScript(t testing.TB, rounds int,
 	}
 
 	for round := 0; round < rounds; round++ {
-		for _, fx := range stepTO(tocore.EvBroadcast{A: "a" + strconv.Itoa(round)}) {
-			if send, ok := fx.(tocore.FxSend); ok {
-				for _, dfx := range stepDVS(dvscore.EvClientSend{M: send.M}) {
-					if sv, ok := dfx.(dvscore.FxSendVS); ok {
-						for _, up := range stepDVS(dvscore.EvVSRecv{M: sv.M, From: p}) {
-							if d, ok := up.(dvscore.FxDeliver); ok {
-								stepTO(tocore.EvRecv{M: d.M, From: d.From})
+		for _, fx := range stepTO(tocore.Event{Kind: tocore.EvBroadcast, A: "a" + strconv.Itoa(round)}) {
+			if fx.Kind == tocore.FxSend {
+				for _, dfx := range stepDVS(dvscore.Event{Kind: dvscore.EvClientSend, M: fx.M}) {
+					if dfx.Kind == dvscore.FxSendVS {
+						for _, up := range stepDVS(dvscore.Event{Kind: dvscore.EvVSRecv, M: dfx.M, From: p}) {
+							if up.Kind == dvscore.FxDeliver {
+								stepTO(tocore.Event{Kind: tocore.EvRecv, M: up.M, From: up.From})
 							}
 						}
-						for _, up := range stepDVS(dvscore.EvVSSafe{M: sv.M, From: p}) {
-							if s, ok := up.(dvscore.FxSafeInd); ok {
-								stepTO(tocore.EvSafe{M: s.M, From: s.From})
+						for _, up := range stepDVS(dvscore.Event{Kind: dvscore.EvVSSafe, M: dfx.M, From: p}) {
+							if up.Kind == dvscore.FxSafeInd {
+								stepTO(tocore.Event{Kind: tocore.EvSafe, M: up.M, From: up.From})
 							}
 						}
 					}
@@ -243,7 +243,7 @@ func TestStreamRecorderMemoryBounded(t *testing.T) {
 		seen <- job
 		<-release
 	}
-	var big tocore.Event = tocore.EvBroadcast{A: strings.Repeat("x", 1000)}
+	big := tocore.Event{Kind: tocore.EvBroadcast, A: strings.Repeat("x", 1000)}
 	rec, _ := toCodec.append(nil, big, nil)
 	perWindow := (windowBytes + len(rec) - 1) / len(rec)
 	var fed atomic.Int64
@@ -286,7 +286,7 @@ func TestStreamRecorderMemoryBounded(t *testing.T) {
 	}
 
 	// Grow the window to three blocks, so its list has room for a fourth.
-	var small tocore.Event = tocore.EvBroadcast{A: strings.Repeat("y", 90)}
+	small := tocore.Event{Kind: tocore.EvBroadcast, A: strings.Repeat("y", 90)}
 	for len(sn.win[layerTO].blocks) < 3 {
 		sn.ObserveTO(small, nil)
 	}
@@ -333,7 +333,7 @@ func TestStreamSegmentsByteIdentical(t *testing.T) {
 	for i := range sum.Ord {
 		sum.Ord[i] = types.Label{ID: types.ViewID{Seq: 1}, Seqno: i + 1, Origin: types.ProcID(i % 3)}
 	}
-	var huge tocore.Event = tocore.EvRecv{M: tocore.SummaryMsg{X: sum}, From: 0}
+	huge := tocore.Event{Kind: tocore.EvRecv, M: tocore.SummaryMsg{X: sum}, From: 0}
 	for _, summary := range []bool{false, true} {
 		dir := t.TempDir()
 		want := map[int][]byte{}
@@ -542,7 +542,7 @@ func TestStreamRecorderRegistration(t *testing.T) {
 	}
 	// WindowSteps 1: the first record cuts a chunk, which writes the header
 	// and closes registration.
-	sn.ObserveDVS(dvscore.EvClientRegister{}, nil)
+	sn.ObserveDVS(dvscore.Event{Kind: dvscore.EvClientRegister}, nil)
 	if _, err := sr.Node(types.ProcID(1), 0, initial, true, true, true, false); err == nil {
 		t.Error("registration accepted after the header was written")
 	}
@@ -766,13 +766,13 @@ func TestStreamUnencodableMsgIsStickyErr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn.ObserveDVS(dvscore.EvClientRegister{}, nil)
-	sn.ObserveDVS(dvscore.EvClientSend{M: unregisteredMsg{}}, nil)
+	sn.ObserveDVS(dvscore.Event{Kind: dvscore.EvClientRegister}, nil)
+	sn.ObserveDVS(dvscore.Event{Kind: dvscore.EvClientSend, M: unregisteredMsg{}}, nil)
 	first := sr.Err()
 	if first == nil || !strings.Contains(first.Error(), "no wire tag") {
 		t.Fatalf("Err() = %v after an unencodable message, want a no-wire-tag error", first)
 	}
-	sn.ObserveDVS(dvscore.EvClientRegister{}, nil) // dropped, not recorded past the hole
+	sn.ObserveDVS(dvscore.Event{Kind: dvscore.EvClientRegister}, nil) // dropped, not recorded past the hole
 	if err := sr.Close(); !errors.Is(err, first) {
 		t.Errorf("Close() = %v, want the sticky %v", err, first)
 	}
@@ -784,7 +784,7 @@ func TestStreamUnencodableMsgIsStickyErr(t *testing.T) {
 // TestStreamWindowBytesExact: the byte threshold counts encoded bytes, so a
 // run of identical records cuts at exactly the predicted record.
 func TestStreamWindowBytesExact(t *testing.T) {
-	ev := dvscore.EvClientSend{M: types.ClientMsg("payload")}
+	ev := dvscore.Event{Kind: dvscore.EvClientSend, M: types.ClientMsg("payload")}
 	one, err := dvsCodec.append(nil, ev, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -985,7 +985,7 @@ func feedPastStalledWriter(t *testing.T, r *StreamRecorder, window int, observe 
 // before the window is full.
 func TestStreamChunkSizeFollowsWriter(t *testing.T) {
 	const window = 3 * earlyCutSteps
-	ev := dvscore.EvClientSend{M: types.ClientMsg("payload")}
+	ev := dvscore.Event{Kind: dvscore.EvClientSend, M: types.ClientMsg("payload")}
 	dir := t.TempDir()
 	sr, err := NewStreamRecorder(dir, StreamOptions{WindowSteps: window})
 	if err != nil {

@@ -19,14 +19,13 @@ import (
 // tag ranges are package wire's; layout in DESIGN.md §6.8.
 
 // One tag range per union: DVS events, DVS effects, TO events, TO effects,
-// multicast events, multicast effects.
+// multicast events, multicast effects. A DVS or TO record's tag is its
+// range's first plus its kind less one: the cores number their kinds in
+// tag order.
 const (
-	tagEvVSNewView, tagEvVSRecv, tagEvVSSafe, tagEvClientSend, tagEvClientRegister byte = 0x10, 0x11, 0x12, 0x13, 0x14
-	tagFxSendVS, tagFxDVSDeliver, tagFxSafeInd, tagFxNewPrimary, tagFxGC           byte = 0x20, 0x21, 0x22, 0x23, 0x24
-	tagEvBroadcast, tagEvNewView, tagEvRecv, tagEvSafe, tagEvUniverse              byte = 0x30, 0x31, 0x32, 0x33, 0x34
-	tagFxLabel, tagFxSend, tagFxConfirm, tagFxTODeliver, tagFxRegister             byte = 0x40, 0x41, 0x42, 0x43, 0x44
-	tagEvMcSubmit, tagEvMcData, tagEvMcProposal                                    byte = 0x60, 0x61, 0x62
-	tagFxMcSendData, tagFxMcSendProp, tagFxMcDeliver                               byte = 0x70, 0x71, 0x72
+	tagDVSEvent, tagDVSEffect, tagTOEvent, tagTOEffect byte = 0x10, 0x20, 0x30, 0x40
+	tagEvMcSubmit, tagEvMcData, tagEvMcProposal        byte = 0x60, 0x61, 0x62
+	tagFxMcSendData, tagFxMcSendProp, tagFxMcDeliver   byte = 0x70, 0x71, 0x72
 )
 
 func appendMsgFrom(b []byte, m types.Msg, from types.ProcID) ([]byte, error) {
@@ -35,71 +34,59 @@ func appendMsgFrom(b []byte, m types.Msg, from types.ProcID) ([]byte, error) {
 }
 
 func appendDVSEvent(b []byte, ev dvscore.Event) ([]byte, error) {
-	switch e := ev.(type) {
+	switch tag := tagDVSEvent + byte(ev.Kind) - 1; ev.Kind {
 	case dvscore.EvVSNewView:
-		return wire.AppendView(append(b, tagEvVSNewView), e.View), nil
-	case dvscore.EvVSRecv:
-		return appendMsgFrom(append(b, tagEvVSRecv), e.M, e.From)
-	case dvscore.EvVSSafe:
-		return appendMsgFrom(append(b, tagEvVSSafe), e.M, e.From)
+		return wire.AppendView(append(b, tag), ev.View), nil
+	case dvscore.EvVSRecv, dvscore.EvVSSafe:
+		return appendMsgFrom(append(b, tag), ev.M, ev.From)
 	case dvscore.EvClientSend:
-		return wire.AppendMsg(append(b, tagEvClientSend), e.M, 0)
+		return wire.AppendMsg(append(b, tag), ev.M, 0)
 	case dvscore.EvClientRegister:
-		return append(b, tagEvClientRegister), nil
-	default:
-		return b, fmt.Errorf("conform: dvs event type %T has no wire tag", ev)
+		return append(b, tag), nil
 	}
+	return b, fmt.Errorf("conform: dvs event %v has no wire tag", ev.Kind)
 }
 
 func appendDVSEffect(b []byte, fx dvscore.Effect) ([]byte, error) {
-	switch f := fx.(type) {
+	switch tag := tagDVSEffect + byte(fx.Kind) - 1; fx.Kind {
 	case dvscore.FxSendVS:
-		return wire.AppendMsg(append(b, tagFxSendVS), f.M, 0)
-	case dvscore.FxDeliver:
-		return appendMsgFrom(append(b, tagFxDVSDeliver), f.M, f.From)
-	case dvscore.FxSafeInd:
-		return appendMsgFrom(append(b, tagFxSafeInd), f.M, f.From)
-	case dvscore.FxNewPrimary:
-		return wire.AppendView(append(b, tagFxNewPrimary), f.View), nil
-	case dvscore.FxGC:
-		return wire.AppendView(append(b, tagFxGC), f.View), nil
-	default:
-		return b, fmt.Errorf("conform: dvs effect type %T has no wire tag", fx)
+		return wire.AppendMsg(append(b, tag), fx.M, 0)
+	case dvscore.FxDeliver, dvscore.FxSafeInd:
+		return appendMsgFrom(append(b, tag), fx.M, fx.From)
+	case dvscore.FxNewPrimary, dvscore.FxGC:
+		return wire.AppendView(append(b, tag), fx.View), nil
 	}
+	return b, fmt.Errorf("conform: dvs effect %v has no wire tag", fx.Kind)
 }
 
 func appendTOEvent(b []byte, ev tocore.Event) ([]byte, error) {
-	switch e := ev.(type) {
+	switch tag := tagTOEvent + byte(ev.Kind) - 1; ev.Kind {
 	case tocore.EvBroadcast:
-		return wire.AppendString(append(b, tagEvBroadcast), e.A), nil
+		return wire.AppendString(append(b, tag), ev.A), nil
 	case tocore.EvNewView:
-		return wire.AppendView(append(b, tagEvNewView), e.View), nil
-	case tocore.EvRecv:
-		return appendMsgFrom(append(b, tagEvRecv), e.M, e.From)
-	case tocore.EvSafe:
-		return appendMsgFrom(append(b, tagEvSafe), e.M, e.From)
+		return wire.AppendView(append(b, tag), ev.View), nil
+	case tocore.EvRecv, tocore.EvSafe:
+		return appendMsgFrom(append(b, tag), ev.M, ev.From)
 	case tocore.EvUniverse: // a view's member list is the one set encoding there is
-		return wire.AppendView(append(b, tagEvUniverse), types.View{Members: e.Set}), nil
-	default:
-		return b, fmt.Errorf("conform: to event type %T has no wire tag", ev)
+		return wire.AppendView(append(b, tag), types.View{Members: ev.Set}), nil
 	}
+	return b, fmt.Errorf("conform: to event %v has no wire tag", ev.Kind)
 }
 
 func appendTOEffect(b []byte, fx tocore.Effect) ([]byte, error) {
-	switch f := fx.(type) {
+	switch tag := tagTOEffect + byte(fx.Kind) - 1; fx.Kind {
 	case tocore.FxLabel:
-		return wire.AppendString(append(b, tagFxLabel), f.A), nil
+		return wire.AppendString(append(b, tag), fx.A), nil
 	case tocore.FxSend:
-		return wire.AppendMsg(append(b, tagFxSend), f.M, 0)
+		return wire.AppendMsg(append(b, tag), fx.M, 0)
 	case tocore.FxConfirm:
-		return append(b, tagFxConfirm), nil
+		return append(b, tag), nil
 	case tocore.FxDeliver:
-		return wire.AppendInt(wire.AppendString(append(b, tagFxTODeliver), f.A), int(f.Origin)), nil
+		return wire.AppendInt(wire.AppendString(append(b, tag), fx.A), int(fx.Origin)), nil
 	case tocore.FxRegister:
-		return wire.AppendView(append(b, tagFxRegister), f.View), nil
-	default:
-		return b, fmt.Errorf("conform: to effect type %T has no wire tag", fx)
+		return wire.AppendView(append(b, tag), fx.View), nil
 	}
+	return b, fmt.Errorf("conform: to effect %v has no wire tag", fx.Kind)
 }
 
 // mcTag writes the tag and the group an EvData, EvProposal, FxSendData or
@@ -194,76 +181,73 @@ func appendFooter(b []byte, ft streamFooter) []byte {
 	return b
 }
 
-func readDVSEvent(r *wire.Reader) dvscore.Event {
-	switch tag := r.Byte(); tag {
-	case tagEvVSNewView:
-		return dvscore.EvVSNewView{View: r.View()}
-	case tagEvVSRecv:
-		return dvscore.EvVSRecv{M: r.Msg(0), From: r.Proc()}
-	case tagEvVSSafe:
-		return dvscore.EvVSSafe{M: r.Msg(0), From: r.Proc()}
-	case tagEvClientSend:
-		return dvscore.EvClientSend{M: r.Msg(0)}
-	case tagEvClientRegister:
-		return dvscore.EvClientRegister{}
+// The readers invert the appenders. A tag outside its range wraps to a kind
+// no switch knows.
+
+func readDVSEvent(r *wire.Reader) (ev dvscore.Event) {
+	tag := r.Byte()
+	switch ev.Kind = dvscore.EventKind(tag - tagDVSEvent + 1); ev.Kind {
+	case dvscore.EvVSNewView:
+		ev.View = r.View()
+	case dvscore.EvVSRecv, dvscore.EvVSSafe:
+		ev.M, ev.From = r.Msg(0), r.Proc()
+	case dvscore.EvClientSend:
+		ev.M = r.Msg(0)
+	case dvscore.EvClientRegister:
 	default:
 		r.Fail("unknown dvs event tag %#x", tag)
-		return nil
 	}
+	return ev
 }
 
-func readDVSEffect(r *wire.Reader) dvscore.Effect {
-	switch tag := r.Byte(); tag {
-	case tagFxSendVS:
-		return dvscore.FxSendVS{M: r.Msg(0)}
-	case tagFxDVSDeliver:
-		return dvscore.FxDeliver{M: r.Msg(0), From: r.Proc()}
-	case tagFxSafeInd:
-		return dvscore.FxSafeInd{M: r.Msg(0), From: r.Proc()}
-	case tagFxNewPrimary:
-		return dvscore.FxNewPrimary{View: r.View()}
-	case tagFxGC:
-		return dvscore.FxGC{View: r.View()}
+func readDVSEffect(r *wire.Reader) (fx dvscore.Effect) {
+	tag := r.Byte()
+	switch fx.Kind = dvscore.EffectKind(tag - tagDVSEffect + 1); fx.Kind {
+	case dvscore.FxSendVS:
+		fx.M = r.Msg(0)
+	case dvscore.FxDeliver, dvscore.FxSafeInd:
+		fx.M, fx.From = r.Msg(0), r.Proc()
+	case dvscore.FxNewPrimary, dvscore.FxGC:
+		fx.View = r.View()
 	default:
 		r.Fail("unknown dvs effect tag %#x", tag)
-		return nil
 	}
+	return fx
 }
 
-func readTOEvent(r *wire.Reader) tocore.Event {
-	switch tag := r.Byte(); tag {
-	case tagEvBroadcast:
-		return tocore.EvBroadcast{A: r.Str()}
-	case tagEvNewView:
-		return tocore.EvNewView{View: r.View()}
-	case tagEvRecv:
-		return tocore.EvRecv{M: r.Msg(0), From: r.Proc()}
-	case tagEvSafe:
-		return tocore.EvSafe{M: r.Msg(0), From: r.Proc()}
-	case tagEvUniverse:
-		return tocore.EvUniverse{Set: r.View().Members}
+func readTOEvent(r *wire.Reader) (ev tocore.Event) {
+	tag := r.Byte()
+	switch ev.Kind = tocore.EventKind(tag - tagTOEvent + 1); ev.Kind {
+	case tocore.EvBroadcast:
+		ev.A = r.Str()
+	case tocore.EvNewView:
+		ev.View = r.View()
+	case tocore.EvRecv, tocore.EvSafe:
+		ev.M, ev.From = r.Msg(0), r.Proc()
+	case tocore.EvUniverse:
+		ev.Set = r.View().Members
 	default:
 		r.Fail("unknown to event tag %#x", tag)
-		return nil
 	}
+	return ev
 }
 
-func readTOEffect(r *wire.Reader) tocore.Effect {
-	switch tag := r.Byte(); tag {
-	case tagFxLabel:
-		return tocore.FxLabel{A: r.Str()}
-	case tagFxSend:
-		return tocore.FxSend{M: r.Msg(0)}
-	case tagFxConfirm:
-		return tocore.FxConfirm{}
-	case tagFxTODeliver:
-		return tocore.FxDeliver{A: r.Str(), Origin: r.Proc()}
-	case tagFxRegister:
-		return tocore.FxRegister{View: r.View()}
+func readTOEffect(r *wire.Reader) (fx tocore.Effect) {
+	tag := r.Byte()
+	switch fx.Kind = tocore.EffectKind(tag - tagTOEffect + 1); fx.Kind {
+	case tocore.FxLabel:
+		fx.A = r.Str()
+	case tocore.FxSend:
+		fx.M = r.Msg(0)
+	case tocore.FxConfirm:
+	case tocore.FxDeliver:
+		fx.A, fx.Origin = r.Str(), r.Proc()
+	case tocore.FxRegister:
+		fx.View = r.View()
 	default:
 		r.Fail("unknown to effect tag %#x", tag)
-		return nil
 	}
+	return fx
 }
 
 func readMcastEvent(r *wire.Reader) mcastcore.Event {

@@ -157,16 +157,16 @@ func genChunk(rng *rand.Rand) streamChunk {
 	m := func() types.Msg { return genMsg(rng, 0) }
 	dvsFx := func() []dvscore.Effect {
 		all := []dvscore.Effect{
-			dvscore.FxSendVS{M: m()}, dvscore.FxDeliver{M: m(), From: p()}, dvscore.FxSafeInd{M: m(), From: p()},
-			dvscore.FxNewPrimary{View: genView(rng)}, dvscore.FxGC{View: genView(rng)},
+			{Kind: dvscore.FxSendVS, M: m()}, {Kind: dvscore.FxDeliver, M: m(), From: p()}, {Kind: dvscore.FxSafeInd, M: m(), From: p()},
+			{Kind: dvscore.FxNewPrimary, View: genView(rng)}, {Kind: dvscore.FxGC, View: genView(rng)},
 		}
 		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 		return all[:rng.Intn(len(all)+1)]
 	}
 	toFx := func() []tocore.Effect {
 		all := []tocore.Effect{
-			tocore.FxLabel{A: genString(rng)}, tocore.FxSend{M: m()}, tocore.FxConfirm{},
-			tocore.FxDeliver{A: genString(rng), Origin: p()}, tocore.FxRegister{View: genView(rng)},
+			{Kind: tocore.FxLabel, A: genString(rng)}, {Kind: tocore.FxSend, M: m()}, {Kind: tocore.FxConfirm},
+			{Kind: tocore.FxDeliver, A: genString(rng), Origin: p()}, {Kind: tocore.FxRegister, View: genView(rng)},
 		}
 		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 		return all[:rng.Intn(len(all)+1)]
@@ -192,15 +192,15 @@ func genChunk(rng *rand.Rand) streamChunk {
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 		part := chunkPart{P: types.ProcID(i), Start: [numLayers]int{rng.Intn(1 << 20), rng.Intn(1 << 20), rng.Intn(1 << 20)}}
 		for _, ev := range []dvscore.Event{
-			dvscore.EvVSNewView{View: genView(rng)}, dvscore.EvVSRecv{M: m(), From: p()},
-			dvscore.EvVSSafe{M: m(), From: p()}, dvscore.EvClientSend{M: m()}, dvscore.EvClientRegister{},
+			{Kind: dvscore.EvVSNewView, View: genView(rng)}, {Kind: dvscore.EvVSRecv, M: m(), From: p()},
+			{Kind: dvscore.EvVSSafe, M: m(), From: p()}, {Kind: dvscore.EvClientSend, M: m()}, {Kind: dvscore.EvClientRegister},
 		} {
 			part.DVS = append(part.DVS, DVSRecord{Ev: ev, Fx: dvsFx()})
 		}
 		for _, ev := range []tocore.Event{
-			tocore.EvBroadcast{A: genString(rng)}, tocore.EvNewView{View: genView(rng)},
-			tocore.EvRecv{M: m(), From: p()}, tocore.EvSafe{M: m(), From: p()},
-			tocore.EvUniverse{Set: genView(rng).Members},
+			{Kind: tocore.EvBroadcast, A: genString(rng)}, {Kind: tocore.EvNewView, View: genView(rng)},
+			{Kind: tocore.EvRecv, M: m(), From: p()}, {Kind: tocore.EvSafe, M: m(), From: p()},
+			{Kind: tocore.EvUniverse, Set: genView(rng).Members},
 		} {
 			part.TO = append(part.TO, TORecord{Ev: ev, Fx: toFx()})
 		}
@@ -334,8 +334,8 @@ func TestWireLongRunOffsetsRoundTrip(t *testing.T) {
 	ch := streamChunk{Seq: 1<<31 + 7, Parts: []chunkPart{{
 		P:     3,
 		Start: [numLayers]int{1<<40 + 1, 1 << 33, 1<<50 + 5},
-		DVS:   []DVSRecord{{Ev: dvscore.EvClientRegister{}}},
-		TO:    []TORecord{{Ev: tocore.EvBroadcast{A: "a"}, Fx: []tocore.Effect{tocore.FxConfirm{}}}},
+		DVS:   []DVSRecord{{Ev: dvscore.Event{Kind: dvscore.EvClientRegister}}},
+		TO:    []TORecord{{Ev: tocore.Event{Kind: tocore.EvBroadcast, A: "a"}, Fx: []tocore.Effect{{Kind: tocore.FxConfirm}}}},
 		Mcast: []McastRecord{{Ev: mcastcore.EvProposal{ID: "m", TS: 1 << 63}}},
 	}}}
 	got, err := decodeChunk(encodeChunk(t, ch))

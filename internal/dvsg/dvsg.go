@@ -177,7 +177,7 @@ func (l *Layer) Defer(f func()) bool { return l.node.Defer(f) }
 // OnNewView implements vsg.Handler.
 func (l *Layer) OnNewView(v types.View) {
 	l.stats.VSViews++
-	l.dispatch(dvscore.EvVSNewView{View: v})
+	l.dispatch(dvscore.Event{Kind: dvscore.EvVSNewView, View: v})
 }
 
 // OnRecv implements vsg.Handler. WireBatches are expanded here, before the
@@ -186,7 +186,7 @@ func (l *Layer) OnRecv(payload any, from types.ProcID) {
 	if b, ok := payload.(WireBatch); ok {
 		l.stats.WireBatchIn++
 		for _, m := range b.Msgs {
-			l.dispatch(dvscore.EvVSRecv{M: m, From: from})
+			l.dispatch(dvscore.Event{Kind: dvscore.EvVSRecv, M: m, From: from})
 		}
 		return
 	}
@@ -194,7 +194,7 @@ func (l *Layer) OnRecv(payload any, from types.ProcID) {
 	if !ok {
 		return
 	}
-	l.dispatch(dvscore.EvVSRecv{M: m, From: from})
+	l.dispatch(dvscore.Event{Kind: dvscore.EvVSRecv, M: m, From: from})
 }
 
 // OnSafe implements vsg.Handler. A safe indication for a WireBatch means
@@ -202,7 +202,7 @@ func (l *Layer) OnRecv(payload any, from types.ProcID) {
 func (l *Layer) OnSafe(payload any, from types.ProcID) {
 	if b, ok := payload.(WireBatch); ok {
 		for _, m := range b.Msgs {
-			l.dispatch(dvscore.EvVSSafe{M: m, From: from})
+			l.dispatch(dvscore.Event{Kind: dvscore.EvVSSafe, M: m, From: from})
 		}
 		return
 	}
@@ -210,14 +210,14 @@ func (l *Layer) OnSafe(payload any, from types.ProcID) {
 	if !ok {
 		return
 	}
-	l.dispatch(dvscore.EvVSSafe{M: m, From: from})
+	l.dispatch(dvscore.Event{Kind: dvscore.EvVSSafe, M: m, From: from})
 }
 
 // Send submits a client message for delivery in the current primary view.
 // It must be called from the event loop.
 func (l *Layer) Send(m types.Msg) {
 	l.stats.SendsDown++
-	l.dispatch(dvscore.EvClientSend{M: m})
+	l.dispatch(dvscore.Event{Kind: dvscore.EvClientSend, M: m})
 }
 
 // Register tells the service the application has gathered the information
@@ -225,7 +225,7 @@ func (l *Layer) Send(m types.Msg) {
 // the event loop.
 func (l *Layer) Register() {
 	l.stats.RegistersOut++
-	l.dispatch(dvscore.EvClientRegister{})
+	l.dispatch(dvscore.Event{Kind: dvscore.EvClientRegister})
 }
 
 // dispatch runs one core macro-step for ev, or queues it if a step is
@@ -233,17 +233,17 @@ func (l *Layer) Register() {
 // arrival order, so the delivery and view streams handed up preserve the
 // core's emission order even under synchronous re-entry.
 func (l *Layer) dispatch(ev dvscore.Event) {
+	l.queue = append(l.queue, ev)
 	if l.stepping {
-		l.queue = append(l.queue, ev)
 		return
 	}
 	l.stepping = true
-	l.step(ev)
-	for len(l.queue) > 0 {
-		next := l.queue[0]
-		l.queue = l.queue[1:]
+	for i := 0; i < len(l.queue); i++ {
+		next := l.queue[i]
+		l.queue[i] = dvscore.Event{} // a drained slot holds no payload
 		l.step(next)
 	}
+	l.queue = l.queue[:0]
 	l.stepping = false
 	l.flushVS()
 }
@@ -267,6 +267,7 @@ func (l *Layer) flushVS() {
 		} else {
 			payload = WireBatch{Msgs: append([]types.Msg(nil), l.pendingVS...)}
 		}
+		clear(l.pendingVS)
 		l.pendingVS = l.pendingVS[:0]
 		l.stats.WireFrames++
 		l.stats.WirePayloads += uint64(k)
@@ -276,17 +277,20 @@ func (l *Layer) flushVS() {
 
 // step performs one atomic macro-step and applies its effects.
 func (l *Layer) step(ev dvscore.Event) {
-	if _, isView := ev.(dvscore.EvVSNewView); isView && len(l.pendingVS) > 0 {
+	if ev.Kind == dvscore.EvVSNewView && len(l.pendingVS) > 0 {
 		// See the pendingVS field comment: unsent messages die with the view.
+		clear(l.pendingVS)
 		l.pendingVS = l.pendingVS[:0]
 	}
 	l.out.Effects = l.out.Effects[:0]
-	dvscore.Step(l.filter, ev, l.gc, &l.out)
+	if dvscore.Step(l.filter, ev, l.gc, &l.out) != nil {
+		return
+	}
 	if l.observer != nil {
 		l.observer(ev, l.out.Effects)
 	}
 	for _, fx := range l.out.Effects {
-		switch fx := fx.(type) {
+		switch fx.Kind {
 		case dvscore.FxSendVS:
 			l.pendingVS = append(l.pendingVS, fx.M)
 		case dvscore.FxDeliver:

@@ -81,8 +81,8 @@ func (t *auditToy) Permute(s toySwap) *auditToy {
 	return c
 }
 
-func (t *auditToy) Canonicalize() Automaton { return Canonicalize(t, []toySwap{false, true}) }
-func (t *auditToy) Orbit() []Automaton      { return Orbit(t, []toySwap{false, true}) }
+func (t *auditToy) Canonicalize() (Automaton, Fp) { return Canonicalize(t, []toySwap{false, true}) }
+func (t *auditToy) Orbit() []Automaton            { return Orbit(t, []toySwap{false, true}) }
 
 // TestAuditCatchesSeededEdits: the correct toy passes AuditFingerprints,
 // and each seeded edit to its Perform, Clone or Permute is rejected with the

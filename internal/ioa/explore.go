@@ -295,8 +295,7 @@ func canonicalize(a Automaton, audit bool) (Automaton, Fp, error) {
 	if !ok {
 		return nil, Fp{}, fmt.Errorf("symmetry reduction: %T does not implement ioa.Symmetric", a)
 	}
-	rep := sym.Canonicalize()
-	repFp := FpOf(rep)
+	rep, repFp := sym.Canonicalize()
 	if audit {
 		inOrbit := false
 		for _, m := range sym.Orbit() {
@@ -307,7 +306,7 @@ func canonicalize(a Automaton, audit bool) (Automaton, Fp, error) {
 			if !ok {
 				return nil, Fp{}, fmt.Errorf("symmetry audit: orbit member %T does not implement ioa.Symmetric", m)
 			}
-			if mRepFp := FpOf(ms.Canonicalize()); mRepFp != repFp {
+			if _, mRepFp := ms.Canonicalize(); mRepFp != repFp {
 				return nil, Fp{}, fmt.Errorf("symmetry audit: orbit members canonicalize to different representatives:\n  state     = %s\n  member    = %s\n  canon(state)  = %v\n  canon(member) = %v",
 					Render(a), Render(m), repFp, mRepFp)
 			}

@@ -204,12 +204,12 @@ func (p *pairSym) Perform(act Action) error {
 	return nil
 }
 func (p *pairSym) Clone() Automaton { cp := *p; return &cp }
-func (p *pairSym) Canonicalize() Automaton {
+func (p *pairSym) Canonicalize() (Automaton, Fp) {
 	cp := *p
 	if !p.bad && cp.a > cp.b {
 		cp.a, cp.b = cp.b, cp.a
 	}
-	return &cp
+	return &cp, FpOf(&cp)
 }
 func (p *pairSym) Orbit() []Automaton {
 	cp := *p

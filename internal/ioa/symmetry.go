@@ -18,11 +18,11 @@ package ioa
 type Symmetric interface {
 	Automaton
 	// Canonicalize returns the canonical representative of the receiver's
-	// orbit: a pure function of the state with Canonicalize(π(s)) equal (by
-	// fingerprint) to Canonicalize(s) for every group element π. The
-	// receiver must not be mutated; the result may be the receiver itself
-	// when it is already canonical.
-	Canonicalize() Automaton
+	// orbit and its fingerprint: a pure function of the state with
+	// Canonicalize(π(s)) equal (by fingerprint) to Canonicalize(s) for every
+	// group element π. The receiver must not be mutated; the result may be
+	// the receiver itself when it is already canonical.
+	Canonicalize() (Automaton, Fp)
 	// Orbit returns the receiver's full orbit under the symmetry group,
 	// including (an equal copy of) the receiver itself. Used by
 	// AuditSymmetry; need not be allocation-free.
@@ -57,21 +57,18 @@ func Stabilizer[A permutable[A, P], P any](a A, perms []P) []P {
 }
 
 // Canonicalize is Symmetric.Canonicalize over an installed group: the orbit
-// member with the least fingerprint. With no group installed (or the
-// trivial group) a is its own representative.
-func Canonicalize[A permutable[A, P], P any](a A, syms []P) Automaton {
-	if len(syms) <= 1 {
-		return a
-	}
+// member with the least fingerprint, and that fingerprint. With no group
+// installed (or the trivial group) a is its own representative.
+func Canonicalize[A permutable[A, P], P any](a A, syms []P) (Automaton, Fp) {
 	var best Automaton = a
 	bestFp := FpOf(a)
-	for _, pi := range syms[1:] { // syms[0] is the identity
-		cand := a.Permute(pi)
+	for i := 1; i < len(syms); i++ { // syms[0] is the identity
+		cand := a.Permute(syms[i])
 		if fp := FpOf(cand); fp.Less(bestFp) {
 			best, bestFp = cand, fp
 		}
 	}
-	return best
+	return best, bestFp
 }
 
 // Orbit is Symmetric.Orbit over an installed group: the image of a under

@@ -246,8 +246,8 @@ func TestStepBatchAllocsConstant(t *testing.T) {
 		var out Outbox
 		return testing.AllocsPerRun(200, func() {
 			out.Effects = out.Effects[:0]
-			Step(n, EvVSRecv{M: b, From: 1}, true, &out)
-			Step(n, EvVSSafe{M: b, From: 1}, true, &out)
+			Step(n, Event{Kind: EvVSRecv, M: b, From: 1}, true, &out)
+			Step(n, Event{Kind: EvVSSafe, M: b, From: 1}, true, &out)
 			if len(out.Effects) != 2 {
 				t.Fatalf("%d effects, want deliver + safe", len(out.Effects))
 			}

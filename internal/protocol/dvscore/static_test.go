@@ -317,16 +317,16 @@ func TestStaticFilterDrains(t *testing.T) {
 	n, _ := newStatic(t)
 	var out Outbox
 	m := types.ClientMsg("m")
-	Step(n, EvVSRecv{M: m, From: 1}, false, &out)
-	Step(n, EvVSNewView{View: v(1, 0, 1)}, false, &out)
-	Step(n, EvVSNewView{View: v(2, 0)}, false, &out)
+	Step(n, Event{Kind: EvVSRecv, M: m, From: 1}, false, &out)
+	Step(n, Event{Kind: EvVSNewView, View: v(1, 0, 1)}, false, &out)
+	Step(n, Event{Kind: EvVSNewView, View: v(2, 0)}, false, &out)
 	if len(out.Effects) != 2 {
 		t.Fatalf("effects = %#v, want deliver then new primary", out.Effects)
 	}
-	if d, ok := out.Effects[0].(FxDeliver); !ok || !d.M.EqualMsg(m) || d.From != 1 {
+	if d := out.Effects[0]; d.Kind != FxDeliver || !d.M.EqualMsg(m) || d.From != 1 {
 		t.Errorf("first effect = %#v", out.Effects[0])
 	}
-	if p, ok := out.Effects[1].(FxNewPrimary); !ok || !p.View.Equal(v(1, 0, 1)) {
+	if p := out.Effects[1]; p.Kind != FxNewPrimary || !p.View.Equal(v(1, 0, 1)) {
 		t.Errorf("second effect = %#v", out.Effects[1])
 	}
 	if cc, _ := n.ClientCur(); !cc.Equal(v(1, 0, 1)) {

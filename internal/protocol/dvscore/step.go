@@ -1,6 +1,11 @@
 package dvscore
 
-import "repro/internal/types"
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/types"
+)
 
 // This file is the runtime face of the protocol core: an explicit
 // input-event / output-effect interface around the Figure 3 transition
@@ -44,68 +49,63 @@ var (
 )
 
 // Event is one input of the VS-TO-DVS automaton as seen at runtime: a
-// view-synchronous upcall or a client downcall.
-type Event interface{ dvsEvent() }
-
-// EvVSNewView is the vs-newview(v)_p input.
-type EvVSNewView struct{ View types.View }
-
-// EvVSRecv is the vs-gprcv(m)_{q,p} input.
-type EvVSRecv struct {
-	M    types.Msg
-	From types.ProcID
+// view-synchronous upcall or a client downcall. A closed tagged value, Kind
+// naming the input and only its fields set, it is passed by value: nothing
+// is boxed per message. Step rejects a Kind it does not know.
+type Event struct {
+	Kind EventKind
+	M    types.Msg    // EvVSRecv, EvVSSafe, EvClientSend
+	From types.ProcID // EvVSRecv, EvVSSafe
+	View types.View   // EvVSNewView
 }
 
-// EvVSSafe is the vs-safe(m)_{q,p} input.
-type EvVSSafe struct {
-	M    types.Msg
-	From types.ProcID
+// EventKind names one input, in the trace codec's tag order; 0 is none.
+type EventKind uint8
+
+const (
+	EvVSNewView      EventKind = iota + 1 // the vs-newview(v)_p input
+	EvVSRecv                              // the vs-gprcv(m)_{q,p} input
+	EvVSSafe                              // the vs-safe(m)_{q,p} input
+	EvClientSend                          // the dvs-gpsnd(m)_p input from the client above
+	EvClientRegister                      // the dvs-register_p input from the client above
+)
+
+func (k EventKind) String() string {
+	return kindName(int(k), "EvVSNewView EvVSRecv EvVSSafe EvClientSend EvClientRegister")
 }
-
-// EvClientSend is the dvs-gpsnd(m)_p input from the client above.
-type EvClientSend struct{ M types.Msg }
-
-// EvClientRegister is the dvs-register_p input from the client above.
-type EvClientRegister struct{}
-
-func (EvVSNewView) dvsEvent()      {}
-func (EvVSRecv) dvsEvent()         {}
-func (EvVSSafe) dvsEvent()         {}
-func (EvClientSend) dvsEvent()     {}
-func (EvClientRegister) dvsEvent() {}
 
 // Effect is one output of a macro-step: a message for the view-synchronous
 // layer below, an upcall for the client above, or an observable internal
-// action.
-type Effect interface{ dvsEffect() }
-
-// FxSendVS submits m to the view-synchronous layer (vs-gpsnd output).
-type FxSendVS struct{ M types.Msg }
-
-// FxDeliver hands a client message up (dvs-gprcv output).
-type FxDeliver struct {
-	M    types.Msg
-	From types.ProcID
+// action. Like Event, a closed tagged value.
+type Effect struct {
+	Kind EffectKind
+	M    types.Msg    // FxSendVS, FxDeliver, FxSafeInd
+	From types.ProcID // FxDeliver, FxSafeInd
+	View types.View   // FxNewPrimary, FxGC
 }
 
-// FxSafeInd hands a safe indication up (dvs-safe output).
-type FxSafeInd struct {
-	M    types.Msg
-	From types.ProcID
+// EffectKind names one output, numbered like EventKind; 0 is none.
+type EffectKind uint8
+
+const (
+	FxSendVS     EffectKind = iota + 1 // M to the view-synchronous layer (vs-gpsnd output)
+	FxDeliver                          // a client message up (dvs-gprcv output)
+	FxSafeInd                          // a safe indication up (dvs-safe output)
+	FxNewPrimary                       // a new primary view (dvs-newview output)
+	FxGC                               // a dvs-garbage-collect, observable so replay checks GC scheduling too
+)
+
+func (k EffectKind) String() string {
+	return kindName(int(k), "FxSendVS FxDeliver FxSafeInd FxNewPrimary FxGC")
 }
 
-// FxNewPrimary announces a new primary view (dvs-newview output).
-type FxNewPrimary struct{ View types.View }
-
-// FxGC records a dvs-garbage-collect internal action (observable so the
-// replayer can verify GC scheduling too).
-type FxGC struct{ View types.View }
-
-func (FxSendVS) dvsEffect()     {}
-func (FxDeliver) dvsEffect()    {}
-func (FxSafeInd) dvsEffect()    {}
-func (FxNewPrimary) dvsEffect() {}
-func (FxGC) dvsEffect()         {}
+// kindName is the k-th (from 1) of the space-separated names, or k's number.
+func kindName(k int, names string) string {
+	if f := strings.Fields(names); k >= 1 && k <= len(f) {
+		return f[k-1]
+	}
+	return fmt.Sprint("kind ", k)
+}
 
 // Outbox collects the effects of one macro-step, in emission order.
 type Outbox struct{ Effects []Effect }
@@ -114,21 +114,26 @@ func (o *Outbox) add(fx Effect) { o.Effects = append(o.Effects, fx) }
 
 // Step applies one input event and then drains the filter: one atomic
 // macro-step of the runtime protocol core. gc enables the eager
-// dvs-garbage-collect scheduling (disabled for the REGISTER ablation).
-func Step(f Filter, ev Event, gc bool, out *Outbox) {
-	switch e := ev.(type) {
+// dvs-garbage-collect scheduling (disabled for the REGISTER ablation). A
+// non-nil error means the event's kind is unknown: the filter is left as it
+// was, undrained.
+func Step(f Filter, ev Event, gc bool, out *Outbox) error {
+	switch ev.Kind {
 	case EvVSNewView:
-		f.onVSNewView(e.View)
+		f.onVSNewView(ev.View)
 	case EvVSRecv:
-		f.onVSGpRcv(e.M, e.From)
+		f.onVSGpRcv(ev.M, ev.From)
 	case EvVSSafe:
-		f.onVSSafe(e.M, e.From)
+		f.onVSSafe(ev.M, ev.From)
 	case EvClientSend:
-		f.onDVSGpSnd(e.M)
+		f.onDVSGpSnd(ev.M)
 	case EvClientRegister:
 		f.onDVSRegister()
+	default:
+		return fmt.Errorf("dvscore: unknown event %v", ev.Kind)
 	}
 	drain(f, gc, out)
+	return nil
 }
 
 // drain fires the filter's enabled locally-controlled actions until
@@ -149,7 +154,7 @@ func drain(f Filter, gc bool, out *Outbox) {
 				break
 			}
 			f.popVSGpSnd()
-			out.add(FxSendVS{M: m})
+			out.add(Effect{Kind: FxSendVS, M: m})
 			progress = true
 		}
 		for {
@@ -158,7 +163,7 @@ func drain(f Filter, gc bool, out *Outbox) {
 				break
 			}
 			f.popDVSGpRcv()
-			out.add(FxDeliver{M: e.M, From: e.Q})
+			out.add(Effect{Kind: FxDeliver, M: e.M, From: e.Q})
 			progress = true
 		}
 		for {
@@ -167,18 +172,18 @@ func drain(f Filter, gc bool, out *Outbox) {
 				break
 			}
 			f.popDVSSafe()
-			out.add(FxSafeInd{M: e.M, From: e.Q})
+			out.add(Effect{Kind: FxSafeInd, M: e.M, From: e.Q})
 			progress = true
 		}
 		if v, ok := f.dvsNewViewEnabled(); ok {
 			f.dvsNewView(v)
-			out.add(FxNewPrimary{View: v})
+			out.add(Effect{Kind: FxNewPrimary, View: v})
 			progress = true
 		}
 		if gc {
 			for _, v := range f.gcCandidates() {
 				if err := f.performGC(v); err == nil {
-					out.add(FxGC{View: v})
+					out.add(Effect{Kind: FxGC, View: v})
 					progress = true
 				}
 			}

@@ -88,7 +88,7 @@ func TestSymmetryReductionExact(t *testing.T) {
 	var mu sync.Mutex
 	orbits := make(map[ioa.Fp]struct{})
 	capture := ioa.Invariant{Name: "capture-orbit", Check: func(a ioa.Automaton) error {
-		fp := ioa.FpOf(a.(*Impl).Canonicalize())
+		_, fp := a.(*Impl).Canonicalize()
 		mu.Lock()
 		orbits[fp] = struct{}{}
 		mu.Unlock()

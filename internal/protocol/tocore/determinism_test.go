@@ -73,18 +73,18 @@ func TestCloneStepLeavesOriginalUntouched(t *testing.T) {
 	v1 := types.NewView(v0.ID.Next(0), 0, 1)
 	gapped := SummaryMsg{X: types.Summary{Next: 1, Con: types.Content{lbl(7, "far").L: "far", lbl(1, "x").L: "x"}}}
 	steps := []Event{
-		EvRecv{M: lbl(3, "c"), From: 1},
-		EvSafe{M: lbl(2, "b"), From: 1},
-		EvNewView{View: v1},
-		EvRecv{M: gapped, From: 1},
-		EvSafe{M: lbl(9, "never seen"), From: 1},
+		{Kind: EvRecv, M: lbl(3, "c"), From: 1},
+		{Kind: EvSafe, M: lbl(2, "b"), From: 1},
+		{Kind: EvNewView, View: v1},
+		{Kind: EvRecv, M: gapped, From: 1},
+		{Kind: EvSafe, M: lbl(9, "never seen"), From: 1},
 	}
 	orig := NewNode(0, v0, true, false)
 	var out Outbox
 	for _, ev := range []Event{
-		EvBroadcast{A: "own"},
-		EvRecv{M: lbl(1, "a"), From: 1}, EvSafe{M: lbl(1, "a"), From: 1},
-		EvRecv{M: lbl(2, "b"), From: 1},
+		{Kind: EvBroadcast, A: "own"},
+		{Kind: EvRecv, M: lbl(1, "a"), From: 1}, {Kind: EvSafe, M: lbl(1, "a"), From: 1},
+		{Kind: EvRecv, M: lbl(2, "b"), From: 1},
 	} {
 		if err := Step(orig, ev, true, &out); err != nil {
 			t.Fatal(err)

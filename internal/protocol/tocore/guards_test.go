@@ -182,28 +182,28 @@ func drainByName(n *Node, register bool, out *Outbox) {
 	for progress := true; progress; {
 		progress = false
 		if a, ok := n.labelHead(); ok && n.performLabel(a) == nil {
-			out.add(FxLabel{A: a})
+			out.add(Effect{Kind: FxLabel, A: a})
 			progress = true
 		}
 		if m, ok := n.gpSndSummary(); ok && n.takeGpSndSummary(m) == nil {
-			out.add(FxSend{M: m})
+			out.add(Effect{Kind: FxSend, M: m})
 			progress = true
 		}
 		if m, ok := n.gpSndLabel(); ok && n.takeGpSndLabel(m) == nil {
-			out.add(FxSend{M: m})
+			out.add(Effect{Kind: FxSend, M: m})
 			progress = true
 		}
 		if n.confirmEnabled() && n.performConfirm() == nil {
-			out.add(FxConfirm{})
+			out.add(Effect{Kind: FxConfirm})
 			progress = true
 		}
 		if a, origin, ok := n.brcvNext(); ok && n.performBRcv(a, origin) == nil {
-			out.add(FxDeliver{A: a, Origin: origin})
+			out.add(Effect{Kind: FxDeliver, A: a, Origin: origin})
 			progress = true
 		}
 		if register && n.registerEnabled() && n.performRegister() == nil {
 			cur, _ := n.Current()
-			out.add(FxRegister{View: cur.Clone()})
+			out.add(Effect{Kind: FxRegister, View: cur.Clone()})
 			progress = true
 		}
 	}
@@ -230,19 +230,19 @@ func TestDrainMatchesExportedActions(t *testing.T) {
 			case k == 0:
 				members := []types.ProcID{0, 1, 2}[:2+rng.Intn(2)]
 				cur = types.NewView(cur.ID.Next(0), members...)
-				ev = EvNewView{View: cur}
+				ev = Event{Kind: EvNewView, View: cur}
 				inflight = nil // DVS hands up nothing from a view the client has left
 				for _, q := range members[1:] {
 					m := SummaryMsg{X: types.Summary{Next: 1}}
-					inflight = append(inflight, EvRecv{M: m, From: q}, EvSafe{M: m, From: q})
+					inflight = append(inflight, Event{Kind: EvRecv, M: m, From: q}, Event{Kind: EvSafe, M: m, From: q})
 				}
 			case k < 12:
-				ev = EvBroadcast{A: strings.Repeat("p", rng.Intn(4)) + string(rune('a'+rng.Intn(26)))}
+				ev = Event{Kind: EvBroadcast, A: strings.Repeat("p", rng.Intn(4)) + string(rune('a'+rng.Intn(26)))}
 			case k < 20 && a.Status() == StatusNormal:
 				q := types.ProcID(1 + rng.Intn(cur.Members.Len()-1))
 				peerSeq[q]++
 				m := LabelMsg{L: types.Label{ID: cur.ID, Seqno: peerSeq[q], Origin: q}, A: "peer"}
-				inflight = append(inflight, EvRecv{M: m, From: q}, EvSafe{M: m, From: q})
+				inflight = append(inflight, Event{Kind: EvRecv, M: m, From: q}, Event{Kind: EvSafe, M: m, From: q})
 				continue
 			case len(inflight) > 0:
 				ev, inflight = inflight[0], inflight[1:]
@@ -266,9 +266,9 @@ func TestDrainMatchesExportedActions(t *testing.T) {
 				t.Fatalf("step %d (%#v): node states diverge", step, ev)
 			}
 			for _, fx := range got.Effects {
-				counts[reflect.TypeOf(fx).Name()]++
-				if s, ok := fx.(FxSend); ok { // loop the node's own sends back
-					inflight = append(inflight, EvRecv{M: s.M, From: 0}, EvSafe{M: s.M, From: 0})
+				counts[fx.Kind.String()]++
+				if fx.Kind == FxSend { // loop the node's own sends back
+					inflight = append(inflight, Event{Kind: EvRecv, M: fx.M, From: 0}, Event{Kind: EvSafe, M: fx.M, From: 0})
 				}
 			}
 		}
@@ -284,15 +284,15 @@ func TestDrainMatchesExportedActions(t *testing.T) {
 }
 
 func applyInput(n *Node, ev Event) error {
-	switch e := ev.(type) {
+	switch ev.Kind {
 	case EvBroadcast:
-		n.onBCast(e.A)
+		n.onBCast(ev.A)
 	case EvNewView:
-		n.onDVSNewView(e.View)
+		n.onDVSNewView(ev.View)
 	case EvRecv:
-		return n.onDVSGpRcv(e.M, e.From)
+		return n.onDVSGpRcv(ev.M, ev.From)
 	case EvSafe:
-		return n.onDVSSafe(e.M, e.From)
+		return n.onDVSSafe(ev.M, ev.From)
 	}
 	return nil
 }
@@ -310,17 +310,17 @@ func TestStepLabelAllocsConstant(t *testing.T) {
 		msg := func(i int) LabelMsg { return LabelMsg{L: types.Label{ID: v0.ID, Seqno: i + 1, Origin: 1}, A: a} }
 		var out Outbox
 		for i := 0; i < history+runs+1; i++ {
-			if err := Step(n, EvRecv{M: msg(i), From: 1}, true, &out); err != nil {
+			if err := Step(n, Event{Kind: EvRecv, M: msg(i), From: 1}, true, &out); err != nil {
 				t.Fatal(err)
 			}
 			if i < history {
-				Step(n, EvSafe{M: msg(i), From: 1}, true, &out)
+				Step(n, Event{Kind: EvSafe, M: msg(i), From: 1}, true, &out)
 			}
 		}
 		i := history
 		return testing.AllocsPerRun(runs, func() {
 			out.Effects = out.Effects[:0]
-			if err := Step(n, EvSafe{M: msg(i), From: 1}, true, &out); err != nil {
+			if err := Step(n, Event{Kind: EvSafe, M: msg(i), From: 1}, true, &out); err != nil {
 				t.Fatal(err)
 			}
 			if len(out.Effects) != 2 {

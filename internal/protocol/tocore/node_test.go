@@ -298,7 +298,7 @@ func deliverInView(t *testing.T, n *Node, g types.ViewID, from, k int) []types.L
 	for i := from; i < from+k; i++ {
 		m := LabelMsg{L: types.Label{ID: g, Seqno: i, Origin: 1}, A: "x"}
 		ls = append(ls, m.L)
-		for _, ev := range []Event{EvRecv{M: m, From: 1}, EvSafe{M: m, From: 1}} {
+		for _, ev := range []Event{{Kind: EvRecv, M: m, From: 1}, {Kind: EvSafe, M: m, From: 1}} {
 			if err := Step(n, ev, true, &Outbox{}); err != nil {
 				t.Fatal(err)
 			}
@@ -318,7 +318,7 @@ func TestTruncateAndSplice(t *testing.T) {
 	if n.Base() != 0 || n.Retained() != 3 {
 		t.Fatalf("a node never told the universe dropped labels: base %d, %d held", n.Base(), n.Retained())
 	}
-	if err := Step(n, EvUniverse{Set: v0.Members}, true, &Outbox{}); err != nil {
+	if err := Step(n, Event{Kind: EvUniverse, Set: v0.Members}, true, &Outbox{}); err != nil {
 		t.Fatal(err)
 	}
 	ls = append(ls, deliverInView(t, n, v0.ID, 4, 2)...)
@@ -333,10 +333,10 @@ func TestTruncateAndSplice(t *testing.T) {
 	// A view without process 2 pins the frontier: delivered, held.
 	v1 := v(1, 0, 1)
 	var out Outbox
-	if err := Step(n, EvNewView{View: v1}, true, &out); err != nil {
+	if err := Step(n, Event{Kind: EvNewView, View: v1}, true, &out); err != nil {
 		t.Fatal(err)
 	}
-	mine := out.Effects[0].(FxSend).M.(SummaryMsg).X
+	mine := out.Effects[0].M.(SummaryMsg).X
 	if mine.Base != 5 || mine.Digest != want.Digest || len(mine.Ord) != 0 || len(mine.Con) != 0 || mine.Next != 6 {
 		t.Fatalf("summary %v, want base 5 and nothing else", mine)
 	}
@@ -346,7 +346,7 @@ func TestTruncateAndSplice(t *testing.T) {
 	behind, _ := types.Suffix{Ord: ls}.From(3)
 	peer := types.Summary{Con: types.Content{ls[3]: "x", ls[4]: "x", extra: "y"}, Base: 3, Digest: behind.Digest, Ord: behind.Ord, Next: 4}
 	for q, x := range map[types.ProcID]types.Summary{0: mine, 1: peer} {
-		if err := Step(n, EvRecv{M: SummaryMsg{X: x}, From: q}, true, &Outbox{}); err != nil {
+		if err := Step(n, Event{Kind: EvRecv, M: SummaryMsg{X: x}, From: q}, true, &Outbox{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,7 +367,7 @@ func TestTruncateAndSplice(t *testing.T) {
 		{Base: 5, Digest: want.Digest + 1, Ord: []types.Label{extra, {ID: v1.ID, Seqno: 1, Origin: 1}}, Next: 6, High: v1.ID},
 	} {
 		vi := v(uint64(2+i), 0, 1)
-		for _, ev := range []Event{EvNewView{View: vi}, EvRecv{M: SummaryMsg{X: n.Summary()}, From: 0}, EvRecv{M: SummaryMsg{X: rep}, From: 1}} {
+		for _, ev := range []Event{{Kind: EvNewView, View: vi}, {Kind: EvRecv, M: SummaryMsg{X: n.Summary()}, From: 0}, {Kind: EvRecv, M: SummaryMsg{X: rep}, From: 1}} {
 			if err := Step(n, ev, true, &Outbox{}); err != nil {
 				t.Fatal(err)
 			}

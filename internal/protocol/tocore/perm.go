@@ -117,7 +117,7 @@ func (im *Impl) EnableSymmetry() int {
 }
 
 // Canonicalize implements ioa.Symmetric.
-func (im *Impl) Canonicalize() ioa.Automaton { return ioa.Canonicalize(im, im.syms) }
+func (im *Impl) Canonicalize() (ioa.Automaton, ioa.Fp) { return ioa.Canonicalize(im, im.syms) }
 
 // Orbit implements ioa.Symmetric.
 func (im *Impl) Orbit() []ioa.Automaton { return ioa.Orbit(im, im.syms) }

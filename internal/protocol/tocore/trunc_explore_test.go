@@ -88,7 +88,7 @@ func runToCompletion(im *Impl, act ioa.Action) error {
 	_ = im.recordDrops(n, func() error { drain(n, true, &out); return nil })
 	for _, fx := range out.Effects {
 		var err error
-		switch fx := fx.(type) {
+		switch fx.Kind {
 		case FxSend:
 			err = im.dvs.Perform(ioa.Action{Name: dvs.ActGpSnd, Kind: ioa.KindInternal, Param: dvs.SndParam{M: fx.M, P: p}})
 		case FxRegister:

@@ -72,7 +72,7 @@ func (a *DVS) EnableSymmetry() int {
 }
 
 // Canonicalize implements ioa.Symmetric.
-func (a *DVS) Canonicalize() ioa.Automaton { return ioa.Canonicalize(a, a.syms) }
+func (a *DVS) Canonicalize() (ioa.Automaton, ioa.Fp) { return ioa.Canonicalize(a, a.syms) }
 
 // Orbit implements ioa.Symmetric.
 func (a *DVS) Orbit() []ioa.Automaton { return ioa.Orbit(a, a.syms) }

@@ -127,7 +127,8 @@ type Layer struct {
 	// but unsent stays in the core's content and is recovered by the new
 	// view's summary exchange, while sending it late — tagged with the new
 	// view at the VS layer — could double-order it at receivers.
-	pending        []types.Msg
+	pending        []types.Msg // storage kept; reset when all are sent or discarded
+	sent           int         // pending[:sent] went out in this flush; their slots are cleared
 	flushScheduled bool
 	flushing       bool
 }
@@ -153,7 +154,7 @@ var _ dvsg.Handler = (*Layer)(nil)
 // called before the node starts.
 func (l *Layer) Bind(dvs *dvsg.Layer) {
 	l.dvs = dvs
-	l.queue = append(l.queue, tocore.EvUniverse{Set: dvs.Universe()})
+	l.queue = append(l.queue, tocore.Event{Kind: tocore.EvUniverse, Set: dvs.Universe()})
 }
 
 // AddObserver chains o after any already-installed observer, so a recorder,
@@ -199,12 +200,12 @@ func (l *Layer) Node() *tocore.Node { return l.node }
 // loop (via vsg.Node.Do).
 func (l *Layer) Broadcast(a string) {
 	l.stats.Broadcasts++
-	l.dispatch(tocore.EvBroadcast{A: a})
+	l.dispatch(tocore.Event{Kind: tocore.EvBroadcast, A: a})
 }
 
 // OnDVSNewView implements dvsg.Handler.
 func (l *Layer) OnDVSNewView(v types.View) {
-	l.dispatch(tocore.EvNewView{View: v})
+	l.dispatch(tocore.Event{Kind: tocore.EvNewView, View: v})
 }
 
 // OnDVSRecv implements dvsg.Handler. Batches are expanded here, before the
@@ -215,11 +216,11 @@ func (l *Layer) OnDVSRecv(m types.Msg, from types.ProcID) {
 		l.stats.BatchesIn++
 		l.stats.PayloadsIn += uint64(len(b.Msgs))
 		for _, inner := range b.Msgs {
-			l.dispatch(tocore.EvRecv{M: inner, From: from})
+			l.dispatch(tocore.Event{Kind: tocore.EvRecv, M: inner, From: from})
 		}
 		return
 	}
-	l.dispatch(tocore.EvRecv{M: m, From: from})
+	l.dispatch(tocore.Event{Kind: tocore.EvRecv, M: m, From: from})
 }
 
 // OnDVSSafe implements dvsg.Handler. A safe indication for a batch means
@@ -227,11 +228,11 @@ func (l *Layer) OnDVSRecv(m types.Msg, from types.ProcID) {
 func (l *Layer) OnDVSSafe(m types.Msg, from types.ProcID) {
 	if b, ok := m.(types.Batch); ok {
 		for _, inner := range b.Msgs {
-			l.dispatch(tocore.EvSafe{M: inner, From: from})
+			l.dispatch(tocore.Event{Kind: tocore.EvSafe, M: inner, From: from})
 		}
 		return
 	}
-	l.dispatch(tocore.EvSafe{M: m, From: from})
+	l.dispatch(tocore.Event{Kind: tocore.EvSafe, M: m, From: from})
 }
 
 // dispatch runs one core macro-step for ev, or queues it if a step is
@@ -239,21 +240,17 @@ func (l *Layer) OnDVSSafe(m types.Msg, from types.ProcID) {
 // arrival order, so the delivery and view streams handed up preserve the
 // core's emission order even under synchronous re-entry.
 func (l *Layer) dispatch(ev tocore.Event) {
+	l.queue = append(l.queue, ev) // behind Bind's EvUniverse, if it is still there
 	if l.stepping {
-		l.queue = append(l.queue, ev)
 		return
 	}
 	l.stepping = true
-	if len(l.queue) == 0 {
-		l.step(ev)
-	} else { // the first event: Bind's EvUniverse goes before it
-		l.queue = append(l.queue, ev)
-	}
-	for len(l.queue) > 0 {
-		next := l.queue[0]
-		l.queue = l.queue[1:]
+	for i := 0; i < len(l.queue); i++ {
+		next := l.queue[i]
+		l.queue[i] = tocore.Event{} // a drained slot holds no payload
 		l.step(next)
 	}
+	l.queue = l.queue[:0]
 	l.stepping = false
 	l.maybeFlush()
 }
@@ -283,37 +280,35 @@ func (l *Layer) flush() {
 	}
 	l.flushing = true
 	defer func() { l.flushing = false }()
-	for len(l.pending) > 0 {
-		k := len(l.pending)
-		if k > maxBatch {
-			k = maxBatch
-		}
+	for l.sent < len(l.pending) {
+		k := min(len(l.pending)-l.sent, maxBatch)
+		unsent := l.pending[l.sent : l.sent+k]
 		var m types.Msg
 		if k == 1 {
-			m = l.pending[0]
+			m = unsent[0]
 		} else {
-			m = types.Batch{Msgs: append([]types.Msg(nil), l.pending[:k]...)}
+			m = types.Batch{Msgs: append([]types.Msg(nil), unsent...)}
 		}
-		l.pending = l.pending[k:]
-		if len(l.pending) == 0 {
-			l.pending = nil
-		}
+		clear(unsent)
+		l.sent += k
 		l.stats.BatchesOut++
 		l.stats.PayloadsOut += uint64(k)
 		l.dvs.Send(m)
 	}
+	l.pending, l.sent = l.pending[:0], 0
 }
 
 // step performs one atomic macro-step and applies its effects. A rejected
-// event (unexpected message type) mutates no state and is dropped, matching
-// the previous shell's behavior.
+// event (unknown kind, unexpected message type) mutates no state and is
+// dropped unobserved.
 func (l *Layer) step(ev tocore.Event) {
-	if _, isView := ev.(tocore.EvNewView); isView && len(l.pending) > 0 {
+	if ev.Kind == tocore.EvNewView && len(l.pending) > l.sent {
 		// Unsent messages belong to the view that just died. See the pending
 		// field comment: discarding is the VS-permitted loss; a late send
 		// would leak old-view labels into the new view.
-		l.stats.FlushDiscards += uint64(len(l.pending))
-		l.pending = nil
+		l.stats.FlushDiscards += uint64(len(l.pending) - l.sent)
+		clear(l.pending)
+		l.pending, l.sent = l.pending[:0], 0
 	}
 	l.out.Effects = l.out.Effects[:0]
 	if err := tocore.Step(l.node, ev, l.register, &l.out); err != nil {
@@ -322,11 +317,11 @@ func (l *Layer) step(ev tocore.Event) {
 	if l.observer != nil {
 		l.observer(ev, l.out.Effects)
 	}
-	if nv, ok := ev.(tocore.EvNewView); ok {
-		l.pushView(ViewEvent{View: nv.View.Clone()})
+	if ev.Kind == tocore.EvNewView {
+		l.pushView(ViewEvent{View: ev.View.Clone()})
 	}
 	for _, fx := range l.out.Effects {
-		switch fx := fx.(type) {
+		switch fx.Kind {
 		case tocore.FxLabel:
 			l.stats.Labeled++
 		case tocore.FxSend:

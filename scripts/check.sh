@@ -236,17 +236,19 @@ e13_guard() {
 
 # layers_guard holds each core to its allocation budget per unit of work:
 # one batch through the DVS core's gprcv + safe, one label through the TO
-# core's gprcv, safe, confirm and brcv. The snapshot shows 6 and 3 allocs;
-# the budgets leave room for a queue slot or a boxed effect more, not for a
-# rendered key (one MsgKey of a 10-label batch is over a hundred). The TO
-# step is also held to 176 B (snapshot 168: the boxed events and FxDeliver,
-# and a 64th of the 64 slots order and the run's payloads grow by; the
-# node truncates what it has delivered, so nothing regrows with the run):
-# holding the history put it at 374, a label put back into a map that holds
-# it at 557. Both units are exact at bench.sh's fixed iteration count and
-# machine-independent, so the budgets are constants. The CoreTOGrow and
-# CoreTOClone rows must be there but are reported, not gated: ns is this
-# box's.
+# core's gprcv, safe, confirm and brcv. Events and effects are values, so
+# the snapshot shows 2 and 1 allocs: the DVS core's msgsFromVS and
+# safeFromVS appends (model state), and the label message boxed as the wire
+# hands it in. The budgets leave room for a queue slot or a boxed effect
+# more, not for a rendered key (one MsgKey of a 10-label batch is over a
+# hundred). The TO step is also held to 104 B (snapshot 96: the 48 B label
+# message, and a 64th of the 64 slots order and the run's payloads grow by;
+# the node truncates what it has delivered, so nothing regrows with the
+# run): a boxed FxDeliver puts it at 120; with boxed events, holding the
+# history put it at 374 and a label put back into a map at 557. Both units
+# are exact at bench.sh's fixed iteration count and machine-independent, so
+# the budgets are constants. The CoreTOGrow and CoreTOClone rows must be
+# there but are reported, not gated: ns is this box's.
 #
 # The transport rows are one TCP frame body encoded and decoded (gob cost 3
 # and 50 allocations on the same values): a heartbeat allocates its decoder's
@@ -270,7 +272,7 @@ e13_guard() {
 # iterator that escapes makes it tens.
 layers_guard() {
 	out=BENCH_layers.json
-	for row in CoreDVSStepBatch:allocs_per_op:8 CoreTOStepLabel:allocs_per_op:4 CoreTOStepLabel:B_per_op:176 \
+	for row in CoreDVSStepBatch:allocs_per_op:4 CoreTOStepLabel:allocs_per_op:2 CoreTOStepLabel:B_per_op:104 \
 		WireFrame/heartbeat:allocs_per_op:2 WireFrame/ordered10x64B:allocs_per_op:26 \
 		WireFrame/summary20k:allocs_per_op:8 WireFrame/summary20k:frame_bytes:64 StreamRecord:allocs_per_op:0 ImplFingerprint:allocs_per_op:0; do
 		name=${row%%:*}
