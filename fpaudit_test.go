@@ -63,11 +63,13 @@ var neverNonZero = map[string]string{
 	"tocore.run.safeSparse":          "the safe marks of such a gap, likewise",
 }
 
-// TestFingerprintAudit explores every state type of the repo with
-// AuditFingerprints: each state is rendered by reflection, and the
+// TestFingerprintAudit explores every space of the table once, with
+// AuditFingerprints, and holds each pinned one to its counts: a change to
+// how states are stored, cloned, permuted or fingerprinted must leave them
+// where they are. Each state is rendered by reflection, and the
 // exploration fails if the fingerprint drops, merges or mis-orders state, if
 // a clone differs from or shares storage with its original, if a queued
-// state changes after admission, or if Permute loses state. A field every
+// state changes after admission, or if the permuting copier loses state. A field every
 // audited state leaves at zero is a field the audit never saw: it must be
 // listed in neverNonZero with its reason.
 func TestFingerprintAudit(t *testing.T) {
@@ -94,6 +96,10 @@ func TestFingerprintAudit(t *testing.T) {
 			}
 			if res.States < 50 {
 				t.Errorf("audit covered suspiciously few states: %d", res.States)
+			}
+			if got := (counts{res.States, res.Edges, res.MaxDepth}); tc.sampled == "" {
+				explored.Store(tc.name, got)
+				got.check(t, tc.pin)
 			}
 			t.Logf("audited %d states, %d edges, depth %d, truncated=%v",
 				res.States, res.Edges, res.MaxDepth, res.Truncated)

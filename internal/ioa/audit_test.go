@@ -9,25 +9,20 @@ import (
 
 // auditToy is a small Symmetric automaton: four processes step in turn (at
 // most three steps, each logged and counted) and a flag flips. Its Perform,
-// Clone and Permute each take one seeded bad edit, named by edit, that
+// Clone and FixImage each take one seeded bad edit, named by edit, that
 // AuditFingerprints must reject.
 type auditToy struct {
 	flip  bool
-	log   []int
-	seen  map[int]int
+	log   []toyID
+	seen  map[toyID]int
 	edit  string
 	flips int `ioa:"shared"` // counted only by the bad edit, which FpOf cannot see
 }
 
-// toySwap exchanges processes 0 and 1; the zero value is the identity.
-type toySwap bool
+type toyID int
 
-func (s toySwap) id(p int) int {
-	if s && p < 2 {
-		return 1 - p
-	}
-	return p
-}
+// toySyms are the identity and the swap of processes 0 and 1.
+var toySyms = []map[toyID]toyID{nil, {0: 1, 1: 0}}
 
 func (t *auditToy) Name() string { return "auditToy" }
 
@@ -47,10 +42,10 @@ func (t *auditToy) Perform(a Action) error {
 		}
 		return nil
 	}
-	p := a.Param.(int)
+	p := toyID(a.Param.(int))
 	t.log = append(t.log, p)
 	if t.seen == nil {
-		t.seen = make(map[int]int)
+		t.seen = make(map[toyID]int)
 	}
 	t.seen[p]++
 	return nil
@@ -67,25 +62,17 @@ func (t *auditToy) Clone() Automaton {
 	return c
 }
 
-func (t *auditToy) Permute(s toySwap) *auditToy {
-	c := &auditToy{flip: t.flip, seen: make(map[int]int, len(t.seen)), edit: t.edit, flips: t.flips}
-	if t.edit == "permute forgets a field" {
-		c.flip = false
+func (t *auditToy) FixImage(any) {
+	if t.edit == "an image forgets a field" {
+		t.flip = false
 	}
-	for _, p := range t.log {
-		c.log = append(c.log, s.id(p))
-	}
-	for p, n := range t.seen {
-		c.seen[s.id(p)] = n
-	}
-	return c
 }
 
-func (t *auditToy) Canonicalize() (Automaton, Fp) { return Canonicalize(t, []toySwap{false, true}) }
-func (t *auditToy) Orbit() []Automaton            { return Orbit(t, []toySwap{false, true}) }
+func (t *auditToy) Canonicalize() (Automaton, Fp) { return Canonicalize(t, toySyms) }
+func (t *auditToy) Orbit() []Automaton            { return Orbit(t, toySyms) }
 
 // TestAuditCatchesSeededEdits: the correct toy passes AuditFingerprints,
-// and each seeded edit to its Perform, Clone or Permute is rejected with the
+// and each seeded edit to its Perform, Clone or FixImage is rejected with the
 // check that names it. Without the audit every edit explores clean. A
 // shared field that differs between two states is the one state FpOf skips
 // by design, so only the audit's rendering can see it.
@@ -94,10 +81,10 @@ func TestAuditCatchesSeededEdits(t *testing.T) {
 		t.Fatalf("the correct automaton fails the audit: %v", err)
 	}
 	for edit, want := range map[string]string{
-		"a shared field differs":  "covers two distinct states",
-		"clone forgets a field":   "clone differs from its original",
-		"clone shares a slice":    "clone shares *ioa.auditToy.log",
-		"permute forgets a field": "no member of the orbit",
+		"a shared field differs":   "covers two distinct states",
+		"clone forgets a field":    "clone differs from its original",
+		"clone shares a slice":     "clone shares *ioa.auditToy.log",
+		"an image forgets a field": "no member of the orbit",
 	} {
 		if _, err := Explore(&auditToy{edit: edit}, nil, ExploreConfig{}); err != nil {
 			t.Errorf("%s: the exploration without the audit failed: %v", edit, err)

@@ -257,7 +257,7 @@ func (au *fpAudit) expand(a Automaton) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("no member of the orbit renders as the state (Permute drops state):%s", firstDiff(s, cs))
+	return fmt.Errorf("no member of the orbit renders as the state (the permuting copier or a FixImage drops state):%s", firstDiff(s, cs))
 }
 
 // absIntern interns abstract (specification) states by fingerprint so that

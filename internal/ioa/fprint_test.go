@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -82,6 +83,87 @@ func TestFpOfRules(t *testing.T) {
 		if FpOf(c.a) == FpOf(c.b) {
 			t.Errorf("%s: fingerprints equal", c.name)
 		}
+	}
+}
+
+// permToy holds a process id (permID) everywhere a state can; permView is a
+// view id whose sequence number 0 keeps its origin, as g0 does.
+type permToy struct {
+	self   permID
+	n      int // a number, not an id
+	ids    []permID
+	sorted []permID // sorted again by FixImage
+	byID   map[permID]string
+	set    map[permID]struct{}
+	val    any
+	ptr    *permID
+	views  map[permView]bool
+	fn     func()
+	shared []permID `ioa:"shared"`
+}
+
+type permID int
+
+type permView struct {
+	seq    int
+	origin permID
+}
+
+func (t *permToy) FixImage(any) { slices.Sort(t.sorted) }
+
+func (g *permView) FixImage(orig any) {
+	if o := orig.(*permView); o.seq == 0 {
+		*g = *o
+	}
+}
+
+// TestPermuteRules pins what Permute maps, what it re-sorts and what it
+// carries over, on π = (0 1 2).
+func TestPermuteRules(t *testing.T) {
+	pi := map[permID]permID{0: 1, 1: 2, 2: 0}
+	one := permID(1)
+	x := &permToy{
+		self: 0, n: 0, ids: []permID{0, 2}, sorted: []permID{0, 2},
+		byID: map[permID]string{1: "a"}, set: map[permID]struct{}{2: {}}, val: permID(1), ptr: &one,
+		views: map[permView]bool{{0, 0}: true, {1, 0}: false},
+		fn:    func() {}, shared: []permID{0},
+	}
+	got := Permute(x, pi)
+	want := &permToy{
+		self: 1, n: 0, ids: []permID{1, 0}, sorted: []permID{0, 1},
+		byID: map[permID]string{2: "a"}, set: map[permID]struct{}{0: {}}, val: permID(2), ptr: new(permID),
+		views:  map[permView]bool{{0, 0}: true, {1, 1}: false},
+		shared: []permID{0},
+	}
+	*want.ptr = 2
+	got.fn, want.fn = nil, nil
+	if Render(got) != Render(want) {
+		t.Errorf("image\n  %s\nwant\n  %s", Render(got), Render(want))
+	}
+	if p := sharedRef(reflect.ValueOf(x), reflect.ValueOf(Permute(x, pi)), "x"); p != "" {
+		t.Errorf("the image shares %s with its receiver", p)
+	}
+	if &Permute(x, pi).shared[0] != &x.shared[0] {
+		t.Error("a shared field is copied, not carried over")
+	}
+	if Permute(x, pi).fn == nil {
+		t.Error("a func field is dropped")
+	}
+	for _, c := range []struct {
+		name string
+		x    *permToy
+	}{
+		{"nil stays nil", &permToy{}},
+		{"empty stays empty", &permToy{ids: []permID{}, byID: map[permID]string{}, set: map[permID]struct{}{}}},
+	} {
+		img := Permute(c.x, pi)
+		if (img.ids == nil) != (c.x.ids == nil) || (img.byID == nil) != (c.x.byID == nil) ||
+			(img.set == nil) != (c.x.set == nil) || img.val != nil || img.ptr != nil {
+			t.Errorf("%s: image %s", c.name, Render(img))
+		}
+	}
+	if v := Permute(any(&permView{1, 2}), pi); *v.(*permView) != (permView{1, 0}) {
+		t.Errorf("an interface's value is not mapped: %v", v)
 	}
 }
 

@@ -15,7 +15,8 @@ func Render(v any) string { return render(reflect.ValueOf(v)) }
 // render is the audit's text of a state: the whole value by reflection,
 // unexported fields included, map entries sorted and nil the same as empty.
 // It shares no code with FpOf, so it holds what FpOf skips (ioa:"shared"
-// fields, map entries with zero values) and what a Clone or Permute forgot.
+// fields, map entries with zero values) and what a Clone or the permuting
+// copier (Permute, and the FixImage methods it calls) forgot.
 func render(v reflect.Value) string {
 	var b strings.Builder
 	renderTo(&b, v)

@@ -14,7 +14,9 @@ package ioa
 // conditions every reachable state has a reachable representative, so
 // checking the quotient checks the full space. ExploreConfig.AuditSymmetry
 // machine-checks the representative function; equivariance is a property of
-// the model and environment, argued in DESIGN.md §6.7.
+// the model and environment, argued in DESIGN.md §6.7. An automaton
+// implements both methods with Canonicalize and Orbit below, whose images
+// the permuting copier (Permute) derives from the state's type.
 type Symmetric interface {
 	Automaton
 	// Canonicalize returns the canonical representative of the receiver's
@@ -29,14 +31,6 @@ type Symmetric interface {
 	Orbit() []Automaton
 }
 
-// permutable constrains the three helpers below: A is an automaton's own
-// state type, P its permutation type, and Permute maps a state to its image
-// without mutating the receiver. P's zero value must be the identity.
-type permutable[A, P any] interface {
-	Automaton
-	Permute(P) A
-}
-
 // Stabilizer returns, in order, the elements of perms that fix a by
 // fingerprint: the symmetry group an automaton installs for Canonicalize
 // and Orbit. Call it on the initial state, before exploration: the
@@ -45,12 +39,12 @@ type permutable[A, P any] interface {
 // equivariant transitions, invariants, and environment — see DESIGN.md
 // §6.7). perms must enumerate the identity first, so that it is the
 // stabilizer's first element too.
-func Stabilizer[A permutable[A, P], P any](a A, perms []P) []P {
+func Stabilizer[A Automaton, P ~map[K]K, K comparable](a A, perms []P) []P {
 	self := FpOf(a)
 	var syms []P
-	for _, pi := range perms {
-		if FpOf(a.Permute(pi)) == self {
-			syms = append(syms, pi)
+	for i, b := range images(a, perms) {
+		if FpOf(b) == self {
+			syms = append(syms, perms[i])
 		}
 	}
 	return syms
@@ -59,11 +53,10 @@ func Stabilizer[A permutable[A, P], P any](a A, perms []P) []P {
 // Canonicalize is Symmetric.Canonicalize over an installed group: the orbit
 // member with the least fingerprint, and that fingerprint. With no group
 // installed (or the trivial group) a is its own representative.
-func Canonicalize[A permutable[A, P], P any](a A, syms []P) (Automaton, Fp) {
+func Canonicalize[A Automaton, P ~map[K]K, K comparable](a A, syms []P) (Automaton, Fp) {
 	var best Automaton = a
 	bestFp := FpOf(a)
-	for i := 1; i < len(syms); i++ { // syms[0] is the identity
-		cand := a.Permute(syms[i])
+	for _, cand := range images(a, syms[min(1, len(syms)):]) { // syms[0] is the identity
 		if fp := FpOf(cand); fp.Less(bestFp) {
 			best, bestFp = cand, fp
 		}
@@ -73,13 +66,13 @@ func Canonicalize[A permutable[A, P], P any](a A, syms []P) (Automaton, Fp) {
 
 // Orbit is Symmetric.Orbit over an installed group: the image of a under
 // every element, which with no group installed is a copy of a alone.
-func Orbit[A permutable[A, P], P any](a A, syms []P) []Automaton {
+func Orbit[A Automaton, P ~map[K]K, K comparable](a A, syms []P) []Automaton {
 	if len(syms) == 0 {
 		syms = make([]P, 1) // identity only
 	}
 	out := make([]Automaton, 0, len(syms))
-	for _, pi := range syms {
-		out = append(out, a.Permute(pi))
+	for _, b := range images(a, syms) {
+		out = append(out, b)
 	}
 	return out
 }

@@ -26,14 +26,19 @@ func FpOf(a Automaton) Fp {
 }
 
 // hasher is one walk's FNV-1a-128 stream and its holders, kept from walk to
-// walk: reflection gives no pointer to a map entry or an interface's value.
+// walk.
 type hasher struct {
 	hi, lo uint64
 	root   Automaton
-	held   [][]*holder // by plan id: as many as one walk has used at once
+	held   holders
 }
 
 var hashers = sync.Pool{New: func() any { return new(hasher) }}
+
+// holders are addressable values by plan id: as many per type as one walk
+// has used at once. Reflection gives no pointer to a map entry or an
+// interface's value.
+type holders [][]*holder
 
 type holder struct {
 	v    reflect.Value // addressable
@@ -41,22 +46,33 @@ type holder struct {
 	busy bool
 }
 
-// take returns a holder for pl's type that no walk further up is using.
-func (h *hasher) take(pl *plan) *holder {
-	for len(h.held) <= pl.id {
-		h.held = append(h.held, nil)
+// take returns a holder for plan id's type t that no walk further up is using.
+func (hs *holders) take(id int, t reflect.Type) *holder {
+	for len(*hs) <= id {
+		*hs = append(*hs, nil)
 	}
-	for _, x := range h.held[pl.id] {
+	for _, x := range (*hs)[id] {
 		if !x.busy {
 			x.busy = true
 			return x
 		}
 	}
-	v := reflect.New(pl.t).Elem()
+	v := reflect.New(t).Elem()
 	x := &holder{v: v, p: v.Addr().UnsafePointer(), busy: true}
-	h.held[pl.id] = append(h.held[pl.id], x)
+	(*hs)[id] = append((*hs)[id], x)
 	return x
 }
+
+// mapAt returns a holder of plan id's map type t holding the map at p (a
+// reflect.NewAt would look up the pointer type of an unnamed map); drop
+// puts it back.
+func (hs *holders) mapAt(id int, t reflect.Type, p unsafe.Pointer) *holder {
+	x := hs.take(id, t)
+	*(*unsafe.Pointer)(x.p) = *(*unsafe.Pointer)(p)
+	return x
+}
+
+func (x *holder) drop() { *(*unsafe.Pointer)(x.p), x.busy = nil, false }
 
 // word is one FNV-1a-128 step over a 64-bit symbol: a byte, a tag or a sum.
 func (h *hasher) word(u uint64) {
@@ -199,14 +215,18 @@ func compile(t reflect.Type) *plan {
 			e := reflect.NewAt(t, p).Elem().Elem()
 			dyn := planOf(e.Type())
 			h.word(dyn.tag)
-			x := h.take(dyn)
+			x := h.held.take(dyn.id, dyn.t)
 			x.v.Set(e)
 			dyn.fn(h, x.p)
 			x.busy = false
 		}
 	case reflect.Map:
 		key, elem := compile(t.Key()), compile(t.Elem())
-		pl.fn = func(h *hasher, p unsafe.Pointer) { h.entries(reflect.NewAt(t, p).Elem(), key, elem) }
+		pl.fn = func(h *hasher, p unsafe.Pointer) {
+			m := h.held.mapAt(pl.id, t, p)
+			h.entries(m.v, key, elem)
+			m.drop()
+		}
 	default:
 		panic("ioa: cannot fingerprint a " + t.String())
 	}
@@ -221,7 +241,7 @@ func (h *hasher) entries(m reflect.Value, key, elem *plan) {
 		return
 	}
 	set, hi, lo := elem.t.Size() == 0, h.hi, h.lo
-	k, v := h.take(key), h.take(elem)
+	k, v := h.held.take(key.id, key.t), h.held.take(elem.id, elem.t)
 	var n, shi, slo, c uint64
 	for it := m.MapRange(); it.Next(); {
 		h.hi, h.lo = fnv128OffsetHi, fnv128OffsetLo

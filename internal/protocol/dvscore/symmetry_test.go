@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ioa"
+	"repro/internal/protocol/tocore"
 	"repro/internal/spec/dvs"
 	"repro/internal/types"
 )
@@ -40,30 +41,44 @@ func TestEnableSymmetryGroupOrder(t *testing.T) {
 	}
 }
 
+// TestPermuteRoundTrip drives DVS-IMPL, TO-IMPL and the DVS specification
+// into a non-trivial state and checks that permuting by π and then by π⁻¹
+// reproduces its fingerprint exactly, and that some π moves it.
 func TestPermuteRoundTrip(t *testing.T) {
 	universe := types.RangeProcSet(3)
-	im := NewImpl(universe, types.InitialView(universe))
-	env := symmetricEnv(3, 1, 2)
-
-	// Drive the system into a non-trivial state, then check that permuting
-	// by π and then by π⁻¹ reproduces the fingerprint exactly.
-	for steps := 0; steps < 40; steps++ {
-		acts := append(im.Enabled(), env.Inputs(im)...)
-		if len(acts) == 0 {
-			break
+	v0 := types.InitialView(universe)
+	for _, tc := range []struct {
+		a   ioa.Automaton
+		env ioa.Environment
+	}{
+		{NewImpl(universe, v0), symmetricEnv(3, 1, 2)},
+		{tocore.NewImpl(universe, v0, tocore.Config{DVS: tocore.DVSLiteral}), &tocore.BoundedEnv{MaxMsgs: 1, MaxViews: 2, Views: symmetricEnv(3, 1, 2).Views}},
+		{dvs.New(universe, v0), dvs.NewEnv(1, universe)},
+	} {
+		a := tc.a
+		for steps := 0; steps < 40; steps++ {
+			acts := append(a.Enabled(), tc.env.Inputs(a)...)
+			if len(acts) == 0 {
+				break
+			}
+			if err := a.Perform(acts[steps%len(acts)]); err != nil {
+				t.Fatalf("%s step %d: %v", a.Name(), steps, err)
+			}
 		}
-		if err := im.Perform(acts[steps%len(acts)]); err != nil {
-			t.Fatalf("step %d: %v", steps, err)
+		want, moved := ioa.FpOf(a), false
+		for _, pi := range types.PermsOf(universe) {
+			inv := make(types.Perm, len(pi))
+			for p, q := range pi {
+				inv[q] = p
+			}
+			img := ioa.Permute(a, pi)
+			if got := ioa.FpOf(ioa.Permute(img, inv)); got != want {
+				t.Fatalf("%s: π⁻¹(π(s)) ≠ s for π = %v", a.Name(), pi)
+			}
+			moved = moved || ioa.FpOf(img) != want
 		}
-	}
-	want := ioa.FpOf(im)
-	for _, pi := range types.PermsOf(universe) {
-		inv := make(types.Perm, len(pi))
-		for p, q := range pi {
-			inv[q] = p
-		}
-		if got := ioa.FpOf(im.Permute(pi).Permute(inv)); got != want {
-			t.Fatalf("π⁻¹(π(s)) ≠ s for π = %v", pi)
+		if !moved {
+			t.Errorf("%s: every permutation fixes the state; the round trip shows nothing", a.Name())
 		}
 	}
 }

@@ -25,13 +25,13 @@ func TestExportedSurface(t *testing.T) {
 	}{
 		{reflect.TypeOf((*dvscore.Node)(nil)), []string{
 			"Act", "Amb", "Attempted", "AttemptedShared", "ClientCur", "Clone",
-			"Cur", "HasAttempted", "P", "Permute", "Reg", "RegisteredIDs",
+			"Cur", "HasAttempted", "P", "Reg", "RegisteredIDs",
 		}},
 		{reflect.TypeOf((*dvscore.StaticNode)(nil)), []string{"Amb", "ClientCur", "P", "Quorum"}},
 		{reflect.TypeOf((*dvscore.Filter)(nil)).Elem(), []string{"Amb", "ClientCur"}},
 		{reflect.TypeOf((*tocore.Node)(nil)), []string{
 			"Base", "BaseMismatches", "Clone", "ConfirmedShared", "Current", "Established",
-			"GotState", "NextConfirm", "NextReport", "Order", "P", "Permute", "Retained", "Status", "Summary",
+			"GotState", "NextConfirm", "NextReport", "Order", "P", "Retained", "Status", "Summary",
 		}},
 		{reflect.TypeOf((*mcastcore.Node)(nil)), []string{
 			"Clock", "Clone", "Delivered", "DeliveredCount", "Groups", "P", "PendingCount",

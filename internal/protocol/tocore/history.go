@@ -231,12 +231,3 @@ func (r *run) Clone() *run {
 		safeSparse: maps.Clone(r.safeSparse),
 	}
 }
-
-// Permute returns π(h): keys name processes, seqnos and payloads do not.
-func (h history) Permute(pi types.Perm) history {
-	out := make(history, len(h))
-	for k, r := range h {
-		out[runKey{pi.ViewID(k.id), pi.ID(k.origin)}] = r.Clone()
-	}
-	return out
-}

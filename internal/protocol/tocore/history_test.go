@@ -148,18 +148,8 @@ func runHistoryOps(t testing.TB, seen map[string]string, next func(n int) (int, 
 			old.clearSafe()
 		case op == 13:
 			pi := histPerms[pick(len(histPerms))]
-			h = h.Permute(pi)
-			m.content = pi.Content(m.content)
-			safe := make(map[types.Label]struct{}, len(m.safe))
-			for l := range m.safe {
-				safe[pi.Label(l)] = struct{}{}
-			}
-			m.safe = safe
-			gone := make(map[runKey]int, len(m.gone))
-			for k, base := range m.gone {
-				gone[runKey{pi.ViewID(k.id), pi.ID(k.origin)}] = base
-			}
-			m.gone = gone
+			h = ioa.Permute(h, pi)
+			m.content, m.safe, m.gone = ioa.Permute(m.content, pi), ioa.Permute(m.safe, pi), ioa.Permute(m.gone, pi)
 		case op == 14:
 			con := types.Content{}
 			for i, k := 0, pick(6); i < k; i++ {

@@ -58,6 +58,14 @@ func (a ViewID) Next(origin ProcID) ViewID {
 // IsZero reports whether a is g0.
 func (a ViewID) IsZero() bool { return a == ViewIDZero }
 
+// FixImage keeps an identifier of sequence number 0 (g0) fixed under every
+// permutation: its origin is not a process reference (ioa.Imager).
+func (a *ViewID) FixImage(orig any) {
+	if o := orig.(*ViewID); o.Seq == 0 {
+		*a = *o
+	}
+}
+
 // String renders the identifier as "seq.origin".
 func (a ViewID) String() string {
 	return strconv.FormatUint(a.Seq, 10) + "." + strconv.Itoa(int(a.Origin))

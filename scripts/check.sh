@@ -333,7 +333,7 @@ fuzz_guard() {
 # DESIGN.md only shrinks. CHANGES.md has each ceiling's history.
 loc_guard() {
 	counts="$(sh scripts/loc.sh)"
-	for row in internal/conform:2338 internal/lint:461 .:1682 total:21019 exemptions:4 DESIGN.md:1375; do
+	for row in internal/conform:2328 internal/lint:461 .:1682 total:21013 exemptions:4 DESIGN.md:1375; do
 		name=${row%%:*}
 		ceiling=${row##*:}
 		got=$(printf '%s\n' "$counts" | awk -v n="$name" '$2 == n { print $1 }')

@@ -1,6 +1,7 @@
 package dvs_test
 
 import (
+	"sync"
 	"testing"
 
 	dvs "repro"
@@ -71,7 +72,7 @@ func (e naiveAuditEnv) Inputs(a ioa.Automaton) []ioa.Action {
 type counts struct{ states, edges, depth int }
 
 // space is one explored state space of the repo: the audit explores it with
-// AuditFingerprints, and TestPinnedSpaces holds its counts.
+// AuditFingerprints, and it and TestPinnedSpaces hold its counts.
 type space struct {
 	name string
 	a    ioa.Automaton
@@ -213,37 +214,56 @@ func spaces() []space {
 	}
 }
 
+// explored holds the counts of each space explored in this test binary,
+// so that a full run explores each space once: TestFingerprintAudit records
+// its audited runs, and TestPinnedSpaces reads them.
+var explored sync.Map // space name → counts
+
+// size returns sp's counts, exploring it unless a test has already.
+func (sp space) size(t *testing.T) counts {
+	if c, ok := explored.Load(sp.name); ok {
+		return c.(counts)
+	}
+	var got counts
+	if sp.deep != nil {
+		rep, err := dvs.CheckExploreDeep(*sp.deep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = counts{int(rep.States), int(rep.Steps), 0} // the report has no depth
+	} else {
+		res, err := ioa.Explore(sp.a, sp.env, sp.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = counts{res.States, res.Edges, res.MaxDepth}
+	}
+	explored.Store(sp.name, got)
+	return got
+}
+
+func (c counts) check(t *testing.T, pin counts) {
+	if c != pin {
+		t.Errorf("explored %d states, %d edges, depth %d; pinned %d, %d, %d",
+			c.states, c.edges, c.depth, pin.states, pin.edges, pin.depth)
+	}
+}
+
 // TestPinnedSpaces holds the size of every pinned space at the default
-// worker count: a change to how states are stored, cloned or fingerprinted
-// must leave each one where it is. The two E12 spaces take most of the
-// time; -short skips them.
+// worker count: a change to how states are stored, cloned, permuted or
+// fingerprinted must leave each one where it is. The table's spaces are
+// TestFingerprintAudit's explorations when it has run; only the two E12
+// spaces, which it does not audit, are explored here. -short skips them.
 func TestPinnedSpaces(t *testing.T) {
 	for _, sp := range spaces() {
 		t.Run(sp.name, func(t *testing.T) {
 			if sp.sampled != "" {
 				t.Skip("sampled, not pinned: " + sp.sampled)
 			}
-			var got counts
-			if sp.deep != nil {
-				if testing.Short() {
-					t.Skip("E12 skipped in -short mode")
-				}
-				rep, err := dvs.CheckExploreDeep(*sp.deep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = counts{int(rep.States), int(rep.Steps), 0} // the report has no depth
-			} else {
-				res, err := ioa.Explore(sp.a, sp.env, sp.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = counts{res.States, res.Edges, res.MaxDepth}
+			if sp.deep != nil && testing.Short() {
+				t.Skip("E12 skipped in -short mode")
 			}
-			if got != sp.pin {
-				t.Errorf("explored %d states, %d edges, depth %d; pinned %d, %d, %d",
-					got.states, got.edges, got.depth, sp.pin.states, sp.pin.edges, sp.pin.depth)
-			}
+			sp.size(t).check(t, sp.pin)
 		})
 	}
 }
