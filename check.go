@@ -15,7 +15,7 @@ import (
 
 // CheckConfig configures the specification-layer checks.
 type CheckConfig struct {
-	// Procs is the universe size (default 4).
+	// Procs is the universe size (default 4, at most types.MaxProcs).
 	Procs int
 	// Initial lists the members of v0 (default: processes 0, 1 and the
 	// highest id, exercising both members and late joiners).
@@ -49,7 +49,7 @@ func (c CheckConfig) fill() (CheckConfig, types.ProcSet, types.View) {
 		p0 = types.NewProcSet(0, 1, types.ProcID(c.Procs-1))
 	} else {
 		for _, i := range c.Initial {
-			p0.Add(types.ProcID(i))
+			p0 = p0.With(types.ProcID(i))
 		}
 	}
 	return c, universe, types.InitialView(p0)
@@ -211,7 +211,7 @@ func CheckExploreDeep(cfg ExploreDeepConfig) (ioa.CheckReport, error) {
 		}
 	}
 	if cfg.Procs > 2 {
-		views = append(views, universe.Clone())
+		views = append(views, universe)
 	}
 	env := &dvscore.BoundedEnv{
 		MaxMsgs:    cfg.MaxMsgs,

@@ -1,7 +1,6 @@
 package dvs
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -31,9 +30,12 @@ type Process struct {
 	*stack
 }
 
-// initialView validates a configuration's Initial member list against a
-// universe of n processes and returns the universe and v0 (empty = all).
+// initialView validates a universe of n processes and a configuration's
+// Initial member list against it, and returns the universe and v0 (empty = all).
 func initialView(n int, members []int) (types.ProcSet, types.View, error) {
+	if n <= 0 || n > types.MaxProcs {
+		return 0, types.View{}, fmt.Errorf("dvs: %d processes: there must be 1 to %d, as a process set holds the ids 0–%d", n, types.MaxProcs, types.MaxProcs-1)
+	}
 	universe := types.RangeProcSet(n)
 	if len(members) == 0 {
 		return universe, types.InitialView(universe), nil
@@ -41,18 +43,15 @@ func initialView(n int, members []int) (types.ProcSet, types.View, error) {
 	p0 := types.NewProcSet()
 	for _, i := range members {
 		if i < 0 || i >= n {
-			return types.ProcSet{}, types.View{}, fmt.Errorf("dvs: initial member %d out of range", i)
+			return 0, types.View{}, fmt.Errorf("dvs: initial member %d out of range", i)
 		}
-		p0.Add(ProcID(i))
+		p0 = p0.With(ProcID(i))
 	}
 	return universe, types.InitialView(p0), nil
 }
 
 // NewCluster builds and starts a cluster.
 func NewCluster(cfg Config) (*Cluster, error) {
-	if cfg.Processes <= 0 {
-		return nil, errors.New("dvs: Config.Processes must be positive")
-	}
 	universe, initial, err := initialView(cfg.Processes, cfg.Initial)
 	if err != nil {
 		return nil, err
@@ -102,7 +101,7 @@ func (c *Cluster) Processes() []*Process {
 }
 
 // InitialView returns v0.
-func (c *Cluster) InitialView() View { return c.initial.Clone() }
+func (c *Cluster) InitialView() View { return c.initial }
 
 // Close stops every process and disconnects the fabric. Close is
 // idempotent, so scenarios can close explicitly (to seal a trace stream at a
@@ -177,7 +176,7 @@ func (p *Process) Leader() (ProcID, bool) {
 	if !ok || !p.Established() {
 		return 0, false
 	}
-	return v.Members.Sorted()[0], true
+	return v.Members.First(), true
 }
 
 // IsLeader reports whether this process is the leader of its current

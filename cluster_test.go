@@ -2,6 +2,7 @@ package dvs
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -339,4 +340,22 @@ func TestLeaderElection(t *testing.T) {
 	if leaders != 1 {
 		t.Errorf("leaders = %d, want 1", leaders)
 	}
+}
+
+// TestConstructorsRefuseIDsBeyondProcSet: a process set holds the ids 0–63,
+// so every constructor refuses a larger universe and says so.
+func TestConstructorsRefuseIDsBeyondProcSet(t *testing.T) {
+	_, errC := NewCluster(Config{Processes: 65})
+	_, errS := NewShardedCluster(ShardedConfig{Processes: 65, Groups: 1})
+	_, errN := StartNode(NodeConfig{ID: 0, Processes: 65, Listen: "127.0.0.1:0"})
+	for name, err := range map[string]error{"NewCluster": errC, "NewShardedCluster": errS, "StartNode": errN} {
+		if err == nil || !strings.Contains(err.Error(), "0–63") {
+			t.Errorf("%s with 65 processes: %v", name, err)
+		}
+	}
+	c, err := NewCluster(Config{Processes: 64, Initial: []int{0, 63}})
+	if err != nil {
+		t.Fatalf("64 processes: %v", err)
+	}
+	c.Close()
 }

@@ -36,6 +36,7 @@ import (
 
 	dvs "repro"
 	"repro/internal/ioa"
+	"repro/internal/types"
 )
 
 func main() {
@@ -63,6 +64,9 @@ func run() error {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if *procs > types.MaxProcs {
+		return fmt.Errorf("-procs %d: at most %d, as a process set holds the ids 0–%d", *procs, types.MaxProcs, types.MaxProcs-1)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

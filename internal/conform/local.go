@@ -68,7 +68,7 @@ func checkLocalStaticPrimary(p types.ProcID, sn *dvscore.StaticNode) error {
 // checkLocal51 is the self instance of Invariant 5.1: if p itself attempted
 // v and p ∈ v.set, then cur_p ≠ ⊥ and cur.id_p ≥ v.id.
 func checkLocal51(p types.ProcID, dn *dvscore.Node) error {
-	for _, v := range dn.AttemptedShared() {
+	for _, v := range dn.Attempted() {
 		if !v.Members.Contains(p) {
 			continue
 		}

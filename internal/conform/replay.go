@@ -130,7 +130,7 @@ func validateLogSet(rep *Report, sorted []NodeMeta) bool {
 		if m.P == sorted[i-1].P {
 			malformed("duplicate log for process %s", m.P)
 		}
-		if !m.Initial.Equal(first.Initial) {
+		if m.Initial != first.Initial {
 			malformed("process %s initial view %s disagrees with process %s initial view %s — logs are not from one run",
 				m.P, m.Initial, first.P, first.Initial)
 		}
@@ -347,8 +347,8 @@ func (e *replayer) end(quiescent bool) {
 // checks, but not the global suite.
 func (e *replayer) cutCovered() bool {
 	for _, n := range e.nodes {
-		for _, v := range n.dvs.AttemptedShared() {
-			for q := range v.Members {
+		for _, v := range n.dvs.Attempted() {
+			for q := v.Members.First(); q >= 0; q = v.Members.Next(q) {
 				if _, ok := e.byP[q]; !ok {
 					return false
 				}
@@ -504,9 +504,9 @@ func attemptedViews(procs []types.ProcID, nodes map[types.ProcID]*dvscore.Node) 
 	byID := make(map[types.ViewID]types.View)
 	attempted := make(map[types.ViewID]types.ProcSet)
 	for _, p := range procs {
-		for _, v := range nodes[p].AttemptedShared() {
+		for _, v := range nodes[p].Attempted() {
 			byID[v.ID] = v
-			addMember(attempted, v.ID, p)
+			attempted[v.ID] = attempted[v.ID].With(p)
 		}
 	}
 	created := make([]types.View, 0, len(byID))
@@ -515,15 +515,6 @@ func attemptedViews(procs []types.ProcID, nodes map[types.ProcID]*dvscore.Node) 
 	}
 	types.SortViews(created)
 	return created, attempted
-}
-
-func addMember(sets map[types.ViewID]types.ProcSet, g types.ViewID, p types.ProcID) {
-	set, ok := sets[g]
-	if !ok {
-		set = types.NewProcSet()
-		sets[g] = set
-	}
-	set.Add(p)
 }
 
 // abstractSpec applies the refinement mapping F of Figure 4 to the replayed
@@ -547,7 +538,7 @@ func abstractSpec(procs []types.ProcID, initial types.View, nodes map[types.Proc
 			st.Current[p] = cc.ID
 		}
 		for _, g := range nodes[p].RegisteredIDs() {
-			addMember(st.Registered, g, p)
+			st.Registered[g] = st.Registered[g].With(p)
 		}
 	}
 	return dvs.FromState(st)

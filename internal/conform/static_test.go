@@ -94,7 +94,7 @@ func TestReplayStaticDetectsTampering(t *testing.T) {
 	for i, r := range log.DVS {
 		if len(r.Fx) > 0 {
 			fx := append([]dvscore.Effect(nil), r.Fx...)
-			fx[len(fx)-1] = dvscore.Effect{Kind: dvscore.FxNewPrimary, View: log.Initial.Clone()}
+			fx[len(fx)-1] = dvscore.Effect{Kind: dvscore.FxNewPrimary, View: log.Initial}
 			log.DVS[i].Fx = fx
 			tampered = true
 			break

@@ -341,7 +341,7 @@ func (r *StreamRecorder) Dir() string { return r.dir }
 // is spilled (registration defines the header, which is written once).
 func (r *StreamRecorder) Node(p types.ProcID, g types.GroupID, initial types.View, inP0, register, gc, static bool) (*StreamNode, error) {
 	return r.register(NodeMeta{
-		P: p, Group: g, Initial: initial.Clone(), InP0: inP0, Register: register, GC: gc, Static: static,
+		P: p, Group: g, Initial: initial, InP0: inP0, Register: register, GC: gc, Static: static,
 	})
 }
 

@@ -80,11 +80,8 @@ func renderChunk(ch streamChunk) string {
 
 func genView(rng *rand.Rand) types.View {
 	v := types.View{ID: types.ViewID{Seq: rng.Uint64() >> uint(rng.Intn(64)), Origin: types.ProcID(rng.Intn(9) - 1)}}
-	if n := rng.Intn(5); n > 0 || rng.Intn(2) == 0 { // n == 0: nil or empty, both
-		v.Members = types.NewProcSet()
-		for i := 0; i < n; i++ {
-			v.Members.Add(types.ProcID(rng.Intn(300)))
-		}
+	for i, n := 0, rng.Intn(5); i < n; i++ {
+		v.Members = v.Members.With(types.ProcID(rng.Intn(types.MaxProcs)))
 	}
 	return v
 }
@@ -271,11 +268,8 @@ func TestWireNilAndEmptyCollections(t *testing.T) {
 		if got.MsgKey() != tc.m.MsgKey() {
 			t.Errorf("%s: round trip %q -> %q", tc.name, tc.m.MsgKey(), got.MsgKey())
 		}
-		switch g := got.(type) {
-		case dvscore.InfoMsg:
-			g.Act.Members.Add(0) // must not be a nil map
-		case tocore.SummaryMsg:
-			g.X.Con[types.Label{}] = "" // likewise
+		if g, ok := got.(tocore.SummaryMsg); ok {
+			g.X.Con[types.Label{}] = "" // must not be a nil map
 		}
 	}
 }
@@ -308,6 +302,24 @@ func TestWireBatchDepthLimited(t *testing.T) {
 // TestDecodeChunkRejectsHugeCounts: a count is checked against the bytes
 // that remain, so a tiny input cannot make the decoder allocate for the
 // billions of elements it claims.
+// TestUniverseRecordRefusesOutOfRangeIDs: the TO log's EvUniverse record is
+// a set on disk; an id a process set cannot hold fails its decode.
+func TestUniverseRecordRefusesOutOfRangeIDs(t *testing.T) {
+	good, err := appendTOEvent(nil, tocore.Event{Kind: tocore.EvUniverse, Set: types.NewProcSet(0, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := (wire.Reader{B: good}); readTOEvent(&r).Set != types.NewProcSet(0, 5) || r.Err != nil {
+		t.Fatalf("the in-range record: %v", r.Err)
+	}
+	for _, id := range []int{types.MaxProcs, -1} {
+		r := wire.Reader{B: wire.AppendInt(good[:len(good)-1], id)} // 5 is the record's last byte
+		if ev := readTOEvent(&r); r.Err == nil {
+			t.Errorf("member %d decoded: %v", id, ev.Set)
+		}
+	}
+}
+
 func TestDecodeChunkRejectsHugeCounts(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<40)
 	pad := make([]byte, 8) // enough trailing bytes for the one part the prefix declares
@@ -475,7 +487,7 @@ func FuzzDecodeSegment(f *testing.F) {
 		if hdr, err := decodeHeader(data); err == nil {
 			items := len(hdr)
 			for _, m := range hdr {
-				items += len(m.Initial.Members) + len(m.McastGroups)
+				items += m.Initial.Members.Len() + len(m.McastGroups)
 			}
 			if items > len(data) {
 				t.Fatalf("%d nodes, members and groups decoded from %d bytes", items, len(data))

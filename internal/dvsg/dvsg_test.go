@@ -54,7 +54,7 @@ func (r *recorder) lastView() (types.View, bool) {
 	if len(r.views) == 0 {
 		return types.View{}, false
 	}
-	return r.views[len(r.views)-1].Clone(), true
+	return r.views[len(r.views)-1], true
 }
 
 type stack struct {

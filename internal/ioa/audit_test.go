@@ -22,7 +22,14 @@ type auditToy struct {
 type toyID int
 
 // toySyms are the identity and the swap of processes 0 and 1.
-var toySyms = []map[toyID]toyID{nil, {0: 1, 1: 0}}
+var toySyms = []toyPerm{nil, {0: 1, 1: 0}}
+
+// toyPerm permutes toyIDs; the toy holds no set of them, so toySet is empty.
+type toyPerm map[toyID]toyID
+
+type toySet struct{}
+
+func (toyPerm) Set(s toySet) toySet { return s }
 
 func (t *auditToy) Name() string { return "auditToy" }
 

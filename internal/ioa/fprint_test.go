@@ -95,6 +95,7 @@ type permToy struct {
 	sorted []permID // sorted again by FixImage
 	byID   map[permID]string
 	set    map[permID]struct{}
+	bits   permSet
 	val    any
 	ptr    *permID
 	views  map[permView]bool
@@ -103,6 +104,22 @@ type permToy struct {
 }
 
 type permID int
+
+// permSet is a set of permIDs 0–7, bit i for id i; permMap maps one through
+// Set, as a state's permutation does its set type.
+type permSet uint8
+
+type permMap map[permID]permID
+
+func (pi permMap) Set(s permSet) permSet {
+	var out permSet
+	for p := permID(0); p < 8; p++ {
+		if s&(1<<p) != 0 {
+			out |= 1 << image(pi, p)
+		}
+	}
+	return out
+}
 
 type permView struct {
 	seq    int
@@ -120,18 +137,18 @@ func (g *permView) FixImage(orig any) {
 // TestPermuteRules pins what Permute maps, what it re-sorts and what it
 // carries over, on π = (0 1 2).
 func TestPermuteRules(t *testing.T) {
-	pi := map[permID]permID{0: 1, 1: 2, 2: 0}
+	pi := permMap{0: 1, 1: 2, 2: 0}
 	one := permID(1)
 	x := &permToy{
 		self: 0, n: 0, ids: []permID{0, 2}, sorted: []permID{0, 2},
-		byID: map[permID]string{1: "a"}, set: map[permID]struct{}{2: {}}, val: permID(1), ptr: &one,
+		byID: map[permID]string{1: "a"}, set: map[permID]struct{}{2: {}}, bits: 1<<0 | 1<<2, val: permID(1), ptr: &one,
 		views: map[permView]bool{{0, 0}: true, {1, 0}: false},
 		fn:    func() {}, shared: []permID{0},
 	}
 	got := Permute(x, pi)
 	want := &permToy{
 		self: 1, n: 0, ids: []permID{1, 0}, sorted: []permID{0, 1},
-		byID: map[permID]string{2: "a"}, set: map[permID]struct{}{0: {}}, val: permID(2), ptr: new(permID),
+		byID: map[permID]string{2: "a"}, set: map[permID]struct{}{0: {}}, bits: 1<<1 | 1<<0, val: permID(2), ptr: new(permID),
 		views:  map[permView]bool{{0, 0}: true, {1, 1}: false},
 		shared: []permID{0},
 	}

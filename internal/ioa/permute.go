@@ -12,19 +12,27 @@ import (
 // calls FixImage on it with a pointer to the original.
 type Imager interface{ FixImage(orig any) }
 
+// Perm is a permutation of the ids K, as a map that fixes the ids outside
+// its domain, with Set giving the image of a set S of them: a set type is
+// opaque to the copier, which maps each S it meets through Set.
+type Perm[K, S comparable] interface {
+	~map[K]K
+	Set(S) S
+}
+
 // Permute returns π(x): a deep copy of x with every value of π's id type K
-// mapped through π (DESIGN.md §6.2).
-func Permute[T any, P ~map[K]K, K comparable](x T, pi P) T { return images(x, []P{pi})[0] }
+// and set type S mapped through π (DESIGN.md §6.2).
+func Permute[T any, P Perm[K, S], K, S comparable](x T, pi P) T { return images(x, []P{pi})[0] }
 
 // images returns the images of x under pis, built in one walk of x by a
-// copier compiled once per type, as FpOf's walker is. An id is mapped
-// wherever it is: a field, a map key, a slice element, an interface's
+// copier compiled once per type, as FpOf's walker is. An id or a set is
+// mapped wherever it is: a field, a map key, a slice element, an interface's
 // value; ids outside a permutation's domain are fixed. Maps are re-keyed;
 // nil stays nil and empty stays empty. Fields tagged ioa:"shared", func and
 // chan values and interface values holding no id or reference (messages are
 // immutable) are carried over; nothing else is shared with x or between
 // images. The state must be a tree.
-func images[T any, P ~map[K]K, K comparable](x T, pis []P) []T {
+func images[T any, P Perm[K, S], K, S comparable](x T, pis []P) []T {
 	out := make([]T, len(pis))
 	if len(pis) == 0 {
 		return out
@@ -35,7 +43,7 @@ func images[T any, P ~map[K]K, K comparable](x T, pis []P) []T {
 	for j := range out {
 		dsts[j] = unsafe.Pointer(&out[j])
 	}
-	rules := idRules{reflect.TypeFor[K](), reflect.TypeFor[P](), imageID[P, K], imageSet[P, K]}
+	rules := idRules{reflect.TypeFor[K](), reflect.TypeFor[S](), reflect.TypeFor[P](), imageID[P, K], imageSet[P, K, S]}
 	imagePlanOf(reflect.TypeFor[T](), rules).fn(c, dsts, 0, unsafe.Pointer(&x))
 	c.pop()
 	c.pis = nil
@@ -48,8 +56,8 @@ type imageFn func(c *copier, dsts []unsafe.Pointer, off uintptr, src unsafe.Poin
 
 // idRules are the images of an id and of a set of ids, typed by P.
 type idRules struct {
-	id, p    reflect.Type
-	img, set imageFn
+	id, set, p  reflect.Type
+	img, setImg imageFn
 }
 
 func imageID[P ~map[K]K, K comparable](c *copier, dsts []unsafe.Pointer, off uintptr, src unsafe.Pointer) {
@@ -65,18 +73,10 @@ func image[P ~map[K]K, K comparable](pi P, k K) K {
 	return k
 }
 
-// imageSet maps a set of ids, a state's commonest map, with no reflection.
-func imageSet[P ~map[K]K, K comparable](c *copier, dsts []unsafe.Pointer, off uintptr, src unsafe.Pointer) {
-	s, pis := *(*map[K]struct{})(src), c.pis.([]P)
-	for j := range pis {
-		if *(*map[K]struct{})(unsafe.Add(dsts[j], off)) = nil; s != nil {
-			*(*map[K]struct{})(unsafe.Add(dsts[j], off)) = make(map[K]struct{}, len(s))
-		}
-	}
-	for k := range s {
-		for j, pi := range pis {
-			(*(*map[K]struct{})(unsafe.Add(dsts[j], off)))[image(pi, k)] = struct{}{}
-		}
+// imageSet maps a set of ids through each permutation's Set.
+func imageSet[P Perm[K, S], K, S comparable](c *copier, dsts []unsafe.Pointer, off uintptr, src unsafe.Pointer) {
+	for j, pi := range c.pis.([]P) {
+		*(*S)(unsafe.Add(dsts[j], off)) = pi.Set(*(*S)(src))
 	}
 }
 
@@ -209,8 +209,8 @@ func compileImage(t reflect.Type, rules idRules) *imagePlan {
 	switch k := t.Kind(); {
 	case t == rules.id:
 		pl.fn = rules.img
-	case k == reflect.Map && t.Key() == rules.id && t.Elem() == reflect.TypeFor[struct{}]():
-		pl.fn = rules.set
+	case t == rules.set:
+		pl.fn = rules.setImg
 	case k >= reflect.Bool && k <= reflect.Complex128:
 		pl.fn, pl.plain = numbers[t.Size()], true
 	case k == reflect.String:

@@ -39,7 +39,7 @@ type Symmetric interface {
 // equivariant transitions, invariants, and environment — see DESIGN.md
 // §6.7). perms must enumerate the identity first, so that it is the
 // stabilizer's first element too.
-func Stabilizer[A Automaton, P ~map[K]K, K comparable](a A, perms []P) []P {
+func Stabilizer[A Automaton, P Perm[K, S], K, S comparable](a A, perms []P) []P {
 	self := FpOf(a)
 	var syms []P
 	for i, b := range images(a, perms) {
@@ -53,7 +53,7 @@ func Stabilizer[A Automaton, P ~map[K]K, K comparable](a A, perms []P) []P {
 // Canonicalize is Symmetric.Canonicalize over an installed group: the orbit
 // member with the least fingerprint, and that fingerprint. With no group
 // installed (or the trivial group) a is its own representative.
-func Canonicalize[A Automaton, P ~map[K]K, K comparable](a A, syms []P) (Automaton, Fp) {
+func Canonicalize[A Automaton, P Perm[K, S], K, S comparable](a A, syms []P) (Automaton, Fp) {
 	var best Automaton = a
 	bestFp := FpOf(a)
 	for _, cand := range images(a, syms[min(1, len(syms)):]) { // syms[0] is the identity
@@ -66,7 +66,7 @@ func Canonicalize[A Automaton, P ~map[K]K, K comparable](a A, syms []P) (Automat
 
 // Orbit is Symmetric.Orbit over an installed group: the image of a under
 // every element, which with no group installed is a copy of a alone.
-func Orbit[A Automaton, P ~map[K]K, K comparable](a A, syms []P) []Automaton {
+func Orbit[A Automaton, P Perm[K, S], K, S comparable](a A, syms []P) []Automaton {
 	if len(syms) == 0 {
 		syms = make([]P, 1) // identity only
 	}

@@ -74,7 +74,7 @@ func NewDetector(self types.ProcID, universe types.ProcSet, timeout time.Duratio
 		timeout:  timeout,
 		lastSeen: make(map[types.ProcID]time.Time, universe.Len()),
 	}
-	for p := range universe {
+	for p := universe.First(); p >= 0; p = universe.Next(p) {
 		d.lastSeen[p] = now
 	}
 	return d
@@ -95,7 +95,7 @@ func (d *Detector) Alive(now time.Time) types.ProcSet {
 	out := types.NewProcSet(d.self)
 	for p, seen := range d.lastSeen {
 		if now.Sub(seen) <= d.timeout {
-			out.Add(p)
+			out = out.With(p)
 		}
 	}
 	return out
@@ -130,7 +130,7 @@ func NewAgreement(self types.ProcID, initial types.View, retry time.Duration) *A
 		lastAlive:   types.NewProcSet(),
 	}
 	if initial.Contains(self) {
-		a.current = initial.Clone()
+		a.current = initial
 		a.hasView = true
 	}
 	a.maxSeq = initial.ID.Seq
@@ -151,17 +151,17 @@ func (a *Agreement) observeID(id types.ViewID) {
 // returned sends carry Propose or Install payloads; installed is non-nil
 // when the local node installs a view during this tick.
 func (a *Agreement) Tick(now time.Time, alive types.ProcSet) (sends []Send, installed *types.View) {
-	stable := alive.Equal(a.lastAlive)
-	a.lastAlive = alive.Clone()
+	stable := alive == a.lastAlive
+	a.lastAlive = alive
 
 	// Complete an outstanding proposal.
 	if a.proposing {
 		if a.proposal.Members.Subset(a.accepted) {
-			v := a.proposal.Clone()
+			v := a.proposal
 			a.proposing = false
 			for _, q := range v.Members.Sorted() {
 				if q != a.self {
-					sends = append(sends, Send{To: q, Payload: Install{View: v.Clone()}})
+					sends = append(sends, Send{To: q, Payload: Install{View: v}})
 				}
 			}
 			if inst := a.install(v); inst != nil {
@@ -187,20 +187,20 @@ func (a *Agreement) Tick(now time.Time, alive types.ProcSet) (sends []Send, inst
 	// rejoining a view it already overtook. Its gossip carries the higher
 	// identifier back to the leader, and only a fresh proposal with a yet
 	// higher identifier can reunite the component.
-	if a.hasView && a.current.Members.Equal(alive) && a.maxSeq == a.current.ID.Seq {
+	if a.hasView && a.current.Members == alive && a.maxSeq == a.current.ID.Seq {
 		return nil, nil
 	}
-	if leader := alive.Sorted()[0]; leader != a.self {
+	if alive.First() != a.self {
 		return nil, nil
 	}
 	a.maxSeq++
-	a.proposal = types.View{ID: types.ViewID{Seq: a.maxSeq, Origin: a.self}, Members: alive.Clone()}
+	a.proposal = types.View{ID: types.ViewID{Seq: a.maxSeq, Origin: a.self}, Members: alive}
 	a.proposing = true
 	a.accepted = types.NewProcSet(a.self)
 	a.deadline = now.Add(a.retryPeriod)
 	for _, q := range alive.Sorted() {
 		if q != a.self {
-			sends = append(sends, Send{To: q, Payload: Propose{View: a.proposal.Clone()}})
+			sends = append(sends, Send{To: q, Payload: Propose{View: a.proposal}})
 		}
 	}
 	return sends, nil
@@ -221,8 +221,8 @@ func (a *Agreement) OnPropose(from types.ProcID, v types.View) []Send {
 // OnAccept handles an Accept message.
 func (a *Agreement) OnAccept(from types.ProcID, id types.ViewID) {
 	a.observeID(id)
-	if a.proposing && a.proposal.ID == id {
-		a.accepted.Add(from)
+	if a.proposing && a.proposal.ID == id && a.proposal.Contains(from) {
+		a.accepted = a.accepted.With(from)
 	}
 }
 
@@ -240,8 +240,8 @@ func (a *Agreement) install(v types.View) *types.View {
 	if a.hasView && !a.current.ID.Less(v.ID) {
 		return nil
 	}
-	a.current = v.Clone()
+	a.current = v
 	a.hasView = true
-	out := v.Clone()
+	out := v
 	return &out
 }

@@ -12,12 +12,12 @@ var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 func TestDetectorAliveAndSuspect(t *testing.T) {
 	u := types.RangeProcSet(3)
 	d := NewDetector(0, u, 100*time.Millisecond, t0)
-	if !d.Alive(t0).Equal(u) {
+	if d.Alive(t0) != u {
 		t.Error("everyone starts alive")
 	}
 	later := t0.Add(150 * time.Millisecond)
 	alive := d.Alive(later)
-	if !alive.Equal(types.NewProcSet(0)) {
+	if alive != types.NewProcSet(0) {
 		t.Errorf("after timeout only self alive, got %s", alive)
 	}
 	d.Observe(2, later)
@@ -40,7 +40,7 @@ func TestDetectorIgnoresUnknownProcess(t *testing.T) {
 	for _, ghost := range []types.ProcID{3, 99, -1} {
 		d.Observe(ghost, t0)
 	}
-	if alive := d.Alive(t0); !alive.Equal(u) {
+	if alive := d.Alive(t0); alive != u {
 		t.Errorf("alive = %s after observing ids outside %s", alive, u)
 	}
 }
@@ -51,7 +51,7 @@ func initialView() types.View {
 
 func TestAgreementInitialInstall(t *testing.T) {
 	a := NewAgreement(0, initialView(), 50*time.Millisecond)
-	if v, ok := a.Current(); !ok || !v.Equal(initialView()) {
+	if v, ok := a.Current(); !ok || v != initialView() {
 		t.Error("member of P0 must have v0 installed")
 	}
 	b := NewAgreement(4, initialView(), 50*time.Millisecond)
@@ -80,7 +80,7 @@ func TestLeaderProposesOnStableChange(t *testing.T) {
 	if !ok || sends[0].To != 1 {
 		t.Fatalf("send = %+v", sends[0])
 	}
-	if !prop.View.Members.Equal(alive) {
+	if prop.View.Members != alive {
 		t.Errorf("proposed members = %s", prop.View.Members)
 	}
 	if !initialView().ID.Less(prop.View.ID) {
@@ -90,7 +90,7 @@ func TestLeaderProposesOnStableChange(t *testing.T) {
 	// Acceptance from 1 completes the proposal on the next tick.
 	a.OnAccept(1, prop.View.ID)
 	sends, inst = a.Tick(t0.Add(2*time.Millisecond), alive)
-	if inst == nil || !inst.Members.Equal(alive) {
+	if inst == nil || inst.Members != alive {
 		t.Fatalf("install = %v", inst)
 	}
 	foundInstall := false
@@ -102,7 +102,7 @@ func TestLeaderProposesOnStableChange(t *testing.T) {
 	if !foundInstall {
 		t.Error("leader must send Install to members")
 	}
-	if v, _ := a.Current(); !v.Members.Equal(alive) {
+	if v, _ := a.Current(); v.Members != alive {
 		t.Error("leader must install locally")
 	}
 }
@@ -131,7 +131,7 @@ func TestFollowerAcceptAndInstall(t *testing.T) {
 	if inst := a.OnInstall(v1); inst == nil {
 		t.Fatal("install refused")
 	}
-	if v, _ := a.Current(); !v.Equal(v1) {
+	if v, _ := a.Current(); v != v1 {
 		t.Error("current not updated")
 	}
 }

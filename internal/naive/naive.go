@@ -15,6 +15,7 @@ package naive
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/ioa"
 	vsspec "repro/internal/spec/vs"
@@ -37,18 +38,18 @@ type Node struct {
 func NewNode(p types.ProcID, initial types.View, inP0 bool) *Node {
 	n := &Node{
 		p:         p,
-		last:      initial.Clone(),
+		last:      initial,
 		attempted: make(map[types.ViewID]types.View),
 	}
 	if inP0 {
-		n.cur, n.curOK = initial.Clone(), true
-		n.attempted[initial.ID] = initial.Clone()
+		n.cur, n.curOK = initial, true
+		n.attempted[initial.ID] = initial
 	}
 	return n
 }
 
 // OnVSNewView records the view-synchronous view.
-func (n *Node) OnVSNewView(v types.View) { n.cur, n.curOK = v.Clone(), true }
+func (n *Node) OnVSNewView(v types.View) { n.cur, n.curOK = v, true }
 
 // AcceptEnabled reports whether the naive filter would announce its current
 // view as primary: majority intersection with its own last primary only.
@@ -62,17 +63,17 @@ func (n *Node) AcceptEnabled() (types.View, bool) {
 	if !n.cur.Members.MajorityOf(n.last.Members) {
 		return types.View{}, false
 	}
-	return n.cur.Clone(), true
+	return n.cur, true
 }
 
 // Accept announces the primary and updates last.
 func (n *Node) Accept(v types.View) error {
 	cand, ok := n.AcceptEnabled()
-	if !ok || !cand.Equal(v) {
+	if !ok || cand != v {
 		return fmt.Errorf("naive accept(%s)_%s: not enabled", v, n.p)
 	}
-	n.last = v.Clone()
-	n.attempted[v.ID] = v.Clone()
+	n.last = v
+	n.attempted[v.ID] = v
 	return nil
 }
 
@@ -80,19 +81,14 @@ func (n *Node) Accept(v types.View) error {
 func (n *Node) Attempted() []types.View {
 	out := make([]types.View, 0, len(n.attempted))
 	for _, v := range n.attempted {
-		out = append(out, v.Clone())
+		out = append(out, v)
 	}
 	types.SortViews(out)
 	return out
 }
 
 func (n *Node) clone() *Node {
-	c := &Node{p: n.p, cur: n.cur.Clone(), curOK: n.curOK, last: n.last.Clone(),
-		attempted: make(map[types.ViewID]types.View, len(n.attempted))}
-	for id, v := range n.attempted {
-		c.attempted[id] = v.Clone()
-	}
-	return c
+	return &Node{p: n.p, cur: n.cur, curOK: n.curOK, last: n.last, attempted: maps.Clone(n.attempted)}
 }
 
 // Impl composes the naive filters with the VS specification, mirroring
@@ -111,8 +107,8 @@ var _ ioa.Automaton = (*Impl)(nil)
 // NewImpl builds the composed system.
 func NewImpl(universe types.ProcSet, initial types.View) *Impl {
 	im := &Impl{
-		universe: universe.Clone(),
-		initial:  initial.Clone(),
+		universe: universe,
+		initial:  initial,
 		procs:    universe.Sorted(),
 		vs:       vsspec.New(universe, initial),
 		nodes:    make(map[types.ProcID]*Node, universe.Len()),
@@ -218,8 +214,8 @@ func (im *Impl) Perform(act ioa.Action) error {
 // Clone implements ioa.Automaton.
 func (im *Impl) Clone() ioa.Automaton {
 	c := &Impl{
-		universe: im.universe.Clone(),
-		initial:  im.initial.Clone(),
+		universe: im.universe,
+		initial:  im.initial,
 		procs:    types.CloneSeq(im.procs),
 		vs:       im.vs.Clone().(*vsspec.VS),
 		nodes:    make(map[types.ProcID]*Node, len(im.nodes)),

@@ -119,7 +119,7 @@ func TestPaperAlgorithmRejectsClassicSchedule(t *testing.T) {
 	}
 	drive()
 	for _, p := range []types.ProcID{1, 2, 3} {
-		if !im.Node(p).Act().Equal(v1) {
+		if im.Node(p).Act() != v1 {
 			t.Fatalf("process %d did not garbage-collect to act = v1 (act = %s)", p, im.Node(p).Act())
 		}
 	}
@@ -175,7 +175,7 @@ func envFunc(universe types.ProcSet, rng *rand.Rand) ioa.Environment {
 			return nil
 		}
 		members := types.RandomSubset(rng, procs)
-		v := types.View{ID: im.maxCreated().Next(members.Sorted()[0]), Members: members}
+		v := types.View{ID: im.maxCreated().Next(members.First()), Members: members}
 		if !im.VS().CreateViewCandidateOK(v) {
 			return nil
 		}

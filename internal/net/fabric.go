@@ -78,7 +78,7 @@ func NewFabric(universe types.ProcSet, cfg Config) *Fabric {
 		component: make(map[types.ProcID]int, universe.Len()),
 		crashed:   make(map[types.ProcID]bool),
 	}
-	for p := range universe {
+	for p := universe.First(); p >= 0; p = universe.Next(p) {
 		f.inboxes[p] = make(chan Envelope, size)
 		f.component[p] = 0
 	}
@@ -130,7 +130,7 @@ func (f *Fabric) Send(from, to types.ProcID, payload Payload) bool {
 // member). It returns the number of successful enqueues.
 func (f *Fabric) Multicast(from types.ProcID, dst types.ProcSet, payload Payload) int {
 	n := 0
-	for _, to := range dst.Sorted() {
+	for to := dst.First(); to >= 0; to = dst.Next(to) {
 		if f.Send(from, to, payload) {
 			n++
 		}

@@ -12,7 +12,7 @@ func newMuxPair(t *testing.T, groups int) (*Fabric, map[types.ProcID]*GroupMux) 
 	universe := types.RangeProcSet(2)
 	f := NewFabric(universe, Config{})
 	muxes := make(map[types.ProcID]*GroupMux, 2)
-	for p := range universe {
+	for p := universe.First(); p >= 0; p = universe.Next(p) {
 		m := NewGroupMux(p, f, types.RangeGroups(groups), GroupMuxConfig{})
 		if err := m.Start(); err != nil {
 			t.Fatalf("start mux %v: %v", p, err)

@@ -385,7 +385,7 @@ func TestTCPComplexPayloads(t *testing.T) {
 	env := recvTCP(t, b, 1, 5*time.Second)
 	gf, _ := env.Payload.(GroupFrame)
 	got, ok := gf.P.(viewPayload)
-	if !ok || gf.G != 2 || !got.V.Equal(v) {
+	if !ok || gf.G != 2 || got.V != v {
 		t.Fatalf("payload = %#v", env.Payload)
 	}
 }

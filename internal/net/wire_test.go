@@ -13,6 +13,7 @@ import (
 	"repro/internal/protocol/tocore"
 	"repro/internal/types"
 	"repro/internal/vsg"
+	"repro/internal/wire"
 )
 
 func init() {
@@ -37,12 +38,12 @@ func equalPayload(a, b any) bool {
 		return ok
 	case member.Propose:
 		b, ok := b.(member.Propose)
-		return ok && a.View.Equal(b.View)
+		return ok && a.View == b.View
 	case member.Accept:
 		return a == b
 	case member.Install:
 		b, ok := b.(member.Install)
-		return ok && a.View.Equal(b.View)
+		return ok && a.View == b.View
 	case vsg.Data:
 		b, ok := b.(vsg.Data)
 		return ok && a.ViewID == b.ViewID && a.SenderSeq == b.SenderSeq && a.AckSeq == b.AckSeq && equalPayload(a.Payload, b.Payload)
@@ -79,7 +80,7 @@ func equalPayload(a, b any) bool {
 // the stack produces.
 func wireSamples() []any {
 	g := types.ViewID{Seq: 1 << 40, Origin: 3}
-	v := types.NewView(g, 0, 1, 5, 1000000)
+	v := types.NewView(g, 0, 1, 5, types.MaxProcs-1)
 	l := func(n int) types.Label { return types.Label{ID: g, Seqno: n, Origin: 2} }
 	label := tocore.LabelMsg{L: l(7), A: "payload \x00\xff with junk"}
 	batch := types.Batch{Msgs: []types.Msg{label, tocore.LabelMsg{L: l(8)}, types.ClientMsg("")}}
@@ -132,9 +133,6 @@ func TestWireFrameRoundTrip(t *testing.T) {
 			t.Errorf("%#v: re-encoding the decoded payload gave different bytes", x)
 		}
 	}
-	// What decodes is usable: a core may add to a decoded member set.
-	got, _ := netfab.DecodeFrame(encode(t, member.Propose{}))
-	got.(member.Propose).View.Members.Add(0)
 }
 
 func TestWireFrameDepthLimited(t *testing.T) {
@@ -174,7 +172,7 @@ func deepNest(t testing.TB, n int) []byte {
 // size counts what a decoded payload holds: collection elements and string
 // bytes, the things a hostile count or length could inflate.
 func size(v any) int {
-	view := func(v types.View) int { return 1 + len(v.Members) }
+	view := func(v types.View) int { return 1 + v.Members.Len() }
 	switch v := v.(type) {
 	case types.ClientMsg:
 		return 1 + len(v)
@@ -218,6 +216,26 @@ func size(v any) int {
 	return 1
 }
 
+// badMember is a Propose frame whose view's one member is id, written past
+// the encoder, which cannot hold an id outside a process set.
+func badMember(t testing.TB, id int) []byte {
+	b := encode(t, member.Propose{View: types.NewView(types.ViewID{Seq: 1}, 5)})
+	return wire.AppendInt(b[:len(b)-1], id) // the member is the frame's last byte
+}
+
+// TestDecodeFrameRefusesOutOfRangeMember: a peer's view naming an id a
+// process set cannot hold is a malformed frame, not a panic or a wrapped id.
+func TestDecodeFrameRefusesOutOfRangeMember(t *testing.T) {
+	if v, err := netfab.DecodeFrame(badMember(t, 5)); err != nil || v.(member.Propose).View != types.NewView(types.ViewID{Seq: 1}, 5) {
+		t.Fatalf("the in-range frame: %v, %v", v, err)
+	}
+	for _, id := range []int{types.MaxProcs, -1, 1000000} {
+		if v, err := netfab.DecodeFrame(badMember(t, id)); err == nil {
+			t.Errorf("member %d decoded: %v", id, v)
+		}
+	}
+}
+
 // FuzzDecodeFrame: the one decoder for every byte a peer can send gives an
 // error or a payload — never a panic, never more elements than the bytes
 // could encode — and whatever decodes is something the encoder writes.
@@ -244,6 +262,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x51, 1}, 1000)) // over-deep Batch nest
 	f.Add([]byte{})
 	f.Add(append(hugeBase, 0, 0, 2, 0, 0))
+	for _, id := range []int{types.MaxProcs, -1} {
+		f.Add(badMember(f, id))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := netfab.DecodeFrame(data)

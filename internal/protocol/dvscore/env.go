@@ -68,7 +68,7 @@ func (e *Env) Inputs(a ioa.Automaton) []ioa.Action {
 	// View proposal for the underlying VS.
 	if e.MaxViews == 0 || e.created < e.MaxViews {
 		members := types.RandomSubset(e.rng, e.procs)
-		id := im.MaxCreatedID().Next(members.Sorted()[0])
+		id := im.MaxCreatedID().Next(members.First())
 		v := types.View{ID: id, Members: members}
 		if im.VSCreateViewCandidateOK(v) {
 			e.created++
@@ -135,15 +135,14 @@ func (e *BoundedEnv) Inputs(a ioa.Automaton) []ioa.Action {
 	if im.VS().CreatedCount() < e.MaxViews {
 		next := im.MaxCreatedID()
 		for _, members := range e.Views {
-			origins := members.Sorted()
-			if !e.AllOrigins {
-				origins = origins[:1]
-			}
-			for _, o := range origins {
-				v := types.View{ID: next.Next(o), Members: members.Clone()}
+			for o := members.First(); o >= 0; o = members.Next(o) {
+				v := types.View{ID: next.Next(o), Members: members}
 				if im.VSCreateViewCandidateOK(v) {
 					acts = append(acts, ioa.Action{Name: vsspec.ActCreateView, Kind: ioa.KindInternal,
 						Param: vsspec.CreateViewParam{View: v}})
+				}
+				if !e.AllOrigins {
+					break // the least origin only
 				}
 			}
 		}
@@ -166,7 +165,7 @@ func countClientMsgs(im *Impl) int {
 		return n
 	}
 	total := 0
-	for _, v := range im.vs.CreatedShared() {
+	for _, v := range im.vs.Created() {
 		g := v.ID
 		for _, e := range im.vs.QueueShared(g) {
 			if types.IsClient(e.M) {

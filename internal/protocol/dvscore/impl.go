@@ -37,8 +37,8 @@ var _ ioa.Automaton = (*Impl)(nil)
 // NewImpl constructs DVS-IMPL in its initial state.
 func NewImpl(universe types.ProcSet, initial types.View) *Impl {
 	im := &Impl{
-		universe: universe.Clone(),
-		initial:  initial.Clone(),
+		universe: universe,
+		initial:  initial,
 		procs:    universe.Sorted(),
 		vs:       vsspec.New(universe, initial),
 		nodes:    make(map[types.ProcID]*Node, universe.Len()),
@@ -75,7 +75,7 @@ func (im *Impl) VSCreateViewCandidateOK(v types.View) bool {
 func (im *Impl) Att() []types.View {
 	var out []types.View
 	for _, v := range im.vs.Created() {
-		for p := range v.Members {
+		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
 			if im.nodes[p].HasAttempted(v.ID) {
 				out = append(out, v)
 				break
@@ -91,7 +91,7 @@ func (im *Impl) TotAtt() []types.View {
 	var out []types.View
 	for _, v := range im.vs.Created() {
 		all := true
-		for p := range v.Members {
+		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
 			if !im.nodes[p].HasAttempted(v.ID) {
 				all = false
 				break
@@ -110,7 +110,7 @@ func (im *Impl) TotReg() []types.View {
 	var out []types.View
 	for _, v := range im.vs.Created() {
 		all := true
-		for p := range v.Members {
+		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
 			if !im.nodes[p].Reg(v.ID) {
 				all = false
 				break
@@ -311,7 +311,7 @@ func takeVSGpSnd(f Filter, p types.ProcID, m types.Msg) error {
 
 // performDVSNewView is dvs-newview(v)_p: v must be the enabled candidate.
 func performDVSNewView(f Filter, p types.ProcID, v types.View) error {
-	if cand, ok := f.dvsNewViewEnabled(); !ok || !cand.Equal(v) {
+	if cand, ok := f.dvsNewViewEnabled(); !ok || cand != v {
 		return fmt.Errorf("dvs-newview(%s)_%s: not enabled", v, p)
 	}
 	f.dvsNewView(v)
@@ -345,8 +345,8 @@ func badActParam(act ioa.Action) error {
 // Clone implements ioa.Automaton.
 func (im *Impl) Clone() ioa.Automaton {
 	c := &Impl{
-		universe: im.universe.Clone(),
-		initial:  im.initial.Clone(),
+		universe: im.universe,
+		initial:  im.initial,
 		procs:    types.CloneSeq(im.procs),
 		vs:       im.vs.Clone().(*vsspec.VS),
 		nodes:    make(map[types.ProcID]*Node, len(im.nodes)),

@@ -63,7 +63,7 @@ func TestDerivedVariables(t *testing.T) {
 	universe, v0 := implSetup(4)
 	im := NewImpl(universe, v0)
 	att := im.Att()
-	if len(att) != 1 || !att[0].Equal(v0) {
+	if len(att) != 1 || att[0] != v0 {
 		t.Errorf("Att = %v", att)
 	}
 	totAtt := im.TotAtt()
@@ -71,7 +71,7 @@ func TestDerivedVariables(t *testing.T) {
 		t.Errorf("TotAtt = %v", totAtt)
 	}
 	totReg := im.TotReg()
-	if len(totReg) != 1 || !totReg[0].Equal(v0) {
+	if len(totReg) != 1 || totReg[0] != v0 {
 		t.Errorf("TotReg = %v", totReg)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // notes on the amended forms of 5.2.3 and 5.3.1.
 
 // system returns the invariant-checking cut of the composition. The nodes
-// and created views are shared, not cloned: the checks are read-only.
+// are shared, not cloned: the checks are read-only.
 func (im *Impl) system() System {
-	return System{Procs: im.procs, Nodes: im.nodes, Created: im.vs.CreatedShared()}
+	return System{Procs: im.procs, Nodes: im.nodes, Created: im.vs.Created()}
 }
 
 // CheckInvariant52Part3Literal checks part 3 of Invariant 5.2 exactly as

@@ -19,12 +19,9 @@ type InfoMsg struct {
 
 // NewInfoMsg builds an info message, copying and sorting the ambiguous set.
 func NewInfoMsg(act types.View, amb []types.View) InfoMsg {
-	cp := make([]types.View, 0, len(amb))
-	for _, v := range amb {
-		cp = append(cp, v.Clone())
-	}
+	cp := slices.Clone(amb)
 	types.SortViews(cp)
-	return InfoMsg{Act: act.Clone(), Amb: cp}
+	return InfoMsg{Act: act, Amb: cp}
 }
 
 // MsgKey implements types.Msg.
@@ -46,11 +43,8 @@ func (m InfoMsg) MsgKey() string {
 // position (Amb is sorted), the same ambiguous views.
 func (m InfoMsg) EqualMsg(o types.Msg) bool {
 	om, ok := o.(InfoMsg)
-	return ok && m.Act.Equal(om.Act) && slices.EqualFunc(m.Amb, om.Amb, types.View.Equal)
+	return ok && m.Act == om.Act && slices.Equal(m.Amb, om.Amb)
 }
-
-// Clone returns an independent copy.
-func (m InfoMsg) Clone() InfoMsg { return NewInfoMsg(m.Act, m.Amb) }
 
 // ServiceMsg marks InfoMsg as internal to the group-communication layer.
 func (InfoMsg) ServiceMsg() {}

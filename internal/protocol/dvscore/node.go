@@ -22,6 +22,8 @@ package dvscore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/types"
@@ -33,13 +35,7 @@ type Info struct {
 	Amb []types.View // sorted by id
 }
 
-func (i Info) clone() Info {
-	cp := make([]types.View, 0, len(i.Amb))
-	for _, v := range i.Amb {
-		cp = append(cp, v.Clone())
-	}
-	return Info{Act: i.Act.Clone(), Amb: cp}
-}
+func (i Info) clone() Info { return Info{Act: i.Act, Amb: slices.Clone(i.Amb)} }
 
 type procViewKey struct {
 	Q types.ProcID
@@ -82,7 +78,7 @@ type Node struct {
 func NewNode(p types.ProcID, initial types.View, inP0 bool) *Node {
 	n := &Node{
 		p:          p,
-		act:        initial.Clone(),
+		act:        initial,
 		amb:        make(map[types.ViewID]types.View),
 		attempted:  make(map[types.ViewID]types.View),
 		infoRcvd:   make(map[procViewKey]Info),
@@ -94,9 +90,9 @@ func NewNode(p types.ProcID, initial types.View, inP0 bool) *Node {
 		infoSent:   make(map[types.ViewID]Info),
 	}
 	if inP0 {
-		n.cur, n.curOK = initial.Clone(), true
-		n.clientCur, n.clientCurOK = initial.Clone(), true
-		n.attempted[initial.ID] = initial.Clone()
+		n.cur, n.curOK = initial, true
+		n.clientCur, n.clientCurOK = initial, true
+		n.attempted[initial.ID] = initial
 		n.reg[initial.ID] = true
 	}
 	return n
@@ -112,25 +108,13 @@ func (n *Node) Cur() (types.View, bool) { return n.cur, n.curOK }
 func (n *Node) ClientCur() (types.View, bool) { return n.clientCur, n.clientCurOK }
 
 // Act returns the active view act.
-func (n *Node) Act() types.View { return n.act.Clone() }
+func (n *Node) Act() types.View { return n.act }
 
 // Amb returns the ambiguous views, sorted by id.
 func (n *Node) Amb() []types.View { return sortedViews(n.amb) }
 
 // Attempted returns the history variable attempted_p, sorted by id.
 func (n *Node) Attempted() []types.View { return sortedViews(n.attempted) }
-
-// AttemptedShared returns attempted_p sorted by id without cloning
-// memberships; the views are read-only. The per-step abstraction function
-// uses it: its output is deep-copied by dvs.FromState anyway.
-func (n *Node) AttemptedShared() []types.View {
-	out := make([]types.View, 0, len(n.attempted))
-	for _, v := range n.attempted {
-		out = append(out, v)
-	}
-	types.SortViews(out)
-	return out
-}
 
 // inUse reports whether a view with the given id is in use = {act} ∪ amb.
 func (n *Node) inUse(id types.ViewID) bool {
@@ -166,7 +150,7 @@ func (n *Node) RegisteredIDs() []types.ViewID {
 func sortedViews(m map[types.ViewID]types.View) []types.View {
 	out := make([]types.View, 0, len(m))
 	for _, v := range m {
-		out = append(out, v.Clone())
+		out = append(out, v)
 	}
 	types.SortViews(out)
 	return out
@@ -187,8 +171,8 @@ func (n *Node) onVSNewView(v types.View) {
 	if n.curOK && !n.cur.ID.Less(v.ID) {
 		return
 	}
-	n.cur, n.curOK = v.Clone(), true
-	info := Info{Act: n.act.Clone(), Amb: sortedViews(n.amb)}
+	n.cur, n.curOK = v, true
+	info := Info{Act: n.act, Amb: sortedViews(n.amb)}
 	n.msgsToVS[v.ID] = append(n.msgsToVS[v.ID], NewInfoMsg(info.Act, info.Amb))
 	n.infoSent[v.ID] = info
 }
@@ -200,14 +184,14 @@ func (n *Node) onVSGpRcv(m types.Msg, q types.ProcID) {
 		if !n.curOK {
 			return // unreachable: VS only delivers within a current view
 		}
-		n.infoRcvd[procViewKey{q, n.cur.ID}] = Info{Act: msg.Act.Clone(), Amb: types.CloneSeq(msg.Amb)}
+		n.infoRcvd[procViewKey{q, n.cur.ID}] = Info{Act: msg.Act, Amb: types.CloneSeq(msg.Amb)}
 		if n.act.ID.Less(msg.Act.ID) {
-			n.act = msg.Act.Clone()
+			n.act = msg.Act
 		}
 		// amb := {w ∈ amb ∪ V | w.id > act.id}
 		for _, w := range msg.Amb {
 			if n.act.ID.Less(w.ID) {
-				n.amb[w.ID] = w.Clone()
+				n.amb[w.ID] = w
 			}
 		}
 		for id := range n.amb {
@@ -219,12 +203,7 @@ func (n *Node) onVSGpRcv(m types.Msg, q types.ProcID) {
 		if !n.curOK {
 			return
 		}
-		set, ok := n.rcvdRgst[n.cur.ID]
-		if !ok {
-			set = types.NewProcSet()
-			n.rcvdRgst[n.cur.ID] = set
-		}
-		set.Add(q)
+		n.rcvdRgst[n.cur.ID] = n.rcvdRgst[n.cur.ID].With(q)
 	default:
 		if !n.curOK {
 			return
@@ -296,7 +275,7 @@ func (n *Node) dvsNewViewEnabled() (types.View, bool) {
 	if n.clientCurOK && !n.clientCur.ID.Less(v.ID) {
 		return types.View{}, false
 	}
-	for q := range v.Members {
+	for q := v.Members.First(); q >= 0; q = v.Members.Next(q) {
 		if q == n.p {
 			continue
 		}
@@ -312,14 +291,14 @@ func (n *Node) dvsNewViewEnabled() (types.View, bool) {
 			return types.View{}, false
 		}
 	}
-	return v.Clone(), true
+	return v, true
 }
 
 // dvsNewView applies the effect of dvs-newview(v)_p.
 func (n *Node) dvsNewView(v types.View) {
-	n.amb[v.ID] = v.Clone()
-	n.attempted[v.ID] = v.Clone()
-	n.clientCur, n.clientCurOK = v.Clone(), true
+	n.amb[v.ID] = v
+	n.attempted[v.ID] = v
+	n.clientCur, n.clientCurOK = v, true
 }
 
 // dvsGpRcvHead returns the head of msgs-from-vs[client-cur.id], if any.
@@ -374,7 +353,7 @@ func (n *Node) gcCandidates() []types.View {
 		if !ok || !v.Members.Subset(set) {
 			return
 		}
-		cands = append(cands, v.Clone())
+		cands = append(cands, v)
 	}
 	for _, v := range sortedViews(n.amb) {
 		consider(v)
@@ -395,7 +374,7 @@ func (n *Node) gcCandidates() []types.View {
 func (n *Node) performGC(v types.View) error {
 	enabled := false
 	for _, c := range n.gcCandidates() {
-		if c.Equal(v) {
+		if c == v {
 			enabled = true
 			break
 		}
@@ -403,7 +382,7 @@ func (n *Node) performGC(v types.View) error {
 	if !enabled {
 		return fmt.Errorf("dvs-garbage-collect(%s)_%s: not enabled", v, n.p)
 	}
-	n.act = v.Clone()
+	n.act = v
 	for id := range n.amb {
 		if !n.act.ID.Less(id) {
 			delete(n.amb, id)
@@ -416,32 +395,23 @@ func (n *Node) performGC(v types.View) error {
 func (n *Node) Clone() *Node {
 	c := &Node{
 		p:           n.p,
-		cur:         n.cur.Clone(),
+		cur:         n.cur,
 		curOK:       n.curOK,
-		clientCur:   n.clientCur.Clone(),
+		clientCur:   n.clientCur,
 		clientCurOK: n.clientCurOK,
-		act:         n.act.Clone(),
-		amb:         make(map[types.ViewID]types.View, len(n.amb)),
-		attempted:   make(map[types.ViewID]types.View, len(n.attempted)),
+		act:         n.act,
+		amb:         maps.Clone(n.amb),
+		attempted:   maps.Clone(n.attempted),
 		infoRcvd:    make(map[procViewKey]Info, len(n.infoRcvd)),
-		rcvdRgst:    make(map[types.ViewID]types.ProcSet, len(n.rcvdRgst)),
+		rcvdRgst:    maps.Clone(n.rcvdRgst),
 		msgsToVS:    make(map[types.ViewID][]types.Msg, len(n.msgsToVS)),
 		msgsFromVS:  make(map[types.ViewID][]MsgFrom, len(n.msgsFromVS)),
 		safeFromVS:  make(map[types.ViewID][]MsgFrom, len(n.safeFromVS)),
-		reg:         make(map[types.ViewID]bool, len(n.reg)),
+		reg:         maps.Clone(n.reg),
 		infoSent:    make(map[types.ViewID]Info, len(n.infoSent)),
-	}
-	for id, v := range n.amb {
-		c.amb[id] = v.Clone()
-	}
-	for id, v := range n.attempted {
-		c.attempted[id] = v.Clone()
 	}
 	for k, i := range n.infoRcvd {
 		c.infoRcvd[k] = i.clone()
-	}
-	for g, s := range n.rcvdRgst {
-		c.rcvdRgst[g] = s.Clone()
 	}
 	for g, q := range n.msgsToVS {
 		c.msgsToVS[g] = types.CloneSeq(q)
@@ -451,9 +421,6 @@ func (n *Node) Clone() *Node {
 	}
 	for g, q := range n.safeFromVS {
 		c.safeFromVS[g] = types.CloneSeq(q)
-	}
-	for g, b := range n.reg {
-		c.reg[g] = b
 	}
 	for g, i := range n.infoSent {
 		c.infoSent[g] = i.clone()

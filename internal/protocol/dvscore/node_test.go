@@ -18,13 +18,13 @@ func newTestNode(t *testing.T) (*Node, types.View) {
 
 func TestNodeInitialState(t *testing.T) {
 	n, v0 := newTestNode(t)
-	if cur, ok := n.Cur(); !ok || !cur.Equal(v0) {
+	if cur, ok := n.Cur(); !ok || cur != v0 {
 		t.Error("cur must start at v0 for members of P0")
 	}
-	if cc, ok := n.ClientCur(); !ok || !cc.Equal(v0) {
+	if cc, ok := n.ClientCur(); !ok || cc != v0 {
 		t.Error("client-cur must start at v0")
 	}
-	if !n.Act().Equal(v0) {
+	if n.Act() != v0 {
 		t.Error("act must start at v0")
 	}
 	if !n.Reg(v0.ID) {
@@ -34,7 +34,7 @@ func TestNodeInitialState(t *testing.T) {
 	if _, ok := outsider.Cur(); ok {
 		t.Error("non-member must start at ⊥")
 	}
-	if !outsider.Act().Equal(v0) {
+	if outsider.Act() != v0 {
 		t.Error("act starts at v0 even for non-members")
 	}
 	if outsider.Reg(v0.ID) {
@@ -46,7 +46,7 @@ func TestOnVSNewViewSendsInfo(t *testing.T) {
 	n, _ := newTestNode(t)
 	v1 := v(1, 0, 1)
 	n.onVSNewView(v1)
-	if cur, _ := n.Cur(); !cur.Equal(v1) {
+	if cur, _ := n.Cur(); cur != v1 {
 		t.Error("cur not updated")
 	}
 	m, ok := n.vsGpSndHead()
@@ -74,13 +74,13 @@ func TestDVSNewViewRequiresAllInfos(t *testing.T) {
 	}
 	n.onVSGpRcv(NewInfoMsg(types.InitialView(types.NewProcSet(0, 1, 2)), nil), 1)
 	cand, ok := n.dvsNewViewEnabled()
-	if !ok || !cand.Equal(v1) {
+	if !ok || cand != v1 {
 		t.Fatal("should be enabled after all infos (majority of v0 holds: {0,1} ∩ {0,1,2} = 2 > 1.5)")
 	}
 	if err := performDVSNewView(n, 0, cand); err != nil {
 		t.Fatal(err)
 	}
-	if cc, _ := n.ClientCur(); !cc.Equal(v1) {
+	if cc, _ := n.ClientCur(); cc != v1 {
 		t.Error("client-cur not advanced")
 	}
 	if !n.HasAttempted(v1.ID) {
@@ -107,17 +107,17 @@ func TestInfoUpdatesActAndAmb(t *testing.T) {
 	// Peer reports act = v1 (higher than our v0) and an ambiguous view.
 	amb := v(3, 1, 2) // note: id 3 > act id 1
 	n.onVSGpRcv(NewInfoMsg(v1, []types.View{amb}), 1)
-	if !n.Act().Equal(v1) {
+	if n.Act() != v1 {
 		t.Errorf("act = %s, want %s", n.Act(), v1)
 	}
 	got := n.Amb()
-	if len(got) != 1 || !got[0].Equal(amb) {
+	if len(got) != 1 || got[0] != amb {
 		t.Errorf("amb = %v", got)
 	}
 	// A later info with act above the ambiguous view must filter it out.
 	v4 := v(4, 1, 2)
 	n.onVSGpRcv(NewInfoMsg(v4, nil), 2)
-	if !n.Act().Equal(v4) || len(n.Amb()) != 0 {
+	if n.Act() != v4 || len(n.Amb()) != 0 {
 		t.Errorf("act=%s amb=%v after higher act", n.Act(), n.Amb())
 	}
 }
@@ -152,13 +152,13 @@ func TestGarbageCollection(t *testing.T) {
 	n.onVSGpRcv(RegisteredMsg{}, 0)
 	n.onVSGpRcv(RegisteredMsg{}, 1)
 	cands := n.gcCandidates()
-	if len(cands) != 1 || !cands[0].Equal(v1) {
+	if len(cands) != 1 || cands[0] != v1 {
 		t.Fatalf("GC candidates = %v", cands)
 	}
 	if err := n.performGC(v1); err != nil {
 		t.Fatal(err)
 	}
-	if !n.Act().Equal(v1) {
+	if n.Act() != v1 {
 		t.Error("act not advanced by GC")
 	}
 	if len(n.Amb()) != 0 {

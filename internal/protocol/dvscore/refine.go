@@ -55,24 +55,18 @@ func (r *Refinement) Abstract(a ioa.Automaton) (ioa.Automaton, error) {
 	}
 
 	// t.created = ∪_p attempted_p; t.attempted[g] = attempting processes.
-	// Shared (read-only) views are fine throughout: FromState deep-copies.
 	createdIDs := make(map[types.ViewID]types.View)
 	for _, p := range im.procs {
-		for _, v := range im.nodes[p].AttemptedShared() {
+		for _, v := range im.nodes[p].Attempted() {
 			createdIDs[v.ID] = v
-			set, ok := st.Attempted[v.ID]
-			if !ok {
-				set = types.NewProcSet()
-				st.Attempted[v.ID] = set
-			}
-			set.Add(p)
+			st.Attempted[v.ID] = st.Attempted[v.ID].With(p)
 		}
 	}
 	for _, v := range createdIDs {
 		st.Created = append(st.Created, v)
 	}
 
-	vsCreated := im.vs.CreatedShared()
+	vsCreated := im.vs.Created()
 	for _, p := range im.procs {
 		n := im.nodes[p]
 		// t.current-viewid[p] = client-cur.id_p.
@@ -82,12 +76,7 @@ func (r *Refinement) Abstract(a ioa.Automaton) (ioa.Automaton, error) {
 		// t.registered[g] = {p | reg[g]_p}.
 		for _, v := range vsCreated {
 			if n.Reg(v.ID) {
-				set, ok := st.Registered[v.ID]
-				if !ok {
-					set = types.NewProcSet()
-					st.Registered[v.ID] = set
-				}
-				set.Add(p)
+				st.Registered[v.ID] = st.Registered[v.ID].With(p)
 			}
 		}
 	}

@@ -38,14 +38,14 @@ type StaticNode struct {
 func NewStaticNode(p types.ProcID, initial types.View, inP0 bool) *StaticNode {
 	n := &StaticNode{
 		p:          p,
-		p0:         initial.Members.Clone(),
+		p0:         initial.Members,
 		msgsToVS:   make(map[types.ViewID][]types.Msg),
 		msgsFromVS: make(map[types.ViewID][]MsgFrom),
 		safeFromVS: make(map[types.ViewID][]MsgFrom),
 	}
 	if inP0 {
-		n.cur, n.curOK = initial.Clone(), true
-		n.clientCur, n.clientCurOK = initial.Clone(), true
+		n.cur, n.curOK = initial, true
+		n.clientCur, n.clientCurOK = initial, true
 	}
 	return n
 }
@@ -55,7 +55,7 @@ func (n *StaticNode) P() types.ProcID { return n.p }
 
 // onVSNewView installs the view-synchronous view.
 func (n *StaticNode) onVSNewView(v types.View) {
-	n.cur, n.curOK = v.Clone(), true
+	n.cur, n.curOK = v, true
 }
 
 // onVSGpRcv buffers a client message received in the current view.
@@ -110,12 +110,12 @@ func (n *StaticNode) dvsNewViewEnabled() (types.View, bool) {
 	if !n.Quorum(v.Members) {
 		return types.View{}, false
 	}
-	return v.Clone(), true
+	return v, true
 }
 
 // dvsNewView announces the primary.
 func (n *StaticNode) dvsNewView(v types.View) {
-	n.clientCur, n.clientCurOK = v.Clone(), true
+	n.clientCur, n.clientCurOK = v, true
 }
 
 // dvsGpRcvHead returns the next client delivery.

@@ -69,13 +69,13 @@ func TestStaticAcceptsMajorityOfP0(t *testing.T) {
 	v1 := v(1, 0, 1)
 	n.onVSNewView(v1)
 	cand, ok := n.dvsNewViewEnabled()
-	if !ok || !cand.Equal(v1) {
+	if !ok || cand != v1 {
 		t.Fatal("majority of P0 must be a static primary")
 	}
 	if err := performDVSNewView(n, 0, v1); err != nil {
 		t.Fatal(err)
 	}
-	if cc, _ := n.ClientCur(); !cc.Equal(v1) {
+	if cc, _ := n.ClientCur(); cc != v1 {
 		t.Error("client view not advanced")
 	}
 }
@@ -326,10 +326,10 @@ func TestStaticFilterDrains(t *testing.T) {
 	if d := out.Effects[0]; d.Kind != FxDeliver || !d.M.EqualMsg(m) || d.From != 1 {
 		t.Errorf("first effect = %#v", out.Effects[0])
 	}
-	if p := out.Effects[1]; p.Kind != FxNewPrimary || !p.View.Equal(v(1, 0, 1)) {
+	if p := out.Effects[1]; p.Kind != FxNewPrimary || p.View != v(1, 0, 1) {
 		t.Errorf("second effect = %#v", out.Effects[1])
 	}
-	if cc, _ := n.ClientCur(); !cc.Equal(v(1, 0, 1)) {
+	if cc, _ := n.ClientCur(); cc != v(1, 0, 1) {
 		t.Errorf("client-cur = %s: the minority view must not become primary", cc)
 	}
 }

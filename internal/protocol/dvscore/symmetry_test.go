@@ -1,6 +1,7 @@
 package dvscore
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -162,4 +163,26 @@ func TestSymmetryWithRefinement(t *testing.T) {
 		t.Errorf("suspiciously small reduced space: %d states", res.States)
 	}
 	t.Logf("symmetry+refinement: %d states, %d edges", res.States, res.Edges)
+}
+
+// TestPermuteResortsAmb: two ambiguous views of one sequence number are
+// ordered by origin, so the transposition of their origins reverses them in
+// the structural image; FixImage must sort Amb again, in an Info and in an
+// InfoMsg alike. No explored state holds such a pair, so only this test
+// reaches the re-sort.
+func TestPermuteResortsAmb(t *testing.T) {
+	act := types.NewView(types.ViewID{}, 0, 1, 2)
+	amb := []types.View{types.NewView(types.ViewID{Seq: 1, Origin: 0}, 0, 1), types.NewView(types.ViewID{Seq: 1, Origin: 1}, 1, 2)}
+	pi := types.Perm{0: 1, 1: 0}
+	want := []types.View{types.NewView(types.ViewID{Seq: 1, Origin: 0}, 0, 2), types.NewView(types.ViewID{Seq: 1, Origin: 1}, 0, 1)}
+	info := ioa.Permute(Info{Act: act, Amb: amb}, pi)
+	msg := ioa.Permute(NewInfoMsg(act, amb), pi)
+	for name, got := range map[string][]types.View{"Info": info.Amb, "InfoMsg": msg.Amb} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: image Amb %v, want %v", name, got, want)
+		}
+	}
+	if info.Act != act || msg.Act != act {
+		t.Errorf("the image of act %s: %s, %s", act, info.Act, msg.Act)
+	}
 }

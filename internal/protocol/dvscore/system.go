@@ -49,9 +49,9 @@ type System struct {
 	Created []types.View // shared, sorted by id; nil ⇒ derive from node states
 }
 
-// createdShared returns the view universe the derived variables Att and
-// TotReg range over: Created when supplied, else ∪_p attempted_p.
-func (s System) createdShared() []types.View {
+// created returns the view universe the derived variables Att and TotReg
+// range over: Created when supplied, else ∪_p attempted_p.
+func (s System) created() []types.View {
 	if s.Created != nil {
 		return s.Created
 	}
@@ -69,12 +69,12 @@ func (s System) createdShared() []types.View {
 	return out
 }
 
-// AttShared returns {v ∈ created | ∃p ∈ v.set: v ∈ attempted_p}, sorted by
-// id, sharing memberships (read-only).
-func (s System) AttShared() []types.View {
+// att returns Att = {v ∈ created | ∃p ∈ v.set: v ∈ attempted_p}, sorted by
+// id.
+func (s System) att() []types.View {
 	var out []types.View
-	for _, v := range s.createdShared() {
-		for p := range v.Members {
+	for _, v := range s.created() {
+		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
 			if _, ok := s.Nodes[p].attempted[v.ID]; ok {
 				out = append(out, v)
 				break
@@ -84,13 +84,13 @@ func (s System) AttShared() []types.View {
 	return out
 }
 
-// TotRegShared returns {v ∈ created | ∀p ∈ v.set: reg[v.id]_p}, sorted by
-// id, sharing memberships (read-only).
-func (s System) TotRegShared() []types.View {
+// totReg returns TotReg = {v ∈ created | ∀p ∈ v.set: reg[v.id]_p}, sorted
+// by id.
+func (s System) totReg() []types.View {
 	var out []types.View
-	for _, v := range s.createdShared() {
+	for _, v := range s.created() {
 		all := true
-		for p := range v.Members {
+		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
 			if !s.Nodes[p].reg[v.ID] {
 				all = false
 				break
@@ -103,9 +103,9 @@ func (s System) TotRegShared() []types.View {
 	return out
 }
 
-// TotRegIDs returns the ids of the totally registered views, sorted.
-func (s System) TotRegIDs() []types.ViewID {
-	tot := s.TotRegShared()
+// totRegIDs returns the ids of the totally registered views, sorted.
+func (s System) totRegIDs() []types.ViewID {
+	tot := s.totReg()
 	out := make([]types.ViewID, len(tot))
 	for i, v := range tot {
 		out[i] = v.ID
@@ -113,16 +113,25 @@ func (s System) TotRegIDs() []types.ViewID {
 	return out
 }
 
+// createdIDs returns the ids of Created, or nil if it is not supplied.
+func (s System) createdIDs() []types.ViewID {
+	if s.Created == nil {
+		return nil
+	}
+	out := make([]types.ViewID, len(s.Created))
+	for i, v := range s.Created {
+		out[i] = v.ID
+	}
+	return out
+}
+
 // infoViewIDs returns the ids the per-view quantifications of 5.2(4,5,6) and
-// 5.3 range over at node n: the Created ids when supplied, else the keys of
-// n's own info-sent and info-rcvd maps, sorted.
-func (s System) infoViewIDs(n *Node) []types.ViewID {
+// 5.3 range over at node n: created, the createdIDs of a System that
+// supplies Created, else the keys of n's own info-sent and info-rcvd maps,
+// sorted.
+func (s System) infoViewIDs(n *Node, created []types.ViewID) []types.ViewID {
 	if s.Created != nil {
-		out := make([]types.ViewID, len(s.Created))
-		for i, v := range s.Created {
-			out[i] = v.ID
-		}
-		return out
+		return created
 	}
 	seen := make(map[types.ViewID]struct{}, len(n.infoSent))
 	for g := range n.infoSent {
@@ -156,7 +165,7 @@ func hasIDBetween(ids []types.ViewID, lo, hi types.ViewID) bool {
 func (s System) CheckInvariant51() error {
 	for _, p := range s.Procs {
 		for _, v := range s.Nodes[p].attempted {
-			for q := range v.Members {
+			for q := v.Members.First(); q >= 0; q = v.Members.Next(q) {
 				nq := s.Nodes[q]
 				if !nq.curOK || nq.cur.ID.Less(v.ID) {
 					return fmt.Errorf("p=%s attempted %s but cur_%s < v.id", p, v, q)
@@ -170,7 +179,7 @@ func (s System) CheckInvariant51() error {
 // CheckInvariant52 checks parts 1, 2, 4, 5, 6 of Invariant 5.2 as printed,
 // and part 3 in the amended form w ∈ use_p ⇒ w.id ≤ cur.id_p.
 func (s System) CheckInvariant52() error {
-	totIDs := s.TotRegIDs()
+	totIDs, created := s.totRegIDs(), s.createdIDs()
 	totReg := make(map[types.ViewID]struct{}, len(totIDs))
 	for _, id := range totIDs {
 		totReg[id] = struct{}{}
@@ -211,7 +220,7 @@ func (s System) CheckInvariant52() error {
 			}
 		}
 		// (4,5,6) info-sent constraints.
-		for _, g := range s.infoViewIDs(n) {
+		for _, g := range s.infoViewIDs(n, created) {
 			info, ok := n.infoSent[g]
 			if !ok {
 				continue
@@ -266,10 +275,11 @@ func (s System) CheckInvariant52Part3Literal() error {
 //	(2) if info-rcvd[q, g]_p = ⟨x, X⟩ and w ∈ {x} ∪ X, then w ∈ use_p or
 //	    w.id < act.id_p.
 func (s System) CheckInvariant53() error {
+	created := s.createdIDs()
 	for _, p := range s.Procs {
 		n := s.Nodes[p]
 		actID := n.act.ID
-		for _, g := range s.infoViewIDs(n) {
+		for _, g := range s.infoViewIDs(n, created) {
 			if info, ok := n.infoSent[g]; ok {
 				for _, w := range n.attempted {
 					if !w.ID.Less(g) {
@@ -305,10 +315,10 @@ func (s System) CheckInvariant53() error {
 // w ∈ attempted_q, w.id < v.id, and no x ∈ TotReg has w.id < x.id < v.id,
 // then |v.set ∩ w.set| > |w.set|/2.
 func (s System) CheckInvariant54() error {
-	totIDs := s.TotRegIDs()
+	totIDs := s.totRegIDs()
 	for _, p := range s.Procs {
 		for _, v := range s.Nodes[p].attempted {
-			for q := range v.Members {
+			for q := v.Members.First(); q >= 0; q = v.Members.Next(q) {
 				for _, w := range s.Nodes[q].attempted {
 					if !w.ID.Less(v.ID) {
 						continue
@@ -330,8 +340,8 @@ func (s System) CheckInvariant54() error {
 // v.id, and no x ∈ TotReg has w.id < x.id < v.id, then |v.set ∩ w.set| >
 // |w.set|/2.
 func (s System) CheckInvariant55() error {
-	att := s.AttShared()
-	totReg := s.TotRegShared()
+	att := s.att()
+	totReg := s.totReg()
 	for _, v := range att {
 		// totReg is sorted by id, so in descending order the first w below v
 		// is itself totally registered: every earlier w' has w strictly
@@ -354,8 +364,8 @@ func (s System) CheckInvariant55() error {
 // refinement proof): if v, w ∈ Att, w.id < v.id, and no x ∈ TotReg has
 // w.id < x.id < v.id, then v.set ∩ w.set ≠ {}.
 func (s System) CheckInvariant56() error {
-	att := s.AttShared()
-	totIDs := s.TotRegIDs()
+	att := s.att()
+	totIDs := s.totRegIDs()
 	for i := 1; i < len(att); i++ {
 		v := att[i]
 		// att is sorted by id; scanning w downward, once a totally

@@ -24,7 +24,7 @@ func TestExportedSurface(t *testing.T) {
 		want []string
 	}{
 		{reflect.TypeOf((*dvscore.Node)(nil)), []string{
-			"Act", "Amb", "Attempted", "AttemptedShared", "ClientCur", "Clone",
+			"Act", "Amb", "Attempted", "ClientCur", "Clone",
 			"Cur", "HasAttempted", "P", "Reg", "RegisteredIDs",
 		}},
 		{reflect.TypeOf((*dvscore.StaticNode)(nil)), []string{"Amb", "ClientCur", "P", "Quorum"}},

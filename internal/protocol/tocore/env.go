@@ -51,7 +51,7 @@ func (e *Env) Inputs(a ioa.Automaton) []ioa.Action {
 	if e.MaxViews == 0 || e.proposed < e.MaxViews {
 		members := types.RandomSubset(e.rng, e.procs)
 		maxID := im.DVS().MaxCreatedID()
-		v := types.View{ID: maxID.Next(members.Sorted()[0]), Members: members}
+		v := types.View{ID: maxID.Next(members.First()), Members: members}
 		if im.DVS().CreateViewCandidateOK(v) {
 			e.proposed++
 			acts = append(acts, ioa.Action{Name: dvs.ActCreateView, Kind: ioa.KindInternal, Param: dvs.CreateViewParam{View: v}})
@@ -90,7 +90,7 @@ func (e *BoundedEnv) Inputs(a ioa.Automaton) []ioa.Action {
 	if im.DVS().CreatedCount() < e.MaxViews {
 		maxID := im.DVS().MaxCreatedID()
 		for _, members := range e.Views {
-			v := types.View{ID: maxID.Next(members.Sorted()[0]), Members: members.Clone()}
+			v := types.View{ID: maxID.Next(members.First()), Members: members}
 			if im.DVS().CreateViewCandidateOK(v) {
 				acts = append(acts, ioa.Action{Name: dvs.ActCreateView, Kind: ioa.KindInternal,
 					Param: dvs.CreateViewParam{View: v}})

@@ -203,7 +203,7 @@ func drainByName(n *Node, register bool, out *Outbox) {
 		}
 		if register && n.registerEnabled() && n.performRegister() == nil {
 			cur, _ := n.Current()
-			out.add(Effect{Kind: FxRegister, View: cur.Clone()})
+			out.add(Effect{Kind: FxRegister, View: cur})
 			progress = true
 		}
 	}

@@ -80,8 +80,8 @@ var _ ioa.Automaton = (*Impl)(nil)
 // NewImpl constructs TO-IMPL in its initial state.
 func NewImpl(universe types.ProcSet, initial types.View, cfg Config) *Impl {
 	im := &Impl{
-		universe: universe.Clone(),
-		initial:  initial.Clone(),
+		universe: universe,
+		initial:  initial,
 		procs:    universe.Sorted(),
 		cfg:      cfg,
 		nodes:    make(map[types.ProcID]*Node, universe.Len()),
@@ -298,8 +298,8 @@ func badActParam(act ioa.Action) error {
 // Clone implements ioa.Automaton.
 func (im *Impl) Clone() ioa.Automaton {
 	c := &Impl{
-		universe: im.universe.Clone(),
-		initial:  im.initial.Clone(),
+		universe: im.universe,
+		initial:  im.initial,
 		procs:    types.CloneSeq(im.procs),
 		cfg:      im.cfg,
 		dvs:      im.dvs.Clone().(*dvs.DVS),

@@ -34,7 +34,7 @@ func (im *Impl) AllState() []types.Summary {
 // queue — without defensive copies; the summaries are read-only.
 func (im *Impl) transitSummariesShared() []types.Summary {
 	var out []types.Summary
-	for _, v := range im.dvs.CreatedShared() {
+	for _, v := range im.dvs.Created() {
 		g := v.ID
 		for _, e := range im.dvs.QueueShared(g) {
 			if sm, ok := e.M.(SummaryMsg); ok {
@@ -52,12 +52,12 @@ func (im *Impl) transitSummariesShared() []types.Summary {
 	return out
 }
 
-// system returns the invariant-checking cut of the composition. The nodes,
-// views, and summaries are shared, not cloned: the checks are read-only.
+// system returns the invariant-checking cut of the composition. The nodes
+// and summaries are shared, not cloned: the checks are read-only.
 func (im *Impl) system() System {
 	sys := im.nodesOnly()
-	sys.Created = im.dvs.CreatedShared()
-	sys.Attempted = im.dvs.AttemptedShared
+	sys.Created = im.dvs.Created()
+	sys.Attempted = im.dvs.Attempted
 	sys.Extra = im.transitSummariesShared()
 	return sys
 }

@@ -157,13 +157,12 @@ func NewNode(p types.ProcID, initial types.View, inP0, literal bool) *Node {
 		nextConfirm: 1,
 		nextReport:  1,
 		gotstate:    make(types.GotState),
-		safeExch:    types.NewProcSet(),
 		registered:  make(map[types.ViewID]bool),
 		established: make(map[types.ViewID]bool),
 		buildOrder:  make(map[types.ViewID]types.Suffix),
 	}
 	if inP0 {
-		n.current, n.currentOK = initial.Clone(), true
+		n.current, n.currentOK = initial, true
 		n.registered[types.ViewIDZero] = true
 	}
 	return n
@@ -228,14 +227,14 @@ func (n *Node) onBCast(a string) { n.delay = append(n.delay, a) }
 
 // onUniverse records the process universe, which turns truncation on.
 func (n *Node) onUniverse(u types.ProcSet) {
-	n.universe = u.Clone()
-	n.whole = n.currentOK && n.current.Members.Equal(u)
+	n.universe = u
+	n.whole = n.currentOK && n.current.Members == u
 }
 
 // onDVSNewView handles input dvs-newview(v)_p.
 func (n *Node) onDVSNewView(v types.View) {
-	n.current, n.currentOK = v.Clone(), true
-	n.whole = n.universe != nil && v.Members.Equal(n.universe)
+	n.current, n.currentOK = v, true
+	n.whole = v.Members == n.universe // an unrecorded universe is empty; a view is not
 	n.nextSeqno = 1
 	n.buffer = nil
 	n.gotstate = make(types.GotState)
@@ -278,7 +277,7 @@ func gotAll(gs types.GotState, members types.ProcSet) bool {
 	if len(gs) != members.Len() {
 		return false
 	}
-	for q := range members {
+	for q := members.First(); q >= 0; q = members.Next(q) {
 		if _, ok := gs[q]; !ok {
 			return false
 		}
@@ -321,11 +320,11 @@ func (n *Node) onDVSSafe(m types.Msg, q types.ProcID) error {
 		n.hist.markSafe(msg.L)
 		return nil
 	case SummaryMsg:
-		n.safeExch.Add(q)
+		n.safeExch = n.safeExch.With(q)
 		if n.literal {
 			// Figure 5 exactly: mark as soon as safe-exch covers the view,
 			// regardless of whether the exchange has completed locally.
-			if n.currentOK && n.safeExch.Equal(n.current.Members) {
+			if n.currentOK && n.safeExch == n.current.Members {
 				for _, l := range n.gotstate.FullOrder().Ord {
 					n.hist.markSafe(l)
 				}
@@ -353,7 +352,7 @@ func (n *Node) maybeMarkExchangeSafe() bool {
 	if !n.currentOK || n.status != StatusNormal || !n.established[n.current.ID] {
 		return false
 	}
-	if !n.safeExch.Equal(n.current.Members) {
+	if n.safeExch != n.current.Members {
 		return false
 	}
 	for _, l := range n.gotstate.FullOrder().Ord {
@@ -548,7 +547,7 @@ func (n *Node) Clone() *Node {
 	c := &Node{
 		p:           n.p,
 		literal:     n.literal,
-		current:     n.current.Clone(),
+		current:     n.current,
 		currentOK:   n.currentOK,
 		status:      n.status,
 		hist:        n.hist.Clone(),
@@ -557,7 +556,7 @@ func (n *Node) Clone() *Node {
 		order:       types.CloneSeq(n.order),
 		nextConfirm: n.nextConfirm,
 		nextReport:  n.nextReport,
-		universe:    maps.Clone(n.universe),
+		universe:    n.universe,
 		whole:       n.whole,
 		stable:      n.stable,
 		base:        n.base,
@@ -565,18 +564,12 @@ func (n *Node) Clone() *Node {
 		mismatch:    n.mismatch,
 		highPrimary: n.highPrimary,
 		gotstate:    n.gotstate.Clone(),
-		safeExch:    n.safeExch.Clone(),
-		registered:  make(map[types.ViewID]bool, len(n.registered)),
+		safeExch:    n.safeExch,
+		registered:  maps.Clone(n.registered),
 		delay:       types.CloneSeq(n.delay),
-		established: make(map[types.ViewID]bool, len(n.established)),
+		established: maps.Clone(n.established),
 		buildOrder:  make(map[types.ViewID]types.Suffix, len(n.buildOrder)),
 		boEnd:       n.boEnd,
-	}
-	for g, b := range n.registered {
-		c.registered[g] = b
-	}
-	for g, b := range n.established {
-		c.established[g] = b
 	}
 	for g, bo := range n.buildOrder {
 		bo.Ord = types.CloneSeq(bo.Ord)

@@ -18,7 +18,7 @@ func newTONode(t *testing.T) (*Node, types.View) {
 
 func TestTONodeInitial(t *testing.T) {
 	n, v0 := newTONode(t)
-	if cur, ok := n.Current(); !ok || !cur.Equal(v0) {
+	if cur, ok := n.Current(); !ok || cur != v0 {
 		t.Error("current must start at v0")
 	}
 	if n.Status() != StatusNormal {

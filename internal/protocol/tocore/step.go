@@ -156,7 +156,7 @@ func drain(n *Node, register bool, out *Outbox) {
 		}
 		if register && n.registerEnabled() {
 			n.register()
-			out.add(Effect{Kind: FxRegister, View: n.current.Clone()})
+			out.add(Effect{Kind: FxRegister, View: n.current})
 			progress = true
 		}
 		if !progress {

@@ -133,7 +133,7 @@ func (s System) CheckInvariant62() error {
 			continue
 		}
 		ok := false
-		for p := range v.Members {
+		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
 			if cur, has := s.Nodes[p].Current(); has && v.ID.Less(cur.ID) {
 				ok = true
 				break
@@ -164,7 +164,7 @@ func (s System) CheckInvariant63() error {
 	for _, v := range s.Created {
 		var bos []types.Suffix
 		vacuous := false
-		for p := range v.Members {
+		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
 			cur, has := s.Nodes[p].Current()
 			if !has || !v.ID.Less(cur.ID) {
 				continue

@@ -35,7 +35,7 @@ func (e awayEnv) Inputs(a ioa.Automaton) []ioa.Action {
 	switch created := im.DVS().CreatedCount(); {
 	case created == 1 && sent < e.early:
 		return bcast
-	case created == 1 && onlySafes(im, nil):
+	case created == 1 && onlySafes(im, types.NewProcSet()):
 		return createView(im, e.small)
 	case created == 2 && sent < 2:
 		if im.nodes[0].established[im.DVS().MaxCreatedID()] {
@@ -59,7 +59,7 @@ func onlySafes(im *Impl, done types.ProcSet) bool {
 }
 
 func createView(im *Impl, members types.ProcSet) []ioa.Action {
-	v := types.View{ID: im.DVS().MaxCreatedID().Next(members.Sorted()[0]), Members: members.Clone()}
+	v := types.View{ID: im.DVS().MaxCreatedID().Next(members.First()), Members: members}
 	if !im.DVS().CreateViewCandidateOK(v) {
 		return nil
 	}

@@ -146,7 +146,7 @@ func available(cl *dvs.Cluster, active []int, primaries map[dvs.ViewID]struct{})
 			continue
 		}
 		inActive := true
-		for m := range v.Members {
+		for m := v.Members.First(); m >= 0; m = v.Members.Next(m) {
 			if !activeSet[int(m)] {
 				inActive = false
 				break

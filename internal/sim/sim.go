@@ -78,7 +78,7 @@ func CheckDeliverySequences(seqs [][]dvs.Delivery) error {
 func CheckPrimaryChain(views []dvs.View) error {
 	byID := make(map[dvs.ViewID]dvs.View)
 	for _, v := range views {
-		if w, ok := byID[v.ID]; ok && !w.Members.Equal(v.Members) {
+		if w, ok := byID[v.ID]; ok && w.Members != v.Members {
 			return fmt.Errorf("two primaries share id %s: %s vs %s", v.ID, w.Members, v.Members)
 		}
 		byID[v.ID] = v

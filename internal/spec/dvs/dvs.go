@@ -26,6 +26,7 @@ package dvs
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -173,19 +174,19 @@ func newDVS(universe types.ProcSet, initial types.View, literal, drained bool) *
 	a := &DVS{
 		literal:    literal,
 		drained:    drained,
-		universe:   universe.Clone(),
-		initial:    initial.Clone(),
-		created:    map[types.ViewID]types.View{initial.ID: initial.Clone()},
+		universe:   universe,
+		initial:    initial,
+		created:    map[types.ViewID]types.View{initial.ID: initial},
 		current:    make(map[types.ProcID]types.ViewID),
 		queues:     make(map[types.ViewID][]Entry),
-		attempted:  map[types.ViewID]types.ProcSet{initial.ID: initial.Members.Clone()},
-		registered: map[types.ViewID]types.ProcSet{initial.ID: initial.Members.Clone()},
+		attempted:  map[types.ViewID]types.ProcSet{initial.ID: initial.Members},
+		registered: map[types.ViewID]types.ProcSet{initial.ID: initial.Members},
 		pending:    make(map[procView][]types.Msg),
 		next:       make(map[procView]int),
 		nextSafe:   make(map[procView]int),
 		rcvd:       make(map[procView]int),
 	}
-	for p := range initial.Members {
+	for p := initial.Members.First(); p >= 0; p = initial.Members.Next(p) {
 		a.current[p] = initial.ID
 	}
 	return a
@@ -231,23 +232,10 @@ func (a *DVS) Rcvd(p types.ProcID, g types.ViewID) int {
 func (a *DVS) Universe() types.ProcSet { return a.universe }
 
 // InitialView returns v0.
-func (a *DVS) InitialView() types.View { return a.initial.Clone() }
+func (a *DVS) InitialView() types.View { return a.initial }
 
 // Created returns the created views sorted by id.
 func (a *DVS) Created() []types.View {
-	out := make([]types.View, 0, len(a.created))
-	for _, v := range a.created {
-		out = append(out, v.Clone())
-	}
-	types.SortViews(out)
-	return out
-}
-
-// CreatedShared returns the created views sorted by id without cloning
-// memberships. The caller must treat the views as read-only; it exists for
-// per-state hot paths (environments, invariants) where Created's defensive
-// copies dominate the allocation profile.
-func (a *DVS) CreatedShared() []types.View {
 	out := make([]types.View, 0, len(a.created))
 	for _, v := range a.created {
 		out = append(out, v)
@@ -263,24 +251,10 @@ func (a *DVS) CurrentViewID(p types.ProcID) (types.ViewID, bool) {
 }
 
 // Attempted returns attempted[g].
-func (a *DVS) Attempted(g types.ViewID) types.ProcSet {
-	if s, ok := a.attempted[g]; ok {
-		return s.Clone()
-	}
-	return types.NewProcSet()
-}
-
-// AttemptedShared returns attempted[g] without copying (nil if empty);
-// read-only.
-func (a *DVS) AttemptedShared(g types.ViewID) types.ProcSet { return a.attempted[g] }
+func (a *DVS) Attempted(g types.ViewID) types.ProcSet { return a.attempted[g] }
 
 // Registered returns registered[g].
-func (a *DVS) Registered(g types.ViewID) types.ProcSet {
-	if s, ok := a.registered[g]; ok {
-		return s.Clone()
-	}
-	return types.NewProcSet()
-}
+func (a *DVS) Registered(g types.ViewID) types.ProcSet { return a.registered[g] }
 
 // TotReg returns the derived variable TotReg: created views all of whose
 // members have registered, sorted by id.
@@ -288,7 +262,7 @@ func (a *DVS) TotReg() []types.View {
 	var out []types.View
 	for id, v := range a.created {
 		if reg, ok := a.registered[id]; ok && v.Members.Subset(reg) {
-			out = append(out, v.Clone())
+			out = append(out, v)
 		}
 	}
 	types.SortViews(out)
@@ -301,7 +275,7 @@ func (a *DVS) TotAtt() []types.View {
 	var out []types.View
 	for id, v := range a.created {
 		if att, ok := a.attempted[id]; ok && v.Members.Subset(att) {
-			out = append(out, v.Clone())
+			out = append(out, v)
 		}
 	}
 	types.SortViews(out)
@@ -339,11 +313,11 @@ var totRegPool = sync.Pool{New: func() any { return new(totRegSnap) }}
 func putTotReg(s *totRegSnap) { totRegPool.Put(s) }
 
 // sortedTotReg returns the created view ids in increasing order together
-// with a parallel flag marking the totally registered ones. Memberships are
-// not cloned — the snapshot is read-only. It backs the early-breaking
-// "totally registered view strictly between" scans below, which replace
-// per-pair rescans of the created map (O(V³·n) worst case on the invariant
-// check, the dominant cost of spec-state exploration).
+// with a parallel flag marking the totally registered ones; the snapshot is
+// read-only. It backs the early-breaking "totally registered view strictly
+// between" scans below, which replace per-pair rescans of the created map
+// (O(V³·n) worst case on the invariant check, the dominant cost of
+// spec-state exploration).
 func (a *DVS) sortedTotReg() *totRegSnap {
 	s := totRegPool.Get().(*totRegSnap)
 	s.ids = s.ids[:0]
@@ -408,11 +382,8 @@ func (a *DVS) CreateViewCandidateOK(v types.View) bool {
 func (a *DVS) Enabled() []ioa.Action {
 	var acts []ioa.Action
 	for _, v := range a.created {
-		for p := range v.Members {
+		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
 			if cur, ok := a.current[p]; (!ok || cur.Less(v.ID)) && a.drainOK(p) {
-				// The param aliases the created view: Perform only reads it
-				// (membership equality + id), and nothing mutates action
-				// params, so the defensive copy is pure allocation cost.
 				acts = append(acts, ioa.Action{Name: ActNewView, Kind: ioa.KindOutput, Param: NewViewParam{View: v, P: p}})
 			}
 		}
@@ -437,7 +408,7 @@ func (a *DVS) Enabled() []ioa.Action {
 		// dvs-rcv: service-level receipt at each member of each created view.
 		for g, v := range a.created {
 			queue := a.queues[g]
-			for q := range v.Members {
+			for q := v.Members.First(); q >= 0; q = v.Members.Next(q) {
 				if cur, ok := a.current[q]; ok && g.Less(cur) {
 					continue // q's client moved past g: its endpoint no longer receives in g
 				}
@@ -459,7 +430,7 @@ func (a *DVS) safeEnabled(q types.ProcID, g types.ViewID, ns int) bool {
 	}
 	if a.literal {
 		// Figure 2 as printed: every member has client-delivered past ns.
-		for r := range v.Members {
+		for r := v.Members.First(); r >= 0; r = v.Members.Next(r) {
 			if a.Next(r, g) <= ns {
 				return false
 			}
@@ -471,7 +442,7 @@ func (a *DVS) safeEnabled(q types.ProcID, g types.ViewID, ns int) bool {
 	if a.Rcvd(q, g) <= ns {
 		return false
 	}
-	for r := range v.Members {
+	for r := v.Members.First(); r >= 0; r = v.Members.Next(r) {
 		if a.Rcvd(r, g) <= ns {
 			return false
 		}
@@ -528,7 +499,7 @@ func (a *DVS) Perform(act ioa.Action) error {
 		if !a.CreateViewCandidateOK(p.View) {
 			return fmt.Errorf("dvs-createview(%s): intersection precondition fails", p.View)
 		}
-		a.created[p.View.ID] = p.View.Clone()
+		a.created[p.View.ID] = p.View
 		return nil
 
 	case ActNewView:
@@ -537,7 +508,7 @@ func (a *DVS) Perform(act ioa.Action) error {
 			return badParam(act)
 		}
 		v, created := a.created[p.View.ID]
-		if !created || !v.Equal(p.View) {
+		if !created || v != p.View {
 			return fmt.Errorf("dvs-newview(%s): view not created", p.View)
 		}
 		if !v.Contains(p.P) {
@@ -550,10 +521,7 @@ func (a *DVS) Perform(act ioa.Action) error {
 			return fmt.Errorf("dvs-newview(%s)_%s: client has undelivered messages in current view", p.View, p.P)
 		}
 		a.current[p.P] = v.ID
-		if _, ok := a.attempted[v.ID]; !ok {
-			a.attempted[v.ID] = types.NewProcSet()
-		}
-		a.attempted[v.ID].Add(p.P)
+		a.attempted[v.ID] = a.attempted[v.ID].With(p.P)
 		return nil
 
 	case ActRegister:
@@ -562,10 +530,7 @@ func (a *DVS) Perform(act ioa.Action) error {
 			return badParam(act)
 		}
 		if g, ok := a.current[p.P]; ok {
-			if _, ok := a.registered[g]; !ok {
-				a.registered[g] = types.NewProcSet()
-			}
-			a.registered[g].Add(p.P)
+			a.registered[g] = a.registered[g].With(p.P)
 		}
 		return nil
 
@@ -682,44 +647,23 @@ func (a *DVS) Clone() ioa.Automaton {
 		drained: a.drained,
 		syms:    a.syms, // immutable; shared across clones
 
-		universe:   a.universe.Clone(),
-		initial:    a.initial.Clone(),
-		created:    make(map[types.ViewID]types.View, len(a.created)),
-		current:    make(map[types.ProcID]types.ViewID, len(a.current)),
+		universe:   a.universe,
+		initial:    a.initial,
+		created:    maps.Clone(a.created),
+		current:    maps.Clone(a.current),
 		queues:     make(map[types.ViewID][]Entry, len(a.queues)),
-		attempted:  make(map[types.ViewID]types.ProcSet, len(a.attempted)),
-		registered: make(map[types.ViewID]types.ProcSet, len(a.registered)),
+		attempted:  maps.Clone(a.attempted),
+		registered: maps.Clone(a.registered),
 		pending:    make(map[procView][]types.Msg, len(a.pending)),
-		next:       make(map[procView]int, len(a.next)),
-		nextSafe:   make(map[procView]int, len(a.nextSafe)),
-		rcvd:       make(map[procView]int, len(a.rcvd)),
-	}
-	for id, v := range a.created {
-		b.created[id] = v.Clone()
-	}
-	for p, g := range a.current {
-		b.current[p] = g
+		next:       maps.Clone(a.next),
+		nextSafe:   maps.Clone(a.nextSafe),
+		rcvd:       maps.Clone(a.rcvd),
 	}
 	for g, q := range a.queues {
 		b.queues[g] = types.CloneSeq(q)
 	}
-	for g, s := range a.attempted {
-		b.attempted[g] = s.Clone()
-	}
-	for g, s := range a.registered {
-		b.registered[g] = s.Clone()
-	}
 	for k, msgs := range a.pending {
 		b.pending[k] = types.CloneSeq(msgs)
-	}
-	for k, n := range a.next {
-		b.next[k] = n
-	}
-	for k, n := range a.nextSafe {
-		b.nextSafe[k] = n
-	}
-	for k, n := range a.rcvd {
-		b.rcvd[k] = n
 	}
 	return b
 }

@@ -29,14 +29,14 @@ func mustPerform(t *testing.T, a ioa.Automaton, actions ...ioa.Action) {
 
 func TestInitialDerived(t *testing.T) {
 	a, _, v0 := setup()
-	if got := a.Attempted(v0.ID); !got.Equal(v0.Members) {
+	if got := a.Attempted(v0.ID); got != v0.Members {
 		t.Errorf("attempted[g0] = %s", got)
 	}
-	if got := a.Registered(v0.ID); !got.Equal(v0.Members) {
+	if got := a.Registered(v0.ID); got != v0.Members {
 		t.Errorf("registered[g0] = %s", got)
 	}
 	tr := a.TotReg()
-	if len(tr) != 1 || !tr[0].Equal(v0) {
+	if len(tr) != 1 || tr[0] != v0 {
 		t.Errorf("TotReg = %v", tr)
 	}
 }

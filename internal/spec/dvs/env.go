@@ -59,7 +59,7 @@ func (e *Env) Inputs(a ioa.Automaton) []ioa.Action {
 		// state, and hence the draw, identical).
 		for try := 0; try < candidateTries; try++ {
 			members := types.RandomSubset(rng, e.procs)
-			v := types.View{ID: maxID.Next(members.Sorted()[0]), Members: members}
+			v := types.View{ID: maxID.Next(members.First()), Members: members}
 			if d.CreateViewCandidateOK(v) {
 				acts = append(acts, ioa.Action{Name: ActCreateView, Kind: ioa.KindInternal, Param: CreateViewParam{View: v}})
 				break

@@ -61,7 +61,7 @@ func CheckInvariant42(a *DVS) error {
 			continue
 		}
 		ok := false
-		for p := range v.Members {
+		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
 			if cur, has := a.current[p]; has && id.Less(cur) {
 				ok = true
 				break
@@ -172,8 +172,8 @@ func FromState(st State) *DVS {
 	a := &DVS{
 		literal:    st.Literal,
 		drained:    st.Drained,
-		universe:   st.Universe.Clone(),
-		initial:    st.Initial.Clone(),
+		universe:   st.Universe,
+		initial:    st.Initial,
 		created:    make(map[types.ViewID]types.View, len(st.Created)),
 		current:    make(map[types.ProcID]types.ViewID, len(st.Current)),
 		queues:     make(map[types.ViewID][]Entry, len(st.Queues)),
@@ -185,7 +185,7 @@ func FromState(st State) *DVS {
 		rcvd:       make(map[procView]int),
 	}
 	for _, v := range st.Created {
-		a.created[v.ID] = v.Clone()
+		a.created[v.ID] = v
 	}
 	for p, g := range st.Current {
 		a.current[p] = g
@@ -197,12 +197,12 @@ func FromState(st State) *DVS {
 	}
 	for g, s := range st.Attempted {
 		if s.Len() > 0 {
-			a.attempted[g] = s.Clone()
+			a.attempted[g] = s
 		}
 	}
 	for g, s := range st.Registered {
 		if s.Len() > 0 {
-			a.registered[g] = s.Clone()
+			a.registered[g] = s
 		}
 	}
 	for p, byView := range st.Pending {

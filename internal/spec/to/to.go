@@ -14,6 +14,7 @@ package to
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/ioa"
 	"repro/internal/types"
@@ -77,7 +78,7 @@ var _ ioa.Automaton = (*TO)(nil)
 // New returns the TO automaton in its initial state.
 func New(universe types.ProcSet) *TO {
 	return &TO{
-		universe: universe.Clone(),
+		universe: universe,
 		pending:  make(map[types.ProcID][]string),
 		next:     make(map[types.ProcID]int),
 	}
@@ -108,7 +109,7 @@ func (a *TO) Enabled() []ioa.Action {
 			acts = append(acts, ioa.Action{Name: ActOrder, Kind: ioa.KindInternal, Param: OrderParam{A: msgs[0], P: p}})
 		}
 	}
-	for p := range a.universe {
+	for p := a.universe.First(); p >= 0; p = a.universe.Next(p) {
 		if n := a.Next(p); n <= len(a.queue) {
 			e := a.queue[n-1]
 			acts = append(acts, ioa.Action{Name: ActBRcv, Kind: ioa.KindOutput, Param: BRcvParam{A: e.A, Origin: e.P, To: p}})
@@ -163,16 +164,13 @@ func badParam(act ioa.Action) error {
 // Clone implements ioa.Automaton.
 func (a *TO) Clone() ioa.Automaton {
 	b := &TO{
-		universe: a.universe.Clone(),
+		universe: a.universe,
 		pending:  make(map[types.ProcID][]string, len(a.pending)),
 		queue:    types.CloneSeq(a.queue),
-		next:     make(map[types.ProcID]int, len(a.next)),
+		next:     maps.Clone(a.next),
 	}
 	for p, msgs := range a.pending {
 		b.pending[p] = types.CloneSeq(msgs)
-	}
-	for p, n := range a.next {
-		b.next[p] = n
 	}
 	return b
 }

@@ -56,7 +56,7 @@ func (e *Env) Inputs(a ioa.Automaton) []ioa.Action {
 		// state, and hence the draw, identical).
 		for try := 0; try < candidateTries; try++ {
 			members := types.RandomSubset(rng, e.procs)
-			cand := types.View{ID: maxID.Next(members.Sorted()[0]), Members: members}
+			cand := types.View{ID: maxID.Next(members.First()), Members: members}
 			if v.CreateViewCandidateOK(cand) {
 				acts = append(acts, ioa.Action{Name: ActCreateView, Kind: ioa.KindInternal, Param: CreateViewParam{View: cand}})
 				break

@@ -13,6 +13,7 @@ package vs
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"repro/internal/ioa"
 	"repro/internal/types"
@@ -111,16 +112,16 @@ var _ ioa.Automaton = (*VS)(nil)
 // current-viewid[p] = g0 for p ∈ P0 and ⊥ otherwise.
 func New(universe types.ProcSet, initial types.View) *VS {
 	a := &VS{
-		universe: universe.Clone(),
-		initial:  initial.Clone(),
-		created:  map[types.ViewID]types.View{initial.ID: initial.Clone()},
+		universe: universe,
+		initial:  initial,
+		created:  map[types.ViewID]types.View{initial.ID: initial},
 		current:  make(map[types.ProcID]types.ViewID),
 		queues:   make(map[types.ViewID][]Entry),
 		pending:  make(map[procView][]types.Msg),
 		next:     make(map[procView]int),
 		nextSafe: make(map[procView]int),
 	}
-	for p := range initial.Members {
+	for p := initial.Members.First(); p >= 0; p = initial.Members.Next(p) {
 		a.current[p] = initial.ID
 	}
 	return a
@@ -136,7 +137,7 @@ func (a *VS) Universe() types.ProcSet { return a.universe }
 func (a *VS) Created() []types.View {
 	out := make([]types.View, 0, len(a.created))
 	for _, v := range a.created {
-		out = append(out, v.Clone())
+		out = append(out, v)
 	}
 	types.SortViews(out)
 	return out
@@ -155,19 +156,6 @@ func (a *VS) MaxCreatedID() types.ViewID {
 		}
 	}
 	return max
-}
-
-// CreatedShared returns the created views sorted by id without cloning
-// memberships. The caller must treat the views as read-only; it exists for
-// per-state hot paths (abstraction functions, environments, invariants)
-// where Created's defensive copies dominate the allocation profile.
-func (a *VS) CreatedShared() []types.View {
-	out := make([]types.View, 0, len(a.created))
-	for _, v := range a.created {
-		out = append(out, v)
-	}
-	types.SortViews(out)
-	return out
 }
 
 // CurrentViewID returns current-viewid[p]; ok is false for ⊥.
@@ -222,10 +210,8 @@ func (a *VS) Enabled() []ioa.Action {
 	var acts []ioa.Action
 	// vs-newview(v)_p
 	for _, v := range a.created {
-		for p := range v.Members {
+		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
 			if cur, ok := a.current[p]; !ok || cur.Less(v.ID) {
-				// Aliases the created view: Perform only reads the param and
-				// action params are never mutated, so no defensive copy.
 				acts = append(acts, ioa.Action{Name: ActNewView, Kind: ioa.KindOutput, Param: NewViewParam{View: v, P: p}})
 			}
 		}
@@ -259,7 +245,7 @@ func (a *VS) safeEnabled(q types.ProcID, g types.ViewID, ns int) bool {
 	if !ok {
 		return false
 	}
-	for r := range v.Members {
+	for r := v.Members.First(); r >= 0; r = v.Members.Next(r) {
 		if a.Next(r, g) <= ns {
 			return false
 		}
@@ -292,7 +278,7 @@ func (a *VS) Perform(act ioa.Action) error {
 		if !a.CreateViewCandidateOK(p.View) {
 			return fmt.Errorf("vs-createview(%s): id not greater than all created", p.View)
 		}
-		a.created[p.View.ID] = p.View.Clone()
+		a.created[p.View.ID] = p.View
 		return nil
 
 	case ActNewView:
@@ -301,7 +287,7 @@ func (a *VS) Perform(act ioa.Action) error {
 			return badParam(act)
 		}
 		v, created := a.created[p.View.ID]
-		if !created || !v.Equal(p.View) {
+		if !created || v != p.View {
 			return fmt.Errorf("vs-newview(%s): view not created", p.View)
 		}
 		if !v.Contains(p.P) {
@@ -392,32 +378,20 @@ func badParam(act ioa.Action) error {
 // Clone implements ioa.Automaton.
 func (a *VS) Clone() ioa.Automaton {
 	b := &VS{
-		universe: a.universe.Clone(),
-		initial:  a.initial.Clone(),
-		created:  make(map[types.ViewID]types.View, len(a.created)),
-		current:  make(map[types.ProcID]types.ViewID, len(a.current)),
+		universe: a.universe,
+		initial:  a.initial,
+		created:  maps.Clone(a.created),
+		current:  maps.Clone(a.current),
 		queues:   make(map[types.ViewID][]Entry, len(a.queues)),
 		pending:  make(map[procView][]types.Msg, len(a.pending)),
-		next:     make(map[procView]int, len(a.next)),
-		nextSafe: make(map[procView]int, len(a.nextSafe)),
-	}
-	for id, v := range a.created {
-		b.created[id] = v.Clone()
-	}
-	for p, g := range a.current {
-		b.current[p] = g
+		next:     maps.Clone(a.next),
+		nextSafe: maps.Clone(a.nextSafe),
 	}
 	for g, q := range a.queues {
 		b.queues[g] = types.CloneSeq(q)
 	}
 	for k, msgs := range a.pending {
 		b.pending[k] = types.CloneSeq(msgs)
-	}
-	for k, n := range a.next {
-		b.next[k] = n
-	}
-	for k, n := range a.nextSafe {
-		b.nextSafe[k] = n
 	}
 	return b
 }

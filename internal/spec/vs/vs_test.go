@@ -30,7 +30,7 @@ func mustPerform(t *testing.T, a ioa.Automaton, actions ...ioa.Action) {
 func TestInitialState(t *testing.T) {
 	a, _, v0 := setup()
 	created := a.Created()
-	if len(created) != 1 || !created[0].Equal(v0) {
+	if len(created) != 1 || created[0] != v0 {
 		t.Fatalf("created = %v", created)
 	}
 	if g, ok := a.CurrentViewID(0); !ok || g != types.ViewIDZero {

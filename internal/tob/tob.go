@@ -318,7 +318,7 @@ func (l *Layer) step(ev tocore.Event) {
 		l.observer(ev, l.out.Effects)
 	}
 	if ev.Kind == tocore.EvNewView {
-		l.pushView(ViewEvent{View: ev.View.Clone()})
+		l.pushView(ViewEvent{View: ev.View})
 	}
 	for _, fx := range l.out.Effects {
 		switch fx.Kind {

@@ -39,12 +39,9 @@ func (g *msgGen) viewID() types.ViewID {
 
 func (g *msgGen) view() types.View {
 	v := types.View{ID: g.viewID()}
-	n, isNil := g.count(3)
-	if n > 0 || !isNil {
-		v.Members = types.NewProcSet()
-		for i := 0; i < n; i++ {
-			v.Members.Add(types.ProcID(g.shape.Intn(3)))
-		}
+	n, _ := g.count(3) // a set has no nil form
+	for i := 0; i < n; i++ {
+		v.Members = v.Members.With(types.ProcID(g.shape.Intn(3)))
 	}
 	return v
 }

@@ -13,6 +13,15 @@ func (pi Perm) ID(p ProcID) ProcID {
 	return p
 }
 
+// Set returns π(s) = {π(p) | p ∈ s}, the image ioa.Permute gives a set.
+func (pi Perm) Set(s ProcSet) ProcSet {
+	var out ProcSet
+	for p := s.First(); p >= 0; p = s.Next(p) {
+		out = out.With(pi.ID(p))
+	}
+	return out
+}
+
 // PermsOf returns every permutation of the given universe in a
 // deterministic order (lexicographic in the image sequence of the sorted
 // universe). The identity is always first. Universes are small — the

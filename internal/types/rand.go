@@ -6,10 +6,10 @@ import "math/rand"
 // It panics only if procs is empty, which callers must not allow.
 func RandomSubset(rng *rand.Rand, procs []ProcID) ProcSet {
 	for {
-		s := make(ProcSet)
+		var s ProcSet
 		for _, p := range procs {
 			if rng.Intn(2) == 0 {
-				s.Add(p)
+				s = s.With(p)
 			}
 		}
 		if s.Len() > 0 {

@@ -5,6 +5,8 @@
 package types
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -71,96 +73,71 @@ func (a ViewID) String() string {
 	return strconv.FormatUint(a.Seq, 10) + "." + strconv.Itoa(int(a.Origin))
 }
 
-// ProcSet is a finite set of process identifiers.
-type ProcSet map[ProcID]struct{}
+// ProcSet is a finite set of process identifiers, a value: bit p is set iff
+// p is a member, so a set is compared with == and copied by assignment. It
+// holds the ids 0 to MaxProcs-1; CheckProc refuses the others where ids
+// enter the system.
+type ProcSet uint64
+
+// MaxProcs bounds the process ids a ProcSet can hold: 0 to MaxProcs-1.
+const MaxProcs = 64
+
+// CheckProc reports an id a ProcSet cannot hold.
+func CheckProc(p ProcID) error {
+	if uint(p) >= MaxProcs {
+		return fmt.Errorf("process id %d is outside 0–%d, the ids a process set holds", p, MaxProcs-1)
+	}
+	return nil
+}
 
 // NewProcSet builds a set from the given process ids.
 func NewProcSet(ps ...ProcID) ProcSet {
-	s := make(ProcSet, len(ps))
+	var s ProcSet
 	for _, p := range ps {
-		s[p] = struct{}{}
+		s = s.With(p)
 	}
 	return s
 }
 
-// RangeProcSet returns the set {0, 1, ..., n-1}.
+// RangeProcSet returns the set {0, 1, ..., n-1}, for n up to MaxProcs.
 func RangeProcSet(n int) ProcSet {
-	s := make(ProcSet, n)
-	for i := 0; i < n; i++ {
-		s[ProcID(i)] = struct{}{}
+	if n == 0 {
+		return 0
 	}
-	return s
+	top := NewProcSet(ProcID(n - 1)) // refuses an id past the bound
+	return top | (top - 1)
 }
 
 // Contains reports whether p is a member of s.
-func (s ProcSet) Contains(p ProcID) bool {
-	_, ok := s[p]
-	return ok
+func (s ProcSet) Contains(p ProcID) bool { return uint(p) < MaxProcs && s&(1<<p) != 0 }
+
+// With returns s ∪ {p}. It panics if p is outside 0 to MaxProcs-1.
+func (s ProcSet) With(p ProcID) ProcSet {
+	if err := CheckProc(p); err != nil {
+		panic(err)
+	}
+	return s | 1<<p
 }
 
-// Add inserts p into s.
-func (s ProcSet) Add(p ProcID) { s[p] = struct{}{} }
-
-// Remove deletes p from s.
-func (s ProcSet) Remove(p ProcID) { delete(s, p) }
+// Without returns s \ {p}.
+func (s ProcSet) Without(p ProcID) ProcSet {
+	if uint(p) >= MaxProcs {
+		return s
+	}
+	return s &^ (1 << p)
+}
 
 // Len returns |s|.
-func (s ProcSet) Len() int { return len(s) }
-
-// Clone returns an independent copy of s.
-func (s ProcSet) Clone() ProcSet {
-	c := make(ProcSet, len(s))
-	for p := range s {
-		c[p] = struct{}{}
-	}
-	return c
-}
-
-// Equal reports whether s and t contain exactly the same processes.
-func (s ProcSet) Equal(t ProcSet) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for p := range s {
-		if !t.Contains(p) {
-			return false
-		}
-	}
-	return true
-}
+func (s ProcSet) Len() int { return bits.OnesCount64(uint64(s)) }
 
 // Intersect returns s ∩ t.
-func (s ProcSet) Intersect(t ProcSet) ProcSet {
-	small, large := s, t
-	if len(t) < len(s) {
-		small, large = t, s
-	}
-	out := make(ProcSet)
-	for p := range small {
-		if large.Contains(p) {
-			out[p] = struct{}{}
-		}
-	}
-	return out
-}
+func (s ProcSet) Intersect(t ProcSet) ProcSet { return s & t }
 
-// IntersectCount returns |s ∩ t| without allocating the intersection.
-func (s ProcSet) IntersectCount(t ProcSet) int {
-	small, large := s, t
-	if len(t) < len(s) {
-		small, large = t, s
-	}
-	n := 0
-	for p := range small {
-		if large.Contains(p) {
-			n++
-		}
-	}
-	return n
-}
+// IntersectCount returns |s ∩ t|.
+func (s ProcSet) IntersectCount(t ProcSet) int { return (s & t).Len() }
 
 // Intersects reports whether s ∩ t is nonempty.
-func (s ProcSet) Intersects(t ProcSet) bool { return s.IntersectCount(t) > 0 }
+func (s ProcSet) Intersects(t ProcSet) bool { return s&t != 0 }
 
 // MajorityOf reports the local check used by VS-TO-DVS (Figure 3):
 // |s ∩ t| > |t|/2, i.e. s contains a strict majority of t.
@@ -169,31 +146,32 @@ func (s ProcSet) MajorityOf(t ProcSet) bool {
 }
 
 // Subset reports whether s ⊆ t.
-func (s ProcSet) Subset(t ProcSet) bool {
-	for p := range s {
-		if !t.Contains(p) {
-			return false
-		}
-	}
-	return true
-}
+func (s ProcSet) Subset(t ProcSet) bool { return s&^t == 0 }
 
 // Union returns s ∪ t.
-func (s ProcSet) Union(t ProcSet) ProcSet {
-	out := s.Clone()
-	for p := range t {
-		out[p] = struct{}{}
+func (s ProcSet) Union(t ProcSet) ProcSet { return s | t }
+
+// First returns the least member of s, or -1 if s is empty.
+func (s ProcSet) First() ProcID { return s.Next(-1) }
+
+// Next returns the least member of s above p, or -1 if there is none. With
+// First it walks s in increasing order:
+//
+//	for p := s.First(); p >= 0; p = s.Next(p) { … }
+func (s ProcSet) Next(p ProcID) ProcID {
+	rest := uint64(s) >> uint(p+1) // a shift by MaxProcs leaves 0
+	if rest == 0 {
+		return -1
 	}
-	return out
+	return p + 1 + ProcID(bits.TrailingZeros64(rest))
 }
 
 // Sorted returns the members of s in increasing order.
 func (s ProcSet) Sorted() []ProcID {
-	out := make([]ProcID, 0, len(s))
-	for p := range s {
+	out := make([]ProcID, 0, s.Len())
+	for p := s.First(); p >= 0; p = s.Next(p) {
 		out = append(out, p)
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -201,8 +179,8 @@ func (s ProcSet) Sorted() []ProcID {
 func (s ProcSet) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, p := range s.Sorted() {
-		if i > 0 {
+	for p := s.First(); p >= 0; p = s.Next(p) {
+		if b.Len() > 1 {
 			b.WriteByte(',')
 		}
 		b.WriteString(p.String())
@@ -211,7 +189,8 @@ func (s ProcSet) String() string {
 	return b.String()
 }
 
-// View is a pair <g, P> of a view identifier and a nonempty membership set.
+// View is a pair <g, P> of a view identifier and a nonempty membership set,
+// a value like its parts: views are copied by assignment and compared with ==.
 type View struct {
 	ID      ViewID
 	Members ProcSet
@@ -224,21 +203,11 @@ func NewView(id ViewID, members ...ProcID) View {
 
 // InitialView returns the distinguished initial view v0 = <g0, P0>.
 func InitialView(members ProcSet) View {
-	return View{ID: ViewIDZero, Members: members.Clone()}
+	return View{ID: ViewIDZero, Members: members}
 }
 
 // Contains reports whether p ∈ v.set.
 func (v View) Contains(p ProcID) bool { return v.Members.Contains(p) }
-
-// Clone returns an independent copy of v.
-func (v View) Clone() View {
-	return View{ID: v.ID, Members: v.Members.Clone()}
-}
-
-// Equal reports whether v and w have the same identifier and membership.
-func (v View) Equal(w View) bool {
-	return v.ID == w.ID && v.Members.Equal(w.Members)
-}
 
 // String renders the view as "<seq.origin,{members}>".
 func (v View) String() string {

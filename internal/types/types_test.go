@@ -2,6 +2,7 @@ package types
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -80,24 +81,58 @@ func TestProcSetBasics(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}
-	if !s.Contains(4) || s.Contains(2) {
+	if !s.Contains(4) || s.Contains(2) || s.Contains(-1) || s.Contains(MaxProcs) {
 		t.Error("Contains wrong")
 	}
-	s.Add(2)
-	s.Remove(3)
-	want := []ProcID{1, 2, 4}
-	got := s.Sorted()
-	if len(got) != len(want) {
-		t.Fatalf("Sorted = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Sorted = %v, want %v", got, want)
-		}
+	s = s.With(2).Without(3).Without(MaxProcs)
+	if got, want := s.Sorted(), []ProcID{1, 2, 4}; !slices.Equal(got, want) {
+		t.Fatalf("Sorted = %v, want %v", got, want)
 	}
 	if s.String() != "{1,2,4}" {
 		t.Errorf("String = %q", s.String())
 	}
+	var walked []ProcID
+	for p := s.First(); p >= 0; p = s.Next(p) {
+		walked = append(walked, p)
+	}
+	if !slices.Equal(walked, s.Sorted()) || NewProcSet().First() != -1 {
+		t.Errorf("First/Next walk %v, want %v", walked, s.Sorted())
+	}
+}
+
+// TestProcSetBounds: a set holds exactly the ids 0 to MaxProcs-1; With and
+// RangeProcSet refuse any other rather than shifting it into some other
+// member, and CheckProc names the bound.
+func TestProcSetBounds(t *testing.T) {
+	top := NewProcSet(0, MaxProcs-1)
+	if top.Len() != 2 || !top.Contains(MaxProcs-1) || top.First() != 0 || top.Next(0) != MaxProcs-1 || top.Next(MaxProcs-1) != -1 {
+		t.Errorf("the extreme ids: %s", top)
+	}
+	if RangeProcSet(MaxProcs).Len() != MaxProcs || RangeProcSet(0) != NewProcSet() {
+		t.Error("RangeProcSet at the bounds")
+	}
+	for _, p := range []ProcID{-1, MaxProcs, 1000000} {
+		if CheckProc(p) == nil {
+			t.Errorf("CheckProc(%d) accepts", p)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("With(%d) did not panic", p)
+				}
+			}()
+			NewProcSet().With(p)
+		}()
+	}
+	if CheckProc(0) != nil || CheckProc(MaxProcs-1) != nil {
+		t.Error("CheckProc refuses an id in range")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RangeProcSet(MaxProcs+1) did not panic")
+		}
+	}()
+	RangeProcSet(MaxProcs + 1)
 }
 
 func TestRangeProcSet(t *testing.T) {
@@ -107,18 +142,20 @@ func TestRangeProcSet(t *testing.T) {
 	}
 }
 
+// TestProcSetCloneIndependence: sets are values, so a copy made by
+// assignment is independent and == compares membership.
 func TestProcSetCloneIndependence(t *testing.T) {
 	s := NewProcSet(1, 2)
-	c := s.Clone()
-	c.Add(3)
+	c := s
+	c = c.With(3)
 	if s.Contains(3) {
-		t.Error("Clone not independent")
+		t.Error("a copy is not independent")
 	}
-	if !s.Equal(NewProcSet(2, 1)) {
-		t.Error("Equal wrong")
+	if s != NewProcSet(2, 1) {
+		t.Error("== wrong")
 	}
-	if s.Equal(c) {
-		t.Error("Equal should be false after divergence")
+	if s == c {
+		t.Error("== should be false after divergence")
 	}
 }
 
@@ -126,7 +163,7 @@ func TestProcSetIntersect(t *testing.T) {
 	a := NewProcSet(1, 2, 3, 4)
 	b := NewProcSet(3, 4, 5)
 	got := a.Intersect(b)
-	if !got.Equal(NewProcSet(3, 4)) {
+	if got != NewProcSet(3, 4) {
 		t.Errorf("Intersect = %s", got)
 	}
 	if a.IntersectCount(b) != 2 {
@@ -159,7 +196,7 @@ func TestProcSetSubsetUnion(t *testing.T) {
 		t.Error("Subset wrong")
 	}
 	u := a.Union(NewProcSet(4))
-	if !u.Equal(NewProcSet(1, 2, 4)) {
+	if u != NewProcSet(1, 2, 4) {
 		t.Errorf("Union = %s", u)
 	}
 	if !NewProcSet().Subset(a) {
@@ -191,19 +228,19 @@ func TestViewBasics(t *testing.T) {
 	if !v.Contains(1) || v.Contains(5) {
 		t.Error("Contains wrong")
 	}
-	c := v.Clone()
-	c.Members.Add(5)
+	c := v
+	c.Members = c.Members.With(5)
 	if v.Contains(5) {
-		t.Error("Clone not independent")
+		t.Error("a copy is not independent")
 	}
 	if v.String() != "<1.0,{0,1,2}>" {
 		t.Errorf("String = %q", v.String())
 	}
-	if !v.Equal(NewView(ViewID{1, 0}, 2, 1, 0)) {
-		t.Error("Equal wrong")
+	if v != NewView(ViewID{1, 0}, 2, 1, 0) {
+		t.Error("== wrong")
 	}
-	if v.Equal(NewView(ViewID{1, 1}, 0, 1, 2)) {
-		t.Error("Equal ignores id")
+	if v == NewView(ViewID{1, 1}, 0, 1, 2) {
+		t.Error("== ignores id")
 	}
 }
 
@@ -213,7 +250,7 @@ func TestInitialView(t *testing.T) {
 	if !v0.ID.IsZero() {
 		t.Error("initial view id must be g0")
 	}
-	p0.Add(9)
+	p0 = p0.With(9)
 	if v0.Contains(9) {
 		t.Error("InitialView must copy the membership")
 	}
@@ -237,6 +274,22 @@ func TestRandomSubsetNonEmpty(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if RandomSubset(rng, procs).Len() == 0 {
 			t.Fatal("RandomSubset returned empty set")
+		}
+	}
+}
+
+// TestPermSet: a permutation maps a set member by member; ids outside its
+// domain are fixed.
+func TestPermSet(t *testing.T) {
+	pi := Perm{0: 1, 1: 2, 2: 0}
+	for _, c := range []struct{ in, want ProcSet }{
+		{NewProcSet(), NewProcSet()},
+		{NewProcSet(0), NewProcSet(1)},
+		{NewProcSet(0, 2, 5), NewProcSet(1, 0, 5)},
+		{NewProcSet(0, 1, 2), NewProcSet(0, 1, 2)},
+	} {
+		if got := pi.Set(c.in); got != c.want {
+			t.Errorf("π(%s) = %s, want %s", c.in, got, c.want)
 		}
 	}
 }

@@ -121,11 +121,11 @@ func TestVSGViewSynchronyProperties(t *testing.T) {
 	for _, h := range hists {
 		h.mu.Lock()
 		for _, v := range h.views {
-			members[v.ID] = v.Members.Clone()
+			members[v.ID] = v.Members
 		}
 		h.mu.Unlock()
 	}
-	members[v0.ID] = v0.Members.Clone()
+	members[v0.ID] = v0.Members
 
 	// Property 4: per-node monotone views.
 	for i, h := range hists {
@@ -181,7 +181,7 @@ func TestVSGViewSynchronyProperties(t *testing.T) {
 			safes := append([]string(nil), h.safes[g]...)
 			h.mu.Unlock()
 			for _, m := range safes {
-				for r := range members[g] {
+				for r := members[g].First(); r >= 0; r = members[g].Next(r) {
 					found := false
 					hr := hists[int(r)]
 					hr.mu.Lock()

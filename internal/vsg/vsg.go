@@ -130,7 +130,7 @@ func (s Stats) AvgLatency() time.Duration {
 
 // Config configures a Node.
 type Config struct {
-	Self      types.ProcID
+	Self      types.ProcID // 0–63, as a process set holds; NewNode panics otherwise
 	Universe  types.ProcSet
 	Initial   types.View
 	Transport netfab.Transport
@@ -258,6 +258,9 @@ func (w *logWindow) dropTo(i int) {
 // usually need the node reference to send, so they are attached after
 // construction) and then Start.
 func NewNode(cfg Config) *Node {
+	if err := types.CheckProc(cfg.Self); err != nil {
+		panic("vsg: Config.Self: " + err.Error())
+	}
 	cfg.fill()
 	n := &Node{
 		cfg:      cfg,
@@ -274,7 +277,7 @@ func NewNode(cfg Config) *Node {
 	return n
 }
 
-// Universe returns the configured process universe (read-only).
+// Universe returns the configured process universe.
 func (n *Node) Universe() types.ProcSet { return n.cfg.Universe }
 
 // SetHandler attaches the layer above. It must be called before Start.
@@ -285,7 +288,7 @@ func (n *Node) SetHandler(h Handler) { n.handler = h }
 // loop starts, so no message can overtake it.
 func (n *Node) Start() {
 	if v, ok := n.agreement.Current(); ok {
-		n.installView(v.Clone())
+		n.installView(v)
 	}
 	go n.run()
 }
@@ -345,7 +348,7 @@ func (n *Node) Stats() Stats {
 func (n *Node) View() (types.View, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.published.Clone(), n.publishOK
+	return n.published, n.publishOK
 }
 
 // Stop terminates the event loop and waits for it to exit.
@@ -459,7 +462,7 @@ func (n *Node) retransmit() {
 	if n.tickCount%gossipTicks == 1 {
 		for _, q := range n.universe {
 			if q != n.self {
-				n.fabric.Send(n.self, q, member.Install{View: n.view.Clone()})
+				n.fabric.Send(n.self, q, member.Install{View: n.view})
 				n.nPeriodic.Add(1)
 			}
 		}
@@ -543,7 +546,7 @@ func (n *Node) onMessage(env netfab.Envelope) {
 
 // installView resets the sequencer and notifies the layer above.
 func (n *Node) installView(v types.View) {
-	n.view = v.Clone()
+	n.view = v
 	n.hasView = true
 	n.members = n.view.Members.Sorted()
 	n.leaderID = n.members[0]
@@ -569,12 +572,12 @@ func (n *Node) installView(v types.View) {
 	n.nViews.Add(1)
 
 	n.mu.Lock()
-	n.published = v.Clone()
+	n.published = v
 	n.publishOK = true
 	n.mu.Unlock()
 
 	if n.handler != nil {
-		n.handler.OnNewView(v.Clone())
+		n.handler.OnNewView(v)
 	}
 }
 
@@ -605,8 +608,8 @@ func (n *Node) SendInLoop(payload any) {
 }
 
 func (n *Node) onData(from types.ProcID, m Data) {
-	if !n.hasView || m.ViewID != n.view.ID || n.leaderID != n.self {
-		return
+	if !n.hasView || m.ViewID != n.view.ID || n.leaderID != n.self || !n.view.Contains(from) {
+		return // a sender outside the view has nothing to order in it
 	}
 	if m.AckSeq > 0 && from != n.self {
 		// Piggybacked cumulative ack — apply it even when the data itself
@@ -650,8 +653,8 @@ func (n *Node) order(sender types.ProcID, payload any) {
 }
 
 func (n *Node) onOrdered(m Ordered) {
-	if !n.hasView || m.ViewID != n.view.ID {
-		return
+	if !n.hasView || m.ViewID != n.view.ID || !n.view.Contains(m.Sender) {
+		return // only a member's message is ordered in the view
 	}
 	if m.Safe > n.safeUpTo {
 		// Piggybacked safe point (see Ordered.Safe).

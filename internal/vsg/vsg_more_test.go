@@ -2,6 +2,7 @@ package vsg
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,7 +50,7 @@ func (r *recorder) lastView() (types.View, bool) {
 	if len(r.views) == 0 {
 		return types.View{}, false
 	}
-	return r.views[len(r.views)-1].Clone(), true
+	return r.views[len(r.views)-1], true
 }
 
 type cluster struct {
@@ -352,5 +353,34 @@ func TestVSLogsBounded(t *testing.T) {
 		if de != total || (i == 0 && le != total) {
 			t.Errorf("node %d: logs end at %d and %d, want the whole run (%d): dropping must not move indices", i, le, de, total)
 		}
+	}
+}
+
+// TestNewNodeRefusesSelfBeyondProcSet: a node's own id must fit a process
+// set; NewNode says so rather than building a node no view can hold.
+func TestNewNodeRefusesSelfBeyondProcSet(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "0–63") {
+			t.Errorf("NewNode with Self 64: %v", r)
+		}
+	}()
+	NewNode(Config{Self: types.MaxProcs, Universe: types.RangeProcSet(2), Initial: types.InitialView(types.RangeProcSet(2))})
+}
+
+// TestNonMemberSenderIsNotDelivered: a peer outside the view, whatever id it
+// claims, gets nothing ordered or delivered in it, so no id a process set
+// cannot hold reaches the layers above.
+func TestNonMemberSenderIsNotDelivered(t *testing.T) {
+	u := types.RangeProcSet(2)
+	v0 := types.InitialView(u)
+	n := NewNode(Config{Self: 0, Universe: u, Initial: v0, Transport: netfab.NewFabric(u, netfab.Config{})})
+	rec := &recorder{}
+	n.SetHandler(rec)
+	n.installView(v0) // as Start does, without the loop
+	n.onMessage(netfab.Envelope{From: 1, Payload: Ordered{ViewID: v0.ID, Seq: 1, Sender: types.MaxProcs, Payload: "x"}})
+	n.onMessage(netfab.Envelope{From: 100, Payload: Data{ViewID: v0.ID, SenderSeq: 1, Payload: "y"}})
+	n.onMessage(netfab.Envelope{From: 1, Payload: Ordered{ViewID: v0.ID, Seq: 1, Sender: 1, Payload: "z"}})
+	if got := rec.snapshot(); len(got) != 2 || got[1] != "recv:z@1" {
+		t.Errorf("events %v, want the view and z from 1 only", got)
 	}
 }

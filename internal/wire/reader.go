@@ -122,12 +122,17 @@ func (r *Reader) ViewID() types.ViewID {
 	return types.ViewID{Seq: r.Uvarint(), Origin: r.Proc()}
 }
 
+// View reads a view's id, then its members as a count and ids. An id a
+// process set cannot hold fails the read rather than reaching the set.
 func (r *Reader) View() types.View {
 	v := types.View{ID: r.ViewID()}
-	n := r.Count(1)
-	v.Members = make(types.ProcSet, n)
-	for i := 0; i < n; i++ {
-		v.Members.Add(r.Proc())
+	for i, n := 0, r.Count(1); i < n; i++ {
+		p := r.Proc()
+		if err := types.CheckProc(p); err != nil {
+			r.Fail("view %s: %v", v.ID, err)
+			return types.View{}
+		}
+		v.Members = v.Members.With(p)
 	}
 	return v
 }

@@ -56,8 +56,8 @@ func AppendViewID(b []byte, g types.ViewID) []byte {
 }
 
 func AppendView(b []byte, v types.View) []byte {
-	b = AppendCount(AppendViewID(b, v.ID), len(v.Members))
-	for _, p := range v.Members.Sorted() {
+	b = AppendCount(AppendViewID(b, v.ID), v.Members.Len())
+	for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
 		b = AppendInt(b, int(p))
 	}
 	return b

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -12,7 +13,7 @@ import (
 // (internal/conform, internal/net); these tests pin the reader's own contract.
 
 func TestReaderPrimitivesRoundTrip(t *testing.T) {
-	v := types.NewView(types.ViewID{Seq: math.MaxUint64, Origin: -3}, 0, 7, 1<<40)
+	v := types.NewView(types.ViewID{Seq: math.MaxUint64, Origin: -3}, 0, 7, types.MaxProcs-1)
 	l := types.Label{ID: v.ID, Seqno: math.MinInt64, Origin: math.MaxInt32}
 	gs := []types.GroupID{0, -1, 9}
 	b := AppendGroups(AppendBool(AppendString(AppendLabel(AppendView(AppendInt(nil, -42), v), l), "a\x00b"), true), gs)
@@ -21,7 +22,7 @@ func TestReaderPrimitivesRoundTrip(t *testing.T) {
 	if got := r.Int(); got != -42 {
 		t.Errorf("Int = %d", got)
 	}
-	if got := r.View(); !got.Equal(v) {
+	if got := r.View(); got != v {
 		t.Errorf("View = %v, want %v", got, v)
 	}
 	if got := r.Label(); got != l {
@@ -48,6 +49,20 @@ func TestReaderPrimitivesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReaderViewRefusesOutOfRangeIDs: a member id a process set cannot hold
+// fails the read, whatever its size, and nothing of the view survives.
+func TestReaderViewRefusesOutOfRangeIDs(t *testing.T) {
+	for _, id := range []int{types.MaxProcs, -1, 1 << 40, math.MinInt64} {
+		b := AppendInt(AppendInt(AppendCount(AppendViewID(nil, types.ViewID{Seq: 2}), 2), 0), id)
+		r := Reader{B: b}
+		if v := r.View(); r.Err == nil || v != (types.View{}) {
+			t.Errorf("member %d: view %v, err %v", id, v, r.Err)
+		} else if !strings.Contains(r.Err.Error(), "outside 0–63") {
+			t.Errorf("member %d: the error does not name the bound: %v", id, r.Err)
+		}
+	}
+}
+
 // TestReaderFailureSticks: after the first failure every read is zero, every
 // count is 0 and the first error is the one reported.
 func TestReaderFailureSticks(t *testing.T) {
@@ -57,7 +72,7 @@ func TestReaderFailureSticks(t *testing.T) {
 	}
 	first := r.Err
 	r.Fail("a later failure")
-	if r.Int() != 0 || r.Byte() != 0 || r.Count(1) != 0 || r.Str() != "" || r.Msg(0) != nil || len(r.View().Members) != 0 {
+	if r.Int() != 0 || r.Byte() != 0 || r.Count(1) != 0 || r.Str() != "" || r.Msg(0) != nil || r.View().Members.Len() != 0 {
 		t.Error("reads after a failure are not zero")
 	}
 	if r.Err != first {

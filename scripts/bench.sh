@@ -10,7 +10,8 @@
 #    throughput (steps/s), the per-iteration state count (identical across
 #    the serial and parallel variants of the same check), and — on each
 #    parallel variant — "parallel_speedup", the ratio of its best steps/s
-#    to the serial variant's best steps/s.
+#    to the serial variant's best steps/s. A Tier1Wall row holds the median
+#    wall time of three uncached `go test ./...` runs.
 #
 # 2. Runtime-stack performance (E8: TO throughput and recovery), run in its
 #    own `go test` invocation so the numbers are not depressed by CPU
@@ -114,7 +115,20 @@ printf '%s\n' "$raw"
 raw12=$(go test -run '^$' -bench 'BenchmarkE12' -benchtime "${E12_BENCHTIME:-1x}" -count "${E12_COUNT:-1}" -benchmem .)
 printf '%s\n' "$raw12"
 
-{ printf '%s\n' "$raw"; printf '%s\n' "$raw12"; } | to_json > "$out"
+# Tier-1 wall time: the median of three uncached `go test ./...` runs, as a
+# Tier1Wall row of ns/op and seconds. Reported, not gated: the suite's wall
+# follows the box more than the code.
+walls=""
+for i in 1 2 3; do
+	t0=$(date +%s%N)
+	go test -count=1 ./... >/dev/null 2>&1 || echo "bench.sh: tier-1 run $i failed; its wall time is kept" >&2
+	walls="$walls $(( $(date +%s%N) - t0 ))"
+done
+wall=$(printf '%s\n' $walls | sort -n | sed -n 2p)
+rawt=$(awk -v ns="$wall" 'BEGIN { printf "BenchmarkTier1Wall\t3\t%.0f ns/op\t%.1f wall_s\n", ns, ns / 1e9 }')
+printf '%s\n' "$rawt"
+
+{ printf '%s\n' "$raw"; printf '%s\n' "$raw12"; printf '%s\n' "$rawt"; } | to_json > "$out"
 echo "wrote $out"
 
 # E8 isolated: two dedicated invocations (throughput, then recovery) with

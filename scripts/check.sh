@@ -111,22 +111,29 @@ e8_recovery_guard() {
 	echo "check.sh: E8 recovery OK (history=20k ${laden} ms <= 3 x ${empty} ms)"
 }
 
-# e12_guard pins the E12 deep-exploration snapshot: the plain run must
-# report exactly 38566 states and the symmetry-reduced run exactly 6527
-# (one per process-permutation orbit, a 5.9x reduction). These counts are
-# machine-independent — any drift means the exploration became
+# e12_guard pins the E12 deep-exploration snapshot: the state counts the
+# plain and the symmetry-reduced runs measured must equal e12States and
+# e12SymStates, read from their one definition in bench_test.go. These
+# counts are machine-independent — any drift means the exploration became
 # nondeterministic or the bounded environment changed, both of which would
 # silently invalidate every E12 comparison in EXPERIMENTS.md.
 e12_guard() {
 	out=BENCH_checks.json
+	e12const() { awk -v n="$1" '$1 == n && $2 == "=" { print $3; exit }' bench_test.go; }
+	want=$(e12const e12States)
+	wantsym=$(e12const e12SymStates)
 	plain=$(grep -o '"name": "E12DeepExplore/parallel=1"[^}]*' "$out" | grep -o '"states": [0-9.e+]*' | awk '{print $2}')
 	sym=$(grep -o '"name": "E12DeepExplore/symmetry"[^}]*' "$out" | grep -o '"states": [0-9.e+]*' | awk '{print $2}')
+	if [ -z "$want" ] || [ -z "$wantsym" ]; then
+		echo "check.sh: cannot read e12States/e12SymStates from bench_test.go (got '${want:-}', '${wantsym:-}')" >&2
+		exit 1
+	fi
 	if [ -z "$plain" ] || [ -z "$sym" ]; then
 		echo "check.sh: missing E12DeepExplore states records in $out (plain='${plain:-}', symmetry='${sym:-}')" >&2
 		exit 1
 	fi
-	if ! awk -v p="$plain" -v s="$sym" 'BEGIN { exit !(p + 0 == 38566 && s + 0 == 6527) }'; then
-		echo "check.sh: E12 state counts drifted — plain ${plain} (want 38566), symmetry ${sym} (want 6527)" >&2
+	if ! awk -v p="$plain" -v s="$sym" -v wp="$want" -v ws="$wantsym" 'BEGIN { exit !(p + 0 == wp + 0 && s + 0 == ws + 0) }'; then
+		echo "check.sh: E12 state counts drifted — plain ${plain} (want ${want}), symmetry ${sym} (want ${wantsym})" >&2
 		exit 1
 	fi
 	echo "check.sh: E12 exploration OK (${plain} states plain, ${sym} with symmetry)"
@@ -333,7 +340,7 @@ fuzz_guard() {
 # DESIGN.md only shrinks. CHANGES.md has each ceiling's history.
 loc_guard() {
 	counts="$(sh scripts/loc.sh)"
-	for row in internal/conform:2328 internal/lint:461 .:1682 total:21013 exemptions:4 DESIGN.md:1375; do
+	for row in internal/conform:2319 internal/lint:461 .:1677 total:20853 exemptions:4 DESIGN.md:1375; do
 		name=${row%%:*}
 		ceiling=${row##*:}
 		got=$(printf '%s\n' "$counts" | awk -v n="$name" '$2 == n { print $1 }')

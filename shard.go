@@ -85,13 +85,13 @@ type ShardedProcess struct{ *proc }
 
 // NewShardedCluster builds and starts a sharded cluster.
 func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
-	if cfg.Processes <= 0 {
-		return nil, errors.New("dvs: ShardedConfig.Processes must be positive")
-	}
 	if cfg.Groups <= 0 {
 		return nil, errors.New("dvs: ShardedConfig.Groups must be positive")
 	}
-	universe := types.RangeProcSet(cfg.Processes)
+	universe, initial, err := initialView(cfg.Processes, nil)
+	if err != nil {
+		return nil, err
+	}
 	groups := types.RangeGroups(cfg.Groups)
 
 	c := &ShardedCluster{
@@ -110,7 +110,6 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 			}
 			c.streams[g] = sr
 		}
-		var err error
 		if c.mstream, err = NewTraceStream(conform.McastDir(cfg.StreamDir), TraceStreamOptions{}); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("dvs: creating multicast trace stream: %w", err)
@@ -122,7 +121,7 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	running, err := startProcs(procConfig{
 		stack: stackConfig{
 			universe:            universe,
-			initial:             types.InitialView(universe),
+			initial:             initial,
 			transport:           c.fabric,
 			mode:                cfg.Mode,
 			disableRegistration: cfg.DisableRegistration,

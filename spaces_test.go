@@ -30,7 +30,7 @@ func (e toAuditEnv) Inputs(a ioa.Automaton) []ioa.Action {
 		return nil
 	}
 	total := len(spec.Queue())
-	for p := range e.universe {
+	for p := e.universe.First(); p >= 0; p = e.universe.Next(p) {
 		total += len(spec.Pending(p))
 	}
 	if total >= 2 {
@@ -59,7 +59,7 @@ func (e naiveAuditEnv) Inputs(a ioa.Automaton) []ioa.Action {
 	}
 	var acts []ioa.Action
 	for _, m := range e.views {
-		v := types.View{ID: vs.MaxCreatedID().Next(m.Sorted()[0]), Members: m.Clone()}
+		v := types.View{ID: vs.MaxCreatedID().Next(m.First()), Members: m}
 		if vs.CreateViewCandidateOK(v) {
 			acts = append(acts, ioa.Action{Name: vsspec.ActCreateView, Kind: ioa.KindInternal,
 				Param: vsspec.CreateViewParam{View: v}})

@@ -294,7 +294,7 @@ func (s *stack) CurrentPrimary() (View, bool) {
 	ch := make(chan reply, 1)
 	if !s.vsg.Do(func() {
 		v, ok := s.dvs.ClientCur()
-		ch <- reply{v.Clone(), ok}
+		ch <- reply{v, ok}
 	}) {
 		return View{}, false
 	}

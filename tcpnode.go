@@ -111,12 +111,6 @@ type Node struct {
 
 // StartNode launches a standalone process.
 func StartNode(cfg NodeConfig) (*Node, error) {
-	if cfg.Processes <= 0 {
-		return nil, errors.New("dvs: NodeConfig.Processes must be positive")
-	}
-	if cfg.ID < 0 || cfg.ID >= cfg.Processes {
-		return nil, fmt.Errorf("dvs: node id %d out of range", cfg.ID)
-	}
 	if cfg.Groups <= 0 {
 		cfg.Groups = 1
 	}
@@ -132,6 +126,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	universe, initial, err := initialView(cfg.Processes, cfg.Initial)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.ID < 0 || cfg.ID >= cfg.Processes {
+		return nil, fmt.Errorf("dvs: node id %d out of range", cfg.ID)
 	}
 	registerWireTypes()
 
