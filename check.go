@@ -33,7 +33,7 @@ type CheckConfig struct {
 	Parallel int
 }
 
-func (c CheckConfig) fill() (CheckConfig, types.ProcSet, types.View) {
+func (c CheckConfig) fill() (CheckConfig, types.ProcSet, types.View, error) {
 	if c.Procs <= 0 {
 		c.Procs = 4
 	}
@@ -43,22 +43,21 @@ func (c CheckConfig) fill() (CheckConfig, types.ProcSet, types.View) {
 	if c.Seeds <= 0 {
 		c.Seeds = 10
 	}
-	universe := types.RangeProcSet(c.Procs)
-	p0 := types.NewProcSet()
-	if len(c.Initial) == 0 {
-		p0 = types.NewProcSet(0, 1, types.ProcID(c.Procs-1))
-	} else {
-		for _, i := range c.Initial {
-			p0 = p0.With(types.ProcID(i))
-		}
+	members := c.Initial
+	if len(members) == 0 {
+		members = []int{0, min(1, c.Procs-1), c.Procs - 1}
 	}
-	return c, universe, types.InitialView(p0)
+	universe, v0, err := initialView(c.Procs, members)
+	return c, universe, v0, err
 }
 
 // CheckVSInvariants drives the VS specification automaton (Figure 1)
 // through seeded random executions, checking Invariant 3.1 at every state.
 func CheckVSInvariants(cfg CheckConfig) (ioa.CheckReport, error) {
-	cfg, universe, v0 := cfg.fill()
+	cfg, universe, v0, err := cfg.fill()
+	if err != nil {
+		return ioa.CheckReport{}, err
+	}
 	ex := &ioa.Executor{Steps: cfg.Steps, Seed: cfg.Seed, Parallel: cfg.Parallel}
 	return ex.RunSeeds(cfg.Seeds,
 		func() ioa.Automaton { return vsspec.New(universe, v0) },
@@ -70,7 +69,10 @@ func CheckVSInvariants(cfg CheckConfig) (ioa.CheckReport, error) {
 // through seeded random executions, checking Invariants 4.1 and 4.2 at
 // every state.
 func CheckDVSInvariants(cfg CheckConfig) (ioa.CheckReport, error) {
-	cfg, universe, v0 := cfg.fill()
+	cfg, universe, v0, err := cfg.fill()
+	if err != nil {
+		return ioa.CheckReport{}, err
+	}
 	ex := &ioa.Executor{Steps: cfg.Steps, Seed: cfg.Seed, Parallel: cfg.Parallel}
 	return ex.RunSeeds(cfg.Seeds,
 		func() ioa.Automaton { return dvsspec.New(universe, v0) },
@@ -84,7 +86,10 @@ func CheckDVSInvariants(cfg CheckConfig) (ioa.CheckReport, error) {
 // trace — while Invariants 5.1–5.6 hold at every reachable implementation
 // state and Invariants 4.1–4.2 at every specification state.
 func CheckDVSRefinement(cfg CheckConfig) (ioa.CheckReport, error) {
-	cfg, universe, v0 := cfg.fill()
+	cfg, universe, v0, err := cfg.fill()
+	if err != nil {
+		return ioa.CheckReport{}, err
+	}
 	ref := &dvscore.Refinement{Universe: universe, Initial: v0}
 	return ioa.CheckRefinementSeeds(cfg.Seeds,
 		func() ioa.Automaton { return dvscore.NewImpl(universe, v0) },
@@ -104,7 +109,10 @@ func CheckDVSRefinement(cfg CheckConfig) (ioa.CheckReport, error) {
 // of the TO service, while Invariants 6.1–6.3 hold at every reachable
 // state.
 func CheckTOTraceInclusion(cfg CheckConfig) (ioa.CheckReport, error) {
-	cfg, universe, v0 := cfg.fill()
+	cfg, universe, v0, err := cfg.fill()
+	if err != nil {
+		return ioa.CheckReport{}, err
+	}
 	return ioa.CheckTraceInclusionSeeds(cfg.Seeds,
 		func(seed int64) (ioa.Automaton, ioa.Monitor, ioa.Environment) {
 			impl := tocore.NewImpl(universe, v0, tocore.Config{DVS: tocore.DVSLiteral, Universe: true})
@@ -202,8 +210,10 @@ func (c ExploreDeepConfig) fill() ExploreDeepConfig {
 // (6527 states over 18553 edges with Symmetry — a 5.9x reduction).
 func CheckExploreDeep(cfg ExploreDeepConfig) (ioa.CheckReport, error) {
 	cfg = cfg.fill()
-	universe := types.RangeProcSet(cfg.Procs)
-	v0 := types.InitialView(universe)
+	universe, v0, err := initialView(cfg.Procs, nil)
+	if err != nil {
+		return ioa.CheckReport{}, err
+	}
 	var views []types.ProcSet
 	for i := 0; i < cfg.Procs; i++ {
 		for j := i + 1; j < cfg.Procs; j++ {

@@ -53,7 +53,10 @@ func TestCheckAllSmall(t *testing.T) {
 }
 
 func TestCheckConfigDefaults(t *testing.T) {
-	cfg, universe, v0 := CheckConfig{}.fill()
+	cfg, universe, v0, err := CheckConfig{}.fill()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cfg.Procs != 4 || cfg.Steps != 500 || cfg.Seeds != 10 {
 		t.Errorf("defaults = %+v", cfg)
 	}
@@ -62,6 +65,26 @@ func TestCheckConfigDefaults(t *testing.T) {
 	}
 	if v0.Members.Len() != 3 {
 		t.Errorf("default v0 = %s", v0)
+	}
+}
+
+// TestCheckRefusesOutOfRangeUniverse: a universe or an initial member a
+// process set cannot hold is an error from every library entry point, not a
+// panic.
+func TestCheckRefusesOutOfRangeUniverse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() (ioa.CheckReport, error)
+	}{
+		{"procs", func() (ioa.CheckReport, error) { return CheckVSInvariants(CheckConfig{Procs: 65}) }},
+		{"initial", func() (ioa.CheckReport, error) { return CheckDVSInvariants(CheckConfig{Initial: []int{64}}) }},
+		{"deep", func() (ioa.CheckReport, error) { return CheckExploreDeep(ExploreDeepConfig{Procs: 65}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.run(); err == nil {
+				t.Error("accepted")
+			}
+		})
 	}
 }
 

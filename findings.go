@@ -29,7 +29,10 @@ var ErrNoWitness = errors.New("no witness found within the search budget")
 // DVS-IMPL to the *literal* Figure 2 DVS specification fails at a dvs-safe
 // step.
 func DemonstrateF1(cfg CheckConfig) (Finding, error) {
-	cfg, universe, v0 := cfg.fill()
+	cfg, universe, v0, err := cfg.fill()
+	if err != nil {
+		return Finding{}, err
+	}
 	ref := &dvscore.Refinement{Universe: universe, Initial: v0, Literal: true}
 	for i := 0; i < cfg.Seeds*5; i++ {
 		seed := cfg.Seed + int64(i)
@@ -54,7 +57,10 @@ func DemonstrateF1(cfg CheckConfig) (Finding, error) {
 // DemonstrateF2 reproduces Finding F2: over the amended (endpoint-safe) DVS
 // without the drain rule, Figure 5 can confirm diverging total orders.
 func DemonstrateF2(cfg CheckConfig) (Finding, error) {
-	cfg, universe, v0 := cfg.fill()
+	cfg, universe, v0, err := cfg.fill()
+	if err != nil {
+		return Finding{}, err
+	}
 	for i := 0; i < cfg.Seeds*5; i++ {
 		seed := cfg.Seed + int64(i)
 		impl := tocore.NewImpl(universe, v0, tocore.Config{DVS: tocore.DVSAmended})
@@ -75,7 +81,10 @@ func DemonstrateF2(cfg CheckConfig) (Finding, error) {
 // DemonstrateF3 reproduces Finding F3: Figure 5's printed LABEL
 // precondition lets a recovery-time label be ordered twice.
 func DemonstrateF3(cfg CheckConfig) (Finding, error) {
-	cfg, universe, v0 := cfg.fill()
+	cfg, universe, v0, err := cfg.fill()
+	if err != nil {
+		return Finding{}, err
+	}
 	for i := 0; i < cfg.Seeds*5; i++ {
 		seed := cfg.Seed + int64(i)
 		impl := tocore.NewImpl(universe, v0, tocore.Config{DVS: tocore.DVSLiteral, LiteralFigure5: true})
@@ -96,7 +105,10 @@ func DemonstrateF3(cfg CheckConfig) (Finding, error) {
 // DemonstrateF4 reproduces Finding F4: Invariant 5.2(3) as printed is
 // violated on reachable DVS-IMPL states.
 func DemonstrateF4(cfg CheckConfig) (Finding, error) {
-	cfg, universe, v0 := cfg.fill()
+	cfg, universe, v0, err := cfg.fill()
+	if err != nil {
+		return Finding{}, err
+	}
 	inv := ioa.Invariant{Name: "5.2(3) literal", Check: func(a ioa.Automaton) error {
 		im, ok := a.(*dvscore.Impl)
 		if !ok {

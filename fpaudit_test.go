@@ -97,10 +97,9 @@ func TestFingerprintAudit(t *testing.T) {
 			if res.States < 50 {
 				t.Errorf("audit covered suspiciously few states: %d", res.States)
 			}
-			if got := (counts{res.States, res.Edges, res.MaxDepth}); tc.sampled == "" {
-				explored.Store(tc.name, got)
-				got.check(t, tc.pin)
-			}
+			got := counts{res.States, res.Edges, res.MaxDepth}
+			explored.Store(tc.name, got)
+			got.check(t, tc.pin)
 			t.Logf("audited %d states, %d edges, depth %d, truncated=%v",
 				res.States, res.Edges, res.MaxDepth, res.Truncated)
 		})

@@ -11,6 +11,7 @@ import (
 	"repro/internal/protocol/mcastcore"
 	"repro/internal/protocol/tocore"
 	"repro/internal/spec/dvs"
+	"repro/internal/spec/vs"
 	"repro/internal/types"
 )
 
@@ -525,10 +526,8 @@ func attemptedViews(procs []types.ProcID, nodes map[types.ProcID]*dvscore.Node) 
 func abstractSpec(procs []types.ProcID, initial types.View, nodes map[types.ProcID]*dvscore.Node,
 	created []types.View, attempted map[types.ViewID]types.ProcSet) *dvs.DVS {
 	st := dvs.State{
-		Universe:   types.NewProcSet(procs...),
-		Initial:    initial,
-		Created:    created,
-		Current:    make(map[types.ProcID]types.ViewID),
+		State: vs.State{Universe: types.NewProcSet(procs...), Initial: initial, Created: created,
+			Current: make(map[types.ProcID]types.ViewID)},
 		Attempted:  attempted,
 		Registered: make(map[types.ViewID]types.ProcSet),
 		Drained:    true,

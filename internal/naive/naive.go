@@ -225,14 +225,3 @@ func (im *Impl) Clone() ioa.Automaton {
 	}
 	return c
 }
-
-// maxCreated returns the largest view id created in the underlying VS.
-func (im *Impl) maxCreated() types.ViewID {
-	var best types.ViewID
-	for _, v := range im.vs.Created() {
-		if best.Less(v.ID) {
-			best = v.ID
-		}
-	}
-	return best
-}

@@ -175,7 +175,7 @@ func envFunc(universe types.ProcSet, rng *rand.Rand) ioa.Environment {
 			return nil
 		}
 		members := types.RandomSubset(rng, procs)
-		v := types.View{ID: im.maxCreated().Next(members.First()), Members: members}
+		v := types.View{ID: im.vs.MaxCreatedID().Next(members.First()), Members: members}
 		if !im.VS().CreateViewCandidateOK(v) {
 			return nil
 		}

@@ -68,9 +68,9 @@ func (e *Env) Inputs(a ioa.Automaton) []ioa.Action {
 	// View proposal for the underlying VS.
 	if e.MaxViews == 0 || e.created < e.MaxViews {
 		members := types.RandomSubset(e.rng, e.procs)
-		id := im.MaxCreatedID().Next(members.First())
+		id := im.vs.MaxCreatedID().Next(members.First())
 		v := types.View{ID: id, Members: members}
-		if im.VSCreateViewCandidateOK(v) {
+		if im.vs.CreateViewCandidateOK(v) {
 			e.created++
 			acts = append(acts, ioa.Action{Name: vsspec.ActCreateView, Kind: ioa.KindInternal, Param: vsspec.CreateViewParam{View: v}})
 		}
@@ -132,12 +132,12 @@ func (e *BoundedEnv) Inputs(a ioa.Automaton) []ioa.Action {
 				Param: dvs.RegisterParam{P: p}})
 		}
 	}
-	if im.VS().CreatedCount() < e.MaxViews {
-		next := im.MaxCreatedID()
+	if im.vs.CreatedCount() < e.MaxViews {
+		next := im.vs.MaxCreatedID()
 		for _, members := range e.Views {
 			for o := members.First(); o >= 0; o = members.Next(o) {
 				v := types.View{ID: next.Next(o), Members: members}
-				if im.VSCreateViewCandidateOK(v) {
+				if im.vs.CreateViewCandidateOK(v) {
 					acts = append(acts, ioa.Action{Name: vsspec.ActCreateView, Kind: ioa.KindInternal,
 						Param: vsspec.CreateViewParam{View: v}})
 				}

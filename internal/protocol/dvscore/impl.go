@@ -58,72 +58,6 @@ func (im *Impl) VS() *vsspec.VS { return im.vs }
 // Node returns the VS-TO-DVS automaton of process p.
 func (im *Impl) Node(p types.ProcID) *Node { return im.nodes[p] }
 
-// MaxCreatedID returns the largest view id created in the underlying VS.
-func (im *Impl) MaxCreatedID() types.ViewID {
-	return im.vs.MaxCreatedID()
-}
-
-// VSCreateViewCandidateOK exposes the inner VS's createview precondition for
-// environments proposing views.
-func (im *Impl) VSCreateViewCandidateOK(v types.View) bool {
-	return im.vs.CreateViewCandidateOK(v)
-}
-
-// --- Derived variables of DVS-IMPL (Section 5.1) ---
-
-// Att returns {v ∈ created | ∃p ∈ v.set: v ∈ attempted_p}, sorted by id.
-func (im *Impl) Att() []types.View {
-	var out []types.View
-	for _, v := range im.vs.Created() {
-		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
-			if im.nodes[p].HasAttempted(v.ID) {
-				out = append(out, v)
-				break
-			}
-		}
-	}
-	types.SortViews(out)
-	return out
-}
-
-// TotAtt returns {v ∈ created | ∀p ∈ v.set: v ∈ attempted_p}, sorted by id.
-func (im *Impl) TotAtt() []types.View {
-	var out []types.View
-	for _, v := range im.vs.Created() {
-		all := true
-		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
-			if !im.nodes[p].HasAttempted(v.ID) {
-				all = false
-				break
-			}
-		}
-		if all {
-			out = append(out, v)
-		}
-	}
-	types.SortViews(out)
-	return out
-}
-
-// TotReg returns {v ∈ created | ∀p ∈ v.set: reg[v.id]_p}, sorted by id.
-func (im *Impl) TotReg() []types.View {
-	var out []types.View
-	for _, v := range im.vs.Created() {
-		all := true
-		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
-			if !im.nodes[p].Reg(v.ID) {
-				all = false
-				break
-			}
-		}
-		if all {
-			out = append(out, v)
-		}
-	}
-	types.SortViews(out)
-	return out
-}
-
 // Enabled implements ioa.Automaton. The enumeration covers:
 //
 //   - the inner VS automaton's locally controlled actions (hidden in the

@@ -61,16 +61,12 @@ func TestInvariant523LiteralIsViolated(t *testing.T) {
 
 func TestDerivedVariables(t *testing.T) {
 	universe, v0 := implSetup(4)
-	im := NewImpl(universe, v0)
-	att := im.Att()
+	sys := NewImpl(universe, v0).system()
+	att := sys.att()
 	if len(att) != 1 || att[0] != v0 {
 		t.Errorf("Att = %v", att)
 	}
-	totAtt := im.TotAtt()
-	if len(totAtt) != 1 {
-		t.Errorf("TotAtt = %v", totAtt)
-	}
-	totReg := im.TotReg()
+	totReg := sys.totReg()
 	if len(totReg) != 1 || totReg[0] != v0 {
 		t.Errorf("TotReg = %v", totReg)
 	}

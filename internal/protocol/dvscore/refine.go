@@ -41,17 +41,19 @@ func (r *Refinement) Abstract(a ioa.Automaton) (ioa.Automaton, error) {
 		return nil, fmt.Errorf("abstract: want *dvscore.Impl, got %T", a)
 	}
 	st := dvs.State{
-		Universe:   r.Universe,
-		Initial:    r.Initial,
+		State: vsspec.State{
+			Universe: r.Universe,
+			Initial:  r.Initial,
+			Current:  make(map[types.ProcID]types.ViewID),
+			Queues:   make(map[types.ViewID][]dvs.Entry),
+			Pending:  make(map[vsspec.ProcView][]types.Msg),
+			Next:     make(vsspec.Counter),
+			NextSafe: make(vsspec.Counter),
+		},
 		Literal:    r.Literal,
-		Current:    make(map[types.ProcID]types.ViewID),
 		Attempted:  make(map[types.ViewID]types.ProcSet),
 		Registered: make(map[types.ViewID]types.ProcSet),
-		Queues:     make(map[types.ViewID][]dvs.Entry),
-		Pending:    make(map[types.ProcID]map[types.ViewID][]types.Msg),
-		Next:       make(map[types.ProcID]map[types.ViewID]int),
-		NextSafe:   make(map[types.ProcID]map[types.ViewID]int),
-		Rcvd:       make(map[types.ProcID]map[types.ViewID]int),
+		Rcvd:       make(vsspec.Counter),
 	}
 
 	// t.created = ∪_p attempted_p; t.attempted[g] = attempting processes.
@@ -88,50 +90,36 @@ func (r *Refinement) Abstract(a ioa.Automaton) (ioa.Automaton, error) {
 		vsQueue := im.vs.QueueShared(g)
 		for _, e := range vsQueue {
 			if types.IsClient(e.M) {
-				tq = append(tq, dvs.Entry{M: e.M, P: e.P})
+				tq = append(tq, e)
 			}
 		}
 		if len(tq) > 0 {
 			st.Queues[g] = tq
 		}
 		for _, p := range im.procs {
-			n := im.nodes[p]
+			n, k := im.nodes[p], vsspec.ProcView{P: p, G: g}
 			// t.pending[p,g] = purge(s.pending[p,g]) + purge(s.msgs-to-vs[g]_p).
 			pend := Purge(im.vs.PendingShared(p, g))
 			pend = append(pend, Purge(n.msgsToVS[g])...)
 			if len(pend) > 0 {
-				if st.Pending[p] == nil {
-					st.Pending[p] = make(map[types.ViewID][]types.Msg)
-				}
-				st.Pending[p][g] = pend
+				st.Pending[k] = pend
 			}
 			// t.rcvd[p,g] = s.next[p,g] - purgesize(queue(1..next-1)): the
 			// client messages p's service endpoint has received in g
-			// (amended target only).
+			// (amended target only). A counter at 1 is left absent.
 			next := im.vs.Next(p, g)
 			tRcvd := next - purgeSizeEntries(vsQueue[:next-1])
 			if !r.Literal && tRcvd != 1 {
-				if st.Rcvd[p] == nil {
-					st.Rcvd[p] = make(map[types.ViewID]int)
-				}
-				st.Rcvd[p][g] = tRcvd
+				st.Rcvd[k] = tRcvd
 			}
 			// t.next[p,g] = s.next[p,g] - purgesize(queue(1..next-1)) - |msgs-from-vs[g]_p|.
-			tNext := tRcvd - len(n.msgsFromVS[g])
-			if tNext != 1 {
-				if st.Next[p] == nil {
-					st.Next[p] = make(map[types.ViewID]int)
-				}
-				st.Next[p][g] = tNext
+			if tNext := tRcvd - len(n.msgsFromVS[g]); tNext != 1 {
+				st.Next[k] = tNext
 			}
 			// t.next-safe analogous with safe-from-vs.
 			ns := im.vs.NextSafe(p, g)
-			tNS := ns - purgeSizeEntries(vsQueue[:ns-1]) - len(n.safeFromVS[g])
-			if tNS != 1 {
-				if st.NextSafe[p] == nil {
-					st.NextSafe[p] = make(map[types.ViewID]int)
-				}
-				st.NextSafe[p][g] = tNS
+			if tNS := ns - purgeSizeEntries(vsQueue[:ns-1]) - len(n.safeFromVS[g]); tNS != 1 {
+				st.NextSafe[k] = tNS
 			}
 		}
 	}
@@ -193,11 +181,7 @@ func (r *Refinement) Plan(pre ioa.Automaton, act ioa.Action) ([]ioa.Action, erro
 		if !types.IsClient(p.M) {
 			return nil, nil
 		}
-		return []ioa.Action{{
-			Name:  dvs.ActOrder,
-			Kind:  ioa.KindInternal,
-			Param: dvs.OrderParam{M: p.M, P: p.P, G: p.G},
-		}}, nil
+		return []ioa.Action{{Name: dvs.ActOrder, Kind: ioa.KindInternal, Param: p}}, nil
 
 	case vsspec.ActGpRcv:
 		if r.Literal {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ioa"
+	"repro/internal/spec/vs"
 	"repro/internal/types"
 )
 
@@ -249,14 +250,14 @@ func TestInvariant41Checker(t *testing.T) {
 	}
 	// Force a violation through the state constructor (not reachable via
 	// transitions) to prove the checker detects it.
-	bad := FromState(State{
+	bad := FromState(State{State: vs.State{
 		Universe: types.RangeProcSet(5),
 		Initial:  types.InitialView(types.NewProcSet(0, 1, 2)),
 		Created: []types.View{
 			types.NewView(types.ViewIDZero, 0, 1, 2),
 			types.NewView(types.ViewID{Seq: 1}, 3, 4),
 		},
-	})
+	}})
 	if err := CheckInvariant41(bad); err == nil {
 		t.Error("4.1 violation not detected")
 	}
@@ -265,18 +266,20 @@ func TestInvariant41Checker(t *testing.T) {
 func TestInvariant42Checker(t *testing.T) {
 	// w totally attempted with id above v, but no member of v moved on.
 	bad := FromState(State{
-		Universe: types.RangeProcSet(5),
-		Initial:  types.InitialView(types.NewProcSet(0, 1, 2)),
-		Created: []types.View{
-			types.NewView(types.ViewIDZero, 0, 1, 2),
-			types.NewView(types.ViewID{Seq: 1}, 2, 3),
+		State: vs.State{
+			Universe: types.RangeProcSet(5),
+			Initial:  types.InitialView(types.NewProcSet(0, 1, 2)),
+			Created: []types.View{
+				types.NewView(types.ViewIDZero, 0, 1, 2),
+				types.NewView(types.ViewID{Seq: 1}, 2, 3),
+			},
+			Current: map[types.ProcID]types.ViewID{
+				0: {}, 1: {}, 2: {}, // nobody moved past g0
+				3: {Seq: 1},
+			},
 		},
 		Attempted: map[types.ViewID]types.ProcSet{
 			{Seq: 1}: types.NewProcSet(2, 3),
-		},
-		Current: map[types.ProcID]types.ViewID{
-			0: {}, 1: {}, 2: {}, // nobody moved past g0
-			3: {Seq: 1},
 		},
 	})
 	if err := CheckInvariant42(bad); err == nil {
@@ -322,13 +325,15 @@ func TestFromStateRoundTrip(t *testing.T) {
 		act(ActRegister, ioa.KindInput, RegisterParam{P: 1}),
 	)
 	st := State{
-		Universe:   universe,
-		Initial:    v0,
-		Created:    a.Created(),
-		Current:    map[types.ProcID]types.ViewID{0: v0.ID, 1: v0.ID, 2: v0.ID},
+		State: vs.State{
+			Universe: universe,
+			Initial:  v0,
+			Created:  a.Created(),
+			Current:  map[types.ProcID]types.ViewID{0: v0.ID, 1: v0.ID, 2: v0.ID},
+			Queues:   map[types.ViewID][]Entry{v0.ID: a.QueueShared(v0.ID)},
+		},
 		Attempted:  map[types.ViewID]types.ProcSet{v0.ID: a.Attempted(v0.ID)},
 		Registered: map[types.ViewID]types.ProcSet{v0.ID: a.Registered(v0.ID)},
-		Queues:     map[types.ViewID][]Entry{v0.ID: a.Queue(v0.ID)},
 	}
 	b := FromState(st)
 	if ioa.FpOf(a) != ioa.FpOf(b) {
@@ -340,7 +345,7 @@ func TestCloneDeep(t *testing.T) {
 	a, _, v0 := setup()
 	b := a.Clone().(*DVS)
 	mustPerform(t, b, act(ActGpSnd, ioa.KindInput, SndParam{M: types.ClientMsg("y"), P: 0}))
-	if len(a.Pending(0, v0.ID)) != 0 {
+	if len(a.PendingShared(0, v0.ID)) != 0 {
 		t.Error("clone mutation leaked into original")
 	}
 	if ioa.FpOf(a) == ioa.FpOf(b) {

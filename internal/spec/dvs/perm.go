@@ -11,7 +11,7 @@ var _ ioa.Symmetric = (*DVS)(nil)
 // permutations of the universe that fix the CURRENT state (see
 // ioa.Stabilizer: call it on the initial state) — and returns its order.
 func (a *DVS) EnableSymmetry() int {
-	a.syms = ioa.Stabilizer(a, types.PermsOf(a.universe))
+	a.syms = ioa.Stabilizer(a, types.PermsOf(a.Universe()))
 	return len(a.syms)
 }
 

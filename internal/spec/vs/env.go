@@ -7,9 +7,10 @@ import (
 	"repro/internal/types"
 )
 
-// Env supplies inputs for driving the VS specification automaton: client
-// broadcasts and vs-createview proposals with arbitrary membership and
-// increasing ids.
+// Env supplies inputs for driving a specification automaton over the
+// channel: client broadcasts, createview proposals with arbitrary
+// membership and increasing ids that satisfy the automaton's Rules, and,
+// when the automaton has one, a registration (Figure 2's dvs-register).
 //
 // Enumeration is a pure function of (seed, automaton state): the candidate
 // set is derived from a per-state PRNG seeded by ioa.StateSeed, and the
@@ -20,23 +21,32 @@ import (
 type Env struct {
 	seed     int64
 	procs    []types.ProcID
+	names    *Names
+	register func(types.ProcID) ioa.Action
 	MaxViews int // cap on created views, counting v0 (0 = unlimited)
 }
 
 var _ ioa.Environment = (*Env)(nil)
 
-// NewEnv returns an environment over the given universe.
+// NewEnv returns an environment for VS over the given universe.
 func NewEnv(seed int64, universe types.ProcSet) *Env {
-	return &Env{
-		seed:     seed,
-		procs:    universe.Sorted(),
-		MaxViews: 64,
-	}
+	return EnvFor(seed, universe, &figure1, nil)
+}
+
+// EnvFor returns an environment for an automaton over the channel whose
+// actions n names. register, if not nil, is drawn at a random process
+// after each broadcast.
+func EnvFor(seed int64, universe types.ProcSet, n *Names, register func(types.ProcID) ioa.Action) *Env {
+	return &Env{seed: seed, procs: universe.Sorted(), names: n, register: register, MaxViews: 64}
 }
 
 // Inputs implements ioa.Environment.
 func (e *Env) Inputs(a ioa.Automaton) []ioa.Action {
-	v, ok := a.(*VS)
+	spec, ok := a.(interface {
+		Rules
+		CreatedCount() int
+		MaxCreatedID() types.ViewID
+	})
 	if !ok {
 		return nil
 	}
@@ -46,10 +56,13 @@ func (e *Env) Inputs(a ioa.Automaton) []ioa.Action {
 
 	p := types.RandomMember(rng, e.procs)
 	m := types.ClientMsg("m" + strconv.FormatUint(rng.Uint64(), 36))
-	acts = append(acts, ioa.Action{Name: ActGpSnd, Kind: ioa.KindInput, Param: SndParam{M: m, P: p}})
+	acts = append(acts, ioa.Action{Name: e.names.GpSnd, Kind: ioa.KindInput, Param: SndParam{M: m, P: p}})
+	if e.register != nil {
+		acts = append(acts, e.register(types.RandomMember(rng, e.procs)))
+	}
 
-	if e.MaxViews == 0 || v.CreatedCount() < e.MaxViews {
-		maxID := v.MaxCreatedID()
+	if e.MaxViews == 0 || spec.CreatedCount() < e.MaxViews {
+		maxID := spec.MaxCreatedID()
 		// Retry a few memberships from the per-state PRNG: a single
 		// rejected draw must not silence view creation in a state the
 		// execution may never leave (inputs that are no-ops keep the
@@ -57,8 +70,8 @@ func (e *Env) Inputs(a ioa.Automaton) []ioa.Action {
 		for try := 0; try < candidateTries; try++ {
 			members := types.RandomSubset(rng, e.procs)
 			cand := types.View{ID: maxID.Next(members.First()), Members: members}
-			if v.CreateViewCandidateOK(cand) {
-				acts = append(acts, ioa.Action{Name: ActCreateView, Kind: ioa.KindInternal, Param: CreateViewParam{View: cand}})
+			if spec.CreateViewCandidateOK(cand) {
+				acts = append(acts, ioa.Action{Name: e.names.CreateView, Kind: ioa.KindInternal, Param: CreateViewParam{View: cand}})
 				break
 			}
 		}

@@ -8,6 +8,10 @@
 // preconditions hold in the current state. View creation (vs-createview) is
 // parameterized over the infinite set of views, so candidate views are
 // supplied by the execution environment rather than enumerated.
+//
+// VS is also the per-view channel of Figure 2 (package dvs), which runs
+// Outputs and Step under its own action names and Rules: the preconditions
+// Figure 2 changes are stated there, the effects only here.
 package vs
 
 import (
@@ -28,6 +32,25 @@ const (
 	ActGpRcv      = "vs-gprcv"
 	ActSafe       = "vs-safe"
 )
+
+// Names are the action names of the channel's transitions.
+type Names struct{ CreateView, NewView, GpSnd, Order, GpRcv, Safe string }
+
+var figure1 = Names{ActCreateView, ActNewView, ActGpSnd, ActOrder, ActGpRcv, ActSafe}
+
+// Rules are the preconditions an automaton over the channel states for
+// itself. VS's are Figure 1's; Figure 2 changes all four.
+type Rules interface {
+	// CreateViewCandidateOK is createview(v)'s precondition.
+	CreateViewCandidateOK(v types.View) bool
+	// NewViewOK reports whether p may leave its current view.
+	NewViewOK(p types.ProcID) bool
+	// GpRcvOK reports whether q's client may receive queue[g](n).
+	GpRcvOK(q types.ProcID, g types.ViewID, n int) bool
+	// Received is one past the last message of queue[g] that r has
+	// received: safe waits until every member has received a message.
+	Received(r types.ProcID, g types.ViewID) int
+}
 
 // CreateViewParam parameterizes vs-createview(v).
 type CreateViewParam struct{ View types.View }
@@ -86,11 +109,23 @@ type Entry struct {
 	P types.ProcID
 }
 
-func (e Entry) key() string { return e.M.MsgKey() + "@" + e.P.String() }
-
-type procView struct {
+// ProcView indexes the per-process, per-view variables.
+type ProcView struct {
 	P types.ProcID
 	G types.ViewID
+}
+
+// Counter is an index into queue[g] per process and view: next,
+// next-safe, or Figure 2's rcvd. An absent key reads 1, and 1 is never
+// stored.
+type Counter map[ProcView]int
+
+// At returns c[p, g].
+func (c Counter) At(p types.ProcID, g types.ViewID) int {
+	if n, ok := c[ProcView{p, g}]; ok {
+		return n
+	}
+	return 1
 }
 
 // VS is the specification automaton state of Figure 1.
@@ -101,26 +136,20 @@ type VS struct {
 	created  map[types.ViewID]types.View
 	current  map[types.ProcID]types.ViewID // current-viewid; absent key = ⊥
 	queues   map[types.ViewID][]Entry
-	pending  map[procView][]types.Msg
-	next     map[procView]int // absent = 1
-	nextSafe map[procView]int // absent = 1
+	pending  map[ProcView][]types.Msg
+	next     Counter
+	nextSafe Counter
 }
 
-var _ ioa.Automaton = (*VS)(nil)
+var (
+	_ ioa.Automaton = (*VS)(nil)
+	_ Rules         = (*VS)(nil)
+)
 
 // New returns the VS automaton in its initial state: created = {v0},
 // current-viewid[p] = g0 for p ∈ P0 and ⊥ otherwise.
 func New(universe types.ProcSet, initial types.View) *VS {
-	a := &VS{
-		universe: universe,
-		initial:  initial,
-		created:  map[types.ViewID]types.View{initial.ID: initial},
-		current:  make(map[types.ProcID]types.ViewID),
-		queues:   make(map[types.ViewID][]Entry),
-		pending:  make(map[procView][]types.Msg),
-		next:     make(map[procView]int),
-		nextSafe: make(map[procView]int),
-	}
+	a := FromState(State{Universe: universe, Initial: initial, Created: []types.View{initial}})
 	for p := initial.Members.First(); p >= 0; p = initial.Members.Next(p) {
 		a.current[p] = initial.ID
 	}
@@ -135,12 +164,29 @@ func (a *VS) Universe() types.ProcSet { return a.universe }
 
 // Created returns the set of created views, sorted by identifier.
 func (a *VS) Created() []types.View {
-	out := make([]types.View, 0, len(a.created))
+	return a.AppendCreated(make([]types.View, 0, len(a.created)))
+}
+
+// AppendCreated appends the created views to dst, sorted by identifier.
+func (a *VS) AppendCreated(dst []types.View) []types.View {
+	n := len(dst)
 	for _, v := range a.created {
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	types.SortViews(out)
-	return out
+	// Insertion sort: there are few views, and the DVS invariants and its
+	// createview precondition sort them on every call.
+	for i := n + 1; i < len(dst); i++ {
+		for j := i; j > n && dst[j].ID.Less(dst[j-1].ID); j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
+	}
+	return dst
+}
+
+// View returns the created view with id g.
+func (a *VS) View(g types.ViewID) (types.View, bool) {
+	v, ok := a.created[g]
+	return v, ok
 }
 
 // CreatedCount returns |created| without materializing the views.
@@ -164,93 +210,24 @@ func (a *VS) CurrentViewID(p types.ProcID) (types.ViewID, bool) {
 	return g, ok
 }
 
-// Queue returns a copy of queue[g].
-func (a *VS) Queue(g types.ViewID) []Entry {
-	q := a.queues[g]
-	out := make([]Entry, len(q))
-	copy(out, q)
-	return out
-}
-
 // QueueShared returns queue[g] without copying; read-only.
 func (a *VS) QueueShared(g types.ViewID) []Entry { return a.queues[g] }
 
-// Next returns next[p, g].
-func (a *VS) Next(p types.ProcID, g types.ViewID) int {
-	return defaultOne(a.next, procView{p, g})
+// Holds reports whether queue[g](i) is <m, p>.
+func (a *VS) Holds(g types.ViewID, i int, m types.Msg, p types.ProcID) bool {
+	q := a.queues[g]
+	return i <= len(q) && q[i-1].M.EqualMsg(m) && q[i-1].P == p
 }
+
+// Next returns next[p, g].
+func (a *VS) Next(p types.ProcID, g types.ViewID) int { return a.next.At(p, g) }
 
 // NextSafe returns next-safe[p, g].
-func (a *VS) NextSafe(p types.ProcID, g types.ViewID) int {
-	return defaultOne(a.nextSafe, procView{p, g})
-}
-
-// Pending returns a copy of pending[p, g].
-func (a *VS) Pending(p types.ProcID, g types.ViewID) []types.Msg {
-	return types.CloneSeq(a.pending[procView{p, g}])
-}
+func (a *VS) NextSafe(p types.ProcID, g types.ViewID) int { return a.nextSafe.At(p, g) }
 
 // PendingShared returns pending[p, g] without copying; read-only.
 func (a *VS) PendingShared(p types.ProcID, g types.ViewID) []types.Msg {
-	return a.pending[procView{p, g}]
-}
-
-func defaultOne(m map[procView]int, k procView) int {
-	if v, ok := m[k]; ok {
-		return v
-	}
-	return 1
-}
-
-// Enabled implements ioa.Automaton. It enumerates the locally controlled
-// actions with satisfied preconditions, except vs-createview whose parameter
-// space is unbounded (candidates come from the environment; see
-// CreateViewCandidateOK for its precondition).
-func (a *VS) Enabled() []ioa.Action {
-	var acts []ioa.Action
-	// vs-newview(v)_p
-	for _, v := range a.created {
-		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
-			if cur, ok := a.current[p]; !ok || cur.Less(v.ID) {
-				acts = append(acts, ioa.Action{Name: ActNewView, Kind: ioa.KindOutput, Param: NewViewParam{View: v, P: p}})
-			}
-		}
-	}
-	// vs-order(m, p, g)
-	for pg, msgs := range a.pending {
-		if len(msgs) > 0 {
-			acts = append(acts, ioa.Action{Name: ActOrder, Kind: ioa.KindInternal, Param: OrderParam{M: msgs[0], P: pg.P, G: pg.G}})
-		}
-	}
-	// vs-gprcv(m)_{p,q} and vs-safe(m)_{p,q}
-	for q, g := range a.current {
-		queue := a.queues[g]
-		if n := a.Next(q, g); n <= len(queue) {
-			e := queue[n-1]
-			acts = append(acts, ioa.Action{Name: ActGpRcv, Kind: ioa.KindOutput, Param: RcvParam{M: e.M, From: e.P, To: q}})
-		}
-		if ns := a.NextSafe(q, g); ns <= len(queue) {
-			if a.safeEnabled(q, g, ns) {
-				e := queue[ns-1]
-				acts = append(acts, ioa.Action{Name: ActSafe, Kind: ioa.KindOutput, Param: RcvParam{M: e.M, From: e.P, To: q}})
-			}
-		}
-	}
-	ioa.SortActions(acts)
-	return acts
-}
-
-func (a *VS) safeEnabled(q types.ProcID, g types.ViewID, ns int) bool {
-	v, ok := a.created[g]
-	if !ok {
-		return false
-	}
-	for r := v.Members.First(); r >= 0; r = v.Members.Next(r) {
-		if a.Next(r, g) <= ns {
-			return false
-		}
-	}
-	return true
+	return a.pending[ProcView{p, g}]
 }
 
 // CreateViewCandidateOK reports whether vs-createview(v) is enabled: v.id
@@ -267,58 +244,129 @@ func (a *VS) CreateViewCandidateOK(v types.View) bool {
 	return true
 }
 
+// NewViewOK implements Rules: in Figure 1 a process may leave any view.
+func (a *VS) NewViewOK(types.ProcID) bool { return true }
+
+// GpRcvOK implements Rules: in Figure 1 a client receives what is queued.
+func (a *VS) GpRcvOK(types.ProcID, types.ViewID, int) bool { return true }
+
+// Received implements Rules: Figure 1's safe waits for every member's
+// client, next[r, g].
+func (a *VS) Received(r types.ProcID, g types.ViewID) int { return a.Next(r, g) }
+
+// Enabled implements ioa.Automaton. It enumerates the locally controlled
+// actions with satisfied preconditions, except vs-createview whose parameter
+// space is unbounded (candidates come from the environment; see
+// CreateViewCandidateOK for its precondition).
+func (a *VS) Enabled() []ioa.Action {
+	acts := a.Outputs(&figure1, a)
+	ioa.SortActions(acts)
+	return acts
+}
+
+// Outputs lists, unsorted and named by n, the newview, order, gprcv and
+// safe actions whose preconditions hold under r.
+func (a *VS) Outputs(n *Names, r Rules) []ioa.Action {
+	var acts []ioa.Action
+	for _, v := range a.created {
+		for p := v.Members.First(); p >= 0; p = v.Members.Next(p) {
+			if cur, ok := a.current[p]; (!ok || cur.Less(v.ID)) && r.NewViewOK(p) {
+				acts = append(acts, ioa.Action{Name: n.NewView, Kind: ioa.KindOutput, Param: NewViewParam{View: v, P: p}})
+			}
+		}
+	}
+	for pg, msgs := range a.pending {
+		if len(msgs) > 0 {
+			acts = append(acts, ioa.Action{Name: n.Order, Kind: ioa.KindInternal, Param: OrderParam{M: msgs[0], P: pg.P, G: pg.G}})
+		}
+	}
+	for q, g := range a.current {
+		queue := a.queues[g]
+		if i := a.Next(q, g); i <= len(queue) && r.GpRcvOK(q, g, i) {
+			e := queue[i-1]
+			acts = append(acts, ioa.Action{Name: n.GpRcv, Kind: ioa.KindOutput, Param: RcvParam{M: e.M, From: e.P, To: q}})
+		}
+		if i := a.NextSafe(q, g); i <= len(queue) && a.safeOK(r, g, i) {
+			e := queue[i-1]
+			acts = append(acts, ioa.Action{Name: n.Safe, Kind: ioa.KindOutput, Param: RcvParam{M: e.M, From: e.P, To: q}})
+		}
+	}
+	return acts
+}
+
+// safeOK reports whether every member of view g has received queue[g](i).
+func (a *VS) safeOK(r Rules, g types.ViewID, i int) bool {
+	v, ok := a.created[g]
+	if !ok {
+		return false
+	}
+	for m := v.Members.First(); m >= 0; m = v.Members.Next(m) {
+		if r.Received(m, g) <= i {
+			return false
+		}
+	}
+	return true
+}
+
 // Perform implements ioa.Automaton.
-func (a *VS) Perform(act ioa.Action) error {
+func (a *VS) Perform(act ioa.Action) error { return a.Step(&figure1, a, act) }
+
+// Step performs act, a transition of the channel named by n, if its
+// precondition holds under r.
+func (a *VS) Step(n *Names, r Rules, act ioa.Action) error {
 	switch act.Name {
-	case ActCreateView:
+	case n.CreateView:
 		p, ok := act.Param.(CreateViewParam)
 		if !ok {
 			return badParam(act)
 		}
-		if !a.CreateViewCandidateOK(p.View) {
-			return fmt.Errorf("vs-createview(%s): id not greater than all created", p.View)
+		if !r.CreateViewCandidateOK(p.View) {
+			return fmt.Errorf("%s(%s): precondition fails", act.Name, p.View)
 		}
 		a.created[p.View.ID] = p.View
 		return nil
 
-	case ActNewView:
+	case n.NewView:
 		p, ok := act.Param.(NewViewParam)
 		if !ok {
 			return badParam(act)
 		}
 		v, created := a.created[p.View.ID]
 		if !created || v != p.View {
-			return fmt.Errorf("vs-newview(%s): view not created", p.View)
+			return fmt.Errorf("%s(%s): view not created", act.Name, p.View)
 		}
 		if !v.Contains(p.P) {
-			return fmt.Errorf("vs-newview(%s)_%s: process not a member", p.View, p.P)
+			return fmt.Errorf("%s(%s)_%s: process not a member", act.Name, p.View, p.P)
 		}
 		if cur, ok := a.current[p.P]; ok && !cur.Less(v.ID) {
-			return fmt.Errorf("vs-newview(%s)_%s: id not greater than current %s", p.View, p.P, cur)
+			return fmt.Errorf("%s(%s)_%s: id not greater than current %s", act.Name, p.View, p.P, cur)
+		}
+		if !r.NewViewOK(p.P) {
+			return fmt.Errorf("%s(%s)_%s: may not leave the current view", act.Name, p.View, p.P)
 		}
 		a.current[p.P] = v.ID
 		return nil
 
-	case ActGpSnd:
+	case n.GpSnd:
 		p, ok := act.Param.(SndParam)
 		if !ok {
 			return badParam(act)
 		}
 		if g, ok := a.current[p.P]; ok {
-			k := procView{p.P, g}
+			k := ProcView{p.P, g}
 			a.pending[k] = append(a.pending[k], p.M)
 		}
 		return nil
 
-	case ActOrder:
+	case n.Order:
 		p, ok := act.Param.(OrderParam)
 		if !ok {
 			return badParam(act)
 		}
-		k := procView{p.P, p.G}
+		k := ProcView{p.P, p.G}
 		msgs := a.pending[k]
 		if len(msgs) == 0 || !msgs[0].EqualMsg(p.M) {
-			return fmt.Errorf("vs-order(%s): not head of pending[%s,%s]", p.M.MsgKey(), p.P, p.G)
+			return fmt.Errorf("%s(%s): not head of pending[%s,%s]", act.Name, p.M.MsgKey(), p.P, p.G)
 		}
 		a.pending[k] = msgs[1:]
 		if len(a.pending[k]) == 0 {
@@ -327,47 +375,31 @@ func (a *VS) Perform(act ioa.Action) error {
 		a.queues[p.G] = append(a.queues[p.G], Entry{M: p.M, P: p.P})
 		return nil
 
-	case ActGpRcv:
+	case n.GpRcv, n.Safe:
 		p, ok := act.Param.(RcvParam)
 		if !ok {
 			return badParam(act)
 		}
 		g, hasView := a.current[p.To]
 		if !hasView {
-			return fmt.Errorf("vs-gprcv to %s: no current view", p.To)
+			return fmt.Errorf("%s to %s: no current view", act.Name, p.To)
 		}
-		k := procView{p.To, g}
-		n := defaultOne(a.next, k)
-		queue := a.queues[g]
-		if n > len(queue) || !queue[n-1].M.EqualMsg(p.M) || queue[n-1].P != p.From {
-			return fmt.Errorf("vs-gprcv(%s)_%s,%s: queue[%s](%d) mismatch", p.M.MsgKey(), p.From, p.To, g, n)
+		c := a.next
+		if act.Name == n.Safe {
+			c = a.nextSafe
 		}
-		a.next[k] = n + 1
-		return nil
-
-	case ActSafe:
-		p, ok := act.Param.(RcvParam)
-		if !ok {
-			return badParam(act)
+		i := c.At(p.To, g)
+		if !a.Holds(g, i, p.M, p.From) {
+			return fmt.Errorf("%s(%s)_%s,%s: queue[%s](%d) mismatch", act.Name, p.M.MsgKey(), p.From, p.To, g, i)
 		}
-		g, hasView := a.current[p.To]
-		if !hasView {
-			return fmt.Errorf("vs-safe to %s: no current view", p.To)
+		if act.Name == n.GpRcv && !r.GpRcvOK(p.To, g, i) || act.Name == n.Safe && !a.safeOK(r, g, i) {
+			return fmt.Errorf("%s(%s)_%s,%s: some member has not received index %d", act.Name, p.M.MsgKey(), p.From, p.To, i)
 		}
-		k := procView{p.To, g}
-		ns := defaultOne(a.nextSafe, k)
-		queue := a.queues[g]
-		if ns > len(queue) || !queue[ns-1].M.EqualMsg(p.M) || queue[ns-1].P != p.From {
-			return fmt.Errorf("vs-safe(%s)_%s,%s: queue[%s](%d) mismatch", p.M.MsgKey(), p.From, p.To, g, ns)
-		}
-		if !a.safeEnabled(p.To, g, ns) {
-			return fmt.Errorf("vs-safe(%s)_%s,%s: some member has not received index %d", p.M.MsgKey(), p.From, p.To, ns)
-		}
-		a.nextSafe[k] = ns + 1
+		c[ProcView{p.To, g}] = i + 1
 		return nil
 
 	default:
-		return fmt.Errorf("vs: unknown action %q", act.Name)
+		return fmt.Errorf("unknown action %q", act.Name)
 	}
 }
 
@@ -377,13 +409,19 @@ func badParam(act ioa.Action) error {
 
 // Clone implements ioa.Automaton.
 func (a *VS) Clone() ioa.Automaton {
-	b := &VS{
+	b := a.Copy()
+	return &b
+}
+
+// Copy returns a copy of the state that shares no storage with it.
+func (a *VS) Copy() VS {
+	b := VS{
 		universe: a.universe,
 		initial:  a.initial,
 		created:  maps.Clone(a.created),
 		current:  maps.Clone(a.current),
 		queues:   make(map[types.ViewID][]Entry, len(a.queues)),
-		pending:  make(map[procView][]types.Msg, len(a.pending)),
+		pending:  make(map[ProcView][]types.Msg, len(a.pending)),
 		next:     maps.Clone(a.next),
 		nextSafe: maps.Clone(a.nextSafe),
 	}
@@ -396,6 +434,58 @@ func (a *VS) Clone() ioa.Automaton {
 	return b
 }
 
+// State describes an explicit VS state, for FromState.
+type State struct {
+	Universe types.ProcSet
+	Initial  types.View
+	Created  []types.View
+	Current  map[types.ProcID]types.ViewID // omit key for ⊥
+	Queues   map[types.ViewID][]Entry
+	Pending  map[ProcView][]types.Msg
+	Next     Counter
+	NextSafe Counter
+}
+
+// FromState returns a VS holding exactly st, which it does not share.
+func FromState(st State) *VS {
+	a := &VS{
+		universe: st.Universe,
+		initial:  st.Initial,
+		created:  make(map[types.ViewID]types.View, len(st.Created)),
+		current:  make(map[types.ProcID]types.ViewID, len(st.Current)),
+		queues:   make(map[types.ViewID][]Entry, len(st.Queues)),
+		pending:  make(map[ProcView][]types.Msg, len(st.Pending)),
+		next:     st.Next.Copy(),
+		nextSafe: st.NextSafe.Copy(),
+	}
+	for _, v := range st.Created {
+		a.created[v.ID] = v
+	}
+	maps.Copy(a.current, st.Current)
+	for g, q := range st.Queues {
+		if len(q) > 0 {
+			a.queues[g] = types.CloneSeq(q)
+		}
+	}
+	for k, msgs := range st.Pending {
+		if len(msgs) > 0 {
+			a.pending[k] = types.CloneSeq(msgs)
+		}
+	}
+	return a
+}
+
+// Copy returns c without the entries that read as absent.
+func (c Counter) Copy() Counter {
+	out := make(Counter, len(c))
+	for k, n := range c {
+		if n != 1 {
+			out[k] = n
+		}
+	}
+	return out
+}
+
 // CheckInvariant31 checks Invariant 3.1: created views have unique ids. The
 // representation indexes created by id, so the checkable content is that the
 // stored view's id matches its key.
@@ -406,6 +496,17 @@ func CheckInvariant31(a *VS) error {
 		}
 		if v.Members.Len() == 0 {
 			return errors.New("created view with empty membership: " + v.String())
+		}
+	}
+	return nil
+}
+
+// CheckReceived checks that no client has received past its process under
+// r: next[p, g] ≤ r.Received(p, g).
+func (a *VS) CheckReceived(r Rules) error {
+	for k, n := range a.next {
+		if got := r.Received(k.P, k.G); n > got {
+			return fmt.Errorf("next[%s,%s] = %d exceeds received %d", k.P, k.G, n, got)
 		}
 	}
 	return nil

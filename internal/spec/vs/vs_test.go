@@ -85,12 +85,12 @@ func TestSendOrderReceiveSafeFlow(t *testing.T) {
 	a, _, v0 := setup()
 	m := types.ClientMsg("hello")
 	mustPerform(t, a, act(ActGpSnd, ioa.KindInput, SndParam{M: m, P: 0}))
-	if got := a.Pending(0, v0.ID); len(got) != 1 || got[0].MsgKey() != m.MsgKey() {
+	if got := a.PendingShared(0, v0.ID); len(got) != 1 || got[0].MsgKey() != m.MsgKey() {
 		t.Fatalf("pending = %v", got)
 	}
 
 	mustPerform(t, a, act(ActOrder, ioa.KindInternal, OrderParam{M: m, P: 0, G: v0.ID}))
-	if q := a.Queue(v0.ID); len(q) != 1 || q[0].P != 0 {
+	if q := a.QueueShared(v0.ID); len(q) != 1 || q[0].P != 0 {
 		t.Fatalf("queue = %v", q)
 	}
 	// Safe before anyone received must be disabled.
@@ -115,7 +115,7 @@ func TestSendWithoutViewIsDropped(t *testing.T) {
 	a, _, _ := setup()
 	mustPerform(t, a, act(ActGpSnd, ioa.KindInput, SndParam{M: types.ClientMsg("x"), P: 3}))
 	for _, v := range a.Created() {
-		if len(a.Pending(3, v.ID)) != 0 {
+		if len(a.PendingShared(3, v.ID)) != 0 {
 			t.Error("send at ⊥ must be a no-op")
 		}
 	}
@@ -193,7 +193,7 @@ func TestCloneIndependence(t *testing.T) {
 	mustPerform(t, a, act(ActGpSnd, ioa.KindInput, SndParam{M: m, P: 0}))
 	b := a.Clone().(*VS)
 	mustPerform(t, b, act(ActOrder, ioa.KindInternal, OrderParam{M: m, P: 0, G: v0.ID}))
-	if len(a.Queue(v0.ID)) != 0 {
+	if len(a.QueueShared(v0.ID)) != 0 {
 		t.Error("clone mutation leaked into original")
 	}
 	if ioa.FpOf(a) == ioa.FpOf(b) {

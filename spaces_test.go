@@ -44,6 +44,68 @@ func (e toAuditEnv) Inputs(a ioa.Automaton) []ioa.Action {
 	return acts
 }
 
+// specAuditEnv is a pure environment for exploring the bare VS and DVS
+// specifications: each process may send the client message "a" while no
+// message exists, each may register (DVS only: reg is its action name),
+// and each membership of views is offered as the next view while fewer than
+// maxViews exist. Every input is a function of the state, and a sent
+// message never leaves the state, so the space is finite. allOrigins offers
+// each member of a membership as the view id's origin, which makes the
+// inputs equivariant under a permutation of the processes.
+type specAuditEnv struct {
+	universe         types.ProcSet
+	snd, reg, create string
+	maxViews         int
+	views            []types.ProcSet
+	allOrigins       bool
+}
+
+// bareSpec is what specAuditEnv reads of a VS or DVS specification.
+type bareSpec interface {
+	Created() []types.View
+	CreatedCount() int
+	MaxCreatedID() types.ViewID
+	CreateViewCandidateOK(types.View) bool
+	QueueShared(types.ViewID) []vsspec.Entry
+	PendingShared(types.ProcID, types.ViewID) []types.Msg
+}
+
+func (e specAuditEnv) Inputs(a ioa.Automaton) []ioa.Action {
+	spec := a.(bareSpec)
+	sent := false
+	for _, v := range spec.Created() {
+		sent = sent || len(spec.QueueShared(v.ID)) > 0
+		for p := e.universe.First(); p >= 0; p = e.universe.Next(p) {
+			sent = sent || len(spec.PendingShared(p, v.ID)) > 0
+		}
+	}
+	var acts []ioa.Action
+	for p := e.universe.First(); p >= 0; p = e.universe.Next(p) {
+		if !sent {
+			acts = append(acts, ioa.Action{Name: e.snd, Kind: ioa.KindInput,
+				Param: vsspec.SndParam{M: types.ClientMsg("a"), P: p}})
+		}
+		if e.reg != "" {
+			acts = append(acts, ioa.Action{Name: e.reg, Kind: ioa.KindInput, Param: dvsspec.RegisterParam{P: p}})
+		}
+	}
+	if spec.CreatedCount() >= e.maxViews {
+		return acts
+	}
+	for _, m := range e.views {
+		for o := m.First(); o >= 0; o = m.Next(o) {
+			if v := (types.View{ID: spec.MaxCreatedID().Next(o), Members: m}); spec.CreateViewCandidateOK(v) {
+				acts = append(acts, ioa.Action{Name: e.create, Kind: ioa.KindInternal,
+					Param: vsspec.CreateViewParam{View: v}})
+			}
+			if !e.allOrigins {
+				break
+			}
+		}
+	}
+	return acts
+}
+
 // naiveAuditEnv proposes each candidate membership as the next view while
 // fewer than maxViews views exist. Naive's nodes ignore messages, so views
 // are the only input that matters, and they are a function of the state.
@@ -78,20 +140,16 @@ type space struct {
 	a    ioa.Automaton
 	env  ioa.Environment
 	cfg  ioa.ExploreConfig
-	// pin is the space's size. A space is pinned only when its size is a
-	// function of the model: a space cut by MaxStates admits its last level
-	// in fingerprint order, and an environment that draws its inputs
-	// through ioa.StateSeed depends on the fingerprint's value, so either
-	// moves with the hash. Those spaces give the reason in sampled instead.
-	pin     counts
-	sampled string
+	// pin is the space's size. Only a space whose size is a function of
+	// the model can be pinned: no space reaches its MaxStates, which admits
+	// the last level in fingerprint order, and no environment draws its
+	// inputs through ioa.StateSeed, whose value moves with the hash.
+	pin counts
 	// deep, when set, is an E12 space, explored by dvs.CheckExploreDeep in
 	// place of a, env and cfg. It is pinned (states and edges) but not
 	// audited: rendering every state would take minutes.
 	deep *dvs.ExploreDeepConfig
 }
-
-const sampledWhy = "cut by MaxStates, and its environment draws inputs through StateSeed"
 
 // spaces is the repo's table of explored spaces. It builds fresh automata
 // on every call, so a test may enable symmetry on its copy.
@@ -105,28 +163,46 @@ func spaces() []space {
 		return a.(ioa.Automaton)
 	}
 	mcastMenu := [][]types.GroupID{{0}, {1}, {0, 1}}
+	menu := []types.ProcSet{types.NewProcSet(0), types.NewProcSet(1), universe2}
+	vsEnv := specAuditEnv{universe: universe2, snd: vsspec.ActGpSnd, create: vsspec.ActCreateView, maxViews: 3, views: menu}
+	dvsEnv := specAuditEnv{universe: universe2, snd: dvsspec.ActGpSnd, reg: dvsspec.ActRegister,
+		create: dvsspec.ActCreateView, maxViews: 3, views: menu}
+	symEnv := dvsEnv
+	symEnv.maxViews, symEnv.allOrigins = 2, true
 
 	return []space{
 		{
-			name:    "VS",
-			a:       vsspec.New(universe2, v02),
-			env:     vsspec.NewEnv(1, universe2),
-			cfg:     ioa.ExploreConfig{MaxStates: 3000, MaxDepth: 8},
-			sampled: sampledWhy,
+			name: "VS",
+			a:    vsspec.New(universe2, v02),
+			env:  vsEnv,
+			pin:  counts{1322, 3011, 12},
 		},
 		{
-			name:    "DVS",
-			a:       dvsspec.New(universe2, v02),
-			env:     dvsspec.NewEnv(1, universe2),
-			cfg:     ioa.ExploreConfig{MaxStates: 3000, MaxDepth: 8},
-			sampled: sampledWhy,
+			name: "DVS",
+			a:    dvsspec.New(universe2, v02),
+			env:  dvsEnv,
+			pin:  counts{17207, 61700, 18},
 		},
 		{
-			name:    "DVS/symmetry",
-			a:       symmetric(dvsspec.New(universe2, v02)),
-			env:     dvsspec.NewEnv(1, universe2),
-			cfg:     ioa.ExploreConfig{MaxStates: 3000, MaxDepth: 8, Symmetry: true},
-			sampled: sampledWhy,
+			name: "DVS-literal",
+			a:    dvsspec.NewLiteral(universe2, v02),
+			env:  dvsEnv,
+			pin:  counts{6547, 21964, 16},
+		},
+		{
+			name: "DVS-drained",
+			a:    dvsspec.NewDrained(universe2, v02),
+			env:  dvsEnv,
+			pin:  counts{10887, 41012, 18},
+		},
+		{
+			// Two views, each member an origin: 787 is the number of orbits
+			// of the 1,573 states the same exploration reaches without symmetry.
+			name: "DVS/symmetry",
+			a:    symmetric(dvsspec.New(universe2, v02)),
+			env:  symEnv,
+			cfg:  ioa.ExploreConfig{Symmetry: true},
+			pin:  counts{787, 2892, 13},
 		},
 		{
 			name: "TO",
@@ -257,9 +333,6 @@ func (c counts) check(t *testing.T, pin counts) {
 func TestPinnedSpaces(t *testing.T) {
 	for _, sp := range spaces() {
 		t.Run(sp.name, func(t *testing.T) {
-			if sp.sampled != "" {
-				t.Skip("sampled, not pinned: " + sp.sampled)
-			}
 			if sp.deep != nil && testing.Short() {
 				t.Skip("E12 skipped in -short mode")
 			}
