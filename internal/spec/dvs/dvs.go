@@ -154,24 +154,6 @@ func (a *DVS) Attempted(g types.ViewID) types.ProcSet { return a.attempted[g] }
 // Registered returns registered[g].
 func (a *DVS) Registered(g types.ViewID) types.ProcSet { return a.registered[g] }
 
-// TotReg returns the derived variable TotReg: created views all of whose
-// members have registered, sorted by id.
-func (a *DVS) TotReg() []types.View { return a.total(a.registered) }
-
-// TotAtt returns the derived variable TotAtt: created views all of whose
-// members have attempted, sorted by id.
-func (a *DVS) TotAtt() []types.View { return a.total(a.attempted) }
-
-func (a *DVS) total(sets map[types.ViewID]types.ProcSet) []types.View {
-	var out []types.View
-	for _, v := range a.Created() {
-		if v.Members.Subset(sets[v.ID]) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // viewBufs pools the buffers of views: the invariants read the created
 // views once per state and the environment once per createview draw, and a
 // fresh slice each time was most of what a seeded DVS run allocates.
@@ -305,6 +287,14 @@ func (a *DVS) Perform(act ioa.Action) error {
 		}
 		a.rcvd[vs.ProcView{P: p.To, G: p.G}] = r + 1
 		return nil
+
+	case ActCreateView:
+		if p, ok := act.Param.(CreateViewParam); ok && !a.CreateViewCandidateOK(p.View) {
+			if _, dup := a.View(p.View.ID); dup {
+				return fmt.Errorf("dvs-createview(%s): id already created", p.View)
+			}
+			return fmt.Errorf("dvs-createview(%s): intersection precondition fails", p.View)
+		}
 
 	case ActGpSnd:
 		if p, ok := act.Param.(SndParam); ok && !types.IsClient(p.M) {

@@ -81,8 +81,13 @@ func checkWellFormed(a *DVS) error {
 			}
 		}
 	}
-	if err := a.CheckReceived(a); err != nil {
-		return err
+	// next[p, g] moves only while g is p's current view and Received never
+	// falls, so checking current views in every reached state suffices.
+	for u, p := a.Universe(), a.Universe().First(); p >= 0; p = u.Next(p) {
+		g, ok := a.CurrentViewID(p)
+		if n, got := a.Next(p, g), a.Received(p, g); ok && n > got {
+			return fmt.Errorf("next[%s,%s] = %d exceeds received %d", p, g, n, got)
+		}
 	}
 	for k, r := range a.rcvd {
 		if n := len(a.QueueShared(k.G)); r > n+1 {

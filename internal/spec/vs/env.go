@@ -10,7 +10,7 @@ import (
 // Env supplies inputs for driving a specification automaton over the
 // channel: client broadcasts, createview proposals with arbitrary
 // membership and increasing ids that satisfy the automaton's Rules, and,
-// when the automaton has one, a registration (Figure 2's dvs-register).
+// when given one, an extra per-process input.
 //
 // Enumeration is a pure function of (seed, automaton state): the candidate
 // set is derived from a per-state PRNG seeded by ioa.StateSeed, and the
@@ -22,7 +22,7 @@ type Env struct {
 	seed     int64
 	procs    []types.ProcID
 	names    *Names
-	register func(types.ProcID) ioa.Action
+	extra    func(types.ProcID) ioa.Action
 	MaxViews int // cap on created views, counting v0 (0 = unlimited)
 }
 
@@ -34,10 +34,10 @@ func NewEnv(seed int64, universe types.ProcSet) *Env {
 }
 
 // EnvFor returns an environment for an automaton over the channel whose
-// actions n names. register, if not nil, is drawn at a random process
+// actions n names. extra, if not nil, is an input drawn at a random process
 // after each broadcast.
-func EnvFor(seed int64, universe types.ProcSet, n *Names, register func(types.ProcID) ioa.Action) *Env {
-	return &Env{seed: seed, procs: universe.Sorted(), names: n, register: register, MaxViews: 64}
+func EnvFor(seed int64, universe types.ProcSet, n *Names, extra func(types.ProcID) ioa.Action) *Env {
+	return &Env{seed: seed, procs: universe.Sorted(), names: n, extra: extra, MaxViews: 64}
 }
 
 // Inputs implements ioa.Environment.
@@ -57,8 +57,8 @@ func (e *Env) Inputs(a ioa.Automaton) []ioa.Action {
 	p := types.RandomMember(rng, e.procs)
 	m := types.ClientMsg("m" + strconv.FormatUint(rng.Uint64(), 36))
 	acts = append(acts, ioa.Action{Name: e.names.GpSnd, Kind: ioa.KindInput, Param: SndParam{M: m, P: p}})
-	if e.register != nil {
-		acts = append(acts, e.register(types.RandomMember(rng, e.procs)))
+	if e.extra != nil {
+		acts = append(acts, e.extra(types.RandomMember(rng, e.procs)))
 	}
 
 	if e.MaxViews == 0 || spec.CreatedCount() < e.MaxViews {

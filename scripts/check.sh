@@ -340,7 +340,7 @@ fuzz_guard() {
 # DESIGN.md only shrinks. CHANGES.md has each ceiling's history.
 loc_guard() {
 	counts="$(sh scripts/loc.sh)"
-	for row in internal/conform:2318 internal/lint:461 .:1699 total:20415 exemptions:4 DESIGN.md:1375; do
+	for row in internal/conform:2318 internal/lint:461 .:1699 total:20402 exemptions:4 DESIGN.md:1375; do
 		name=${row%%:*}
 		ceiling=${row##*:}
 		got=$(printf '%s\n' "$counts" | awk -v n="$name" '$2 == n { print $1 }')
